@@ -28,7 +28,7 @@
 //! (stable fleet digest, propagation counters and leg agreement plus a
 //! `wall_ms` volatile section carrying homes/sec, directives/sec and
 //! bytes/home) and exits non-zero if any fleet leg — serial rerun or
-//! work-stealing parallel — diverges from the serial reference, or if
+//! chunk-parallel — diverges from the serial reference, or if
 //! the one-discovery → fleet-wide-install propagation fact fails — the
 //! CI fleet-gate job depends on that. The `e21` arm always writes `BENCH_E21.json`
 //! (stable sweep digests, engine counters and the steady-state
@@ -344,6 +344,29 @@ fn render_json(seed: u64, threads: usize, records: &[Record]) -> String {
     out
 }
 
+/// Parse a count flag's value: a positive integer (`0` is rejected —
+/// a fleet of no homes, rounds or workers measures nothing).
+fn parse_positive<T>(flag: &str, v: &str) -> Result<T, String>
+where
+    T: std::str::FromStr + Default + PartialEq,
+{
+    v.parse()
+        .ok()
+        .filter(|n| *n != T::default())
+        .ok_or_else(|| format!("{flag} needs a positive integer, got '{v}'"))
+}
+
+/// The next argument as `flag`'s positive count, or usage exit 2.
+fn positive_arg<T>(flag: &str, args: &mut impl Iterator<Item = String>) -> T
+where
+    T: std::str::FromStr + Default + PartialEq,
+{
+    parse_positive(flag, &args.next().unwrap_or_default()).unwrap_or_else(|e| {
+        eprintln!("{e}");
+        std::process::exit(2);
+    })
+}
+
 fn main() {
     let mut json = false;
     let mut threads = 2usize;
@@ -354,27 +377,9 @@ fn main() {
         match arg.as_str() {
             "--json" => json = true,
             "--trace" => ids.push("trace".to_string()),
-            "--threads" => {
-                let v = args.next().unwrap_or_default();
-                threads = v.parse().unwrap_or_else(|_| {
-                    eprintln!("--threads needs a positive integer, got '{v}'");
-                    std::process::exit(2);
-                });
-            }
-            "--homes" => {
-                let v = args.next().unwrap_or_default();
-                fleet_cfg.homes = Some(v.parse().unwrap_or_else(|_| {
-                    eprintln!("--homes needs a positive integer, got '{v}'");
-                    std::process::exit(2);
-                }));
-            }
-            "--rounds" => {
-                let v = args.next().unwrap_or_default();
-                fleet_cfg.rounds = Some(v.parse().unwrap_or_else(|_| {
-                    eprintln!("--rounds needs a positive integer, got '{v}'");
-                    std::process::exit(2);
-                }));
-            }
+            "--threads" => threads = positive_arg(&arg, &mut args),
+            "--homes" => fleet_cfg.homes = Some(positive_arg(&arg, &mut args)),
+            "--rounds" => fleet_cfg.rounds = Some(positive_arg(&arg, &mut args)),
             _ => ids.push(arg),
         }
     }
@@ -425,5 +430,20 @@ fn main() {
              serial reference"
         );
         std::process::exit(1);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::parse_positive;
+
+    #[test]
+    fn count_flags_reject_zero_and_garbage() {
+        assert_eq!(parse_positive::<u32>("--homes", "128"), Ok(128));
+        assert_eq!(parse_positive::<usize>("--threads", "1"), Ok(1));
+        for bad in ["0", "", "-3", "two", "4294967296"] {
+            let err = parse_positive::<u32>("--rounds", bad).unwrap_err();
+            assert_eq!(err, format!("--rounds needs a positive integer, got '{bad}'"));
+        }
     }
 }

@@ -3,7 +3,7 @@
 //! One experiment, one determinism gate: a fleet of [`FLEET_HOMES`]
 //! IoTSec homes (the [`iotsec_fleet::FleetScenario`] zero-day camera)
 //! runs [`ROUNDS`] rounds on four legs — the serial reference, a serial
-//! *rerun* (run-to-run stability), and the work-stealing parallel path
+//! *rerun* (run-to-run stability), and the chunk-parallel path
 //! at each count in [`PAR_THREADS`]. Every leg starts from a cold fleet
 //! (fresh memo, fresh region) and must reproduce the reference's chained
 //! fleet digest byte-for-byte; any divergence fails the run.
@@ -35,7 +35,7 @@ pub const PAR_THREADS: &[usize] = &[2, 4];
 pub const FLEET_HOMES: u32 = 10_000;
 /// Homes per neighborhood aggregator (10² aggregators).
 pub const NEIGHBORHOOD: u32 = 100;
-/// Homes per work-stealing chunk.
+/// Homes per fleet chunk.
 pub const CHUNK: u32 = 64;
 /// Fleet rounds: breach → defended → memoized.
 pub const ROUNDS: u32 = 3;

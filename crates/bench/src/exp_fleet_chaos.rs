@@ -45,7 +45,7 @@ pub const SEED: u64 = 20151116;
 pub const HOMES: u32 = 400;
 /// Homes per neighborhood aggregator.
 pub const NEIGHBORHOOD: u32 = 20;
-/// Homes per work-stealing chunk.
+/// Homes per fleet chunk.
 pub const CHUNK: u32 = 64;
 /// Fault-injection window: weather rages in rounds `0..HORIZON`, then
 /// the schedule goes calm and recovery must finish the job.

@@ -9,7 +9,7 @@
 //!    [`NAIVE_SWEEP_LIMIT`];
 //! 2. **packed-serial** — bitfield-encoded states with memoized policy
 //!    evaluation;
-//! 3. **packed-parallel** — the same sweep chunked over work-stealing
+//! 3. **packed-parallel** — the same sweep chunked over parallel
 //!    workers at each thread count in [`PAR_THREADS`].
 //!
 //! Every engine must report the identical state count, posture-class

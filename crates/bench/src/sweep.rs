@@ -1,24 +1,24 @@
-//! The parallel sweep engine: a work-stealing runner for independent
-//! world instances (the E16 tentpole).
+//! The parallel sweep engine: a runner for independent world instances
+//! (the E16 tentpole).
 //!
 //! [`iotsec::world::World`] is deliberately single-threaded (`Rc` and
 //! `RefCell` throughout), so the unit of parallelism is one *whole
 //! world*: each job is a `(scenario, seed, population)` triple, built
-//! and run entirely inside whichever worker thread claims it. Jobs are
-//! distributed through the `crossbeam::deque` work-stealing triple
-//! (global [`Injector`], per-worker [`Worker`] deques, cross-worker
-//! [`Stealer`]s) and every result lands in a slot indexed by its job id,
-//! so the merged output is a pure function of the job list — `--threads
-//! 1` and `--threads N` produce byte-identical sweeps.
+//! and run entirely inside whichever worker thread claims it. The job
+//! list is fixed before any worker starts and jobs never spawn jobs, so
+//! workers claim job indices off one shared atomic cursor, and every
+//! result lands in a slot indexed by its job id: the merged output is a
+//! pure function of the job list — `--threads 1` and `--threads N`
+//! produce byte-identical sweeps.
 
 use crate::exp_world::exploit_landed;
-use crossbeam::deque::{Injector, Steal, Stealer, Worker};
 use iotctl::concurrent::SweepLedger;
 use iotnet::engine::QueueKind;
 use iotnet::time::SimDuration;
 use iotsec::defense::Defense;
 use iotsec::scenario;
 use iotsec::world::World;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use trace::{TraceConfig, Tracer};
 
@@ -168,46 +168,12 @@ fn run_world_job_with(
     }
 }
 
-/// Pop the next task: local deque first, then the global injector, then
-/// steal from a sibling. Returns `None` only when every source is dry —
-/// correct as a termination test here because the job list is pushed in
-/// full before any worker starts and jobs never spawn jobs.
-fn find_task<T>(
-    local: &Worker<T>,
-    injector: &Injector<T>,
-    stealers: &[Stealer<T>],
-    me: usize,
-) -> Option<T> {
-    if let Some(t) = local.pop() {
-        return Some(t);
-    }
-    loop {
-        match injector.steal() {
-            Steal::Success(t) => return Some(t),
-            Steal::Retry => continue,
-            Steal::Empty => break,
-        }
-    }
-    for (i, s) in stealers.iter().enumerate() {
-        if i == me {
-            continue;
-        }
-        loop {
-            match s.steal() {
-                Steal::Success(t) => return Some(t),
-                Steal::Retry => continue,
-                Steal::Empty => break,
-            }
-        }
-    }
-    None
-}
-
 /// Run `run(index, &job)` over every job across `threads` workers and
 /// return the results in job order. `threads <= 1` is a plain serial
 /// loop (the reference the parallel path must match byte-for-byte);
-/// otherwise each worker loops [`find_task`] and writes its result into
-/// the slot for that job index, which *is* the canonical-order merge.
+/// otherwise each worker claims the next unclaimed job index and writes
+/// its result into the slot for that index, which *is* the
+/// canonical-order merge.
 pub fn run_sweep<J, R, F>(jobs: Vec<J>, threads: usize, run: F) -> Vec<R>
 where
     J: Send + Sync,
@@ -217,24 +183,16 @@ where
     if threads <= 1 || jobs.len() <= 1 {
         return jobs.iter().enumerate().map(|(i, j)| run(i, j)).collect();
     }
-    let injector: Injector<(usize, &J)> = Injector::new();
-    for (i, j) in jobs.iter().enumerate() {
-        injector.push((i, j));
-    }
+    let next = AtomicUsize::new(0);
     let slots: Vec<Mutex<Option<R>>> = jobs.iter().map(|_| Mutex::new(None)).collect();
-    let workers: Vec<Worker<(usize, &J)>> = (0..threads).map(|_| Worker::new_fifo()).collect();
-    let stealers: Vec<Stealer<(usize, &J)>> = workers.iter().map(|w| w.stealer()).collect();
     crossbeam::scope(|s| {
-        for (me, worker) in workers.into_iter().enumerate() {
-            let injector = &injector;
-            let stealers = &stealers;
-            let slots = &slots;
-            let run = &run;
-            s.spawn(move |_| {
-                while let Some((i, job)) = find_task(&worker, injector, stealers, me) {
-                    let result = run(i, job);
-                    *slots[i].lock().unwrap() = Some(result);
-                }
+        for _ in 0..threads {
+            s.spawn(|_| loop {
+                // Relaxed: the cursor only hands out indices; the jobs it
+                // indexes were shared before the workers started.
+                let i = next.fetch_add(1, Ordering::Relaxed);
+                let Some(job) = jobs.get(i) else { break };
+                *slots[i].lock().unwrap() = Some(run(i, job));
             });
         }
     })

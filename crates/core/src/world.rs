@@ -383,18 +383,23 @@ pub struct DeltaInstall {
 /// shared *within one home* (signature rulesets, µmbox chains, the gate
 /// view). A resident world, however, must outlive the scoped worker
 /// thread that ran it and be picked up by the next round's worker. That
-/// hand-off is serial — the fleet stores each slot behind a `Mutex` and
-/// statically assigns each home's chunk to exactly one worker per
-/// round, so no two threads ever touch a world concurrently, and every
-/// `Rc` clone lives inside the world being moved (none escapes to
-/// another thread). Under those invariants a cross-thread *move* is
-/// sound, which is exactly what this wrapper's `unsafe impl Send`
-/// asserts.
+/// hand-off is serial — the fleet keeps each resident world in one
+/// worker's state, lends that state as an exclusive `&mut` to exactly
+/// one scoped thread per round, and joins the thread before the
+/// coordinator (or the next round's thread) can reach it again. So no
+/// two threads ever touch a world concurrently, the borrow checker —
+/// not a lock discipline — enforces it, and every `Rc` clone lives
+/// inside the world being moved (none escapes to another thread). Under
+/// those invariants a cross-thread *move* is sound, which is exactly
+/// what this wrapper's `unsafe impl Send` asserts.
 pub struct ResidentWorld(World);
 
-// SAFETY: see the type-level docs — the fleet moves a ResidentWorld
-// between rounds but never shares it across threads, and all interior
-// shared pointers are confined to the wrapped world.
+// SAFETY: see the type-level docs — `ResidentWorld` is not `Sync` and
+// hands out the world only through `&mut self`, so a world is only ever
+// reached by the one thread holding the exclusive borrow (the scoped
+// worker it was lent to, joined before anyone else reads), and all
+// interior shared pointers (`Rc`/`RefCell`) are confined to the wrapped
+// world, so none is ever cloned or dropped on two threads at once.
 #[allow(unsafe_code)]
 unsafe impl Send for ResidentWorld {}
 

@@ -6,10 +6,11 @@
 //! is a pure function of `(seed, round, neighborhood, salt)` rolled on
 //! the serial coordinator, so a chaos-on run is byte-identical across
 //! `--threads {1,2,4}` and reruns for free — workers never see the
-//! chaos at all. `None` chaos is inert by construction: the fleet takes
-//! the exact branch structure it takes today and emits the exact same
-//! trace, which is what keeps `BENCH_E20.json` and every existing
-//! golden byte-for-byte unchanged.
+//! chaos at all. The fleet has one barrier; without a schedule it runs
+//! under [`FleetChaos::calm`], on which no decision ever fires, and the
+//! events that only describe weather are emitted only when a schedule
+//! was attached — which is what keeps `BENCH_E20.json` and every
+//! chaos-off golden byte-for-byte unchanged.
 //!
 //! The fault vocabulary matches the ISSUE's threat model for the
 //! home → neighborhood → region hierarchy:
@@ -157,6 +158,20 @@ impl FleetChaos {
         }
     }
 
+    /// The schedule on which nothing ever fires — what a fleet built
+    /// without chaos runs its barrier under.
+    pub fn calm() -> FleetChaos {
+        FleetChaos {
+            drop_pm: 0,
+            dup_pm: 0,
+            reorder_pm: 0,
+            crash_pm: 0,
+            partition_pm: 0,
+            delay_pm: 0,
+            ..FleetChaos::new(0)
+        }
+    }
+
     /// Same schedule, different recovery policy (the weakened arms).
     pub fn with_policy(mut self, policy: RecoveryPolicy) -> FleetChaos {
         self.policy = policy;
@@ -247,15 +262,7 @@ mod tests {
 
     #[test]
     fn zero_pm_never_fires_and_full_pm_always_fires() {
-        let calm = FleetChaos {
-            drop_pm: 0,
-            dup_pm: 0,
-            reorder_pm: 0,
-            crash_pm: 0,
-            partition_pm: 0,
-            delay_pm: 0,
-            ..FleetChaos::new(1)
-        };
+        let calm = FleetChaos::calm();
         let storm = FleetChaos {
             drop_pm: 1000,
             dup_pm: 1000,

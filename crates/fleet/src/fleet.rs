@@ -1,13 +1,17 @@
-//! The fleet engine: sharded execution, hierarchical intel, chunk-order
+//! The fleet engine: chunked execution, hierarchical intel, home-order
 //! merge.
 //!
 //! A fleet round has three strictly separated parts:
 //!
-//! 1. **Execute** (parallel): every home runs — or is served from the
-//!    memo — against the intel epoch installed at the last barrier.
-//!    Workers touch only `Sync` state (the scenario, the memo shards,
-//!    the outcome slots, two atomic counters) and each home is owned by
-//!    exactly one chunk, so slot writes never race.
+//! 1. **Execute** (parallel): every home runs — or is served from its
+//!    slot — against the intel epoch installed at the last barrier. The
+//!    per-home slots are split into disjoint `&mut` chunks; chunk `c`
+//!    goes to worker `c % threads`, and one `serve` body runs them,
+//!    inline when `threads <= 1` and on scoped threads otherwise.
+//!    Workers share only read-only state (the scenario, the ledger, the
+//!    snapshots); everything a worker writes — its slots, its
+//!    [`WorldScrap`], its resident world, its counters — it holds by
+//!    exclusive borrow, so there is nothing to lock and nothing to race.
 //! 2. **Merge** (serial, coordinator): outcomes are folded into the
 //!    chained fleet digest in home order, totals accumulate, and fresh
 //!    discoveries flow into the discovering home's neighborhood buffer.
@@ -17,12 +21,17 @@
 //!    the snapshot is interned once, and batched installs bring every
 //!    home to the new epoch before the next round.
 //!
+//! **The slot is the memo.** A home's slot keeps the outcome of its
+//! latest execution and the epoch it ran against. Ledger epochs only
+//! advance, so that pair is the only memo entry a later round can ask
+//! for: equal epochs are a hit, anything else re-executes.
+//!
 //! Determinism: parts 2 and 3 are serial and iterate in home /
 //! neighborhood order; part 1 computes a pure function of
-//! `(home, epoch)` per home. Thread interleaving can only change *when*
-//! a slot is written, never what it holds — so the chained digest is
-//! byte-identical at any thread count, which `experiments e20` and
-//! `tests/fleet_props.rs` enforce.
+//! `(home, epoch)` per home into a position-indexed slot, under a
+//! chunk → worker deal that depends only on the fleet shape — so the
+//! chained digest (and every counter) is byte-identical at any thread
+//! count, which `experiments e20` and `tests/fleet_props.rs` enforce.
 //!
 //! **Chaos (E25).** A fleet built with [`Fleet::with_chaos`] runs the
 //! same three parts under a seeded [`crate::chaos::FleetChaos`]
@@ -32,30 +41,24 @@
 //! Every fault decision is rolled serially at the barrier as a pure
 //! function of `(chaos seed, round, neighborhood)`, so chaos-on runs
 //! stay byte-identical at any thread count. Under chaos homes diverge
-//! in installed epoch, so execution keys each home's memo lookup and
-//! intel snapshot by *its* ledger epoch; chaos-off every home shares
-//! one epoch and the path reduces exactly to the paragraph above —
-//! same digest bytes, same trace, same `BENCH_E20.json`.
+//! in installed epoch, so execution serves each home at *its* ledger
+//! epoch. A fleet built without a schedule runs the very same barrier
+//! under [`FleetChaos::calm`]: no roll fires, every home shares one
+//! epoch, and the weather-only trace events are never emitted — same
+//! digest bytes, same trace, same `BENCH_E20.json`.
 
 use crate::chaos::FleetChaos;
-use crossbeam::deque::{Injector, Steal, Stealer, Worker};
 use iotctl::aggregate::{Directory, InstallLedger, NeighborhoodBuffer, RegionIntel, RegionLog};
 use iotlearn::AttackSignature;
 use iotpolicy::intern::Interner;
 use iotsec::world::WorldScrap;
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use trace::digest::Fnv64;
 use trace::{TraceEvent, Tracer};
 
-/// Number of memo shards (the E19 pattern: enough to keep lock
-/// contention negligible at any worker count, few enough to stay cheap).
-const MEMO_SHARDS: usize = 64;
-
-/// The `Copy` outcome of one home for one round. Crossing a thread
-/// boundary and sitting in the memo must both be allocation-free, so
-/// this is fixed-size by construction.
+/// The `Copy` outcome of one home for one round. Sitting in the home's
+/// [`Slot`] must be allocation-free, so this is fixed-size by
+/// construction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct HomeOutcome {
     /// Per-home outcome digest (a pure function of `(home, intel)`).
@@ -115,18 +118,40 @@ impl ResidentStats {
     }
 }
 
-/// One worker's resident pool: its persistent world slot plus the
-/// stats it accumulates. Behind a `Mutex` in the fleet; each round's
-/// static home→worker assignment guarantees exactly one worker touches
-/// a pool at a time.
-struct ResidentPool<R> {
-    slot: Option<R>,
-    stats: ResidentStats,
+/// One home's outcome slot, which is also its memo: the outcome of the
+/// home's most recent execution and the intel epoch it ran against.
+/// Ledger epochs only advance, so the latest `(epoch, out)` is the only
+/// entry any later round can ask for.
+#[derive(Clone, Copy, Default)]
+struct Slot {
+    epoch: u32,
+    /// Whether the home has executed at all (`out` is meaningful).
+    ran: bool,
+    out: HomeOutcome,
 }
 
-impl<R> Default for ResidentPool<R> {
-    fn default() -> ResidentPool<R> {
-        ResidentPool { slot: None, stats: ResidentStats::default() }
+/// Everything one worker carries across rounds, lent `&mut` to exactly
+/// one thread per round (chunk `c` always runs on worker `c % threads`).
+struct WorkerState<R> {
+    /// Recycled world heap, reused across every home this worker builds.
+    scrap: WorldScrap,
+    /// The persistent resident world (E26), once built.
+    resident: Option<R>,
+    stats: ResidentStats,
+    /// Homes served from their slot / executed, cumulative.
+    hits: u64,
+    misses: u64,
+}
+
+impl<R> Default for WorkerState<R> {
+    fn default() -> WorkerState<R> {
+        WorkerState {
+            scrap: WorldScrap::default(),
+            resident: None,
+            stats: ResidentStats::default(),
+            hits: 0,
+            misses: 0,
+        }
     }
 }
 
@@ -199,7 +224,8 @@ pub struct FleetConfig {
     pub homes: u32,
     /// Homes per neighborhood aggregator.
     pub neighborhood: u32,
-    /// Homes per work-stealing chunk (the scheduling granule).
+    /// Homes per chunk (the granule dealt to workers: chunk `c` runs on
+    /// worker `c % threads`).
     pub chunk: u32,
     /// Worker threads; `<= 1` is the serial reference path.
     pub threads: usize,
@@ -301,17 +327,6 @@ pub fn home_seed(fleet_seed: u64, home: u32) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Memo key: exact `(home, epoch)` packed into a `u64` — no hashing on
-/// the key itself, so distinct homes can never alias.
-fn memo_key(home: u32, epoch: u32) -> u64 {
-    (u64::from(home) << 32) | u64::from(epoch)
-}
-
-/// Shard selector: multiply-shift over the key's top bits.
-fn memo_shard(key: u64) -> usize {
-    (key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 58) as usize
-}
-
 /// A pending flush retry: the dropped batch, how many times it has been
 /// attempted, and the round it next pumps (bounded exponential backoff,
 /// the E15 `DeliveryChannel` discipline lifted to batches).
@@ -364,15 +379,11 @@ pub struct Fleet<S: HomeWorld> {
     scenario: S,
     cfg: FleetConfig,
     dir: Directory,
-    /// Precomputed `[start, end)` home chunks, reused every round.
-    chunks: Vec<(u32, u32)>,
-    /// One outcome slot per home; writing a `Copy` value, never racing
-    /// (each home belongs to exactly one chunk).
-    slots: Vec<Mutex<Option<HomeOutcome>>>,
-    /// The E19-style sharded memo: `(home, epoch) → outcome`.
-    memo: Vec<Mutex<HashMap<u64, HomeOutcome>>>,
-    memo_hits: AtomicU64,
-    memo_misses: AtomicU64,
+    /// One slot per home, split into disjoint `cfg.chunk`-sized pieces
+    /// each round; doubles as the memo (see [`Slot`]).
+    slots: Vec<Slot>,
+    /// Per-worker state (index = worker, slot 0 serial).
+    workers: Vec<WorkerState<S::Resident>>,
     /// Per-neighborhood upward discovery buffers.
     buffers: Vec<NeighborhoodBuffer<AttackSignature>>,
     /// The regional canonical intel union.
@@ -400,8 +411,8 @@ pub struct Fleet<S: HomeWorld> {
     /// aggregator crash clears the flags of the homes whose buffered
     /// reports it lost, and they re-publish from memoized outcomes.
     published: Vec<bool>,
-    /// The chaos schedule; `None` (the default) is byte-for-byte the
-    /// pre-E25 fleet.
+    /// The chaos schedule. `None` (the default) runs the barrier under
+    /// [`FleetChaos::calm`] and mutes the weather-only trace events.
     chaos: Option<FleetChaos>,
     /// The region's checkpointed absorb log (respawn-by-replay source).
     region_log: RegionLog<AttackSignature>,
@@ -413,13 +424,9 @@ pub struct Fleet<S: HomeWorld> {
     /// Published-but-not-yet-converged discoveries (degraded-mode
     /// accounting; chaos-on only).
     outstanding: Vec<Outstanding>,
-    /// Per-worker recycled world heaps (index = worker, slot 0 serial).
-    scraps: Vec<Mutex<WorldScrap>>,
     /// Whether rounds run in resident mode (E26): persistent per-worker
-    /// worlds, home-affine static chunk assignment, delta installs.
+    /// worlds and delta installs instead of a rebuild per home.
     resident_on: bool,
-    /// Per-worker resident pools (index = worker, slot 0 serial).
-    residents: Vec<Mutex<ResidentPool<S::Resident>>>,
     /// Out-of-band intel queued by [`Fleet::inject_intel`]; drained into
     /// the next barrier's upward flow (bench/test epoch-churn driver).
     feed: Vec<AttackSignature>,
@@ -467,20 +474,14 @@ impl<S: HomeWorld> Fleet<S> {
 
     fn build(scenario: S, cfg: FleetConfig, chaos: Option<FleetChaos>, tracer: Tracer) -> Fleet<S> {
         let homes = cfg.homes;
-        let chunk = cfg.chunk.max(1);
-        let chunks =
-            (0..homes.div_ceil(chunk)).map(|c| (c * chunk, ((c + 1) * chunk).min(homes))).collect();
         let dir = Directory::new(homes, cfg.neighborhood);
         let empty: Arc<[AttackSignature]> = Vec::new().into();
         Fleet {
             scenario,
             cfg,
             dir,
-            chunks,
-            slots: (0..homes).map(|_| Mutex::new(None)).collect(),
-            memo: (0..MEMO_SHARDS).map(|_| Mutex::new(HashMap::new())).collect(),
-            memo_hits: AtomicU64::new(0),
-            memo_misses: AtomicU64::new(0),
+            slots: vec![Slot::default(); homes as usize],
+            workers: (0..cfg.threads.max(1)).map(|_| WorkerState::default()).collect(),
             buffers: (0..dir.neighborhoods()).map(|_| NeighborhoodBuffer::new()).collect(),
             region: RegionIntel::new(),
             interner: Interner::new(),
@@ -494,11 +495,7 @@ impl<S: HomeWorld> Fleet<S> {
             aggs: (0..dir.neighborhoods()).map(|_| AggState::default()).collect(),
             late_dups: Vec::new(),
             outstanding: Vec::new(),
-            scraps: (0..cfg.threads.max(1)).map(|_| Mutex::new(WorldScrap::default())).collect(),
             resident_on: false,
-            residents: (0..cfg.threads.max(1))
-                .map(|_| Mutex::new(ResidentPool::default()))
-                .collect(),
             feed: Vec::new(),
             digest: Fnv64::new(),
             tracer,
@@ -524,141 +521,77 @@ impl<S: HomeWorld> Fleet<S> {
     pub fn round(&mut self) -> RoundSummary {
         let round = self.round;
         let epoch = self.installed_epoch;
-        let hits_before = self.memo_hits.load(Ordering::Relaxed);
-        let misses_before = self.memo_misses.load(Ordering::Relaxed);
+        let (hits_before, misses_before) = self.memo_counts();
 
         // --- 1. execute -------------------------------------------------
         //
         // Each home runs against the epoch *it* has installed (per the
         // ledger): under chaos homes diverge while waves are lost or
-        // delayed; chaos-off every home sits at `installed_epoch` and
-        // this is exactly the single-epoch path. Each worker recycles
-        // one `WorldScrap` across every home it claims, so long
-        // campaigns rebuild worlds out of retained capacity instead of
-        // cold allocations.
+        // delayed; chaos-off every home sits at `installed_epoch`. A
+        // home whose slot already holds that epoch's outcome is a memo
+        // hit. Each worker recycles one `WorldScrap` (and, resident, one
+        // world) across every home it serves, so long campaigns rebuild
+        // out of retained capacity instead of cold allocations.
         {
             let scenario = &self.scenario;
-            let memo = &self.memo;
-            let slots = &self.slots;
-            let snapshots: &[Option<Arc<[AttackSignature]>>] = &self.snapshots;
+            let snapshots = &self.snapshots;
             let ledger = &self.ledger;
-            let scraps = &self.scraps;
-            let (hits, misses) = (&self.memo_hits, &self.memo_misses);
-            let seed = self.cfg.seed;
-            let intel_of = |epoch: u32| -> &Arc<[AttackSignature]> {
-                snapshots[epoch as usize]
-                    .as_ref()
-                    .expect("a home's installed epoch never drops below the GC floor")
-            };
-            let exec = |home: u32, scrap: &mut WorldScrap| {
-                let home_epoch = ledger.epoch_of(home);
-                let key = memo_key(home, home_epoch);
-                let shard = &memo[memo_shard(key)];
-                if let Some(out) = shard.lock().unwrap().get(&key) {
-                    hits.fetch_add(1, Ordering::Relaxed);
-                    return *out;
+            let fleet_seed = self.cfg.seed;
+            let resident_on = self.resident_on;
+            let serve = |w: &mut WorkerState<S::Resident>, start: u32, slots: &mut [Slot]| {
+                for (home, slot) in (start..).zip(slots) {
+                    let epoch = ledger.epoch_of(home);
+                    if slot.ran && slot.epoch == epoch {
+                        w.hits += 1;
+                        continue;
+                    }
+                    let intel = snapshots[epoch as usize]
+                        .as_ref()
+                        .expect("a home's installed epoch never drops below the GC floor");
+                    let seed = home_seed(fleet_seed, home);
+                    let out = if resident_on {
+                        scenario.run_home_resident(
+                            home,
+                            seed,
+                            epoch,
+                            intel,
+                            &mut w.resident,
+                            &mut w.scrap,
+                            &mut w.stats,
+                        )
+                    } else {
+                        scenario.run_home_recycled(home, seed, intel, &mut w.scrap)
+                    };
+                    *slot = Slot { epoch, ran: true, out };
+                    w.misses += 1;
                 }
-                let intel: &[AttackSignature] = intel_of(home_epoch);
-                let out = scenario.run_home_recycled(home, home_seed(seed, home), intel, scrap);
-                shard.lock().unwrap().insert(key, out);
-                misses.fetch_add(1, Ordering::Relaxed);
-                out
             };
-            let exec_resident =
-                |home: u32, scrap: &mut WorldScrap, pool: &mut ResidentPool<S::Resident>| {
-                    let home_epoch = ledger.epoch_of(home);
-                    let key = memo_key(home, home_epoch);
-                    let shard = &memo[memo_shard(key)];
-                    if let Some(out) = shard.lock().unwrap().get(&key) {
-                        hits.fetch_add(1, Ordering::Relaxed);
-                        return *out;
-                    }
-                    let out = scenario.run_home_resident(
-                        home,
-                        home_seed(seed, home),
-                        home_epoch,
-                        intel_of(home_epoch),
-                        &mut pool.slot,
-                        scrap,
-                        &mut pool.stats,
-                    );
-                    shard.lock().unwrap().insert(key, out);
-                    misses.fetch_add(1, Ordering::Relaxed);
-                    out
-                };
-            if self.resident_on {
-                // Resident mode: static home-affine assignment — chunk
-                // `c` always runs on worker `c % threads`, so each
-                // worker's resident world only ever serves "its" homes
-                // and no slot crosses a thread mid-round. (Work stealing
-                // would migrate state; affinity is the point.)
-                let residents = &self.residents;
-                let nworkers = self.cfg.threads.max(1);
-                if nworkers == 1 {
-                    let scrap = &mut *scraps[0].lock().unwrap();
-                    let pool = &mut *residents[0].lock().unwrap();
-                    for &(start, end) in &self.chunks {
-                        for home in start..end {
-                            *slots[home as usize].lock().unwrap() =
-                                Some(exec_resident(home, scrap, pool));
-                        }
-                    }
-                } else {
-                    let chunks = &self.chunks;
-                    crossbeam::scope(|s| {
-                        for me in 0..nworkers {
-                            let exec_resident = &exec_resident;
-                            s.spawn(move |_| {
-                                let scrap = &mut *scraps[me].lock().unwrap();
-                                let pool = &mut *residents[me].lock().unwrap();
-                                for (ci, &(start, end)) in chunks.iter().enumerate() {
-                                    if ci % nworkers != me {
-                                        continue;
-                                    }
-                                    for home in start..end {
-                                        *slots[home as usize].lock().unwrap() =
-                                            Some(exec_resident(home, scrap, pool));
-                                    }
-                                }
-                            });
-                        }
-                    })
-                    .unwrap();
-                }
-            } else if self.cfg.threads <= 1 {
-                let scrap = &mut *scraps[0].lock().unwrap();
-                for &(start, end) in &self.chunks {
-                    for home in start..end {
-                        *slots[home as usize].lock().unwrap() = Some(exec(home, scrap));
-                    }
+            // Chunk `c` runs on worker `c % threads` in both modes, so a
+            // worker's resident world only ever serves "its" homes and
+            // `ResidentStats` do not depend on thread timing.
+            let chunk = self.cfg.chunk.max(1) as usize;
+            let chunks = self.slots.chunks_mut(chunk).zip((0u32..).step_by(chunk));
+            if let [only] = &mut self.workers[..] {
+                for (slots, start) in chunks {
+                    serve(only, start, slots);
                 }
             } else {
-                let injector: Injector<(u32, u32)> = Injector::new();
-                for &c in &self.chunks {
-                    injector.push(c);
+                let threads = self.workers.len();
+                let mut hands: Vec<Vec<_>> = (0..threads).map(|_| Vec::new()).collect();
+                for (c, piece) in chunks.enumerate() {
+                    hands[c % threads].push(piece);
                 }
-                let workers: Vec<Worker<(u32, u32)>> =
-                    (0..self.cfg.threads).map(|_| Worker::new_fifo()).collect();
-                let stealers: Vec<Stealer<(u32, u32)>> =
-                    workers.iter().map(|w| w.stealer()).collect();
                 crossbeam::scope(|s| {
-                    for (me, worker) in workers.into_iter().enumerate() {
-                        let injector = &injector;
-                        let stealers = &stealers;
-                        let exec = &exec;
+                    for (w, hand) in self.workers.iter_mut().zip(hands) {
+                        let serve = &serve;
                         s.spawn(move |_| {
-                            let scrap = &mut *scraps[me].lock().unwrap();
-                            while let Some((start, end)) =
-                                find_task(&worker, injector, stealers, me)
-                            {
-                                for home in start..end {
-                                    *slots[home as usize].lock().unwrap() = Some(exec(home, scrap));
-                                }
+                            for (slots, start) in hand {
+                                serve(w, start, slots);
                             }
                         });
                     }
                 })
-                .unwrap();
+                .expect("a fleet worker panicked");
             }
         }
 
@@ -667,10 +600,7 @@ impl<S: HomeWorld> Fleet<S> {
         self.digest.write_u32(epoch);
         let mut discoveries = 0u32;
         for home in 0..self.cfg.homes {
-            let out = self.slots[home as usize]
-                .lock()
-                .unwrap()
-                .expect("every home produces exactly one outcome per round");
+            let out = self.slots[home as usize].out;
             self.digest.write_u32(home);
             self.digest.write_u64(out.digest);
             self.digest.write_u64(out.blocks);
@@ -707,73 +637,33 @@ impl<S: HomeWorld> Fleet<S> {
 
         // --- 3. barrier (serial, neighborhood order) --------------------
         let installs_before = self.ledger.installs();
-        if let Some(chaos) = self.chaos {
-            self.barrier_chaos(round, &chaos);
-        } else {
-            self.barrier_clean(round);
-        }
+        self.barrier(round);
         self.digest.write_u32(self.installed_epoch);
         self.gc_intel();
 
         self.round += 1;
+        let (hits, misses) = self.memo_counts();
         RoundSummary {
             round,
-            executed: (self.memo_misses.load(Ordering::Relaxed) - misses_before) as u32,
-            memo_hits: (self.memo_hits.load(Ordering::Relaxed) - hits_before) as u32,
+            executed: (misses - misses_before) as u32,
+            memo_hits: (hits - hits_before) as u32,
             discoveries,
             epoch: self.installed_epoch,
             installs: self.ledger.installs() - installs_before,
         }
     }
 
-    /// The chaos-off barrier: flush every buffer in neighborhood order,
-    /// absorb once, and on a new epoch intern the snapshot and wave
-    /// installs to every neighborhood — the exact pre-E25 branch
-    /// structure, emitting the exact pre-E25 events.
-    fn barrier_clean(&mut self, round: u32) {
-        let mut upward: Vec<AttackSignature> = std::mem::take(&mut self.feed);
-        for n in 0..self.dir.neighborhoods() {
-            let batch = self.buffers[n as usize].flush();
-            if !batch.is_empty() {
-                upward.extend(batch);
-            }
-        }
-        let novel = self.region.absorb_returning_novel(upward);
-        if !novel.is_empty() {
-            let new_epoch = self.region.epoch();
-            // Checkpoint the per-epoch delta into the region log — the
-            // delta stream resident installs and respawn-by-replay both
-            // read — on the clean path exactly as the chaos path does.
-            self.region_log.checkpoint(new_epoch, novel);
-            let snapshot = self.region.snapshot();
-            self.intel = self.interner.intern(&snapshot);
-            self.snapshots.push(Some(self.intel.clone()));
-            self.installed_epoch = new_epoch;
-            for n in 0..self.dir.neighborhoods() {
-                let range = self.dir.homes_of(n);
-                let advanced = self.ledger.install_batch(range.clone(), new_epoch);
-                if advanced > 0 {
-                    self.tracer.emit(
-                        u64::from(round),
-                        TraceEvent::FleetBatch { neighborhood: n, installs: advanced },
-                    );
-                    for home in range {
-                        self.tracer.emit(
-                            u64::from(round),
-                            TraceEvent::FleetInstall { home, epoch: new_epoch },
-                        );
-                    }
-                }
-            }
-        }
-    }
-
-    /// The chaos-on barrier: the same flush → absorb → wave sequence,
-    /// but every step faces the schedule's weather and is backed by the
-    /// corresponding recovery mechanism. Entirely serial; every fault
-    /// decision is a pure function of `(chaos seed, round,
-    /// neighborhood)`, so the whole round is thread-count invariant.
-    fn barrier_chaos(&mut self, round: u32, chaos: &FleetChaos) {
+    /// The barrier: flush → absorb → install waves, where every step
+    /// faces the schedule's weather and is backed by the corresponding
+    /// recovery mechanism. A fleet built without a schedule runs the
+    /// same code under [`FleetChaos::calm`], on which nothing fires: all
+    /// flushes survive in neighborhood order, every wave lands at once,
+    /// and the events that only describe weather (`fleet-absorb`
+    /// included) stay unemitted. Entirely serial; every fault decision
+    /// is a pure function of `(chaos seed, round, neighborhood)`, so the
+    /// whole round is thread-count invariant.
+    fn barrier(&mut self, round: u32) {
+        let chaos = self.chaos.unwrap_or(FleetChaos::calm());
         let tr = u64::from(round);
         let policy = chaos.policy;
 
@@ -827,10 +717,10 @@ impl<S: HomeWorld> Fleet<S> {
                 // pure function is the recovery story, so outcomes (and
                 // thus digest and trace) are unchanged.
                 if self.resident_on {
-                    let wi = ni % self.residents.len();
-                    let mut pool = self.residents[wi].lock().unwrap();
-                    if pool.slot.take().is_some() {
-                        pool.stats.dropped += 1;
+                    let wi = ni % self.workers.len();
+                    let w = &mut self.workers[wi];
+                    if w.resident.take().is_some() {
+                        w.stats.dropped += 1;
                     }
                 }
                 self.tracer
@@ -915,9 +805,11 @@ impl<S: HomeWorld> Fleet<S> {
         let absorbed = !novel.is_empty();
         if absorbed {
             let new_epoch = self.region.epoch();
-            for sig in &novel {
-                self.tracer
-                    .emit(tr, TraceEvent::FleetAbsorb { signature: sig.id, epoch: new_epoch });
+            if self.chaos.is_some() {
+                for sig in &novel {
+                    self.tracer
+                        .emit(tr, TraceEvent::FleetAbsorb { signature: sig.id, epoch: new_epoch });
+                }
             }
             for o in &mut self.outstanding {
                 if o.goal.is_none() && novel.iter().any(|s| s.id == o.signature) {
@@ -1046,11 +938,16 @@ impl<S: HomeWorld> Fleet<S> {
         self.feed.extend(sigs);
     }
 
+    /// Cumulative `(memo hits, memo misses)` across all workers.
+    fn memo_counts(&self) -> (u64, u64) {
+        self.workers.iter().fold((0, 0), |(h, m), w| (h + w.hits, m + w.misses))
+    }
+
     /// Aggregated resident-pool stats across all workers.
     pub fn resident_stats(&self) -> ResidentStats {
         let mut total = ResidentStats::default();
-        for pool in &self.residents {
-            total.merge(&pool.lock().unwrap().stats);
+        for w in &self.workers {
+            total.merge(&w.stats);
         }
         total
     }
@@ -1078,8 +975,8 @@ impl<S: HomeWorld> Fleet<S> {
         reg.counter("fleet.resident.devices_kept", rs.devices_kept);
         reg.counter("fleet.resident.dropped", rs.dropped);
         let (mut q_reused, mut q_cold, mut c_reused, mut c_cold) = (0u64, 0u64, 0u64, 0u64);
-        for scrap in &self.scraps {
-            let s = scrap.lock().unwrap();
+        for w in &self.workers {
+            let s = &w.scrap;
             q_reused += s.net.queue_reused;
             q_cold += s.net.queue_cold;
             c_reused += s.net.capture_reused;
@@ -1089,8 +986,9 @@ impl<S: HomeWorld> Fleet<S> {
         reg.counter("fleet.scrap.queue_cold", q_cold);
         reg.counter("fleet.scrap.capture_reused", c_reused);
         reg.counter("fleet.scrap.capture_cold", c_cold);
-        reg.counter("fleet.memo.hits", self.memo_hits.load(Ordering::Relaxed));
-        reg.counter("fleet.memo.misses", self.memo_misses.load(Ordering::Relaxed));
+        let (hits, misses) = self.memo_counts();
+        reg.counter("fleet.memo.hits", hits);
+        reg.counter("fleet.memo.misses", misses);
         reg.counter("fleet.intel.interned_live", self.interner.distinct() as u64);
         reg.counter("fleet.intel.interned_retired", self.interner.retired());
     }
@@ -1115,6 +1013,7 @@ impl<S: HomeWorld> Fleet<S> {
 
     /// The cumulative report so far.
     pub fn report(&self) -> FleetReport {
+        let (memo_hits, memo_misses) = self.memo_counts();
         FleetReport {
             homes: self.cfg.homes,
             rounds: self.round,
@@ -1124,8 +1023,8 @@ impl<S: HomeWorld> Fleet<S> {
             discoveries: self.discoveries,
             installs: self.ledger.installs(),
             batches: self.ledger.batches(),
-            memo_hits: self.memo_hits.load(Ordering::Relaxed),
-            memo_misses: self.memo_misses.load(Ordering::Relaxed),
+            memo_hits,
+            memo_misses,
             // GC-invariant: live + retired, i.e. exactly the pre-GC
             // distinct count, so epoch GC never changes reported dedup.
             interned: self.interner.distinct_total(),
@@ -1148,7 +1047,9 @@ impl<S: HomeWorld> Fleet<S> {
 
     /// Home `home`'s outcome from the most recent round.
     pub fn outcome(&self, home: u32) -> HomeOutcome {
-        self.slots[home as usize].lock().unwrap().expect("no round has run yet")
+        let slot = &self.slots[home as usize];
+        assert!(slot.ran, "no round has run yet");
+        slot.out
     }
 
     /// The currently installed interned intel snapshot. Every home
@@ -1171,40 +1072,6 @@ impl<S: HomeWorld> Fleet<S> {
     pub fn directory(&self) -> Directory {
         self.dir
     }
-}
-
-/// Pop the next chunk: local deque, then the injector, then a sibling —
-/// the E16 work-stealing discipline (chunks never spawn chunks, so an
-/// all-dry scan is a correct termination test).
-fn find_task<T>(
-    local: &Worker<T>,
-    injector: &Injector<T>,
-    stealers: &[Stealer<T>],
-    me: usize,
-) -> Option<T> {
-    if let Some(t) = local.pop() {
-        return Some(t);
-    }
-    loop {
-        match injector.steal() {
-            Steal::Success(t) => return Some(t),
-            Steal::Retry => continue,
-            Steal::Empty => break,
-        }
-    }
-    for (i, s) in stealers.iter().enumerate() {
-        if i == me {
-            continue;
-        }
-        loop {
-            match s.steal() {
-                Steal::Success(t) => return Some(t),
-                Steal::Retry => continue,
-                Steal::Empty => break,
-            }
-        }
-    }
-    None
 }
 
 #[cfg(test)]
@@ -1249,17 +1116,22 @@ mod tests {
         }
     }
 
+    /// Shapes for the thread-invariance tests: 13 chunks (so 16 workers
+    /// leave some idle) and a fleet smaller than one chunk.
+    const SHAPES: [(u32, u32); 2] = [(37, 3), (2, 3)];
+
     #[test]
     fn serial_and_parallel_digests_match() {
-        let mut configs = Vec::new();
-        for threads in [1usize, 2, 4] {
-            let cfg = FleetConfig { homes: 37, neighborhood: 5, chunk: 3, threads, seed: 7 };
-            let mut fleet = Fleet::new(Synthetic { stride: 10 }, cfg);
-            let report = fleet.run(3);
-            configs.push(report);
+        for (homes, chunk) in SHAPES {
+            let run = |threads: usize| {
+                let cfg = FleetConfig { homes, neighborhood: 5, chunk, threads, seed: 7 };
+                Fleet::new(Synthetic { stride: 10 }, cfg).run(3)
+            };
+            let serial = run(1);
+            for threads in [2usize, 4, 16] {
+                assert_eq!(run(threads), serial, "homes={homes} threads={threads}");
+            }
         }
-        assert_eq!(configs[0], configs[1]);
-        assert_eq!(configs[0], configs[2]);
     }
 
     #[test]
@@ -1286,24 +1158,24 @@ mod tests {
         assert_eq!(r2.memo_hits, 12);
     }
 
-    /// Resident dispatch (static chunk→worker assignment) must produce
-    /// the same report as the work-stealing rebuild path at every
-    /// thread count, even when the scenario only implements the
-    /// fallback (`Resident = ()` ⇒ every run is a full build).
+    /// Resident dispatch must produce the same report as the rebuild
+    /// path at every thread count, even when the scenario only
+    /// implements the fallback (`Resident = ()` ⇒ every run is a full
+    /// build).
     #[test]
     fn resident_dispatch_matches_rebuild_at_every_thread_count() {
-        let cfg = FleetConfig { homes: 37, neighborhood: 5, chunk: 3, threads: 1, seed: 7 };
-        let mut rebuild = Fleet::new(Synthetic { stride: 10 }, cfg);
-        let baseline = rebuild.run(3);
-        for threads in [1usize, 2, 4] {
-            let cfg = FleetConfig { homes: 37, neighborhood: 5, chunk: 3, threads, seed: 7 };
-            let mut fleet = Fleet::new(Synthetic { stride: 10 }, cfg);
-            fleet.set_resident(true);
-            let report = fleet.run(3);
-            assert_eq!(report, baseline, "threads={threads}");
-            let stats = fleet.resident_stats();
-            assert_eq!(stats.resident_runs, 0, "fallback scenario never goes resident");
-            assert!(stats.full_builds > 0);
+        for (homes, chunk) in SHAPES {
+            let cfg = FleetConfig { homes, neighborhood: 5, chunk, threads: 1, seed: 7 };
+            let baseline = Fleet::new(Synthetic { stride: 10 }, cfg).run(3);
+            for threads in [1usize, 2, 4, 16] {
+                let mut fleet = Fleet::new(Synthetic { stride: 10 }, cfg.with_threads(threads));
+                fleet.set_resident(true);
+                let report = fleet.run(3);
+                assert_eq!(report, baseline, "homes={homes} threads={threads}");
+                let stats = fleet.resident_stats();
+                assert_eq!(stats.resident_runs, 0, "fallback scenario never goes resident");
+                assert!(stats.full_builds > 0);
+            }
         }
     }
 
@@ -1355,26 +1227,24 @@ mod tests {
     }
 
     /// A schedule with every probability at zero is the clean fleet:
-    /// same digest, same report, converged.
+    /// same report, same events apart from the `fleet-absorb` lines only
+    /// an attached schedule emits. This is what licenses running
+    /// chaos-off fleets through the one barrier.
     #[test]
     fn zero_intensity_chaos_matches_the_clean_fleet() {
-        let calm = FleetChaos {
-            drop_pm: 0,
-            dup_pm: 0,
-            reorder_pm: 0,
-            crash_pm: 0,
-            partition_pm: 0,
-            delay_pm: 0,
-            ..FleetChaos::new(99)
-        };
+        let calm = FleetChaos { seed: 99, ..FleetChaos::calm() };
         let cfg = chaos_cfg(7);
-        let mut clean = Fleet::new(Synthetic { stride: 24 }, cfg);
+        let tracer = Tracer::new(TraceConfig::control_only());
+        let mut clean = Fleet::with_tracer(Synthetic { stride: 24 }, cfg, tracer.clone());
         let clean_report = clean.run(CHAOS_ROUNDS);
-        let (chaotic, _) = run_chaos(cfg, calm, CHAOS_ROUNDS);
-        let report = chaotic.report();
-        assert_eq!(report.digest, clean_report.digest);
-        assert_eq!(report.faults, 0);
+        let (chaotic, mut events) = run_chaos(cfg, calm, CHAOS_ROUNDS);
+        assert_eq!(chaotic.report(), clean_report);
+        assert_eq!(clean_report.faults, 0);
         assert!(chaotic.converged());
+        let with_absorbs = events.len();
+        events.retain(|(_, e)| !matches!(e, TraceEvent::FleetAbsorb { .. }));
+        assert!(events.len() < with_absorbs, "the attached schedule must name its absorbs");
+        assert_eq!(events, tracer.events());
     }
 
     /// The acceptance core: chaos-on runs are byte-identical across

@@ -5,9 +5,10 @@
 //! *population* of homes. This crate runs 10⁴–10⁶ independent home
 //! worlds as one fleet:
 //!
-//! * [`fleet`] — the [`fleet::Fleet`] engine: homes sharded into chunks
-//!   across work-stealing worker threads (the E16 deque triple), a
-//!   64-shard memo keyed by `(home, intel epoch)` (the E19 pattern) so
+//! * [`fleet`] — the [`fleet::Fleet`] engine: homes cut into fixed
+//!   chunks dealt to worker threads (chunk `c` on worker `c % threads`;
+//!   homes share nothing inside a round, so there is no scheduler), a
+//!   per-home slot that doubles as the `(intel epoch → outcome)` memo so
 //!   quiesced rounds re-serve outcomes without rebuilding worlds, a
 //!   hierarchical home → neighborhood → region intel path with batched
 //!   directive installs, and a chained FNV digest merged in home order
@@ -23,16 +24,18 @@
 //!   flushes, crashes aggregators, partitions neighborhoods and delays
 //!   install waves, paired with a [`chaos::RecoveryPolicy`]
 //!   (bounded-backoff retries, rejoin reconciliation, degraded-mode
-//!   declaration). Inert when absent; deterministic when present.
+//!   declaration). Absent, the one barrier runs under the schedule on
+//!   which nothing fires; present, every roll is deterministic.
 //! * [`safety`] — [`safety::check_fleet_trace`]: the pure fleet-scale
 //!   trace checker (the E23 `check_trace` pattern) verifying epoch
 //!   monotonicity, no lost discoveries, bounded install staleness and
 //!   post-fault convergence from the trace stream alone.
 //!
 //! `World` is deliberately single-threaded, so the unit of parallelism
-//! is one whole home world, built and run inside whichever worker
-//! claims its chunk; everything cross-thread is `Copy` outcomes, shared
-//! read-only intel (`Arc<[AttackSignature]>`), and slot writes.
+//! is one whole home world, built and run inside the worker its chunk
+//! is dealt to; workers share only read-only state (the scenario, the
+//! ledger, `Arc<[AttackSignature]>` intel) and each writes `Copy`
+//! outcomes through its own disjoint `&mut` slice of the slots.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -86,10 +86,8 @@ impl HomeWorld for FleetScenario {
     type Resident = ResidentWorld;
 
     fn run_home(&self, home: u32, seed: u64, intel: &[AttackSignature]) -> HomeOutcome {
-        let overrides = HomeOverrides { seed, extra_signatures: intel };
-        let mut w = World::new_home(&self.template, &overrides);
-        w.run_until_attack_done(self.horizon);
-        self.outcome_of(home, seed, &mut w)
+        // An empty scrap builds exactly like `World::new_home`.
+        self.run_home_recycled(home, seed, intel, &mut WorldScrap::default())
     }
 
     fn run_home_recycled(

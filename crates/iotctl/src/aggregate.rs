@@ -57,8 +57,10 @@ impl Directory {
 
     /// The homes of one neighborhood, as an id range.
     pub fn homes_of(&self, neighborhood: u32) -> std::ops::Range<u32> {
-        let start = neighborhood * self.size;
-        let end = (start + self.size).min(self.homes);
+        // Saturating: near `u32::MAX` homes the last neighborhood's end
+        // would wrap and yield an empty range.
+        let start = neighborhood.saturating_mul(self.size).min(self.homes);
+        let end = start.saturating_add(self.size).min(self.homes);
         start..end
     }
 }
@@ -360,7 +362,7 @@ impl InstallLedger {
 
     /// The lowest epoch installed at any home — the fleet-wide floor
     /// (0 for a zero-home fleet). Under chaos, homes diverge and the
-    /// floor is what the next round's memo keys must respect per home;
+    /// floor bounds which intel snapshots any home can still ask for;
     /// chaos-off it equals every home's epoch.
     pub fn min_epoch(&self) -> u32 {
         self.installed.iter().copied().min().unwrap_or(0)
@@ -394,6 +396,15 @@ mod tests {
         let d = Directory::new(3, 0);
         assert_eq!(d.neighborhoods(), 3);
         assert_eq!(d.homes_of(2), 2..3);
+    }
+
+    #[test]
+    fn directory_last_neighborhood_survives_u32_max_homes() {
+        let d = Directory::new(u32::MAX, 100);
+        let last = d.neighborhoods() - 1;
+        assert_eq!(d.homes_of(last), 4_294_967_200..u32::MAX);
+        assert_eq!(d.neighborhood_of(u32::MAX - 1), last);
+        assert!(d.homes_of(last + 1).is_empty(), "past the end is empty, not wrapped");
     }
 
     #[test]

@@ -11,9 +11,9 @@
 //!   over `u128` words with memoized evaluation
 //!   ([`crate::packed::MemoPolicy`]), zero allocation per state.
 //! * [`explore_packed`] with `threads > 1` — packed parallel: the rank
-//!   space is cut into fixed chunks fed through the same
-//!   work-stealing-deque pattern as `bench`'s sweep runner, and chunk
-//!   results merge in **chunk order** into order-independent digests —
+//!   space is cut into fixed chunks that workers claim off one atomic
+//!   cursor (the pattern of `bench`'s sweep runner), and chunk results
+//!   merge in **chunk order** into order-independent digests —
 //!   so counts, class sets and quiet-state digests are byte-identical
 //!   to the serial engines regardless of scheduling.
 //!
@@ -33,7 +33,7 @@ use std::sync::Mutex;
 use trace::event::TraceEvent;
 use trace::tracer::Tracer;
 
-/// Ranks per work-stealing chunk in the parallel sweep, and frontier
+/// Ranks per chunk in the parallel sweep, and frontier
 /// states per chunk in the parallel BFS expansion.
 pub const CHUNK: u128 = 1 << 14;
 
@@ -215,7 +215,7 @@ impl SharedMemo {
 /// Exhaustive sweep with the packed engine. `None` when the schema does
 /// not pack (see [`MemoPolicy::new`]). `threads <= 1` runs serially —
 /// the canonical packed engine; `threads > 1` cuts the rank space into
-/// [`CHUNK`]-sized chunks executed by a work-stealing pool, each worker
+/// [`CHUNK`]-sized chunks claimed off an atomic cursor, each worker
 /// holding its own [`MemoPolicy`], and merges the chunk results in
 /// chunk order. Counts and digests are identical in all three modes.
 pub fn explore_packed(policy: &FsmPolicy, threads: usize) -> Option<SpaceStats> {
@@ -228,22 +228,13 @@ pub fn explore_packed(policy: &FsmPolicy, threads: usize) -> Option<SpaceStats> 
     let size = layout.size();
     let n_chunks = size.div_ceil(CHUNK) as usize;
 
-    let injector = crossbeam::deque::Injector::new();
-    for chunk in 0..n_chunks {
-        injector.push(chunk);
-    }
+    let next_chunk = std::sync::atomic::AtomicUsize::new(0);
     let slots: Vec<Mutex<Option<ChunkOut>>> = (0..n_chunks).map(|_| Mutex::new(None)).collect();
     let shared = SharedMemo::new();
 
-    let workers: Vec<crossbeam::deque::Worker<usize>> =
-        (0..threads).map(|_| crossbeam::deque::Worker::new_fifo()).collect();
-    let stealers: Vec<crossbeam::deque::Stealer<usize>> =
-        workers.iter().map(|w| w.stealer()).collect();
-
     crossbeam::scope(|scope| {
-        for (wid, worker) in workers.into_iter().enumerate() {
-            let injector = &injector;
-            let stealers = &stealers;
+        for _ in 0..threads {
+            let next_chunk = &next_chunk;
             let slots = &slots;
             let layout = &layout;
             let shared = &shared;
@@ -254,23 +245,11 @@ pub fn explore_packed(policy: &FsmPolicy, threads: usize) -> Option<SpaceStats> 
                 // ranks usually trip the same rule set).
                 let mut local: HashMap<RuleMask, (u64, bool), FxBuild> = HashMap::default();
                 let mut last: Option<(RuleMask, (u64, bool))> = None;
-                let find_task = |local: &crossbeam::deque::Worker<usize>| -> Option<usize> {
-                    local.pop().or_else(|| {
-                        std::iter::repeat_with(|| {
-                            injector.steal().success().or_else(|| {
-                                stealers
-                                    .iter()
-                                    .enumerate()
-                                    .filter(|(sid, _)| *sid != wid)
-                                    .find_map(|(_, s)| s.steal().success())
-                            })
-                        })
-                        .take(2)
-                        .flatten()
-                        .next()
-                    })
-                };
-                while let Some(chunk) = find_task(&worker) {
+                loop {
+                    let chunk = next_chunk.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                    if chunk >= n_chunks {
+                        break;
+                    }
                     let start = chunk as u128 * CHUNK;
                     let end = (start + CHUNK).min(size);
                     let mut out = ChunkOut {

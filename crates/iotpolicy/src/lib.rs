@@ -30,7 +30,7 @@
 //!   bitfields, compiled rule masks and memoized policy evaluation
 //!   (the E19 engine).
 //! * [`explore`] — exhaustive sweeps and frontier BFS over the packed
-//!   space, serial and work-stealing parallel, differentially equal to
+//!   space, serial and chunk-parallel, differentially equal to
 //!   the naive engines.
 //! * [`intern`] — region-level value-keyed interning of shared rulesets
 //!   and vuln intel for the E20 fleet tier.

@@ -1,192 +1,12 @@
 //! Offline shim for the `crossbeam` crate (see `crates/shims/README.md`).
 //!
-//! Two pieces of crossbeam are used in this workspace:
-//!
-//! * `crossbeam::scope` — maps directly to `std::thread::scope` (std has
-//!   had scoped threads since 1.63). The one API difference: crossbeam
-//!   passes a scope reference into each spawned closure for nested
-//!   spawning — callers here all ignore it (`|_|`), so the shim passes `()`.
-//! * [`deque`] — the `Injector`/`Worker`/`Stealer` work-stealing triple
-//!   used by the parallel sweep runner. The shim trades crossbeam's
-//!   lock-free Chase–Lev deque for mutex-guarded `VecDeque`s: identical
-//!   API and stealing semantics, adequate under the coarse-grained load
-//!   here (one queue operation per *world*, not per packet).
+//! One piece of crossbeam is used in this workspace: `crossbeam::scope`,
+//! which maps directly to `std::thread::scope` (std has had scoped
+//! threads since 1.63). The one API difference: crossbeam passes a scope
+//! reference into each spawned closure for nested spawning — callers
+//! here all ignore it (`|_|`), so the shim passes `()`.
 
 use std::thread;
-
-pub mod deque {
-    //! Work-stealing deques (API-compatible subset of `crossbeam-deque`).
-
-    use std::collections::VecDeque;
-    use std::sync::{Arc, Mutex};
-
-    /// Result of a steal attempt.
-    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-    pub enum Steal<T> {
-        /// The source was empty.
-        Empty,
-        /// One task was stolen.
-        Success(T),
-        /// Lost a race; try again.
-        Retry,
-    }
-
-    impl<T> Steal<T> {
-        /// The stolen task, if any.
-        pub fn success(self) -> Option<T> {
-            match self {
-                Steal::Success(t) => Some(t),
-                _ => None,
-            }
-        }
-
-        /// Whether the source was empty.
-        pub fn is_empty(&self) -> bool {
-            matches!(self, Steal::Empty)
-        }
-    }
-
-    /// A FIFO queue every worker can push to and steal from.
-    pub struct Injector<T> {
-        queue: Mutex<VecDeque<T>>,
-    }
-
-    impl<T> Default for Injector<T> {
-        fn default() -> Self {
-            Self::new()
-        }
-    }
-
-    impl<T> Injector<T> {
-        /// An empty injector.
-        pub fn new() -> Self {
-            Injector { queue: Mutex::new(VecDeque::new()) }
-        }
-
-        /// Push a task onto the global queue.
-        pub fn push(&self, task: T) {
-            self.queue.lock().unwrap().push_back(task);
-        }
-
-        /// Steal the oldest task.
-        pub fn steal(&self) -> Steal<T> {
-            match self.queue.lock().unwrap().pop_front() {
-                Some(t) => Steal::Success(t),
-                None => Steal::Empty,
-            }
-        }
-
-        /// Whether the queue is currently empty.
-        pub fn is_empty(&self) -> bool {
-            self.queue.lock().unwrap().is_empty()
-        }
-    }
-
-    /// A worker's local deque. The owner pushes/pops at one end; thieves
-    /// take from the other via a [`Stealer`].
-    pub struct Worker<T> {
-        queue: Arc<Mutex<VecDeque<T>>>,
-    }
-
-    impl<T> Worker<T> {
-        /// A new FIFO worker queue.
-        pub fn new_fifo() -> Self {
-            Worker { queue: Arc::new(Mutex::new(VecDeque::new())) }
-        }
-
-        /// A handle other threads can steal through.
-        pub fn stealer(&self) -> Stealer<T> {
-            Stealer { queue: Arc::clone(&self.queue) }
-        }
-
-        /// Push a task onto the local queue.
-        pub fn push(&self, task: T) {
-            self.queue.lock().unwrap().push_back(task);
-        }
-
-        /// Pop a task from the owner's end.
-        pub fn pop(&self) -> Option<T> {
-            self.queue.lock().unwrap().pop_front()
-        }
-
-        /// Whether the local queue is empty.
-        pub fn is_empty(&self) -> bool {
-            self.queue.lock().unwrap().is_empty()
-        }
-    }
-
-    /// A thief-side handle onto a [`Worker`]'s deque.
-    pub struct Stealer<T> {
-        queue: Arc<Mutex<VecDeque<T>>>,
-    }
-
-    impl<T> Clone for Stealer<T> {
-        fn clone(&self) -> Self {
-            Stealer { queue: Arc::clone(&self.queue) }
-        }
-    }
-
-    impl<T> Stealer<T> {
-        /// Steal the oldest task from the victim's queue.
-        pub fn steal(&self) -> Steal<T> {
-            match self.queue.lock().unwrap().pop_front() {
-                Some(t) => Steal::Success(t),
-                None => Steal::Empty,
-            }
-        }
-
-        /// Whether the victim's queue is empty.
-        pub fn is_empty(&self) -> bool {
-            self.queue.lock().unwrap().is_empty()
-        }
-    }
-
-    #[cfg(test)]
-    mod tests {
-        use super::*;
-
-        #[test]
-        fn injector_is_fifo() {
-            let inj = Injector::new();
-            inj.push(1);
-            inj.push(2);
-            assert_eq!(inj.steal(), Steal::Success(1));
-            assert_eq!(inj.steal(), Steal::Success(2));
-            assert_eq!(inj.steal(), Steal::<i32>::Empty);
-        }
-
-        #[test]
-        fn worker_and_stealer_share_a_queue() {
-            let w = Worker::new_fifo();
-            let s = w.stealer();
-            w.push(10);
-            w.push(20);
-            assert_eq!(s.steal().success(), Some(10));
-            assert_eq!(w.pop(), Some(20));
-            assert!(s.is_empty());
-        }
-
-        #[test]
-        fn steal_across_threads() {
-            let inj = Injector::new();
-            for i in 0..100 {
-                inj.push(i);
-            }
-            let total = std::sync::atomic::AtomicU64::new(0);
-            std::thread::scope(|scope| {
-                for _ in 0..4 {
-                    scope.spawn(|| {
-                        while let Steal::Success(v) = inj.steal() {
-                            total.fetch_add(v, std::sync::atomic::Ordering::Relaxed);
-                        }
-                    });
-                }
-            });
-            assert_eq!(total.load(std::sync::atomic::Ordering::Relaxed), (0..100).sum::<u64>());
-            assert!(inj.is_empty());
-        }
-    }
-}
 
 /// Scope handle passed to [`scope`]'s closure.
 pub struct Scope<'scope, 'env: 'scope>(&'scope thread::Scope<'scope, 'env>);

@@ -1,7 +1,8 @@
 //! E25 fleet-chaos properties: for *arbitrary* seeded fault schedules
 //! the chaos-on fleet is byte-identical across `--threads {1, 2, 4}`
 //! and across reruns, a zero-intensity schedule is byte-identical to
-//! the chaos-off fleet, and every recovered run passes
+//! the chaos-off fleet, the per-home slot is an exact memo while homes
+//! sit at mixed epochs, and every recovered run passes
 //! [`check_fleet_trace`] with zero violations.
 //!
 //! Uses a synthetic [`HomeWorld`] (the outcome digest mixes seed and
@@ -124,8 +125,9 @@ proptest! {
         }
     }
 
-    /// Chaos-off equivalence: a zero-intensity schedule leaves digest
-    /// and totals byte-identical to running with no schedule at all.
+    /// Chaos-off equivalence: a zero-intensity schedule leaves the
+    /// whole report byte-identical to running with no schedule at all,
+    /// and the event stream too apart from its `fleet-absorb` lines.
     #[test]
     fn prop_zero_intensity_schedule_is_the_clean_fleet(
         seed in any::<u64>(),
@@ -133,22 +135,42 @@ proptest! {
         homes in 1u32..25,
         neighborhood in 1u32..7,
     ) {
-        let calm = FleetChaos {
-            drop_pm: 0,
-            dup_pm: 0,
-            reorder_pm: 0,
-            crash_pm: 0,
-            partition_pm: 0,
-            delay_pm: 0,
-            ..FleetChaos::new(chaos_seed)
-        };
+        let calm = FleetChaos { seed: chaos_seed, ..FleetChaos::calm() };
         let cfg = FleetConfig { homes, neighborhood, chunk: 3, threads: 1, seed };
-        let (clean, _, _) = run_chaos(cfg, None, ROUNDS);
-        let (calm_report, _, converged) = run_chaos(cfg, Some(calm), ROUNDS);
-        prop_assert_eq!(calm_report.digest, clean.digest);
+        let (clean, clean_events, _) = run_chaos(cfg, None, ROUNDS);
+        let (calm_report, mut events, converged) = run_chaos(cfg, Some(calm), ROUNDS);
+        prop_assert_eq!(&calm_report, &clean);
         prop_assert_eq!(calm_report.faults, 0);
-        prop_assert_eq!(calm_report.installs, clean.installs);
         prop_assert!(converged);
+        events.retain(|(_, e)| !matches!(e, TraceEvent::FleetAbsorb { .. }));
+        prop_assert_eq!(&events, &clean_events);
+    }
+
+    /// The slot is an exact memo under mixed epochs: every round serves
+    /// every home exactly once, and executes precisely the homes whose
+    /// installed epoch differs from the epoch of their previous
+    /// execution — whatever the schedule did to the install waves.
+    #[test]
+    fn prop_slot_is_an_exact_memo_under_mixed_epochs(
+        seed in any::<u64>(),
+        homes in 1u32..25,
+        neighborhood in 1u32..7,
+        chunk in 1u32..5,
+        threads in 1usize..4,
+        chaos in arb_chaos(),
+    ) {
+        let cfg = FleetConfig { homes, neighborhood, chunk, threads, seed };
+        let mut fleet = Fleet::with_chaos(Synthetic, cfg, chaos, Tracer::disabled());
+        let mut last_run: Vec<Option<u32>> = vec![None; homes as usize];
+        for _ in 0..ROUNDS {
+            let installed: Vec<u32> = (0..homes).map(|h| fleet.installed_at(h)).collect();
+            let stale =
+                installed.iter().zip(&last_run).filter(|(e, last)| **last != Some(**e)).count();
+            let summary = fleet.round();
+            prop_assert_eq!(summary.executed + summary.memo_hits, homes);
+            prop_assert_eq!(summary.executed as usize, stale);
+            last_run = installed.into_iter().map(Some).collect();
+        }
     }
 
     /// Soundness of the full recovery stack: whenever a run converges,

@@ -82,7 +82,7 @@ proptest! {
 
 /// Thread invariance at a shape where chunks, neighborhoods and the home
 /// count are all mutually misaligned (37 = prime, nbhd 5, chunk 3), with
-/// enough homes that the work-stealing path genuinely interleaves.
+/// enough homes that every worker is dealt several chunks.
 #[test]
 fn misaligned_fleet_is_thread_invariant() {
     let cfg = FleetConfig { homes: 37, neighborhood: 5, chunk: 3, threads: 1, seed: 20151116 };

@@ -18,7 +18,7 @@
 //! modelling the paper's enforcement path: *device → first-hop switch →
 //! (steer to µmbox) → destination*.
 
-use crate::addr::{EndpointId, Ipv4Addr, MacAddr, NodeId, PortNo, SwitchId};
+use crate::addr::{EndpointId, Ipv4Addr, MacAddr, PortNo, SwitchId};
 use crate::capture::Capture;
 use crate::engine::{AnyEventQueue, QueueKind};
 use crate::flow::{FlowRule, SteerId};
@@ -160,8 +160,22 @@ pub struct SteerHandle {
 }
 
 enum NetEvent {
-    AtSwitch { sw: SwitchId, in_port: PortNo, pkt: Packet },
-    AtEndpoint { ep: EndpointId, pkt: Packet },
+    AtSwitch {
+        sw: SwitchId,
+        in_port: PortNo,
+        pkt: Packet,
+    },
+    /// A frame arriving at the endpoint that owns its destination MAC (or
+    /// a broadcast): the NIC accepts it.
+    AtEndpoint {
+        ep: EndpointId,
+        pkt: Packet,
+    },
+    /// A flood copy arriving at an endpoint whose NIC discards it. Endpoint
+    /// MACs are fixed when the topology is built, so the sending switch
+    /// already knows the outcome; the copy keeps its wire transmission and
+    /// its place in the queue, and carries nothing.
+    NicFiltered,
 }
 
 /// Recyclable network storage harvested from a finished simulation
@@ -438,14 +452,8 @@ impl Network {
     pub fn send(&mut self, ep: EndpointId, now: SimTime, pkt: Packet) {
         self.stats.sent += 1;
         let info = *self.topo.endpoint(ep);
-        let from = NodeId::Endpoint(ep);
-        let to = NodeId::Switch(info.switch);
-        let bits = pkt.wire_bits();
-        let Some(link) = self.topo.link_mut(from, to) else {
-            self.stats.dropped_loss += 1;
-            return;
-        };
-        match link.transmit(now, bits, &mut self.rng) {
+        let uplink = self.topo.uplink(ep);
+        match self.topo.link_at(uplink).transmit(now, pkt.wire_bits(), &mut self.rng) {
             Some(at) => {
                 self.queue
                     .schedule(at, NetEvent::AtSwitch { sw: info.switch, in_port: info.port, pkt });
@@ -472,14 +480,10 @@ impl Network {
                     self.handle_at_switch(at, sw, in_port, pkt)
                 }
                 NetEvent::AtEndpoint { ep, pkt } => {
-                    let mac = self.topo.endpoint(ep).mac;
-                    if pkt.eth.dst == mac || pkt.eth.dst.is_broadcast() {
-                        self.stats.delivered += 1;
-                        self.deliveries.push(Delivery { endpoint: ep, at, packet: pkt });
-                    } else {
-                        self.stats.nic_filtered += 1;
-                    }
+                    self.stats.delivered += 1;
+                    self.deliveries.push(Delivery { endpoint: ep, at, packet: pkt });
                 }
+                NetEvent::NicFiltered => self.stats.nic_filtered += 1,
             }
         }
         out.append(&mut self.deliveries);
@@ -565,49 +569,56 @@ impl Network {
         }
     }
 
+    /// Put one copy of `pkt` on the wire of every port in `ports`, in
+    /// order. The last port takes the packet itself, so a single-port
+    /// (learned unicast) hop clones nothing.
     fn forward_out(&mut self, at: SimTime, sw: SwitchId, ports: &[PortNo], pkt: Packet) {
-        for &port in ports {
-            let target = self.topo.port_target(sw, port);
-            let bits = pkt.wire_bits();
-            match target {
-                PortTarget::Unwired => {}
-                PortTarget::Switch(next_sw, next_port) => {
-                    let from = NodeId::Switch(sw);
-                    let to = NodeId::Switch(next_sw);
-                    if let Some(link) = self.topo.link_mut(from, to) {
-                        if let Some(t) = link.transmit(at, bits, &mut self.rng) {
-                            self.queue.schedule(
-                                t,
-                                NetEvent::AtSwitch {
-                                    sw: next_sw,
-                                    in_port: next_port,
-                                    pkt: pkt.clone(),
-                                },
-                            );
-                        } else {
-                            self.stats.dropped_loss += 1;
-                        }
-                    }
-                }
-                PortTarget::Endpoint(ep) => {
-                    let from = NodeId::Switch(sw);
-                    let to = NodeId::Endpoint(ep);
-                    if let Some(link) = self.topo.link_mut(from, to) {
-                        if let Some(t) = link.transmit(at, bits, &mut self.rng) {
-                            self.queue.schedule(t, NetEvent::AtEndpoint { ep, pkt: pkt.clone() });
-                        } else {
-                            self.stats.dropped_loss += 1;
-                        }
-                    }
-                }
-            }
+        let Some((&last, rest)) = ports.split_last() else {
+            return;
+        };
+        let (bits, dst) = (pkt.wire_bits(), pkt.eth.dst);
+        for &port in rest {
+            self.forward_port(at, sw, port, bits, dst, || pkt.clone());
         }
+        self.forward_port(at, sw, last, bits, dst, || pkt);
+    }
+
+    /// Transmit one copy of a frame addressed to `dst` out of `port` and
+    /// schedule its arrival. `frame` is called only when the far end will
+    /// look at the packet: a copy the receiving NIC would discard is
+    /// scheduled as [`NetEvent::NicFiltered`] instead.
+    fn forward_port(
+        &mut self,
+        at: SimTime,
+        sw: SwitchId,
+        port: PortNo,
+        bits: u64,
+        dst: MacAddr,
+        frame: impl FnOnce() -> Packet,
+    ) {
+        let Some((target, out)) = self.topo.port_out(sw, port) else {
+            return;
+        };
+        let Some(t) = self.topo.link_at(out).transmit(at, bits, &mut self.rng) else {
+            self.stats.dropped_loss += 1;
+            return;
+        };
+        let ev = match target {
+            PortTarget::Switch(sw, in_port) => NetEvent::AtSwitch { sw, in_port, pkt: frame() },
+            PortTarget::Endpoint(ep) if dst == self.topo.endpoint(ep).mac || dst.is_broadcast() => {
+                NetEvent::AtEndpoint { ep, pkt: frame() }
+            }
+            PortTarget::Endpoint(_) => NetEvent::NicFiltered,
+            PortTarget::Unwired => unreachable!("port_out yields wired ports only"),
+        };
+        self.queue.schedule(t, ev);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::addr::NodeId;
     use crate::flow::{FlowAction, FlowMatch};
     use crate::link::LinkParams;
     use crate::packet::TransportHeader;

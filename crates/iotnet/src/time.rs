@@ -144,12 +144,22 @@ impl SimDuration {
     /// [`crate::link::LinkParams`]).
     pub fn transmission(bits: u64, bits_per_sec: u64) -> SimDuration {
         if bits_per_sec == 0 {
-            SimDuration::ZERO
-        } else {
-            // ceil(bits * 1e9 / rate) without overflow for realistic sizes.
-            let ns = (bits as u128 * 1_000_000_000u128).div_ceil(bits_per_sec as u128);
-            SimDuration(ns.min(u64::MAX as u128) as u64)
+            return SimDuration::ZERO;
         }
+        // ceil(bits * 1e9 / rate). Any frame-sized `bits` keeps the product
+        // in a `u64` (one hardware divide); the 128-bit form is a library
+        // call per link per copy and is left to the overflow case.
+        match bits.checked_mul(1_000_000_000) {
+            Some(bit_ns) => SimDuration(bit_ns.div_ceil(bits_per_sec)),
+            None => SimDuration::transmission_wide(bits, bits_per_sec),
+        }
+    }
+
+    /// [`SimDuration::transmission`] for a non-zero rate in 128-bit
+    /// arithmetic, saturating at `u64::MAX` ns.
+    fn transmission_wide(bits: u64, bits_per_sec: u64) -> SimDuration {
+        let ns = (u128::from(bits) * 1_000_000_000).div_ceil(u128::from(bits_per_sec));
+        SimDuration(ns.min(u128::from(u64::MAX)) as u64)
     }
 }
 
@@ -223,6 +233,33 @@ impl fmt::Display for SimDuration {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// Largest `bits` whose product with 1e9 still fits a `u64`.
+    const NARROW_MAX_BITS: u64 = u64::MAX / 1_000_000_000;
+
+    fn bits() -> impl Strategy<Value = u64> {
+        prop_oneof![0u64..12_000 * 8, any::<u64>(), NARROW_MAX_BITS - 4..NARROW_MAX_BITS + 5]
+    }
+
+    fn rate() -> impl Strategy<Value = u64> {
+        prop_oneof![Just(0u64), Just(1u64), 1u64..1_000_000_000_000, any::<u64>()]
+    }
+
+    proptest! {
+        /// The `u64` fast path and the `u128` form are one function: they
+        /// agree wherever the fast path applies, and `transmission` equals
+        /// the wide form everywhere else (an infinite-rate link is zero).
+        #[test]
+        fn transmission_narrow_and_wide_agree(bits in bits(), rate in rate()) {
+            let got = SimDuration::transmission(bits, rate);
+            if rate == 0 {
+                prop_assert_eq!(got, SimDuration::ZERO);
+            } else {
+                prop_assert_eq!(got, SimDuration::transmission_wide(bits, rate));
+            }
+        }
+    }
 
     #[test]
     fn constructors_agree() {
@@ -248,6 +285,8 @@ mod tests {
         assert_eq!(d.as_micros(), 1200);
         // Infinite-rate link.
         assert_eq!(SimDuration::transmission(1 << 20, 0), SimDuration::ZERO);
+        // One bit past the `u64` product at 1 bit/s no longer fits in ns.
+        assert_eq!(SimDuration::transmission(NARROW_MAX_BITS + 1, 1).as_nanos(), u64::MAX);
     }
 
     #[test]

@@ -6,11 +6,34 @@
 //! expressible. Builders construct the two deployment shapes the paper
 //! targets: a smart home behind an IoT router, and an enterprise tree with
 //! an on-premise NFV cluster.
+//!
+//! Every directed link lives in one `Vec<Link>`. The packet path reaches
+//! a link by position — each switch port and each endpoint records the
+//! index of the link leaving it — while fault injection names a wire by
+//! its `(NodeId, NodeId)` key, which resolves to the same index.
 
 use crate::addr::{EndpointId, Ipv4Addr, MacAddr, NodeId, PortNo, SwitchId};
 use crate::link::{Link, LinkParams};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
+
+/// Position of a directed link in [`Topology`]'s link vector.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct LinkIx(u32);
+
+/// A switch port: what it is wired to and the link leaving through it.
+#[derive(Debug, Clone, Copy)]
+struct Port {
+    target: PortTarget,
+    out: LinkIx,
+}
+
+/// An attached endpoint and its link towards the first-hop switch.
+#[derive(Debug, Clone, Copy)]
+struct Attachment {
+    info: EndpointInfo,
+    uplink: LinkIx,
+}
 
 /// What a switch port is wired to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -42,9 +65,9 @@ pub type LinkKey = (NodeId, NodeId);
 /// The wiring of a network: switches, endpoints, and directed links.
 #[derive(Debug, Default)]
 pub struct Topology {
-    switch_ports: Vec<Vec<PortTarget>>,
-    endpoints: Vec<EndpointInfo>,
-    links: HashMap<LinkKey, Link>,
+    switch_ports: Vec<Vec<Port>>,
+    endpoints: Vec<Attachment>,
+    links: Vec<Link>,
     ip_index: HashMap<Ipv4Addr, EndpointId>,
 }
 
@@ -66,21 +89,36 @@ impl Topology {
 
     /// What a given switch port is wired to.
     pub fn port_target(&self, sw: SwitchId, port: PortNo) -> PortTarget {
-        self.switch_ports
-            .get(sw.0 as usize)
-            .and_then(|ports| ports.get(port.0 as usize))
-            .copied()
-            .unwrap_or(PortTarget::Unwired)
+        self.port_out(sw, port).map_or(PortTarget::Unwired, |(target, _)| target)
+    }
+
+    /// What a switch port is wired to and the link leaving through it;
+    /// `None` (never [`PortTarget::Unwired`]) for a port the switch does
+    /// not have — the builder adds a port only by wiring it.
+    pub(crate) fn port_out(&self, sw: SwitchId, port: PortNo) -> Option<(PortTarget, LinkIx)> {
+        let p = self.switch_ports.get(sw.0 as usize)?.get(port.0 as usize)?;
+        Some((p.target, p.out))
+    }
+
+    /// The link from an endpoint towards its first-hop switch.
+    pub(crate) fn uplink(&self, ep: EndpointId) -> LinkIx {
+        self.endpoints[ep.0 as usize].uplink
+    }
+
+    /// The link at a position handed out by [`Topology::port_out`] or
+    /// [`Topology::uplink`].
+    pub(crate) fn link_at(&mut self, ix: LinkIx) -> &mut Link {
+        &mut self.links[ix.0 as usize]
     }
 
     /// Attachment info for an endpoint.
     pub fn endpoint(&self, ep: EndpointId) -> &EndpointInfo {
-        &self.endpoints[ep.0 as usize]
+        &self.endpoints[ep.0 as usize].info
     }
 
     /// Iterate over all endpoints.
     pub fn endpoints(&self) -> impl Iterator<Item = (EndpointId, &EndpointInfo)> {
-        self.endpoints.iter().enumerate().map(|(i, e)| (EndpointId(i as u32), e))
+        self.endpoints.iter().enumerate().map(|(i, e)| (EndpointId(i as u32), &e.info))
     }
 
     /// Look up the endpoint owning an IP address.
@@ -88,24 +126,51 @@ impl Topology {
         self.ip_index.get(&ip).copied()
     }
 
+    /// Resolve a directed-link key to its position: the uplink of an
+    /// endpoint, or the link leaving the switch port that faces `to`.
+    fn link_ix(&self, from: NodeId, to: NodeId) -> Option<LinkIx> {
+        match (from, to) {
+            (NodeId::Endpoint(ep), NodeId::Switch(sw)) => {
+                let a = self.endpoints.get(ep.0 as usize)?;
+                (a.info.switch == sw).then_some(a.uplink)
+            }
+            (NodeId::Switch(sw), NodeId::Endpoint(ep)) => {
+                let info = self.endpoints.get(ep.0 as usize)?.info;
+                (info.switch == sw)
+                    .then(|| self.switch_ports[sw.0 as usize][info.port.0 as usize].out)
+            }
+            (NodeId::Switch(sw), NodeId::Switch(peer)) => self
+                .switch_ports
+                .get(sw.0 as usize)?
+                .iter()
+                .find(|p| matches!(p.target, PortTarget::Switch(s, _) if s == peer))
+                .map(|p| p.out),
+            (NodeId::Endpoint(_), NodeId::Endpoint(_)) => None,
+        }
+    }
+
     /// Mutable access to the directed link `from -> to`, if wired.
     pub fn link_mut(&mut self, from: NodeId, to: NodeId) -> Option<&mut Link> {
-        self.links.get_mut(&(from, to))
+        self.link_ix(from, to).map(|ix| self.link_at(ix))
     }
 
     /// Read access to the directed link `from -> to`, if wired.
     pub fn link(&self, from: NodeId, to: NodeId) -> Option<&Link> {
-        self.links.get(&(from, to))
+        self.link_ix(from, to).map(|ix| &self.links[ix.0 as usize])
+    }
+
+    /// Apply `f` to both directions of the wire between two nodes.
+    fn each_direction(&mut self, a: NodeId, b: NodeId, mut f: impl FnMut(&mut Link)) {
+        for (from, to) in [(a, b), (b, a)] {
+            if let Some(l) = self.link_mut(from, to) {
+                f(l);
+            }
+        }
     }
 
     /// Fail both directions of the wire between two nodes.
     pub fn fail_wire(&mut self, a: NodeId, b: NodeId) {
-        if let Some(l) = self.links.get_mut(&(a, b)) {
-            l.fail();
-        }
-        if let Some(l) = self.links.get_mut(&(b, a)) {
-            l.fail();
-        }
+        self.each_direction(a, b, Link::fail);
     }
 
     /// Repair both directions of the wire between two nodes.
@@ -117,42 +182,25 @@ impl Topology {
     /// back up and traffic resumes. Counterpart to [`Topology::fail_wire`];
     /// the fault scheduler uses this for the "heal" half of a link flap.
     pub fn heal_wire(&mut self, a: NodeId, b: NodeId) {
-        if let Some(l) = self.links.get_mut(&(a, b)) {
-            l.repair();
-        }
-        if let Some(l) = self.links.get_mut(&(b, a)) {
-            l.repair();
-        }
+        self.each_direction(a, b, Link::repair);
     }
 
     /// Set or clear a transient loss-probability override on both
     /// directions of the wire between two nodes.
     pub fn set_wire_burst_loss(&mut self, a: NodeId, b: NodeId, loss: Option<f64>) {
-        if let Some(l) = self.links.get_mut(&(a, b)) {
-            l.burst_loss = loss;
-        }
-        if let Some(l) = self.links.get_mut(&(b, a)) {
-            l.burst_loss = loss;
-        }
+        self.each_direction(a, b, |l| l.burst_loss = loss);
     }
 
     /// Set the in-flight corruption probability on both directions of the
     /// wire between two nodes (`0.0` ends the burst).
     pub fn set_wire_corrupt_rate(&mut self, a: NodeId, b: NodeId, rate: f64) {
-        if let Some(l) = self.links.get_mut(&(a, b)) {
-            l.corrupt_rate = rate;
-        }
-        if let Some(l) = self.links.get_mut(&(b, a)) {
-            l.corrupt_rate = rate;
-        }
+        self.each_direction(a, b, |l| l.corrupt_rate = rate);
     }
 
     /// Reset the runtime state of every link (both directions) back to
     /// freshly-built: up, idle, zeroed counters, no fault overrides.
-    /// Per-link and order-independent, so map iteration order is
-    /// irrelevant to the result.
     pub fn reset_links(&mut self) {
-        for link in self.links.values_mut() {
+        for link in &mut self.links {
             link.reset_runtime();
         }
     }
@@ -161,7 +209,21 @@ impl Topology {
     /// smaller directed key, in sorted order (deterministic regardless of
     /// insertion order — fault planning iterates this).
     pub fn wires(&self) -> Vec<LinkKey> {
-        let mut keys: Vec<LinkKey> = self.links.keys().filter(|(a, b)| a <= b).copied().collect();
+        let mut keys = Vec::with_capacity(self.links.len() / 2);
+        for (i, ports) in self.switch_ports.iter().enumerate() {
+            let sw = SwitchId(i as u32);
+            for p in ports {
+                match p.target {
+                    PortTarget::Endpoint(ep) => {
+                        keys.push((NodeId::Switch(sw), NodeId::Endpoint(ep)));
+                    }
+                    PortTarget::Switch(peer, _) if sw < peer => {
+                        keys.push((NodeId::Switch(sw), NodeId::Switch(peer)));
+                    }
+                    PortTarget::Switch(..) | PortTarget::Unwired => {}
+                }
+            }
+        }
         keys.sort();
         keys
     }
@@ -187,28 +249,42 @@ impl TopologyBuilder {
         id
     }
 
-    fn alloc_port(&mut self, sw: SwitchId, target: PortTarget) -> PortNo {
+    /// Add the two directed links of a new wire; returns their positions
+    /// in wiring order (`a -> b`, then `b -> a`).
+    fn alloc_wire(&mut self, params: LinkParams) -> (LinkIx, LinkIx) {
+        let ix = self.topo.links.len() as u32;
+        self.topo.links.extend([Link::new(params), Link::new(params)]);
+        (LinkIx(ix), LinkIx(ix + 1))
+    }
+
+    fn alloc_port(&mut self, sw: SwitchId, target: PortTarget, out: LinkIx) -> PortNo {
         let ports = &mut self.topo.switch_ports[sw.0 as usize];
         let port = PortNo(ports.len() as u16);
-        ports.push(target);
+        ports.push(Port { target, out });
         port
     }
 
     /// Wire two switches together with symmetric link parameters.
+    ///
+    /// # Panics
+    /// If `a == b` or the pair is already wired. The switches learn and
+    /// flood without a spanning tree, so a second wire between one pair
+    /// is a forwarding loop, and the `(NodeId, NodeId)` key could name
+    /// only one of the two wires.
     pub fn connect_switches(
         &mut self,
         a: SwitchId,
         b: SwitchId,
         params: LinkParams,
     ) -> (PortNo, PortNo) {
-        let pa = self.alloc_port(a, PortTarget::Unwired);
-        let pb = self.alloc_port(b, PortTarget::Unwired);
-        self.topo.switch_ports[a.0 as usize][pa.0 as usize] = PortTarget::Switch(b, pb);
-        self.topo.switch_ports[b.0 as usize][pb.0 as usize] = PortTarget::Switch(a, pa);
-        let na = NodeId::Switch(a);
-        let nb = NodeId::Switch(b);
-        self.topo.links.insert((na, nb), Link::new(params));
-        self.topo.links.insert((nb, na), Link::new(params));
+        assert!(
+            a != b && self.topo.link(NodeId::Switch(a), NodeId::Switch(b)).is_none(),
+            "{a} and {b} must be distinct switches with no wire between them yet"
+        );
+        let (ab, ba) = self.alloc_wire(params);
+        let (pa, pb) = (PortNo(self.topo.ports_of(a)), PortNo(self.topo.ports_of(b)));
+        self.alloc_port(a, PortTarget::Switch(b, pb), ab);
+        self.alloc_port(b, PortTarget::Switch(a, pa), ba);
         (pa, pb)
     }
 
@@ -229,13 +305,12 @@ impl TopologyBuilder {
     ) -> EndpointId {
         let ep = EndpointId(self.topo.endpoints.len() as u32);
         let mac = MacAddr::from_index(ep.0 + 1);
-        let port = self.alloc_port(sw, PortTarget::Endpoint(ep));
-        self.topo.endpoints.push(EndpointInfo { mac, ip, switch: sw, port });
+        let (down, uplink) = self.alloc_wire(params);
+        let port = self.alloc_port(sw, PortTarget::Endpoint(ep), down);
+        self.topo
+            .endpoints
+            .push(Attachment { info: EndpointInfo { mac, ip, switch: sw, port }, uplink });
         self.topo.ip_index.insert(ip, ep);
-        let ns = NodeId::Switch(sw);
-        let ne = NodeId::Endpoint(ep);
-        self.topo.links.insert((ns, ne), Link::new(params));
-        self.topo.links.insert((ne, ns), Link::new(params));
         ep
     }
 
@@ -371,19 +446,116 @@ mod tests {
         assert!(t.link(ne, ns).unwrap().up);
     }
 
+    /// The two deployment shapes, for the link-addressing tests.
+    fn shapes() -> [Topology; 2] {
+        [TopologyBuilder::smart_home(5).0, TopologyBuilder::enterprise(3, 4).0]
+    }
+
+    #[test]
+    fn keyed_and_positional_addressing_reach_the_same_link() {
+        for mut t in shapes() {
+            let mut seen = vec![false; t.links.len()];
+            let mut reach = |t: &mut Topology, ix: LinkIx, from: NodeId, to: NodeId| {
+                assert!(!std::mem::replace(&mut seen[ix.0 as usize], true), "link named twice");
+                let by_key: *const Link = t.link(from, to).expect("wired");
+                assert!(std::ptr::eq(by_key, t.link_at(ix)), "{from} -> {to}");
+                assert!(std::ptr::eq(by_key, t.link_mut(from, to).unwrap()));
+            };
+            for s in 0..t.switch_count() {
+                let sw = SwitchId(s as u32);
+                for p in 0..t.ports_of(sw) {
+                    let (target, out) = t.port_out(sw, PortNo(p)).expect("every port is wired");
+                    let to = match target {
+                        PortTarget::Switch(peer, back) => {
+                            assert_eq!(
+                                t.port_target(peer, back),
+                                PortTarget::Switch(sw, PortNo(p))
+                            );
+                            NodeId::Switch(peer)
+                        }
+                        PortTarget::Endpoint(ep) => NodeId::Endpoint(ep),
+                        PortTarget::Unwired => panic!("port_out returned an unwired port"),
+                    };
+                    reach(&mut t, out, NodeId::Switch(sw), to);
+                }
+                assert_eq!(t.port_out(sw, PortNo(t.ports_of(sw))), None);
+            }
+            for e in 0..t.endpoint_count() {
+                let ep = EndpointId(e as u32);
+                let (sw, up) = (t.endpoint(ep).switch, t.uplink(ep));
+                reach(&mut t, up, NodeId::Endpoint(ep), NodeId::Switch(sw));
+            }
+            assert!(seen.iter().all(|&s| s), "a link no port or uplink leads to");
+        }
+    }
+
+    #[test]
+    fn keys_of_unwired_pairs_resolve_to_nothing() {
+        let (t, core, edges, eps, wan, _) = TopologyBuilder::enterprise(2, 2);
+        let (e0, e1) = (NodeId::Switch(edges[0]), NodeId::Switch(edges[1]));
+        assert!(t.link(e0, e1).is_none() && t.link(e1, e0).is_none());
+        // eps[0] hangs off edge 0, not off the core or edge 1.
+        let dev = NodeId::Endpoint(eps[0]);
+        assert!(t.link(dev, NodeId::Switch(core)).is_none());
+        assert!(t.link(e1, dev).is_none());
+        assert!(t.link(dev, NodeId::Endpoint(wan)).is_none());
+        assert!(t.link(NodeId::Switch(SwitchId(99)), dev).is_none());
+        assert!(t.link(NodeId::Endpoint(EndpointId(99)), e0).is_none());
+    }
+
     #[test]
     fn wires_enumerates_each_wire_once_sorted() {
-        let (t, _, _, _, _, _) = TopologyBuilder::enterprise(2, 3);
-        let wires = t.wires();
         // 2 core-edge trunks + 6 device uplinks + wan + cluster = 10 wires.
-        assert_eq!(wires.len(), 10);
-        let mut sorted = wires.clone();
-        sorted.sort();
-        assert_eq!(wires, sorted);
-        for (a, b) in &wires {
-            assert!(a <= b);
-            assert!(t.link(*a, *b).is_some() && t.link(*b, *a).is_some());
+        assert_eq!(TopologyBuilder::enterprise(2, 3).0.wires().len(), 10);
+        for t in shapes() {
+            let wires = t.wires();
+            assert_eq!(wires.len() * 2, t.links.len());
+            assert!(wires.windows(2).all(|w| w[0] < w[1]), "sorted, no wire twice");
+            for &(a, b) in &wires {
+                assert!(a < b);
+                assert!(t.link(a, b).is_some() && t.link(b, a).is_some());
+            }
         }
+    }
+
+    #[test]
+    fn reset_links_resets_every_link() {
+        let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(1);
+        for mut t in shapes() {
+            for (a, b) in t.wires() {
+                t.set_wire_burst_loss(a, b, Some(0.5));
+                t.set_wire_corrupt_rate(a, b, 0.5);
+                for (from, to) in [(a, b), (b, a)] {
+                    let l = t.link_mut(from, to).unwrap();
+                    for _ in 0..8 {
+                        l.transmit(crate::time::SimTime::from_millis(1), 800, &mut rng);
+                    }
+                }
+                t.fail_wire(a, b);
+            }
+            t.reset_links();
+            for l in &t.links {
+                let fresh = Link::new(l.params);
+                assert_eq!(format!("{l:?}"), format!("{fresh:?}"));
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "no wire between them yet")]
+    fn wiring_a_switch_pair_twice_is_rejected() {
+        let mut b = TopologyBuilder::new();
+        let (s0, s1) = (b.add_switch(), b.add_switch());
+        b.connect_switches(s0, s1, LinkParams::lan());
+        b.connect_switches(s1, s0, LinkParams::lan());
+    }
+
+    #[test]
+    #[should_panic(expected = "distinct switches")]
+    fn wiring_a_switch_to_itself_is_rejected() {
+        let mut b = TopologyBuilder::new();
+        let s0 = b.add_switch();
+        b.connect_switches(s0, s0, LinkParams::lan());
     }
 
     #[test]

@@ -13,16 +13,29 @@
 //! 4. [`EventArena`] generational handles turn use-after-free into a
 //!    detected error: a stale handle yields `None`, never a different
 //!    event, across arbitrary insert/remove interleavings.
+//! 5. The flood contract: a copy the receiving NIC discards travels as a
+//!    payload-free event, and every count a payload-carrying copy would
+//!    have moved still moves — checked frame by frame against a learning
+//!    switch modelled here, on both event queues.
+//! 6. Link addressing: a fault set through a wire's `(NodeId, NodeId)` key
+//!    is what the packet path, which reaches links by position, then sees.
 
-use iotsec_repro::iotnet::addr::{Ipv4Addr, MacAddr, PortNo};
-use iotsec_repro::iotnet::engine::{EventArena, EventHandle};
+use iotsec_repro::iotnet::addr::{EndpointId, Ipv4Addr, MacAddr, NodeId, PortNo, SwitchId};
+use iotsec_repro::iotnet::engine::{EventArena, EventHandle, QueueKind};
 use iotsec_repro::iotnet::flow::{
     FlowAction, FlowMatch, FlowRule, FlowTable, PackedFlowKey, SteerId,
 };
+use iotsec_repro::iotnet::net::{Delivery, Network};
 use iotsec_repro::iotnet::packet::{
     EthernetHeader, Ipv4Header, PackedHeaders, Packet, TcpFlags, TransportHeader,
 };
+use iotsec_repro::iotnet::time::{SimDuration, SimTime};
+use iotsec_repro::iotnet::topology::{PortTarget, Topology, TopologyBuilder};
+use iotsec_repro::iotsec::defense::Defense;
+use iotsec_repro::iotsec::scenario;
+use iotsec_repro::iotsec::world::World;
 use proptest::prelude::*;
+use std::collections::HashMap;
 
 fn mac() -> impl Strategy<Value = MacAddr> {
     any::<u64>().prop_map(|b| {
@@ -164,6 +177,169 @@ fn flow_rule() -> impl Strategy<Value = FlowRule> {
     })
 }
 
+/// One of the two deployment shapes: a smart home of `a + 1` devices for
+/// an even `a`, an enterprise of `a % 3 + 1` edges × `b + 1` devices
+/// otherwise.
+fn shape(a: usize, b: usize) -> Topology {
+    if a.is_multiple_of(2) {
+        TopologyBuilder::smart_home(a + 1).0
+    } else {
+        TopologyBuilder::enterprise(a % 3 + 1, b + 1).0
+    }
+}
+
+/// Where a generated frame is addressed.
+#[derive(Debug, Clone, Copy)]
+enum Dst {
+    Broadcast,
+    /// The MAC of the `n`-th endpoint, modulo the endpoint count —
+    /// unknown to the switches until that endpoint has sent something.
+    Endpoint(usize),
+    /// A unicast MAC no endpoint owns.
+    Nobody,
+}
+
+fn frame_spec() -> impl Strategy<Value = (usize, Dst)> {
+    (
+        0usize..64,
+        prop_oneof![
+            Just(Dst::Broadcast),
+            Just(Dst::Nobody),
+            (0usize..64).prop_map(Dst::Endpoint),
+            (0usize..64).prop_map(Dst::Endpoint),
+        ],
+    )
+}
+
+/// The `n`-th frame of a run from endpoint `src`; the source port makes
+/// every frame of a run distinct.
+fn frame(net: &Network, src: EndpointId, dst: Dst, n: usize) -> Packet {
+    let eps = net.topology().endpoint_count();
+    let (dst_mac, dst_ip) = match dst {
+        Dst::Broadcast => (MacAddr::BROADCAST, Ipv4Addr::new(255, 255, 255, 255)),
+        Dst::Nobody => (MacAddr::from_index(9_999), Ipv4Addr::new(10, 9, 9, 9)),
+        Dst::Endpoint(i) => {
+            let ep = EndpointId((i % eps) as u32);
+            (net.mac_of(ep), net.ip_of(ep))
+        }
+    };
+    Packet::new(
+        net.mac_of(src),
+        dst_mac,
+        net.ip_of(src),
+        dst_ip,
+        TransportHeader::udp(n as u16, 5683),
+        vec![n as u8; n % 40].into(),
+    )
+}
+
+fn stream(ds: &[Delivery]) -> Vec<(EndpointId, SimTime, Packet)> {
+    ds.iter().map(|d| (d.endpoint, d.at, d.packet.clone())).collect()
+}
+
+/// Copies a directed link refused (loss, failure or corruption).
+fn refused(t: &Topology, from: NodeId, to: NodeId) -> u64 {
+    let l = t.link(from, to).expect("wired");
+    l.dropped + l.corrupted
+}
+
+/// A test-side learning switch fabric that counts what one frame does,
+/// given which wires refused their copy (read off the per-link counters,
+/// which `NetStats` does not feed).
+#[derive(Default)]
+struct FloodModel {
+    mac_tables: HashMap<SwitchId, HashMap<MacAddr, PortNo>>,
+    refused_before: HashMap<(NodeId, NodeId), u64>,
+}
+
+/// What one frame did, per the model.
+#[derive(Debug, Default, PartialEq, Eq)]
+struct FrameCount {
+    /// Copies put on a wire, the sender's uplink included.
+    wires: u64,
+    lost: u64,
+    filtered: u64,
+    /// Copies that reached a switch.
+    switched: u64,
+    /// Endpoints whose NIC accepted a copy, sorted.
+    accepted: Vec<EndpointId>,
+}
+
+impl FloodModel {
+    /// Whether the wire `from -> to` refused a copy since the last call
+    /// for that wire. One frame crosses a wire of a tree at most once.
+    fn lost_on(&mut self, t: &Topology, from: NodeId, to: NodeId) -> bool {
+        let now = refused(t, from, to);
+        let before = self.refused_before.insert((from, to), now).unwrap_or(0);
+        assert!(now - before <= 1, "one frame, one copy per wire");
+        now > before
+    }
+
+    fn frame(&mut self, t: &Topology, src: EndpointId, pkt: &Packet) -> FrameCount {
+        let mut c = FrameCount { wires: 1, ..FrameCount::default() };
+        let info = *t.endpoint(src);
+        if self.lost_on(t, NodeId::Endpoint(src), NodeId::Switch(info.switch)) {
+            c.lost = 1;
+            return c;
+        }
+        let mut at_switch = vec![(info.switch, info.port)];
+        while let Some((sw, in_port)) = at_switch.pop() {
+            c.switched += 1;
+            let table = self.mac_tables.entry(sw).or_default();
+            table.insert(pkt.eth.src, in_port);
+            let out: Vec<PortNo> = match table.get(&pkt.eth.dst) {
+                Some(&p) if p == in_port => vec![],
+                Some(&p) => vec![p],
+                None => (0..t.ports_of(sw)).map(PortNo).filter(|&p| p != in_port).collect(),
+            };
+            for port in out {
+                c.wires += 1;
+                let target = t.port_target(sw, port);
+                let to = match target {
+                    PortTarget::Switch(peer, _) => NodeId::Switch(peer),
+                    PortTarget::Endpoint(ep) => NodeId::Endpoint(ep),
+                    PortTarget::Unwired => panic!("builders wire every port"),
+                };
+                if self.lost_on(t, NodeId::Switch(sw), to) {
+                    c.lost += 1;
+                    continue;
+                }
+                match target {
+                    PortTarget::Switch(peer, back) => at_switch.push((peer, back)),
+                    PortTarget::Endpoint(ep)
+                        if pkt.eth.dst == t.endpoint(ep).mac || pkt.eth.dst.is_broadcast() =>
+                    {
+                        c.accepted.push(ep)
+                    }
+                    _ => c.filtered += 1,
+                }
+            }
+        }
+        c.accepted.sort();
+        c
+    }
+}
+
+/// Everything link counters say about a drained network: copies offered
+/// to endpoint uplinks, copies refused anywhere, copies carried anywhere,
+/// copies carried to an endpoint.
+fn link_totals(t: &Topology) -> (u64, u64, u64, u64) {
+    let (mut offered_up, mut lost, mut carried, mut carried_down) = (0, 0, 0, 0);
+    for (a, b) in t.wires() {
+        for (from, to) in [(a, b), (b, a)] {
+            let l = t.link(from, to).expect("wired");
+            lost += l.dropped + l.corrupted;
+            carried += l.carried;
+            match (from, to) {
+                (NodeId::Endpoint(_), _) => offered_up += l.carried + l.dropped + l.corrupted,
+                (_, NodeId::Endpoint(_)) => carried_down += l.carried,
+                _ => {}
+            }
+        }
+    }
+    (offered_up, lost, carried, carried_down)
+}
+
 proptest! {
     /// Property 1: the packed-word encoding reconstructs the exact header
     /// structs — `unpack ∘ pack = id`, which also makes `pack` injective.
@@ -290,6 +466,165 @@ proptest! {
         }
         prop_assert_eq!(arena.len(), live.len());
     }
+
+    /// Property 5: frame by frame, the network's counters, its event
+    /// count and its deliveries are what the modelled learning fabric
+    /// says — with lossy wires, and identically on wheel and heap.
+    #[test]
+    fn flood_copies_keep_every_count(
+        a in 0usize..8,
+        b in 0usize..4,
+        seed in any::<u64>(),
+        lossy in proptest::collection::vec((0usize..64, 1u32..6), 0..5),
+        frames in proptest::collection::vec(frame_spec(), 1..40),
+    ) {
+        let mut nets = [QueueKind::Wheel, QueueKind::Heap]
+            .map(|kind| Network::with_queue(shape(a, b), seed, kind));
+        for net in &mut nets {
+            let wires = net.topology().wires();
+            for &(w, tenths) in &lossy {
+                let (x, y) = wires[w % wires.len()];
+                net.topology_mut().set_wire_burst_loss(x, y, Some(f64::from(tenths) / 10.0));
+            }
+        }
+        let eps = nets[0].topology().endpoint_count();
+        let mut model = FloodModel::default();
+        let mut now = SimTime::ZERO;
+        for (n, &(src, dst)) in frames.iter().enumerate() {
+            let src = EndpointId((src % eps) as u32);
+            let pkt = frame(&nets[0], src, dst, n);
+            now += SimDuration::from_secs(1);
+            let [wheel, heap] = &mut nets;
+            let (stats0, events0) = (wheel.stats, wheel.events_processed());
+            wheel.send(src, now, pkt.clone());
+            heap.send(src, now, pkt.clone());
+            let got = wheel.step_until(now + SimDuration::from_millis(999));
+            prop_assert_eq!(stream(&got), stream(&heap.step_until(now + SimDuration::from_millis(999))));
+            prop_assert!(!wheel.has_pending() && !heap.has_pending());
+            prop_assert_eq!(wheel.stats, heap.stats);
+
+            let want = model.frame(wheel.topology(), src, &pkt);
+            let s = wheel.stats;
+            prop_assert_eq!(s.sent - stats0.sent, 1);
+            prop_assert_eq!(s.delivered - stats0.delivered, want.accepted.len() as u64);
+            prop_assert_eq!(s.nic_filtered - stats0.nic_filtered, want.filtered);
+            prop_assert_eq!(s.dropped_loss - stats0.dropped_loss, want.lost);
+            // Every copy put on a wire ends as exactly one of these.
+            prop_assert_eq!(
+                want.accepted.len() as u64 + want.filtered + want.lost + want.switched,
+                want.wires
+            );
+            // One event popped per copy a wire carried.
+            prop_assert_eq!(wheel.events_processed() - events0, want.wires - want.lost);
+            prop_assert_eq!(heap.events_processed(), wheel.events_processed());
+            let mut reached: Vec<EndpointId> = got.iter().map(|d| d.endpoint).collect();
+            reached.sort();
+            prop_assert_eq!(&reached, &want.accepted);
+            prop_assert!(got.iter().all(|d| d.packet == pkt && d.endpoint != src));
+            if want.lost == 0 {
+                match dst {
+                    Dst::Broadcast => prop_assert_eq!(reached.len(), eps - 1),
+                    Dst::Nobody => prop_assert!(reached.is_empty()),
+                    Dst::Endpoint(i) => {
+                        let owner = EndpointId((i % eps) as u32);
+                        let expect = if owner == src { vec![] } else { vec![owner] };
+                        prop_assert_eq!(reached, expect);
+                    }
+                }
+            }
+        }
+    }
+
+    /// Property 5, frames overlapping in flight: wheel and heap deliver
+    /// the same stream, and the aggregate counters equal what the
+    /// per-link counters add up to.
+    #[test]
+    fn overlapping_floods_agree_across_queues_and_link_counters(
+        a in 0usize..8,
+        b in 0usize..4,
+        seed in any::<u64>(),
+        frames in proptest::collection::vec((frame_spec(), 0u64..3_000), 1..60),
+    ) {
+        let mut streams = Vec::new();
+        for kind in [QueueKind::Wheel, QueueKind::Heap] {
+            let mut net = Network::with_queue(shape(a, b), seed, kind);
+            let eps = net.topology().endpoint_count();
+            let mut now = SimTime::ZERO;
+            let mut got = Vec::new();
+            for (n, &((src, dst), gap_us)) in frames.iter().enumerate() {
+                now += SimDuration::from_micros(gap_us);
+                got.extend(net.step_until(now));
+                let src = EndpointId((src % eps) as u32);
+                net.send(src, now, frame(&net, src, dst, n));
+            }
+            got.extend(net.step_until(SimTime::MAX));
+            prop_assert!(!net.has_pending());
+            let (offered_up, lost, carried, carried_down) = link_totals(net.topology());
+            prop_assert_eq!(net.stats.sent, offered_up);
+            prop_assert_eq!(net.stats.dropped_loss, lost);
+            prop_assert_eq!(net.events_processed(), carried);
+            prop_assert_eq!(net.stats.delivered + net.stats.nic_filtered, carried_down);
+            prop_assert_eq!(net.stats.delivered, got.len() as u64);
+            streams.push((stream(&got), net.stats, net.events_processed()));
+        }
+        prop_assert_eq!(&streams[0], &streams[1]);
+    }
+
+    /// Property 6: a wire failed, made lossy or made corrupting through
+    /// its key carries nothing afterwards, in either direction, the
+    /// copies it refuses are the ones `NetStats` counts as lost, and a
+    /// heal through the key carries again.
+    #[test]
+    fn keyed_faults_are_what_the_packet_path_sees(
+        a in 0usize..8,
+        b in 0usize..4,
+        wire in 0usize..64,
+        fault in 0u8..3,
+    ) {
+        let mut net = Network::new(shape(a, b), 7);
+        let wires = net.topology().wires();
+        // Every wire lossless, so the faulted one is the only one refusing.
+        for &(p, q) in &wires {
+            net.topology_mut().set_wire_burst_loss(p, q, Some(0.0));
+        }
+        let (x, y) = wires[wire % wires.len()];
+        match fault {
+            0 => net.topology_mut().fail_wire(x, y),
+            1 => net.topology_mut().set_wire_burst_loss(x, y, Some(1.0)),
+            _ => net.topology_mut().set_wire_corrupt_rate(x, y, 1.0),
+        }
+        // A broadcast from every endpoint offers every directed link a copy.
+        let broadcast_from_all = |net: &mut Network| {
+            let at = net.now() + SimDuration::from_secs(1);
+            for e in 0..net.topology().endpoint_count() {
+                let src = EndpointId(e as u32);
+                net.send(src, at, frame(net, src, Dst::Broadcast, e));
+            }
+            net.step_until(SimTime::MAX);
+        };
+        broadcast_from_all(&mut net);
+        let t = net.topology();
+        for (from, to) in [(x, y), (y, x)] {
+            let l = t.link(from, to).expect("wired");
+            prop_assert_eq!(l.carried, 0);
+            prop_assert!(refused(t, from, to) >= 1);
+            prop_assert_eq!(l.corrupted > 0, fault == 2);
+        }
+        let (offered_up, lost, carried, _) = link_totals(t);
+        prop_assert_eq!(lost, refused(t, x, y) + refused(t, y, x));
+        prop_assert_eq!(net.stats.sent, offered_up);
+        prop_assert_eq!(net.stats.dropped_loss, lost);
+        prop_assert_eq!(net.events_processed(), carried);
+
+        net.topology_mut().heal_wire(x, y);
+        net.topology_mut().set_wire_burst_loss(x, y, Some(0.0));
+        net.topology_mut().set_wire_corrupt_rate(x, y, 0.0);
+        broadcast_from_all(&mut net);
+        prop_assert_eq!(net.stats.dropped_loss, lost);
+        for (from, to) in [(x, y), (y, x)] {
+            prop_assert!(net.topology().link(from, to).expect("wired").carried >= 1);
+        }
+    }
 }
 
 /// The recycling case spelled out: a slot reused after removal bumps its
@@ -306,4 +641,20 @@ fn recycled_slot_invalidates_old_handle() {
     assert_eq!(arena.get(old), None);
     assert_eq!(arena.remove(old), None);
     assert_eq!(arena.get(new), Some(&"second"));
+}
+
+/// The E21 `home-iotsec/s20151116/p24` cell (the benchmark's first cold
+/// home): 5 513 of its 5 880 events are flood copies a NIC discards.
+/// Every one must still be transmitted, queued, popped and counted.
+#[test]
+fn defended_p24_home_counters_are_pinned() {
+    let (d, _) = scenario::scaled_home(Defense::iotsec(), 20151116, 24);
+    let mut w = World::new(&d);
+    w.env.occupied = true;
+    w.run_until_attack_done(SimDuration::from_secs(300));
+    let s = w.net.stats;
+    assert_eq!(
+        (s.sent, s.delivered, s.dropped_loss, s.nic_filtered, w.net.events_processed()),
+        (215, 154, 33, 5513, 5880)
+    );
 }

@@ -256,8 +256,6 @@ pub struct World {
     // --- per-tick scratch buffers (capacity reused across ticks) --------
     /// Delivery buffer handed to [`Network::step_until_into`].
     delivery_scratch: Vec<iotnet::net::Delivery>,
-    /// Environment snapshot handed to the control plane each tick.
-    env_scratch: Vec<(EnvVar, &'static str)>,
     /// Per-device fact rows rebuilt for the safety monitor each tick.
     facts_scratch: Vec<DeviceFacts>,
     /// Resident-mode bookkeeping (E26): `Some` only for worlds built by
@@ -684,7 +682,6 @@ impl World {
         self.last_failovers = 0;
         self.admission_shed = 0;
         self.delivery_scratch.clear();
-        self.env_scratch.clear();
         self.facts_scratch.clear();
         self.resident = Some(bind);
 
@@ -1012,7 +1009,6 @@ impl World {
             breakers: None,
             admission_shed: 0,
             delivery_scratch: Vec::new(),
-            env_scratch: Vec::with_capacity(EnvVar::ALL.len()),
             facts_scratch: Vec::with_capacity(deployment.devices.len()),
             resident: None,
         };
@@ -1231,23 +1227,19 @@ impl World {
 
         // 3. Hub: env-edge recipes + environment reporting.
         let denv = self.env.discretize();
-        if let Some((mut hub, ep)) = self.hub.take() {
-            let sends = hub.on_env(denv);
-            self.hub = Some((hub, ep));
+        if let Some((hub, ep)) = &mut self.hub {
+            let (sends, ep) = (hub.on_env(denv), *ep);
             for m in sends {
                 self.send_message(ep, now, &m, None);
             }
         }
         if let Some(control) = &mut self.control {
-            self.env_scratch.clear();
-            self.env_scratch.extend(EnvVar::ALL.iter().map(|v| (*v, denv.get(*v))));
-            control.ingest_env(now, &self.env_scratch);
+            control.ingest_env(now, &EnvVar::ALL.map(|var| (var, denv.get(var))));
         }
 
         // 4. Attacker.
-        if let Some((mut attacker, ep)) = self.attacker.take() {
-            let emits = attacker.poll(now);
-            self.attacker = Some((attacker, ep));
+        if let Some((attacker, ep)) = &mut self.attacker {
+            let (emits, ep) = (attacker.poll(now), *ep);
             for AttackerEmit { out, spoof_src } in emits {
                 self.send_message(ep, now, &out, spoof_src);
             }
@@ -1271,13 +1263,15 @@ impl World {
         self.delivery_scratch = deliveries;
 
         // 6. Control plane: collect events, step, execute directives.
+        // The event buffer leaves the world for the ingest loop only and
+        // goes back with its capacity, like the delivery buffer above.
         let mut events = std::mem::take(&mut self.pending_events);
-        events.extend(self.event_sink.drain());
+        self.event_sink.drain_into(&mut events);
         let mut directives = Vec::new();
         let mut reachable = true;
         if let Some(control) = &mut self.control {
             let down = control.is_down(now);
-            for e in events {
+            for e in events.drain(..) {
                 if down {
                     // Nobody is home to react — the event's device stays
                     // exposed until the control plane returns.
@@ -1300,6 +1294,8 @@ impl World {
                 self.tracer.emit(now.as_nanos(), TraceEvent::Failover { count: failovers });
             }
         }
+        events.clear();
+        self.pending_events = events;
         if self.control.is_some() {
             // Chaos runs route directives through the hardened delivery
             // channel (idempotent IDs, bounded queue, retry/backoff);
@@ -1341,10 +1337,8 @@ impl World {
         // the cooldown elapses (the respawned instance gets a trial),
         // and re-close after a clean trial window.
         if let (Some(bank), Some(lc)) = (&mut self.breakers, &self.lifecycle) {
-            let mut devices: Vec<DeviceId> = self.chains.keys().copied().collect();
-            devices.sort_unstable();
-            for device in devices {
-                let slot = &self.chains[&device];
+            for device in (0..self.devices.len() as u32).map(DeviceId) {
+                let Some(slot) = self.chains.get(&device) else { continue };
                 let serving = lc.get(slot.instance).is_some_and(|i| i.is_serving(now));
                 match bank.tick(device, now, serving) {
                     Some(BreakerEvent::HalfOpened) => self
@@ -1603,9 +1597,8 @@ impl World {
             }
             Entity::Hub => {
                 if let AppMessage::Event { kind } = msg {
-                    if let Some((mut hub, ep)) = self.hub.take() {
-                        let sends = hub.on_event(d.packet.ip.src, kind);
-                        self.hub = Some((hub, ep));
+                    if let Some((hub, ep)) = &mut self.hub {
+                        let (sends, ep) = (hub.on_event(d.packet.ip.src, kind), *ep);
                         for m in sends {
                             self.send_message(ep, d.at, &m, None);
                         }

@@ -220,8 +220,8 @@ impl Controller {
         for (id, ctx) in self.view.context_pairs() {
             state = state.with_context(&self.policy.schema, id, ctx);
         }
-        for (var, value) in &self.view.env {
-            state = state.with_env(&self.policy.schema, *var, value);
+        for (var, value) in self.view.env.iter() {
+            state = state.with_env(&self.policy.schema, var, value);
         }
         state
     }

@@ -20,7 +20,7 @@
 
 use crate::controller::{Controller, ControllerConfig};
 use crate::directive::Directive;
-use iotdev::env::EnvVar;
+use iotdev::env::{EnvValues, EnvVar};
 use iotdev::events::SecurityEvent;
 use iotnet::time::{SimDuration, SimTime};
 use iotpolicy::policy::FsmPolicy;
@@ -55,9 +55,11 @@ pub struct ReplicatedController {
     active: Controller,
     standby: Option<Controller>,
     cfg: FailoverConfig,
-    /// Events since the standby's last checkpoint (the replay log).
+    /// Events and environment reports since the standby's last
+    /// checkpoint (the replay log). Appended to only while a standby
+    /// exists to replay them into; empty from the promotion on.
     log: Vec<SecurityEvent>,
-    env_log: Vec<(SimTime, Vec<(EnvVar, &'static str)>)>,
+    env_log: Vec<(SimTime, EnvValues)>,
     last_checkpoint: SimTime,
     down_since: Option<SimTime>,
     /// Promotions performed (0 or 1 — there is a single standby).
@@ -88,17 +90,21 @@ impl ReplicatedController {
         }
     }
 
-    /// Enqueue an event: delivered to the active replica and appended to
-    /// the replay log.
+    /// Enqueue an event: delivered to the active replica and, while a
+    /// standby remains, appended to the replay log.
     pub fn ingest(&mut self, event: SecurityEvent) {
         self.active.ingest(event);
-        self.log.push(event);
+        if self.standby.is_some() {
+            self.log.push(event);
+        }
     }
 
     /// Ingest an environment report (active replica + replay log).
     pub fn ingest_env(&mut self, at: SimTime, values: &[(EnvVar, &'static str)]) {
         self.active.ingest_env(at, values);
-        self.env_log.push((at, values.to_vec()));
+        if self.standby.is_some() {
+            self.env_log.push((at, EnvValues::from_pairs(values)));
+        }
     }
 
     /// Take the active replica down (fault injection).
@@ -112,19 +118,31 @@ impl ReplicatedController {
         self.active.is_down(now)
     }
 
+    /// Drain the replay log into `sb`, in arrival order per kind.
+    fn replay(
+        env_log: &mut Vec<(SimTime, EnvValues)>,
+        log: &mut Vec<SecurityEvent>,
+        sb: &mut Controller,
+    ) {
+        for (at, report) in env_log.drain(..) {
+            let mut pairs = [(EnvVar::Temperature, ""); EnvVar::ALL.len()];
+            let mut known = 0;
+            for pair in report.iter() {
+                pairs[known] = pair;
+                known += 1;
+            }
+            sb.ingest_env(at, &pairs[..known]);
+        }
+        for e in log.drain(..) {
+            sb.ingest(e);
+        }
+    }
+
     /// Drain the replay log into the standby, warming its view. The
     /// standby only ingests — it never emits directives while passive.
     fn checkpoint(&mut self, now: SimTime) {
         if let Some(sb) = &mut self.standby {
-            for (at, values) in self.env_log.drain(..) {
-                sb.ingest_env(at, &values);
-            }
-            for e in self.log.drain(..) {
-                sb.ingest(e);
-            }
-        } else {
-            self.env_log.clear();
-            self.log.clear();
+            Self::replay(&mut self.env_log, &mut self.log, sb);
         }
         self.last_checkpoint = now;
     }
@@ -148,12 +166,7 @@ impl ReplicatedController {
             if let Some(mut sb) = self.standby.take() {
                 // Re-sync: replay the un-checkpointed log tail, then pay
                 // the resync window before the new primary serves.
-                for (at, values) in self.env_log.drain(..) {
-                    sb.ingest_env(at, &values);
-                }
-                for e in self.log.drain(..) {
-                    sb.ingest(e);
-                }
+                Self::replay(&mut self.env_log, &mut self.log, &mut sb);
                 sb.inject_outage(now, self.cfg.resync);
                 self.retired_events += self.active.stats.events_processed;
                 self.active = sb;
@@ -258,6 +271,58 @@ mod tests {
         assert!(!rc.is_down(SimTime::from_secs(20)));
         assert!(directives.iter().any(|d| d.device() == DeviceId(0)));
         assert!(directives.iter().any(|d| d.device() == DeviceId(1)));
+    }
+
+    #[test]
+    fn nothing_is_logged_once_the_standby_is_spent() {
+        let cfg = FailoverConfig {
+            detect_after: SimDuration::from_secs(2),
+            resync: SimDuration::from_secs(1),
+            checkpoint_interval: SimDuration::from_secs(1),
+        };
+        let mut rc = replicated(cfg);
+        rc.reconcile(SimTime::ZERO);
+        let report = [(EnvVar::Occupancy, "present"), (EnvVar::Smoke, "no")];
+
+        // While the standby exists, the tail since the last checkpoint is
+        // kept, and a checkpoint hands it over.
+        rc.ingest_env(SimTime::from_millis(100), &report);
+        rc.ingest(sig_match(SimTime::from_millis(100)));
+        assert_eq!((rc.log.len(), rc.env_log.len()), (1, 1));
+        rc.step(SimTime::from_secs(1));
+        assert_eq!((rc.log.len(), rc.env_log.len()), (0, 0));
+        let standby = rc.standby.as_ref().expect("not promoted yet");
+        assert_eq!(standby.view.env_value(EnvVar::Occupancy), Some("present"));
+        assert_eq!(standby.queue_depth(), 1);
+
+        // Promote, then take the new (and last) active down as well: for
+        // the whole outage nobody could replay a log, so none is kept.
+        rc.inject_outage(SimTime::from_secs(10), SimDuration::from_secs(120));
+        rc.step(SimTime::from_secs(10));
+        rc.step(SimTime::from_secs(12));
+        assert_eq!(rc.failovers, 1);
+        rc.inject_outage(SimTime::from_secs(13), SimDuration::from_secs(30));
+        for tick in 0..200u64 {
+            let now = SimTime::from_secs(13) + SimDuration::from_millis(100 * tick);
+            rc.ingest_env(now, &report);
+            rc.ingest(sig_match(now));
+            assert!(rc.step(now).is_empty());
+        }
+        assert!(rc.is_down(SimTime::from_secs(33)));
+        assert_eq!((rc.log.len(), rc.env_log.len()), (0, 0));
+
+        // Recovery: the queued events are served, checkpoints keep
+        // advancing, and the logs stay empty.
+        let directives = rc.step(SimTime::from_secs(60));
+        assert!(directives.iter().any(|d| d.device() == DeviceId(1)));
+        assert_eq!(rc.last_checkpoint, SimTime::from_secs(60));
+        // One event served by the first primary, then the checkpointed
+        // copy of it and the 200 outage events by the promoted replica.
+        assert_eq!(rc.events_processed(), 1 + 1 + 200);
+        rc.ingest_env(SimTime::from_secs(61), &report);
+        rc.step(SimTime::from_secs(61));
+        assert_eq!(rc.last_checkpoint, SimTime::from_secs(61));
+        assert_eq!((rc.log.len(), rc.env_log.len()), (0, 0));
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! precisely.
 
 use iotdev::device::DeviceId;
-use iotdev::env::EnvVar;
+use iotdev::env::{EnvValues, EnvVar};
 use iotdev::events::{SecurityEvent, SecurityEventKind};
 use iotnet::time::SimTime;
 use iotpolicy::context::SecurityContext;
@@ -18,8 +18,8 @@ use std::collections::BTreeMap;
 pub struct GlobalView {
     /// Device security contexts (devices default to `Normal`).
     pub contexts: BTreeMap<DeviceId, SecurityContext>,
-    /// Environment values as last reported.
-    pub env: BTreeMap<EnvVar, &'static str>,
+    /// Environment values as last reported (empty until first reported).
+    pub env: EnvValues,
     /// Monotone version, bumped on every change.
     pub version: u64,
     /// Time of the last change.
@@ -39,7 +39,7 @@ impl GlobalView {
 
     /// An environment value, if known.
     pub fn env_value(&self, var: EnvVar) -> Option<&'static str> {
-        self.env.get(&var).copied()
+        self.env.get(var)
     }
 
     fn bump(&mut self, at: SimTime) {
@@ -63,14 +63,14 @@ impl GlobalView {
             k if k.is_suspicious() => {
                 changed = self.escalate(event.device, SecurityContext::Suspicious);
             }
-            SecurityEventKind::SmokeAlarm => changed = self.set_env(EnvVar::Smoke, "yes"),
-            SecurityEventKind::SmokeCleared => changed = self.set_env(EnvVar::Smoke, "no"),
+            SecurityEventKind::SmokeAlarm => changed = self.env.set(EnvVar::Smoke, "yes"),
+            SecurityEventKind::SmokeCleared => changed = self.env.set(EnvVar::Smoke, "no"),
             SecurityEventKind::OccupancyChanged(present) => {
                 changed =
-                    self.set_env(EnvVar::Occupancy, if present { "present" } else { "absent" });
+                    self.env.set(EnvVar::Occupancy, if present { "present" } else { "absent" });
             }
             SecurityEventKind::WindowChanged(open) => {
-                changed = self.set_env(EnvVar::Window, if open { "open" } else { "closed" });
+                changed = self.env.set(EnvVar::Window, if open { "open" } else { "closed" });
             }
             SecurityEventKind::Unresponsive => {
                 changed = self.escalate(event.device, SecurityContext::Suspicious);
@@ -87,26 +87,13 @@ impl GlobalView {
     /// anything changed.
     pub fn apply_env_report(&mut self, at: SimTime, values: &[(EnvVar, &'static str)]) -> bool {
         let mut changed = false;
-        for (var, value) in values {
-            changed |= self.set_env_raw(*var, value);
+        for &(var, value) in values {
+            changed |= self.env.set(var, value);
         }
         if changed {
             self.bump(at);
         }
         changed
-    }
-
-    fn set_env(&mut self, var: EnvVar, value: &'static str) -> bool {
-        self.set_env_raw(var, value)
-    }
-
-    fn set_env_raw(&mut self, var: EnvVar, value: &'static str) -> bool {
-        if self.env.get(&var) == Some(&value) {
-            false
-        } else {
-            self.env.insert(var, value);
-            true
-        }
     }
 
     fn escalate(&mut self, device: DeviceId, to: SecurityContext) -> bool {

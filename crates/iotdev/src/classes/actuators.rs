@@ -5,7 +5,7 @@
 //! message becomes a physical effect. Each actuator owns the environment
 //! variables it drives and re-asserts them every tick.
 
-use super::TickOutput;
+use super::{TickOutput, TickOutputs};
 use crate::env::Environment;
 use crate::proto::{ControlAction, EventKind, TelemetryKind};
 use serde::{Deserialize, Serialize};
@@ -77,13 +77,13 @@ impl SmartPlug {
         }
     }
 
-    pub(crate) fn tick(&mut self, env: &mut Environment) -> Vec<TickOutput> {
+    pub(crate) fn tick(&mut self, env: &mut Environment) -> TickOutputs {
         self.assert_env(env);
         if self.on && self.load == PlugLoad::Lamp {
             env.bulbs_on += 1;
         }
         env.power_w += self.load_watts();
-        vec![TickOutput::Telemetry(TelemetryKind::Power, self.load_watts())]
+        TickOutputs::of(TickOutput::Telemetry(TelemetryKind::Power, self.load_watts()))
     }
 }
 
@@ -119,12 +119,15 @@ impl LightBulb {
         }
     }
 
-    pub(crate) fn tick(&mut self, env: &mut Environment) -> Vec<TickOutput> {
+    pub(crate) fn tick(&mut self, env: &mut Environment) -> TickOutputs {
         if self.on {
             env.bulbs_on += 1;
             env.power_w += 9.0;
         }
-        vec![TickOutput::Telemetry(TelemetryKind::Light, if self.on { 1.0 } else { 0.0 })]
+        TickOutputs::of(TickOutput::Telemetry(
+            TelemetryKind::Light,
+            if self.on { 1.0 } else { 0.0 },
+        ))
     }
 }
 
@@ -152,9 +155,9 @@ impl WindowActuator {
         }
     }
 
-    pub(crate) fn tick(&mut self, env: &mut Environment) -> Vec<TickOutput> {
+    pub(crate) fn tick(&mut self, env: &mut Environment) -> TickOutputs {
         env.window_open = self.open;
-        vec![TickOutput::Telemetry(TelemetryKind::Status, self.open as u8 as f64)]
+        TickOutputs::of(TickOutput::Telemetry(TelemetryKind::Status, self.open as u8 as f64))
     }
 }
 
@@ -188,8 +191,8 @@ impl SmartLock {
         }
     }
 
-    pub(crate) fn tick(&mut self, env: &mut Environment) -> Vec<TickOutput> {
-        let mut out = Vec::new();
+    pub(crate) fn tick(&mut self, env: &mut Environment) -> TickOutputs {
+        let mut out = TickOutputs::new();
         if env.door_locked != self.locked {
             env.door_locked = self.locked;
         }
@@ -223,12 +226,15 @@ impl Oven {
         }
     }
 
-    pub(crate) fn tick(&mut self, env: &mut Environment) -> Vec<TickOutput> {
+    pub(crate) fn tick(&mut self, env: &mut Environment) -> TickOutputs {
         env.oven_duty = if self.on { 1.0 } else { 0.0 };
         if self.on {
             env.power_w += 2000.0;
         }
-        vec![TickOutput::Telemetry(TelemetryKind::Power, if self.on { 2000.0 } else { 1.0 })]
+        TickOutputs::of(TickOutput::Telemetry(
+            TelemetryKind::Power,
+            if self.on { 2000.0 } else { 1.0 },
+        ))
     }
 }
 
@@ -250,8 +256,8 @@ impl TrafficLight {
         }
     }
 
-    pub(crate) fn tick(&mut self, _env: &mut Environment) -> Vec<TickOutput> {
-        vec![TickOutput::Telemetry(TelemetryKind::Status, self.phase as f64)]
+    pub(crate) fn tick(&mut self, _env: &mut Environment) -> TickOutputs {
+        TickOutputs::of(TickOutput::Telemetry(TelemetryKind::Status, self.phase as f64))
     }
 }
 

@@ -6,7 +6,7 @@
 //! plug. The set-top box and refrigerator are mostly management-plane
 //! targets (Table 1 rows 2–3) with heartbeat telemetry.
 
-use super::TickOutput;
+use super::{TickOutput, TickOutputs};
 use crate::env::Environment;
 use crate::proto::{ControlAction, TelemetryKind};
 
@@ -48,7 +48,7 @@ impl Thermostat {
         }
     }
 
-    pub(crate) fn tick(&mut self, env: &mut Environment) -> Vec<TickOutput> {
+    pub(crate) fn tick(&mut self, env: &mut Environment) -> TickOutputs {
         if env.temperature_c > self.setpoint_c + HYSTERESIS_C {
             self.cooling = true;
         } else if env.temperature_c < self.setpoint_c - HYSTERESIS_C {
@@ -56,7 +56,7 @@ impl Thermostat {
         }
         env.ac_duty = if self.cooling { 1.0 } else { 0.0 };
         env.ac_setpoint_c = self.setpoint_c;
-        vec![TickOutput::Telemetry(TelemetryKind::Temperature, env.temperature_c)]
+        TickOutputs::of(TickOutput::Telemetry(TelemetryKind::Temperature, env.temperature_c))
     }
 }
 
@@ -88,11 +88,11 @@ impl SetTopBox {
         }
     }
 
-    pub(crate) fn tick(&mut self, env: &mut Environment) -> Vec<TickOutput> {
+    pub(crate) fn tick(&mut self, env: &mut Environment) -> TickOutputs {
         if self.on {
             env.power_w += 15.0;
         }
-        vec![TickOutput::Telemetry(TelemetryKind::Status, self.on as u8 as f64)]
+        TickOutputs::of(TickOutput::Telemetry(TelemetryKind::Status, self.on as u8 as f64))
     }
 }
 
@@ -102,9 +102,9 @@ impl SetTopBox {
 pub struct Refrigerator;
 
 impl Refrigerator {
-    pub(crate) fn tick(&mut self, env: &mut Environment) -> Vec<TickOutput> {
+    pub(crate) fn tick(&mut self, env: &mut Environment) -> TickOutputs {
         env.power_w += 150.0;
-        vec![TickOutput::Telemetry(TelemetryKind::Status, 1.0)]
+        TickOutputs::of(TickOutput::Telemetry(TelemetryKind::Status, 1.0))
     }
 }
 

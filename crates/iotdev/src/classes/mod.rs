@@ -37,6 +37,67 @@ pub enum TickOutput {
     Event(EventKind),
 }
 
+/// Everything one class FSM produces on one tick, held inline.
+///
+/// No class emits more than one edge event plus one telemetry sample per
+/// tick, so the list holds at most [`TickOutputs::CAPACITY`] entries and a
+/// tick never touches the heap. A third [`push`](TickOutputs::push) is a
+/// bug in the class FSM and panics in every build profile — an output is
+/// never silently dropped. Reads (and comparisons) go through the slice
+/// it derefs to.
+#[derive(Debug, Clone, Copy)]
+pub struct TickOutputs {
+    items: [TickOutput; TickOutputs::CAPACITY],
+    len: u8,
+}
+
+impl TickOutputs {
+    /// The per-class, per-tick bound: one edge event + one telemetry sample.
+    pub const CAPACITY: usize = 2;
+
+    /// No output (a powered-down sensor).
+    pub fn new() -> TickOutputs {
+        // Slots at or past `len` are never read; any value fills them.
+        TickOutputs {
+            items: [TickOutput::Telemetry(TelemetryKind::Status, 0.0); Self::CAPACITY],
+            len: 0,
+        }
+    }
+
+    /// A single output (the telemetry-only common case).
+    pub fn of(output: TickOutput) -> TickOutputs {
+        let mut out = TickOutputs::new();
+        out.push(output);
+        out
+    }
+
+    /// Append an output; panics past [`TickOutputs::CAPACITY`].
+    pub fn push(&mut self, output: TickOutput) {
+        let len = usize::from(self.len);
+        assert!(
+            len < Self::CAPACITY,
+            "a class FSM emitted more than {} outputs in one tick",
+            Self::CAPACITY
+        );
+        self.items[len] = output;
+        self.len += 1;
+    }
+}
+
+impl Default for TickOutputs {
+    fn default() -> Self {
+        TickOutputs::new()
+    }
+}
+
+impl std::ops::Deref for TickOutputs {
+    type Target = [TickOutput];
+
+    fn deref(&self) -> &[TickOutput] {
+        &self.items[..usize::from(self.len)]
+    }
+}
+
 /// The per-class state machine, dispatched by enum (devices are created
 /// in bulk by the workload generators; static dispatch keeps them cheap
 /// and serde-friendly).
@@ -111,7 +172,7 @@ impl DeviceLogic {
     }
 
     /// Sense and actuate the environment for one tick.
-    pub fn tick(&mut self, env: &mut Environment) -> Vec<TickOutput> {
+    pub fn tick(&mut self, env: &mut Environment) -> TickOutputs {
         match self {
             DeviceLogic::Camera(s) => s.tick(env),
             DeviceLogic::SmartPlug(s) => s.tick(env),
@@ -162,8 +223,28 @@ mod tests {
             let mut env = Environment::new();
             // Ticking a fresh device never panics and yields finite output.
             let out = logic.tick(&mut env);
-            assert!(out.len() < 8);
+            assert!(out.len() <= TickOutputs::CAPACITY);
         }
+    }
+
+    #[test]
+    fn tick_outputs_read_as_a_slice() {
+        let telemetry = TickOutput::Telemetry(TelemetryKind::Smoke, 0.7);
+        let event = TickOutput::Event(EventKind::SmokeAlarm);
+        let mut out = TickOutputs::new();
+        assert!(out.is_empty());
+        out.push(event);
+        out.push(telemetry);
+        assert_eq!(&*out, &[event, telemetry]);
+        assert_eq!(&*TickOutputs::of(telemetry), &[telemetry]);
+    }
+
+    #[test]
+    #[should_panic(expected = "more than 2 outputs")]
+    fn a_third_tick_output_panics() {
+        let mut out = TickOutputs::of(TickOutput::Event(EventKind::DoorOpened));
+        out.push(TickOutput::Telemetry(TelemetryKind::Status, 0.0));
+        out.push(TickOutput::Telemetry(TelemetryKind::Status, 1.0));
     }
 
     #[test]

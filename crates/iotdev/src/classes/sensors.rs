@@ -5,7 +5,7 @@
 //! Figure 5 policy ("allow the oven's plug to turn on only if the camera
 //! sees a person").
 
-use super::TickOutput;
+use super::{TickOutput, TickOutputs};
 use crate::env::{thresholds, Environment};
 use crate::proto::{ControlAction, EventKind, TelemetryKind};
 use bytes::Bytes;
@@ -42,8 +42,8 @@ impl Camera {
         }
     }
 
-    pub(crate) fn tick(&mut self, env: &mut Environment) -> Vec<TickOutput> {
-        let mut out = Vec::new();
+    pub(crate) fn tick(&mut self, env: &mut Environment) -> TickOutputs {
+        let mut out = TickOutputs::new();
         if !self.streaming {
             return out;
         }
@@ -75,8 +75,8 @@ pub struct MotionSensor {
 }
 
 impl MotionSensor {
-    pub(crate) fn tick(&mut self, env: &mut Environment) -> Vec<TickOutput> {
-        let mut out = Vec::new();
+    pub(crate) fn tick(&mut self, env: &mut Environment) -> TickOutputs {
+        let mut out = TickOutputs::new();
         if env.occupied != self.motion {
             self.motion = env.occupied;
             out.push(TickOutput::Event(if self.motion {
@@ -95,8 +95,8 @@ impl MotionSensor {
 pub struct LightSensor;
 
 impl LightSensor {
-    pub(crate) fn tick(&mut self, env: &mut Environment) -> Vec<TickOutput> {
-        vec![TickOutput::Telemetry(TelemetryKind::Light, env.light_level)]
+    pub(crate) fn tick(&mut self, env: &mut Environment) -> TickOutputs {
+        TickOutputs::of(TickOutput::Telemetry(TelemetryKind::Light, env.light_level))
     }
 }
 
@@ -108,8 +108,8 @@ pub struct FireAlarm {
 }
 
 impl FireAlarm {
-    pub(crate) fn tick(&mut self, env: &mut Environment) -> Vec<TickOutput> {
-        let mut out = Vec::new();
+    pub(crate) fn tick(&mut self, env: &mut Environment) -> TickOutputs {
+        let mut out = TickOutputs::new();
         let smoke = env.smoke_density >= thresholds::SMOKE_ALARM;
         if smoke && !self.alarming {
             self.alarming = true;

@@ -535,7 +535,7 @@ impl IoTDevice {
         if due {
             self.last_telemetry = now;
         }
-        for t in tick_outputs {
+        for &t in tick_outputs.iter() {
             match t {
                 TickOutput::Telemetry(kind, value) => {
                     if due {

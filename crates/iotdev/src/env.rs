@@ -245,6 +245,47 @@ impl DiscreteEnv {
     }
 }
 
+/// A partial assignment of discrete values: one slot per [`EnvVar`],
+/// empty until a value for that variable is known.
+///
+/// This is what a consumer of environment *reports* keeps (the
+/// controller's view, a replay log): a [`DiscreteEnv`] is total, a report
+/// may name any subset of the variables. A fixed array indexed by the
+/// variable, so a lookup is an index and comparing a whole report against
+/// the stored values touches no allocator and no tree.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
+pub struct EnvValues([Option<&'static str>; EnvVar::ALL.len()]);
+
+impl EnvValues {
+    /// The assignment a report of `(variable, value)` pairs describes
+    /// (the last value wins where a variable repeats).
+    pub fn from_pairs(pairs: &[(EnvVar, &'static str)]) -> EnvValues {
+        let mut values = EnvValues::default();
+        for &(var, value) in pairs {
+            values.set(var, value);
+        }
+        values
+    }
+
+    /// The value of `var`, if known.
+    pub fn get(&self, var: EnvVar) -> Option<&'static str> {
+        self.0[var as usize]
+    }
+
+    /// Store `value` for `var`; returns whether the slot changed.
+    pub fn set(&mut self, var: EnvVar, value: &'static str) -> bool {
+        let slot = &mut self.0[var as usize];
+        let changed = *slot != Some(value);
+        *slot = Some(value);
+        changed
+    }
+
+    /// The known `(variable, value)` pairs, in [`EnvVar::ALL`] order.
+    pub fn iter(&self) -> impl Iterator<Item = (EnvVar, &'static str)> + '_ {
+        EnvVar::ALL.iter().zip(&self.0).filter_map(|(var, value)| value.map(|v| (*var, v)))
+    }
+}
+
 /// A timestamped snapshot of the discrete environment, as shipped to the
 /// controller's global view.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
@@ -259,6 +300,26 @@ pub struct EnvSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn env_values_are_indexed_by_variable() {
+        // `EnvValues` indexes by discriminant: `ALL` must list every
+        // variable at its own position.
+        for (i, var) in EnvVar::ALL.iter().enumerate() {
+            assert_eq!(*var as usize, i);
+        }
+        let mut values = EnvValues::default();
+        assert_eq!(values.get(EnvVar::Smoke), None);
+        assert!(values.set(EnvVar::Smoke, "yes"));
+        assert!(!values.set(EnvVar::Smoke, "yes"));
+        assert!(values.set(EnvVar::Smoke, "no"));
+        assert!(values.set(EnvVar::Temperature, "high"));
+        let pairs: Vec<_> = values.iter().collect();
+        assert_eq!(pairs, [(EnvVar::Temperature, "high"), (EnvVar::Smoke, "no")]);
+        assert_eq!(EnvValues::from_pairs(&pairs), values);
+        let repeated = [(EnvVar::Door, "locked"), (EnvVar::Door, "unlocked")];
+        assert_eq!(EnvValues::from_pairs(&repeated).get(EnvVar::Door), Some("unlocked"));
+    }
 
     #[test]
     fn default_discretization_is_calm() {

@@ -40,7 +40,7 @@ pub mod vuln;
 
 pub use attacker::{AttackOutcome, AttackPlan, AttackStep, Attacker};
 pub use device::{AdminCreds, DeviceClass, DeviceId, DeviceOutput, IoTDevice, OutMessage};
-pub use env::{DiscreteEnv, EnvSnapshot, EnvVar, Environment};
+pub use env::{DiscreteEnv, EnvSnapshot, EnvValues, EnvVar, Environment};
 pub use events::{SecurityEvent, SecurityEventKind};
 pub use model::AbstractModel;
 pub use proto::{AppMessage, ControlAction, MgmtCommand};

@@ -83,6 +83,12 @@ impl EventSink {
         self.0.borrow_mut().drain(..).collect()
     }
 
+    /// Move all pending events onto the end of `out`. Both buffers keep
+    /// their capacity, so a per-tick drain never allocates once warm.
+    pub fn drain_into(&self, out: &mut Vec<SecurityEvent>) {
+        out.append(&mut self.0.borrow_mut());
+    }
+
     /// Number of pending events.
     pub fn len(&self) -> usize {
         self.0.borrow().len()
@@ -166,6 +172,11 @@ mod tests {
             SecurityEventKind::SmokeAlarm,
         )]);
         assert_eq!(sink.len(), 1);
+        // Draining into a buffer appends after what it already holds.
+        let mut buffer = drained;
+        sink.drain_into(&mut buffer);
+        assert_eq!(buffer.iter().map(|e| e.device.0).collect::<Vec<_>>(), [1, 2]);
+        assert!(sink.is_empty());
     }
 
     #[test]

@@ -267,39 +267,31 @@ impl LifecycleManager {
     /// instance-id order — deterministic, so the caller can emit respawn
     /// trace events in a stable order.
     pub fn advance(&mut self, now: SimTime) -> Vec<(DeviceId, SimTime)> {
-        // Watchdog pass: respawn due crashed instances in id order so the
-        // pool is consumed deterministically.
-        let due: Vec<(UmboxId, SimTime)> = self
-            .instances
-            .values()
-            .filter_map(|i| match i.state {
-                UmboxState::Crashed { restart_at } if now >= restart_at => Some((i.id, restart_at)),
-                _ => None,
-            })
-            .collect();
-        let mut respawned = Vec::with_capacity(due.len());
-        for (id, restart_at) in due {
-            let kind = self.instances[&id].kind;
-            let effective = if kind == VmKind::UnikernelPooled {
-                if self.pool_available > 0 {
-                    self.pool_available -= 1;
-                    VmKind::UnikernelPooled
-                } else {
-                    VmKind::Unikernel
-                }
-            } else {
-                kind
-            };
-            let latency = effective.boot_latency();
-            self.boot_hist.record(latency);
-            let inst = self.instances.get_mut(&id).expect("respawn of known instance");
-            inst.kind = effective;
-            inst.state = UmboxState::Booting { ready_at: restart_at + latency };
-            inst.boots += 1;
-            self.respawns += 1;
-            respawned.push((inst.device, restart_at));
-        }
+        let mut respawned = Vec::new();
+        // One pass in id order, so the watchdog consumes the pool
+        // deterministically; a tick with nothing due allocates nothing.
         for inst in self.instances.values_mut() {
+            if let UmboxState::Crashed { restart_at } = inst.state {
+                if now >= restart_at {
+                    let effective = if inst.kind == VmKind::UnikernelPooled {
+                        if self.pool_available > 0 {
+                            self.pool_available -= 1;
+                            VmKind::UnikernelPooled
+                        } else {
+                            VmKind::Unikernel
+                        }
+                    } else {
+                        inst.kind
+                    };
+                    let latency = effective.boot_latency();
+                    self.boot_hist.record(latency);
+                    inst.kind = effective;
+                    inst.state = UmboxState::Booting { ready_at: restart_at + latency };
+                    inst.boots += 1;
+                    self.respawns += 1;
+                    respawned.push((inst.device, restart_at));
+                }
+            }
             match inst.state {
                 UmboxState::Booting { ready_at } if now >= ready_at => {
                     inst.state = UmboxState::Running;

@@ -156,6 +156,64 @@ fn world_construction_allocation_profile() {
     // in place (`rebind_home`), so a steady-state home-round must
     // allocate a small fraction of what a recycled build does.
     resident_rebind_amortizes_construction();
+
+    // 9. The tick loop (DESIGN.md §6): a tick in which nothing happens
+    // costs no allocation at all, and a whole resident home-round
+    // allocates a small, exactly repeatable number of times.
+    idle_ticks_are_allocation_free();
+}
+
+fn idle_ticks_are_allocation_free() {
+    use iotsec_fleet::{FleetScenario, HomeWorld};
+    use iotsec_repro::iotlearn::AttackSignature;
+    use iotsec_repro::iotsec::world::{World, WorldScrap};
+    use std::sync::Arc;
+
+    /// Ceiling on one resident home-round (rebind + run). The heap-`Vec`
+    /// class ticks alone were 370 of the 543 this used to take.
+    const HOME_ROUND_ALLOCS: u64 = 200;
+    /// Devices report telemetry every 5 s of sim time, all on the same
+    /// tick; the reports cross the network during the tick after.
+    const TELEMETRY_MS: u64 = 5_000;
+    const TICK_MS: u64 = 100;
+
+    let scenario = FleetScenario::new(1);
+    let template = scenario.template();
+    let sig = scenario.discovery(0).expect("the E20 camera signature exists");
+    let intel: Arc<[AttackSignature]> = vec![sig].into();
+    let horizon = scenario.horizon();
+
+    for seed in [42u64, 7] {
+        let mut w = World::new_home_resident(template, seed, 1, &intel, &mut WorldScrap::default());
+        w.run_until_attack_done(horizon);
+        let mut home_round = || {
+            allocs_during(|| {
+                w.rebind_home(seed);
+                w.run_until_attack_done(horizon);
+            })
+            .0
+        };
+        let (first, second) = (home_round(), home_round());
+        assert_eq!(first, second, "a resident home-round must allocate deterministically");
+        assert!(
+            first <= HOME_ROUND_ALLOCS,
+            "a resident home-round allocated {first} times (ceiling {HOME_ROUND_ALLOCS})"
+        );
+
+        // The campaign is over and every µmbox is steering: from here on
+        // the only thing that happens is periodic telemetry. Every tick
+        // outside a report and its delivery must leave the allocator alone.
+        assert!(w.attack_done());
+        let mut quiet = 0;
+        for _ in 0..3 * TELEMETRY_MS / TICK_MS {
+            let (allocs, ()) = allocs_during(|| w.step());
+            if w.clock.as_nanos() / 1_000_000 % TELEMETRY_MS >= 2 * TICK_MS {
+                assert_eq!(allocs, 0, "idle tick at {:?} allocated", w.clock);
+                quiet += 1;
+            }
+        }
+        assert!(quiet >= 140, "only {quiet} idle ticks were observed");
+    }
 }
 
 fn resident_rebind_amortizes_construction() {

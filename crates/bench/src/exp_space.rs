@@ -164,13 +164,21 @@ impl SpaceReport {
         for (i, c) in self.cells.iter().enumerate() {
             let naive = c.naive_wall_ms.map(|m| m.to_string()).unwrap_or_else(|| "null".into());
             let par: Vec<String> = c.parallel_wall_ms.iter().map(|m| m.to_string()).collect();
+            // Serial wall over parallel wall, per thread count: above 1
+            // the threads paid for themselves.
+            let ratio: Vec<String> = c
+                .parallel_wall_ms
+                .iter()
+                .map(|m| format!("{:.2}", c.serial_wall_ms.max(1) as f64 / (*m).max(1) as f64))
+                .collect();
             out.push_str(&format!(
                 "    {{\"devices\": {}, \"naive_wall_ms\": {}, \"packed_serial_wall_ms\": {}, \
-                 \"packed_parallel_wall_ms\": [{}]}}{}\n",
+                 \"packed_parallel_wall_ms\": [{}], \"par_vs_serial\": [{}]}}{}\n",
                 c.devices,
                 naive,
                 c.serial_wall_ms,
                 par.join(", "),
+                ratio.join(", "),
                 if i + 1 == self.cells.len() { "" } else { "," },
             ));
         }

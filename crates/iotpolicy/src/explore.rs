@@ -1,21 +1,19 @@
 //! State-space exploration: exhaustive sweeps and frontier BFS over the
 //! packed engine (experiment E19).
 //!
-//! Three interchangeable engines compute the same [`SpaceStats`]:
+//! Two engines compute the same [`SpaceStats`]:
 //!
 //! * [`explore_naive`] — the legacy formulation: clone a
 //!   [`crate::state_space::SystemState`] per state, re-walk the rule
-//!   list through [`FsmPolicy::evaluate`]. The reference the fast
-//!   engines are differentially tested against.
-//! * [`explore_packed`] with `threads <= 1` — packed serial: odometer
-//!   over `u128` words with memoized evaluation
-//!   ([`crate::packed::MemoPolicy`]), zero allocation per state.
-//! * [`explore_packed`] with `threads > 1` — packed parallel: the rank
-//!   space is cut into fixed chunks that workers claim off one atomic
-//!   cursor (the pattern of `bench`'s sweep runner), and chunk results
-//!   merge in **chunk order** into order-independent digests —
-//!   so counts, class sets and quiet-state digests are byte-identical
-//!   to the serial engines regardless of scheduling.
+//!   list through [`FsmPolicy::evaluate`]. The reference the packed
+//!   engine is differentially tested against.
+//! * [`explore_packed`] — odometer over `u128` words with memoized
+//!   evaluation ([`crate::packed::MemoPolicy`]), zero allocation per
+//!   state. The rank space is cut into fixed chunks that workers claim
+//!   off one atomic cursor; one worker or many, it is the same loop,
+//!   and every result is a count, an XOR digest or a set union — so
+//!   counts, class sets and quiet-state digests are byte-identical at
+//!   every thread count regardless of scheduling.
 //!
 //! [`bfs_packed`] explores the same space as a breadth-first frontier
 //! expansion from the initial state (successor relation = one slot
@@ -24,17 +22,15 @@
 //! otherwise, emitting one control-class
 //! [`TraceEvent::SpaceFrontier`] per depth.
 
-use crate::packed::{FxBuild, MemoPolicy, PackedState, RuleMask};
+use crate::packed::{FxBuild, MemoPolicy, PackedState};
 use crate::policy::FsmPolicy;
 use fixedbitset::FixedBitSet;
 use std::collections::{HashMap, HashSet};
-use std::hash::BuildHasher;
-use std::sync::Mutex;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use trace::event::TraceEvent;
 use trace::tracer::Tracer;
 
-/// Ranks per chunk in the parallel sweep, and frontier
-/// states per chunk in the parallel BFS expansion.
+/// Ranks per chunk of the sweep: the unit workers claim.
 pub const CHUNK: u128 = 1 << 14;
 
 /// Largest packed-word width for which the BFS visited set uses a dense
@@ -73,9 +69,11 @@ pub struct SpaceStats {
     pub quiet_states: u128,
     /// XOR of `fnv(rank)` over the quiet states.
     pub quiet_digest: u64,
-    /// Memoized-evaluation `(lookups, hits)` — engine diagnostics, only
-    /// meaningful (and only deterministic) for the serial packed engine;
-    /// zero for the naive engine. Not part of [`SpaceStats::digest`].
+    /// Memoized-evaluation `(lookups, hits)` — engine diagnostics.
+    /// `lookups` is the state count and `hits` is `lookups` minus the
+    /// distinct rule sets each worker met, so `hits` is deterministic
+    /// only on one thread; zero for the naive engine. Not part of
+    /// [`SpaceStats::digest`].
     pub memo: (u64, u64),
 }
 
@@ -90,9 +88,8 @@ impl SpaceStats {
     }
 }
 
-/// Interned set of distinct posture vectors, keyed by fingerprint with
-/// an equality-checked collision chain. Fingerprints are computed once
-/// per vector and cached — never recomputed for the digest.
+/// The naive engine's interned set of distinct posture vectors, keyed
+/// by fingerprint with an equality-checked collision chain.
 #[derive(Default)]
 struct ClassSet {
     by_fp: HashMap<u64, Vec<usize>, FxBuild>,
@@ -101,24 +98,14 @@ struct ClassSet {
 }
 
 impl ClassSet {
-    /// Intern `v`, returning its id.
-    fn intern(&mut self, v: &crate::posture::PostureVector) -> usize {
-        self.intern_with_fp(v.fingerprint(), v)
-    }
-
-    /// Intern `v` whose fingerprint the caller already computed.
-    fn intern_with_fp(&mut self, fp: u64, v: &crate::posture::PostureVector) -> usize {
+    fn intern(&mut self, v: &crate::posture::PostureVector) {
+        let fp = v.fingerprint();
         let chain = self.by_fp.entry(fp).or_default();
-        for &id in chain.iter() {
-            if self.vecs[id] == *v {
-                return id;
-            }
+        if chain.iter().all(|&id| self.vecs[id] != *v) {
+            chain.push(self.vecs.len());
+            self.vecs.push(v.clone());
+            self.fps.push(fp);
         }
-        let id = self.vecs.len();
-        chain.push(id);
-        self.vecs.push(v.clone());
-        self.fps.push(fp);
-        id
     }
 
     fn digest(&self) -> u64 {
@@ -147,204 +134,87 @@ pub fn explore_naive(policy: &FsmPolicy) -> SpaceStats {
     stats
 }
 
-/// Per-chunk partial result of the parallel sweep.
-struct ChunkOut {
-    states: u128,
-    quiet_states: u128,
-    quiet_digest: u64,
-    /// `(fingerprint, posture vector)` pairs whose rule set this worker
-    /// was the first to evaluate (per the shared cold table). Distinct
-    /// masks can still map to equal vectors, so the merge re-interns —
-    /// but with the fingerprint precomputed.
-    new_classes: Vec<(u64, crate::posture::PostureVector)>,
-}
-
-/// Number of lock shards in the parallel sweep's shared cold table.
-const MEMO_SHARDS: usize = 64;
-
-/// One shard of the shared cold table: rule mask → `(fingerprint, quiet)`.
-type MemoShard = Mutex<HashMap<RuleMask, (u64, bool), FxBuild>>;
-
-/// The parallel sweep's shared memo: rule mask → `(fingerprint, quiet)`,
-/// sharded by mask hash so each distinct rule set is evaluated **once
-/// across all workers** (the cold evaluation builds a full posture
-/// vector — by far the most expensive step in the sweep). Workers front
-/// this with a per-worker unsharded cache, so the locks only see first
-/// sightings.
-struct SharedMemo {
-    shards: Vec<MemoShard>,
-    build: FxBuild,
-}
-
-impl SharedMemo {
-    fn new() -> SharedMemo {
-        SharedMemo {
-            shards: (0..MEMO_SHARDS).map(|_| Mutex::new(HashMap::default())).collect(),
-            build: FxBuild::default(),
-        }
-    }
-
-    fn shard(&self, mask: &RuleMask) -> &MemoShard {
-        &self.shards[self.build.hash_one(mask) as usize % MEMO_SHARDS]
-    }
-
-    /// Resolve `mask`, evaluating via `memo` at most once globally. The
-    /// boolean is true when this caller won the evaluation race and owns
-    /// exporting the class.
-    fn resolve(&self, memo: &MemoPolicy<'_>, mask: RuleMask, out: &mut ChunkOut) -> (u64, bool) {
-        let shard = self.shard(&mask);
-        if let Some(&v) = shard.lock().unwrap().get(&mask) {
-            return v;
-        }
-        // Evaluate outside the lock: a racing worker may duplicate the
-        // work, but only the insert winner exports the class.
-        let vec = memo.posture_for_mask(mask);
-        let fp = vec.fingerprint();
-        let quiet = vec.by_device.is_empty();
-        let mut guard = shard.lock().unwrap();
-        if let Some(&v) = guard.get(&mask) {
-            return v;
-        }
-        guard.insert(mask, (fp, quiet));
-        drop(guard);
-        out.new_classes.push((fp, vec));
-        (fp, quiet)
-    }
-}
-
 /// Exhaustive sweep with the packed engine. `None` when the schema does
-/// not pack (see [`MemoPolicy::new`]). `threads <= 1` runs serially —
-/// the canonical packed engine; `threads > 1` cuts the rank space into
-/// [`CHUNK`]-sized chunks claimed off an atomic cursor, each worker
-/// holding its own [`MemoPolicy`], and merges the chunk results in
-/// chunk order. Counts and digests are identical in all three modes.
+/// not pack (see [`MemoPolicy::new`]). The rank space is cut into
+/// [`CHUNK`]-sized chunks claimed off an atomic cursor by
+/// `min(threads, chunks)` workers — the calling thread is one of them,
+/// so `threads <= 1` spawns nothing and is the same loop run alone.
+/// Every worker holds its own [`MemoPolicy`] over one shared
+/// slot-outcome table, which makes their class tuples comparable; the
+/// merge is a union of the workers' class tables. Counts and digests
+/// are identical at every thread count.
 pub fn explore_packed(policy: &FsmPolicy, threads: usize) -> Option<SpaceStats> {
-    if threads <= 1 {
-        return explore_packed_serial(policy);
-    }
-    let memo_probe = MemoPolicy::new(policy)?;
-    let layout = memo_probe.layout().clone();
-    drop(memo_probe);
-    let size = layout.size();
-    let n_chunks = size.div_ceil(CHUNK) as usize;
+    explore_chunked(policy, threads, CHUNK)
+}
 
-    let next_chunk = std::sync::atomic::AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<ChunkOut>>> = (0..n_chunks).map(|_| Mutex::new(None)).collect();
-    let shared = SharedMemo::new();
+/// [`explore_packed`] with the chunk size exposed to the unit tests.
+fn explore_chunked<'a>(policy: &'a FsmPolicy, threads: usize, chunk: u128) -> Option<SpaceStats> {
+    let first = MemoPolicy::new(policy)?;
+    let size = first.layout().size();
+    let n_chunks = size.div_ceil(chunk) as usize;
+    let next_chunk = AtomicUsize::new(0);
 
-    crossbeam::scope(|scope| {
-        for _ in 0..threads {
-            let next_chunk = &next_chunk;
-            let slots = &slots;
-            let layout = &layout;
-            let shared = &shared;
-            scope.spawn(move |_| {
-                let memo = MemoPolicy::new(policy).expect("probed packable above");
-                // Per-worker lock-free cache over the shared cold table,
-                // fronted by a one-entry last-mask cache (consecutive
-                // ranks usually trip the same rule set).
-                let mut local: HashMap<RuleMask, (u64, bool), FxBuild> = HashMap::default();
-                let mut last: Option<(RuleMask, (u64, bool))> = None;
-                loop {
-                    let chunk = next_chunk.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                    if chunk >= n_chunks {
-                        break;
-                    }
-                    let start = chunk as u128 * CHUNK;
-                    let end = (start + CHUNK).min(size);
-                    let mut out = ChunkOut {
-                        states: 0,
-                        quiet_states: 0,
-                        quiet_digest: 0,
-                        new_classes: Vec::new(),
-                    };
-                    // Full mask once at the chunk's first rank, then
-                    // incremental maintenance along the odometer.
-                    let mut p = layout.from_rank(start);
-                    let mut mask = memo.mask_of(p);
-                    for rank in start..end {
-                        let (_, quiet) = match last {
-                            Some((last_mask, v)) if last_mask == mask => v,
-                            _ => {
-                                let v = match local.get(&mask) {
-                                    Some(&v) => v,
-                                    None => {
-                                        let v = shared.resolve(&memo, mask, &mut out);
-                                        local.insert(mask, v);
-                                        v
-                                    }
-                                };
-                                last = Some((mask, v));
-                                v
-                            }
-                        };
-                        if quiet {
-                            out.quiet_states += 1;
-                            out.quiet_digest ^= fnv_rank(rank);
-                        }
-                        out.states += 1;
-                        if rank + 1 < end {
-                            let (n, changed) =
-                                layout.next_masked(p).expect("odometer ended inside the range");
-                            p = n;
-                            memo.mask_step(&mut mask, n, changed);
-                        }
-                    }
-                    *slots[chunk].lock().unwrap() = Some(out);
+    // One worker: sweep claimed chunks, returning the engine (its class
+    // table is the result) and the quiet count and digest, which add
+    // and XOR across workers in any order.
+    let serve = |mut memo: MemoPolicy<'a>| {
+        let layout = memo.layout().clone();
+        let (mut quiet_states, mut quiet_digest) = (0u128, 0u64);
+        loop {
+            let c = next_chunk.fetch_add(1, Ordering::Relaxed);
+            if c >= n_chunks {
+                break;
+            }
+            let start = c as u128 * chunk;
+            // Full mask once at the chunk's first rank, then
+            // incremental maintenance along the odometer: only rules
+            // touching the changed low digits are re-tested.
+            let mut p = layout.from_rank(start);
+            let mut mask = memo.mask_of(p);
+            for rank in start..(start + chunk).min(size) {
+                let id = memo.class_of_mask(mask);
+                if memo.is_quiet(id) {
+                    quiet_states += 1;
+                    quiet_digest ^= fnv_rank(rank);
                 }
-            });
+                if let Some((n, changed)) = layout.next_masked(p) {
+                    p = n;
+                    memo.mask_step(&mut mask, n, changed);
+                }
+            }
         }
+        (memo, quiet_states, quiet_digest)
+    };
+
+    let workers = threads.clamp(1, n_chunks);
+    let (memo, quiet_states, quiet_digest) = crossbeam::scope(|scope| {
+        let hands: Vec<_> = (1..workers)
+            .map(|_| {
+                let (memo, serve) = (first.sibling(), &serve);
+                scope.spawn(move |_| serve(memo))
+            })
+            .collect();
+        let (mut memo, mut quiet_states, mut quiet_digest) = serve(first);
+        for hand in hands {
+            let (theirs, quiet, digest) = hand.join().expect("exploration worker panicked");
+            memo.absorb(&theirs);
+            quiet_states += quiet;
+            quiet_digest ^= digest;
+        }
+        (memo, quiet_states, quiet_digest)
     })
     .expect("exploration worker panicked");
 
-    let mut stats = SpaceStats::default();
-    let mut classes = ClassSet::default();
-    for slot in &slots {
-        let out = slot.lock().unwrap().take().expect("every chunk must report");
-        stats.states += out.states;
-        stats.quiet_states += out.quiet_states;
-        stats.quiet_digest ^= out.quiet_digest;
-        for (fp, v) in &out.new_classes {
-            classes.intern_with_fp(*fp, v);
-        }
-    }
-    stats.classes = classes.vecs.len() as u64;
-    stats.class_digest = classes.digest();
-    Some(stats)
-}
-
-/// The serial packed engine: the zero-alloc inner loop the allocation
-/// profile test pins.
-fn explore_packed_serial(policy: &FsmPolicy) -> Option<SpaceStats> {
-    let mut memo = MemoPolicy::new(policy)?;
-    let layout = memo.layout().clone();
-    let mut stats = SpaceStats::default();
-    let mut p = layout.first();
-    let mut mask = memo.mask_of(p);
-    let mut rank: u128 = 0;
-    loop {
-        let id = memo.class_of_mask(mask);
-        if memo.is_quiet(id) {
-            stats.quiet_states += 1;
-            stats.quiet_digest ^= fnv_rank(rank);
-        }
-        stats.states += 1;
-        rank += 1;
-        // Incremental mask maintenance: only rules touching the
-        // odometer's changed low digits are re-tested.
-        match layout.next_masked(p) {
-            Some((n, changed)) => {
-                p = n;
-                memo.mask_step(&mut mask, n, changed);
-            }
-            None => break,
-        }
-    }
-    stats.classes = memo.class_count() as u64;
-    stats.class_digest =
-        (0..memo.class_count() as u32).map(|id| memo.class_fingerprint(id)).fold(0, |a, b| a ^ b);
-    stats.memo = memo.stats();
-    Some(stats)
+    let classes = memo.class_count() as u32;
+    let (lookups, hits) = memo.stats();
+    Some(SpaceStats {
+        states: lookups as u128,
+        classes: classes as u64,
+        class_digest: (0..classes).map(|id| memo.class_fingerprint(id)).fold(0, |a, b| a ^ b),
+        quiet_states,
+        quiet_digest,
+        memo: (lookups, hits),
+    })
 }
 
 /// Result of a frontier BFS from the initial state.
@@ -368,53 +238,7 @@ impl BfsStats {
     }
 }
 
-/// Visited-state arena: dense word-indexed bitset when the packed word
-/// is narrow enough, hashed otherwise. The dense arm costs one shift
-/// and an OR per probe; the hashed arm is the graceful degradation.
-enum Visited {
-    Dense(FixedBitSet),
-    Hashed(HashSet<u128>),
-}
-
-impl Visited {
-    fn for_layout(layout: &crate::packed::PackedLayout) -> Visited {
-        if layout.total_bits() <= DENSE_WORD_BITS_MAX {
-            Visited::Dense(FixedBitSet::with_capacity(layout.word_space() as usize))
-        } else {
-            Visited::Hashed(HashSet::new())
-        }
-    }
-
-    /// Whether the bitset arm is in use (surface for tests and E19).
-    fn is_dense(&self) -> bool {
-        matches!(self, Visited::Dense(_))
-    }
-
-    #[inline]
-    fn contains(&self, p: PackedState) -> bool {
-        match self {
-            Visited::Dense(bits) => bits.contains(p.0 as usize),
-            Visited::Hashed(set) => set.contains(&p.0),
-        }
-    }
-
-    /// Insert and return whether the state was already present.
-    #[inline]
-    fn put(&mut self, p: PackedState) -> bool {
-        match self {
-            Visited::Dense(bits) => bits.put(p.0 as usize),
-            Visited::Hashed(set) => !set.insert(p.0),
-        }
-    }
-
-    fn count(&self) -> u128 {
-        match self {
-            Visited::Dense(bits) => bits.count_ones() as u128,
-            Visited::Hashed(set) => set.len() as u128,
-        }
-    }
-}
-
+/// FNV-1a of `depth ‖ word` (4 + 16 little-endian bytes).
 fn fnv_depth_word(depth: u32, word: u128) -> u64 {
     let mut bytes = [0u8; 20];
     bytes[..4].copy_from_slice(&depth.to_le_bytes());
@@ -431,90 +255,90 @@ pub fn bfs_uses_dense_visited(policy: &FsmPolicy) -> Option<bool> {
 
 /// Frontier BFS over the packed space from the initial state; successors
 /// flip one slot to one other value. `None` when the schema does not
-/// pack. `threads > 1` expands each frontier in [`CHUNK`]-sized slices
-/// on a scoped pool — workers only *read* the visited arena (it is
-/// mutated exclusively by the merge, between depths), and slice results
-/// merge in slice order, so the per-depth frontier vectors are
-/// byte-identical to the serial expansion. One
+/// pack. A successor is marked visited the moment it is first generated,
+/// so each depth's frontier is its first-sighting order and nothing is
+/// buffered between expansion and marking. The visited arena is a dense
+/// word-indexed bitset when the packed word fits
+/// [`DENSE_WORD_BITS_MAX`] bits and a hashed set otherwise. One
 /// [`TraceEvent::SpaceFrontier`] is emitted per depth with
 /// `at_ns = depth`.
-pub fn bfs_packed(policy: &FsmPolicy, threads: usize, tracer: &Tracer) -> Option<BfsStats> {
+///
+/// `threads` is accepted and ignored: the expansion is serial at every
+/// thread count (DESIGN.md §9 records why the parallel arm was deleted).
+pub fn bfs_packed(policy: &FsmPolicy, _threads: usize, tracer: &Tracer) -> Option<BfsStats> {
     let layout = crate::packed::PackedLayout::of(&policy.schema)?;
-    let mut visited = Visited::for_layout(&layout);
+    let dense = layout.total_bits() <= DENSE_WORD_BITS_MAX;
+    Some(bfs_over(&layout, dense, tracer))
+}
+
+/// [`bfs_packed`] with the arena choice exposed to the unit tests
+/// (`dense` requires a word of at most 32 bits).
+fn bfs_over(layout: &crate::packed::PackedLayout, dense: bool, tracer: &Tracer) -> BfsStats {
+    if dense {
+        // The word fits a register half: each slot's field is decoded
+        // once, not per visit, and the arithmetic is 32-bit.
+        let fields: Vec<(u32, u32, u32)> =
+            layout.slots().map(|s| (s.shift, s.mask() as u32, s.radix as u32)).collect();
+        let mut visited = FixedBitSet::with_capacity(layout.word_space() as usize);
+        visited.put(0);
+        bfs_levels(0u32, tracer, |frontier, next| {
+            for &w in frontier {
+                for &(shift, mask, radix) in &fields {
+                    let current = (w & mask) >> shift;
+                    let cleared = w & !mask;
+                    // Every value but the current one, ascending, with
+                    // no branch on which one that is.
+                    for i in 0..radix - 1 {
+                        let s = cleared | (i + (i >= current) as u32) << shift;
+                        if !visited.put(s as usize) {
+                            next.push(s);
+                        }
+                    }
+                }
+            }
+        })
+    } else {
+        let mut visited: HashSet<u128> = HashSet::from([layout.first().0]);
+        bfs_levels(layout.first().0, tracer, |frontier, next| {
+            for &w in frontier {
+                layout.successors(PackedState(w), |s| {
+                    if visited.insert(s.0) {
+                        next.push(s.0);
+                    }
+                });
+            }
+        })
+    }
+}
+
+/// The level loop both arenas share: digest, count and trace the
+/// frontier, then let `expand` write the next one (every state not seen
+/// before, marked as it is pushed).
+fn bfs_levels<W: Copy + Into<u128>>(
+    first: W,
+    tracer: &Tracer,
+    mut expand: impl FnMut(&[W], &mut Vec<W>),
+) -> BfsStats {
     let mut stats = BfsStats::default();
-    let mut frontier: Vec<u128> = vec![layout.first().0];
-    visited.put(layout.first());
+    let mut frontier = vec![first];
+    let mut next = Vec::new();
     let mut depth: u32 = 0;
     while !frontier.is_empty() {
         for w in &frontier {
-            stats.frontier_digest ^= fnv_depth_word(depth, *w);
+            stats.frontier_digest ^= fnv_depth_word(depth, (*w).into());
         }
         stats.depths.push(frontier.len() as u64);
+        stats.visited += frontier.len() as u128;
         tracer.emit(
             depth as u64,
             TraceEvent::SpaceFrontier { depth, frontier: frontier.len() as u64 },
         );
-        let candidates: Vec<Vec<u128>> = if threads <= 1 || frontier.len() < CHUNK as usize {
-            vec![expand_slice(&layout, &visited, &frontier)]
-        } else {
-            let slices: Vec<&[u128]> = frontier.chunks(CHUNK as usize).collect();
-            let outs: Vec<Mutex<Option<Vec<u128>>>> =
-                slices.iter().map(|_| Mutex::new(None)).collect();
-            let next_slice = std::sync::atomic::AtomicUsize::new(0);
-            crossbeam::scope(|scope| {
-                for _ in 0..threads {
-                    let slices = &slices;
-                    let outs = &outs;
-                    let next_slice = &next_slice;
-                    let layout = &layout;
-                    let visited = &visited;
-                    scope.spawn(move |_| loop {
-                        let i = next_slice.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                        if i >= slices.len() {
-                            break;
-                        }
-                        *outs[i].lock().unwrap() = Some(expand_slice(layout, visited, slices[i]));
-                    });
-                }
-            })
-            .expect("BFS expansion worker panicked");
-            outs.into_iter()
-                .map(|m| m.into_inner().unwrap().expect("every slice must report"))
-                .collect()
-        };
-        let mut next = Vec::new();
-        for chunk in candidates {
-            for cand in chunk {
-                if !visited.put(PackedState(cand)) {
-                    next.push(cand);
-                }
-            }
-        }
-        frontier = next;
+        next.clear();
+        expand(&frontier, &mut next);
+        std::mem::swap(&mut frontier, &mut next);
         depth += 1;
     }
-    stats.visited = visited.count();
-    debug_assert!(visited.is_dense() == (layout.total_bits() <= DENSE_WORD_BITS_MAX));
-    Some(stats)
-}
-
-/// Expand one frontier slice: successors of each member not yet in the
-/// (frozen) visited arena, in enumeration order. Duplicates within and
-/// across slices are removed by the caller's ordered merge.
-fn expand_slice(
-    layout: &crate::packed::PackedLayout,
-    visited: &Visited,
-    slice: &[u128],
-) -> Vec<u128> {
-    let mut out = Vec::new();
-    for w in slice {
-        layout.successors(PackedState(*w), |s| {
-            if !visited.contains(s) {
-                out.push(s.0);
-            }
-        });
-    }
-    out
+    stats
 }
 
 /// Frontier BFS with the legacy state representation (hash-set visited,
@@ -606,6 +430,44 @@ mod tests {
             let par = explore_packed(&policy, threads).unwrap();
             assert_eq!(serial.digest(), par.digest(), "threads={threads}");
         }
+    }
+
+    #[test]
+    fn small_chunks_and_many_workers_change_nothing() {
+        // 144 states: chunk sizes 1, 7 and 64 give 144, 21 and 3 chunks,
+        // so every worker claims several and the last chunk is short.
+        let policy = small_policy();
+        let naive = explore_naive(&policy);
+        let serial = explore_packed(&policy, 1).unwrap();
+        assert_eq!(serial.digest(), naive.digest());
+        for chunk in [1, 7, 64] {
+            assert_eq!(explore_chunked(&policy, 1, chunk).unwrap(), serial, "chunk={chunk}");
+            for threads in 2..=4 {
+                let par = explore_chunked(&policy, threads, chunk).unwrap();
+                // `memo.1` counts per-worker first sightings, so it is
+                // the one field scheduling may move.
+                let par = SpaceStats { memo: serial.memo, ..par };
+                assert_eq!(par, serial, "chunk={chunk} threads={threads}");
+            }
+        }
+    }
+
+    #[test]
+    fn more_threads_than_chunks_still_sweeps_every_state() {
+        let policy = small_policy();
+        let par = explore_packed(&policy, 16).unwrap();
+        assert_eq!(par, explore_packed(&policy, 1).unwrap());
+    }
+
+    #[test]
+    fn hashed_visited_arena_matches_dense() {
+        let policy = small_policy();
+        let layout = crate::packed::PackedLayout::of(&policy.schema).unwrap();
+        let dense = bfs_over(&layout, true, &Tracer::disabled());
+        let hashed = bfs_over(&layout, false, &Tracer::disabled());
+        assert_eq!(hashed, dense);
+        assert_ne!(hashed.frontier_digest, 0);
+        assert_eq!(hashed.histogram(), bfs_naive(&policy).histogram());
     }
 
     #[test]

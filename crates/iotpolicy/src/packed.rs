@@ -32,7 +32,8 @@ use crate::policy::FsmPolicy;
 use crate::posture::PostureVector;
 use crate::state_space::{StateSchema, SystemState};
 use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
+use std::hash::{BuildHasherDefault, Hash, Hasher};
+use std::sync::{Arc, Mutex};
 
 /// Multiply-xor hasher for the fixed-width keys of the memo tables
 /// (rule masks and fingerprints). SipHash dominates the sweep's hot
@@ -188,6 +189,11 @@ impl PackedLayout {
         self.env[slot]
     }
 
+    /// Every slot in digit order: environment slots, then devices.
+    pub(crate) fn slots(&self) -> impl Iterator<Item = &SlotBits> {
+        self.env.iter().chain(self.dev.iter())
+    }
+
     /// The first state in odometer order: every slot at domain index 0
     /// (== [`StateSchema::initial_state`]).
     pub fn first(&self) -> PackedState {
@@ -214,7 +220,7 @@ impl PackedLayout {
     pub fn next_masked(&self, p: PackedState) -> Option<(PackedState, u128)> {
         let mut word = p.0;
         let mut changed: u128 = 0;
-        for slot in self.env.iter().chain(self.dev.iter()) {
+        for slot in self.slots() {
             changed |= slot.mask();
             let idx = slot.index_of(word) as u64;
             if idx + 1 < slot.radix {
@@ -230,7 +236,7 @@ impl PackedLayout {
     pub fn rank(&self, p: PackedState) -> u128 {
         let mut rank: u128 = 0;
         let mut stride: u128 = 1;
-        for slot in self.env.iter().chain(self.dev.iter()) {
+        for slot in self.slots() {
             rank += slot.index_of(p.0) as u128 * stride;
             stride *= slot.radix as u128;
         }
@@ -242,7 +248,7 @@ impl PackedLayout {
         assert!(rank < self.size, "rank {rank} out of range {}", self.size);
         let mut word: u128 = 0;
         let mut rest = rank;
-        for slot in self.env.iter().chain(self.dev.iter()) {
+        for slot in self.slots() {
             let idx = rest % slot.radix as u128;
             rest /= slot.radix as u128;
             word |= idx << slot.shift;
@@ -287,13 +293,14 @@ impl PackedLayout {
     /// context escalations and environment flips are all one-slot moves.
     #[inline]
     pub fn successors(&self, p: PackedState, mut visit: impl FnMut(PackedState)) {
-        for slot in self.env.iter().chain(self.dev.iter()) {
+        for slot in self.slots() {
             let current = slot.index_of(p.0) as u64;
             let cleared = p.0 & !slot.mask();
-            for idx in 0..slot.radix {
-                if idx != current {
-                    visit(PackedState(cleared | ((idx as u128) << slot.shift)));
-                }
+            // Which value to skip is data, not a branch: testing
+            // `idx != current` mispredicts about once per slot.
+            for i in 0..slot.radix - 1 {
+                let idx = i + (i >= current) as u64;
+                visit(PackedState(cleared | ((idx as u128) << slot.shift)));
             }
         }
     }
@@ -371,8 +378,21 @@ impl PackedPattern {
 pub const MAX_MEMO_RULES: usize = 256;
 
 /// Which rules matched a state: the memoization key.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RuleMask([u64; 4]);
+
+/// Four word folds. The derived impl hashes `[u64; 4]` as a length
+/// prefix plus one 32-byte `write`, which [`FxHasher`] folds byte by
+/// byte: 33 dependent multiplies on every probe of every mask-keyed
+/// table.
+impl Hash for RuleMask {
+    #[inline]
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        for word in self.0 {
+            state.write_u64(word);
+        }
+    }
+}
 
 impl RuleMask {
     #[inline]
@@ -401,6 +421,16 @@ impl RuleMask {
         ])
     }
 }
+
+/// One slot's outcome table: sub-mask → posture id, and the postures.
+#[derive(Debug, Default)]
+struct SlotOutcome {
+    by_sub: HashMap<RuleMask, u32, FxBuild>,
+    postures: Vec<crate::posture::Posture>,
+}
+
+/// Per-slot outcome tables, shareable between engines over one policy.
+type SlotOutcomes = Arc<Mutex<Vec<SlotOutcome>>>;
 
 /// Memoized packed evaluation of one [`FsmPolicy`].
 ///
@@ -442,13 +472,20 @@ pub struct MemoPolicy<'a> {
     /// Per slot: sub-mask → index into `slot_postures[slot]`. Distinct
     /// per-slot outcomes number in the tens even when full classes
     /// number in the hundreds of thousands, so cold evaluation becomes
-    /// one probe per slot — no posture merging, no map building.
-    slot_memo: std::cell::RefCell<Vec<HashMap<RuleMask, u32, FxBuild>>>,
+    /// one probe per slot — no posture merging, no map building. This
+    /// is the engine's own cache in front of `outcomes`.
+    slot_memo: Vec<HashMap<RuleMask, u32, FxBuild>>,
     /// Per slot: the interned final postures (baseline included),
     /// **deduplicated by value** — two sub-masks producing the same
     /// posture share one id, so classes compare exactly by their
-    /// per-device id tuples.
-    slot_postures: std::cell::RefCell<Vec<Vec<crate::posture::Posture>>>,
+    /// per-device id tuples. Always a prefix of the same slot's list
+    /// in `outcomes`.
+    slot_postures: Vec<Vec<crate::posture::Posture>>,
+    /// The table that hands out slot-posture ids, locked only on this
+    /// engine's first sighting of a `(slot, sub-mask)` pair. Engines
+    /// built over one table (the workers of a parallel sweep) agree on
+    /// every id, so their class tuples compare across engines.
+    outcomes: SlotOutcomes,
     /// Per schema position: the slot its device id resolves to (the
     /// *first* slot for duplicate ids, exactly as the id-keyed map in
     /// [`FsmPolicy::evaluate`] shares entries).
@@ -481,6 +518,17 @@ impl<'a> MemoPolicy<'a> {
     /// Build the engine, or `None` when the schema does not pack into
     /// 127 bits or the policy exceeds [`MAX_MEMO_RULES`] rules.
     pub fn new(policy: &'a FsmPolicy) -> Option<MemoPolicy<'a>> {
+        MemoPolicy::sharing(policy, SlotOutcomes::default())
+    }
+
+    /// A fresh engine over the same policy and the same slot-outcome
+    /// table: what each further worker of a parallel sweep runs.
+    pub(crate) fn sibling(&self) -> MemoPolicy<'a> {
+        MemoPolicy::sharing(self.policy, self.outcomes.clone())
+            .expect("this engine packed, so its sibling does")
+    }
+
+    fn sharing(policy: &'a FsmPolicy, outcomes: SlotOutcomes) -> Option<MemoPolicy<'a>> {
         if policy.rules.len() > MAX_MEMO_RULES {
             return None;
         }
@@ -531,6 +579,7 @@ impl<'a> MemoPolicy<'a> {
             policy.schema.devices.iter().enumerate().map(|(pos, d)| (d.id, pos)).collect();
         fp_order.sort_by_key(|(id, pos)| (*id, *pos));
         fp_order.dedup_by_key(|(id, _)| *id);
+        outcomes.lock().unwrap().resize_with(n_slots, SlotOutcome::default);
         Some(MemoPolicy {
             policy,
             layout,
@@ -541,8 +590,9 @@ impl<'a> MemoPolicy<'a> {
             memo: HashMap::default(),
             last: None,
             slot_affect,
-            slot_memo: std::cell::RefCell::new(vec![HashMap::default(); n_slots]),
-            slot_postures: std::cell::RefCell::new(vec![Vec::new(); n_slots]),
+            slot_memo: vec![HashMap::default(); n_slots],
+            slot_postures: vec![Vec::new(); n_slots],
+            outcomes,
             resolved_slots,
             fp_order,
             class_pids: Vec::new(),
@@ -682,51 +732,55 @@ impl<'a> MemoPolicy<'a> {
     /// probe per slot, with the actual posture folding happening only
     /// on the first sighting of a `(slot, sub-mask)` pair — a handful
     /// of times total, however many classes the sweep interns.
-    fn pids_for_mask(&self, mask: RuleMask, out: &mut Vec<u32>) {
+    fn pids_for_mask(&mut self, mask: RuleMask, out: &mut Vec<u32>) {
         out.clear();
-        let mut slot_memo = self.slot_memo.borrow_mut();
-        let mut slot_postures = self.slot_postures.borrow_mut();
-        for &rslot in &self.resolved_slots {
+        for pos in 0..self.resolved_slots.len() {
+            let rslot = self.resolved_slots[pos];
             let sub = mask.and(&self.slot_affect[rslot]);
-            let pid = match slot_memo[rslot].get(&sub) {
+            let pid = match self.slot_memo[rslot].get(&sub) {
                 Some(&pid) => pid,
-                None => {
-                    let p = self.merge_slot(rslot, sub);
-                    // Dedup by value: two sub-masks with the same final
-                    // posture share one id, so id-tuple equality is
-                    // exactly posture-vector equality.
-                    let pid = match slot_postures[rslot].iter().position(|q| *q == p) {
-                        Some(existing) => existing as u32,
-                        None => {
-                            slot_postures[rslot].push(p);
-                            (slot_postures[rslot].len() - 1) as u32
-                        }
-                    };
-                    slot_memo[rslot].insert(sub, pid);
-                    pid
-                }
+                None => self.resolve_slot(rslot, sub),
             };
             out.push(pid);
         }
     }
 
-    /// Build the posture vector a rule-match set produces, exactly as
-    /// [`FsmPolicy::evaluate`] does on any state matching that set. The
-    /// cold half of [`MemoPolicy::class_of`], exposed so the parallel
-    /// sweep can share cold results across workers without sharing the
-    /// intern tables.
-    pub fn posture_for_mask(&self, mask: RuleMask) -> PostureVector {
-        let mut pids = Vec::with_capacity(self.resolved_slots.len());
-        self.pids_for_mask(mask, &mut pids);
-        self.materialize(&pids)
+    /// First sighting of `(slot, sub)` by this engine: take its id from
+    /// the outcome table, folding the posture there if no engine has
+    /// yet, and catch this engine's posture list up to the table's.
+    fn resolve_slot(&mut self, slot: usize, sub: RuleMask) -> u32 {
+        let mut outcomes = self.outcomes.lock().unwrap();
+        let table = &mut outcomes[slot];
+        let pid = match table.by_sub.get(&sub) {
+            Some(&pid) => pid,
+            None => {
+                let p = self.merge_slot(slot, sub);
+                // Dedup by value: two sub-masks with the same final
+                // posture share one id, so id-tuple equality is
+                // exactly posture-vector equality.
+                let pid = match table.postures.iter().position(|q| *q == p) {
+                    Some(existing) => existing,
+                    None => {
+                        table.postures.push(p);
+                        table.postures.len() - 1
+                    }
+                } as u32;
+                table.by_sub.insert(sub, pid);
+                pid
+            }
+        };
+        let known = self.slot_postures[slot].len();
+        self.slot_postures[slot].extend_from_slice(&table.postures[known..]);
+        drop(outcomes);
+        self.slot_memo[slot].insert(sub, pid);
+        pid
     }
 
     /// Materialize the full posture vector of a per-position id tuple.
     fn materialize(&self, pids: &[u32]) -> PostureVector {
-        let slot_postures = self.slot_postures.borrow();
         let mut vec = PostureVector::new();
         for (pos, dev) in self.policy.schema.devices.iter().enumerate() {
-            let win = &slot_postures[self.resolved_slots[pos]][pids[pos] as usize];
+            let win = &self.slot_postures[self.resolved_slots[pos]][pids[pos] as usize];
             if !win.is_allow() {
                 vec.by_device.insert(dev.id, win.clone());
             }
@@ -766,11 +820,10 @@ impl<'a> MemoPolicy<'a> {
     /// word-identical to materializing the vector and calling
     /// [`PostureVector::fingerprint`], without building the map.
     fn fp_of_pids(&self, pids: &[u32]) -> (u64, bool) {
-        let slot_postures = self.slot_postures.borrow();
         let mut h: u64 = 0xcbf2_9ce4_8422_2325;
         let mut quiet = true;
         for (dev, pos) in &self.fp_order {
-            let win = &slot_postures[self.resolved_slots[*pos]][pids[*pos] as usize];
+            let win = &self.slot_postures[self.resolved_slots[*pos]][pids[*pos] as usize];
             if win.is_allow() {
                 continue;
             }
@@ -784,33 +837,39 @@ impl<'a> MemoPolicy<'a> {
     }
 
     /// Cold path: resolve the rule set to its per-slot outcome tuple
-    /// and intern it (fingerprint and quiet flag cached alongside). No
-    /// posture vector is built — class identity is the tuple.
+    /// and intern it. No posture vector is built — class identity is
+    /// the tuple.
     fn intern_rule_set(&mut self, mask: RuleMask) -> u32 {
         let mut pids = std::mem::take(&mut self.pid_scratch);
         self.pids_for_mask(mask, &mut pids);
+        let id = self.intern_tuple(&pids, None);
+        self.pid_scratch = pids;
+        id
+    }
+
+    /// Intern an id tuple, caching its `(fingerprint, quiet)` alongside
+    /// — `known` when another engine over the same outcome table
+    /// already computed them.
+    fn intern_tuple(&mut self, pids: &[u32], known: Option<(u64, bool)>) -> u32 {
         let mut th = FxHasher::default();
-        for &pid in &pids {
+        for &pid in pids {
             th.write_u32(pid);
         }
         let th = th.finish();
         let stride = self.resolved_slots.len();
         let tuple_eq = |arena: &[u32], id: u32| -> bool {
-            &arena[id as usize * stride..id as usize * stride + stride] == pids.as_slice()
+            &arena[id as usize * stride..id as usize * stride + stride] == pids
         };
         let id = self.class_fps.len() as u32;
         match self.tuple_index.entry(th) {
             std::collections::hash_map::Entry::Occupied(first) => {
                 let first = *first.get();
                 if tuple_eq(&self.class_pids, first) {
-                    self.pid_scratch = pids;
                     return first;
                 }
                 for (oth, oid) in &self.tuple_overflow {
                     if *oth == th && tuple_eq(&self.class_pids, *oid) {
-                        let oid = *oid;
-                        self.pid_scratch = pids;
-                        return oid;
+                        return *oid;
                     }
                 }
                 self.tuple_overflow.push((th, id));
@@ -819,12 +878,29 @@ impl<'a> MemoPolicy<'a> {
                 slot.insert(id);
             }
         }
-        self.class_pids.extend_from_slice(&pids);
-        let (fp, quiet) = self.fp_of_pids(&pids);
+        self.class_pids.extend_from_slice(pids);
+        let (fp, quiet) = known.unwrap_or_else(|| self.fp_of_pids(pids));
         self.class_fps.push(fp);
         self.class_quiet.push(quiet);
-        self.pid_scratch = pids;
         id
+    }
+
+    /// Fold in the classes of `other`, an engine over the same outcome
+    /// table (so equal tuples are equal classes): afterwards this
+    /// engine's class table is the union of the two.
+    pub(crate) fn absorb(&mut self, other: &MemoPolicy<'_>) {
+        debug_assert!(Arc::ptr_eq(&self.outcomes, &other.outcomes));
+        for (slot, theirs) in other.slot_postures.iter().enumerate() {
+            let known = self.slot_postures[slot].len().min(theirs.len());
+            self.slot_postures[slot].extend_from_slice(&theirs[known..]);
+        }
+        let stride = self.resolved_slots.len();
+        for id in 0..other.class_count() {
+            let pids = &other.class_pids[id * stride..(id + 1) * stride];
+            self.intern_tuple(pids, Some((other.class_fps[id], other.class_quiet[id])));
+        }
+        self.lookups += other.lookups;
+        self.hits += other.hits;
     }
 }
 
@@ -848,6 +924,30 @@ mod tests {
         c.protect_on_suspicion(DeviceId(0), DeviceId(1));
         c.gate_actuation(DeviceId(2), EnvVar::Occupancy, "present");
         c.build()
+    }
+
+    #[test]
+    fn rule_mask_hashes_as_four_words() {
+        /// Counts calls: `(write_u64, every other write)`.
+        #[derive(Default)]
+        struct Counting(u32, u32);
+        impl Hasher for Counting {
+            fn finish(&self) -> u64 {
+                0
+            }
+            fn write(&mut self, _: &[u8]) {
+                self.1 += 1;
+            }
+            fn write_u64(&mut self, _: u64) {
+                self.0 += 1;
+            }
+        }
+        let mut mask = RuleMask([0; 4]);
+        mask.set(3);
+        mask.set(200);
+        let mut h = Counting::default();
+        mask.hash(&mut h);
+        assert_eq!((h.0, h.1), (4, 0), "(write_u64 calls, byte-slice writes)");
     }
 
     #[test]
@@ -935,6 +1035,33 @@ mod tests {
         assert_eq!(lookups, policy.schema.size() as u64);
         assert!(hits > lookups / 2, "memo must absorb repeated rule sets: {hits}/{lookups}");
         assert!(memo.class_count() >= 2);
+    }
+
+    #[test]
+    fn siblings_agree_on_ids_and_absorb_to_the_union() {
+        let policy = mixed_policy();
+        let mut whole = MemoPolicy::new(&policy).unwrap();
+        let mut low = MemoPolicy::new(&policy).unwrap();
+        let mut high = low.sibling();
+        let layout = whole.layout().clone();
+        let half = layout.size() / 2;
+        // `high` goes first, so each sibling meets slot outcomes the
+        // other has not and their posture lists grow out of step.
+        for rank in (half..layout.size()).chain(0..half) {
+            let p = layout.from_rank(rank);
+            whole.class_of(p);
+            if rank < half { &mut low } else { &mut high }.class_of(p);
+        }
+        low.absorb(&high);
+        assert_eq!(low.class_count(), whole.class_count());
+        assert_eq!(low.stats().0, layout.size() as u64);
+        let classes = |m: &MemoPolicy| -> std::collections::BTreeSet<u64> {
+            (0..m.class_count() as u32).map(|id| m.class(id).fingerprint()).collect()
+        };
+        assert_eq!(classes(&low), classes(&whole));
+        for id in 0..low.class_count() as u32 {
+            assert_eq!(low.class(id).fingerprint(), low.class_fingerprint(id));
+        }
     }
 
     #[test]

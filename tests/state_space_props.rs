@@ -11,7 +11,9 @@ use iotsec_repro::iotpolicy::conflict::{
 };
 use iotsec_repro::iotpolicy::context::SecurityContext;
 use iotsec_repro::iotpolicy::explore::{bfs_naive, bfs_packed, explore_naive, explore_packed};
-use iotsec_repro::iotpolicy::packed::PackedLayout;
+use iotsec_repro::iotpolicy::packed::{MemoPolicy, PackedLayout};
+use iotsec_repro::iotpolicy::policy::{FsmPolicy, PolicyRule, StatePattern};
+use iotsec_repro::iotpolicy::posture::{BlockClass, Posture, SecurityModule};
 use iotsec_repro::iotpolicy::state_space::StateSchema;
 use iotsec_repro::trace::tracer::Tracer;
 use proptest::prelude::*;
@@ -34,7 +36,91 @@ fn schema_from(devices: &[(u8, u8)], envs: &[u8]) -> StateSchema {
     schema
 }
 
+/// A device id no generated schema carries.
+const STRAY: DeviceId = DeviceId(99);
+
+/// One generated rule: `((priority, override_lower, stray), pins,
+/// (target, module))`. A pin is `(slot, value)` over the schema's device-then-env
+/// slots; a device pin draws from all four contexts, so on a narrower
+/// domain it can name a value the slot never takes (an infeasible
+/// pattern). `target` past the last device, or `stray`, puts a posture
+/// on [`STRAY`].
+type RawRule = ((u16, bool, bool), Vec<(u8, u8)>, (u8, u8));
+
+fn policy_from(schema: StateSchema, strict: bool, rules: &[RawRule]) -> FsmPolicy {
+    const MODULES: [SecurityModule; 6] = [
+        SecurityModule::Mirror,
+        SecurityModule::PasswordProxy,
+        SecurityModule::ProtocolWhitelist,
+        SecurityModule::Ids { ruleset: 1 },
+        SecurityModule::RateLimit { pps: 10 },
+        SecurityModule::Block(BlockClass::All),
+    ];
+    let (n_dev, n_env) = (schema.devices.len(), schema.env_vars.len());
+    let mut policy = FsmPolicy::new(schema);
+    if strict {
+        policy.baseline = Posture::of(SecurityModule::ProtocolWhitelist);
+    }
+    for ((priority, override_lower, stray), pins, (target, module)) in rules {
+        let mut pattern = StatePattern::any();
+        for (slot, value) in pins {
+            let slot = *slot as usize % (n_dev + n_env);
+            pattern = if slot < n_dev {
+                pattern.context(DeviceId(slot as u32), SecurityContext::ALL[*value as usize % 4])
+            } else {
+                let var = policy.schema.env_vars[slot - n_dev];
+                pattern.env(var, var.domain()[*value as usize % var.domain().len()])
+            };
+        }
+        let target = *target as usize % (n_dev + 1);
+        let device = if target == n_dev { STRAY } else { DeviceId(target as u32) };
+        let posture = Posture::of(MODULES[*module as usize % MODULES.len()]);
+        let mut rule = PolicyRule::new(*priority, pattern, device, posture);
+        if *stray {
+            rule = rule.and_device(STRAY, Posture::of(SecurityModule::Mirror));
+        }
+        rule.override_lower = *override_lower;
+        policy.add_rule(rule);
+    }
+    policy
+}
+
 proptest! {
+    /// The engines agree beyond the E1 family: random schemas of 1–6
+    /// slots (radices 1–4 — a context domain has at most four values —
+    /// so single-valued and non-power-of-two slots both occur), 0–8
+    /// rules pinning 0–3 slots with tied and distinct priorities,
+    /// overriding or merging, postures on devices inside and outside
+    /// the schema, over an allow or a strict baseline.
+    #[test]
+    fn prop_engines_agree_on_random_policies(
+        devices in prop::collection::vec((0u8..13, 0u8..4), 1..5),
+        envs in prop::collection::vec(0u8..7, 0..3),
+        strict in any::<bool>(),
+        rules in prop::collection::vec(
+            (
+                (0u16..4, any::<bool>(), any::<bool>()),
+                prop::collection::vec((0u8..6, 0u8..4), 0..4),
+                (0u8..5, 0u8..6),
+            ),
+            0..9,
+        ),
+    ) {
+        let policy = policy_from(schema_from(&devices, &envs), strict, &rules);
+        let naive = explore_naive(&policy);
+        prop_assert_eq!(naive.states, policy.schema.size());
+        for threads in 1..=4 {
+            let packed = explore_packed(&policy, threads).expect("small schemas always pack");
+            prop_assert!(packed.digest() == naive.digest(), "threads={threads}: {packed:?} vs {naive:?}");
+        }
+        let mut memo = MemoPolicy::new(&policy).expect("small schemas always pack");
+        let layout = memo.layout().clone();
+        for state in policy.schema.iter_states() {
+            let p = layout.encode(&policy.schema, &state);
+            prop_assert_eq!(memo.evaluate(p), policy.evaluate(&state));
+        }
+    }
+
     /// Packed encode/decode is a bijection: every legacy state maps to
     /// a distinct word and back to itself, and the odometer
     /// rank/from_rank pair inverts on every state.

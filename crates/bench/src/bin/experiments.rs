@@ -33,12 +33,11 @@
 //! CI fleet-gate job depends on that. The `e21` arm always writes `BENCH_E21.json`
 //! (stable sweep digests, engine counters and the steady-state
 //! allocation verdict plus a `wall_ms` volatile timing section) and
-//! exits non-zero if any engine arm — legacy heap queue, packed wheel,
-//! serial or parallel — diverges from the packed-serial reference, or
-//! if the packed steady state allocates at all (this binary installs a
-//! counting global allocator so E21 can measure allocs/event for real)
-//! — the CI engine-gate job depends on that. The `e23` arm always
-//! writes `BENCH_E23.json`
+//! exits non-zero if the timed serial sweep fails to reproduce the
+//! reference digests, or if the steady state allocates at all (this
+//! binary installs a counting global allocator so E21 can measure
+//! allocs/event for real) — the CI engine-gate job depends on that.
+//! The `e23` arm always writes `BENCH_E23.json`
 //! (stable campaign fingerprint and shrink statistics plus a `wall_ms`
 //! volatile line) and exits non-zero if the vet campaign finds a
 //! violation or a vacuous scenario, if the parallel sweep diverges from
@@ -182,12 +181,11 @@ fn run(id: &str, threads: usize, fleet_cfg: FleetOverrides) -> Option<(u64, f64,
                 println!("{d}");
             }
             println!(
-                "E17 summary: {} trace events, heap-vs-wheel identical: {}, \
-                 parallel-vs-serial identical: {}",
-                report.events, report.queue_identical, report.threads_identical,
+                "E17 summary: {} trace events, parallel-vs-serial identical: {}",
+                report.events, report.threads_identical,
             );
             println!();
-            return Some((report.events, 0.0, report.deterministic()));
+            return Some((report.events, 0.0, report.threads_identical));
         }
         "safety" | "e18" => {
             let report = exp_safety::safety(SEED);
@@ -426,8 +424,7 @@ fn main() {
     }
     if diverged {
         eprintln!(
-            "determinism check FAILED: a parallel or packed engine diverged from its \
-             serial reference"
+            "determinism check FAILED: a rerun or parallel leg diverged from its serial reference"
         );
         std::process::exit(1);
     }

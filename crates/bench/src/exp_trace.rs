@@ -2,18 +2,16 @@
 //! in-process aggregator, surfaced via `experiments trace` (or the
 //! `--trace` flag).
 //!
-//! The experiment runs a small traced job grid three ways — timer-wheel
-//! serial (the reference), heap-queue serial, and timer-wheel parallel —
-//! and compares the JSONL traces *byte for byte*. Identical seeds must
-//! yield identical traces regardless of queue backend or worker count;
-//! any divergence is reported as a readable first-divergence diff, not a
-//! blob mismatch, and fails the run. A separate single smart-home world
-//! feeds the [`TraceAggregator`] for the per-component histogram and the
-//! top-K hot switches/µmboxes.
+//! The experiment runs a small traced job grid twice — serial (the
+//! reference) and parallel — and compares the JSONL traces *byte for
+//! byte*. Identical seeds must yield identical traces regardless of
+//! worker count; any divergence is reported as a readable
+//! first-divergence diff, not a blob mismatch, and fails the run. A
+//! separate single smart-home world feeds the [`TraceAggregator`] for
+//! the per-component histogram and the top-K hot switches/µmboxes.
 
 use crate::sweep::{sweep_worlds_traced, SweepScenario, WorldJob};
 use crate::Table;
-use iotnet::engine::QueueKind;
 use iotnet::time::SimDuration;
 use iotsec::defense::Defense;
 use iotsec::scenario;
@@ -21,7 +19,7 @@ use iotsec::world::World;
 use trace::{first_divergence, render_divergence, TraceAggregator, TraceConfig, Tracer};
 
 /// Everything E17 produces: the printable table, the aggregator text,
-/// and the identity verdicts the CI gate consumes.
+/// and the identity verdict the CI gate consumes.
 #[derive(Debug)]
 pub struct TraceReport {
     /// Per-job trace summary table.
@@ -30,19 +28,10 @@ pub struct TraceReport {
     pub summary: String,
     /// Trace events recorded across the reference leg.
     pub events: u64,
-    /// Whether heap-queue traces matched the timer-wheel reference.
-    pub queue_identical: bool,
     /// Whether parallel-sweep traces matched the serial reference.
     pub threads_identical: bool,
     /// First-divergence renderings for any mismatches (empty when green).
     pub divergences: Vec<String>,
-}
-
-impl TraceReport {
-    /// The single verdict the binary's exit code keys on.
-    pub fn deterministic(&self) -> bool {
-        self.queue_identical && self.threads_identical
-    }
 }
 
 /// The E17 job grid: both scenarios over two seeds, small populations —
@@ -55,36 +44,26 @@ pub fn trace_jobs(seed: u64) -> Vec<WorldJob> {
     ]
 }
 
-/// E17 — run the traced grid, check queue-backend and thread-count
-/// trace identity, and aggregate one world's trace for the hot-spot
-/// report.
+/// E17 — run the traced grid, check thread-count trace identity, and
+/// aggregate one world's trace for the hot-spot report.
 pub fn trace(seed: u64, threads: usize) -> TraceReport {
     let jobs = trace_jobs(seed);
     let config = TraceConfig::full();
-    let reference = sweep_worlds_traced(&jobs, 1, QueueKind::Wheel, config);
-    let heap = sweep_worlds_traced(&jobs, 1, QueueKind::Heap, config);
-    let parallel = sweep_worlds_traced(&jobs, threads.max(2), QueueKind::Wheel, config);
+    let reference = sweep_worlds_traced(&jobs, 1, config);
+    let parallel = sweep_worlds_traced(&jobs, threads.max(2), config);
 
     let mut divergences = Vec::new();
-    let mut queue_identical = true;
     let mut threads_identical = true;
     let mut table = Table::new(
         &format!(
-            "E17: deterministic traces — {} worlds, wheel vs heap vs {} threads",
+            "E17: deterministic traces — {} worlds, serial vs {} threads",
             jobs.len(),
             threads.max(2)
         ),
-        &["scenario", "seed", "events", "trace bytes", "heap identical", "parallel identical"],
+        &["scenario", "seed", "events", "trace bytes", "parallel identical"],
     );
     for (i, (out, trace)) in reference.iter().enumerate() {
-        let heap_ok = heap[i].1 == *trace;
         let par_ok = parallel[i].1 == *trace;
-        if !heap_ok {
-            queue_identical = false;
-            if let Some(d) = first_divergence(trace, &heap[i].1) {
-                divergences.push(format!("job {i} (heap queue): {}", render_divergence(&d)));
-            }
-        }
         if !par_ok {
             threads_identical = false;
             if let Some(d) = first_divergence(trace, &parallel[i].1) {
@@ -96,7 +75,6 @@ pub fn trace(seed: u64, threads: usize) -> TraceReport {
             out.job.seed.to_string(),
             trace.lines().count().to_string(),
             trace.len().to_string(),
-            heap_ok.to_string(),
             par_ok.to_string(),
         ]);
     }
@@ -113,7 +91,7 @@ pub fn trace(seed: u64, threads: usize) -> TraceReport {
     agg.observe_all(&tracer.events());
     let summary = agg.render(5);
 
-    TraceReport { table, summary, events, queue_identical, threads_identical, divergences }
+    TraceReport { table, summary, events, threads_identical, divergences }
 }
 
 #[cfg(test)]

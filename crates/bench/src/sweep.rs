@@ -13,7 +13,6 @@
 
 use crate::exp_world::exploit_landed;
 use iotctl::concurrent::SweepLedger;
-use iotnet::engine::QueueKind;
 use iotnet::time::SimDuration;
 use iotsec::defense::Defense;
 use iotsec::scenario;
@@ -114,42 +113,22 @@ impl WorldOutcome {
 /// Build and run one world job to completion (entirely on the calling
 /// thread — `World` never crosses a thread boundary).
 pub fn run_world_job(job: &WorldJob) -> WorldOutcome {
-    run_world_job_with(job, QueueKind::default(), true, Tracer::disabled())
-}
-
-/// Run one world job on an explicit engine configuration: the event-queue
-/// backend plus the flow-table lookup engine (packed SoA probing vs the
-/// legacy field-by-field scan). Both configurations must produce
-/// identical outcomes — this is the hook the E21 benchmark's legacy arm
-/// uses to measure the pre-arena engine against the packed default.
-pub fn run_world_job_engine(job: &WorldJob, queue: QueueKind, packed_lookup: bool) -> WorldOutcome {
-    run_world_job_with(job, queue, packed_lookup, Tracer::disabled())
+    run_world_job_with(job, Tracer::disabled())
 }
 
 /// Run one world job with trace emission, returning the outcome and the
 /// canonical JSONL trace. `Tracer` is deliberately `!Send`, so each
 /// sweep worker constructs its own from the (`Copy`) `config` — the
 /// trace string, unlike the tracer, crosses threads fine.
-pub fn run_world_job_traced(
-    job: &WorldJob,
-    queue: QueueKind,
-    config: TraceConfig,
-) -> (WorldOutcome, String) {
+pub fn run_world_job_traced(job: &WorldJob, config: TraceConfig) -> (WorldOutcome, String) {
     let tracer = Tracer::new(config);
-    let outcome = run_world_job_with(job, queue, true, tracer.clone());
+    let outcome = run_world_job_with(job, tracer.clone());
     (outcome, tracer.to_jsonl())
 }
 
-fn run_world_job_with(
-    job: &WorldJob,
-    queue: QueueKind,
-    packed_lookup: bool,
-    tracer: Tracer,
-) -> WorldOutcome {
-    let (mut d, _) = scenario::scaled_home(job.scenario.defense(), job.seed, job.population);
-    d.queue = queue;
+fn run_world_job_with(job: &WorldJob, tracer: Tracer) -> WorldOutcome {
+    let (d, _) = scenario::scaled_home(job.scenario.defense(), job.seed, job.population);
     let mut w = World::new_traced(&d, tracer);
-    w.net.set_packed_lookup(packed_lookup);
     w.env.occupied = true;
     w.run_until_attack_done(SimDuration::from_secs(300));
     let m = w.report();
@@ -221,10 +200,9 @@ pub fn sweep_worlds(jobs: &[WorldJob], threads: usize, ledger: &SweepLedger) -> 
 pub fn sweep_worlds_traced(
     jobs: &[WorldJob],
     threads: usize,
-    queue: QueueKind,
     config: TraceConfig,
 ) -> Vec<(WorldOutcome, String)> {
-    run_sweep(jobs.to_vec(), threads, move |_, job| run_world_job_traced(job, queue, config))
+    run_sweep(jobs.to_vec(), threads, move |_, job| run_world_job_traced(job, config))
 }
 
 #[cfg(test)]

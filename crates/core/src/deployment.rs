@@ -13,7 +13,6 @@ use iotdev::env::EnvVar;
 use iotdev::proto::{ControlAction, MgmtCommand};
 use iotdev::registry::Sku;
 use iotdev::vuln::Vulnerability;
-use iotnet::engine::QueueKind;
 use iotnet::time::SimDuration;
 use iotpolicy::recipe::Recipe;
 
@@ -180,9 +179,6 @@ pub struct Deployment {
     /// Fault schedule, if this is a chaos run. `None` keeps the legacy
     /// fault-free semantics bit-for-bit.
     pub chaos: Option<ChaosConfig>,
-    /// Packet-plane event queue backend. Both backends must produce
-    /// identical runs; the golden-trace harness holds them to it.
-    pub queue: QueueKind,
     /// Runtime safety layer: monitor, circuit breakers and admission
     /// control. `None` keeps the world byte-identical to one built
     /// before the layer existed.
@@ -206,7 +202,6 @@ impl Default for Deployment {
             seed: 42,
             tick: SimDuration::from_millis(100),
             chaos: None,
-            queue: QueueKind::default(),
             safety: None,
         }
     }

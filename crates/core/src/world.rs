@@ -761,10 +761,8 @@ impl World {
             b.attach_endpoint_with(core, LinkParams::wan(), Ipv4Addr::new(203, 0, 113, 50))
         });
         let mut net = match scrap {
-            Some(scrap) => {
-                Network::with_queue_recycled(b.build(), seed, deployment.queue, &mut scrap.net)
-            }
-            None => Network::with_queue(b.build(), seed, deployment.queue),
+            Some(scrap) => Network::new_recycled(b.build(), seed, &mut scrap.net),
+            None => Network::new(b.build(), seed),
         };
         net.set_tracer(tracer.clone());
 

@@ -5,21 +5,18 @@
 //! order (FIFO-stable). Determinism here is what makes every experiment in
 //! EXPERIMENTS.md exactly reproducible from its seed.
 //!
-//! Two implementations share the same ordering contract:
+//! [`EventQueue`] is a **hierarchical timer wheel** with a binary-heap
+//! overflow tier. Near-future events (the common case: link latencies and
+//! µmbox detours are microseconds to milliseconds) go into O(1) wheel
+//! slots; events beyond the wheel's horizon wait in the overflow heap and
+//! are cascaded in when the wheel advances. Event payloads live in a slab
+//! [`EventArena`] with generational indices: the wheel slots and heaps
+//! move only plain `u32` [`EventHandle`]s (24-byte tickets), freed slots
+//! recycle through an intrusive free list, and the steady state allocates
+//! nothing (pinned by `tests/alloc_counter.rs`).
 //!
-//! * [`EventQueue`] — the production queue, a **hierarchical timer wheel**
-//!   with a binary-heap overflow tier. Near-future events (the common case:
-//!   link latencies and µmbox detours are microseconds to milliseconds) go
-//!   into O(1) wheel slots; events beyond the wheel's horizon wait in the
-//!   overflow heap and are cascaded in when the wheel advances. Event
-//!   payloads live in a slab [`EventArena`] with generational indices:
-//!   the wheel slots and heaps move only plain `u32` [`EventHandle`]s
-//!   (24-byte tickets), freed slots recycle through an intrusive free
-//!   list, and the steady state allocates nothing (pinned by
-//!   `tests/alloc_counter.rs`).
-//! * [`HeapEventQueue`] — the original `BinaryHeap` queue, kept as the
-//!   reference implementation. Property tests assert the wheel delivers
-//!   the exact same event order on randomized schedules.
+//! The ordering contract is checked against an `(at, seq)`-sorted model
+//! that lives with the property tests (`tests/sweep_props.rs`).
 
 use crate::time::SimTime;
 use std::cmp::Ordering;
@@ -181,13 +178,6 @@ impl<E> EventArena<E> {
             SlotState::Free { .. } => unreachable!("checked occupied above"),
         }
     }
-
-    /// Drop every live event and rebuild the free list.
-    pub fn clear(&mut self) {
-        self.slots.clear();
-        self.free_head = HANDLE_NIL;
-        self.len = 0;
-    }
 }
 
 /// A wheel/heap ticket: the ordering key plus the arena handle of the
@@ -212,31 +202,6 @@ impl PartialOrd for Ticket {
     }
 }
 impl Ord for Ticket {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Same inverted (at, seq) key as `Entry`: earliest first, FIFO
-        // ties — the pop order is identical to the pre-arena queue.
-        other.at.cmp(&self.at).then_with(|| other.seq.cmp(&self.seq))
-    }
-}
-
-struct Entry<E> {
-    at: SimTime,
-    seq: u64,
-    event: E,
-}
-
-impl<E> PartialEq for Entry<E> {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
-}
-impl<E> Eq for Entry<E> {}
-impl<E> PartialOrd for Entry<E> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<E> Ord for Entry<E> {
     fn cmp(&self, other: &Self) -> Ordering {
         // BinaryHeap is a max-heap; invert to get earliest-first, and break
         // timestamp ties by insertion sequence for FIFO stability.
@@ -553,260 +518,6 @@ impl<E> EventQueue<E> {
             None
         }
     }
-
-    /// Drop all pending events (used when a scenario is reset).
-    pub fn clear(&mut self) {
-        for level in &mut self.levels {
-            for slot in level {
-                slot.clear();
-            }
-        }
-        self.level_len = [0; LEVELS];
-        self.overflow.clear();
-        self.ready.clear();
-        self.arena.clear();
-        self.len = 0;
-    }
-}
-
-/// The original `BinaryHeap`-backed queue, kept as the ordering reference
-/// for the timer wheel (see `tests/sweep_props.rs`) and for benchmarks.
-pub struct HeapEventQueue<E> {
-    heap: BinaryHeap<Entry<E>>,
-    next_seq: u64,
-    now: SimTime,
-    /// Events popped over the queue's lifetime.
-    pub processed: u64,
-}
-
-impl<E> Default for HeapEventQueue<E> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<E> HeapEventQueue<E> {
-    /// An empty queue with the clock at [`SimTime::ZERO`].
-    pub fn new() -> Self {
-        Self::with_capacity(0)
-    }
-
-    /// An empty queue whose heap is pre-sized for `cap` pending events.
-    pub fn with_capacity(cap: usize) -> Self {
-        HeapEventQueue {
-            heap: BinaryHeap::with_capacity(cap),
-            next_seq: 0,
-            now: SimTime::ZERO,
-            processed: 0,
-        }
-    }
-
-    /// The current clock.
-    pub fn now(&self) -> SimTime {
-        self.now
-    }
-
-    /// Number of pending events.
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// Whether no events are pending.
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
-    }
-
-    /// Schedule `event` at absolute time `at` (clamped to `now`).
-    pub fn schedule(&mut self, at: SimTime, event: E) {
-        let at = at.max(self.now);
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.heap.push(Entry { at, seq, event });
-    }
-
-    /// Timestamp of the next pending event, if any.
-    pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|e| e.at)
-    }
-
-    /// Pop the next event, advancing the clock to its timestamp.
-    pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        let entry = self.heap.pop()?;
-        self.now = entry.at;
-        self.processed += 1;
-        Some((entry.at, entry.event))
-    }
-
-    /// Pop the next event only if it is due at or before `deadline`.
-    pub fn pop_until(&mut self, deadline: SimTime) -> Option<(SimTime, E)> {
-        if self.heap.peek()?.at <= deadline {
-            self.pop()
-        } else {
-            None
-        }
-    }
-
-    /// Drop all pending events.
-    pub fn clear(&mut self) {
-        self.heap.clear();
-    }
-
-    /// Return the queue to its freshly-constructed state, retaining the
-    /// heap's capacity (see [`EventQueue::reset`]).
-    pub fn reset(&mut self) {
-        self.heap.clear();
-        self.next_seq = 0;
-        self.now = SimTime::ZERO;
-        self.processed = 0;
-    }
-}
-
-/// Which [`AnyEventQueue`] backend a simulation runs on.
-///
-/// The two backends share one ordering contract (proptested in this
-/// module and in `tests/trace_diff_props.rs`); selecting `Heap` exists so
-/// the differential harness can run whole worlds against the reference
-/// queue and byte-compare the traces.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum QueueKind {
-    /// The hierarchical timer wheel ([`EventQueue`]) — the default.
-    #[default]
-    Wheel,
-    /// The `BinaryHeap` reference ([`HeapEventQueue`]).
-    Heap,
-}
-
-/// An event queue whose backend is chosen at construction time.
-///
-/// Both arms expose identical semantics, so a `Network` built on either
-/// must produce byte-identical traces from the same seed — the
-/// wheel-vs-heap invariant the golden-trace harness enforces.
-pub enum AnyEventQueue<E> {
-    /// Timer-wheel backend.
-    Wheel(EventQueue<E>),
-    /// Binary-heap reference backend.
-    Heap(HeapEventQueue<E>),
-}
-
-impl<E> std::fmt::Debug for HeapEventQueue<E> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("HeapEventQueue")
-            .field("len", &self.heap.len())
-            .field("now", &self.now)
-            .finish()
-    }
-}
-
-impl<E> std::fmt::Debug for AnyEventQueue<E> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            AnyEventQueue::Wheel(q) => f.debug_tuple("Wheel").field(q).finish(),
-            AnyEventQueue::Heap(q) => f.debug_tuple("Heap").field(q).finish(),
-        }
-    }
-}
-
-impl<E> AnyEventQueue<E> {
-    /// An empty queue on the requested backend.
-    pub fn new(kind: QueueKind) -> Self {
-        Self::with_capacity(kind, 0)
-    }
-
-    /// An empty queue on the requested backend, pre-sized for `cap`
-    /// pending events (arena + due heap for the wheel, the heap itself
-    /// for the reference backend).
-    pub fn with_capacity(kind: QueueKind, cap: usize) -> Self {
-        match kind {
-            QueueKind::Wheel => AnyEventQueue::Wheel(EventQueue::with_capacity(cap)),
-            QueueKind::Heap => AnyEventQueue::Heap(HeapEventQueue::with_capacity(cap)),
-        }
-    }
-
-    /// The current clock.
-    pub fn now(&self) -> SimTime {
-        match self {
-            AnyEventQueue::Wheel(q) => q.now(),
-            AnyEventQueue::Heap(q) => q.now(),
-        }
-    }
-
-    /// Number of pending events.
-    pub fn len(&self) -> usize {
-        match self {
-            AnyEventQueue::Wheel(q) => q.len(),
-            AnyEventQueue::Heap(q) => q.len(),
-        }
-    }
-
-    /// Whether no events are pending.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Which backend this queue runs on.
-    pub fn kind(&self) -> QueueKind {
-        match self {
-            AnyEventQueue::Wheel(_) => QueueKind::Wheel,
-            AnyEventQueue::Heap(_) => QueueKind::Heap,
-        }
-    }
-
-    /// Return the queue to its freshly-constructed state, retaining
-    /// every buffer's capacity (see [`EventQueue::reset`]).
-    pub fn reset(&mut self) {
-        match self {
-            AnyEventQueue::Wheel(q) => q.reset(),
-            AnyEventQueue::Heap(q) => q.reset(),
-        }
-    }
-
-    /// Schedule `event` at absolute time `at` (clamped to `now`).
-    pub fn schedule(&mut self, at: SimTime, event: E) {
-        match self {
-            AnyEventQueue::Wheel(q) => q.schedule(at, event),
-            AnyEventQueue::Heap(q) => q.schedule(at, event),
-        }
-    }
-
-    /// Timestamp of the next pending event, if any.
-    pub fn peek_time(&self) -> Option<SimTime> {
-        match self {
-            AnyEventQueue::Wheel(q) => q.peek_time(),
-            AnyEventQueue::Heap(q) => q.peek_time(),
-        }
-    }
-
-    /// Pop the next event, advancing the clock to its timestamp.
-    pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        match self {
-            AnyEventQueue::Wheel(q) => q.pop(),
-            AnyEventQueue::Heap(q) => q.pop(),
-        }
-    }
-
-    /// Pop the next event only if it is due at or before `deadline`.
-    pub fn pop_until(&mut self, deadline: SimTime) -> Option<(SimTime, E)> {
-        match self {
-            AnyEventQueue::Wheel(q) => q.pop_until(deadline),
-            AnyEventQueue::Heap(q) => q.pop_until(deadline),
-        }
-    }
-
-    /// Events popped over the queue's lifetime.
-    pub fn processed(&self) -> u64 {
-        match self {
-            AnyEventQueue::Wheel(q) => q.processed,
-            AnyEventQueue::Heap(q) => q.processed,
-        }
-    }
-
-    /// Drop all pending events.
-    pub fn clear(&mut self) {
-        match self {
-            AnyEventQueue::Wheel(q) => q.clear(),
-            AnyEventQueue::Heap(q) => q.clear(),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -935,53 +646,6 @@ mod tests {
         assert_eq!(q.peek_time(), Some(SimTime::from_secs(9)));
     }
 
-    #[test]
-    fn clear_empties_every_tier() {
-        let mut q = EventQueue::new();
-        q.schedule(SimTime::from_micros(1), 1);
-        q.schedule(SimTime::from_millis(500), 2);
-        q.schedule(SimTime::from_secs(50), 3);
-        q.clear();
-        assert!(q.is_empty());
-        assert_eq!(q.pop(), None);
-    }
-
-    #[test]
-    fn heap_queue_matches_wheel_surface() {
-        // The reference queue grew `pop_until`/`clear`/`processed` so whole
-        // worlds can run on either backend; pin the shared semantics.
-        let mut q = HeapEventQueue::new();
-        q.schedule(SimTime::from_millis(10), "a");
-        q.schedule(SimTime::from_millis(20), "b");
-        assert_eq!(q.pop_until(SimTime::from_millis(15)), Some((SimTime::from_millis(10), "a")));
-        assert_eq!(q.pop_until(SimTime::from_millis(15)), None);
-        assert_eq!(q.processed, 1);
-        q.clear();
-        assert!(q.is_empty());
-        assert_eq!(q.pop(), None);
-    }
-
-    #[test]
-    fn any_queue_backends_agree() {
-        let mut wheel = AnyEventQueue::new(QueueKind::Wheel);
-        let mut heap = AnyEventQueue::new(QueueKind::Heap);
-        for q in [&mut wheel, &mut heap] {
-            q.schedule(SimTime::from_millis(5), 1u32);
-            q.schedule(SimTime::from_millis(5), 2);
-            q.schedule(SimTime::from_micros(1), 0);
-        }
-        loop {
-            assert_eq!(wheel.peek_time(), heap.peek_time());
-            let (a, b) = (wheel.pop(), heap.pop());
-            assert_eq!(a, b);
-            if a.is_none() {
-                break;
-            }
-        }
-        assert_eq!(wheel.processed(), 3);
-        assert_eq!(heap.processed(), 3);
-    }
-
     proptest! {
         #[test]
         fn prop_pop_order_is_nondecreasing(times in proptest::collection::vec(0u64..1_000_000, 1..200)) {
@@ -1011,20 +675,20 @@ mod tests {
         }
 
         #[test]
-        fn prop_wheel_matches_heap_order(times in proptest::collection::vec(0u64..5_000_000_000, 1..300)) {
+        fn prop_wheel_pops_in_stable_time_order(times in proptest::collection::vec(0u64..5_000_000_000, 1..300)) {
             let mut wheel = EventQueue::new();
-            let mut heap = HeapEventQueue::new();
             for (i, t) in times.iter().enumerate() {
                 wheel.schedule(SimTime::from_nanos(*t), i);
-                heap.schedule(SimTime::from_nanos(*t), i);
             }
-            loop {
-                let (a, b) = (wheel.pop(), heap.pop());
-                prop_assert_eq!(a, b);
-                if b.is_none() {
-                    break;
-                }
+            // The contract, stated without a second queue: a stable sort
+            // by timestamp (insertion order breaks ties).
+            let mut expected: Vec<_> =
+                times.iter().enumerate().map(|(i, t)| (SimTime::from_nanos(*t), i)).collect();
+            expected.sort_by_key(|e| e.0);
+            for want in expected {
+                prop_assert_eq!(wheel.pop(), Some(want));
             }
+            prop_assert_eq!(wheel.pop(), None);
         }
     }
 }

@@ -18,10 +18,11 @@ use serde::{Deserialize, Serialize};
 /// hi: | ip_dst 32 | proto 8 | src_port 16 | dst_port 16 | (72 bits, low)
 /// ```
 ///
-/// Flow-cache lookups hash two words, and rule matching reduces to
-/// masked word compares against [`FlowTable`]'s compiled pattern arrays.
-/// The packing is a bijection of the matched fields, so two packets get
-/// equal keys iff every field the legacy struct key compared is equal.
+/// This is the key of the switch's flow-decision cache: a cache probe
+/// hashes and compares two words instead of seven header fields. The
+/// packing is a bijection of every field a [`FlowMatch`] can constrain,
+/// so two packets get equal keys iff all of those fields are equal —
+/// which is what makes a cached decision valid for the second packet.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct PackedFlowKey {
     /// Ethernet source/destination + IPv4 source.
@@ -180,137 +181,6 @@ impl FlowMatch {
     }
 }
 
-/// One [`FlowMatch`] compiled to `(value, care-mask)` word pairs over
-/// the [`PackedFlowKey`] layout. A packet matches iff
-/// `key.lo & lo_mask == lo_val && key.hi & hi_mask == hi_val` and the
-/// ingress port passes — exact fields become full-width field masks, IP
-/// prefixes become their natural prefix masks, wildcards contribute
-/// zero mask bits.
-#[derive(Debug, Clone, Copy)]
-struct CompiledMatch {
-    lo_mask: u128,
-    lo_val: u128,
-    hi_mask: u128,
-    hi_val: u128,
-    /// Required ingress port; `PortNo::ANY.0` admits every port (the
-    /// compiler folds `None` and `Some(PortNo::ANY)` together, exactly
-    /// like the struct matcher does).
-    in_port: u16,
-}
-
-/// The masked value of a `/len` IPv4 prefix, as (mask, value & mask).
-fn prefix_mask(pfx: Ipv4Addr, len: u8) -> (u128, u128) {
-    if len == 0 {
-        return (0, 0);
-    }
-    let len = len.min(32);
-    let mask = if len == 32 { u32::MAX } else { !(u32::MAX >> len) };
-    (u128::from(mask), u128::from(pfx.to_u32() & mask))
-}
-
-impl CompiledMatch {
-    fn compile(m: &FlowMatch) -> CompiledMatch {
-        let mut lo_mask = 0u128;
-        let mut lo_val = 0u128;
-        let mut hi_mask = 0u128;
-        let mut hi_val = 0u128;
-        if let Some(mac) = m.eth_src {
-            lo_mask |= 0xffff_ffff_ffff << 80;
-            lo_val |= mac_word(mac) << 80;
-        }
-        if let Some(mac) = m.eth_dst {
-            lo_mask |= 0xffff_ffff_ffff << 32;
-            lo_val |= mac_word(mac) << 32;
-        }
-        if let Some((pfx, len)) = m.ip_src {
-            let (mask, val) = prefix_mask(pfx, len);
-            lo_mask |= mask;
-            lo_val |= val;
-        }
-        if let Some((pfx, len)) = m.ip_dst {
-            let (mask, val) = prefix_mask(pfx, len);
-            hi_mask |= mask << 40;
-            hi_val |= val << 40;
-        }
-        if let Some(proto) = m.ip_proto {
-            hi_mask |= 0xff << 32;
-            hi_val |= u128::from(proto) << 32;
-        }
-        if let Some(sp) = m.src_port {
-            hi_mask |= 0xffff << 16;
-            hi_val |= u128::from(sp) << 16;
-        }
-        if let Some(dp) = m.dst_port {
-            hi_mask |= 0xffff;
-            hi_val |= u128::from(dp);
-        }
-        let in_port = match m.in_port {
-            None => PortNo::ANY.0,
-            Some(p) => p.0,
-        };
-        CompiledMatch { lo_mask, lo_val, hi_mask, hi_val, in_port }
-    }
-}
-
-fn mac_word(mac: MacAddr) -> u128 {
-    let b = mac.0;
-    (u128::from(b[0]) << 40)
-        | (u128::from(b[1]) << 32)
-        | (u128::from(b[2]) << 24)
-        | (u128::from(b[3]) << 16)
-        | (u128::from(b[4]) << 8)
-        | u128::from(b[5])
-}
-
-/// The compiled patterns of a [`FlowTable`], stored struct-of-arrays so
-/// the probe loop streams five flat arrays instead of hopping across
-/// rule structs. Kept index-aligned with the rules on every structural
-/// change.
-#[derive(Debug, Default)]
-struct CompiledTable {
-    lo_mask: Vec<u128>,
-    lo_val: Vec<u128>,
-    hi_mask: Vec<u128>,
-    hi_val: Vec<u128>,
-    in_port: Vec<u16>,
-}
-
-impl CompiledTable {
-    fn push(&mut self, m: &FlowMatch) {
-        let c = CompiledMatch::compile(m);
-        self.lo_mask.push(c.lo_mask);
-        self.lo_val.push(c.lo_val);
-        self.hi_mask.push(c.hi_mask);
-        self.hi_val.push(c.hi_val);
-        self.in_port.push(c.in_port);
-    }
-
-    fn remove(&mut self, i: usize) {
-        self.lo_mask.remove(i);
-        self.lo_val.remove(i);
-        self.hi_mask.remove(i);
-        self.hi_val.remove(i);
-        self.in_port.remove(i);
-    }
-
-    fn clear(&mut self) {
-        self.lo_mask.clear();
-        self.lo_val.clear();
-        self.hi_mask.clear();
-        self.hi_val.clear();
-        self.in_port.clear();
-    }
-
-    /// Whether pattern `i` admits `key` on `in_port`: three branch-free
-    /// word compares folded with `&`.
-    #[inline]
-    fn hit(&self, i: usize, in_port: PortNo, key: PackedFlowKey) -> bool {
-        ((self.in_port[i] == PortNo::ANY.0) | (self.in_port[i] == in_port.0))
-            & ((key.lo & self.lo_mask[i]) == self.lo_val[i])
-            & ((key.hi & self.hi_mask[i]) == self.hi_val[i])
-    }
-}
-
 /// Identifier of a steer point (an inline µmbox attachment) on the network.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 pub struct SteerId(pub u32);
@@ -403,55 +273,34 @@ pub fn quarantine_rules(
     rules
 }
 
-/// A priority-ordered flow table with per-rule hit counters.
-///
-/// Every rule's matcher is additionally compiled to `(value, care-mask)`
-/// word pairs over the [`PackedFlowKey`] layout, held struct-of-arrays;
-/// the default lookup probes those flat arrays with branch-free word
-/// compares. The legacy struct-walking scan survives as
-/// [`FlowTable::lookup_index_scan`] — the equivalence reference for the
-/// proptests and the "legacy" arm of the E21 benchmark — selectable via
-/// [`FlowTable::set_packed_lookup`].
+/// One installed rule with its bookkeeping.
 #[derive(Debug)]
-pub struct FlowTable {
-    rules: Vec<FlowRule>,
-    compiled: CompiledTable,
-    hits: Vec<u64>,
-    install_seq: Vec<u64>,
-    next_seq: u64,
-    epoch: u64,
-    packed_lookup: bool,
-    /// Lookups that matched no rule.
-    pub misses: u64,
+struct Row {
+    rule: FlowRule,
+    hits: u64,
+    /// Installation order; breaks priority ties (later wins).
+    seq: u64,
 }
 
-impl Default for FlowTable {
-    fn default() -> Self {
-        FlowTable {
-            rules: Vec::new(),
-            compiled: CompiledTable::default(),
-            hits: Vec::new(),
-            install_seq: Vec::new(),
-            next_seq: 0,
-            epoch: 0,
-            packed_lookup: true,
-            misses: 0,
-        }
-    }
+/// A priority-ordered flow table with per-rule hit counters.
+///
+/// Lookup is a linear scan with [`FlowMatch::matches`]. It runs only on
+/// a switch decision-cache miss (141 times in a 5 880-event defended
+/// home), which is why a compiled probe bought nothing end to end —
+/// DESIGN.md §11.
+#[derive(Debug, Default)]
+pub struct FlowTable {
+    rows: Vec<Row>,
+    next_seq: u64,
+    epoch: u64,
+    /// Lookups that matched no rule.
+    pub misses: u64,
 }
 
 impl FlowTable {
     /// An empty table.
     pub fn new() -> FlowTable {
         FlowTable::default()
-    }
-
-    /// Select the lookup engine: packed word-compare probing (the
-    /// default) or the legacy struct-walking scan. Both return the same
-    /// rule for every packet (proptested); the toggle exists so the E21
-    /// benchmark can run an honest legacy arm.
-    pub fn set_packed_lookup(&mut self, on: bool) {
-        self.packed_lookup = on;
     }
 
     /// A counter bumped on every structural change (install / removal /
@@ -465,10 +314,7 @@ impl FlowTable {
     /// OpenFlow's overlap behaviour closely enough for our controller,
     /// which always diffs epochs anyway).
     pub fn install(&mut self, rule: FlowRule) {
-        self.compiled.push(&rule.matcher);
-        self.rules.push(rule);
-        self.hits.push(0);
-        self.install_seq.push(self.next_seq);
+        self.rows.push(Row { rule, hits: 0, seq: self.next_seq });
         self.next_seq += 1;
         self.epoch += 1;
     }
@@ -476,19 +322,9 @@ impl FlowTable {
     /// Remove every rule whose cookie equals `cookie`; returns how many
     /// were removed.
     pub fn remove_by_cookie(&mut self, cookie: u64) -> usize {
-        let mut removed = 0;
-        let mut i = 0;
-        while i < self.rules.len() {
-            if self.rules[i].cookie == cookie {
-                self.rules.remove(i);
-                self.compiled.remove(i);
-                self.hits.remove(i);
-                self.install_seq.remove(i);
-                removed += 1;
-            } else {
-                i += 1;
-            }
-        }
+        let before = self.rows.len();
+        self.rows.retain(|row| row.rule.cookie != cookie);
+        let removed = before - self.rows.len();
         if removed > 0 {
             self.epoch += 1;
         }
@@ -497,10 +333,7 @@ impl FlowTable {
 
     /// Remove all rules.
     pub fn clear(&mut self) {
-        self.rules.clear();
-        self.compiled.clear();
-        self.hits.clear();
-        self.install_seq.clear();
+        self.rows.clear();
         self.epoch += 1;
     }
 
@@ -509,13 +342,8 @@ impl FlowTable {
     /// also rewinds `next_seq` (install order participates in priority
     /// tie-breaks), the table epoch, and the miss counter, so a resident
     /// world's reused table behaves byte-identically to a cold build.
-    /// The `packed_lookup` setting is configuration, not runtime state,
-    /// and is preserved.
     pub fn recycle(&mut self) {
-        self.rules.clear();
-        self.compiled.clear();
-        self.hits.clear();
-        self.install_seq.clear();
+        self.rows.clear();
         self.next_seq = 0;
         self.epoch = 0;
         self.misses = 0;
@@ -523,12 +351,12 @@ impl FlowTable {
 
     /// Number of installed rules.
     pub fn len(&self) -> usize {
-        self.rules.len()
+        self.rows.len()
     }
 
     /// Whether the table is empty.
     pub fn is_empty(&self) -> bool {
-        self.rules.is_empty()
+        self.rows.is_empty()
     }
 
     /// Look up the best-matching rule for `packet` on `in_port`,
@@ -536,81 +364,20 @@ impl FlowTable {
     pub fn lookup(&mut self, in_port: PortNo, packet: &Packet) -> Option<&FlowRule> {
         let best = self.lookup_index(in_port, packet);
         self.record(best);
-        best.map(|i| &self.rules[i])
+        best.map(|i| &self.rows[i].rule)
     }
 
-    /// The index of the best-matching rule (no counter updates). Indices
-    /// are stable only within the current [`FlowTable::epoch`].
+    /// The index of the best-matching rule (no counter updates): among
+    /// the rules `packet` satisfies, the highest priority, the latest
+    /// installed on a tie. Indices are stable only within the current
+    /// [`FlowTable::epoch`].
     pub fn lookup_index(&self, in_port: PortNo, packet: &Packet) -> Option<usize> {
-        if self.packed_lookup {
-            self.lookup_index_packed(in_port, PackedFlowKey::of(packet))
-        } else {
-            self.lookup_index_scan(in_port, packet)
-        }
-    }
-
-    /// Packed probe: best-matching rule for an already-extracted flow
-    /// key. Each candidate costs three branch-free masked word compares
-    /// against the struct-of-arrays pattern table; only the (rare)
-    /// best-so-far update branches.
-    pub fn lookup_index_packed(&self, in_port: PortNo, key: PackedFlowKey) -> Option<usize> {
-        let mut best: Option<usize> = None;
-        for i in 0..self.rules.len() {
-            if !self.compiled.hit(i, in_port, key) {
-                continue;
-            }
-            match best {
-                None => best = Some(i),
-                Some(b) => {
-                    let better = (self.rules[i].priority, self.install_seq[i])
-                        > (self.rules[b].priority, self.install_seq[b]);
-                    if better {
-                        best = Some(i);
-                    }
-                }
-            }
-        }
-        best
-    }
-
-    /// The legacy struct-walking scan, kept verbatim as the equivalence
-    /// reference for the packed probe (`tests/packed_net_props.rs`) and
-    /// as the E21 benchmark's legacy arm.
-    pub fn lookup_index_scan(&self, in_port: PortNo, packet: &Packet) -> Option<usize> {
-        let mut best: Option<usize> = None;
-        for (i, rule) in self.rules.iter().enumerate() {
-            if !rule.matcher.matches(in_port, packet) {
-                continue;
-            }
-            match best {
-                None => best = Some(i),
-                Some(b) => {
-                    let better = (rule.priority, self.install_seq[i])
-                        > (self.rules[b].priority, self.install_seq[b]);
-                    if better {
-                        best = Some(i);
-                    }
-                }
-            }
-        }
-        best
-    }
-
-    /// Keyed lookup for callers that already hold the packet's
-    /// [`PackedFlowKey`] (the switch computes it once for its decision
-    /// cache): dispatches on the configured engine without re-extracting
-    /// the key.
-    pub fn lookup_index_keyed(
-        &self,
-        in_port: PortNo,
-        key: PackedFlowKey,
-        packet: &Packet,
-    ) -> Option<usize> {
-        if self.packed_lookup {
-            self.lookup_index_packed(in_port, key)
-        } else {
-            self.lookup_index_scan(in_port, packet)
-        }
+        self.rows
+            .iter()
+            .enumerate()
+            .filter(|(_, row)| row.rule.matcher.matches(in_port, packet))
+            .max_by_key(|(_, row)| (row.rule.priority, row.seq))
+            .map(|(i, _)| i)
     }
 
     /// Account a lookup outcome: bump the rule's hit counter, or the miss
@@ -618,7 +385,7 @@ impl FlowTable {
     /// when the table scan itself is skipped.
     pub fn record(&mut self, index: Option<usize>) {
         match index {
-            Some(i) => self.hits[i] += 1,
+            Some(i) => self.rows[i].hits += 1,
             None => self.misses += 1,
         }
     }
@@ -626,12 +393,12 @@ impl FlowTable {
     /// The rule at `index` (panics if out of range; indices come from
     /// [`FlowTable::lookup_index`] within the same epoch).
     pub fn rule(&self, index: usize) -> &FlowRule {
-        &self.rules[index]
+        &self.rows[index].rule
     }
 
     /// Iterate over rules with their hit counts.
     pub fn iter(&self) -> impl Iterator<Item = (&FlowRule, u64)> {
-        self.rules.iter().zip(self.hits.iter().copied())
+        self.rows.iter().map(|row| (&row.rule, row.hits))
     }
 }
 
@@ -771,51 +538,6 @@ mod tests {
             TransportHeader::tcp(7, 9, 0, Default::default()),
         );
         assert_ne!(PackedFlowKey::of(&a), PackedFlowKey::of(&tcp));
-    }
-
-    #[test]
-    fn packed_probe_agrees_with_legacy_scan() {
-        let cam = Ipv4Addr::new(10, 0, 0, 5);
-        let mut t = FlowTable::new();
-        t.install(FlowRule::new(10, FlowMatch::any(), FlowAction::Normal));
-        t.install(FlowRule::new(100, FlowMatch::to_host(cam), FlowAction::Drop));
-        t.install(FlowRule::new(
-            50,
-            FlowMatch::from_host(cam).with_in_port(PortNo(2)),
-            FlowAction::Mirror,
-        ));
-        t.install(FlowRule::new(
-            90,
-            FlowMatch { ip_dst: Some((Ipv4Addr::new(10, 0, 0, 0), 24)), ..FlowMatch::default() },
-            FlowAction::Steer(SteerId(1)),
-        ));
-        let packets = [
-            pkt(Ipv4Addr::new(10, 0, 0, 9), cam, TransportHeader::udp(1, 2)),
-            pkt(cam, Ipv4Addr::new(10, 0, 0, 9), TransportHeader::udp(1, 2)),
-            pkt(Ipv4Addr::new(8, 8, 8, 8), Ipv4Addr::new(10, 0, 0, 7), TransportHeader::udp(1, 2)),
-            pkt(Ipv4Addr::new(8, 8, 8, 8), Ipv4Addr::new(9, 9, 9, 9), TransportHeader::udp(1, 2)),
-        ];
-        for p in &packets {
-            for port in [PortNo(0), PortNo(2), PortNo::ANY] {
-                let key = PackedFlowKey::of(p);
-                assert_eq!(
-                    t.lookup_index_packed(port, key),
-                    t.lookup_index_scan(port, p),
-                    "engines disagree for port {port}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn lookup_engine_toggle_selects_the_same_rule() {
-        let mut t = FlowTable::new();
-        t.install(FlowRule::new(5, FlowMatch::any(), FlowAction::Normal));
-        let p =
-            pkt(Ipv4Addr::new(1, 1, 1, 1), Ipv4Addr::new(2, 2, 2, 2), TransportHeader::udp(1, 2));
-        assert_eq!(t.lookup_index(PortNo(0), &p), Some(0));
-        t.set_packed_lookup(false);
-        assert_eq!(t.lookup_index(PortNo(0), &p), Some(0));
     }
 
     #[test]

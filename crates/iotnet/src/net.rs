@@ -20,7 +20,7 @@
 
 use crate::addr::{EndpointId, Ipv4Addr, MacAddr, PortNo, SwitchId};
 use crate::capture::Capture;
-use crate::engine::{AnyEventQueue, QueueKind};
+use crate::engine::EventQueue;
 use crate::flow::{FlowRule, SteerId};
 use crate::packet::Packet;
 use crate::stats::NetStats;
@@ -187,12 +187,12 @@ enum NetEvent {
 /// order, and determinism outranks the few bytes it would save.
 #[derive(Debug, Default)]
 pub struct NetScrap {
-    queue: Option<AnyEventQueue<NetEvent>>,
+    queue: Option<EventQueue<NetEvent>>,
     capture: Option<Capture>,
     deliveries: Vec<Delivery>,
     /// Builds that reused this scrap's retained event queue.
     pub queue_reused: u64,
-    /// Builds that cold-allocated their event queue (no matching scrap).
+    /// Builds that cold-allocated their event queue (empty scrap).
     pub queue_cold: u64,
     /// Builds that reused this scrap's retained capture ring.
     pub capture_reused: u64,
@@ -243,7 +243,7 @@ impl NetScrap {
 pub struct Network {
     topo: Topology,
     switches: Vec<Switch>,
-    queue: AnyEventQueue<NetEvent>,
+    queue: EventQueue<NetEvent>,
     steer: std::collections::HashMap<SteerId, SteerHandle>,
     deliveries: Vec<Delivery>,
     /// Mirrored-packet capture buffer.
@@ -254,31 +254,17 @@ pub struct Network {
 }
 
 impl Network {
-    /// Build a network over `topo`, seeding the loss-process RNG. Runs on
-    /// the default (timer-wheel) event queue.
+    /// Build a network over `topo`, seeding the loss-process RNG.
     pub fn new(topo: Topology, seed: u64) -> Network {
-        Network::with_queue(topo, seed, QueueKind::default())
+        Network::new_recycled(topo, seed, &mut NetScrap::default())
     }
 
-    /// [`Network::new`] on an explicit event-queue backend — the hook the
-    /// wheel-vs-heap differential harness uses to run whole worlds against
-    /// the reference queue.
-    pub fn with_queue(topo: Topology, seed: u64, kind: QueueKind) -> Network {
-        Network::with_queue_recycled(topo, seed, kind, &mut NetScrap::default())
-    }
-
-    /// [`Network::with_queue`], rebuilding out of a [`NetScrap`]'s
-    /// retained buffers where their shapes match (queue backend) and
-    /// cold-allocating the rest. An empty scrap is exactly the cold
-    /// path; a scrap harvested by [`Network::reclaim`] skips the big
-    /// per-world allocations (event arena, capture ring, delivery
-    /// buffer) without changing a single simulated byte.
-    pub fn with_queue_recycled(
-        topo: Topology,
-        seed: u64,
-        kind: QueueKind,
-        scrap: &mut NetScrap,
-    ) -> Network {
+    /// [`Network::new`], rebuilding out of a [`NetScrap`]'s retained
+    /// buffers and cold-allocating what it lacks. An empty scrap is
+    /// exactly the cold path; a scrap harvested by [`Network::reclaim`]
+    /// skips the big per-world allocations (event arena, capture ring,
+    /// delivery buffer) without changing a single simulated byte.
+    pub fn new_recycled(topo: Topology, seed: u64, scrap: &mut NetScrap) -> Network {
         let switches = (0..topo.switch_count())
             .map(|i| Switch::new(SwitchId(i as u32), topo.ports_of(SwitchId(i as u32))))
             .collect();
@@ -287,13 +273,13 @@ impl Network {
         // phase fills capacity once and the steady state never reallocates.
         let in_flight = (topo.endpoint_count() * 4 + topo.switch_count() * 2).max(64);
         let queue = match scrap.queue.take() {
-            Some(q) if q.kind() == kind => {
+            Some(q) => {
                 scrap.queue_reused += 1;
                 q
             }
-            _ => {
+            None => {
                 scrap.queue_cold += 1;
-                AnyEventQueue::with_capacity(kind, in_flight)
+                EventQueue::with_capacity(in_flight)
             }
         };
         let capture = match scrap.capture.take() {
@@ -322,7 +308,7 @@ impl Network {
     /// Tear the network down into recyclable storage: the event queue,
     /// capture ring and delivery buffer, each reset to its
     /// freshly-constructed state with capacity retained. The next
-    /// [`Network::with_queue_recycled`] build reuses them (E25
+    /// [`Network::new_recycled`] build reuses them (E25
     /// arena-reuse across fleet homes).
     pub fn reclaim(mut self) -> NetScrap {
         self.queue.reset();
@@ -341,7 +327,7 @@ impl Network {
     /// [`Network::reclaim`] and rebuilding. Links, switches, the event
     /// queue, capture ring, delivery buffer and counters all return to
     /// their cold values with capacity retained; the loss-process RNG is
-    /// reseeded exactly as [`Network::with_queue_recycled`] seeds it. The
+    /// reseeded exactly as [`Network::new_recycled`] seeds it. The
     /// steer map is replaced by a brand-new `HashMap` for the same
     /// determinism reason the scrap excludes it: recycled map capacity
     /// could perturb iteration order.
@@ -356,16 +342,6 @@ impl Network {
         self.capture.recycle();
         self.rng = StdRng::seed_from_u64(seed ^ 0x006e_6574_776f_726b_u64);
         self.stats = NetStats::default();
-    }
-
-    /// Select the flow-table lookup engine on every switch: packed-key
-    /// SoA probing (`true`, the default) or the legacy field-by-field
-    /// scan (`false`). Both return identical decisions — this is the
-    /// toggle the E21 benchmark's legacy arm uses.
-    pub fn set_packed_lookup(&mut self, on: bool) {
-        for sw in &mut self.switches {
-            sw.table.set_packed_lookup(on);
-        }
     }
 
     /// Attach a tracer to every switch (cache and policy-drop events).
@@ -496,7 +472,7 @@ impl Network {
 
     /// Total events popped by the event engine over the network's lifetime.
     pub fn events_processed(&self) -> u64 {
-        self.queue.processed()
+        self.queue.processed
     }
 
     /// Aggregate flow-decision-cache counters across every switch, as
@@ -523,11 +499,6 @@ impl Network {
         for sw in &self.switches {
             reg.counter("net.rx_packets", sw.rx_packets);
         }
-    }
-
-    /// Timestamp of the next queued event.
-    pub fn next_event_time(&self) -> Option<SimTime> {
-        self.queue.peek_time()
     }
 
     fn handle_at_switch(&mut self, at: SimTime, sw: SwitchId, in_port: PortNo, pkt: Packet) {
@@ -759,19 +730,26 @@ mod tests {
 
     #[test]
     fn nic_filters_flooded_packets() {
-        let (mut net, a, c, _) = two_host_net();
-        // Unknown unicast floods to both c and... only c here (2 endpoints),
-        // but attach a third endpoint to observe filtering.
-        let p = pkt_between(&net, a, c, b"flood");
-        net.send(a, SimTime::ZERO, p);
-        net.step_until(SimTime::from_secs(1));
-        // With exactly one other endpoint the flood hits only the right NIC;
-        // send the reverse so MACs are learned, then check counters stay sane.
-        let p2 = pkt_between(&net, c, a, b"back");
-        net.send(c, net.now(), p2);
+        let mut b = TopologyBuilder::new();
+        let sw = b.add_switch();
+        let a = b.attach_endpoint(sw, LinkParams::lan());
+        let c = b.attach_endpoint(sw, LinkParams::lan());
+        b.attach_endpoint(sw, LinkParams::lan());
+        let mut net = Network::new(b.build(), 7);
+        // Unknown unicast floods to c and the bystander; only c's NIC
+        // accepts the frame.
+        net.send(a, SimTime::ZERO, pkt_between(&net, a, c, b"flood"));
+        let d = net.step_until(SimTime::from_secs(1));
+        assert_eq!(d.len(), 1);
+        assert_eq!(d[0].endpoint, c);
+        assert_eq!(net.stats.nic_filtered, 1);
+        // The switch learned a's port from that frame: the reply is
+        // unicast and no further copy reaches the bystander.
+        net.send(c, net.now(), pkt_between(&net, c, a, b"back"));
         let d = net.step_until(SimTime::from_secs(2));
         assert_eq!(d.len(), 1);
         assert_eq!(d[0].endpoint, a);
+        assert_eq!(net.stats.nic_filtered, 1);
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! device's *first-hop* switch or AP is programmable; this model is that
 //! first hop.
 //!
-//! Three fast paths keep per-packet work off the hot loop:
+//! Two things keep per-packet work off the hot loop:
 //!
 //! * Port lists are [`PortList`]s (inline up to 8 ports) — unicast output
 //!   and home-scale floods never allocate.
@@ -18,11 +18,8 @@
 //!   and by MAC-table learning changes, so cached decisions are always
 //!   exactly what the slow path would have computed. Rule hit / miss
 //!   counters are still updated on cache hits, keeping every counter
-//!   byte-identical to an uncached run.
-//! * Cache misses probe the table through its compiled struct-of-arrays
-//!   form ([`FlowTable::lookup_index_keyed`]), a branchless masked-word
-//!   comparison per rule reusing the packed key already computed for the
-//!   cache probe.
+//!   byte-identical to an uncached run. A miss scans the table with
+//!   [`FlowTable::lookup_index`].
 
 use crate::addr::{MacAddr, PortNo, SwitchId};
 use crate::flow::{FlowAction, FlowRule, FlowTable, PackedFlowKey};
@@ -182,7 +179,7 @@ impl Switch {
             return cached.decision.clone();
         }
         self.tracer.emit(now.as_nanos(), TraceEvent::CacheMiss { switch: self.id.0 });
-        let rule = self.table.lookup_index_keyed(in_port, key.1, packet);
+        let rule = self.table.lookup_index(in_port, packet);
         self.table.record(rule);
         let action = rule.map(|i| self.table.rule(i).action).unwrap_or(FlowAction::Normal);
         let decision = match action {

@@ -6,26 +6,29 @@
 //!    transport variant) that only a field-faithful encoding preserves.
 //! 2. [`PackedFlowKey`] equality mirrors equality of the seven matched
 //!    header fields, in both directions.
-//! 3. The packed word-compare flow lookup selects the same rule as the
-//!    legacy struct-walking scan for arbitrary rule tables, packets and
-//!    ingress ports — including after cookie removals, which must keep
-//!    the struct-of-arrays pattern table index-aligned with the rules.
+//! 3. The flow-table contract, stated without a second implementation:
+//!    `lookup_index` returns a rule the packet satisfies (field by field,
+//!    per a matcher written here), none that it satisfies outranks it on
+//!    `(priority, install order)`, and `None` only when it satisfies
+//!    none — for arbitrary rule tables, packets and ingress ports,
+//!    before and after a cookie removal; `lookup` bumps exactly that
+//!    rule's hit counter, or `misses`.
 //! 4. [`EventArena`] generational handles turn use-after-free into a
 //!    detected error: a stale handle yields `None`, never a different
 //!    event, across arbitrary insert/remove interleavings.
 //! 5. The flood contract: a copy the receiving NIC discards travels as a
 //!    payload-free event, and every count a payload-carrying copy would
 //!    have moved still moves — checked frame by frame against a learning
-//!    switch modelled here, on both event queues.
+//!    switch modelled here, on a cold and on a recycled event queue.
 //! 6. Link addressing: a fault set through a wire's `(NodeId, NodeId)` key
 //!    is what the packet path, which reaches links by position, then sees.
 
 use iotsec_repro::iotnet::addr::{EndpointId, Ipv4Addr, MacAddr, NodeId, PortNo, SwitchId};
-use iotsec_repro::iotnet::engine::{EventArena, EventHandle, QueueKind};
+use iotsec_repro::iotnet::engine::{EventArena, EventHandle};
 use iotsec_repro::iotnet::flow::{
     FlowAction, FlowMatch, FlowRule, FlowTable, PackedFlowKey, SteerId,
 };
-use iotsec_repro::iotnet::net::{Delivery, Network};
+use iotsec_repro::iotnet::net::{Delivery, NetScrap, Network};
 use iotsec_repro::iotnet::packet::{
     EthernetHeader, Ipv4Header, PackedHeaders, Packet, TcpFlags, TransportHeader,
 };
@@ -119,28 +122,37 @@ fn flow_fields(p: &Packet) -> (MacAddr, MacAddr, Ipv4Addr, Ipv4Addr, u8, u16, u1
     )
 }
 
+/// A match field: a wildcard two times in three, so that a random rule
+/// constrains two or three of its eight fields and random packets
+/// satisfy a fair share of random rules.
+fn sparse<T: Clone + 'static>(
+    some: impl Strategy<Value = T> + 'static,
+) -> impl Strategy<Value = Option<T>> {
+    prop_oneof![Just(None), Just(None), some.prop_map(Some)]
+}
+
 fn opt_port() -> impl Strategy<Value = Option<PortNo>> {
-    prop_oneof![Just(None), (0u16..3).prop_map(|p| Some(PortNo(p)))]
+    sparse(prop_oneof![Just(PortNo::ANY), (0u16..3).prop_map(PortNo)])
 }
 
 fn opt_mac() -> impl Strategy<Value = Option<MacAddr>> {
-    prop_oneof![Just(None), (0u32..3).prop_map(|i| Some(MacAddr::from_index(i)))]
+    sparse((0u32..3).prop_map(MacAddr::from_index))
 }
 
 fn opt_prefix() -> impl Strategy<Value = Option<(Ipv4Addr, u8)>> {
-    prop_oneof![
-        Just(None),
-        (0u8..3, prop_oneof![Just(0u8), Just(8), Just(24), Just(32)])
-            .prop_map(|(o, len)| Some((Ipv4Addr::new(10, 0, o, 1), len))),
-    ]
+    // `/0` admits everything; a length past 32 reads as `/32`.
+    sparse(
+        (0u8..3, prop_oneof![Just(0u8), Just(8), Just(24), Just(32), Just(40)])
+            .prop_map(|(o, len)| (Ipv4Addr::new(10, 0, o, 1), len)),
+    )
 }
 
 fn opt_proto() -> impl Strategy<Value = Option<u8>> {
-    prop_oneof![Just(None), Just(Some(6u8)), Just(Some(17u8))]
+    sparse(prop_oneof![Just(6u8), Just(17u8)])
 }
 
 fn opt_tport() -> impl Strategy<Value = Option<u16>> {
-    prop_oneof![Just(None), prop_oneof![Just(7u16), Just(53), Just(5683)].prop_map(Some)]
+    sparse(prop_oneof![Just(7u16), Just(53), Just(5683)])
 }
 
 fn flow_match() -> impl Strategy<Value = FlowMatch> {
@@ -175,6 +187,25 @@ fn flow_rule() -> impl Strategy<Value = FlowRule> {
         };
         FlowRule::new(priority, matcher, action).with_cookie(cookie)
     })
+}
+
+/// What it means for a packet to satisfy a match, field by field — the
+/// prefix test written as a shifted XOR rather than the mask compare
+/// `Ipv4Addr::in_prefix` uses.
+fn satisfies(m: &FlowMatch, in_port: PortNo, p: &Packet) -> bool {
+    let in_prefix = |want: Option<(Ipv4Addr, u8)>, got: Ipv4Addr| {
+        want.is_none_or(|(pfx, len)| {
+            len == 0 || (pfx.to_u32() ^ got.to_u32()) >> (32 - u32::from(len.min(32))) == 0
+        })
+    };
+    m.in_port.is_none_or(|want| want == PortNo::ANY || want == in_port)
+        && m.eth_src.is_none_or(|want| want == p.eth.src)
+        && m.eth_dst.is_none_or(|want| want == p.eth.dst)
+        && in_prefix(m.ip_src, p.ip.src)
+        && in_prefix(m.ip_dst, p.ip.dst)
+        && m.ip_proto.is_none_or(|want| want == p.ip.protocol)
+        && m.src_port.is_none_or(|want| want == p.transport.src_port())
+        && m.dst_port.is_none_or(|want| want == p.transport.dst_port())
 }
 
 /// One of the two deployment shapes: a smart home of `a + 1` devices for
@@ -377,12 +408,12 @@ proptest! {
         );
     }
 
-    /// Property 3: the packed word-compare probe and the legacy struct
-    /// scan pick the same rule (same index, hence same priority/tie
-    /// resolution) for every table, packet and ingress port — and keep
-    /// agreeing after a cookie removal rewrites the pattern arrays.
+    /// Property 3: `lookup_index` returns the rule the contract names —
+    /// and `FlowMatch::matches` agrees with the field-by-field statement
+    /// of it — for every table, packet and ingress port (`PortNo::ANY`
+    /// included), before and after a cookie removal shifts the rows.
     #[test]
-    fn packed_lookup_equals_legacy_scan(
+    fn lookup_index_returns_the_best_satisfied_rule(
         rules in proptest::collection::vec(flow_rule(), 0..10),
         packets in proptest::collection::vec(pooled_packet(), 1..6),
         ports in proptest::collection::vec(0u16..3, 1..4),
@@ -393,41 +424,76 @@ proptest! {
         }
         let check = |t: &FlowTable| -> Result<(), TestCaseError> {
             for p in &packets {
-                let key = PackedFlowKey::of(p);
-                for &port in ports.iter().chain([PortNo::ANY.0].iter()) {
-                    prop_assert_eq!(
-                        t.lookup_index_packed(PortNo(port), key),
-                        t.lookup_index_scan(PortNo(port), p)
-                    );
+                for port in ports.iter().map(|&n| PortNo(n)).chain([PortNo::ANY]) {
+                    for (rule, _) in t.iter() {
+                        prop_assert_eq!(
+                            rule.matcher.matches(port, p),
+                            satisfies(&rule.matcher, port, p)
+                        );
+                    }
+                    // Rows sit in install order, so a rule's position is
+                    // its order.
+                    match t.lookup_index(port, p) {
+                        Some(i) => {
+                            let chosen = t.rule(i);
+                            prop_assert!(satisfies(&chosen.matcher, port, p));
+                            for j in (0..t.len()).filter(|&j| j != i) {
+                                let other = t.rule(j);
+                                prop_assert!(
+                                    !satisfies(&other.matcher, port, p)
+                                        || (other.priority, j) < (chosen.priority, i)
+                                );
+                            }
+                        }
+                        None => prop_assert!(
+                            t.iter().all(|(rule, _)| !satisfies(&rule.matcher, port, p))
+                        ),
+                    }
                 }
             }
             Ok(())
         };
         check(&t)?;
-        // Structural change: removing by cookie must keep the compiled
-        // struct-of-arrays patterns index-aligned with the rules.
-        t.remove_by_cookie(1);
+        prop_assert_eq!(t.remove_by_cookie(1), rules.iter().filter(|r| r.cookie == 1).count());
+        let kept: Vec<&FlowRule> = rules.iter().filter(|r| r.cookie != 1).collect();
+        prop_assert_eq!(t.iter().map(|(rule, _)| rule).collect::<Vec<_>>(), kept);
         check(&t)?;
     }
 
-    /// The [`FlowTable::set_packed_lookup`] toggle is behaviour-neutral.
+    /// Property 3, the counters: each `lookup` returns the rule
+    /// `lookup_index` names and bumps that rule's hit counter and no
+    /// other, or `misses` when there is none — also across a cookie
+    /// removal, which must carry each surviving rule's count with it.
     #[test]
-    fn lookup_engine_toggle_is_neutral(
+    fn lookup_bumps_exactly_the_chosen_counter(
         rules in proptest::collection::vec(flow_rule(), 0..10),
-        p in pooled_packet(),
-        port in 0u16..3,
+        packets in proptest::collection::vec((pooled_packet(), 0u16..4), 1..12),
     ) {
-        let mut packed = FlowTable::new();
-        let mut legacy = FlowTable::new();
+        let mut t = FlowTable::new();
         for r in &rules {
-            packed.install(r.clone());
-            legacy.install(r.clone());
+            t.install(r.clone());
         }
-        legacy.set_packed_lookup(false);
-        prop_assert_eq!(
-            packed.lookup_index(PortNo(port), &p),
-            legacy.lookup_index(PortNo(port), &p)
-        );
+        let mut hits = vec![0u64; t.len()];
+        let mut misses = 0u64;
+        for (n, (p, port)) in packets.iter().enumerate() {
+            if n == packets.len() / 2 {
+                t.remove_by_cookie(1);
+                // Drop the expected counts of the removed rules, in step.
+                let mut keep = rules.iter().map(|r| r.cookie != 1);
+                hits.retain(|_| keep.next().unwrap());
+            }
+            // Port 3 stands for a frame with no ingress port.
+            let port = if *port == 3 { PortNo::ANY } else { PortNo(*port) };
+            let want = t.lookup_index(port, p);
+            match want {
+                Some(i) => hits[i] += 1,
+                None => misses += 1,
+            }
+            let want_rule = want.map(|i| t.rule(i).clone());
+            prop_assert_eq!(t.lookup(port, p).cloned(), want_rule);
+            prop_assert_eq!(t.iter().map(|(_, h)| h).collect::<Vec<_>>(), hits.clone());
+            prop_assert_eq!(t.misses, misses);
+        }
     }
 
     /// Property 4: across arbitrary insert/remove interleavings, every
@@ -469,7 +535,7 @@ proptest! {
 
     /// Property 5: frame by frame, the network's counters, its event
     /// count and its deliveries are what the modelled learning fabric
-    /// says — with lossy wires, and identically on wheel and heap.
+    /// says — with lossy wires.
     #[test]
     fn flood_copies_keep_every_count(
         a in 0usize..8,
@@ -478,33 +544,26 @@ proptest! {
         lossy in proptest::collection::vec((0usize..64, 1u32..6), 0..5),
         frames in proptest::collection::vec(frame_spec(), 1..40),
     ) {
-        let mut nets = [QueueKind::Wheel, QueueKind::Heap]
-            .map(|kind| Network::with_queue(shape(a, b), seed, kind));
-        for net in &mut nets {
-            let wires = net.topology().wires();
-            for &(w, tenths) in &lossy {
-                let (x, y) = wires[w % wires.len()];
-                net.topology_mut().set_wire_burst_loss(x, y, Some(f64::from(tenths) / 10.0));
-            }
+        let mut net = Network::new(shape(a, b), seed);
+        let wires = net.topology().wires();
+        for &(w, tenths) in &lossy {
+            let (x, y) = wires[w % wires.len()];
+            net.topology_mut().set_wire_burst_loss(x, y, Some(f64::from(tenths) / 10.0));
         }
-        let eps = nets[0].topology().endpoint_count();
+        let eps = net.topology().endpoint_count();
         let mut model = FloodModel::default();
         let mut now = SimTime::ZERO;
         for (n, &(src, dst)) in frames.iter().enumerate() {
             let src = EndpointId((src % eps) as u32);
-            let pkt = frame(&nets[0], src, dst, n);
+            let pkt = frame(&net, src, dst, n);
             now += SimDuration::from_secs(1);
-            let [wheel, heap] = &mut nets;
-            let (stats0, events0) = (wheel.stats, wheel.events_processed());
-            wheel.send(src, now, pkt.clone());
-            heap.send(src, now, pkt.clone());
-            let got = wheel.step_until(now + SimDuration::from_millis(999));
-            prop_assert_eq!(stream(&got), stream(&heap.step_until(now + SimDuration::from_millis(999))));
-            prop_assert!(!wheel.has_pending() && !heap.has_pending());
-            prop_assert_eq!(wheel.stats, heap.stats);
+            let (stats0, events0) = (net.stats, net.events_processed());
+            net.send(src, now, pkt.clone());
+            let got = net.step_until(now + SimDuration::from_millis(999));
+            prop_assert!(!net.has_pending());
 
-            let want = model.frame(wheel.topology(), src, &pkt);
-            let s = wheel.stats;
+            let want = model.frame(net.topology(), src, &pkt);
+            let s = net.stats;
             prop_assert_eq!(s.sent - stats0.sent, 1);
             prop_assert_eq!(s.delivered - stats0.delivered, want.accepted.len() as u64);
             prop_assert_eq!(s.nic_filtered - stats0.nic_filtered, want.filtered);
@@ -515,8 +574,7 @@ proptest! {
                 want.wires
             );
             // One event popped per copy a wire carried.
-            prop_assert_eq!(wheel.events_processed() - events0, want.wires - want.lost);
-            prop_assert_eq!(heap.events_processed(), wheel.events_processed());
+            prop_assert_eq!(net.events_processed() - events0, want.wires - want.lost);
             let mut reached: Vec<EndpointId> = got.iter().map(|d| d.endpoint).collect();
             reached.sort();
             prop_assert_eq!(&reached, &want.accepted);
@@ -535,9 +593,10 @@ proptest! {
         }
     }
 
-    /// Property 5, frames overlapping in flight: wheel and heap deliver
-    /// the same stream, and the aggregate counters equal what the
-    /// per-link counters add up to.
+    /// Property 5, frames overlapping in flight: the aggregate counters
+    /// equal what the per-link counters add up to, and a network rebuilt
+    /// on the first one's reclaimed event queue delivers the same stream
+    /// as the cold build did.
     #[test]
     fn overlapping_floods_agree_across_queues_and_link_counters(
         a in 0usize..8,
@@ -545,9 +604,10 @@ proptest! {
         seed in any::<u64>(),
         frames in proptest::collection::vec((frame_spec(), 0u64..3_000), 1..60),
     ) {
+        let mut scrap = NetScrap::default();
         let mut streams = Vec::new();
-        for kind in [QueueKind::Wheel, QueueKind::Heap] {
-            let mut net = Network::with_queue(shape(a, b), seed, kind);
+        for _ in 0..2 {
+            let mut net = Network::new_recycled(shape(a, b), seed, &mut scrap);
             let eps = net.topology().endpoint_count();
             let mut now = SimTime::ZERO;
             let mut got = Vec::new();
@@ -566,7 +626,9 @@ proptest! {
             prop_assert_eq!(net.stats.delivered + net.stats.nic_filtered, carried_down);
             prop_assert_eq!(net.stats.delivered, got.len() as u64);
             streams.push((stream(&got), net.stats, net.events_processed()));
+            scrap.refill(net.reclaim());
         }
+        prop_assert_eq!((scrap.queue_cold, scrap.queue_reused), (1, 1));
         prop_assert_eq!(&streams[0], &streams[1]);
     }
 

@@ -6,7 +6,6 @@ use iotsec_bench::sweep::run_sweep;
 use iotsec_repro::iotctl::safety::SafetyConfig;
 use iotsec_repro::iotdev::device::DeviceClass;
 use iotsec_repro::iotdev::proto::MgmtCommand;
-use iotsec_repro::iotnet::engine::QueueKind;
 use iotsec_repro::iotnet::time::{SimDuration, SimTime};
 use iotsec_repro::iotpolicy::posture::{class_allowlist, quarantine_allowlist};
 use iotsec_repro::iotsec::chaos::ChaosConfig;
@@ -21,10 +20,9 @@ use proptest::prelude::*;
 /// plug crashes inside the breaker window; zero crashes plus quiet
 /// chaos is the zero-fault configuration the monitor must stay silent
 /// on.
-fn safety_world(seed: u64, queue: QueueKind, crashes: u32) -> Deployment {
+fn safety_world(seed: u64, crashes: u32) -> Deployment {
     let mut d = Deployment::new();
     d.seed = seed;
-    d.queue = queue;
     let cam = d.device(DeviceSetup::table1_row(1));
     let plug = d.device(DeviceSetup::table1_row(6));
     d.campaign(vec![
@@ -65,7 +63,7 @@ proptest! {
     /// monitor must never cry wolf over a healthy enforcement path.
     #[test]
     fn prop_no_faults_means_no_violations(seed in any::<u64>(), occupied in any::<bool>()) {
-        let d = safety_world(seed, QueueKind::Wheel, 0);
+        let d = safety_world(seed, 0);
         let mut w = World::new(&d);
         w.env.occupied = occupied;
         w.run(SimDuration::from_secs(30));
@@ -81,26 +79,25 @@ proptest! {
     }
 
     /// Breaker transitions (trip → half-open → reclose) and every other
-    /// safety emission are a pure function of the seed: heap-queue and
-    /// timer-wheel worlds produce byte-identical control traces and
-    /// metrics.
+    /// safety emission are a pure function of the seed: a world rebuilt
+    /// from the same deployment produces byte-identical control traces
+    /// and metrics.
     #[test]
-    fn prop_breaker_transitions_are_queue_invariant(
+    fn prop_breaker_transitions_replay_identically(
         seed in any::<u64>(),
         crashes in 2u32..4,
     ) {
-        let wheel = safety_world(seed, QueueKind::Wheel, crashes);
-        let heap = safety_world(seed, QueueKind::Heap, crashes);
-        let tw = run_control_trace(&wheel, true);
-        let th = run_control_trace(&heap, true);
-        if let Some(d) = first_divergence(&tw, &th) {
-            panic!("heap-vs-wheel safety trace diverged:\n{}", render_divergence(&d));
+        let d = safety_world(seed, crashes);
+        let first = run_control_trace(&d, true);
+        let replay = run_control_trace(&d, true);
+        if let Some(d) = first_divergence(&first, &replay) {
+            panic!("replayed safety trace diverged:\n{}", render_divergence(&d));
         }
-        prop_assert_eq!(run_metrics(&wheel, true), run_metrics(&heap, true));
+        prop_assert_eq!(run_metrics(&d, true), run_metrics(&d, true));
         prop_assert!(
-            tw.contains("\"e\":\"breaker-trip\""),
+            first.contains("\"e\":\"breaker-trip\""),
             "repeated crashes must trip the breaker:\n{}",
-            tw
+            first
         );
     }
 }
@@ -112,11 +109,8 @@ proptest! {
 #[test]
 fn parallel_sweep_preserves_breaker_determinism() {
     let seeds: Vec<u64> = (0..6).map(|i| 0x5AFE + i).collect();
-    let serial = run_sweep(seeds.clone(), 1, |_, s| {
-        run_control_trace(&safety_world(*s, QueueKind::Wheel, 3), true)
-    });
-    let parallel =
-        run_sweep(seeds, 4, |_, s| run_control_trace(&safety_world(*s, QueueKind::Wheel, 3), true));
+    let serial = run_sweep(seeds.clone(), 1, |_, s| run_control_trace(&safety_world(*s, 3), true));
+    let parallel = run_sweep(seeds, 4, |_, s| run_control_trace(&safety_world(*s, 3), true));
     for (i, (a, b)) in serial.iter().zip(&parallel).enumerate() {
         if let Some(d) = first_divergence(a, b) {
             panic!(

@@ -55,16 +55,14 @@
 //! diverges from its rebuild reference or the churn arms fail the
 //! amortization gate — the CI resident-gate job depends on that.
 
+use iotsec_bench::report::{emit, fixed, quoted, timed, Doc, Obj};
 use iotsec_bench::{
     exp_anomaly, exp_chaos, exp_crowd, exp_ctl, exp_engine, exp_fleet, exp_fleet_chaos, exp_models,
     exp_perf, exp_pipeline, exp_policy, exp_resident, exp_safety, exp_space, exp_trace, exp_umbox,
-    exp_vet, exp_world, metrics,
+    exp_vet, exp_world, metrics, Table, SEED,
 };
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::Instant;
-
-const SEED: u64 = 20151116; // HotNets '15, November 16
 
 /// Counting allocator: E21's steady-state probe reads this to pin
 /// allocs/event for real (the library crates are `#![forbid(unsafe_code)]`,
@@ -105,241 +103,77 @@ fn alloc_bytes() -> u64 {
     BYTES.load(Ordering::Relaxed)
 }
 
-/// One experiment's JSON record. Every record carries the full field
-/// set; only E16 populates the engine counters.
-struct Record {
-    experiment: String,
-    wall_ms: u128,
-    events_processed: u64,
-    cache_hit_rate: f64,
-    threads: usize,
-    deterministic: bool,
-}
-
-/// CLI overrides for the fleet-shaped arms (e20/e25/e26): `--homes N`
-/// and `--rounds N`. `None` keeps each experiment's committed defaults
+/// What the command line hands an experiment: `--threads N`, and the
+/// fleet-shaped arms' (e20/e25/e26) `--homes N` / `--rounds N`
+/// overrides, where `None` keeps the experiment's committed default
 /// (the byte-stable configuration CI gates on).
-#[derive(Clone, Copy, Default)]
-struct FleetOverrides {
+struct Ctx {
+    threads: usize,
     homes: Option<u32>,
     rounds: Option<u32>,
 }
 
-fn run(id: &str, threads: usize, fleet_cfg: FleetOverrides) -> Option<(u64, f64, bool)> {
-    match id {
-        "table1" | "t1" => exp_world::table1().print(),
-        "table2" | "t2" => exp_policy::table2(SEED).print(),
-        "fig3" | "f3" => exp_world::figure3().print(),
-        "fig4" | "f4" => exp_world::figure4().print(),
-        "fig5" | "f5" => exp_world::figure5().print(),
-        "state_space" | "e1" => exp_policy::state_space().print(),
-        "state_space_ablation" | "a1" => exp_policy::state_space_ablation().print(),
-        "conflicts" | "e2" => exp_policy::conflicts(SEED).print(),
-        "crowd" | "e3" | "a3" => exp_crowd::crowd(SEED).print(),
-        "coverage" | "e4" => exp_crowd::coverage(SEED).print(),
-        "fuzz" | "e5" => exp_models::fuzz(SEED).print(),
-        "attack_graph" | "e6" => exp_models::attack_graph(SEED).print(),
-        "control_plane" | "e7" | "a2" => exp_ctl::control_plane().print(),
-        "consistency" | "e8" => exp_ctl::consistency().print(),
-        "umbox_agility" | "e9" => exp_umbox::umbox_agility().print(),
-        "dataplane" | "e10" => exp_umbox::dataplane().print(),
-        "endtoend" | "e11" => {
-            for t in exp_world::endtoend() {
-                t.print();
-            }
-        }
-        "anomaly" | "e12" => exp_anomaly::anomaly(SEED).print(),
-        "mining" | "e13" => exp_pipeline::mining().print(),
-        "fingerprinting" | "e14" => exp_pipeline::fingerprinting(SEED).print(),
-        "chaos" | "e15" => {
-            for t in exp_chaos::chaos(SEED) {
-                t.print();
-            }
-        }
-        "perf" | "e16" => {
-            let report = exp_perf::perf(SEED, threads);
-            report.table.print();
-            println!(
-                "E16 summary: serial {} ms, parallel({}) {} ms, speedup {:.2}x, \
-                 {} events, cache hit rate {:.3}, deterministic: {}",
-                report.wall_ms_serial,
-                report.threads,
-                report.wall_ms_parallel,
-                report.speedup(),
-                report.events_processed,
-                report.cache_hit_rate,
-                report.deterministic,
-            );
-            println!();
-            return Some((report.events_processed, report.cache_hit_rate, report.deterministic));
-        }
-        "trace" | "e17" => {
-            let report = exp_trace::trace(SEED, threads);
-            report.table.print();
-            println!("{}", report.summary);
-            for d in &report.divergences {
-                println!("{d}");
-            }
-            println!(
-                "E17 summary: {} trace events, parallel-vs-serial identical: {}",
-                report.events, report.threads_identical,
-            );
-            println!();
-            return Some((report.events, 0.0, report.threads_identical));
-        }
-        "safety" | "e18" => {
-            let report = exp_safety::safety(SEED);
-            report.table.print();
-            println!("{}", report.summary);
-            println!();
-            let path = "BENCH_E18.json";
-            std::fs::write(path, report.render_json()).unwrap_or_else(|e| {
-                eprintln!("cannot write {path}: {e}");
-                std::process::exit(1);
-            });
-            println!("wrote {path}");
-            return Some((report.violations_baseline, 0.0, report.deterministic()));
-        }
-        "space" | "e19" => {
-            let report = exp_space::space();
-            report.table.print();
-            println!("{}", report.summary);
-            println!();
-            let path = "BENCH_E19.json";
-            std::fs::write(path, report.render_json()).unwrap_or_else(|e| {
-                eprintln!("cannot write {path}: {e}");
-                std::process::exit(1);
-            });
-            println!("wrote {path}");
-            return Some((report.states_total(), report.memo_hit_rate(), report.deterministic));
-        }
-        "fleet" | "e20" => {
-            let report = exp_fleet::fleet(&alloc_bytes, fleet_cfg.homes, fleet_cfg.rounds);
-            report.table.print();
-            println!("{}", report.summary);
-            println!();
-            let path = "BENCH_E20.json";
-            std::fs::write(path, report.render_json()).unwrap_or_else(|e| {
-                eprintln!("cannot write {path}: {e}");
-                std::process::exit(1);
-            });
-            println!("wrote {path}");
-            return Some((report.reference.events, 0.0, report.deterministic));
-        }
-        "engine" | "e21" => {
-            let report = exp_engine::engine(&alloc_count);
-            report.table.print();
-            println!("{}", report.summary);
-            println!();
-            let path = "BENCH_E21.json";
-            std::fs::write(path, report.render_json()).unwrap_or_else(|e| {
-                eprintln!("cannot write {path}: {e}");
-                std::process::exit(1);
-            });
-            println!("wrote {path}");
-            return Some((report.events_total, report.cache_hit_rate(), report.deterministic));
-        }
-        "vet" | "e23" => {
-            let report = exp_vet::vet(SEED, threads);
-            report.table.print();
-            println!("{}", report.summary);
-            println!();
-            let path = "BENCH_E23.json";
-            std::fs::write(path, report.render_json()).unwrap_or_else(|e| {
-                eprintln!("cannot write {path}: {e}");
-                std::process::exit(1);
-            });
-            println!("wrote {path}");
-            return Some((report.scenarios as u64, 0.0, report.deterministic()));
-        }
-        "fleet_chaos" | "e25" => {
-            let report = exp_fleet_chaos::fleet_chaos(fleet_cfg.homes, fleet_cfg.rounds);
-            report.table.print();
-            println!("{}", report.summary);
-            println!();
-            let path = "BENCH_E25.json";
-            std::fs::write(path, report.render_json()).unwrap_or_else(|e| {
-                eprintln!("cannot write {path}: {e}");
-                std::process::exit(1);
-            });
-            println!("wrote {path}");
-            let faults: u64 = report.cells.iter().map(|c| c.faults).sum();
-            return Some((faults, 0.0, report.deterministic));
-        }
-        "resident" | "e26" => {
-            let report = exp_resident::resident(&alloc_bytes, fleet_cfg.homes, fleet_cfg.rounds);
-            report.table.print();
-            println!("{}", report.summary);
-            println!();
-            let path = "BENCH_E26.json";
-            std::fs::write(path, report.render_json()).unwrap_or_else(|e| {
-                eprintln!("cannot write {path}: {e}");
-                std::process::exit(1);
-            });
-            println!("wrote {path}");
-            let runs: u64 = report.arms.iter().map(|a| a.stats.resident_runs).sum();
-            return Some((runs, 0.0, report.deterministic));
-        }
-        _ => return None,
-    }
-    Some((0, 0.0, true))
+/// Runs one experiment to completion; returns [`Report::outcome`]
+/// (`(0, 0.0, true)` for a plain table).
+///
+/// [`Report::outcome`]: iotsec_bench::report::Report::outcome
+type Run = fn(&Ctx) -> (u64, f64, bool);
+
+fn print(tables: impl IntoIterator<Item = Table>) -> (u64, f64, bool) {
+    tables.into_iter().for_each(|t| t.print());
+    (0, 0.0, true)
 }
 
-const ALL: &[&str] = &[
-    "table1",
-    "table2",
-    "fig3",
-    "fig4",
-    "fig5",
-    "state_space",
-    "state_space_ablation",
-    "conflicts",
-    "crowd",
-    "coverage",
-    "fuzz",
-    "attack_graph",
-    "control_plane",
-    "consistency",
-    "umbox_agility",
-    "dataplane",
-    "endtoend",
-    "anomaly",
-    "mining",
-    "fingerprinting",
-    "chaos",
-    "perf",
-    "trace",
-    "safety",
-    "space",
-    "fleet",
-    "engine",
-    "vet",
-    "fleet_chaos",
-    "resident",
+/// Every experiment, in `all` order: its id, its aliases, how to run it.
+const EXPERIMENTS: &[(&[&str], Run)] = &[
+    (&["table1", "t1"], |_| print([exp_world::table1()])),
+    (&["table2", "t2"], |_| print([exp_policy::table2(SEED)])),
+    (&["fig3", "f3"], |_| print([exp_world::figure3()])),
+    (&["fig4", "f4"], |_| print([exp_world::figure4()])),
+    (&["fig5", "f5"], |_| print([exp_world::figure5()])),
+    (&["state_space", "e1"], |_| print([exp_policy::state_space()])),
+    (&["state_space_ablation", "a1"], |_| print([exp_policy::state_space_ablation()])),
+    (&["conflicts", "e2"], |_| print([exp_policy::conflicts(SEED)])),
+    (&["crowd", "e3", "a3"], |_| print([exp_crowd::crowd(SEED)])),
+    (&["coverage", "e4"], |_| print([exp_crowd::coverage(SEED)])),
+    (&["fuzz", "e5"], |_| print([exp_models::fuzz(SEED)])),
+    (&["attack_graph", "e6"], |_| print([exp_models::attack_graph(SEED)])),
+    (&["control_plane", "e7", "a2"], |_| print([exp_ctl::control_plane()])),
+    (&["consistency", "e8"], |_| print([exp_ctl::consistency()])),
+    (&["umbox_agility", "e9"], |_| print([exp_umbox::umbox_agility()])),
+    (&["dataplane", "e10"], |_| print([exp_umbox::dataplane()])),
+    (&["endtoend", "e11"], |_| print(exp_world::endtoend())),
+    (&["anomaly", "e12"], |_| print([exp_anomaly::anomaly(SEED)])),
+    (&["mining", "e13"], |_| print([exp_pipeline::mining()])),
+    (&["fingerprinting", "e14"], |_| print([exp_pipeline::fingerprinting(SEED)])),
+    (&["chaos", "e15"], |_| print(exp_chaos::chaos(SEED))),
+    (&["perf", "e16"], |c| emit(&exp_perf::perf(SEED, c.threads))),
+    (&["trace", "e17"], |c| emit(&exp_trace::trace(SEED, c.threads))),
+    (&["safety", "e18"], |_| emit(&exp_safety::safety(SEED))),
+    (&["space", "e19"], |_| emit(&exp_space::space())),
+    (&["fleet", "e20"], |c| emit(&exp_fleet::fleet(&alloc_bytes, c.homes, c.rounds))),
+    (&["engine", "e21"], |_| emit(&exp_engine::engine(&alloc_count))),
+    (&["vet", "e23"], |c| emit(&exp_vet::vet(SEED, c.threads))),
+    (&["fleet_chaos", "e25"], |c| emit(&exp_fleet_chaos::fleet_chaos(c.homes, c.rounds))),
+    (&["resident", "e26"], |c| emit(&exp_resident::resident(&alloc_bytes, c.homes, c.rounds))),
 ];
 
-fn render_json(seed: u64, threads: usize, records: &[Record]) -> String {
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str(&format!("  \"seed\": {seed},\n"));
-    out.push_str(&format!("  \"threads\": {threads},\n"));
-    out.push_str("  \"experiments\": [\n");
-    for (i, r) in records.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"experiment\": \"{}\", \"seed\": {}, \"threads\": {}, \"wall_ms\": {}, \
-             \"events_processed\": {}, \"cache_hit_rate\": {:.4}, \"deterministic\": {}}}{}\n",
-            r.experiment,
-            seed,
-            r.threads,
-            r.wall_ms,
-            r.events_processed,
-            r.cache_hit_rate,
-            r.deterministic,
-            if i + 1 == records.len() { "" } else { "," },
-        ));
+/// Resolve every requested id (or alias) before anything runs: the ids
+/// as typed — they name the `BENCH_E16.json` records — each with its
+/// experiment. No ids, or `all` among them, is every experiment.
+fn plan(ids: &[String]) -> Result<Vec<(&str, Run)>, String> {
+    if ids.is_empty() || ids.iter().any(|i| i == "all") {
+        return Ok(EXPERIMENTS.iter().map(|(names, run)| (names[0], *run)).collect());
     }
-    out.push_str("  ]\n}\n");
-    out
+    ids.iter()
+        .map(|id| {
+            let known = EXPERIMENTS.iter().find(|(names, _)| names.contains(&id.as_str()));
+            known.map(|(_, run)| (id.as_str(), *run)).ok_or_else(|| {
+                let all: Vec<&str> = EXPERIMENTS.iter().map(|(names, _)| names[0]).collect();
+                format!("unknown experiment '{id}'. available: all {}", all.join(" "))
+            })
+        })
+        .collect()
 }
 
 /// Parse a count flag's value: a positive integer (`0` is rejected —
@@ -367,60 +201,58 @@ where
 
 fn main() {
     let mut json = false;
-    let mut threads = 2usize;
-    let mut fleet_cfg = FleetOverrides::default();
+    let mut ctx = Ctx { threads: 2, homes: None, rounds: None };
     let mut ids: Vec<String> = Vec::new();
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--json" => json = true,
             "--trace" => ids.push("trace".to_string()),
-            "--threads" => threads = positive_arg(&arg, &mut args),
-            "--homes" => fleet_cfg.homes = Some(positive_arg(&arg, &mut args)),
-            "--rounds" => fleet_cfg.rounds = Some(positive_arg(&arg, &mut args)),
+            "--threads" => ctx.threads = positive_arg(&arg, &mut args),
+            "--homes" => ctx.homes = Some(positive_arg(&arg, &mut args)),
+            "--rounds" => ctx.rounds = Some(positive_arg(&arg, &mut args)),
             _ => ids.push(arg),
         }
     }
-    let to_run: Vec<&str> = if ids.is_empty() || ids.iter().any(|i| i == "all") {
-        ALL.to_vec()
-    } else {
-        ids.iter().map(|s| s.as_str()).collect()
-    };
+    let to_run = plan(&ids).unwrap_or_else(|e| {
+        eprintln!("{e}");
+        std::process::exit(2);
+    });
 
     println!("# IoTSec reproduction — experiment run (seed {SEED})");
     let mut records = Vec::new();
     let mut diverged = false;
-    for id in &to_run {
+    for (id, run) in to_run {
         metrics::reset();
-        let start = Instant::now();
-        let Some((events, hit_rate, deterministic)) = run(id, threads, fleet_cfg) else {
-            eprintln!("unknown experiment '{id}'. available: all {}", ALL.join(" "));
-            std::process::exit(2);
-        };
-        let wall_ms = start.elapsed().as_millis();
+        let ((events, hit_rate, deterministic), wall_ms) = timed(|| run(&ctx));
         // Experiments that run worlds on this thread accumulate their
-        // engine counters in the thread-local registry; prefer those
+        // engine counters in the thread-local tally; prefer those
         // over the (often zero) values the arm returned directly.
         let (reg_events, reg_rate) = metrics::take();
         let (events, hit_rate) =
             if reg_events > 0 { (reg_events, reg_rate) } else { (events, hit_rate) };
         diverged |= !deterministic;
-        records.push(Record {
-            experiment: id.to_string(),
-            wall_ms,
-            events_processed: events,
-            cache_hit_rate: hit_rate,
-            threads,
-            deterministic,
-        });
+        // One `BENCH_E16.json` record per experiment run. Every record
+        // carries the full field set; only world-running experiments
+        // populate the engine counters.
+        records.push(
+            Obj::new()
+                .field("experiment", quoted(id))
+                .field("seed", SEED)
+                .field("threads", ctx.threads)
+                .field("wall_ms", wall_ms)
+                .field("events_processed", events)
+                .field("cache_hit_rate", fixed(hit_rate, 4))
+                .field("deterministic", deterministic),
+        );
     }
     if json {
-        let path = "BENCH_E16.json";
-        std::fs::write(path, render_json(SEED, threads, &records)).unwrap_or_else(|e| {
-            eprintln!("cannot write {path}: {e}");
-            std::process::exit(1);
-        });
-        println!("wrote {path} ({} records)", records.len());
+        let count = records.len();
+        let doc = Doc::new("BENCH_E16.json")
+            .field("seed", SEED)
+            .field("threads", ctx.threads)
+            .volatile_rows("experiments", records);
+        println!("wrote {} ({count} records)", doc.write());
     }
     if diverged {
         eprintln!(
@@ -432,7 +264,7 @@ fn main() {
 
 #[cfg(test)]
 mod tests {
-    use super::parse_positive;
+    use super::{parse_positive, plan, EXPERIMENTS};
 
     #[test]
     fn count_flags_reject_zero_and_garbage() {
@@ -442,5 +274,30 @@ mod tests {
             let err = parse_positive::<u32>("--rounds", bad).unwrap_err();
             assert_eq!(err, format!("--rounds needs a positive integer, got '{bad}'"));
         }
+    }
+
+    /// `experiments e20 bogus` used to run the 10⁴-home fleet and write
+    /// `BENCH_E20.json` before noticing `bogus`: every id is resolved
+    /// before the first experiment starts.
+    #[test]
+    fn unknown_ids_are_rejected_before_anything_runs() {
+        let ids = |ids: &[&str]| -> Vec<String> { ids.iter().map(|i| i.to_string()).collect() };
+        let err = plan(&ids(&["e20", "bogus", "e21"])).map(|_| ()).unwrap_err();
+        assert!(err.starts_with("unknown experiment 'bogus'. available: all table1 table2 "));
+        assert!(err.ends_with(" vet fleet_chaos resident"));
+
+        // A known id keeps the spelling it was asked for by; `all` (or
+        // nothing) is every experiment under its canonical id.
+        let typed = ids(&["e16", "trace", "a3"]);
+        let names: Vec<&str> = plan(&typed).unwrap().iter().map(|(id, _)| *id).collect();
+        assert_eq!(names, ["e16", "trace", "a3"]);
+        assert_eq!(plan(&[]).unwrap().len(), EXPERIMENTS.len());
+        assert_eq!(plan(&ids(&["fig3", "all"])).unwrap()[0].0, "table1");
+        let mut all: Vec<&str> =
+            EXPERIMENTS.iter().flat_map(|(names, _)| names.iter().copied()).collect();
+        all.sort_unstable();
+        all.dedup();
+        let spelled: usize = EXPERIMENTS.iter().map(|(names, _)| names.len()).sum();
+        assert_eq!(all.len(), spelled, "an id or alias names two experiments");
     }
 }

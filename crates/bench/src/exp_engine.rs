@@ -25,7 +25,8 @@
 //! keeps the `packed-serial` / `packed_*` key names it was first blessed
 //! with, so its history diffs as deletions only.
 
-use crate::sweep::{run_world_job, WorldOutcome};
+use crate::report::{fixed, hit_rate, per_sec, quoted, timed, Cost, Doc, Leg, Obj, Report, SEED};
+use crate::sweep::{run_world_job, totals, WorldOutcome};
 use crate::Table;
 use iotdev::device::{AdminCreds, DeviceId};
 use iotdev::proto::{ports, AppMessage, TelemetryKind};
@@ -43,9 +44,6 @@ use std::time::Instant;
 use trace::tracer::Tracer;
 use umbox::chain::{build_chain, ChainConfig, FailureMode};
 use umbox::element::{EventSink, ViewHandle};
-
-/// The repo-wide experiment seed.
-pub const SEED: u64 = 20151116;
 
 /// Steady-probe round spacing: 2^21 ns, an exact multiple of the timer
 /// wheel's level-0 slot width (2^12 ns) and level-1 slot width (2^18 ns).
@@ -79,98 +77,105 @@ pub struct SteadyProbe {
     pub allocs: u64,
 }
 
-/// The E21 report: the printed table plus everything the JSON needs.
+/// Everything E21 measures.
 pub struct EngineReport {
-    /// Rendered sweep table.
-    pub table: Table,
-    /// World instances in the sweep.
-    pub jobs: usize,
-    /// Reference digests (the untimed pass), one per job.
-    pub digests: Vec<String>,
-    /// Engine events processed by the sweep.
-    pub events_total: u64,
-    /// Flow-decision-cache lookups in the sweep.
-    pub cache_lookups: u64,
-    /// Flow-decision-cache hits in the sweep.
-    pub cache_hits: u64,
-    /// Whether the timed pass reproduced every reference digest.
-    pub sweep_identical: bool,
-    /// Timed-pass wall time (volatile; never gated on).
-    pub sweep_wall_ms: u128,
+    /// The untimed reference pass, one outcome per job: the source of
+    /// the digests and the three engine counters.
+    pub reference: Vec<WorldOutcome>,
+    /// The timed pass: `identical` iff it reproduced every reference
+    /// digest; its wall time is volatile, never gated on.
+    pub sweep: Leg,
     /// Steady-state allocation probe.
     pub steady: SteadyProbe,
     /// Micro-benchmark wall time (volatile).
     pub micro_wall_ns: u128,
-    /// The timed pass identical *and* the steady state allocation-free.
-    pub deterministic: bool,
-    /// One-line human summary.
-    pub summary: String,
 }
 
 impl EngineReport {
-    /// Aggregate flow-cache hit rate of the sweep.
-    pub fn cache_hit_rate(&self) -> f64 {
-        if self.cache_lookups == 0 {
-            0.0
-        } else {
-            self.cache_hits as f64 / self.cache_lookups as f64
-        }
+    /// The timed pass identical *and* the steady state allocation-free.
+    pub fn deterministic(&self) -> bool {
+        self.sweep.identical && self.steady.allocs == 0
     }
 
-    /// `BENCH_E21.json`: a stable section (digests, counters, the
-    /// alloc-free verdict, sweep agreement) plus a `timing_wall_ms`
-    /// section where **every** volatile line contains `wall_ms`, so CI
-    /// can assert byte stability with `git diff -I'wall_ms'`.
-    pub fn render_json(&self) -> String {
-        let mut out = String::new();
-        out.push_str("{\n");
-        out.push_str("  \"experiment\": \"e21\",\n");
-        out.push_str(&format!("  \"seed\": {SEED},\n"));
-        out.push_str(&format!("  \"jobs\": {},\n", self.jobs));
-        out.push_str(&format!("  \"events_total\": {},\n", self.events_total));
-        out.push_str(&format!("  \"cache_lookups\": {},\n", self.cache_lookups));
-        out.push_str(&format!("  \"cache_hits\": {},\n", self.cache_hits));
-        out.push_str(&format!(
-            "  \"steady_state\": {{\"measured_rounds\": {STEADY_MEASURE}, \
-             \"packed_events\": {}, \"packed_allocs\": {}, \
-             \"packed_alloc_free\": {}}},\n",
-            self.steady.events,
-            self.steady.allocs,
+    fn micro_ns_per_event(&self) -> f64 {
+        self.micro_wall_ns as f64 / MICRO_EVENTS as f64
+    }
+}
+
+impl Report for EngineReport {
+    fn table(&self) -> Table {
+        let (events, rate, _) = self.outcome();
+        let mut table = Table::new(
+            "E21: arena engine + packed packet path — one serial sweep",
+            &["leg", "threads", "jobs", "events", "cache hit rate", "identical", "wall ms"],
+        );
+        table.rowd(&[
+            self.sweep.label.clone(),
+            self.sweep.threads.to_string(),
+            self.reference.len().to_string(),
+            events.to_string(),
+            format!("{rate:.3}"),
+            self.sweep.identical.to_string(),
+            self.sweep.cost.wall_ms.to_string(),
+        ]);
+        table
+    }
+
+    fn summary(&self) -> String {
+        format!(
+            "E21 summary: {} jobs, {} events, steady-state allocs/round {:.2} \
+             (alloc-free: {}), micro ns/event wheel={:.0}, deterministic: {}",
+            self.reference.len(),
+            totals(&self.reference).0,
+            self.steady.allocs as f64 / STEADY_MEASURE as f64,
             self.steady.allocs == 0,
-        ));
-        out.push_str("  \"digests\": [\n");
-        for (i, d) in self.digests.iter().enumerate() {
-            out.push_str(&format!(
-                "    \"{}\"{}\n",
-                d,
-                if i + 1 == self.digests.len() { "" } else { "," },
-            ));
-        }
-        out.push_str("  ],\n");
-        out.push_str(&format!(
-            "  \"legs\": [\n    {{\"label\": \"packed-serial\", \"threads\": 1, \
-             \"identical\": {}}}\n  ],\n",
-            self.sweep_identical,
-        ));
-        out.push_str(&format!("  \"deterministic\": {},\n", self.deterministic));
-        out.push_str("  \"timing_wall_ms\": [\n");
-        // Host-dependent rates, from the timed pass's wall clock.
-        let wall_s = self.sweep_wall_ms.max(1) as f64 / 1000.0;
-        out.push_str(&format!(
-            "    {{\"leg\": \"packed-serial\", \"sweep_wall_ms\": {}, \"ns_per_event\": {:.1}, \
-             \"events_per_sec\": {:.0}}},\n",
-            self.sweep_wall_ms,
-            (self.sweep_wall_ms as f64 * 1e6) / (self.events_total.max(1) as f64),
-            self.events_total as f64 / wall_s,
-        ));
-        out.push_str(&format!(
-            "    {{\"micro\": \"queue-wheel\", \"micro_wall_ms\": {}, \"ns_per_event\": {:.1}}}\n",
-            self.micro_wall_ns / 1_000_000,
-            self.micro_wall_ns as f64 / MICRO_EVENTS as f64,
-        ));
-        out.push_str("  ]\n");
-        out.push_str("}\n");
-        out
+            self.micro_ns_per_event(),
+            self.deterministic(),
+        )
+    }
+
+    fn outcome(&self) -> (u64, f64, bool) {
+        let (events, lookups, hits) = totals(&self.reference);
+        (events, hit_rate(hits, lookups), self.deterministic())
+    }
+
+    /// A stable section (digests, counters, the alloc-free verdict,
+    /// sweep agreement) plus the volatile host-dependent rates.
+    fn record(&self) -> Option<Doc> {
+        let (events, lookups, hits) = totals(&self.reference);
+        let wall_ms = self.sweep.cost.wall_ms;
+        let ns_per_event = (wall_ms as f64 * 1e6) / (events.max(1) as f64);
+        let timing = [
+            Obj::new()
+                .field("leg", quoted(&self.sweep.label))
+                .field("sweep_wall_ms", wall_ms)
+                .field("ns_per_event", fixed(ns_per_event, 1))
+                .field("events_per_sec", fixed(per_sec(events, wall_ms), 0)),
+            Obj::new()
+                .field("micro", quoted("queue-wheel"))
+                .field("micro_wall_ms", self.micro_wall_ns / 1_000_000)
+                .field("ns_per_event", fixed(self.micro_ns_per_event(), 1)),
+        ];
+        let doc = Doc::new("BENCH_E21.json")
+            .field("experiment", quoted("e21"))
+            .field("seed", SEED)
+            .field("jobs", self.reference.len())
+            .field("events_total", events)
+            .field("cache_lookups", lookups)
+            .field("cache_hits", hits)
+            .field(
+                "steady_state",
+                Obj::new()
+                    .field("measured_rounds", STEADY_MEASURE)
+                    .field("packed_events", self.steady.events)
+                    .field("packed_allocs", self.steady.allocs)
+                    .field("packed_alloc_free", self.steady.allocs == 0),
+            )
+            .rows("digests", self.reference.iter().map(|o| quoted(o.digest())))
+            .rows("legs", [self.sweep.json()])
+            .field("deterministic", self.deterministic())
+            .volatile_rows("timing_wall_ms", timing);
+        Some(doc)
     }
 }
 
@@ -293,7 +298,7 @@ fn micro_queue_wall_ns() -> u128 {
 /// E21 — sweep the E16 grid, probe the steady state through
 /// `alloc_count` (a reader of the process's allocation counter; the
 /// `experiments` binary installs a counting global allocator and passes
-/// it in), and build the report.
+/// it in).
 pub fn engine(alloc_count: &dyn Fn() -> u64) -> EngineReport {
     let jobs = crate::exp_perf::standard_jobs(SEED);
 
@@ -307,54 +312,15 @@ pub fn engine(alloc_count: &dyn Fn() -> u64) -> EngineReport {
     // Untimed reference pass, so the timed pass does not absorb the
     // process's cold-start cost.
     let reference: Vec<WorldOutcome> = jobs.iter().map(run_world_job).collect();
-    let digests: Vec<String> = reference.iter().map(|o| o.digest()).collect();
-    let events_total: u64 = reference.iter().map(|o| o.events_processed).sum();
-    let cache_lookups: u64 = reference.iter().map(|o| o.cache_lookups).sum();
-    let cache_hits: u64 = reference.iter().map(|o| o.cache_hits).sum();
-
-    let start = Instant::now();
-    let timed: Vec<WorldOutcome> = jobs.iter().map(run_world_job).collect();
-    let sweep_wall_ms = start.elapsed().as_millis();
-    let sweep_identical = timed.iter().map(|o| o.digest()).eq(digests.iter().cloned());
-
-    let deterministic = sweep_identical && steady.allocs == 0;
-    let mut report = EngineReport {
-        table: Table::new(
-            "E21: arena engine + packed packet path — one serial sweep",
-            &["leg", "threads", "jobs", "events", "cache hit rate", "identical", "wall ms"],
-        ),
-        jobs: jobs.len(),
-        digests,
-        events_total,
-        cache_lookups,
-        cache_hits,
-        sweep_identical,
-        sweep_wall_ms,
-        steady,
-        micro_wall_ns,
-        deterministic,
-        summary: String::new(),
+    let (timed_pass, wall_ms) =
+        timed(|| jobs.iter().map(run_world_job).collect::<Vec<WorldOutcome>>());
+    let sweep = Leg {
+        label: "packed-serial".to_string(),
+        threads: 1,
+        identical: timed_pass == reference,
+        cost: Cost { wall_ms, bytes: 0 },
     };
-    report.table.rowd(&[
-        "packed-serial".to_string(),
-        "1".to_string(),
-        report.jobs.to_string(),
-        events_total.to_string(),
-        format!("{:.3}", report.cache_hit_rate()),
-        sweep_identical.to_string(),
-        sweep_wall_ms.to_string(),
-    ]);
-    report.summary = format!(
-        "E21 summary: {} jobs, {} events, steady-state allocs/round {:.2} \
-         (alloc-free: {}), micro ns/event wheel={:.0}, deterministic: {}",
-        report.jobs,
-        report.events_total,
-        report.steady.allocs as f64 / STEADY_MEASURE as f64,
-        report.steady.allocs == 0,
-        report.micro_wall_ns as f64 / MICRO_EVENTS as f64,
-        report.deterministic,
-    );
-    report
+    EngineReport { reference, sweep, steady, micro_wall_ns }
 }
 
 #[cfg(test)]
@@ -379,39 +345,5 @@ mod tests {
     fn micro_queue_pops_every_event() {
         // The function would spin forever if the storm did not drain.
         assert!(micro_queue_wall_ns() > 0);
-    }
-
-    #[test]
-    fn json_volatile_lines_all_carry_wall_ms() {
-        let report = EngineReport {
-            table: Table::new("t", &["a"]),
-            jobs: 18,
-            digests: vec!["home-iotsec/s1/p0: c=0".to_string()],
-            events_total: 1000,
-            cache_lookups: 500,
-            cache_hits: 400,
-            sweep_identical: true,
-            sweep_wall_ms: 5,
-            steady: SteadyProbe { events: 128, delivered: 64, allocs: 0 },
-            micro_wall_ns: 5_000_000,
-            deterministic: true,
-            summary: String::new(),
-        };
-        let json = report.render_json();
-        let mut in_timing = false;
-        for line in json.lines() {
-            if line.contains("\"timing_wall_ms\"") {
-                in_timing = true;
-            }
-            if in_timing && line.contains('{') {
-                assert!(line.contains("wall_ms"), "volatile line lacks marker: {line}");
-            }
-            if line.contains("ns_per_event") {
-                assert!(line.contains("wall_ms"), "host-dependent line lacks marker: {line}");
-            }
-        }
-        assert!(json.contains("\"packed_alloc_free\": true"));
-        assert!(json.contains("\"deterministic\": true"));
-        assert!(json.ends_with("}\n"));
     }
 }

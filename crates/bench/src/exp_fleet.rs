@@ -20,12 +20,9 @@
 //! digests, counters and propagation facts are byte-stable and the CI
 //! `fleet-gate` job diffs them with `git diff -I'wall_ms'`.
 
+use crate::report::{fixed, list, measured, per_sec, quoted, Doc, Leg, Legs, Obj, Report, SEED};
 use crate::Table;
 use iotsec_fleet::{Fleet, FleetConfig, FleetReport, FleetScenario};
-use std::time::Instant;
-
-/// The repo-wide experiment seed.
-pub const SEED: u64 = 20151116;
 
 /// Thread counts for the parallel legs; fixed (not CLI-driven) so the
 /// stable section of `BENCH_E20.json` is byte-identical across hosts.
@@ -40,119 +37,138 @@ pub const CHUNK: u32 = 64;
 /// Fleet rounds: breach → defended → memoized.
 pub const ROUNDS: u32 = 3;
 
-/// One fleet leg: an execution mode at a thread count.
-pub struct FleetLeg {
-    /// Stable label (`fleet-serial`, `fleet-serial-rerun`, `fleet-par2`…).
-    pub label: String,
-    /// Worker threads (1 = serial).
-    pub threads: usize,
-    /// Whether the chained fleet digest matched the serial reference.
-    pub identical: bool,
-    /// Leg wall time (volatile; never gated on).
-    pub wall_ms: u128,
-}
-
-/// The E20 report: the printed table plus everything the JSON needs.
+/// Everything E20 measures.
 pub struct FleetBenchReport {
-    /// Rendered leg table.
-    pub table: Table,
     /// The serial reference run's cumulative report.
     pub reference: FleetReport,
-    /// Every leg, reference first.
-    pub legs: Vec<FleetLeg>,
-    /// Heap bytes allocated during the reference leg (volatile — the
-    /// absolute value tracks allocator internals, not the contract).
-    pub reference_bytes: u64,
-    /// Every leg reproduced the reference digest.
-    pub deterministic: bool,
-    /// One-line human summary.
-    pub summary: String,
+    /// Every leg, reference first (`fleet-serial`, `fleet-serial-rerun`,
+    /// `fleet-par2`…). Only the reference leg's heap bytes are reported,
+    /// and only as volatile: they track allocator internals.
+    pub legs: Vec<Leg>,
 }
 
 impl FleetBenchReport {
-    /// Home-rounds served per second for a leg (volatile section only).
-    fn homes_per_sec(&self, wall_ms: u128) -> f64 {
-        let served = u64::from(self.reference.homes) * u64::from(self.reference.rounds);
-        served as f64 / (wall_ms.max(1) as f64 / 1000.0)
-    }
-
-    /// Directive installs per second for a leg (volatile section only).
-    fn directives_per_sec(&self, wall_ms: u128) -> f64 {
-        self.reference.installs as f64 / (wall_ms.max(1) as f64 / 1000.0)
-    }
-
     /// Heap bytes per home over the reference leg (volatile).
     pub fn bytes_per_home(&self) -> u64 {
-        self.reference_bytes / u64::from(self.reference.homes.max(1))
+        self.legs[0].cost.bytes / u64::from(self.reference.homes.max(1))
     }
 
-    /// `BENCH_E20.json`: a stable section (fleet digest, propagation
-    /// facts, memo/intern counters, leg agreement) plus a
-    /// `timing_wall_ms` section where **every** volatile line contains
-    /// `wall_ms`, so CI can assert byte stability with
-    /// `git diff -I'wall_ms'`.
-    pub fn render_json(&self) -> String {
+    /// Every leg reproduced the reference digest, and one discovery
+    /// reached every home in one epoch.
+    pub fn deterministic(&self) -> bool {
         let r = &self.reference;
-        let mut out = String::new();
-        out.push_str("{\n");
-        out.push_str("  \"experiment\": \"e20\",\n");
-        out.push_str(&format!("  \"seed\": {SEED},\n"));
-        let threads: Vec<String> = PAR_THREADS.iter().map(|t| t.to_string()).collect();
-        out.push_str(&format!("  \"parallel_threads\": [{}],\n", threads.join(", ")));
-        out.push_str(&format!(
-            "  \"fleet\": {{\"homes\": {}, \"rounds\": {}, \"neighborhood\": {NEIGHBORHOOD}, \
-             \"chunk\": {CHUNK}}},\n",
-            r.homes, r.rounds,
-        ));
-        out.push_str(&format!("  \"digest\": \"{}\",\n", r.digest_hex()));
-        out.push_str(&format!(
-            "  \"propagation\": {{\"discoveries\": {}, \"epoch\": {}, \"intel_len\": {}, \
-             \"installs\": {}, \"batches\": {}}},\n",
-            r.discoveries, r.epoch, r.intel_len, r.installs, r.batches,
-        ));
-        out.push_str(&format!(
-            "  \"memo\": {{\"hits\": {}, \"misses\": {}, \"interned_snapshots\": {}}},\n",
-            r.memo_hits, r.memo_misses, r.interned,
-        ));
-        out.push_str(&format!(
-            "  \"outcomes\": {{\"events\": {}, \"blocks\": {}, \"compromised\": {}, \
-             \"leaked\": {}, \"flagged\": {}}},\n",
-            r.events, r.blocks, r.compromised, r.leaked, r.flagged,
-        ));
-        out.push_str("  \"legs\": [\n");
-        for (i, l) in self.legs.iter().enumerate() {
-            out.push_str(&format!(
-                "    {{\"label\": \"{}\", \"threads\": {}, \"identical\": {}}}{}\n",
-                l.label,
-                l.threads,
-                l.identical,
-                if i + 1 == self.legs.len() { "" } else { "," },
-            ));
-        }
-        out.push_str("  ],\n");
-        out.push_str(&format!("  \"deterministic\": {},\n", self.deterministic));
-        out.push_str("  \"timing_wall_ms\": [\n");
-        for l in &self.legs {
-            out.push_str(&format!(
-                "    {{\"leg\": \"{}\", \"wall_ms\": {}, \"homes_per_sec\": {:.0}, \
-                 \"directives_per_sec\": {:.0}}},\n",
-                l.label,
-                l.wall_ms,
-                self.homes_per_sec(l.wall_ms),
-                self.directives_per_sec(l.wall_ms),
-            ));
-        }
-        out.push_str(&format!(
-            "    {{\"mem\": \"reference-leg\", \"ref_wall_ms\": {}, \"bytes_total\": {}, \
-             \"bytes_per_home\": {}}}\n",
-            self.legs.first().map_or(0, |l| l.wall_ms),
-            self.reference_bytes,
-            self.bytes_per_home(),
-        ));
-        out.push_str("  ]\n");
-        out.push_str("}\n");
-        out
+        self.legs.iter().all(|l| l.identical)
+            && r.discoveries == 1
+            && r.epoch == 1
+            && u64::from(r.homes) == r.installs
     }
+}
+
+impl Report for FleetBenchReport {
+    fn table(&self) -> Table {
+        let mut table = Table::new(
+            "E20: fleet-scale sharded controller — every leg, one chained digest",
+            &["leg", "threads", "homes", "rounds", "digest", "identical", "wall ms"],
+        );
+        for l in &self.legs {
+            table.rowd(&[
+                l.label.clone(),
+                l.threads.to_string(),
+                self.reference.homes.to_string(),
+                self.reference.rounds.to_string(),
+                self.reference.digest_hex(),
+                l.identical.to_string(),
+                l.cost.wall_ms.to_string(),
+            ]);
+        }
+        table
+    }
+
+    fn summary(&self) -> String {
+        let r = &self.reference;
+        format!(
+            "E20 summary: {} homes x {} rounds x {} legs, digest {}, 1 discovery -> {} installs \
+             in {} batches (epoch {}), memo {}/{} hits/misses, {} bytes/home, deterministic: {}",
+            r.homes,
+            r.rounds,
+            self.legs.len(),
+            r.digest_hex(),
+            r.installs,
+            r.batches,
+            r.epoch,
+            r.memo_hits,
+            r.memo_misses,
+            self.bytes_per_home(),
+            self.deterministic(),
+        )
+    }
+
+    fn outcome(&self) -> (u64, f64, bool) {
+        (self.reference.events, 0.0, self.deterministic())
+    }
+
+    /// A stable section (fleet digest, propagation facts, memo/intern
+    /// counters, leg agreement) plus the volatile per-leg rates.
+    fn record(&self) -> Option<Doc> {
+        let r = &self.reference;
+        let served = u64::from(r.homes) * u64::from(r.rounds);
+        let timing = self.legs.iter().map(|l| {
+            Obj::new()
+                .field("leg", quoted(&l.label))
+                .field("wall_ms", l.cost.wall_ms)
+                .field("homes_per_sec", fixed(per_sec(served, l.cost.wall_ms), 0))
+                .field("directives_per_sec", fixed(per_sec(r.installs, l.cost.wall_ms), 0))
+        });
+        let mem = Obj::new()
+            .field("mem", quoted("reference-leg"))
+            .field("ref_wall_ms", self.legs[0].cost.wall_ms)
+            .field("bytes_total", self.legs[0].cost.bytes)
+            .field("bytes_per_home", self.bytes_per_home());
+        let doc = Doc::new("BENCH_E20.json")
+            .field("experiment", quoted("e20"))
+            .field("seed", SEED)
+            .field("parallel_threads", list(PAR_THREADS))
+            .field(
+                "fleet",
+                Obj::new()
+                    .field("homes", r.homes)
+                    .field("rounds", r.rounds)
+                    .field("neighborhood", NEIGHBORHOOD)
+                    .field("chunk", CHUNK),
+            )
+            .field("digest", quoted(r.digest_hex()))
+            .field(
+                "propagation",
+                Obj::new()
+                    .field("discoveries", r.discoveries)
+                    .field("epoch", r.epoch)
+                    .field("intel_len", r.intel_len)
+                    .field("installs", r.installs)
+                    .field("batches", r.batches),
+            )
+            .field("memo", memo_json(r))
+            .field(
+                "outcomes",
+                Obj::new()
+                    .field("events", r.events)
+                    .field("blocks", r.blocks)
+                    .field("compromised", r.compromised)
+                    .field("leaked", r.leaked)
+                    .field("flagged", r.flagged),
+            )
+            .rows("legs", self.legs.iter().map(Leg::json))
+            .field("deterministic", self.deterministic())
+            .volatile_rows("timing_wall_ms", timing.chain([mem]));
+        Some(doc)
+    }
+}
+
+/// A fleet run's memo and intern counters, as E20 and E26 record them.
+pub(crate) fn memo_json(r: &FleetReport) -> Obj {
+    Obj::new()
+        .field("hits", r.memo_hits)
+        .field("misses", r.memo_misses)
+        .field("interned_snapshots", r.interned)
 }
 
 /// Run one cold fleet leg and return its cumulative report.
@@ -164,10 +180,9 @@ fn run_leg(threads: usize, homes: u32, rounds: u32) -> FleetReport {
     fleet.run(rounds)
 }
 
-/// E20 — run the fleet legs and build the report. `alloc_bytes` reads
-/// the process's cumulative heap-bytes counter (the `experiments`
-/// binary installs a counting global allocator and passes it in; unit
-/// tests pass a null reader). `homes`/`rounds` are the CLI overrides
+/// E20 — run the fleet legs. `alloc_bytes` reads
+/// the process's cumulative heap-bytes counter (see
+/// [`crate::report::measured`]). `homes`/`rounds` are the CLI overrides
 /// (`--homes N` / `--rounds N`); `None` keeps the committed defaults,
 /// which is what the byte-stability gate compares against.
 pub fn fleet(
@@ -177,84 +192,10 @@ pub fn fleet(
 ) -> FleetBenchReport {
     let homes = homes.unwrap_or(FLEET_HOMES);
     let rounds = rounds.unwrap_or(ROUNDS);
-    let mut legs = Vec::new();
-
-    let bytes_before = alloc_bytes();
-    let start = Instant::now();
-    let reference = run_leg(1, homes, rounds);
-    let ref_wall = start.elapsed().as_millis();
-    let reference_bytes = alloc_bytes() - bytes_before;
-    legs.push(FleetLeg {
-        label: "fleet-serial".to_string(),
-        threads: 1,
-        identical: true,
-        wall_ms: ref_wall,
-    });
-
-    let start = Instant::now();
-    let rerun = run_leg(1, homes, rounds);
-    legs.push(FleetLeg {
-        label: "fleet-serial-rerun".to_string(),
-        threads: 1,
-        identical: rerun == reference,
-        wall_ms: start.elapsed().as_millis(),
-    });
-
-    for &t in PAR_THREADS {
-        let start = Instant::now();
-        let par = run_leg(t, homes, rounds);
-        legs.push(FleetLeg {
-            label: format!("fleet-par{t}"),
-            threads: t,
-            identical: par == reference,
-            wall_ms: start.elapsed().as_millis(),
-        });
-    }
-
-    let mut table = Table::new(
-        "E20: fleet-scale sharded controller — every leg, one chained digest",
-        &["leg", "threads", "homes", "rounds", "digest", "identical", "wall ms"],
-    );
-    for l in &legs {
-        table.rowd(&[
-            l.label.clone(),
-            l.threads.to_string(),
-            reference.homes.to_string(),
-            reference.rounds.to_string(),
-            reference.digest_hex(),
-            l.identical.to_string(),
-            l.wall_ms.to_string(),
-        ]);
-    }
-
-    let deterministic = legs.iter().all(|l| l.identical)
-        && reference.discoveries == 1
-        && reference.epoch == 1
-        && u64::from(reference.homes) == reference.installs;
-    let report = FleetBenchReport {
-        table,
-        reference,
-        legs,
-        reference_bytes,
-        deterministic,
-        summary: String::new(),
-    };
-    let summary = format!(
-        "E20 summary: {} homes x {} rounds x {} legs, digest {}, 1 discovery -> {} installs \
-         in {} batches (epoch {}), memo {}/{} hits/misses, {} bytes/home, deterministic: {}",
-        report.reference.homes,
-        report.reference.rounds,
-        report.legs.len(),
-        report.reference.digest_hex(),
-        report.reference.installs,
-        report.reference.batches,
-        report.reference.epoch,
-        report.reference.memo_hits,
-        report.reference.memo_misses,
-        report.bytes_per_home(),
-        report.deterministic,
-    );
-    FleetBenchReport { summary, ..report }
+    let run = |threads| measured(alloc_bytes, || run_leg(threads, homes, rounds));
+    let mut legs = Legs::new("fleet-serial", run(1));
+    legs.rerun_and_threads("fleet-serial", "fleet-par", PAR_THREADS, run);
+    FleetBenchReport { reference: legs.reference, legs: legs.legs }
 }
 
 #[cfg(test)]
@@ -275,35 +216,13 @@ mod tests {
     }
 
     #[test]
-    fn json_volatile_lines_all_carry_wall_ms() {
-        let reference = run_leg(1, 12, ROUNDS);
-        let legs = vec![
-            FleetLeg { label: "fleet-serial".into(), threads: 1, identical: true, wall_ms: 5 },
-            FleetLeg { label: "fleet-par2".into(), threads: 2, identical: true, wall_ms: 3 },
-        ];
-        let report = FleetBenchReport {
-            table: Table::new("t", &["a"]),
-            reference,
-            legs,
-            reference_bytes: 1 << 20,
-            deterministic: true,
-            summary: String::new(),
-        };
-        let json = report.render_json();
-        let mut in_timing = false;
-        for line in json.lines() {
-            if line.contains("\"timing_wall_ms\"") {
-                in_timing = true;
-            }
-            if in_timing && line.contains('{') {
-                assert!(line.contains("wall_ms"), "volatile line lacks marker: {line}");
-            }
-            if line.contains("per_sec") || line.contains("bytes_per_home") {
-                assert!(line.contains("wall_ms"), "host-dependent line lacks marker: {line}");
-            }
-        }
+    fn miniature_report_gates_and_renders_its_record() {
+        let report = fleet(&|| 0, Some(12), None);
+        assert!(report.deterministic());
+        let labels: Vec<&str> = report.legs.iter().map(|l| l.label.as_str()).collect();
+        assert_eq!(labels, ["fleet-serial", "fleet-serial-rerun", "fleet-par2", "fleet-par4"]);
+        let json = report.record().expect("E20 always writes a record").render();
         assert!(json.contains("\"experiment\": \"e20\""));
         assert!(json.contains("\"deterministic\": true"));
-        assert!(json.ends_with("}\n"));
     }
 }

@@ -32,15 +32,13 @@
 //! lines, and the CI `fleet-chaos-gate` job diffs the file with
 //! `git diff -I'wall_ms'`.
 
+use crate::report::{list, quoted, timed, Doc, Obj, Report, SEED};
 use crate::Table;
 use iotsec_fleet::{
     check_fleet_trace, Fleet, FleetChaos, FleetConfig, FleetScenario, FleetTraceSpec,
 };
-use std::time::Instant;
 use trace::{TraceConfig, Tracer};
 
-/// The repo-wide experiment seed.
-pub const SEED: u64 = 20151116;
 /// Homes in the fleet (20 neighborhoods of 20).
 pub const HOMES: u32 = 400;
 /// Homes per neighborhood aggregator.
@@ -65,6 +63,7 @@ const AXES: &[&str] = &["loss", "dup", "partition"];
 
 /// One measured cell: a fault axis at an intensity, over [`REPS`]
 /// replicate chaos seeds.
+#[derive(Default)]
 pub struct ChaosCell {
     /// Axis label (`loss`, `dup`, `partition`).
     pub axis: &'static str,
@@ -92,22 +91,30 @@ pub struct ChaosCell {
     pub wall_ms: u128,
 }
 
-/// The E25 report: the printed table plus everything the JSON needs.
+/// Everything E25 measures.
 pub struct FleetChaosReport {
-    /// Rendered cell table.
-    pub table: Table,
     /// Homes per replicate fleet ([`HOMES`] unless `--homes` overrode it).
     pub homes: u32,
     /// Convergence deadline ([`MAX_ROUNDS`] unless `--rounds` overrode it).
     pub max_rounds: u32,
     /// Every cell, axis-major, intensity ascending.
     pub cells: Vec<ChaosCell>,
+}
+
+impl FleetChaosReport {
     /// Every cell converged within the deadline.
-    pub recovered: bool,
+    pub fn recovered(&self) -> bool {
+        self.cells.iter().all(|c| c.recovered)
+    }
+
     /// Every cell deterministic, recovered, and checker-clean.
-    pub deterministic: bool,
-    /// One-line human summary.
-    pub summary: String,
+    pub fn deterministic(&self) -> bool {
+        self.recovered() && self.cells.iter().all(|c| c.identical && c.violations == 0)
+    }
+
+    fn faults(&self) -> u64 {
+        self.cells.iter().map(|c| c.faults).sum()
+    }
 }
 
 /// The schedule for `axis` at `pm` under replicate seed `rep` — exactly
@@ -160,21 +167,7 @@ fn run_rep(
 /// Run one cell's replicates, judge every trace, and rerun the whole
 /// cell to pin determinism.
 fn run_cell(axis: &'static str, pm: u32, homes: u32, max_rounds: u32) -> ChaosCell {
-    let start = Instant::now();
-    let mut cell = ChaosCell {
-        axis,
-        pm,
-        rounds: Vec::new(),
-        worst_rounds: 0,
-        recovered: true,
-        digest: 0,
-        faults: 0,
-        recoveries: 0,
-        degraded_rounds: 0,
-        violations: 0,
-        identical: true,
-        wall_ms: 0,
-    };
+    let mut cell = ChaosCell { axis, pm, recovered: true, identical: true, ..Default::default() };
     let mut digest = trace::digest::Fnv64::new();
     for rep in 0..REPS {
         let (report, events, rounds) = run_rep(axis, pm, rep, homes, max_rounds);
@@ -197,69 +190,109 @@ fn run_cell(axis: &'static str, pm: u32, homes: u32, max_rounds: u32) -> ChaosCe
         cell.identical &= rerun == report && rerun_events == events && rerun_rounds == rounds;
     }
     cell.digest = digest.finish();
-    cell.wall_ms = start.elapsed().as_millis();
     cell
 }
 
-impl FleetChaosReport {
-    /// `BENCH_E25.json`: a stable section (per-cell convergence rounds,
-    /// digests, fault/recovery counters, gate verdicts) plus a
-    /// `timing_wall_ms` section where **every** volatile line contains
-    /// `wall_ms`, so CI can assert byte stability with
-    /// `git diff -I'wall_ms'`.
-    pub fn render_json(&self) -> String {
-        let mut out = String::new();
-        out.push_str("{\n");
-        out.push_str("  \"experiment\": \"e25\",\n");
-        out.push_str(&format!("  \"seed\": {SEED},\n"));
-        out.push_str(&format!(
-            "  \"fleet\": {{\"homes\": {}, \"neighborhood\": {NEIGHBORHOOD}, \
-             \"chunk\": {CHUNK}, \"horizon\": {HORIZON}, \"max_rounds\": {}, \
-             \"replicates\": {REPS}}},\n",
-            self.homes, self.max_rounds,
-        ));
-        out.push_str("  \"cells\": [\n");
-        for (i, c) in self.cells.iter().enumerate() {
-            let rounds: Vec<String> = c.rounds.iter().map(|r| r.to_string()).collect();
-            out.push_str(&format!(
-                "    {{\"axis\": \"{}\", \"pm\": {}, \"rounds\": [{}], \
-                 \"worst_rounds\": {}, \"recovered\": {}, \"digest\": \"{:016x}\", \
-                 \"faults\": {}, \"recoveries\": {}, \"degraded_rounds\": {}, \
-                 \"violations\": {}, \"identical\": {}}}{}\n",
-                c.axis,
-                c.pm,
-                rounds.join(", "),
-                c.worst_rounds,
-                c.recovered,
-                c.digest,
-                c.faults,
-                c.recoveries,
-                c.degraded_rounds,
-                c.violations,
-                c.identical,
-                if i + 1 == self.cells.len() { "" } else { "," },
-            ));
+impl Report for FleetChaosReport {
+    fn table(&self) -> Table {
+        let mut table = Table::new(
+            "E25: fault-tolerant fleet propagation — convergence rounds vs fault intensity",
+            &[
+                "axis",
+                "pm",
+                "rounds",
+                "recovered",
+                "faults",
+                "recoveries",
+                "degraded",
+                "violations",
+                "identical",
+                "wall ms",
+            ],
+        );
+        for c in &self.cells {
+            table.rowd(&[
+                c.axis.to_string(),
+                c.pm.to_string(),
+                format!("{:?}", c.rounds),
+                c.recovered.to_string(),
+                c.faults.to_string(),
+                c.recoveries.to_string(),
+                c.degraded_rounds.to_string(),
+                c.violations.to_string(),
+                c.identical.to_string(),
+                c.wall_ms.to_string(),
+            ]);
         }
-        out.push_str("  ],\n");
-        out.push_str(&format!("  \"recovered\": {},\n", self.recovered));
-        out.push_str(&format!("  \"deterministic\": {},\n", self.deterministic));
-        out.push_str("  \"timing_wall_ms\": [\n");
-        for (i, c) in self.cells.iter().enumerate() {
-            out.push_str(&format!(
-                "    {{\"cell\": \"{}-{}\", \"wall_ms\": {}}}{}\n",
-                c.axis,
-                c.pm,
-                c.wall_ms,
-                if i + 1 == self.cells.len() { "" } else { "," },
-            ));
-        }
-        out.push_str("  ]\n");
-        out.push_str("}\n");
-        out
+        table
+    }
+
+    fn summary(&self) -> String {
+        let recoveries: u64 = self.cells.iter().map(|c| c.recoveries).sum();
+        format!(
+            "E25 summary: {} homes x {} cells ({} axes x {:?} pm, {REPS} replicates each), \
+             {} faults -> {} recoveries, worst convergence {} rounds (horizon {HORIZON}), \
+             all recovered: {}, checker-clean and rerun-stable: {}",
+            self.homes,
+            self.cells.len(),
+            AXES.len(),
+            INTENSITIES,
+            self.faults(),
+            recoveries,
+            self.cells.iter().map(|c| c.worst_rounds).max().unwrap_or(0),
+            self.recovered(),
+            self.deterministic(),
+        )
+    }
+
+    fn outcome(&self) -> (u64, f64, bool) {
+        (self.faults(), 0.0, self.deterministic())
+    }
+
+    /// A stable section (per-cell convergence rounds, digests,
+    /// fault/recovery counters, gate verdicts) plus the volatile walls.
+    fn record(&self) -> Option<Doc> {
+        let cell = |c: &ChaosCell| {
+            Obj::new()
+                .field("axis", quoted(c.axis))
+                .field("pm", c.pm)
+                .field("rounds", list(&c.rounds))
+                .field("worst_rounds", c.worst_rounds)
+                .field("recovered", c.recovered)
+                .field("digest", quoted(format_args!("{:016x}", c.digest)))
+                .field("faults", c.faults)
+                .field("recoveries", c.recoveries)
+                .field("degraded_rounds", c.degraded_rounds)
+                .field("violations", c.violations)
+                .field("identical", c.identical)
+        };
+        let timing = |c: &ChaosCell| {
+            Obj::new()
+                .field("cell", quoted(format_args!("{}-{}", c.axis, c.pm)))
+                .field("wall_ms", c.wall_ms)
+        };
+        let doc = Doc::new("BENCH_E25.json")
+            .field("experiment", quoted("e25"))
+            .field("seed", SEED)
+            .field(
+                "fleet",
+                Obj::new()
+                    .field("homes", self.homes)
+                    .field("neighborhood", NEIGHBORHOOD)
+                    .field("chunk", CHUNK)
+                    .field("horizon", HORIZON)
+                    .field("max_rounds", self.max_rounds)
+                    .field("replicates", REPS),
+            )
+            .rows("cells", self.cells.iter().map(cell))
+            .field("recovered", self.recovered())
+            .field("deterministic", self.deterministic())
+            .volatile_rows("timing_wall_ms", self.cells.iter().map(timing));
+        Some(doc)
     }
 }
 
-/// E25 — sweep the axes and build the report. `homes`/`rounds` are the
+/// E25 — sweep the axes. `homes`/`rounds` are the
 /// CLI overrides (`--homes N` scales each replicate fleet, `--rounds N`
 /// moves the convergence deadline); `None` keeps the committed
 /// defaults, which is what the byte-stability gate compares against.
@@ -269,60 +302,11 @@ pub fn fleet_chaos(homes: Option<u32>, rounds: Option<u32>) -> FleetChaosReport 
     let mut cells = Vec::new();
     for &axis in AXES {
         for &pm in INTENSITIES {
-            cells.push(run_cell(axis, pm, homes, max_rounds));
+            let (cell, wall_ms) = timed(|| run_cell(axis, pm, homes, max_rounds));
+            cells.push(ChaosCell { wall_ms, ..cell });
         }
     }
-
-    let mut table = Table::new(
-        "E25: fault-tolerant fleet propagation — convergence rounds vs fault intensity",
-        &[
-            "axis",
-            "pm",
-            "rounds",
-            "recovered",
-            "faults",
-            "recoveries",
-            "degraded",
-            "violations",
-            "identical",
-            "wall ms",
-        ],
-    );
-    for c in &cells {
-        table.rowd(&[
-            c.axis.to_string(),
-            c.pm.to_string(),
-            format!("{:?}", c.rounds),
-            c.recovered.to_string(),
-            c.faults.to_string(),
-            c.recoveries.to_string(),
-            c.degraded_rounds.to_string(),
-            c.violations.to_string(),
-            c.identical.to_string(),
-            c.wall_ms.to_string(),
-        ]);
-    }
-
-    let recovered = cells.iter().all(|c| c.recovered);
-    let deterministic = recovered && cells.iter().all(|c| c.identical && c.violations == 0);
-    let worst = cells.iter().map(|c| c.worst_rounds).max().unwrap_or(0);
-    let faults: u64 = cells.iter().map(|c| c.faults).sum();
-    let recoveries: u64 = cells.iter().map(|c| c.recoveries).sum();
-    let summary = format!(
-        "E25 summary: {} homes x {} cells ({} axes x {:?} pm, {REPS} replicates each), \
-         {} faults -> {} recoveries, worst convergence {} rounds (horizon {HORIZON}), \
-         all recovered: {}, checker-clean and rerun-stable: {}",
-        homes,
-        cells.len(),
-        AXES.len(),
-        INTENSITIES,
-        faults,
-        recoveries,
-        worst,
-        recovered,
-        deterministic,
-    );
-    FleetChaosReport { table, homes, max_rounds, cells, recovered, deterministic, summary }
+    FleetChaosReport { homes, max_rounds, cells }
 }
 
 #[cfg(test)]
@@ -360,58 +344,12 @@ mod tests {
     }
 
     #[test]
-    fn json_volatile_lines_all_carry_wall_ms() {
-        let cells = vec![
-            ChaosCell {
-                axis: "loss",
-                pm: 0,
-                rounds: vec![1, 1],
-                worst_rounds: 1,
-                recovered: true,
-                digest: 0xabc,
-                faults: 0,
-                recoveries: 0,
-                degraded_rounds: 0,
-                violations: 0,
-                identical: true,
-                wall_ms: 7,
-            },
-            ChaosCell {
-                axis: "dup",
-                pm: 500,
-                rounds: vec![3, 2],
-                worst_rounds: 3,
-                recovered: true,
-                digest: 0xdef,
-                faults: 4,
-                recoveries: 4,
-                degraded_rounds: 0,
-                violations: 0,
-                identical: true,
-                wall_ms: 9,
-            },
-        ];
-        let report = FleetChaosReport {
-            table: Table::new("t", &["a"]),
-            homes: HOMES,
-            max_rounds: MAX_ROUNDS,
-            cells,
-            recovered: true,
-            deterministic: true,
-            summary: String::new(),
-        };
-        let json = report.render_json();
-        let mut in_timing = false;
-        for line in json.lines() {
-            if line.contains("\"timing_wall_ms\"") {
-                in_timing = true;
-            }
-            if in_timing && line.contains('{') {
-                assert!(line.contains("wall_ms"), "volatile line lacks marker: {line}");
-            }
-        }
+    fn miniature_report_gates_and_renders_its_record() {
+        let report = fleet_chaos(Some(40), Some(20));
+        assert!(report.deterministic(), "{}", report.summary());
+        assert_eq!(report.table().len(), AXES.len() * INTENSITIES.len());
+        let json = report.record().expect("E25 always writes a record").render();
         assert!(json.contains("\"experiment\": \"e25\""));
         assert!(json.contains("\"deterministic\": true"));
-        assert!(json.ends_with("}\n"));
     }
 }

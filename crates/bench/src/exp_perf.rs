@@ -9,40 +9,84 @@
 //! on. Wall-clock numbers are reported but deliberately kept *out* of
 //! the digests: they are the only non-deterministic output.
 
-use crate::sweep::{sweep_worlds, SweepScenario, WorldJob};
+use crate::report::{hit_rate, timed, Report};
+use crate::sweep::{sweep_worlds, totals, SweepScenario, WorldJob, WorldOutcome};
 use crate::Table;
-use iotctl::concurrent::SweepLedger;
-use std::time::Instant;
 
-/// Everything E16 produces: the printable table plus the numbers the
-/// JSON report and the CI gate consume.
+/// Everything E16 measures: both legs' outcomes and wall clocks.
 #[derive(Debug)]
 pub struct PerfReport {
-    /// Per-job outcome table.
-    pub table: Table,
     /// Worker threads used for the parallel leg.
     pub threads: usize,
+    /// The serial reference leg, one outcome per job.
+    pub serial: Vec<WorldOutcome>,
+    /// The parallel leg; must equal `serial` field for field (an
+    /// outcome's digest covers every field).
+    pub parallel: Vec<WorldOutcome>,
     /// Wall-clock of the serial reference leg.
     pub wall_ms_serial: u128,
     /// Wall-clock of the parallel leg.
     pub wall_ms_parallel: u128,
-    /// Engine events processed across the sweep (one leg).
-    pub events_processed: u64,
-    /// Aggregate flow-decision-cache hit rate across the sweep.
-    pub cache_hit_rate: f64,
-    /// Whether the parallel digests matched the serial ones.
-    pub deterministic: bool,
 }
 
 impl PerfReport {
-    /// Serial-over-parallel wall-clock ratio (>1 means the parallel leg
-    /// was faster). On a single-core host this hovers around 1.0.
-    pub fn speedup(&self) -> f64 {
-        if self.wall_ms_parallel == 0 {
-            1.0
-        } else {
-            self.wall_ms_serial as f64 / self.wall_ms_parallel as f64
+    /// Whether the parallel leg reproduced the serial one.
+    pub fn deterministic(&self) -> bool {
+        self.serial == self.parallel
+    }
+}
+
+impl Report for PerfReport {
+    fn table(&self) -> Table {
+        let mut table = Table::new(
+            &format!(
+                "E16: parallel sweep — {} worlds, {} thread(s) vs serial (identical: {})",
+                self.serial.len(),
+                self.threads,
+                self.deterministic()
+            ),
+            &[
+                "scenario",
+                "seed",
+                "population",
+                "events",
+                "cache hits",
+                "cache rate",
+                "digest match",
+            ],
+        );
+        for (out, par) in self.serial.iter().zip(&self.parallel) {
+            table.rowd(&[
+                out.job.scenario.label().to_string(),
+                out.job.seed.to_string(),
+                out.job.population.to_string(),
+                out.events_processed.to_string(),
+                format!("{}/{}", out.cache_hits, out.cache_lookups),
+                format!("{:.3}", hit_rate(out.cache_hits, out.cache_lookups)),
+                (out == par).to_string(),
+            ]);
         }
+        table
+    }
+
+    fn summary(&self) -> String {
+        let (events, rate, deterministic) = self.outcome();
+        // Serial-over-parallel wall ratio: > 1 means the threads paid.
+        let speedup = match self.wall_ms_parallel {
+            0 => 1.0,
+            par => self.wall_ms_serial as f64 / par as f64,
+        };
+        format!(
+            "E16 summary: serial {} ms, parallel({}) {} ms, speedup {speedup:.2}x, \
+             {events} events, cache hit rate {rate:.3}, deterministic: {deterministic}",
+            self.wall_ms_serial, self.threads, self.wall_ms_parallel,
+        )
+    }
+
+    /// Engine work of one leg, folded from the serial outcomes.
+    fn outcome(&self) -> (u64, f64, bool) {
+        let (events, lookups, hits) = totals(&self.serial);
+        (events, hit_rate(hits, lookups), self.deterministic())
     }
 }
 
@@ -60,59 +104,13 @@ pub fn standard_jobs(seed: u64) -> Vec<WorldJob> {
     jobs
 }
 
-/// E16 — run the sweep serial and parallel, check determinism, report.
+/// E16 — run the sweep serial and parallel.
 pub fn perf(seed: u64, threads: usize) -> PerfReport {
     let jobs = standard_jobs(seed);
-
-    let serial_ledger = SweepLedger::new();
-    let t0 = Instant::now();
-    let serial = sweep_worlds(&jobs, 1, &serial_ledger);
-    let wall_ms_serial = t0.elapsed().as_millis();
-
-    let parallel_ledger = SweepLedger::new();
-    let t1 = Instant::now();
-    let parallel = sweep_worlds(&jobs, threads.max(1), &parallel_ledger);
-    let wall_ms_parallel = t1.elapsed().as_millis();
-
-    let serial_digests: Vec<String> = serial.iter().map(|o| o.digest()).collect();
-    let parallel_digests: Vec<String> = parallel.iter().map(|o| o.digest()).collect();
-    let deterministic = serial_digests == parallel_digests;
-
-    let mut table = Table::new(
-        &format!(
-            "E16: parallel sweep — {} worlds, {} thread(s) vs serial (identical: {})",
-            jobs.len(),
-            threads.max(1),
-            deterministic
-        ),
-        &["scenario", "seed", "population", "events", "cache hits", "cache rate", "digest match"],
-    );
-    for (i, out) in serial.iter().enumerate() {
-        let rate = if out.cache_lookups == 0 {
-            0.0
-        } else {
-            out.cache_hits as f64 / out.cache_lookups as f64
-        };
-        table.rowd(&[
-            out.job.scenario.label().to_string(),
-            out.job.seed.to_string(),
-            out.job.population.to_string(),
-            out.events_processed.to_string(),
-            format!("{}/{}", out.cache_hits, out.cache_lookups),
-            format!("{:.3}", rate),
-            (serial_digests[i] == parallel_digests[i]).to_string(),
-        ]);
-    }
-
-    PerfReport {
-        table,
-        threads: threads.max(1),
-        wall_ms_serial,
-        wall_ms_parallel,
-        events_processed: serial_ledger.events(),
-        cache_hit_rate: serial_ledger.cache_hit_rate(),
-        deterministic,
-    }
+    let threads = threads.max(1);
+    let (serial, wall_ms_serial) = timed(|| sweep_worlds(&jobs, 1));
+    let (parallel, wall_ms_parallel) = timed(|| sweep_worlds(&jobs, threads));
+    PerfReport { threads, serial, parallel, wall_ms_serial, wall_ms_parallel }
 }
 
 #[cfg(test)]
@@ -137,10 +135,18 @@ mod tests {
             WorldJob { scenario: SweepScenario::HomeUndefended, seed: 3, population: 0 },
             WorldJob { scenario: SweepScenario::HomeIoTSec, seed: 3, population: 0 },
         ];
-        let ledger = SweepLedger::new();
-        let serial = sweep_worlds(&jobs, 1, &ledger);
-        let parallel = sweep_worlds(&jobs, 3, &SweepLedger::new());
-        assert_eq!(serial, parallel);
-        assert!(ledger.cache_hit_rate() > 0.0, "repeat flows must hit the decision cache");
+        let (serial, parallel) = (sweep_worlds(&jobs, 1), sweep_worlds(&jobs, 3));
+        // Engine work is folded from the outcomes the sweep returns: one
+        // outcome per job, the same totals at either thread count.
+        assert_eq!(serial.len(), jobs.len());
+        assert_eq!(totals(&serial), totals(&parallel));
+        let report =
+            PerfReport { threads: 3, serial, parallel, wall_ms_serial: 0, wall_ms_parallel: 0 };
+        let (events, rate, deterministic) = report.outcome();
+        assert!(deterministic);
+        assert_eq!(events, totals(&report.serial).0);
+        assert!(events > 0);
+        assert!(rate > 0.0, "repeat flows must hit the decision cache");
+        assert_eq!(report.table().len(), jobs.len());
     }
 }

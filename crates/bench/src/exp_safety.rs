@@ -23,6 +23,7 @@
 //! Any gate failure flips `deterministic()` to false, which makes the
 //! `experiments e18` process exit non-zero.
 
+use crate::report::{fixed, quoted, Doc, Obj, Report};
 use crate::Table;
 use iotctl::safety::SafetyConfig;
 use iotdev::attacker::AttackAuth;
@@ -184,11 +185,9 @@ fn run_cell(intensity: Intensity, full: bool, seed: u64) -> Cell {
     Cell { intensity, full, metrics: w.report() }
 }
 
-/// E18's full result: the sweep table, the four gate verdicts, and the
-/// headline detected/prevented split.
+/// E18's full result: the intensity × mode sweep, the four gate
+/// verdicts, and the headline detected/prevented split.
 pub struct SafetyReport {
-    /// The intensity × mode sweep, one row per cell.
-    pub table: Table,
     /// Both zero-fault cells recorded zero violations.
     pub zero_fault_clean: bool,
     /// No cell shed a quarantine-criticality directive.
@@ -201,9 +200,8 @@ pub struct SafetyReport {
     pub violations_baseline: u64,
     /// Violations the full stack recorded at high intensity.
     pub violations_guarded: u64,
-    /// One-line human summary.
-    pub summary: String,
-    json: String,
+    seed: u64,
+    cells: Vec<Cell>,
 }
 
 impl SafetyReport {
@@ -216,54 +214,99 @@ impl SafetyReport {
     pub fn deterministic(&self) -> bool {
         self.zero_fault_clean && self.no_critical_shed && self.strict_win && self.reproducible
     }
-
-    /// The `BENCH_E18.json` payload. Sim-time metrics only — no
-    /// wall-clock — so the committed file reproduces byte-identically.
-    pub fn render_json(&self) -> &str {
-        &self.json
-    }
 }
 
-fn render_json(seed: u64, cells: &[Cell], report_fields: &SafetyReport) -> String {
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str(&format!("  \"seed\": {seed},\n"));
-    out.push_str(&format!("  \"zero_fault_clean\": {},\n", report_fields.zero_fault_clean));
-    out.push_str(&format!("  \"no_critical_shed\": {},\n", report_fields.no_critical_shed));
-    out.push_str(&format!("  \"strict_win\": {},\n", report_fields.strict_win));
-    out.push_str(&format!("  \"reproducible\": {},\n", report_fields.reproducible));
-    out.push_str(&format!("  \"violations_baseline\": {},\n", report_fields.violations_baseline));
-    out.push_str(&format!("  \"violations_guarded\": {},\n", report_fields.violations_guarded));
-    out.push_str(&format!("  \"violations_prevented\": {},\n", report_fields.prevented()));
-    out.push_str("  \"cells\": [\n");
-    for (i, c) in cells.iter().enumerate() {
-        let m = &c.metrics;
-        let s = &m.safety;
-        out.push_str(&format!(
-            "    {{\"intensity\": \"{}\", \"mode\": \"{}\", \"violations\": {}, \
-             \"coverage\": {}, \"staleness\": {}, \"monotonicity\": {}, \"continuity\": {}, \
-             \"breaker_trips\": {}, \"quarantines\": {}, \"quarantine_secs\": {:.1}, \
-             \"delivery_shed\": {}, \"shed_critical\": {}, \"admission_shed\": {}, \
-             \"detection_latency_ms\": {:.1}}}{}\n",
-            c.intensity.label(),
-            c.mode(),
-            s.violations,
-            s.coverage_violations,
-            s.staleness_violations,
-            s.monotonicity_violations,
-            s.continuity_violations,
-            m.breaker_trips,
-            s.quarantines,
-            c.quarantine_secs(),
-            m.delivery.shed,
-            m.delivery.shed_critical,
-            m.admission_shed,
-            c.detection_latency_ms(),
-            if i + 1 == cells.len() { "" } else { "," },
-        ));
+impl Report for SafetyReport {
+    fn table(&self) -> Table {
+        let mut table = Table::new(
+            "E18: fault intensity × overload — detect-only baseline vs full safety stack",
+            &[
+                "intensity",
+                "mode",
+                "violations",
+                "coverage",
+                "staleness",
+                "breaker trips",
+                "quarantines",
+                "t-quarantined",
+                "shed",
+                "crit shed",
+                "admission shed",
+                "detect latency",
+            ],
+        );
+        for c in &self.cells {
+            let m = &c.metrics;
+            let s = &m.safety;
+            table.rowd(&[
+                c.intensity.label().to_string(),
+                c.mode().to_string(),
+                s.violations.to_string(),
+                s.coverage_violations.to_string(),
+                s.staleness_violations.to_string(),
+                m.breaker_trips.to_string(),
+                s.quarantines.to_string(),
+                format!("{:.1}s", c.quarantine_secs()),
+                m.delivery.shed.to_string(),
+                m.delivery.shed_critical.to_string(),
+                m.admission_shed.to_string(),
+                format!("{:.1}ms", c.detection_latency_ms()),
+            ]);
+        }
+        table
     }
-    out.push_str("  ]\n}\n");
-    out
+
+    fn summary(&self) -> String {
+        format!(
+            "E18 summary: high-intensity violations {} (detect-only) vs {} (full stack), \
+             {} prevented; zero-fault clean: {}, critical shed: {}, reproducible: {}",
+            self.violations_baseline,
+            self.violations_guarded,
+            self.prevented(),
+            self.zero_fault_clean,
+            if self.no_critical_shed { "none" } else { "SOME" },
+            self.reproducible,
+        )
+    }
+
+    fn outcome(&self) -> (u64, f64, bool) {
+        (self.violations_baseline, 0.0, self.deterministic())
+    }
+
+    /// Sim-time metrics only — no wall-clock — so the committed file
+    /// reproduces byte-identically.
+    fn record(&self) -> Option<Doc> {
+        let cell = |c: &Cell| {
+            let m = &c.metrics;
+            let s = &m.safety;
+            Obj::new()
+                .field("intensity", quoted(c.intensity.label()))
+                .field("mode", quoted(c.mode()))
+                .field("violations", s.violations)
+                .field("coverage", s.coverage_violations)
+                .field("staleness", s.staleness_violations)
+                .field("monotonicity", s.monotonicity_violations)
+                .field("continuity", s.continuity_violations)
+                .field("breaker_trips", m.breaker_trips)
+                .field("quarantines", s.quarantines)
+                .field("quarantine_secs", fixed(c.quarantine_secs(), 1))
+                .field("delivery_shed", m.delivery.shed)
+                .field("shed_critical", m.delivery.shed_critical)
+                .field("admission_shed", m.admission_shed)
+                .field("detection_latency_ms", fixed(c.detection_latency_ms(), 1))
+        };
+        let doc = Doc::new("BENCH_E18.json")
+            .field("seed", self.seed)
+            .field("zero_fault_clean", self.zero_fault_clean)
+            .field("no_critical_shed", self.no_critical_shed)
+            .field("strict_win", self.strict_win)
+            .field("reproducible", self.reproducible)
+            .field("violations_baseline", self.violations_baseline)
+            .field("violations_guarded", self.violations_guarded)
+            .field("violations_prevented", self.prevented())
+            .rows("cells", self.cells.iter().map(cell));
+        Some(doc)
+    }
 }
 
 /// E18 — the safety sweep. Deterministic: driven entirely by sim-time
@@ -274,42 +317,6 @@ pub fn safety(seed: u64) -> SafetyReport {
         for full in [false, true] {
             cells.push(run_cell(intensity, full, seed));
         }
-    }
-
-    let mut table = Table::new(
-        "E18: fault intensity × overload — detect-only baseline vs full safety stack",
-        &[
-            "intensity",
-            "mode",
-            "violations",
-            "coverage",
-            "staleness",
-            "breaker trips",
-            "quarantines",
-            "t-quarantined",
-            "shed",
-            "crit shed",
-            "admission shed",
-            "detect latency",
-        ],
-    );
-    for c in &cells {
-        let m = &c.metrics;
-        let s = &m.safety;
-        table.rowd(&[
-            c.intensity.label().to_string(),
-            c.mode().to_string(),
-            s.violations.to_string(),
-            s.coverage_violations.to_string(),
-            s.staleness_violations.to_string(),
-            m.breaker_trips.to_string(),
-            s.quarantines.to_string(),
-            format!("{:.1}s", c.quarantine_secs()),
-            m.delivery.shed.to_string(),
-            m.delivery.shed_critical.to_string(),
-            m.admission_shed.to_string(),
-            format!("{:.1}ms", c.detection_latency_ms()),
-        ]);
     }
 
     let zero_fault_clean = cells
@@ -331,27 +338,14 @@ pub fn safety(seed: u64) -> SafetyReport {
     let replay = run_cell(Intensity::High, true, seed);
     let reproducible = format!("{:?}", replay.metrics) == format!("{:?}", guarded.metrics);
 
-    let mut report = SafetyReport {
-        table,
+    SafetyReport {
         zero_fault_clean,
         no_critical_shed,
         strict_win,
         reproducible,
         violations_baseline,
         violations_guarded,
-        summary: String::new(),
-        json: String::new(),
-    };
-    report.summary = format!(
-        "E18 summary: high-intensity violations {} (detect-only) vs {} (full stack), \
-         {} prevented; zero-fault clean: {}, critical shed: {}, reproducible: {}",
-        report.violations_baseline,
-        report.violations_guarded,
-        report.prevented(),
-        report.zero_fault_clean,
-        if report.no_critical_shed { "none" } else { "SOME" },
-        report.reproducible,
-    );
-    report.json = render_json(seed, &cells, &report);
-    report
+        seed,
+        cells,
+    }
 }

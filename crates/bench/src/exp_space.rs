@@ -23,18 +23,14 @@
 //! engine could not fill at the old `1 << 20` ceiling — here it runs
 //! through the packed engines only, which is the point.
 
+use crate::report::{fixed, hit_rate, list, quoted, timed, Doc, Obj, Report, SEED};
 use crate::Table;
 use iotpolicy::conflict::{find_reachable_rule_conflicts, find_reachable_rule_conflicts_naive};
 use iotpolicy::explore::{
     bfs_naive, bfs_packed, bfs_uses_dense_visited, explore_naive, explore_packed,
 };
 use iotpolicy::policy::FsmPolicy;
-use std::time::Instant;
 use trace::tracer::Tracer;
-
-/// The repo-wide experiment seed (E19 is fully deterministic — the seed
-/// is recorded in the JSON for provenance, not consumed).
-pub const SEED: u64 = 20151116;
 
 /// Device populations swept (coupled pairs follow E1's `n / 4` rule).
 pub const POPULATIONS: &[u32] = &[6, 8, 10, 12];
@@ -86,17 +82,16 @@ pub struct SpaceCell {
 
 /// The E19 report: the printed table plus everything the JSON needs.
 pub struct SpaceReport {
-    /// Rendered population table.
-    pub table: Table,
     /// Per-population measurements.
     pub cells: Vec<SpaceCell>,
-    /// True iff every engine agreed on every population.
-    pub deterministic: bool,
-    /// One-line human summary.
-    pub summary: String,
 }
 
 impl SpaceReport {
+    /// True iff every engine agreed on every population.
+    pub fn deterministic(&self) -> bool {
+        self.cells.iter().all(|c| c.identical)
+    }
+
     /// Total states enumerated by the packed-serial reference sweeps
     /// (deterministic, so safe to surface as the runner's event count).
     pub fn states_total(&self) -> u64 {
@@ -107,11 +102,7 @@ impl SpaceReport {
     pub fn memo_hit_rate(&self) -> f64 {
         let lookups: u64 = self.cells.iter().map(|c| c.memo.0).sum();
         let hits: u64 = self.cells.iter().map(|c| c.memo.1).sum();
-        if lookups == 0 {
-            0.0
-        } else {
-            hits as f64 / lookups as f64
-        }
+        hit_rate(hits, lookups)
     }
 
     /// Best naive-vs-packed-serial speedup over the populations where
@@ -126,77 +117,104 @@ impl SpaceReport {
             })
             .fold(0.0, f64::max)
     }
+}
 
-    /// `BENCH_E19.json`: a stable section (counts, digests, engine
-    /// agreement) plus a `timing_wall_ms` section where **every**
-    /// volatile line contains `wall_ms`, so CI can assert byte
-    /// stability with `git diff -I'wall_ms'`.
-    pub fn render_json(&self) -> String {
-        let mut out = String::new();
-        out.push_str("{\n");
-        out.push_str("  \"experiment\": \"e19\",\n");
-        out.push_str(&format!("  \"seed\": {SEED},\n"));
-        let threads: Vec<String> = PAR_THREADS.iter().map(|t| t.to_string()).collect();
-        out.push_str(&format!("  \"parallel_threads\": [{}],\n", threads.join(", ")));
-        out.push_str(&format!("  \"naive_sweep_limit\": {NAIVE_SWEEP_LIMIT},\n"));
-        out.push_str(&format!("  \"naive_bfs_limit\": {NAIVE_BFS_LIMIT},\n"));
-        out.push_str("  \"populations\": [\n");
-        for (i, c) in self.cells.iter().enumerate() {
-            out.push_str(&format!(
-                "    {{\"devices\": {}, \"states\": {}, \"classes\": {}, \"digest\": \"{}\", \
-                 \"bfs\": \"{}\", \"dense_visited\": {}, \"conflicts\": {}, \
-                 \"naive_ran\": {}, \"identical\": {}}}{}\n",
-                c.devices,
-                c.states,
-                c.classes,
-                c.digest,
-                c.bfs,
-                c.dense_visited,
-                c.conflicts,
-                c.naive_ran,
-                c.identical,
-                if i + 1 == self.cells.len() { "" } else { "," },
-            ));
+impl Report for SpaceReport {
+    fn table(&self) -> Table {
+        let mut t = Table::new(
+            "E19: packed-state engine — three engines, one digest per population",
+            &[
+                "devices",
+                "raw |S|",
+                "classes",
+                "memo hit rate",
+                "bfs shells",
+                "dense visited",
+                "conflicts",
+                "naive leg",
+                "identical",
+            ],
+        );
+        for c in &self.cells {
+            t.rowd(&[
+                c.devices.to_string(),
+                c.states.to_string(),
+                c.classes.to_string(),
+                format!("{:.4}", hit_rate(c.memo.1, c.memo.0)),
+                // shells=[a,b,...] → shell count (depth of the BFS layering).
+                c.bfs.matches(',').count().saturating_add(1).to_string(),
+                c.dense_visited.to_string(),
+                c.conflicts.to_string(),
+                if c.naive_ran { "ran" } else { "infeasible" }.to_string(),
+                c.identical.to_string(),
+            ]);
         }
-        out.push_str("  ],\n");
-        out.push_str(&format!("  \"deterministic\": {},\n", self.deterministic));
-        out.push_str("  \"timing_wall_ms\": [\n");
-        for (i, c) in self.cells.iter().enumerate() {
-            let naive = c.naive_wall_ms.map(|m| m.to_string()).unwrap_or_else(|| "null".into());
-            let par: Vec<String> = c.parallel_wall_ms.iter().map(|m| m.to_string()).collect();
+        t
+    }
+
+    fn summary(&self) -> String {
+        format!(
+            "E19 summary: {} populations, {} states in reference sweeps, memo hit rate {:.4}, \
+             best naive-vs-packed speedup {:.1}x, deterministic: {}",
+            self.cells.len(),
+            self.states_total(),
+            self.memo_hit_rate(),
+            self.best_speedup(),
+            self.deterministic(),
+        )
+    }
+
+    fn outcome(&self) -> (u64, f64, bool) {
+        (self.states_total(), self.memo_hit_rate(), self.deterministic())
+    }
+
+    /// A stable section (counts, digests, engine agreement; the seed is
+    /// recorded for provenance, not consumed) plus the volatile timings.
+    fn record(&self) -> Option<Doc> {
+        let population = |c: &SpaceCell| {
+            Obj::new()
+                .field("devices", c.devices)
+                .field("states", c.states)
+                .field("classes", c.classes)
+                .field("digest", quoted(&c.digest))
+                .field("bfs", quoted(&c.bfs))
+                .field("dense_visited", c.dense_visited)
+                .field("conflicts", c.conflicts)
+                .field("naive_ran", c.naive_ran)
+                .field("identical", c.identical)
+        };
+        let timing = |c: &SpaceCell| {
             // Serial wall over parallel wall, per thread count: above 1
             // the threads paid for themselves.
-            let ratio: Vec<String> = c
+            let ratio = c
                 .parallel_wall_ms
                 .iter()
-                .map(|m| format!("{:.2}", c.serial_wall_ms.max(1) as f64 / (*m).max(1) as f64))
-                .collect();
-            out.push_str(&format!(
-                "    {{\"devices\": {}, \"naive_wall_ms\": {}, \"packed_serial_wall_ms\": {}, \
-                 \"packed_parallel_wall_ms\": [{}], \"par_vs_serial\": [{}]}}{}\n",
-                c.devices,
-                naive,
-                c.serial_wall_ms,
-                par.join(", "),
-                ratio.join(", "),
-                if i + 1 == self.cells.len() { "" } else { "," },
-            ));
-        }
-        out.push_str("  ],\n");
-        out.push_str(&format!(
-            "  \"speedup_wall_ms\": {{\"best_naive_vs_packed_serial\": {:.1}, \
-             \"floor_5x_met\": {}}}\n",
-            self.best_speedup(),
-            self.best_speedup() >= 5.0,
-        ));
-        out.push_str("}\n");
-        out
+                .map(|m| fixed(c.serial_wall_ms.max(1) as f64 / (*m).max(1) as f64, 2));
+            Obj::new()
+                .field("devices", c.devices)
+                .field("naive_wall_ms", c.naive_wall_ms.map_or("null".into(), |m| m.to_string()))
+                .field("packed_serial_wall_ms", c.serial_wall_ms)
+                .field("packed_parallel_wall_ms", list(&c.parallel_wall_ms))
+                .field("par_vs_serial", list(ratio))
+        };
+        let speedup = Obj::new()
+            .field("best_naive_vs_packed_serial", fixed(self.best_speedup(), 1))
+            .field("floor_5x_met", self.best_speedup() >= 5.0);
+        let doc = Doc::new("BENCH_E19.json")
+            .field("experiment", quoted("e19"))
+            .field("seed", SEED)
+            .field("parallel_threads", list(PAR_THREADS))
+            .field("naive_sweep_limit", NAIVE_SWEEP_LIMIT)
+            .field("naive_bfs_limit", NAIVE_BFS_LIMIT)
+            .rows("populations", self.cells.iter().map(population))
+            .field("deterministic", self.deterministic())
+            .volatile_rows("timing_wall_ms", self.cells.iter().map(timing))
+            .volatile_field("speedup_wall_ms", speedup);
+        Some(doc)
     }
 }
 
-fn ms(start: Instant) -> u128 {
-    start.elapsed().as_millis()
-}
+const PACKABLE: &str = "E19 policies are packable by construction";
 
 fn run_cell(n: u32) -> SpaceCell {
     let policy: FsmPolicy = crate::exp_policy::policy_for(n, n / 4);
@@ -204,41 +222,32 @@ fn run_cell(n: u32) -> SpaceCell {
     let mut identical = true;
 
     // Packed-serial exhaustive sweep: the reference digest.
-    let start = Instant::now();
-    let serial = explore_packed(&policy, 1).expect("E19 policies are packable by construction");
-    let serial_wall_ms = ms(start);
+    let (serial, serial_wall_ms) = timed(|| explore_packed(&policy, 1).expect(PACKABLE));
     let reference = serial.digest();
 
     // Naive exhaustive sweep, while it still fits.
     let naive_ran = raw <= NAIVE_SWEEP_LIMIT;
-    let naive_wall_ms = if naive_ran {
-        let start = Instant::now();
-        let naive = explore_naive(&policy);
-        let wall = ms(start);
+    let naive_wall_ms = naive_ran.then(|| {
+        let (naive, wall) = timed(|| explore_naive(&policy));
         identical &= naive.digest() == reference;
-        Some(wall)
-    } else {
-        None
-    };
+        wall
+    });
 
     // Packed-parallel sweeps at each fixed thread count.
     let mut parallel_wall_ms = Vec::new();
     for &t in PAR_THREADS {
-        let start = Instant::now();
-        let par = explore_packed(&policy, t).expect("E19 policies are packable by construction");
-        parallel_wall_ms.push(ms(start));
+        let (par, wall) = timed(|| explore_packed(&policy, t).expect(PACKABLE));
+        parallel_wall_ms.push(wall);
         identical &= par.digest() == reference;
     }
 
     // Frontier BFS: serial reference, parallel byte-identity, naive
     // shell histogram while it fits.
     let tracer = Tracer::disabled();
-    let bfs_serial =
-        bfs_packed(&policy, 1, &tracer).expect("E19 policies are packable by construction");
+    let bfs_serial = bfs_packed(&policy, 1, &tracer).expect(PACKABLE);
     let bfs_ref = format!("{} fd={:016x}", bfs_serial.histogram(), bfs_serial.frontier_digest);
     for &t in PAR_THREADS {
-        let par =
-            bfs_packed(&policy, t, &tracer).expect("E19 policies are packable by construction");
+        let par = bfs_packed(&policy, t, &tracer).expect(PACKABLE);
         identical &= format!("{} fd={:016x}", par.histogram(), par.frontier_digest) == bfs_ref;
     }
     if raw <= NAIVE_BFS_LIMIT {
@@ -269,50 +278,9 @@ fn run_cell(n: u32) -> SpaceCell {
     }
 }
 
-/// E19 — run the population-scaling sweep and build the report.
+/// E19 — run the population-scaling sweep.
 pub fn space() -> SpaceReport {
-    let mut t = Table::new(
-        "E19: packed-state engine — three engines, one digest per population",
-        &[
-            "devices",
-            "raw |S|",
-            "classes",
-            "memo hit rate",
-            "bfs shells",
-            "dense visited",
-            "conflicts",
-            "naive leg",
-            "identical",
-        ],
-    );
-    let cells: Vec<SpaceCell> = POPULATIONS.iter().map(|&n| run_cell(n)).collect();
-    for c in &cells {
-        let hit_rate = if c.memo.0 == 0 { 0.0 } else { c.memo.1 as f64 / c.memo.0 as f64 };
-        t.rowd(&[
-            c.devices.to_string(),
-            c.states.to_string(),
-            c.classes.to_string(),
-            format!("{:.4}", hit_rate),
-            // shells=[a,b,...] → shell count (depth of the BFS layering).
-            c.bfs.matches(',').count().saturating_add(1).to_string(),
-            c.dense_visited.to_string(),
-            c.conflicts.to_string(),
-            if c.naive_ran { "ran" } else { "infeasible" }.to_string(),
-            c.identical.to_string(),
-        ]);
-    }
-    let deterministic = cells.iter().all(|c| c.identical);
-    let report = SpaceReport { table: t, cells, deterministic, summary: String::new() };
-    let summary = format!(
-        "E19 summary: {} populations, {} states in reference sweeps, memo hit rate {:.4}, \
-         best naive-vs-packed speedup {:.1}x, deterministic: {}",
-        report.cells.len(),
-        report.states_total(),
-        report.memo_hit_rate(),
-        report.best_speedup(),
-        report.deterministic,
-    );
-    SpaceReport { summary, ..report }
+    SpaceReport { cells: POPULATIONS.iter().map(|&n| run_cell(n)).collect() }
 }
 
 #[cfg(test)]
@@ -327,50 +295,6 @@ mod tests {
         assert_eq!(c.states, 2592);
         assert!(c.classes > 0);
         assert!(c.dense_visited);
-    }
-
-    #[test]
-    fn json_volatile_lines_all_carry_wall_ms() {
-        let cell = SpaceCell {
-            devices: 6,
-            states: 2592,
-            classes: 9,
-            digest: "states=2592 classes=9 cd=0 quiet=1 qd=0".into(),
-            bfs: "visited=2592 shells=[1,13] fd=0000000000000000".into(),
-            dense_visited: true,
-            conflicts: 0,
-            naive_ran: true,
-            identical: true,
-            memo: (2592, 2500),
-            naive_wall_ms: Some(12),
-            serial_wall_ms: 1,
-            parallel_wall_ms: vec![1, 1],
-        };
-        let report = SpaceReport {
-            table: Table::new("t", &["a"]),
-            cells: vec![cell],
-            deterministic: true,
-            summary: String::new(),
-        };
-        let json = report.render_json();
-        // Everything after the stable section must be filterable by
-        // `git diff -I'wall_ms'`: each line with a timing value (or a
-        // host-dependent speedup) carries the marker.
-        let mut in_timing = false;
-        for line in json.lines() {
-            if line.contains("\"timing_wall_ms\"") {
-                in_timing = true;
-            }
-            let volatile = line.contains("_wall_ms\":") || line.contains("speedup_wall_ms");
-            if in_timing && line.contains('{') {
-                assert!(line.contains("wall_ms"), "volatile line lacks marker: {line}");
-            }
-            if volatile {
-                assert!(line.contains("wall_ms"));
-            }
-        }
-        assert!(json.contains("\"deterministic\": true"));
-        assert!(json.ends_with("}\n"));
     }
 
     #[test]
@@ -390,12 +314,13 @@ mod tests {
             serial_wall_ms: serial,
             parallel_wall_ms: vec![],
         };
-        let report = SpaceReport {
-            table: Table::new("t", &["a"]),
-            cells: vec![mk(Some(100), 10), mk(None, 1), mk(Some(30), 10)],
-            deterministic: true,
-            summary: String::new(),
-        };
+        let report = SpaceReport { cells: vec![mk(Some(100), 10), mk(None, 1), mk(Some(30), 10)] };
         assert!((report.best_speedup() - 10.0).abs() < 1e-9);
+        // The infeasible cell's naive leg is recorded as absent, and the
+        // record renders (the writer refuses an unmarked volatile row).
+        let json = report.record().expect("E19 always writes a record").render();
+        assert!(json
+            .contains("{\"devices\": 6, \"naive_wall_ms\": null, \"packed_serial_wall_ms\": 1, "));
+        assert!(json.contains("\"speedup_wall_ms\": {\"best_naive_vs_packed_serial\": 10.0, "));
     }
 }

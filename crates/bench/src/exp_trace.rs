@@ -10,7 +10,8 @@
 //! separate single smart-home world feeds the [`TraceAggregator`] for
 //! the per-component histogram and the top-K hot switches/µmboxes.
 
-use crate::sweep::{sweep_worlds_traced, SweepScenario, WorldJob};
+use crate::report::Report;
+use crate::sweep::{sweep_worlds_traced, SweepScenario, WorldJob, WorldOutcome};
 use crate::Table;
 use iotnet::time::SimDuration;
 use iotsec::defense::Defense;
@@ -18,20 +19,72 @@ use iotsec::scenario;
 use iotsec::world::World;
 use trace::{first_divergence, render_divergence, TraceAggregator, TraceConfig, Tracer};
 
-/// Everything E17 produces: the printable table, the aggregator text,
-/// and the identity verdict the CI gate consumes.
+/// Everything E17 measures: both legs' traces and the hot-spot text.
 #[derive(Debug)]
 pub struct TraceReport {
-    /// Per-job trace summary table.
-    pub table: Table,
+    /// Worker threads used for the parallel leg.
+    pub threads: usize,
+    /// The serial reference leg: `(outcome, JSONL trace)` per job.
+    pub reference: Vec<(WorldOutcome, String)>,
+    /// The parallel leg; its traces must equal the reference's bytes.
+    pub parallel: Vec<(WorldOutcome, String)>,
     /// Rendered aggregator output (histograms + top-K hot spots).
-    pub summary: String,
+    pub hot_spots: String,
+}
+
+impl TraceReport {
     /// Trace events recorded across the reference leg.
-    pub events: u64,
+    pub fn events(&self) -> u64 {
+        self.reference.iter().map(|(_, t)| t.lines().count() as u64).sum()
+    }
+
     /// Whether parallel-sweep traces matched the serial reference.
-    pub threads_identical: bool,
-    /// First-divergence renderings for any mismatches (empty when green).
-    pub divergences: Vec<String>,
+    pub fn threads_identical(&self) -> bool {
+        self.reference.iter().zip(&self.parallel).all(|(r, p)| r.1 == p.1)
+    }
+}
+
+impl Report for TraceReport {
+    fn table(&self) -> Table {
+        let mut table = Table::new(
+            &format!(
+                "E17: deterministic traces — {} worlds, serial vs {} threads",
+                self.reference.len(),
+                self.threads
+            ),
+            &["scenario", "seed", "events", "trace bytes", "parallel identical"],
+        );
+        for ((out, trace), (_, par)) in self.reference.iter().zip(&self.parallel) {
+            table.rowd(&[
+                out.job.scenario.label().to_string(),
+                out.job.seed.to_string(),
+                trace.lines().count().to_string(),
+                trace.len().to_string(),
+                (par == trace).to_string(),
+            ]);
+        }
+        table
+    }
+
+    /// The hot-spot text, then any mismatch as a readable
+    /// first-divergence diff (not a blob mismatch), then the summary line.
+    fn summary(&self) -> String {
+        let mut summary = format!("{}\n", self.hot_spots);
+        for (i, ((_, trace), (_, par))) in self.reference.iter().zip(&self.parallel).enumerate() {
+            if let Some(d) = first_divergence(trace, par) {
+                summary += &format!("job {i} (parallel): {}\n", render_divergence(&d));
+            }
+        }
+        let (events, _, identical) = self.outcome();
+        summary
+            + &format!(
+                "E17 summary: {events} trace events, parallel-vs-serial identical: {identical}"
+            )
+    }
+
+    fn outcome(&self) -> (u64, f64, bool) {
+        (self.events(), 0.0, self.threads_identical())
+    }
 }
 
 /// The E17 job grid: both scenarios over two seeds, small populations —
@@ -44,41 +97,14 @@ pub fn trace_jobs(seed: u64) -> Vec<WorldJob> {
     ]
 }
 
-/// E17 — run the traced grid, check thread-count trace identity, and
-/// aggregate one world's trace for the hot-spot report.
+/// E17 — run the traced grid serial and parallel, and aggregate one
+/// world's trace for the hot-spot report.
 pub fn trace(seed: u64, threads: usize) -> TraceReport {
     let jobs = trace_jobs(seed);
     let config = TraceConfig::full();
+    let threads = threads.max(2);
     let reference = sweep_worlds_traced(&jobs, 1, config);
-    let parallel = sweep_worlds_traced(&jobs, threads.max(2), config);
-
-    let mut divergences = Vec::new();
-    let mut threads_identical = true;
-    let mut table = Table::new(
-        &format!(
-            "E17: deterministic traces — {} worlds, serial vs {} threads",
-            jobs.len(),
-            threads.max(2)
-        ),
-        &["scenario", "seed", "events", "trace bytes", "parallel identical"],
-    );
-    for (i, (out, trace)) in reference.iter().enumerate() {
-        let par_ok = parallel[i].1 == *trace;
-        if !par_ok {
-            threads_identical = false;
-            if let Some(d) = first_divergence(trace, &parallel[i].1) {
-                divergences.push(format!("job {i} (parallel): {}", render_divergence(&d)));
-            }
-        }
-        table.rowd(&[
-            out.job.scenario.label().to_string(),
-            out.job.seed.to_string(),
-            trace.lines().count().to_string(),
-            trace.len().to_string(),
-            par_ok.to_string(),
-        ]);
-    }
-    let events = reference.iter().map(|(_, t)| t.lines().count() as u64).sum();
+    let parallel = sweep_worlds_traced(&jobs, threads, config);
 
     // One full smart-home run feeds the aggregator: per-component event
     // histograms plus the hottest switches and µmboxes.
@@ -89,9 +115,8 @@ pub fn trace(seed: u64, threads: usize) -> TraceReport {
     w.run_until_attack_done(SimDuration::from_secs(300));
     let mut agg = TraceAggregator::new();
     agg.observe_all(&tracer.events());
-    let summary = agg.render(5);
 
-    TraceReport { table, summary, events, threads_identical, divergences }
+    TraceReport { threads, reference, parallel, hot_spots: agg.render(5) }
 }
 
 #[cfg(test)]

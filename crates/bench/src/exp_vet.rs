@@ -22,10 +22,10 @@
 //! statistics (sim-derived, byte-stable) plus one `wall_ms`-marked
 //! volatile line; CI diffs the file with `-I'wall_ms'`.
 
+use crate::report::{quoted, timed, Doc, Obj, Report};
 use crate::sweep::run_sweep;
 use crate::Table;
 use iotsec_fuzz::{generate, oracle, shrink, GenConfig, Verdict, Weakness};
-use std::time::Instant;
 
 /// Campaign width for the correct-defense arm.
 pub const SCENARIOS: usize = 200;
@@ -52,8 +52,6 @@ pub struct ShrinkStat {
 
 /// E23's full result: verdict tallies, gate bits and shrink stats.
 pub struct VetReport {
-    /// Campaign + weakened-arm summary table.
-    pub table: Table,
     /// Scenarios in the correct-defense campaign.
     pub scenarios: usize,
     /// Scenarios that passed non-vacuously.
@@ -72,9 +70,12 @@ pub struct VetReport {
     pub weakened_violations: usize,
     /// Shrink statistics, one per weakened violation.
     pub shrinks: Vec<ShrinkStat>,
-    /// One-line human summary.
-    pub summary: String,
-    json: String,
+    /// FNV-1a over the campaign digest lines — the stable fingerprint
+    /// committed in `BENCH_E23.json`.
+    pub campaign_fingerprint: u64,
+    /// Campaign wall time (volatile).
+    pub wall_ms: u128,
+    seed: u64,
 }
 
 impl VetReport {
@@ -88,9 +89,86 @@ impl VetReport {
             && self.shrinks.len() == self.weakened_violations
     }
 
-    /// The `BENCH_E23.json` payload.
-    pub fn render_json(&self) -> &str {
-        &self.json
+    /// `(devices, faults)` of the largest shrunk repro on each axis.
+    fn max_shrunk(&self) -> (usize, usize) {
+        let max = |axis: fn(&ShrinkStat) -> usize| self.shrinks.iter().map(axis).max().unwrap_or(0);
+        (max(|s| s.devices), max(|s| s.faults))
+    }
+}
+
+impl Report for VetReport {
+    fn table(&self) -> Table {
+        let (devices, faults) = self.max_shrunk();
+        let mut table = Table::new(
+            "E23: adversarial vet campaign — differential oracle over generated homes",
+            &["arm", "scenarios", "pass", "vacuous", "violation", "notes"],
+        );
+        table.rowd(&[
+            "correct".to_string(),
+            self.scenarios.to_string(),
+            self.passes.to_string(),
+            self.vacuous.to_string(),
+            self.violations.to_string(),
+            format!("fingerprint {:016x}", self.campaign_fingerprint),
+        ]);
+        table.rowd(&[
+            "weakened".to_string(),
+            WEAKENED.to_string(),
+            (WEAKENED - self.weakened_violations).to_string(),
+            "-".to_string(),
+            self.weakened_violations.to_string(),
+            format!("max shrunk: {devices} devices, {faults} faults"),
+        ]);
+        table
+    }
+
+    fn summary(&self) -> String {
+        let (devices, faults) = self.max_shrunk();
+        format!(
+            "E23 summary: {} scenarios — {} pass / {} vacuous / {} violation; \
+             threads identical: {}, reproducible: {}; weakened arm: {}/{} violations, \
+             all shrunk (max {devices} devices, {faults} faults)",
+            self.scenarios,
+            self.passes,
+            self.vacuous,
+            self.violations,
+            self.threads_identical,
+            self.reproducible,
+            self.weakened_violations,
+            WEAKENED,
+        )
+    }
+
+    fn outcome(&self) -> (u64, f64, bool) {
+        (self.scenarios as u64, 0.0, self.deterministic())
+    }
+
+    fn record(&self) -> Option<Doc> {
+        let shrunk = |s: &ShrinkStat| {
+            Obj::new()
+                .field("seed", s.seed)
+                .field("invariant", quoted(s.invariant))
+                .field("devices", s.devices)
+                .field("faults", s.faults)
+                .field("steps", s.steps)
+                .field("horizon_secs", s.horizon_secs)
+                .field("oracle_runs", s.oracle_runs)
+        };
+        let doc = Doc::new("BENCH_E23.json")
+            .field("seed", self.seed)
+            .field("scenarios", self.scenarios)
+            .field("passes", self.passes)
+            .field("vacuous", self.vacuous)
+            .field("violations", self.violations)
+            .field("campaign_fingerprint", self.campaign_fingerprint)
+            .field("threads_identical", self.threads_identical)
+            .field("reproducible", self.reproducible)
+            .field("weakened_scenarios", WEAKENED)
+            .field("weakened_violations", self.weakened_violations)
+            .rows("shrinks", self.shrinks.iter().map(shrunk))
+            // Wall-clock only, ignored by the CI byte-diff.
+            .volatile_field("wall_ms", self.wall_ms);
+        Some(doc)
     }
 }
 
@@ -109,8 +187,7 @@ fn digest(i: usize, seed: u64, cfg: &GenConfig) -> String {
     )
 }
 
-/// FNV-1a over the campaign digest lines — the stable fingerprint
-/// committed in `BENCH_E23.json`.
+/// FNV-1a over the campaign digest lines.
 fn fingerprint(digests: &[String]) -> u64 {
     let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
     for d in digests {
@@ -122,45 +199,14 @@ fn fingerprint(digests: &[String]) -> u64 {
     hash
 }
 
-fn render_json(seed: u64, report: &VetReport, campaign_fp: u64, wall_ms: u128) -> String {
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str(&format!("  \"seed\": {seed},\n"));
-    out.push_str(&format!("  \"scenarios\": {},\n", report.scenarios));
-    out.push_str(&format!("  \"passes\": {},\n", report.passes));
-    out.push_str(&format!("  \"vacuous\": {},\n", report.vacuous));
-    out.push_str(&format!("  \"violations\": {},\n", report.violations));
-    out.push_str(&format!("  \"campaign_fingerprint\": {campaign_fp},\n"));
-    out.push_str(&format!("  \"threads_identical\": {},\n", report.threads_identical));
-    out.push_str(&format!("  \"reproducible\": {},\n", report.reproducible));
-    out.push_str(&format!("  \"weakened_scenarios\": {WEAKENED},\n"));
-    out.push_str(&format!("  \"weakened_violations\": {},\n", report.weakened_violations));
-    out.push_str("  \"shrinks\": [\n");
-    for (i, s) in report.shrinks.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"seed\": {}, \"invariant\": \"{}\", \"devices\": {}, \"faults\": {}, \
-             \"steps\": {}, \"horizon_secs\": {}, \"oracle_runs\": {}}}{}\n",
-            s.seed,
-            s.invariant,
-            s.devices,
-            s.faults,
-            s.steps,
-            s.horizon_secs,
-            s.oracle_runs,
-            if i + 1 == report.shrinks.len() { "" } else { "," },
-        ));
-    }
-    out.push_str("  ],\n");
-    // Volatile line: wall-clock only, ignored by the CI byte-diff.
-    out.push_str(&format!("  \"wall_ms\": {wall_ms}\n"));
-    out.push_str("}\n");
-    out
-}
-
 /// E23 — the vet campaign. `threads` drives the parallel sweep whose
 /// digests are checked against the serial reference.
 pub fn vet(seed: u64, threads: usize) -> VetReport {
-    let start = Instant::now();
+    let (report, wall_ms) = timed(|| campaign(seed, threads));
+    VetReport { wall_ms, ..report }
+}
+
+fn campaign(seed: u64, threads: usize) -> VetReport {
     let cfg = GenConfig::default();
     let seeds: Vec<u64> = (0..SCENARIOS as u64).map(|i| seed.wrapping_add(i)).collect();
 
@@ -172,18 +218,10 @@ pub fn vet(seed: u64, threads: usize) -> VetReport {
     let threads_identical = serial == parallel;
     let reproducible = serial == rerun;
 
-    let mut passes = 0;
-    let mut vacuous = 0;
-    let mut violations = 0;
-    for d in &serial {
-        if d.contains("verdict=pass") {
-            passes += 1;
-        } else if d.contains("verdict=vacuous") {
-            vacuous += 1;
-        } else {
-            violations += 1;
-        }
-    }
+    // Every digest line carries exactly one verdict.
+    let tally = |verdict: &str| serial.iter().filter(|d| d.contains(verdict)).count();
+    let (passes, vacuous) = (tally("verdict=pass"), tally("verdict=vacuous"));
+    let violations = SCENARIOS - passes - vacuous;
 
     // Weakened arm: quarantine escalation off, chains failing open —
     // the oracle must catch it and the shrinker must minimize it.
@@ -209,34 +247,7 @@ pub fn vet(seed: u64, threads: usize) -> VetReport {
         });
     }
 
-    let campaign_fp = fingerprint(&serial);
-    let mut table = Table::new(
-        "E23: adversarial vet campaign — differential oracle over generated homes",
-        &["arm", "scenarios", "pass", "vacuous", "violation", "notes"],
-    );
-    table.rowd(&[
-        "correct".to_string(),
-        SCENARIOS.to_string(),
-        passes.to_string(),
-        vacuous.to_string(),
-        violations.to_string(),
-        format!("fingerprint {campaign_fp:016x}"),
-    ]);
-    table.rowd(&[
-        "weakened".to_string(),
-        WEAKENED.to_string(),
-        (WEAKENED - weakened_violations).to_string(),
-        "-".to_string(),
-        weakened_violations.to_string(),
-        format!(
-            "max shrunk: {} devices, {} faults",
-            shrinks.iter().map(|s| s.devices).max().unwrap_or(0),
-            shrinks.iter().map(|s| s.faults).max().unwrap_or(0),
-        ),
-    ]);
-
-    let mut report = VetReport {
-        table,
+    VetReport {
         scenarios: SCENARIOS,
         passes,
         vacuous,
@@ -246,24 +257,8 @@ pub fn vet(seed: u64, threads: usize) -> VetReport {
         threads: threads.max(2),
         weakened_violations,
         shrinks,
-        summary: String::new(),
-        json: String::new(),
-    };
-    report.summary = format!(
-        "E23 summary: {} scenarios — {} pass / {} vacuous / {} violation; \
-         threads identical: {}, reproducible: {}; weakened arm: {}/{} violations, \
-         all shrunk (max {} devices, {} faults)",
-        report.scenarios,
-        report.passes,
-        report.vacuous,
-        report.violations,
-        report.threads_identical,
-        report.reproducible,
-        report.weakened_violations,
-        WEAKENED,
-        report.shrinks.iter().map(|s| s.devices).max().unwrap_or(0),
-        report.shrinks.iter().map(|s| s.faults).max().unwrap_or(0),
-    );
-    report.json = render_json(seed, &report, campaign_fp, start.elapsed().as_millis());
-    report
+        campaign_fingerprint: fingerprint(&serial),
+        wall_ms: 0,
+        seed,
+    }
 }

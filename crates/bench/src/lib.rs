@@ -29,8 +29,11 @@
 //! | E25 | [`exp_fleet_chaos`] (fleet fault tolerance and recovery) |
 //! | E26 | [`exp_resident`] (resident worlds and delta intel installs) |
 //!
-//! [`metrics`] holds the runner's thread-local engine-counter registry,
-//! drained into each experiment's `BENCH_E16.json` record.
+//! [`report`] is the scaffold the gated experiments share — the
+//! [`report::Report`] a finished experiment hands the runner, the
+//! `BENCH_E*.json` writer, the timed determinism legs and the one
+//! [`SEED`]. [`metrics`] holds the runner's thread-local engine-counter
+//! tally, drained into each experiment's `BENCH_E16.json` record.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -54,7 +57,9 @@ pub mod exp_umbox;
 pub mod exp_vet;
 pub mod exp_world;
 pub mod metrics;
+pub mod report;
 pub mod sweep;
 pub mod table;
 
+pub use report::SEED;
 pub use table::Table;

@@ -5,38 +5,35 @@
 //! runner had no way to see the engine work done inside `table1`,
 //! `fig3`–`fig5`, `endtoend`, `chaos` or `safety`. This module gives the
 //! runner that visibility without touching any experiment signature: a
-//! thread-local [`MetricsRegistry`] that each world-running experiment
-//! feeds ([`record_world`]) as it finishes a world, and the runner
-//! drains ([`take`]) after each experiment to populate that row's
-//! record.
+//! thread-local tally that each world-running experiment feeds
+//! ([`record_world`]) as it finishes a world, and the runner drains
+//! ([`take`]) after each experiment to populate that row's record.
 //!
 //! Thread-local is the right scope: worlds in the non-perf experiments
 //! run serially on the runner's thread. The parallel sweeps (E16/E17)
 //! run worlds on worker threads, but those experiments already report
-//! their counters through their own ledgers — the registry is their
-//! fallback, not their source.
+//! their counters through [`crate::report::Report::outcome`] — the
+//! tally is their fallback, not their source.
 
-use std::cell::RefCell;
-use trace::registry::{MetricValue, MetricsRegistry};
+use crate::report::hit_rate;
+use std::cell::Cell;
 
 thread_local! {
-    static REGISTRY: RefCell<MetricsRegistry> = RefCell::new(MetricsRegistry::new());
+    /// `(events processed, cache lookups, cache hits)` since the last
+    /// [`reset`] / [`take`].
+    static WORK: Cell<(u64, u64, u64)> = const { Cell::new((0, 0, 0)) };
 }
 
-/// Clear the calling thread's experiment registry.
+/// Clear the calling thread's tally.
 pub fn reset() {
-    REGISTRY.with(|r| *r.borrow_mut() = MetricsRegistry::new());
+    WORK.set((0, 0, 0));
 }
 
 /// Add one engine-work observation: simulation events processed plus
 /// flow-decision-cache lookups and hits.
 pub fn add_work(events: u64, cache_lookups: u64, cache_hits: u64) {
-    REGISTRY.with(|r| {
-        let mut reg = r.borrow_mut();
-        reg.counter("engine.events_processed", events);
-        reg.counter("net.cache_lookups", cache_lookups);
-        reg.counter("net.cache_hits", cache_hits);
-    });
+    let (e, l, h) = WORK.get();
+    WORK.set((e + events, l + cache_lookups, h + cache_hits));
 }
 
 /// Record a finished world's engine counters.
@@ -45,24 +42,11 @@ pub fn record_world(w: &iotsec::world::World) {
     add_work(w.net.events_processed(), lookups, hits);
 }
 
-fn counter(reg: &MetricsRegistry, name: &str) -> u64 {
-    match reg.get(name) {
-        Some(MetricValue::Counter(c)) => c,
-        _ => 0,
-    }
-}
-
-/// Drain the registry: `(events_processed, cache_hit_rate)` accumulated
-/// since the last [`reset`]/[`take`], leaving the registry empty.
+/// Drain the tally: `(events_processed, cache_hit_rate)` accumulated
+/// since the last [`reset`]/[`take`], leaving it empty.
 pub fn take() -> (u64, f64) {
-    REGISTRY.with(|r| {
-        let reg = std::mem::take(&mut *r.borrow_mut());
-        let events = counter(&reg, "engine.events_processed");
-        let lookups = counter(&reg, "net.cache_lookups");
-        let hits = counter(&reg, "net.cache_hits");
-        let rate = if lookups == 0 { 0.0 } else { hits as f64 / lookups as f64 };
-        (events, rate)
-    })
+    let (events, lookups, hits) = WORK.replace((0, 0, 0));
+    (events, hit_rate(hits, lookups))
 }
 
 #[cfg(test)]

@@ -12,7 +12,6 @@
 //! produce byte-identical sweeps.
 
 use crate::exp_world::exploit_landed;
-use iotctl::concurrent::SweepLedger;
 use iotnet::time::SimDuration;
 use iotsec::defense::Defense;
 use iotsec::scenario;
@@ -183,13 +182,16 @@ where
 }
 
 /// The world-level sweep: run every [`WorldJob`] across `threads`
-/// workers, bumping `ledger` as each instance completes, and return
-/// the outcomes in job order.
-pub fn sweep_worlds(jobs: &[WorldJob], threads: usize, ledger: &SweepLedger) -> Vec<WorldOutcome> {
-    run_sweep(jobs.to_vec(), threads, |_, job| {
-        let out = run_world_job(job);
-        ledger.record(out.events_processed, out.cache_lookups, out.cache_hits);
-        out
+/// workers and return the outcomes in job order.
+pub fn sweep_worlds(jobs: &[WorldJob], threads: usize) -> Vec<WorldOutcome> {
+    run_sweep(jobs.to_vec(), threads, |_, job| run_world_job(job))
+}
+
+/// The engine work a sweep did, folded from its outcomes:
+/// `(events processed, cache lookups, cache hits)`.
+pub fn totals(outcomes: &[WorldOutcome]) -> (u64, u64, u64) {
+    outcomes.iter().fold((0, 0, 0), |(events, lookups, hits), o| {
+        (events + o.events_processed, lookups + o.cache_lookups, hits + o.cache_hits)
     })
 }
 
@@ -224,13 +226,11 @@ mod tests {
             WorldJob { scenario: SweepScenario::HomeIoTSec, seed: 7, population: 0 },
             WorldJob { scenario: SweepScenario::HomeUndefended, seed: 7, population: 4 },
         ];
-        let ledger1 = SweepLedger::new();
-        let ledger2 = SweepLedger::new();
-        let serial = sweep_worlds(&jobs, 1, &ledger1);
-        let parallel = sweep_worlds(&jobs, 2, &ledger2);
+        let serial = sweep_worlds(&jobs, 1);
+        let parallel = sweep_worlds(&jobs, 2);
         assert_eq!(serial, parallel);
-        assert_eq!(ledger1.done(), 2);
-        assert_eq!(ledger1.events(), ledger2.events());
-        assert!(ledger1.events() > 0, "worlds must actually process events");
+        assert_eq!(serial.len(), 2);
+        assert_eq!(totals(&serial), totals(&parallel));
+        assert!(totals(&serial).0 > 0, "worlds must actually process events");
     }
 }

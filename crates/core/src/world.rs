@@ -220,7 +220,6 @@ pub struct World {
     breach_at: Option<SimTime>,
     retired_drops: u64,
     retired_intercepts: u64,
-    recipes_fired_seed: u64,
     // --- chaos layer (all inert unless `chaos_enabled`) ----------------
     /// Whether a chaos schedule was installed. The schedule itself lives
     /// in `faults`/`crash_plan`/`outage_plan`; the full `ChaosConfig` is
@@ -510,7 +509,7 @@ impl World {
     }
 
     /// Build a resident home world (E26): a [`World::new_home_recycled`]
-    /// build plus the captured [`ResidentBind`] that later rounds use to
+    /// build plus the captured `ResidentBind` that later rounds use to
     /// install intel deltas ([`World::apply_intel_delta`]) and rebind to
     /// a new `(seed)` in place ([`World::rebind_home`]) instead of
     /// rebuilding from scratch.
@@ -585,36 +584,15 @@ impl World {
                 out.devices_patched += 1;
             }
             if membership_changed {
-                // Recompile the policy exactly as the builder does, from
-                // the captured template inputs and the updated
-                // membership vector. Rule-for-rule identical output
-                // keeps the oracle's byte-equivalence intact.
-                let mut compiler = PolicyCompiler::new();
-                for i in 0..self.devices.len() {
-                    compiler.device(DeviceId(i as u32), bind.classes[i], &bind.vulns[i]);
-                    if bind.matched[i] {
-                        compiler.rule(
-                            iotpolicy::policy::PolicyRule::new(
-                                iotpolicy::compile::priority::MITIGATION,
-                                iotpolicy::policy::StatePattern::any(),
-                                DeviceId(i as u32),
-                                Posture::of(iotpolicy::posture::SecurityModule::Ids { ruleset: 1 }),
-                            )
-                            .with_origin(&format!("repo:{}", bind.skus[i])),
-                        );
-                    }
-                }
-                for var in EnvVar::ALL {
-                    compiler.env(var);
-                }
-                for (device, var, value) in &bind.gates {
-                    compiler.gate_actuation(*device, *var, value);
-                }
-                for (watched, protected) in &bind.protect_pairs {
-                    compiler.protect_on_suspicion(*watched, *protected);
-                }
+                // Recompile from the captured template inputs and the
+                // updated membership vector; sharing the builder's
+                // compile keeps the output rule-for-rule identical, which
+                // the oracle's byte-equivalence rests on.
+                let devices = (0..self.devices.len())
+                    .map(|i| (bind.classes[i], &bind.vulns[i][..], &bind.skus[i], bind.matched[i]));
+                let policy = compile_home_policy(devices, &bind.gates, &bind.protect_pairs);
                 if let Some(ControlPlane::Flat(c)) = &mut self.control {
-                    c.policy = compiler.build();
+                    c.policy = policy;
                 }
                 out.recompiled = true;
             }
@@ -657,12 +635,7 @@ impl World {
         }
         if let Some(cfg) = &self.cfg {
             self.lifecycle = Some(LifecycleManager::new(cfg.pool));
-            self.cluster = Some(match bind.site {
-                crate::deployment::Site::Home => Cluster::iot_router(),
-                crate::deployment::Site::Enterprise { .. } => {
-                    Cluster::enterprise(4, 8192, umbox::resource::PlacementPolicy::LeastLoaded)
-                }
-            });
+            self.cluster = Some(cluster_for(bind.site));
         }
         self.chains.clear();
         self.pending_steers.clear();
@@ -673,7 +646,6 @@ impl World {
         self.breach_at = None;
         self.retired_drops = 0;
         self.retired_intercepts = 0;
-        self.recipes_fired_seed = 0;
         self.unprotected.clear();
         self.fail_open_exposure = SimDuration::ZERO;
         self.blocked_reaction.clear();
@@ -685,8 +657,12 @@ impl World {
         self.facts_scratch.clear();
         self.resident = Some(bind);
 
-        // Replay the initial reconciliation exactly as the builder does:
-        // standing mitigations install before any traffic flows.
+        self.install_standing_mitigations();
+    }
+
+    /// The t = 0 reconciliation, run by the builder and replayed by every
+    /// rebind: standing mitigations install before any traffic flows.
+    fn install_standing_mitigations(&mut self) {
         if let Some(mut control) = self.control.take() {
             let directives = control.reconcile(SimTime::ZERO);
             self.control = Some(control);
@@ -864,38 +840,15 @@ impl World {
                 }
             }
             Defense::IoTSec(config) => {
-                let mut compiler = PolicyCompiler::new();
-                for (i, setup) in deployment.devices.iter().enumerate() {
-                    compiler.device(DeviceId(i as u32), setup.class, &setup.vulns);
-                    // Subscribed repository signatures for this SKU put a
-                    // standing IDS in front of the device.
-                    if deployment
-                        .subscribed_signatures
-                        .iter()
-                        .chain(extra.iter())
-                        .any(|s| s.sku == setup.sku)
-                    {
-                        compiler.rule(
-                            iotpolicy::policy::PolicyRule::new(
-                                iotpolicy::compile::priority::MITIGATION,
-                                iotpolicy::policy::StatePattern::any(),
-                                DeviceId(i as u32),
-                                Posture::of(iotpolicy::posture::SecurityModule::Ids { ruleset: 1 }),
-                            )
-                            .with_origin(&format!("repo:{}", setup.sku)),
-                        );
-                    }
-                }
-                for var in EnvVar::ALL {
-                    compiler.env(var);
-                }
-                for (device, var, value) in &deployment.gates {
-                    compiler.gate_actuation(*device, *var, value);
-                }
-                for (watched, protected) in &deployment.protect_pairs {
-                    compiler.protect_on_suspicion(*watched, *protected);
-                }
-                let policy = compiler.build();
+                // Subscribed repository signatures for a device's SKU put
+                // a standing IDS in front of it.
+                let subscribed = deployment.subscribed_signatures.iter().chain(extra.iter());
+                let devices = deployment.devices.iter().map(|setup| {
+                    let matched = subscribed.clone().any(|s| s.sku == setup.sku);
+                    (setup.class, &setup.vulns[..], &setup.sku, matched)
+                });
+                let policy =
+                    compile_home_policy(devices, &deployment.gates, &deployment.protect_pairs);
                 let ctl_config = ControllerConfig {
                     view_propagation: config.view_propagation,
                     ..ControllerConfig::default()
@@ -929,12 +882,7 @@ impl World {
                     lc.watchdog_delay = chaos.watchdog_delay;
                 }
                 lifecycle = Some(lc);
-                cluster = Some(match deployment.site {
-                    crate::deployment::Site::Home => Cluster::iot_router(),
-                    crate::deployment::Site::Enterprise { .. } => {
-                        Cluster::enterprise(4, 8192, umbox::resource::PlacementPolicy::LeastLoaded)
-                    }
-                });
+                cluster = Some(cluster_for(deployment.site));
                 cfg = Some(*config);
             }
         }
@@ -987,7 +935,6 @@ impl World {
             breach_at: None,
             retired_drops: 0,
             retired_intercepts: 0,
-            recipes_fired_seed: 0,
             chaos_enabled: deployment.chaos.is_some(),
             failure_mode: deployment.chaos.as_ref().map(|c| c.failure_mode).unwrap_or_default(),
             faults: FaultScheduler::new(),
@@ -1019,18 +966,7 @@ impl World {
             world.breakers = scfg.breaker.enabled.then(|| BreakerBank::new(scfg.breaker));
         }
 
-        // Initial reconciliation installs standing mitigations before any
-        // traffic flows.
-        if let Some(mut control) = world.control.take() {
-            let directives = control.reconcile(SimTime::ZERO);
-            world.control = Some(control);
-            for d in directives {
-                let (device, kind) = (d.device().0, directive_kind(&d));
-                world.tracer.emit(0, TraceEvent::DirectiveIssued { device, kind });
-                world.tracer.emit(0, TraceEvent::DirectiveDelivered { device, kind });
-                world.execute_directive(d, SimTime::ZERO);
-            }
-        }
+        world.install_standing_mitigations();
         world
     }
 
@@ -1701,7 +1637,6 @@ impl World {
         if let Some((hub, _)) = &self.hub {
             metrics.recipes_fired = hub.fired;
         }
-        let _ = self.recipes_fired_seed;
         metrics
     }
 
@@ -1782,6 +1717,53 @@ fn directive_kind(d: &Directive) -> &'static str {
 /// subscriptions matching its SKU (which apply regardless of local
 /// vulnerability knowledge — that is their whole point), plus rules
 /// derived from operator-known flaws when `cfg.signatures` is enabled.
+/// Compile a home's controller policy from, per device in id order,
+/// `(class, vulns, sku, matched)` — `matched` meaning some repository
+/// signature names the SKU, which puts a standing IDS in front of the
+/// device — plus the deployment's actuation gates and protect pairs.
+fn compile_home_policy<'a>(
+    devices: impl Iterator<Item = (DeviceClass, &'a [Vulnerability], &'a Sku, bool)>,
+    gates: &[(DeviceId, EnvVar, &'static str)],
+    protect_pairs: &[(DeviceId, DeviceId)],
+) -> iotpolicy::policy::FsmPolicy {
+    let mut compiler = PolicyCompiler::new();
+    for (i, (class, vulns, sku, matched)) in devices.enumerate() {
+        let id = DeviceId(i as u32);
+        compiler.device(id, class, vulns);
+        if matched {
+            compiler.rule(
+                iotpolicy::policy::PolicyRule::new(
+                    iotpolicy::compile::priority::MITIGATION,
+                    iotpolicy::policy::StatePattern::any(),
+                    id,
+                    Posture::of(iotpolicy::posture::SecurityModule::Ids { ruleset: 1 }),
+                )
+                .with_origin(&format!("repo:{sku}")),
+            );
+        }
+    }
+    for var in EnvVar::ALL {
+        compiler.env(var);
+    }
+    for (device, var, value) in gates {
+        compiler.gate_actuation(*device, *var, value);
+    }
+    for (watched, protected) in protect_pairs {
+        compiler.protect_on_suspicion(*watched, *protected);
+    }
+    compiler.build()
+}
+
+/// The µmbox host a site runs its chains on.
+fn cluster_for(site: crate::deployment::Site) -> Cluster {
+    match site {
+        crate::deployment::Site::Home => Cluster::iot_router(),
+        crate::deployment::Site::Enterprise { .. } => {
+            Cluster::enterprise(4, 8192, umbox::resource::PlacementPolicy::LeastLoaded)
+        }
+    }
+}
+
 fn build_signatures(
     cfg: Option<&IoTSecConfig>,
     sku: &iotdev::registry::Sku,

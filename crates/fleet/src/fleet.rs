@@ -57,7 +57,7 @@ use trace::digest::Fnv64;
 use trace::{TraceEvent, Tracer};
 
 /// The `Copy` outcome of one home for one round. Sitting in the home's
-/// [`Slot`] must be allocation-free, so this is fixed-size by
+/// `Slot` must be allocation-free, so this is fixed-size by
 /// construction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct HomeOutcome {

@@ -14,7 +14,7 @@
 //! * [`oracle`] — the differential oracle: defense-on must hold every
 //!   E18 + vet invariant, defense-off must prove the scenario is not
 //!   vacuous;
-//! * [`shrink`] — ddmin minimization of any violation to a 1-minimal
+//! * [`shrink`](mod@shrink) — ddmin minimization of any violation to a 1-minimal
 //!   scenario along the device / recipe / fault / attack / horizon
 //!   axes;
 //! * [`artifact`] — replayable minimal-repro files (`tests/repros/`).

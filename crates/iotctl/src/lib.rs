@@ -20,10 +20,6 @@
 //!   the zero-delay limit. Experiment E8 measures the stale-enforcement
 //!   window and the wrong-gate decisions it causes.
 //!
-//! [`concurrent`] provides a thread-safe shared-view variant used by the
-//! control-plane scalability bench to measure real contention on a
-//! multicore host.
-//!
 //! The chaos layer hardens the enforcement path against control-plane
 //! failure: [`failover`] pairs the flat controller with a warm standby
 //! (view checkpointing, failure detection, promotion with re-sync), and
@@ -43,7 +39,6 @@
 #![warn(missing_docs)]
 
 pub mod aggregate;
-pub mod concurrent;
 pub mod controller;
 pub mod delivery;
 pub mod directive;

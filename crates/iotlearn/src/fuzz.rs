@@ -98,7 +98,7 @@ pub fn ground_truth(models: &[AbstractModel]) -> BTreeSet<InteractionEdge> {
 /// unreachable (the sensor is stuck in its fired state).
 const RESET_EVERY: u64 = 50;
 
-/// Run the fuzzer for `trials` trials (reset every [`RESET_EVERY`]).
+/// Run the fuzzer for `trials` trials (reset every `RESET_EVERY`).
 pub fn fuzz_interactions<R: Rng>(
     models: &[AbstractModel],
     trials: u64,

@@ -226,7 +226,7 @@ fn level_shift(level: usize) -> u32 {
 /// wheel with a heap overflow tier.
 ///
 /// Event payloads live in an [`EventArena`]; the wheel slots and both
-/// heaps move 24-byte [`Ticket`]s (ordering key + generational handle)
+/// heaps move 24-byte `Ticket`s (ordering key + generational handle)
 /// only. Slot vectors, heaps and arena slots all retain their capacity
 /// across drains, so a warm queue schedules and pops with zero
 /// allocations.

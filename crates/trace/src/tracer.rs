@@ -7,7 +7,7 @@
 //! allocation, no formatting, no buffer. That is the zero-cost contract
 //! `tests/alloc_counter.rs` pins.
 //!
-//! Enabled, all clones share one [`TraceBuffer`] via `Rc<RefCell<_>>`
+//! Enabled, all clones share one `TraceBuffer` via `Rc<RefCell<_>>`
 //! (worlds are single-threaded; parallel sweeps give each world its own
 //! tracer and compare the rendered strings), and the buffer records
 //! `(sim-time ns, event)` pairs in emission order, masked by

@@ -26,6 +26,7 @@ use crate::report::{quoted, timed, Doc, Obj, Report};
 use crate::sweep::run_sweep;
 use crate::Table;
 use iotsec_fuzz::{generate, oracle, shrink, GenConfig, Verdict, Weakness};
+use trace::digest::Fnv64;
 
 /// Campaign width for the correct-defense arm.
 pub const SCENARIOS: usize = 200;
@@ -189,14 +190,11 @@ fn digest(i: usize, seed: u64, cfg: &GenConfig) -> String {
 
 /// FNV-1a over the campaign digest lines.
 fn fingerprint(digests: &[String]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut hash = Fnv64::new();
     for d in digests {
-        for b in d.bytes() {
-            hash ^= b as u64;
-            hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-        }
+        hash.write_bytes(d.as_bytes());
     }
-    hash
+    hash.finish()
 }
 
 /// E23 — the vet campaign. `threads` drives the parallel sweep whose

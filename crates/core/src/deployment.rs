@@ -80,12 +80,6 @@ impl DeviceSetup {
         self
     }
 
-    /// Add an undisclosed (zero-day) vulnerability.
-    pub fn with_undisclosed(mut self, vuln: Vulnerability) -> DeviceSetup {
-        self.undisclosed.push(vuln);
-        self
-    }
-
     /// Every flaw the device actually ships with.
     pub fn all_vulns(&self) -> Vec<Vulnerability> {
         self.vulns.iter().chain(self.undisclosed.iter()).cloned().collect()

@@ -32,9 +32,12 @@ pub struct Hub {
 }
 
 impl Hub {
-    /// A hub at `ip` holding the owner credentials used for actuation.
+    /// A hub at `ip` holding the owner credentials used for actuation —
+    /// its identity, together with what [`Hub::register`] and
+    /// [`Hub::add_recipe`] then configure; what it has seen and done is
+    /// written by [`Hub::reset_runtime`].
     pub fn new(ip: Ipv4Addr, creds: AdminCreds) -> Hub {
-        Hub {
+        let mut hub = Hub {
             ip,
             recipes: Vec::new(),
             directory: HashMap::new(),
@@ -42,13 +45,15 @@ impl Hub {
             creds,
             prev_env: None,
             fired: 0,
-        }
+        };
+        hub.reset_runtime();
+        hub
     }
 
-    /// Reset runtime state (environment edge-detector, fired counter)
-    /// back to freshly-constructed values, keeping the registered
-    /// recipes, directory and credentials. Resident worlds (E26) reuse
-    /// the hub across rounds.
+    /// Bring the hub to its t = 0 state (environment edge-detector,
+    /// fired counter), keeping the registered recipes, directory and
+    /// credentials. The constructor ends here, so the hub a resident
+    /// world (E26) reuses across rounds is a cold-built one.
     pub fn reset_runtime(&mut self) {
         self.prev_env = None;
         self.fired = 0;

@@ -8,7 +8,7 @@
 
 use crate::chaos::ChaosConfig;
 use crate::defense::{upnp_pinholes, Defense, IoTSecConfig};
-use crate::deployment::{AttackerLocation, Deployment, StepSpec};
+use crate::deployment::{AttackerLocation, Deployment, Site, StepSpec};
 use crate::hub::Hub;
 use crate::metrics::Metrics;
 use iotctl::controller::{Controller, ControllerConfig};
@@ -182,7 +182,73 @@ pub struct WorldScrap {
     pub net: NetScrap,
 }
 
+/// What one home accumulates between t = 0 and its report.
+/// [`World::reset_home`] replaces it wholesale, so a field added here
+/// starts every home — cold-built or rebound — at its `Default`.
+#[derive(Default)]
+struct HomeState {
+    /// The controller's data-plane view (what gates read).
+    gate_view: ViewHandle,
+    event_sink: EventSink,
+    lifecycle: Option<LifecycleManager>,
+    cluster: Option<Cluster>,
+    victim_bytes: u64,
+    /// Steer points registered so far; their ids count from 1.
+    steers: u32,
+    /// When a physical breach state was first entered.
+    breach_at: Option<SimTime>,
+    retired_drops: u64,
+    retired_intercepts: u64,
+    retired_fail_open: u64,
+    retired_fail_closed: u64,
+    unprotected: BTreeMap<DeviceId, SimDuration>,
+    fail_open_exposure: SimDuration,
+    /// Devices whose security events arrived while the control plane was
+    /// down — exposed until it returns and reacts.
+    blocked_reaction: BTreeSet<DeviceId>,
+    /// Failover count at the last tick, for edge-triggered trace events.
+    last_failovers: u64,
+    /// Whole-class recomputes refused by the admission controller.
+    admission_shed: u64,
+}
+
+/// The per-home containers whose capacity outlives the home:
+/// [`World::reset_home`] empties them in place, so steady-state ticks
+/// and resident home-rounds never re-grow them.
+#[derive(Default)]
+struct HomeBuffers {
+    chains: HashMap<DeviceId, UmboxSlot>,
+    pending_steers: Vec<(SimTime, DeviceId, Rc<RefCell<UmboxChain>>, UmboxId)>,
+    pending_swaps: Vec<(SimTime, DeviceId, UmboxChain)>,
+    pending_events: Vec<SecurityEvent>,
+    /// Delivery buffer handed to [`Network::step_until_into`].
+    delivery_scratch: Vec<iotnet::net::Delivery>,
+    /// Per-device fact rows rebuilt for the safety monitor each tick.
+    facts_scratch: Vec<DeviceFacts>,
+}
+
+impl HomeBuffers {
+    fn clear(&mut self) {
+        self.chains.clear();
+        self.pending_steers.clear();
+        self.pending_swaps.clear();
+        self.pending_events.clear();
+        self.delivery_scratch.clear();
+        self.facts_scratch.clear();
+    }
+}
+
 /// The running world.
+///
+/// Its fields are of three kinds. *Structure* is what the deployment
+/// decides and the builder assembles once: devices, hub, attacker, the
+/// compiled policy inside the control plane, signatures, wiring.
+/// *Home state* (`clock`, `env`, the network's runtime, `home`, `buf`)
+/// is written by the private `reset_home` and nowhere else — the builder
+/// ends in it and [`World::rebind_home`] is nothing but it, so a resident
+/// home is a cold-built one by construction. The chaos and safety layers
+/// keep their own schedules and cursors, which is why
+/// [`World::supports_resident`] excludes them.
 pub struct World {
     /// Current simulated time.
     pub clock: SimTime,
@@ -196,16 +262,14 @@ pub struct World {
     entities: HashMap<EndpointId, Entity>,
     hub: Option<(Hub, EndpointId)>,
     attacker: Option<(Attacker, EndpointId)>,
-    victim_bytes: u64,
     control: Option<ControlPlane>,
-    lifecycle: Option<LifecycleManager>,
-    cluster: Option<Cluster>,
-    chains: HashMap<DeviceId, UmboxSlot>,
-    pending_steers: Vec<(SimTime, DeviceId, Rc<RefCell<UmboxChain>>, UmboxId)>,
-    pending_swaps: Vec<(SimTime, DeviceId, UmboxChain)>,
-    gate_view: ViewHandle,
-    event_sink: EventSink,
     cfg: Option<IoTSecConfig>,
+    site: Site,
+    /// Watchdog delay a chaos schedule imposes on each home's lifecycle.
+    watchdog_delay: Option<SimDuration>,
+    /// Per-device plug-load override, applied over the factory FSM.
+    plug_loads: Vec<Option<PlugLoad>>,
+    pre_stolen_keys: Vec<u64>,
     /// Per-device interned signature rulesets (repository subscriptions
     /// plus vuln-derived rules), computed once at construction. Chains
     /// share these by `Rc` refcount instead of rebuilding the signature
@@ -213,13 +277,8 @@ pub struct World {
     device_signatures: Vec<Rc<[AttackSignature]>>,
     core_switch: SwitchId,
     device_switch: Vec<SwitchId>,
-    next_steer: u32,
-    pending_events: Vec<SecurityEvent>,
-    /// Whether a physical breach state has been entered.
-    pub physical_breach: bool,
-    breach_at: Option<SimTime>,
-    retired_drops: u64,
-    retired_intercepts: u64,
+    home: HomeState,
+    buf: HomeBuffers,
     // --- chaos layer (all inert unless `chaos_enabled`) ----------------
     /// Whether a chaos schedule was installed. The schedule itself lives
     /// in `faults`/`crash_plan`/`outage_plan`; the full `ChaosConfig` is
@@ -234,29 +293,13 @@ pub struct World {
     outage_plan: Vec<(SimTime, SimDuration)>,
     outage_idx: usize,
     delivery: Option<DeliveryChannel>,
-    unprotected: BTreeMap<DeviceId, SimDuration>,
-    fail_open_exposure: SimDuration,
-    /// Devices whose security events arrived while the control plane was
-    /// down — exposed until it returns and reacts.
-    blocked_reaction: BTreeSet<DeviceId>,
-    retired_fail_open: u64,
-    retired_fail_closed: u64,
     /// Structured trace emission (disabled by default; zero-cost then).
     tracer: Tracer,
-    /// Failover count at the last tick, for edge-triggered trace events.
-    last_failovers: u64,
     // --- safety layer (all inert unless `deployment.safety` is set) -----
     /// The runtime safety monitor, subscribed to `tracer`.
     safety: Option<SafetyMonitor>,
     /// Per-µmbox circuit breakers (only when the breaker is enabled).
     breakers: Option<BreakerBank>,
-    /// Whole-class recomputes refused by the admission controller.
-    admission_shed: u64,
-    // --- per-tick scratch buffers (capacity reused across ticks) --------
-    /// Delivery buffer handed to [`Network::step_until_into`].
-    delivery_scratch: Vec<iotnet::net::Delivery>,
-    /// Per-device fact rows rebuilt for the safety monitor each tick.
-    facts_scratch: Vec<DeviceFacts>,
     /// Resident-mode bookkeeping (E26): `Some` only for worlds built by
     /// [`World::new_home_resident`], which survive across fleet rounds
     /// and take intel updates via [`World::apply_intel_delta`] instead
@@ -264,10 +307,10 @@ pub struct World {
     resident: Option<Box<ResidentBind>>,
 }
 
-/// Everything a resident world (E26) needs to take an intel delta and a
-/// rebind without re-reading its deployment template: the per-device
-/// signature bases and policy-compile inputs captured at build time,
-/// plus the intel epoch currently installed.
+/// Everything a resident world (E26) needs to take an intel delta
+/// without re-reading its deployment template: the per-device signature
+/// bases and policy-compile inputs captured at build time, plus the
+/// intel epoch currently installed.
 struct ResidentBind {
     /// Intel epoch currently installed on this world.
     epoch: u32,
@@ -295,15 +338,11 @@ struct ResidentBind {
     skus: Vec<Sku>,
     gates: Vec<(DeviceId, EnvVar, &'static str)>,
     protect_pairs: Vec<(DeviceId, DeviceId)>,
-    // Rebind inputs.
-    loads: Vec<Option<PlugLoad>>,
-    pre_stolen_keys: Vec<u64>,
-    site: crate::deployment::Site,
 }
 
 impl ResidentBind {
-    /// Capture the delta-install and rebind inputs from a template and a
-    /// freshly built world installed at `(epoch, intel)`.
+    /// Capture the delta-install inputs from a template and a freshly
+    /// built world installed at `(epoch, intel)`.
     fn capture(
         template: &Deployment,
         world: &World,
@@ -353,9 +392,6 @@ impl ResidentBind {
             skus: template.devices.iter().map(|s| s.sku.clone()).collect(),
             gates: template.gates.clone(),
             protect_pairs: template.protect_pairs.clone(),
-            loads: template.devices.iter().map(|s| s.load).collect(),
-            pre_stolen_keys: template.pre_stolen_keys.clone(),
-            site: template.site,
         }
     }
 }
@@ -441,7 +477,7 @@ impl World {
     /// buffer) and serializes it after the run. With a disabled tracer
     /// this is exactly [`World::new`].
     pub fn new_traced(deployment: &Deployment, tracer: Tracer) -> World {
-        World::build(deployment, tracer, None)
+        World::build(deployment, tracer, None, None)
     }
 
     /// Build one home world of a fleet from a shared template (E20).
@@ -452,16 +488,7 @@ impl World {
     /// epoch. With `seed = deployment.seed` and no extra signatures this
     /// is exactly [`World::new`].
     pub fn new_home(template: &Deployment, home: &HomeOverrides<'_>) -> World {
-        World::build(template, Tracer::disabled(), Some(home))
-    }
-
-    /// [`World::new_home`] with a trace buffer attached.
-    pub fn new_home_traced(
-        template: &Deployment,
-        home: &HomeOverrides<'_>,
-        tracer: Tracer,
-    ) -> World {
-        World::build(template, tracer, Some(home))
+        World::build(template, Tracer::disabled(), Some(home), None)
     }
 
     /// [`World::new_home`], rebuilding out of a [`WorldScrap`]'s retained
@@ -482,7 +509,7 @@ impl World {
         home: &HomeOverrides<'_>,
         scrap: &mut WorldScrap,
     ) -> World {
-        World::build_with_scrap(template, Tracer::disabled(), Some(home), Some(scrap))
+        World::build(template, Tracer::disabled(), Some(home), Some(scrap))
     }
 
     /// Tear the world down, banking its recyclable heap into `scrap` for
@@ -522,8 +549,7 @@ impl World {
     ) -> World {
         debug_assert!(World::supports_resident(template));
         let overrides = HomeOverrides { seed, extra_signatures: intel };
-        let mut world =
-            World::build_with_scrap(template, Tracer::disabled(), Some(&overrides), Some(scrap));
+        let mut world = World::build(template, Tracer::disabled(), Some(&overrides), Some(scrap));
         world.resident = Some(Box::new(ResidentBind::capture(template, &world, epoch, intel)));
         world
     }
@@ -601,21 +627,44 @@ impl World {
         out
     }
 
-    /// Rebind a resident world to a new home `(seed)` in place: reset
-    /// every runtime subsystem to its freshly-constructed state (network
-    /// buffers keep their capacity), reseed the traffic RNG, and replay
-    /// the initial reconciliation — after which the world is observably
-    /// identical to a cold [`World::new_home_recycled`] build at the
-    /// currently installed intel epoch.
+    /// Rebind a resident world to a new home `(seed)` in place: the same
+    /// reset to t = 0 and initial reconciliation every build ends in,
+    /// over buffers that keep their capacity — after which the world is
+    /// observably identical to a cold [`World::new_home_recycled`] build
+    /// at the currently installed intel epoch.
     pub fn rebind_home(&mut self, seed: u64) {
-        let bind = self.resident.take().expect("rebind_home needs a resident world");
+        assert!(self.resident.is_some(), "rebind_home needs a resident world");
+        self.reset_home(seed);
+        self.install_standing_mitigations();
+    }
+
+    /// Bring the world to t = 0 of the home `seed` names — the one writer
+    /// of start-of-home state, for a first home and for every later one.
+    /// Each component's own reset writes its fresh values; what is left
+    /// here is what only the world knows: which tracer, hub, plug loads
+    /// and out-of-band keys this deployment binds them to.
+    fn reset_home(&mut self, seed: u64) {
         self.clock = SimTime::ZERO;
-        self.net.reset_resident(seed);
         self.env = Environment::new();
-        for (i, dev) in self.devices.iter_mut().enumerate() {
+        self.net.reset_resident(seed);
+        self.net.set_tracer(self.tracer.clone());
+        self.home = HomeState::default();
+        self.buf.clear();
+        if let Some(cfg) = &self.cfg {
+            let mut lc = LifecycleManager::new(cfg.pool);
+            if let Some(delay) = self.watchdog_delay {
+                lc.watchdog_delay = delay;
+            }
+            self.home.lifecycle = Some(lc);
+            self.home.cluster = Some(cluster_for(self.site));
+        }
+        let hub_ip = self.hub.as_ref().map(|(hub, _)| hub.ip);
+        for (dev, load) in self.devices.iter_mut().zip(&self.plug_loads) {
             dev.reset_runtime();
-            if let (Some(load), DeviceLogic::SmartPlug(plug)) = (bind.loads[i], &mut dev.logic) {
-                plug.load = load;
+            dev.hub = hub_ip;
+            dev.owner = hub_ip;
+            if let (Some(load), DeviceLogic::SmartPlug(plug)) = (load, &mut dev.logic) {
+                plug.load = *load;
             }
         }
         if let Some((hub, _)) = &mut self.hub {
@@ -623,41 +672,13 @@ impl World {
         }
         if let Some((attacker, _)) = &mut self.attacker {
             attacker.reset_runtime();
-            for key in &bind.pre_stolen_keys {
+            for key in &self.pre_stolen_keys {
                 attacker.learn_key(*key);
             }
         }
-        self.victim_bytes = 0;
-        self.gate_view = ViewHandle::new();
-        self.event_sink = EventSink::new();
         if let Some(ControlPlane::Flat(c)) = &mut self.control {
-            c.reset_runtime(self.gate_view.clone());
+            c.reset_runtime(self.home.gate_view.clone());
         }
-        if let Some(cfg) = &self.cfg {
-            self.lifecycle = Some(LifecycleManager::new(cfg.pool));
-            self.cluster = Some(cluster_for(bind.site));
-        }
-        self.chains.clear();
-        self.pending_steers.clear();
-        self.pending_swaps.clear();
-        self.next_steer = 1;
-        self.pending_events.clear();
-        self.physical_breach = false;
-        self.breach_at = None;
-        self.retired_drops = 0;
-        self.retired_intercepts = 0;
-        self.unprotected.clear();
-        self.fail_open_exposure = SimDuration::ZERO;
-        self.blocked_reaction.clear();
-        self.retired_fail_open = 0;
-        self.retired_fail_closed = 0;
-        self.last_failovers = 0;
-        self.admission_shed = 0;
-        self.delivery_scratch.clear();
-        self.facts_scratch.clear();
-        self.resident = Some(bind);
-
-        self.install_standing_mitigations();
     }
 
     /// The t = 0 reconciliation, run by the builder and replayed by every
@@ -675,11 +696,7 @@ impl World {
         }
     }
 
-    fn build(deployment: &Deployment, tracer: Tracer, home: Option<&HomeOverrides<'_>>) -> World {
-        World::build_with_scrap(deployment, tracer, home, None)
-    }
-
-    fn build_with_scrap(
+    fn build(
         deployment: &Deployment,
         tracer: Tracer,
         home: Option<&HomeOverrides<'_>>,
@@ -702,11 +719,11 @@ impl World {
         // --- topology -----------------------------------------------------
         let mut b = TopologyBuilder::new();
         let (core, edge_switches): (SwitchId, Vec<SwitchId>) = match deployment.site {
-            crate::deployment::Site::Home => {
+            Site::Home => {
                 let sw = b.add_switch();
                 (sw, vec![sw])
             }
-            crate::deployment::Site::Enterprise { edges } => {
+            Site::Enterprise { edges } => {
                 let core = b.add_switch();
                 let edges = (0..edges.max(1))
                     .map(|_| {
@@ -736,33 +753,24 @@ impl World {
         let victim_ep = deployment.needs_victim().then(|| {
             b.attach_endpoint_with(core, LinkParams::wan(), Ipv4Addr::new(203, 0, 113, 50))
         });
-        let mut net = match scrap {
+        let net = match scrap {
             Some(scrap) => Network::new_recycled(b.build(), seed, &mut scrap.net),
             None => Network::new(b.build(), seed),
         };
-        net.set_tracer(tracer.clone());
 
         // --- devices ------------------------------------------------------
         let mut devices = Vec::with_capacity(deployment.devices.len());
         // Devices plus at most hub, attacker and victim endpoints.
         let mut entities = HashMap::with_capacity(deployment.devices.len() + 3);
-        let hub_ip = hub_ep.map(|ep| net.ip_of(ep));
         for (i, setup) in deployment.devices.iter().enumerate() {
             let ep = device_endpoints[i];
-            let ip = net.ip_of(ep);
-            let mut dev = IoTDevice::new(
+            devices.push(IoTDevice::new(
                 DeviceId(i as u32),
                 setup.sku.clone(),
                 setup.class,
-                ip,
+                net.ip_of(ep),
                 setup.all_vulns(), // the device has every flaw it shipped with
-            );
-            if let (Some(load), DeviceLogic::SmartPlug(plug)) = (setup.load, &mut dev.logic) {
-                plug.load = load;
-            }
-            dev.hub = hub_ip;
-            dev.owner = hub_ip;
-            devices.push(dev);
+            ));
             entities.insert(ep, Entity::Device(i));
         }
 
@@ -784,109 +792,16 @@ impl World {
         let attacker = attacker_ep.map(|ep| {
             entities.insert(ep, Entity::Attacker);
             let plan = resolve_plan(&deployment.campaign, &devices, victim_ip);
-            let mut attacker = Attacker::new(net.ip_of(ep), plan);
-            for key in &deployment.pre_stolen_keys {
-                attacker.learn_key(*key);
-            }
-            (attacker, ep)
+            (Attacker::new(net.ip_of(ep), plan), ep)
         });
         if let Some(ep) = victim_ep {
             entities.insert(ep, Entity::Victim);
         }
 
-        // --- defense ------------------------------------------------------
-        let gate_view = ViewHandle::new();
-        let event_sink = EventSink::new();
-        let mut control = None;
-        let mut lifecycle = None;
-        let mut cluster = None;
-        let mut cfg = None;
-        match &deployment.defense {
-            Defense::None => {}
-            Defense::Perimeter => {
-                if let (Some((_, atk_ep)), AttackerLocation::Wan) =
-                    (&attacker, deployment.attacker_location)
-                {
-                    let wan_port = net.topology().endpoint(*atk_ep).port;
-                    // Pinholes first (higher priority), then default-deny
-                    // for WAN-originated traffic.
-                    for dev in &devices {
-                        for port in upnp_pinholes(&dev.vulns) {
-                            let matcher = if matches!(
-                                port,
-                                iotdev::proto::ports::MGMT | iotdev::proto::ports::CLOUD
-                            ) {
-                                FlowMatch::to_tcp_service(dev.ip, port)
-                            } else {
-                                FlowMatch::to_udp_service(dev.ip, port)
-                            }
-                            .with_in_port(wan_port);
-                            net.install_rule(
-                                core,
-                                FlowRule::new(200, matcher, FlowAction::Normal)
-                                    .with_cookie(u64::MAX),
-                            );
-                        }
-                    }
-                    net.install_rule(
-                        core,
-                        FlowRule::new(
-                            150,
-                            FlowMatch::any().with_in_port(wan_port),
-                            FlowAction::Drop,
-                        )
-                        .with_cookie(u64::MAX),
-                    );
-                }
-            }
-            Defense::IoTSec(config) => {
-                // Subscribed repository signatures for a device's SKU put
-                // a standing IDS in front of it.
-                let subscribed = deployment.subscribed_signatures.iter().chain(extra.iter());
-                let devices = deployment.devices.iter().map(|setup| {
-                    let matched = subscribed.clone().any(|s| s.sku == setup.sku);
-                    (setup.class, &setup.vulns[..], &setup.sku, matched)
-                });
-                let policy =
-                    compile_home_policy(devices, &deployment.gates, &deployment.protect_pairs);
-                let ctl_config = ControllerConfig {
-                    view_propagation: config.view_propagation,
-                    ..ControllerConfig::default()
-                };
-                let standby = deployment.chaos.as_ref().is_some_and(|c| c.standby_controller);
-                control = Some(if config.hierarchical {
-                    ControlPlane::Hier(Box::new(HierarchicalController::new(
-                        policy,
-                        Partitioning::ByCoupling,
-                        ctl_config,
-                        gate_view.clone(),
-                    )))
-                } else if standby {
-                    let failover =
-                        deployment.chaos.as_ref().map(|c| c.failover).unwrap_or_default();
-                    ControlPlane::Replicated(Box::new(ReplicatedController::new(
-                        policy,
-                        ctl_config,
-                        gate_view.clone(),
-                        failover,
-                    )))
-                } else {
-                    ControlPlane::Flat(Box::new(Controller::new(
-                        policy,
-                        ctl_config,
-                        gate_view.clone(),
-                    )))
-                });
-                let mut lc = LifecycleManager::new(config.pool);
-                if let Some(chaos) = &deployment.chaos {
-                    lc.watchdog_delay = chaos.watchdog_delay;
-                }
-                lifecycle = Some(lc);
-                cluster = Some(cluster_for(deployment.site));
-                cfg = Some(*config);
-            }
-        }
-
+        let cfg = match &deployment.defense {
+            Defense::IoTSec(config) => Some(*config),
+            _ => None,
+        };
         // Intern each device's signature ruleset once: repository
         // subscriptions for its SKU plus (when enabled) vuln-derived
         // rules. Every chain protecting the device then shares the slice
@@ -916,25 +831,17 @@ impl World {
             entities,
             hub,
             attacker,
-            victim_bytes: 0,
-            control,
-            lifecycle,
-            cluster,
-            chains: HashMap::new(),
-            pending_steers: Vec::new(),
-            pending_swaps: Vec::new(),
-            gate_view,
-            event_sink,
+            control: None,
             cfg,
+            site: deployment.site,
+            watchdog_delay: deployment.chaos.as_ref().map(|c| c.watchdog_delay),
+            plug_loads: deployment.devices.iter().map(|s| s.load).collect(),
+            pre_stolen_keys: deployment.pre_stolen_keys.clone(),
             device_signatures,
             core_switch: core,
             device_switch,
-            next_steer: 1,
-            pending_events: Vec::new(),
-            physical_breach: false,
-            breach_at: None,
-            retired_drops: 0,
-            retired_intercepts: 0,
+            home: HomeState::default(),
+            buf: HomeBuffers::default(),
             chaos_enabled: deployment.chaos.is_some(),
             failure_mode: deployment.chaos.as_ref().map(|c| c.failure_mode).unwrap_or_default(),
             faults: FaultScheduler::new(),
@@ -943,27 +850,95 @@ impl World {
             outage_plan: Vec::new(),
             outage_idx: 0,
             delivery: None,
-            unprotected: BTreeMap::new(),
-            fail_open_exposure: SimDuration::ZERO,
-            blocked_reaction: BTreeSet::new(),
-            retired_fail_open: 0,
-            retired_fail_closed: 0,
             tracer,
-            last_failovers: 0,
             safety: None,
             breakers: None,
-            admission_shed: 0,
-            delivery_scratch: Vec::new(),
-            facts_scratch: Vec::with_capacity(deployment.devices.len()),
             resident: None,
         };
-
         if let Some(chaos) = &deployment.chaos {
             world.install_chaos(chaos);
         }
         if let Some(scfg) = &deployment.safety {
             world.safety = Some(SafetyMonitor::new(*scfg, world.tracer.clone()));
             world.breakers = scfg.breaker.enabled.then(|| BreakerBank::new(scfg.breaker));
+        }
+        world.reset_home(seed);
+
+        // --- defense ------------------------------------------------------
+        // Wired onto the home `reset_home` just started, because it lives
+        // in that home's state: perimeter rules in the switches' tables,
+        // the control plane bound to the home's gate view.
+        match &deployment.defense {
+            Defense::None => {}
+            Defense::Perimeter => {
+                if let (Some((_, atk_ep)), AttackerLocation::Wan) =
+                    (&world.attacker, deployment.attacker_location)
+                {
+                    let wan_port = world.net.topology().endpoint(*atk_ep).port;
+                    // Pinholes first (higher priority), then default-deny
+                    // for WAN-originated traffic.
+                    for dev in &world.devices {
+                        for port in upnp_pinholes(&dev.vulns) {
+                            let matcher = if matches!(
+                                port,
+                                iotdev::proto::ports::MGMT | iotdev::proto::ports::CLOUD
+                            ) {
+                                FlowMatch::to_tcp_service(dev.ip, port)
+                            } else {
+                                FlowMatch::to_udp_service(dev.ip, port)
+                            }
+                            .with_in_port(wan_port);
+                            world.net.install_rule(
+                                core,
+                                FlowRule::new(200, matcher, FlowAction::Normal)
+                                    .with_cookie(u64::MAX),
+                            );
+                        }
+                    }
+                    world.net.install_rule(
+                        core,
+                        FlowRule::new(
+                            150,
+                            FlowMatch::any().with_in_port(wan_port),
+                            FlowAction::Drop,
+                        )
+                        .with_cookie(u64::MAX),
+                    );
+                }
+            }
+            Defense::IoTSec(config) => {
+                // Subscribed repository signatures for a device's SKU put
+                // a standing IDS in front of it.
+                let subscribed = deployment.subscribed_signatures.iter().chain(extra.iter());
+                let devices = deployment.devices.iter().map(|setup| {
+                    let matched = subscribed.clone().any(|s| s.sku == setup.sku);
+                    (setup.class, &setup.vulns[..], &setup.sku, matched)
+                });
+                let policy =
+                    compile_home_policy(devices, &deployment.gates, &deployment.protect_pairs);
+                let ctl_config = ControllerConfig {
+                    view_propagation: config.view_propagation,
+                    ..ControllerConfig::default()
+                };
+                let gate_view = world.home.gate_view.clone();
+                let standby = deployment.chaos.as_ref().is_some_and(|c| c.standby_controller);
+                world.control = Some(if config.hierarchical {
+                    ControlPlane::Hier(Box::new(HierarchicalController::new(
+                        policy,
+                        Partitioning::ByCoupling,
+                        ctl_config,
+                        gate_view,
+                    )))
+                } else if standby {
+                    let failover =
+                        deployment.chaos.as_ref().map(|c| c.failover).unwrap_or_default();
+                    ControlPlane::Replicated(Box::new(ReplicatedController::new(
+                        policy, ctl_config, gate_view, failover,
+                    )))
+                } else {
+                    ControlPlane::Flat(Box::new(Controller::new(policy, ctl_config, gate_view)))
+                });
+            }
         }
 
         world.install_standing_mitigations();
@@ -973,11 +948,6 @@ impl World {
     /// Access a device.
     pub fn device(&self, id: DeviceId) -> &IoTDevice {
         &self.devices[id.0 as usize]
-    }
-
-    /// Number of devices.
-    pub fn device_count(&self) -> usize {
-        self.devices.len()
     }
 
     /// The attacker, if deployed.
@@ -992,12 +962,12 @@ impl World {
 
     /// Bytes of (amplified) traffic delivered to the victim host.
     pub fn victim_bytes(&self) -> u64 {
-        self.victim_bytes
+        self.home.victim_bytes
     }
 
     /// The controller's data-plane view (what gates read).
     pub fn gate_view(&self) -> &ViewHandle {
-        &self.gate_view
+        &self.home.gate_view
     }
 
     /// The core/gateway switch (where the WAN, hub and NFV cluster
@@ -1077,8 +1047,8 @@ impl World {
         while self.crash_idx < self.crash_plan.len() && self.crash_plan[self.crash_idx].0 <= now {
             let (_, device) = self.crash_plan[self.crash_idx];
             self.crash_idx += 1;
-            if let Some(slot) = self.chains.get(&device) {
-                if let Some(lc) = &mut self.lifecycle {
+            if let Some(slot) = self.buf.chains.get(&device) {
+                if let Some(lc) = &mut self.home.lifecycle {
                     lc.crash(slot.instance, now);
                     self.tracer.emit(now.as_nanos(), TraceEvent::UmboxCrash { device: device.0 });
                     // Feed the circuit breaker: a trip holds the
@@ -1116,21 +1086,21 @@ impl World {
     /// unprotected time for down chains and for devices whose events the
     /// control plane could not react to.
     fn account_degradation(&mut self, now: SimTime) {
-        if let Some(lc) = &self.lifecycle {
-            for (device, slot) in &self.chains {
+        if let Some(lc) = &self.home.lifecycle {
+            for (device, slot) in &self.buf.chains {
                 let serving = lc.get(slot.instance).is_some_and(|i| i.is_serving(now));
                 let mut chain = slot.chain.borrow_mut();
                 chain.down = !serving;
                 if !serving {
-                    *self.unprotected.entry(*device).or_insert(SimDuration::ZERO) += self.tick;
+                    *self.home.unprotected.entry(*device).or_insert(SimDuration::ZERO) += self.tick;
                     if chain.failure_mode == FailureMode::FailOpen {
-                        self.fail_open_exposure += self.tick;
+                        self.home.fail_open_exposure += self.tick;
                     }
                 }
             }
         }
-        for device in &self.blocked_reaction {
-            *self.unprotected.entry(*device).or_insert(SimDuration::ZERO) += self.tick;
+        for device in &self.home.blocked_reaction {
+            *self.home.unprotected.entry(*device).or_insert(SimDuration::ZERO) += self.tick;
         }
     }
 
@@ -1153,10 +1123,7 @@ impl World {
         }
         self.env.step(self.tick.as_secs_f64());
         if (self.env.window_open || !self.env.door_locked) && !self.env.occupied {
-            if !self.physical_breach {
-                self.breach_at = Some(now);
-            }
-            self.physical_breach = true;
+            self.home.breach_at.get_or_insert(now);
         }
 
         // 3. Hub: env-edge recipes + environment reporting.
@@ -1183,7 +1150,7 @@ impl World {
         // The delivery buffer is taken out of the world for the duration
         // of each round (`route_delivery` needs `&mut self`) and put back
         // with its capacity intact, so steady-state ticks never allocate.
-        let mut deliveries = std::mem::take(&mut self.delivery_scratch);
+        let mut deliveries = std::mem::take(&mut self.buf.delivery_scratch);
         loop {
             deliveries.clear();
             self.net.step_until_into(now, &mut deliveries);
@@ -1194,13 +1161,13 @@ impl World {
                 self.route_delivery(d);
             }
         }
-        self.delivery_scratch = deliveries;
+        self.buf.delivery_scratch = deliveries;
 
         // 6. Control plane: collect events, step, execute directives.
         // The event buffer leaves the world for the ingest loop only and
         // goes back with its capacity, like the delivery buffer above.
-        let mut events = std::mem::take(&mut self.pending_events);
-        self.event_sink.drain_into(&mut events);
+        let mut events = std::mem::take(&mut self.buf.pending_events);
+        self.home.event_sink.drain_into(&mut events);
         let mut directives = Vec::new();
         let mut reachable = true;
         if let Some(control) = &mut self.control {
@@ -1209,12 +1176,12 @@ impl World {
                 if down {
                     // Nobody is home to react — the event's device stays
                     // exposed until the control plane returns.
-                    self.blocked_reaction.insert(e.device);
+                    self.home.blocked_reaction.insert(e.device);
                 }
                 control.ingest(e);
             }
             if !down {
-                self.blocked_reaction.clear();
+                self.home.blocked_reaction.clear();
             }
             directives = control.step(now);
             reachable = !control.is_down(now);
@@ -1223,13 +1190,13 @@ impl World {
                 self.tracer.emit(now.as_nanos(), TraceEvent::DirectiveIssued { device, kind });
             }
             let failovers = control.failovers();
-            if failovers > self.last_failovers {
-                self.last_failovers = failovers;
+            if failovers > self.home.last_failovers {
+                self.home.last_failovers = failovers;
                 self.tracer.emit(now.as_nanos(), TraceEvent::Failover { count: failovers });
             }
         }
         events.clear();
-        self.pending_events = events;
+        self.buf.pending_events = events;
         if self.control.is_some() {
             // Chaos runs route directives through the hardened delivery
             // channel (idempotent IDs, bounded queue, retry/backoff);
@@ -1243,7 +1210,7 @@ impl World {
                     // tighten postures.
                     if let Some(monitor) = &self.safety {
                         if !safety::admit(monitor.config(), channel.depth(), d.criticality()) {
-                            self.admission_shed += 1;
+                            self.home.admission_shed += 1;
                             self.tracer.emit(
                                 now.as_nanos(),
                                 TraceEvent::AdmissionShed { device: d.device().0 },
@@ -1261,7 +1228,7 @@ impl World {
                 self.execute_directive(d, now);
             }
         }
-        if let Some(lc) = &mut self.lifecycle {
+        if let Some(lc) = &mut self.home.lifecycle {
             for (device, _restart_at) in lc.advance(now) {
                 self.tracer.emit(now.as_nanos(), TraceEvent::UmboxRespawn { device: device.0 });
             }
@@ -1270,9 +1237,9 @@ impl World {
         // Circuit-breaker state machine: open breakers half-open once
         // the cooldown elapses (the respawned instance gets a trial),
         // and re-close after a clean trial window.
-        if let (Some(bank), Some(lc)) = (&mut self.breakers, &self.lifecycle) {
+        if let (Some(bank), Some(lc)) = (&mut self.breakers, &self.home.lifecycle) {
             for device in (0..self.devices.len() as u32).map(DeviceId) {
-                let Some(slot) = self.chains.get(&device) else { continue };
+                let Some(slot) = self.buf.chains.get(&device) else { continue };
                 let serving = lc.get(slot.instance).is_some_and(|i| i.is_serving(now));
                 match bank.tick(device, now, serving) {
                     Some(BreakerEvent::HalfOpened) => self
@@ -1302,11 +1269,11 @@ impl World {
     /// Gather per-device facts, run the safety monitor, and install the
     /// quarantine posture for any device it escalates.
     fn safety_tick(&mut self, now: SimTime) {
-        let mut facts = std::mem::take(&mut self.facts_scratch);
+        let mut facts = std::mem::take(&mut self.buf.facts_scratch);
         facts.clear();
         facts.extend((0..self.devices.len()).map(|i| {
             let device = DeviceId(i as u32);
-            let (protected, chain_down, fail_open, passed) = match self.chains.get(&device) {
+            let (protected, chain_down, fail_open, passed) = match self.buf.chains.get(&device) {
                 Some(slot) => {
                     let chain = slot.chain.borrow();
                     (
@@ -1331,7 +1298,7 @@ impl World {
         let fingerprint = self.control.as_ref().map_or(0, |c| c.installed_fingerprint());
         let newly =
             self.safety.as_mut().expect("caller checked").tick(now, ctl_down, fingerprint, &facts);
-        self.facts_scratch = facts;
+        self.buf.facts_scratch = facts;
         for device in newly {
             self.install_quarantine(device);
         }
@@ -1381,11 +1348,11 @@ impl World {
 
     fn activate_pending(&mut self, now: SimTime) {
         let mut i = 0;
-        while i < self.pending_steers.len() {
-            if self.pending_steers[i].0 <= now {
-                let (_, device, chain, instance) = self.pending_steers.remove(i);
-                let steer = SteerId(self.next_steer);
-                self.next_steer += 1;
+        while i < self.buf.pending_steers.len() {
+            if self.buf.pending_steers[i].0 <= now {
+                let (_, device, chain, instance) = self.buf.pending_steers.remove(i);
+                self.home.steers += 1;
+                let steer = SteerId(self.home.steers);
                 let detour = self.cfg.map_or(SimDuration::ZERO, |c| c.steer_detour);
                 self.net.register_steer(steer, Box::new(SharedChain(chain.clone())), detour);
                 let ip = self.devices[device.0 as usize].ip;
@@ -1395,17 +1362,17 @@ impl World {
                     FlowRule::new(300, FlowMatch::to_host(ip), FlowAction::Steer(steer))
                         .with_cookie(cookie(device)),
                 );
-                self.chains.insert(device, UmboxSlot { steer, chain, instance });
+                self.buf.chains.insert(device, UmboxSlot { steer, chain, instance });
                 self.tracer.emit(now.as_nanos(), TraceEvent::UmboxReady { device: device.0 });
             } else {
                 i += 1;
             }
         }
         let mut i = 0;
-        while i < self.pending_swaps.len() {
-            if self.pending_swaps[i].0 <= now {
-                let (_, device, mut new_chain) = self.pending_swaps.remove(i);
-                if let Some(slot) = self.chains.get(&device) {
+        while i < self.buf.pending_swaps.len() {
+            if self.buf.pending_swaps[i].0 <= now {
+                let (_, device, mut new_chain) = self.buf.pending_swaps.remove(i);
+                if let Some(slot) = self.buf.chains.get(&device) {
                     // An in-place reconfiguration keeps the instance's
                     // counters (it is the same µmbox, new rules).
                     let mut old = slot.chain.borrow_mut();
@@ -1439,8 +1406,8 @@ impl World {
             required_creds: self.devices[device.0 as usize].creds.clone(),
             cleared_sources: self.hub.as_ref().map(|(h, _)| vec![h.ip]).unwrap_or_default(),
             signatures: self.signatures_for(device),
-            view: self.gate_view.clone(),
-            events: self.event_sink.clone(),
+            view: self.home.gate_view.clone(),
+            events: self.home.event_sink.clone(),
             failure_mode: self.failure_mode,
             tracer: self.tracer.clone(),
         }
@@ -1457,13 +1424,13 @@ impl World {
         match directive {
             Directive::Launch { device, posture } => self.launch_umbox(device, &posture, now),
             Directive::Reconfigure { device, posture } => {
-                if self.chains.contains_key(&device) {
+                if self.buf.chains.contains_key(&device) {
                     let new_chain = build_chain(&posture, &self.chain_config(device));
                     let done_at = {
-                        let slot = self.chains.get(&device).unwrap();
-                        self.lifecycle.as_mut().map(|lc| lc.reconfigure(slot.instance, now))
+                        let slot = self.buf.chains.get(&device).unwrap();
+                        self.home.lifecycle.as_mut().map(|lc| lc.reconfigure(slot.instance, now))
                     };
-                    self.pending_swaps.push((done_at.unwrap_or(now), device, new_chain));
+                    self.buf.pending_swaps.push((done_at.unwrap_or(now), device, new_chain));
                 } else {
                     // Reconfigure for a chain still booting: queue a launch
                     // with the final posture instead.
@@ -1471,21 +1438,21 @@ impl World {
                 }
             }
             Directive::Retire { device } => {
-                if let Some(slot) = self.chains.remove(&device) {
+                if let Some(slot) = self.buf.chains.remove(&device) {
                     self.tracer.emit(now.as_nanos(), TraceEvent::UmboxRetire { device: device.0 });
                     {
                         let chain = slot.chain.borrow();
-                        self.retired_drops += chain.dropped;
-                        self.retired_intercepts += chain.intercepted;
-                        self.retired_fail_open += chain.fail_open_passed;
-                        self.retired_fail_closed += chain.fail_closed_dropped;
+                        self.home.retired_drops += chain.dropped;
+                        self.home.retired_intercepts += chain.intercepted;
+                        self.home.retired_fail_open += chain.fail_open_passed;
+                        self.home.retired_fail_closed += chain.fail_closed_dropped;
                     }
                     self.net.remove_rules_by_cookie(cookie(device));
                     self.net.unregister_steer(slot.steer);
-                    if let Some(lc) = &mut self.lifecycle {
+                    if let Some(lc) = &mut self.home.lifecycle {
                         lc.retire(slot.instance);
                     }
-                    if let Some(cl) = &mut self.cluster {
+                    if let Some(cl) = &mut self.home.cluster {
                         cl.release(device);
                     }
                 }
@@ -1495,23 +1462,23 @@ impl World {
 
     fn launch_umbox(&mut self, device: DeviceId, posture: &Posture, now: SimTime) {
         // Replace any existing chain outright (covers repeated launches).
-        if self.chains.contains_key(&device) {
+        if self.buf.chains.contains_key(&device) {
             self.execute_directive(Directive::Retire { device }, now);
         }
         let Some(cfg) = self.cfg else { return };
-        if let Some(cl) = &mut self.cluster {
+        if let Some(cl) = &mut self.home.cluster {
             if cl.place(device, cfg.vm_kind).is_err() {
                 return; // capacity exhausted: the device stays unprotected
             }
         }
-        let Some(lc) = &mut self.lifecycle else { return };
+        let Some(lc) = &mut self.home.lifecycle else { return };
         let (instance, ready_at) = lc.launch(device, cfg.vm_kind, now);
         self.tracer.emit(
             now.as_nanos(),
             TraceEvent::UmboxLaunch { device: device.0, ready_ns: ready_at.as_nanos() },
         );
         let chain = Rc::new(RefCell::new(build_chain(posture, &self.chain_config(device))));
-        self.pending_steers.push((ready_at, device, chain, instance));
+        self.buf.pending_steers.push((ready_at, device, chain, instance));
     }
 
     fn route_delivery(&mut self, d: iotnet::net::Delivery) {
@@ -1545,7 +1512,7 @@ impl World {
                 }
             }
             Entity::Victim => {
-                self.victim_bytes += d.packet.wire_len() as u64;
+                self.home.victim_bytes += d.packet.wire_len() as u64;
             }
         }
     }
@@ -1554,7 +1521,7 @@ impl World {
         for m in out.messages {
             self.send_message(from, at, &m, None);
         }
-        self.pending_events.extend(out.events);
+        self.buf.pending_events.extend(out.events);
     }
 
     fn send_message(
@@ -1584,9 +1551,9 @@ impl World {
     /// Assemble the run's metrics.
     pub fn report(&self) -> Metrics {
         let mut metrics = Metrics {
-            physical_breach: self.physical_breach,
-            breach_at: self.breach_at,
-            ddos_bytes_at_victim: self.victim_bytes,
+            physical_breach: self.home.breach_at.is_some(),
+            breach_at: self.home.breach_at,
+            ddos_bytes_at_victim: self.home.victim_bytes,
             policy_drops: self.net.stats.dropped_policy,
             ..Metrics::default()
         };
@@ -1602,11 +1569,11 @@ impl World {
             metrics.attack_outcomes = attacker.outcomes().to_vec();
             metrics.ddos_queries = attacker.dns_queries_sent;
         }
-        metrics.umbox_drops += self.retired_drops;
-        metrics.umbox_intercepts += self.retired_intercepts;
-        metrics.missed_blocks += self.retired_fail_open;
-        metrics.fail_closed_drops += self.retired_fail_closed;
-        for slot in self.chains.values() {
+        metrics.umbox_drops += self.home.retired_drops;
+        metrics.umbox_intercepts += self.home.retired_intercepts;
+        metrics.missed_blocks += self.home.retired_fail_open;
+        metrics.fail_closed_drops += self.home.retired_fail_closed;
+        for slot in self.buf.chains.values() {
             let chain = slot.chain.borrow();
             metrics.umbox_drops += chain.dropped;
             metrics.umbox_intercepts += chain.intercepted;
@@ -1617,10 +1584,10 @@ impl World {
             metrics.controller_events = control.events_processed();
             metrics.controller_failovers = control.failovers();
         }
-        metrics.unprotected = self.unprotected.clone();
-        metrics.fail_open_exposure = self.fail_open_exposure;
+        metrics.unprotected = self.home.unprotected.clone();
+        metrics.fail_open_exposure = self.home.fail_open_exposure;
         metrics.faults_injected = self.faults.applied;
-        if let Some(lc) = &self.lifecycle {
+        if let Some(lc) = &self.home.lifecycle {
             metrics.umbox_crashes = lc.crashes;
             metrics.umbox_respawns = lc.respawns;
         }
@@ -1630,7 +1597,7 @@ impl World {
         if let Some(monitor) = &self.safety {
             metrics.safety = monitor.stats().clone();
         }
-        metrics.admission_shed = self.admission_shed;
+        metrics.admission_shed = self.home.admission_shed;
         if let Some(bank) = &self.breakers {
             metrics.breaker_trips = bank.trips();
         }
@@ -1755,10 +1722,10 @@ fn compile_home_policy<'a>(
 }
 
 /// The µmbox host a site runs its chains on.
-fn cluster_for(site: crate::deployment::Site) -> Cluster {
+fn cluster_for(site: Site) -> Cluster {
     match site {
-        crate::deployment::Site::Home => Cluster::iot_router(),
-        crate::deployment::Site::Enterprise { .. } => {
+        Site::Home => Cluster::iot_router(),
+        Site::Enterprise { .. } => {
             Cluster::enterprise(4, 8192, umbox::resource::PlacementPolicy::LeastLoaded)
         }
     }
@@ -2098,6 +2065,98 @@ mod tests {
     }
 
     #[test]
+    fn resident_home_does_not_keep_the_previous_homes_password() {
+        // The break-in chain with a twist: after the heat has opened the
+        // window, the attacker logs into the window actuator with its
+        // burned-in default account and changes the owner's password. The
+        // next home on the same resident machine must start with the
+        // owner's password again — or its own hub is locked out and the
+        // recipe that should breach it silently fails.
+        let mut d = Deployment::new();
+        let plug = d.device(DeviceSetup::table1_row(7).powering(PlugLoad::AirConditioner));
+        let window = d.device(DeviceSetup::clean(DeviceClass::WindowActuator).with_vuln(
+            Vulnerability::DefaultCredentials { user: "admin".into(), pass: "admin".into() },
+        ));
+        d.recipe(iotpolicy::recipe::Recipe {
+            id: 0,
+            trigger: iotpolicy::recipe::Trigger::EnvEquals(EnvVar::Temperature, "high"),
+            action: iotpolicy::recipe::RecipeAction { target: window, action: ControlAction::Open },
+        });
+        d.campaign(vec![
+            StepSpec::Cloud(plug, ControlAction::TurnOff),
+            StepSpec::Wait(SimDuration::from_secs(1800)),
+            StepSpec::DictionaryLogin(window),
+            StepSpec::Mgmt(window, MgmtCommand::SetPassword { new: "pwned".into() }),
+        ]);
+        assert!(World::supports_resident(&d));
+
+        let observe = |w: &mut World| {
+            w.run_until_attack_done(SimDuration::from_secs(2000));
+            let m = w.report();
+            (w.env.window_open, m.physical_breach, m.recipes_fired, m.attack_outcomes)
+        };
+        let intel: Arc<[AttackSignature]> = Vec::new().into();
+        let mut resident = World::new_home_resident(&d, 21, 0, &intel, &mut WorldScrap::default());
+        for (leg, seed) in [21u64, 22].into_iter().enumerate() {
+            if leg > 0 {
+                resident.rebind_home(seed);
+            }
+            let got = observe(&mut resident);
+            let want =
+                observe(&mut World::new_home(&d, &HomeOverrides { seed, extra_signatures: &[] }));
+            assert!(want.0, "the recipe opens the cold home's window");
+            assert_eq!(got, want, "leg {leg} (seed {seed}) diverged from the cold build");
+        }
+    }
+
+    #[test]
+    fn resident_equals_rebuild_on_every_canned_scenario() {
+        // Every other resident oracle runs `fleet_home`; this one shows
+        // the reset path each canned template, defended and not.
+        use crate::scenario as sc;
+        let templates = |defense: Defense| -> Vec<Deployment> {
+            let mut all: Vec<Deployment> =
+                (1..=7).map(|row| sc::table1_row(row, defense.clone()).0).collect();
+            all.push(sc::figure3(defense.clone()).0);
+            all.push(sc::figure4(defense.clone()).0);
+            all.push(sc::figure5(defense.clone()).0);
+            all.push(sc::breakin_chain(defense.clone()).0);
+            all.push(sc::smart_home(defense.clone(), 1).0);
+            all.push(sc::scaled_home(defense.clone(), 1, 8).0);
+            all.push(sc::fleet_home(defense, 1).0);
+            all
+        };
+        let observe = |w: &mut World| {
+            w.run_until_attack_done(SimDuration::from_secs(120));
+            format!("{:?}\n{}", w.report(), w.export_metrics().render())
+        };
+        let intel: Arc<[AttackSignature]> = Vec::new().into();
+        let mut admitted = 0;
+        for defense in [Defense::None, Defense::iotsec()] {
+            for (t, template) in templates(defense).iter().enumerate() {
+                if !World::supports_resident(template) {
+                    continue;
+                }
+                admitted += 1;
+                let mut resident =
+                    World::new_home_resident(template, 11, 0, &intel, &mut WorldScrap::default());
+                for seed in [11u64, 12, 13] {
+                    if seed > 11 {
+                        resident.rebind_home(seed);
+                    }
+                    let overrides = HomeOverrides { seed, extra_signatures: &[] };
+                    assert_eq!(
+                        observe(&mut resident),
+                        observe(&mut World::new_home(template, &overrides)),
+                        "template {t}, seed {seed}: resident diverged from the cold build"
+                    );
+                }
+            }
+        }
+        assert_eq!(admitted, 28, "every canned home template supports residency");
+    }
+
+    #[test]
     fn environment_breach_detection() {
         // No window device in this deployment — the actuator FSM would
         // re-assert its own (closed) position each tick.
@@ -2107,7 +2166,6 @@ mod tests {
         w.env.occupied = false;
         w.env.window_open = true;
         w.step();
-        assert!(w.physical_breach);
         assert!(w.report().physical_breach);
         assert!(w.report().breach_at.is_some());
     }

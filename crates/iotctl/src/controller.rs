@@ -63,6 +63,7 @@ pub struct ControllerStats {
 }
 
 /// The flat (single-instance) controller.
+#[derive(Debug)]
 pub struct Controller {
     /// The compiled policy this controller enforces.
     pub policy: FsmPolicy,
@@ -84,28 +85,31 @@ pub struct Controller {
 
 impl Controller {
     /// A controller enforcing `policy`, pushing gate state into
-    /// `gate_view`.
+    /// `gate_view`. Policy and configuration are its identity; the rest,
+    /// gate binding included, is written by [`Controller::reset_runtime`].
     pub fn new(policy: FsmPolicy, config: ControllerConfig, gate_view: ViewHandle) -> Controller {
-        Controller {
+        let mut controller = Controller {
             policy,
             view: GlobalView::new(),
             config,
             queue: VecDeque::new(),
             busy_until: SimTime::ZERO,
             installed: PostureVector::new(),
-            gate_view,
+            gate_view: gate_view.clone(),
             pending_view: VecDeque::new(),
             outage_until: SimTime::ZERO,
             stats: ControllerStats::default(),
-        }
+        };
+        controller.reset_runtime(gate_view);
+        controller
     }
 
-    /// Reset all runtime state back to the freshly-constructed values —
-    /// empty view and queues, idle, nothing installed, zeroed stats —
-    /// keeping the compiled policy and configuration, and rebinding the
-    /// gate view to the resident world's fresh handle. After this call
-    /// the controller behaves byte-identically to one built by
-    /// [`Controller::new`] with the same policy and config (E26).
+    /// Bring the controller to its t = 0 state — empty view and queues,
+    /// idle, nothing installed, zeroed stats — keeping the compiled
+    /// policy, the configuration and the queues' capacity, and binding
+    /// `gate_view`: a resident world (E26) hands every home a fresh
+    /// handle. The constructor ends here, so a reset controller is one
+    /// built by [`Controller::new`] with the same policy and config.
     pub fn reset_runtime(&mut self, gate_view: ViewHandle) {
         self.view = GlobalView::new();
         self.queue.clear();

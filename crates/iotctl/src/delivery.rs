@@ -89,12 +89,7 @@ pub struct DirectiveEnvelope {
 /// representation. Two directives with identical content (same device,
 /// kind and posture) share an ID.
 pub fn directive_id(directive: &Directive) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in format!("{directive:?}").bytes() {
-        hash ^= b as u64;
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
+    trace::digest::fnv64(format!("{directive:?}").as_bytes())
 }
 
 /// The controller → data-plane directive channel.

@@ -170,6 +170,8 @@ pub fn default_dictionary() -> Vec<(String, String)> {
 }
 
 const REPLY_TIMEOUT: SimDuration = SimDuration::from_secs(2);
+/// Bottom of the ephemeral source-port range the attacker cycles through.
+const FIRST_SRC_PORT: u16 = 40_000;
 
 #[derive(Debug)]
 enum AttackerState {
@@ -197,9 +199,11 @@ pub struct Attacker {
 }
 
 impl Attacker {
-    /// An attacker at `ip` executing `plan`.
+    /// An attacker at `ip` executing `plan` with the well-known default
+    /// dictionary — its identity; the campaign's progress is written by
+    /// [`Attacker::reset_runtime`].
     pub fn new(ip: Ipv4Addr, plan: AttackPlan) -> Attacker {
-        Attacker {
+        let mut attacker = Attacker {
             ip,
             plan,
             step_idx: 0,
@@ -207,10 +211,12 @@ impl Attacker {
             tokens: HashMap::new(),
             stolen_keys: Vec::new(),
             dictionary: default_dictionary(),
-            outcomes: vec![],
-            next_src_port: 40_000,
+            outcomes: Vec::new(),
+            next_src_port: 0,
             dns_queries_sent: 0,
-        }
+        };
+        attacker.reset_runtime();
+        attacker
     }
 
     /// Whether the plan has finished.
@@ -218,18 +224,18 @@ impl Attacker {
         matches!(self.state, AttackerState::Done)
     }
 
-    /// Rewind the campaign to its freshly-constructed state — step 0,
-    /// idle, no tokens, keys, or outcomes — keeping the plan, source IP
-    /// and dictionary. Resident worlds (E26) reuse the attacker across
-    /// rounds; callers re-seed any out-of-band keys afterwards exactly
-    /// as the builder does via [`Attacker::learn_key`].
+    /// Rewind the campaign to t = 0 — step 0, idle, no tokens, keys, or
+    /// outcomes, first source port — keeping the plan, source IP and
+    /// dictionary. The constructor ends here, so the attacker a resident
+    /// world (E26) reuses across rounds is a cold-built one; whoever owns
+    /// it re-seeds out-of-band keys via [`Attacker::learn_key`].
     pub fn reset_runtime(&mut self) {
         self.step_idx = 0;
         self.state = AttackerState::Idle;
         self.tokens.clear();
         self.stolen_keys.clear();
         self.outcomes.clear();
-        self.next_src_port = 40_000;
+        self.next_src_port = FIRST_SRC_PORT;
         self.dns_queries_sent = 0;
     }
 
@@ -264,7 +270,7 @@ impl Attacker {
 
     fn alloc_port(&mut self) -> u16 {
         let p = self.next_src_port;
-        self.next_src_port = self.next_src_port.wrapping_add(1).max(40_000);
+        self.next_src_port = self.next_src_port.wrapping_add(1).max(FIRST_SRC_PORT);
         p
     }
 

@@ -10,9 +10,7 @@
 use crate::classes::{DeviceLogic, TickOutput};
 use crate::env::Environment;
 use crate::events::{SecurityEvent, SecurityEventKind};
-use crate::proto::{
-    ports, AppMessage, ControlAction, ControlAuth, EventKind, MgmtCommand, TelemetryKind,
-};
+use crate::proto::{ports, AppMessage, ControlAction, ControlAuth, EventKind, MgmtCommand};
 use crate::registry::Sku;
 use crate::vuln::Vulnerability;
 use bytes::Bytes;
@@ -118,7 +116,16 @@ impl AdminCreds {
 
     /// A reasonable owner-chosen credential set.
     pub fn owner_default() -> AdminCreds {
-        AdminCreds::new("owner", "S3cure!pass")
+        let mut creds = AdminCreds::new("", "");
+        creds.set_owner_default();
+        creds
+    }
+
+    /// Overwrite with [`AdminCreds::owner_default`] in place, keeping the
+    /// strings' capacity.
+    fn set_owner_default(&mut self) {
+        self.user.replace_range(.., "owner");
+        self.pass.replace_range(.., "S3cure!pass");
     }
 }
 
@@ -198,6 +205,8 @@ pub struct IoTDevice {
 
 impl IoTDevice {
     /// Create a device of `class` at `ip` with the given SKU and flaws.
+    /// The five parameters are the device's identity; every other field
+    /// is written by [`IoTDevice::reset_runtime`].
     pub fn new(
         id: DeviceId,
         sku: Sku,
@@ -205,35 +214,42 @@ impl IoTDevice {
         ip: Ipv4Addr,
         vulns: Vec<Vulnerability>,
     ) -> IoTDevice {
-        IoTDevice {
+        let mut dev = IoTDevice {
             id,
             sku,
             class,
             ip,
-            creds: AdminCreds::owner_default(),
+            creds: AdminCreds::new("", ""),
             vulns,
             logic: DeviceLogic::new(class),
             hub: None,
             owner: None,
-            telemetry_period: SimDuration::from_secs(5),
+            telemetry_period: SimDuration::ZERO,
             sessions: HashMap::new(),
-            next_token: 1,
+            next_token: 0,
             auth_failures: HashMap::new(),
             last_telemetry: SimTime::ZERO,
             compromised: false,
             privacy_leaked: false,
             dns_reflections: 0,
-            alive: true,
-        }
+            alive: false,
+        };
+        dev.reset_runtime();
+        dev
     }
 
-    /// Reset all runtime state back to the freshly-constructed values
-    /// while keeping the device's identity (id, SKU, class, IP, creds,
-    /// vulns, hub/owner binding). A resident world (E26) reuses the
-    /// device across rounds; after this call its behavior is
-    /// byte-identical to a cold-built instance.
+    /// Bring the device to its t = 0 state, keeping its identity (id,
+    /// SKU, class, IP, vulns) and its maps' capacity: factory FSM, the
+    /// owner's default credentials (`SetPassword` changes them at run
+    /// time), no hub or owner bound, no sessions, nothing compromised.
+    /// The constructor ends here, so the device a resident world (E26)
+    /// reuses across rounds is a cold-built one by construction; whoever
+    /// owns it binds `hub` and `owner` again.
     pub fn reset_runtime(&mut self) {
+        self.creds.set_owner_default();
         self.logic = DeviceLogic::new(self.class);
+        self.hub = None;
+        self.owner = None;
         self.telemetry_period = SimDuration::from_secs(5);
         self.sessions.clear();
         self.next_token = 1;
@@ -590,19 +606,6 @@ fn position_event(class: DeviceClass, action: ControlAction) -> Option<SecurityE
             Some(SecurityEventKind::WindowChanged(false))
         }
         _ => None,
-    }
-}
-
-/// Telemetry kind a class primarily reports (used by the anomaly profiles
-/// and tests).
-pub fn primary_telemetry(class: DeviceClass) -> TelemetryKind {
-    match class {
-        DeviceClass::Thermostat => TelemetryKind::Temperature,
-        DeviceClass::SmartPlug | DeviceClass::Oven => TelemetryKind::Power,
-        DeviceClass::LightSensor | DeviceClass::LightBulb => TelemetryKind::Light,
-        DeviceClass::Camera | DeviceClass::MotionSensor => TelemetryKind::Motion,
-        DeviceClass::FireAlarm => TelemetryKind::Smoke,
-        _ => TelemetryKind::Status,
     }
 }
 

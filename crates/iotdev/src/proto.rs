@@ -98,14 +98,6 @@ pub enum ControlAction {
     SetPhase(u8),
 }
 
-impl ControlAction {
-    /// Whether this action changes the physical world in a way the paper's
-    /// safety policies guard (actuation, as opposed to tuning).
-    pub fn is_actuation(self) -> bool {
-        !matches!(self, ControlAction::SetColor(_))
-    }
-}
-
 /// Authentication attached to a control request.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum ControlAuth {

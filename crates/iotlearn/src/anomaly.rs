@@ -178,11 +178,6 @@ impl AnomalyDetector {
         self.training = false;
     }
 
-    /// Whether still training.
-    pub fn is_training(&self) -> bool {
-        self.training
-    }
-
     /// Score a window against the learned profile.
     pub fn score(&self, device: DeviceId, context: Context, window: &Window) -> AnomalyVerdict {
         let mut score: f64 = 0.0;

@@ -35,9 +35,13 @@ pub struct Capture {
 }
 
 impl Capture {
-    /// A capture buffer holding up to `capacity` packets.
+    /// A capture buffer holding up to `capacity` packets. The bound is
+    /// its identity; what it holds is written by [`Capture::recycle`].
     pub fn new(capacity: usize) -> Capture {
-        Capture { ring: VecDeque::with_capacity(capacity.min(4096)), capacity, total: 0 }
+        let mut capture =
+            Capture { ring: VecDeque::with_capacity(capacity.min(4096)), capacity, total: 0 };
+        capture.recycle();
+        capture
     }
 
     /// Record a packet, evicting the oldest if full.
@@ -75,12 +79,12 @@ impl Capture {
         self.ring.clear();
     }
 
-    /// Return the buffer to its freshly-constructed state — empty, total
-    /// zero, same `capacity` bound — retaining the ring's allocation.
-    /// The ring is the single largest per-world buffer (E25 recycles it
-    /// across fleet homes), and since a `VecDeque`'s spare capacity is
-    /// behaviorally invisible, a recycled capture records and evicts
-    /// exactly like a cold one.
+    /// Bring the buffer to its t = 0 state — empty, total zero, same
+    /// `capacity` bound — retaining the ring's allocation. The
+    /// constructor ends here. The ring is the single largest per-world
+    /// buffer (E25 recycles it across fleet homes), and since a
+    /// `VecDeque`'s spare capacity is behaviorally invisible, a recycled
+    /// capture records and evicts exactly like a cold one.
     pub fn recycle(&mut self) {
         self.ring.clear();
         self.total = 0;

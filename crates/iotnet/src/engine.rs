@@ -259,7 +259,16 @@ pub struct EventQueue<E> {
 
 impl<E> std::fmt::Debug for EventQueue<E> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("EventQueue").field("len", &self.len).field("now", &self.now).finish()
+        // State only: payloads need not be `Debug`, and buffer capacity is
+        // invisible to the simulation.
+        f.debug_struct("EventQueue")
+            .field("len", &self.len)
+            .field("level_len", &self.level_len)
+            .field("cursor", &self.cursor)
+            .field("next_seq", &self.next_seq)
+            .field("now", &self.now)
+            .field("processed", &self.processed)
+            .finish()
     }
 }
 
@@ -277,9 +286,11 @@ impl<E> EventQueue<E> {
 
     /// An empty queue pre-sized for `cap` pending events: the arena, the
     /// due heap and the cascade scratch reserve up front, so a workload
-    /// that never exceeds `cap` pending events never grows them.
+    /// that never exceeds `cap` pending events never grows them. The
+    /// buffers are all a queue is built from; its state is written by
+    /// [`EventQueue::reset`].
     pub fn with_capacity(cap: usize) -> Self {
-        EventQueue {
+        let mut queue = EventQueue {
             arena: EventArena::with_capacity(cap),
             levels: (0..LEVELS).map(|_| (0..SLOTS).map(|_| Vec::new()).collect()).collect(),
             level_len: [0; LEVELS],
@@ -291,7 +302,9 @@ impl<E> EventQueue<E> {
             next_seq: 0,
             now: SimTime::ZERO,
             processed: 0,
-        }
+        };
+        queue.reset();
+        queue
     }
 
     /// The current clock: the timestamp of the last popped event (or zero).
@@ -309,12 +322,12 @@ impl<E> EventQueue<E> {
         self.len == 0
     }
 
-    /// Return the queue to its freshly-constructed state — clock at
-    /// zero, sequence counter at zero, nothing pending — retaining every
-    /// buffer's capacity (arena slots, wheel slot vectors, heaps,
-    /// cascade scratch). A reset queue schedules and pops exactly like a
-    /// cold one; recycling it across worlds is invisible to the
-    /// simulation (E25 arena-reuse).
+    /// Bring the queue to its t = 0 state — clock at zero, sequence
+    /// counter at zero, nothing pending — retaining every buffer's
+    /// capacity (arena slots, wheel slot vectors, heaps, cascade
+    /// scratch). The constructor ends here, so a reset queue schedules
+    /// and pops exactly like a cold one; recycling it across worlds is
+    /// invisible to the simulation (E25 arena-reuse).
     pub fn reset(&mut self) {
         self.arena.reset();
         for level in &mut self.levels {

@@ -131,11 +131,6 @@ impl FaultScheduler {
         self.queue.len()
     }
 
-    /// Time of the next pending fault action, if any.
-    pub fn next_at(&self) -> Option<SimTime> {
-        self.queue.peek_time()
-    }
-
     /// Apply every fault action due at or before `now` to the topology,
     /// in schedule order. Returns how many actions were applied.
     pub fn apply_due(&mut self, now: SimTime, topo: &mut Topology) -> usize {

@@ -298,9 +298,12 @@ pub struct FlowTable {
 }
 
 impl FlowTable {
-    /// An empty table.
+    /// An empty table: a table has no identity, so all of it is written
+    /// by [`FlowTable::recycle`].
     pub fn new() -> FlowTable {
-        FlowTable::default()
+        let mut table = FlowTable::default();
+        table.recycle();
+        table
     }
 
     /// A counter bumped on every structural change (install / removal /
@@ -337,11 +340,11 @@ impl FlowTable {
         self.epoch += 1;
     }
 
-    /// Reset the table to an observably freshly-constructed state while
-    /// retaining allocated capacity. Unlike [`FlowTable::clear`], this
-    /// also rewinds `next_seq` (install order participates in priority
-    /// tie-breaks), the table epoch, and the miss counter, so a resident
-    /// world's reused table behaves byte-identically to a cold build.
+    /// Bring the table to its t = 0 state while retaining allocated
+    /// capacity. Unlike [`FlowTable::clear`], this also rewinds
+    /// `next_seq` (install order participates in priority tie-breaks),
+    /// the table epoch, and the miss counter. The constructor ends here,
+    /// so a resident world's reused table is a cold-built one.
     pub fn recycle(&mut self) {
         self.rows.clear();
         self.next_seq = 0;

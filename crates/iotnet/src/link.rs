@@ -37,11 +37,6 @@ impl LinkParams {
         LinkParams { latency: SimDuration::from_millis(2), bandwidth_bps: 50_000_000, loss: 0.005 }
     }
 
-    /// A low-power IoT radio (802.15.4-class): 5 ms, 250 kbit/s, 2% loss.
-    pub fn lowpower_radio() -> LinkParams {
-        LinkParams { latency: SimDuration::from_millis(5), bandwidth_bps: 250_000, loss: 0.02 }
-    }
-
     /// A WAN/Internet path: 40 ms, 100 Mbit/s, 0.1% loss. Used for the
     /// remote-attacker and cloud-service attachment points.
     pub fn wan() -> LinkParams {
@@ -86,11 +81,12 @@ pub struct Link {
 }
 
 impl Link {
-    /// A new, up link with the given parameters.
+    /// A new, up link with the given parameters: `params` is the link's
+    /// identity, everything else is written by [`Link::reset_runtime`].
     pub fn new(params: LinkParams) -> Link {
-        Link {
+        let mut link = Link {
             params,
-            up: true,
+            up: false,
             tx_free_at: SimTime::ZERO,
             dropped: 0,
             carried: 0,
@@ -98,14 +94,15 @@ impl Link {
             burst_loss: None,
             corrupt_rate: 0.0,
             corrupted: 0,
-        }
+        };
+        link.reset_runtime();
+        link
     }
 
-    /// Reset every runtime field back to its freshly-constructed value
-    /// (up, idle transmitter, zeroed counters, no fault overrides) while
-    /// keeping the static parameters. A resident world reuses its wiring
-    /// across rounds; this makes a reused link indistinguishable from a
-    /// cold-built one.
+    /// Bring the link to its t = 0 state (up, idle transmitter, zeroed
+    /// counters, no fault overrides), keeping the static parameters. The
+    /// constructor ends here, so a link a resident world reuses across
+    /// rounds is a cold-built one by construction.
     pub fn reset_runtime(&mut self) {
         self.up = true;
         self.tx_free_at = SimTime::ZERO;

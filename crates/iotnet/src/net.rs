@@ -159,6 +159,16 @@ pub struct SteerHandle {
     pub hits: u64,
 }
 
+impl std::fmt::Debug for SteerHandle {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("SteerHandle")
+            .field("processor", &self.processor.label())
+            .field("detour", &self.detour)
+            .field("hits", &self.hits)
+            .finish()
+    }
+}
+
 enum NetEvent {
     AtSwitch {
         sw: SwitchId,
@@ -181,10 +191,11 @@ enum NetEvent {
 /// Recyclable network storage harvested from a finished simulation
 /// (E25 arena-reuse). Holds the buffers whose construction dominates a
 /// per-home world build — the event queue (arena + wheel + heaps), the
-/// capture ring and the delivery buffer — each already reset to its
-/// cold state so reuse is behaviorally invisible. Deliberately excludes
-/// the steer `HashMap`: recycled map capacity could perturb iteration
-/// order, and determinism outranks the few bytes it would save.
+/// capture ring and the delivery buffer — exactly as the finished run
+/// left them: the build that takes them resets them, as it resets the
+/// ones it allocates, so reuse is behaviorally invisible. Deliberately
+/// excludes the steer `HashMap`: recycled map capacity could perturb
+/// iteration order, and determinism outranks the few bytes it would save.
 #[derive(Debug, Default)]
 pub struct NetScrap {
     queue: Option<EventQueue<NetEvent>>,
@@ -240,6 +251,7 @@ impl NetScrap {
 /// assert_eq!(deliveries.len(), 1);
 /// assert_eq!(deliveries[0].endpoint, z);
 /// ```
+#[derive(Debug)]
 pub struct Network {
     topo: Topology,
     switches: Vec<Switch>,
@@ -263,7 +275,10 @@ impl Network {
     /// buffers and cold-allocating what it lacks. An empty scrap is
     /// exactly the cold path; a scrap harvested by [`Network::reclaim`]
     /// skips the big per-world allocations (event arena, capture ring,
-    /// delivery buffer) without changing a single simulated byte.
+    /// delivery buffer) without changing a single simulated byte. The
+    /// topology and the buffers are all a network is built from; its
+    /// state, down to the RNG seed, is written by
+    /// [`Network::reset_resident`].
     pub fn new_recycled(topo: Topology, seed: u64, scrap: &mut NetScrap) -> Network {
         let switches = (0..topo.switch_count())
             .map(|i| Switch::new(SwitchId(i as u32), topo.ports_of(SwitchId(i as u32))))
@@ -292,28 +307,25 @@ impl Network {
                 Capture::new(65_536)
             }
         };
-        let deliveries = std::mem::take(&mut scrap.deliveries);
-        Network {
+        let mut net = Network {
             topo,
             switches,
             queue,
             steer: std::collections::HashMap::new(),
-            deliveries,
+            deliveries: std::mem::take(&mut scrap.deliveries),
             capture,
-            rng: StdRng::seed_from_u64(seed ^ 0x006e_6574_776f_726b_u64),
+            rng: StdRng::seed_from_u64(0),
             stats: NetStats::default(),
-        }
+        };
+        net.reset_resident(seed);
+        net
     }
 
     /// Tear the network down into recyclable storage: the event queue,
-    /// capture ring and delivery buffer, each reset to its
-    /// freshly-constructed state with capacity retained. The next
-    /// [`Network::new_recycled`] build reuses them (E25
+    /// capture ring and delivery buffer, moved out as they are. The next
+    /// [`Network::new_recycled`] build resets and reuses them (E25
     /// arena-reuse across fleet homes).
-    pub fn reclaim(mut self) -> NetScrap {
-        self.queue.reset();
-        self.capture.recycle();
-        self.deliveries.clear();
+    pub fn reclaim(self) -> NetScrap {
         NetScrap {
             queue: Some(self.queue),
             capture: Some(self.capture),
@@ -322,13 +334,13 @@ impl Network {
         }
     }
 
-    /// Reset the network in place to an observably freshly-built state —
-    /// the resident-world (E26) counterpart of tearing down via
-    /// [`Network::reclaim`] and rebuilding. Links, switches, the event
-    /// queue, capture ring, delivery buffer and counters all return to
-    /// their cold values with capacity retained; the loss-process RNG is
-    /// reseeded exactly as [`Network::new_recycled`] seeds it. The
-    /// steer map is replaced by a brand-new `HashMap` for the same
+    /// Bring the network to its t = 0 state for the home `seed` names:
+    /// links, switches, the event queue, capture ring, delivery buffer
+    /// and counters all return to their cold values with capacity
+    /// retained, switches lose their tracer (see [`Network::set_tracer`]),
+    /// and the loss-process RNG is reseeded. The constructor ends here,
+    /// so a resident world's (E26) reset is a cold build by construction.
+    /// The steer map is replaced by a brand-new `HashMap` for the same
     /// determinism reason the scrap excludes it: recycled map capacity
     /// could perturb iteration order.
     pub fn reset_resident(&mut self, seed: u64) {
@@ -381,16 +393,6 @@ impl Network {
         self.topo.endpoint_by_ip(ip)
     }
 
-    /// Mutable access to a switch (rule installation).
-    pub fn switch_mut(&mut self, sw: SwitchId) -> &mut Switch {
-        &mut self.switches[sw.0 as usize]
-    }
-
-    /// Read access to a switch.
-    pub fn switch(&self, sw: SwitchId) -> &Switch {
-        &self.switches[sw.0 as usize]
-    }
-
     /// Install a flow rule on a switch.
     pub fn install_rule(&mut self, sw: SwitchId, rule: FlowRule) {
         self.switches[sw.0 as usize].install(rule);
@@ -416,11 +418,6 @@ impl Network {
     /// Remove a steer registration, returning it if present.
     pub fn unregister_steer(&mut self, id: SteerId) -> Option<SteerHandle> {
         self.steer.remove(&id)
-    }
-
-    /// Mutable access to a registered processor.
-    pub fn steer_mut(&mut self, id: SteerId) -> Option<&mut SteerHandle> {
-        self.steer.get_mut(&id)
     }
 
     /// Inject a packet from `ep` at time `now` (must be ≥ the network

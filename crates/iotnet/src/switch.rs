@@ -88,9 +88,11 @@ pub struct Switch {
 }
 
 impl Switch {
-    /// A new switch with `n_ports` ports and an empty flow table.
+    /// A new switch with `n_ports` ports and an empty flow table. `id`
+    /// and `n_ports` are its identity; everything else is written by
+    /// [`Switch::reset_resident`].
     pub fn new(id: SwitchId, n_ports: u16) -> Switch {
-        Switch {
+        let mut sw = Switch {
             id,
             n_ports,
             table: FlowTable::new(),
@@ -102,14 +104,16 @@ impl Switch {
             cache_lookups: 0,
             cache_hits: 0,
             tracer: Tracer::disabled(),
-        }
+        };
+        sw.reset_resident();
+        sw
     }
 
-    /// Reset the switch to an observably freshly-constructed state
-    /// (empty flow table at epoch 0, cleared MAC/decision caches, zeroed
-    /// counters) while retaining allocated capacity and the attached
-    /// tracer. Resident worlds call this between rounds so a reused
-    /// switch forwards byte-identically to a cold-built one.
+    /// Bring the switch to its t = 0 state (empty flow table at epoch 0,
+    /// cleared MAC/decision caches, zeroed counters, no tracer) while
+    /// retaining allocated capacity. The constructor ends here, so the
+    /// switch a resident world reuses between rounds is a cold-built one
+    /// by construction; whoever owns it re-attaches its tracer.
     pub fn reset_resident(&mut self) {
         self.table.recycle();
         self.mac_table.clear();
@@ -119,6 +123,7 @@ impl Switch {
         self.policy_drops = 0;
         self.cache_lookups = 0;
         self.cache_hits = 0;
+        self.tracer = Tracer::disabled();
     }
 
     /// Attach a tracer for cache and policy-drop events.

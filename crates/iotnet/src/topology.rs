@@ -63,12 +63,24 @@ pub struct EndpointInfo {
 pub type LinkKey = (NodeId, NodeId);
 
 /// The wiring of a network: switches, endpoints, and directed links.
-#[derive(Debug, Default)]
+#[derive(Default)]
 pub struct Topology {
     switch_ports: Vec<Vec<Port>>,
     endpoints: Vec<Attachment>,
     links: Vec<Link>,
     ip_index: HashMap<Ipv4Addr, EndpointId>,
+}
+
+impl std::fmt::Debug for Topology {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        // `ip_index` only inverts `endpoints`; leaving the map out keeps
+        // the output independent of hash order.
+        f.debug_struct("Topology")
+            .field("switch_ports", &self.switch_ports)
+            .field("endpoints", &self.endpoints)
+            .field("links", &self.links)
+            .finish()
+    }
 }
 
 impl Topology {

@@ -27,6 +27,7 @@ use crate::policy::FsmPolicy;
 use fixedbitset::FixedBitSet;
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicUsize, Ordering};
+use trace::digest::fnv64;
 use trace::event::TraceEvent;
 use trace::tracer::Tracer;
 
@@ -37,16 +38,6 @@ pub const CHUNK: u128 = 1 << 14;
 /// bitset indexed by the word itself (2²⁸ bits = 32 MiB); wider spaces
 /// fall back to a hashed set.
 pub const DENSE_WORD_BITS_MAX: u32 = 28;
-
-/// FNV-1a over a byte slice.
-fn fnv64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in bytes {
-        h ^= *b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
 
 /// FNV-1a of a state rank — the per-state term of the order-independent
 /// (XOR-merged) digests.

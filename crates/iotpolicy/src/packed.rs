@@ -29,7 +29,7 @@
 //!   allocation (pinned by `tests/alloc_counter.rs`).
 
 use crate::policy::FsmPolicy;
-use crate::posture::PostureVector;
+use crate::posture::{fingerprint_postures, PostureVector};
 use crate::state_space::{StateSchema, SystemState};
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hash, Hasher};
@@ -816,23 +816,16 @@ impl<'a> MemoPolicy<'a> {
     }
 
     /// The fingerprint and quiet flag of an id tuple, streamed straight
-    /// from the interned slot postures in ascending-device-id order —
-    /// word-identical to materializing the vector and calling
-    /// [`PostureVector::fingerprint`], without building the map.
+    /// from the interned slot postures in ascending-device-id order
+    /// through the fold [`PostureVector::fingerprint`] uses, without
+    /// building the map.
     fn fp_of_pids(&self, pids: &[u32]) -> (u64, bool) {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
         let mut quiet = true;
-        for (dev, pos) in &self.fp_order {
+        let wins = self.fp_order.iter().filter_map(|(dev, pos)| {
             let win = &self.slot_postures[self.resolved_slots[*pos]][pids[*pos] as usize];
-            if win.is_allow() {
-                continue;
-            }
-            quiet = false;
-            win.fingerprint_words(*dev, &mut |v: u64| {
-                h ^= v;
-                h = h.wrapping_mul(0x0000_0100_0000_01b3);
-            });
-        }
+            (!win.is_allow()).then_some((*dev, win))
+        });
+        let h = fingerprint_postures(wins.inspect(|_| quiet = false));
         (h, quiet)
     }
 

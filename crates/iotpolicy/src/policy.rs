@@ -214,16 +214,6 @@ impl FsmPolicy {
         self.evaluate(state).posture(id)
     }
 
-    /// The FSM continuity token for `state`: a stable fingerprint of
-    /// the posture vector this policy prescribes there. Two controllers
-    /// holding the same policy and the same state agree on the token,
-    /// so the safety monitor can compare it across a failover — a
-    /// promoted standby whose token diverges has silently reset the
-    /// active FSM (checkpoint loss), the `fsm-continuity` violation.
-    pub fn continuity_token(&self, state: &SystemState) -> u64 {
-        self.evaluate(state).fingerprint()
-    }
-
     /// Exhaustively enumerate `(state, posture-vector)` pairs. Only for
     /// small schemas (tests and the E1/A1 experiments).
     pub fn enumerate(&self) -> Vec<(SystemState, PostureVector)> {

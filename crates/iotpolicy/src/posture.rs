@@ -272,6 +272,23 @@ pub fn quarantine_allowlist(_class: DeviceClass) -> Vec<ServiceAllow> {
     vec![ServiceAllow::udp(ports::TELEMETRY)]
 }
 
+/// FNV-1a, a word at a time, over the tagged word stream of `postures`
+/// in the order given — the one fold behind
+/// [`PostureVector::fingerprint`] and the packed engine's id-tuple
+/// fingerprint, which must agree word for word.
+pub(crate) fn fingerprint_postures<'a>(
+    postures: impl Iterator<Item = (DeviceId, &'a Posture)>,
+) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for (dev, posture) in postures {
+        posture.fingerprint_words(dev, &mut |v: u64| {
+            h ^= v;
+            h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        });
+    }
+    h
+}
+
 /// The postures of every device in one state.
 #[derive(Debug, Clone, PartialEq, Eq, Default, Serialize)]
 pub struct PostureVector {
@@ -309,14 +326,7 @@ impl PostureVector {
     /// engine fingerprints every distinct posture class it interns, so
     /// this sits on the E19 cold path millions of sweeps deep.
     pub fn fingerprint(&self) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for (dev, posture) in &self.by_device {
-            posture.fingerprint_words(*dev, &mut |v: u64| {
-                h ^= v;
-                h = h.wrapping_mul(0x0000_0100_0000_01b3);
-            });
-        }
-        h
+        fingerprint_postures(self.by_device.iter().map(|(dev, posture)| (*dev, posture)))
     }
 
     /// Devices whose posture differs between `self` (old) and `new` —

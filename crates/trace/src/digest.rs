@@ -31,6 +31,7 @@ impl Fnv64 {
     }
 
     /// Fold raw bytes into the stream.
+    #[inline]
     pub fn write_bytes(&mut self, bytes: &[u8]) {
         for &b in bytes {
             self.state ^= u64::from(b);
@@ -61,6 +62,7 @@ impl Default for Fnv64 {
 }
 
 /// One-shot digest of a byte slice.
+#[inline]
 pub fn fnv64(bytes: &[u8]) -> u64 {
     let mut h = Fnv64::new();
     h.write_bytes(bytes);

@@ -58,11 +58,6 @@ impl SigIds {
         self.generation += 1;
     }
 
-    /// Active rule count.
-    pub fn rule_count(&self) -> usize {
-        self.signatures.len()
-    }
-
     fn per_packet_cost(&self) -> SimDuration {
         costs::IDS_BASE + costs::IDS_PER_SIG * self.signatures.len() as u64
     }

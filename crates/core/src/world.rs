@@ -19,22 +19,22 @@ use iotctl::hier::{HierarchicalController, Partitioning};
 use iotctl::safety::{self, DeviceFacts, SafetyMonitor};
 use iotdev::attacker::{AttackPlan, AttackStep, Attacker, AttackerEmit};
 use iotdev::classes::{DeviceLogic, PlugLoad};
-use iotdev::device::{AdminCreds, DeviceClass, DeviceId, DeviceOutput, IoTDevice, OutMessage};
+use iotdev::device::{AdminCreds, DeviceId, DeviceOutput, IoTDevice, OutMessage};
 use iotdev::env::{EnvVar, Environment};
 use iotdev::events::SecurityEvent;
 use iotdev::proto::AppMessage;
-use iotdev::registry::Sku;
 use iotdev::vuln::Vulnerability;
 use iotlearn::signature::{AttackSignature, Matcher, Severity};
 use iotnet::addr::{EndpointId, Ipv4Addr, NodeId, SwitchId};
 use iotnet::faults::FaultScheduler;
 use iotnet::flow::{FlowAction, FlowMatch, FlowRule, SteerId};
 use iotnet::link::LinkParams;
-use iotnet::net::{InlineProcessor, InlineVerdict, NetScrap, Network};
+use iotnet::net::{InlineProcessor, InlineVerdict, Network};
 use iotnet::packet::{Packet, TcpFlags, TransportHeader};
 use iotnet::time::{SimDuration, SimTime};
 use iotnet::topology::TopologyBuilder;
 use iotpolicy::compile::PolicyCompiler;
+use iotpolicy::policy::FsmPolicy;
 use iotpolicy::posture::Posture;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -166,21 +166,12 @@ struct UmboxSlot {
     instance: UmboxId,
 }
 
-/// Recyclable heap banked between consecutive home-world builds.
-///
-/// Holds the network-layer buffers ([`NetScrap`]) reclaimed from a torn-down
-/// [`World`] so the next [`World::new_home_recycled`] build reuses their
-/// allocations instead of paying the per-home construction cost again.
-/// Only flat, order-insensitive buffers are recycled — hash maps are
-/// deliberately excluded so iteration order can never differ between a
-/// recycled and a cold build. An empty (default) scrap builds exactly like
-/// [`World::new_home`].
+/// An empty token: nothing is banked between home builds. The frozen
+/// benchmark harness names this type in the resident signatures it
+/// implements and calls ([`World::new_home_resident`]'s last parameter);
+/// it goes with those parameters at the E38(e) unfreeze.
 #[derive(Debug, Default)]
-pub struct WorldScrap {
-    /// Reclaimed network buffers (event queue arena, capture ring,
-    /// delivery scratch).
-    pub net: NetScrap,
-}
+pub struct WorldScrap {}
 
 /// What one home accumulates between t = 0 and its report.
 /// [`World::reset_home`] replaces it wholesale, so a field added here
@@ -271,10 +262,14 @@ pub struct World {
     plug_loads: Vec<Option<PlugLoad>>,
     pre_stolen_keys: Vec<u64>,
     /// Per-device interned signature rulesets (repository subscriptions
-    /// plus vuln-derived rules), computed once at construction. Chains
+    /// plus vuln-derived rules), written by `install_intel`. Chains
     /// share these by `Rc` refcount instead of rebuilding the signature
     /// vector on every launch/reconfigure.
     device_signatures: Vec<Rc<[AttackSignature]>>,
+    /// Per-device standing-IDS membership: whether some repository
+    /// signature, subscribed or regional, names the device's SKU. The
+    /// compiled policy depends on intel through this vector alone.
+    standing_ids: Vec<bool>,
     core_switch: SwitchId,
     device_switch: Vec<SwitchId>,
     home: HomeState,
@@ -307,93 +302,15 @@ pub struct World {
     resident: Option<Box<ResidentBind>>,
 }
 
-/// Everything a resident world (E26) needs to take an intel delta
-/// without re-reading its deployment template: the per-device signature
-/// bases and policy-compile inputs captured at build time, plus the
-/// intel epoch currently installed.
+/// What a resident world (E26) keeps to take an intel delta: the intel
+/// installed on it and the template `install_intel` reads its inputs from.
 struct ResidentBind {
     /// Intel epoch currently installed on this world.
     epoch: u32,
-    /// The installed snapshot itself (content, not just the number —
-    /// the delta path diffs old-vs-new per device).
+    /// The installed snapshot itself (content, not just the number — a
+    /// content-equal snapshot installs as a no-op).
     intel: Arc<[AttackSignature]>,
-    /// Per-device signature ruleset built with *no* extra intel:
-    /// subscribed-matching signatures first, vuln-derived rules after.
-    /// Extra (region) signatures splice between the two, exactly where
-    /// `build_signatures` puts them on a cold build.
-    base: Vec<Rc<[AttackSignature]>>,
-    /// Per-device count of subscribed-matching signatures — the splice
-    /// point for extra intel within `base`.
-    prefix: Vec<usize>,
-    /// Per-device extra-matching signatures currently installed.
-    extra: Vec<Vec<AttackSignature>>,
-    /// Per-device standing-IDS membership (any matching signature,
-    /// subscribed or extra). A membership flip forces a policy
-    /// recompile; a same-membership signature change only repatches the
-    /// device's ruleset.
-    matched: Vec<bool>,
-    // Policy-recompile inputs, captured from the template verbatim.
-    classes: Vec<DeviceClass>,
-    vulns: Vec<Vec<Vulnerability>>,
-    skus: Vec<Sku>,
-    gates: Vec<(DeviceId, EnvVar, &'static str)>,
-    protect_pairs: Vec<(DeviceId, DeviceId)>,
-}
-
-impl ResidentBind {
-    /// Capture the delta-install inputs from a template and a freshly
-    /// built world installed at `(epoch, intel)`.
-    fn capture(
-        template: &Deployment,
-        world: &World,
-        epoch: u32,
-        intel: &Arc<[AttackSignature]>,
-    ) -> ResidentBind {
-        let base: Vec<Rc<[AttackSignature]>> = template
-            .devices
-            .iter()
-            .enumerate()
-            .map(|(i, setup)| {
-                build_signatures(
-                    world.cfg.as_ref(),
-                    &world.devices[i].sku,
-                    &setup.vulns,
-                    &template.subscribed_signatures,
-                    &[],
-                )
-            })
-            .collect();
-        let prefix: Vec<usize> = template
-            .devices
-            .iter()
-            .map(|setup| {
-                template.subscribed_signatures.iter().filter(|s| s.sku == setup.sku).count()
-            })
-            .collect();
-        let extra: Vec<Vec<AttackSignature>> = template
-            .devices
-            .iter()
-            .map(|setup| intel.iter().filter(|s| s.sku == setup.sku).cloned().collect())
-            .collect();
-        let matched: Vec<bool> = prefix
-            .iter()
-            .zip(extra.iter())
-            .map(|(&p, e): (&usize, &Vec<AttackSignature>)| p > 0 || !e.is_empty())
-            .collect();
-        ResidentBind {
-            epoch,
-            intel: Arc::clone(intel),
-            base,
-            prefix,
-            extra,
-            matched,
-            classes: template.devices.iter().map(|s| s.class).collect(),
-            vulns: template.devices.iter().map(|s| s.vulns.clone()).collect(),
-            skus: template.devices.iter().map(|s| s.sku.clone()).collect(),
-            gates: template.gates.clone(),
-            protect_pairs: template.protect_pairs.clone(),
-        }
-    }
+    template: Deployment,
 }
 
 /// What [`World::apply_intel_delta`] did, for the fleet's
@@ -477,7 +394,7 @@ impl World {
     /// buffer) and serializes it after the run. With a disabled tracer
     /// this is exactly [`World::new`].
     pub fn new_traced(deployment: &Deployment, tracer: Tracer) -> World {
-        World::build(deployment, tracer, None, None)
+        World::build(deployment, tracer, None)
     }
 
     /// Build one home world of a fleet from a shared template (E20).
@@ -488,34 +405,7 @@ impl World {
     /// epoch. With `seed = deployment.seed` and no extra signatures this
     /// is exactly [`World::new`].
     pub fn new_home(template: &Deployment, home: &HomeOverrides<'_>) -> World {
-        World::build(template, Tracer::disabled(), Some(home), None)
-    }
-
-    /// [`World::new_home`], rebuilding out of a [`WorldScrap`]'s retained
-    /// heap instead of allocating cold.
-    ///
-    /// A fleet worker runs thousands of homes back to back, and each
-    /// home's dominant construction cost is its network heap (event
-    /// queue arena, capture ring, delivery scratch — ~400 KB per home,
-    /// ~95% of the build's bytes).
-    /// Those buffers die with the world even though the next home wants
-    /// identically-shaped ones. This constructor threads the previous
-    /// world's reclaimed buffers (see [`World::reclaim_into`]) into the
-    /// network build; everything else is constructed exactly as
-    /// [`World::new_home`] does, so a recycled world is behaviorally
-    /// indistinguishable from a cold one.
-    pub fn new_home_recycled(
-        template: &Deployment,
-        home: &HomeOverrides<'_>,
-        scrap: &mut WorldScrap,
-    ) -> World {
-        World::build(template, Tracer::disabled(), Some(home), Some(scrap))
-    }
-
-    /// Tear the world down, banking its recyclable heap into `scrap` for
-    /// the next [`World::new_home_recycled`] build.
-    pub fn reclaim_into(self, scrap: &mut WorldScrap) {
-        scrap.net.refill(self.net.reclaim());
+        World::build(template, Tracer::disabled(), Some(home))
     }
 
     /// Whether a deployment template is eligible for resident-world
@@ -535,22 +425,22 @@ impl World {
             }
     }
 
-    /// Build a resident home world (E26): a [`World::new_home_recycled`]
-    /// build plus the captured `ResidentBind` that later rounds use to
-    /// install intel deltas ([`World::apply_intel_delta`]) and rebind to
-    /// a new `(seed)` in place ([`World::rebind_home`]) instead of
-    /// rebuilding from scratch.
+    /// Build a resident home world (E26): a [`World::new_home`] build
+    /// that also keeps what later rounds need to install intel deltas
+    /// ([`World::apply_intel_delta`]) and rebind to a new `(seed)` in
+    /// place ([`World::rebind_home`]) instead of rebuilding from scratch.
     pub fn new_home_resident(
         template: &Deployment,
         seed: u64,
         epoch: u32,
         intel: &Arc<[AttackSignature]>,
-        scrap: &mut WorldScrap,
+        _scrap: &mut WorldScrap,
     ) -> World {
         debug_assert!(World::supports_resident(template));
         let overrides = HomeOverrides { seed, extra_signatures: intel };
-        let mut world = World::build(template, Tracer::disabled(), Some(&overrides), Some(scrap));
-        world.resident = Some(Box::new(ResidentBind::capture(template, &world, epoch, intel)));
+        let mut world = World::build(template, Tracer::disabled(), Some(&overrides));
+        let (intel, template) = (Arc::clone(intel), template.clone());
+        world.resident = Some(Box::new(ResidentBind { epoch, intel, template }));
         world
     }
 
@@ -561,77 +451,78 @@ impl World {
     }
 
     /// Install a new intel snapshot on a resident world without
-    /// rebuilding it: hot-swap the interned snapshot, diff old-vs-new
-    /// signatures per device, repatch only the rulesets whose matching
-    /// set changed, and recompile the controller policy only when a
-    /// device's standing-IDS membership flipped. Content-identical
-    /// snapshots advance the epoch and touch nothing else.
+    /// rebuilding it: the builder's own intel install, run against the
+    /// new snapshot. Rulesets whose content changed are replaced and the
+    /// controller policy is recompiled only when a device's standing-IDS
+    /// membership flipped. Content-identical snapshots advance the
+    /// epoch and touch nothing else.
     ///
     /// Must be called between runs (before [`World::rebind_home`]); the
-    /// next rebind launches chains against the patched rulesets, so the
-    /// patched world is byte-identical to a cold build at the new epoch.
+    /// next rebind launches chains against the installed rulesets, so
+    /// the world is byte-identical to a cold build at the new epoch.
     pub fn apply_intel_delta(
         &mut self,
         epoch: u32,
         intel: &Arc<[AttackSignature]>,
     ) -> DeltaInstall {
         let mut bind = self.resident.take().expect("apply_intel_delta needs a resident world");
-        let mut out = DeltaInstall::default();
+        let noop = Arc::ptr_eq(&bind.intel, intel) || bind.intel[..] == intel[..];
         bind.epoch = epoch;
-        if Arc::ptr_eq(&bind.intel, intel) || bind.intel[..] == intel[..] {
-            bind.intel = Arc::clone(intel);
-            out.noop = true;
-            self.resident = Some(bind);
-            return out;
-        }
         bind.intel = Arc::clone(intel);
-        let mut membership_changed = false;
-        if self.cfg.is_some() {
-            for i in 0..self.devices.len() {
-                let matching = || intel.iter().filter(|s| s.sku == bind.skus[i]);
-                if matching().eq(bind.extra[i].iter()) {
-                    out.devices_kept += 1;
-                    continue;
-                }
-                let new_extra: Vec<AttackSignature> = matching().cloned().collect();
-                let base = &bind.base[i];
-                let p = bind.prefix[i].min(base.len());
-                let mut sigs = Vec::with_capacity(base.len() + new_extra.len());
-                sigs.extend_from_slice(&base[..p]);
-                sigs.extend(new_extra.iter().cloned());
-                sigs.extend_from_slice(&base[p..]);
-                self.device_signatures[i] = sigs.into();
-                let now_matched = p > 0 || !new_extra.is_empty();
-                if now_matched != bind.matched[i] {
-                    bind.matched[i] = now_matched;
-                    membership_changed = true;
-                }
-                bind.extra[i] = new_extra;
-                out.devices_patched += 1;
+        let out = if noop {
+            DeltaInstall { noop, ..DeltaInstall::default() }
+        } else {
+            let (out, policy) = self.install_intel(&bind.template, intel);
+            if let (Some(policy), Some(ControlPlane::Flat(c))) = (policy, &mut self.control) {
+                c.policy = policy;
             }
-            if membership_changed {
-                // Recompile from the captured template inputs and the
-                // updated membership vector; sharing the builder's
-                // compile keeps the output rule-for-rule identical, which
-                // the oracle's byte-equivalence rests on.
-                let devices = (0..self.devices.len())
-                    .map(|i| (bind.classes[i], &bind.vulns[i][..], &bind.skus[i], bind.matched[i]));
-                let policy = compile_home_policy(devices, &bind.gates, &bind.protect_pairs);
-                if let Some(ControlPlane::Flat(c)) = &mut self.control {
-                    c.policy = policy;
-                }
-                out.recompiled = true;
-            }
-        }
+            out
+        };
         self.resident = Some(bind);
         out
+    }
+
+    /// The part of a build that depends on intel, for the builder and
+    /// for every later epoch: each device's ruleset, which devices a
+    /// repository signature puts a standing IDS in front of, and — when
+    /// there is no control plane yet to hold one, or that membership
+    /// moved — the policy compiled from it, for the caller to install.
+    /// Reports what differs from what the world held before.
+    fn install_intel(
+        &mut self,
+        template: &Deployment,
+        extra: &[AttackSignature],
+    ) -> (DeltaInstall, Option<FsmPolicy>) {
+        let subscribed = &template.subscribed_signatures;
+        let rulesets: Vec<Rc<[AttackSignature]>> = template
+            .devices
+            .iter()
+            .map(|d| build_signatures(self.cfg.as_ref(), &d.sku, &d.vulns, subscribed, extra))
+            .collect();
+        let matched: Vec<bool> = template
+            .devices
+            .iter()
+            .map(|d| subscribed.iter().chain(extra).any(|s| s.sku == d.sku))
+            .collect();
+        let kept = self.device_signatures.iter().zip(&rulesets).filter(|(a, b)| a == b).count();
+        let compile =
+            self.cfg.is_some() && (self.control.is_none() || matched != self.standing_ids);
+        let out = DeltaInstall {
+            noop: false,
+            recompiled: compile,
+            devices_patched: (self.device_signatures.len() - kept) as u32,
+            devices_kept: kept as u32,
+        };
+        self.device_signatures = rulesets;
+        self.standing_ids = matched;
+        (out, compile.then(|| compile_home_policy(template, &self.standing_ids)))
     }
 
     /// Rebind a resident world to a new home `(seed)` in place: the same
     /// reset to t = 0 and initial reconciliation every build ends in,
     /// over buffers that keep their capacity — after which the world is
-    /// observably identical to a cold [`World::new_home_recycled`] build
-    /// at the currently installed intel epoch.
+    /// observably identical to a cold [`World::new_home`] build at the
+    /// currently installed intel epoch.
     pub fn rebind_home(&mut self, seed: u64) {
         assert!(self.resident.is_some(), "rebind_home needs a resident world");
         self.reset_home(seed);
@@ -696,12 +587,7 @@ impl World {
         }
     }
 
-    fn build(
-        deployment: &Deployment,
-        tracer: Tracer,
-        home: Option<&HomeOverrides<'_>>,
-        scrap: Option<&mut WorldScrap>,
-    ) -> World {
+    fn build(deployment: &Deployment, tracer: Tracer, home: Option<&HomeOverrides<'_>>) -> World {
         let seed = home.map_or(deployment.seed, |h| h.seed);
         let extra: &[AttackSignature] = home.map_or(&[], |h| h.extra_signatures);
         // The safety monitor subscribes to the deterministic trace
@@ -753,10 +639,7 @@ impl World {
         let victim_ep = deployment.needs_victim().then(|| {
             b.attach_endpoint_with(core, LinkParams::wan(), Ipv4Addr::new(203, 0, 113, 50))
         });
-        let net = match scrap {
-            Some(scrap) => Network::new_recycled(b.build(), seed, &mut scrap.net),
-            None => Network::new(b.build(), seed),
-        };
+        let net = Network::new(b.build(), seed);
 
         // --- devices ------------------------------------------------------
         let mut devices = Vec::with_capacity(deployment.devices.len());
@@ -802,25 +685,6 @@ impl World {
             Defense::IoTSec(config) => Some(*config),
             _ => None,
         };
-        // Intern each device's signature ruleset once: repository
-        // subscriptions for its SKU plus (when enabled) vuln-derived
-        // rules. Every chain protecting the device then shares the slice
-        // by refcount instead of re-cloning signatures per launch.
-        let device_signatures: Vec<Rc<[AttackSignature]>> = deployment
-            .devices
-            .iter()
-            .enumerate()
-            .map(|(i, setup)| {
-                build_signatures(
-                    cfg.as_ref(),
-                    &devices[i].sku,
-                    &setup.vulns,
-                    &deployment.subscribed_signatures,
-                    extra,
-                )
-            })
-            .collect();
-
         let mut world = World {
             clock: SimTime::ZERO,
             tick: deployment.tick,
@@ -837,7 +701,8 @@ impl World {
             watchdog_delay: deployment.chaos.as_ref().map(|c| c.watchdog_delay),
             plug_loads: deployment.devices.iter().map(|s| s.load).collect(),
             pre_stolen_keys: deployment.pre_stolen_keys.clone(),
-            device_signatures,
+            device_signatures: Vec::new(),
+            standing_ids: Vec::new(),
             core_switch: core,
             device_switch,
             home: HomeState::default(),
@@ -862,6 +727,7 @@ impl World {
             world.safety = Some(SafetyMonitor::new(*scfg, world.tracer.clone()));
             world.breakers = scfg.breaker.enabled.then(|| BreakerBank::new(scfg.breaker));
         }
+        let (_, policy) = world.install_intel(deployment, extra);
         world.reset_home(seed);
 
         // --- defense ------------------------------------------------------
@@ -907,15 +773,7 @@ impl World {
                 }
             }
             Defense::IoTSec(config) => {
-                // Subscribed repository signatures for a device's SKU put
-                // a standing IDS in front of it.
-                let subscribed = deployment.subscribed_signatures.iter().chain(extra.iter());
-                let devices = deployment.devices.iter().map(|setup| {
-                    let matched = subscribed.clone().any(|s| s.sku == setup.sku);
-                    (setup.class, &setup.vulns[..], &setup.sku, matched)
-                });
-                let policy =
-                    compile_home_policy(devices, &deployment.gates, &deployment.protect_pairs);
+                let policy = policy.expect("a defended home with no control plane compiles one");
                 let ctl_config = ControllerConfig {
                     view_propagation: config.view_propagation,
                     ..ControllerConfig::default()
@@ -1680,23 +1538,15 @@ fn directive_kind(d: &Directive) -> &'static str {
     }
 }
 
-/// Build one device's interned signature ruleset: repository
-/// subscriptions matching its SKU (which apply regardless of local
-/// vulnerability knowledge — that is their whole point), plus rules
-/// derived from operator-known flaws when `cfg.signatures` is enabled.
-/// Compile a home's controller policy from, per device in id order,
-/// `(class, vulns, sku, matched)` — `matched` meaning some repository
-/// signature names the SKU, which puts a standing IDS in front of the
-/// device — plus the deployment's actuation gates and protect pairs.
-fn compile_home_policy<'a>(
-    devices: impl Iterator<Item = (DeviceClass, &'a [Vulnerability], &'a Sku, bool)>,
-    gates: &[(DeviceId, EnvVar, &'static str)],
-    protect_pairs: &[(DeviceId, DeviceId)],
-) -> iotpolicy::policy::FsmPolicy {
+/// Compile a home's controller policy from the template's devices in id
+/// order, its actuation gates and protect pairs, and `matched` — per
+/// device, whether some repository signature names its SKU, which puts
+/// a standing IDS in front of it.
+fn compile_home_policy(template: &Deployment, matched: &[bool]) -> FsmPolicy {
     let mut compiler = PolicyCompiler::new();
-    for (i, (class, vulns, sku, matched)) in devices.enumerate() {
+    for (i, (setup, &matched)) in template.devices.iter().zip(matched).enumerate() {
         let id = DeviceId(i as u32);
-        compiler.device(id, class, vulns);
+        compiler.device(id, setup.class, &setup.vulns);
         if matched {
             compiler.rule(
                 iotpolicy::policy::PolicyRule::new(
@@ -1705,17 +1555,17 @@ fn compile_home_policy<'a>(
                     id,
                     Posture::of(iotpolicy::posture::SecurityModule::Ids { ruleset: 1 }),
                 )
-                .with_origin(&format!("repo:{sku}")),
+                .with_origin(&format!("repo:{}", setup.sku)),
             );
         }
     }
     for var in EnvVar::ALL {
         compiler.env(var);
     }
-    for (device, var, value) in gates {
+    for (device, var, value) in &template.gates {
         compiler.gate_actuation(*device, *var, value);
     }
-    for (watched, protected) in protect_pairs {
+    for (watched, protected) in &template.protect_pairs {
         compiler.protect_on_suspicion(*watched, *protected);
     }
     compiler.build()
@@ -1731,6 +1581,10 @@ fn cluster_for(site: Site) -> Cluster {
     }
 }
 
+/// Build one device's interned signature ruleset: repository
+/// subscriptions matching its SKU (which apply regardless of local
+/// vulnerability knowledge — that is their whole point), plus rules
+/// derived from operator-known flaws when `cfg.signatures` is enabled.
 fn build_signatures(
     cfg: Option<&IoTSecConfig>,
     sku: &iotdev::registry::Sku,
@@ -2039,9 +1893,13 @@ mod tests {
         let legs: Vec<(u64, u32, &Arc<[AttackSignature]>)> =
             vec![(7, 0, &empty), (8, 0, &empty), (9, 1, &armed), (10, 1, &armed)];
 
-        let mut scrap = WorldScrap::default();
-        let mut resident =
-            World::new_home_resident(&template, legs[0].0, legs[0].1, legs[0].2, &mut scrap);
+        let mut resident = World::new_home_resident(
+            &template,
+            legs[0].0,
+            legs[0].1,
+            legs[0].2,
+            &mut WorldScrap::default(),
+        );
         for (i, (seed, epoch, intel)) in legs.iter().enumerate() {
             if i > 0 {
                 if resident.resident_epoch() != Some(*epoch) {
@@ -2052,9 +1910,8 @@ mod tests {
                 resident.rebind_home(*seed);
             }
             let got = run_fingerprint(&mut resident);
-            let mut cold_scrap = WorldScrap::default();
             let overrides = HomeOverrides { seed: *seed, extra_signatures: intel };
-            let mut cold = World::new_home_recycled(&template, &overrides, &mut cold_scrap);
+            let mut cold = World::new_home(&template, &overrides);
             let want = run_fingerprint(&mut cold);
             assert_eq!(got, want, "leg {i} (seed {seed}, epoch {epoch}) diverged");
         }
@@ -2112,7 +1969,8 @@ mod tests {
     #[test]
     fn resident_equals_rebuild_on_every_canned_scenario() {
         // Every other resident oracle runs `fleet_home`; this one shows
-        // the reset path each canned template, defended and not.
+        // the reset path and the intel install each canned template,
+        // defended and not.
         use crate::scenario as sc;
         let templates = |defense: Defense| -> Vec<Deployment> {
             let mut all: Vec<Deployment> =
@@ -2130,7 +1988,7 @@ mod tests {
             w.run_until_attack_done(SimDuration::from_secs(120));
             format!("{:?}\n{}", w.report(), w.export_metrics().render())
         };
-        let intel: Arc<[AttackSignature]> = Vec::new().into();
+        let empty: Arc<[AttackSignature]> = Vec::new().into();
         let mut admitted = 0;
         for defense in [Defense::None, Defense::iotsec()] {
             for (t, template) in templates(defense).iter().enumerate() {
@@ -2139,7 +1997,7 @@ mod tests {
                 }
                 admitted += 1;
                 let mut resident =
-                    World::new_home_resident(template, 11, 0, &intel, &mut WorldScrap::default());
+                    World::new_home_resident(template, 11, 0, &empty, &mut WorldScrap::default());
                 for seed in [11u64, 12, 13] {
                     if seed > 11 {
                         resident.rebind_home(seed);
@@ -2149,6 +2007,22 @@ mod tests {
                         observe(&mut resident),
                         observe(&mut World::new_home(template, &overrides)),
                         "template {t}, seed {seed}: resident diverged from the cold build"
+                    );
+                }
+                // One signature for every SKU the template deploys, cycling
+                // through Table 1's matchers; installed, then withdrawn.
+                let sigs = template.devices.iter().enumerate().map(|(i, d)| {
+                    AttackSignature::for_table1_row((i % 7) as u8 + 1, &d.sku).expect("rows 1..=7")
+                });
+                let armed: Arc<[AttackSignature]> = sigs.collect();
+                for (epoch, intel) in [(1, &armed), (2, &empty)] {
+                    resident.apply_intel_delta(epoch, intel);
+                    resident.rebind_home(14);
+                    let overrides = HomeOverrides { seed: 14, extra_signatures: intel };
+                    assert_eq!(
+                        observe(&mut resident),
+                        observe(&mut World::new_home(template, &overrides)),
+                        "template {t}, epoch {epoch}: installed intel diverged from the cold build"
                     );
                 }
             }

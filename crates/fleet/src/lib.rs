@@ -12,10 +12,11 @@
 //!   quiesced rounds re-serve outcomes without rebuilding worlds, a
 //!   hierarchical home → neighborhood → region intel path with batched
 //!   directive installs, and a chained FNV digest merged in home order
-//!   so `--threads N` is byte-identical to serial. The E26 resident
-//!   mode ([`fleet::Fleet::set_resident`]) keeps one persistent world
-//!   per worker, rebinding it to each home and delta-installing intel
-//!   epochs instead of rebuilding from scratch.
+//!   so `--threads N` is byte-identical to serial. A fleet runs
+//!   resident (E26): one persistent world per worker, rebound to each
+//!   home, intel epochs delta-installed instead of rebuilt from
+//!   scratch. [`fleet::Fleet::set_resident`]`(false)` is the
+//!   rebuild-per-home reference the equivalence oracles compare with.
 //! * [`scenario`] — the canonical E20 home template: a zero-day camera
 //!   only crowdsourced signatures can defend, so one sentinel home's
 //!   discovery flips the whole fleet from breached to protected.

@@ -86,23 +86,10 @@ impl HomeWorld for FleetScenario {
     type Resident = ResidentWorld;
 
     fn run_home(&self, home: u32, seed: u64, intel: &[AttackSignature]) -> HomeOutcome {
-        // An empty scrap builds exactly like `World::new_home`.
-        self.run_home_recycled(home, seed, intel, &mut WorldScrap::default())
-    }
-
-    fn run_home_recycled(
-        &self,
-        home: u32,
-        seed: u64,
-        intel: &[AttackSignature],
-        scrap: &mut WorldScrap,
-    ) -> HomeOutcome {
         let overrides = HomeOverrides { seed, extra_signatures: intel };
-        let mut w = World::new_home_recycled(&self.template, &overrides, scrap);
+        let mut w = World::new_home(&self.template, &overrides);
         w.run_until_attack_done(self.horizon);
-        let out = self.outcome_of(home, seed, &mut w);
-        w.reclaim_into(scrap);
-        out
+        self.outcome_of(home, seed, &mut w)
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -118,7 +105,7 @@ impl HomeWorld for FleetScenario {
     ) -> HomeOutcome {
         if !World::supports_resident(&self.template) {
             stats.full_builds += 1;
-            return self.run_home_recycled(home, seed, intel, scrap);
+            return self.run_home(home, seed, intel);
         }
         match slot {
             Some(res) => {
@@ -191,20 +178,21 @@ mod tests {
         assert!(fleet.outcome(3).blocks > 0);
     }
 
-    /// The E26 oracle at fleet scale: a resident fleet (persistent
-    /// per-worker worlds, delta intel installs) must be byte-identical
-    /// to the rebuild fleet — same chained digest, same report — at
-    /// every thread count, and must actually run resident (not fall
-    /// back to full builds).
+    /// The E26 oracle at fleet scale: a fleet left at its default —
+    /// resident: persistent per-worker worlds, delta intel installs —
+    /// must be byte-identical to the rebuild reference — same chained
+    /// digest, same report — at every thread count, and must actually
+    /// run resident (not fall back to full builds).
     #[test]
     fn resident_fleet_is_byte_identical_to_rebuild_fleet() {
         let cfg = FleetConfig { homes: 8, neighborhood: 4, chunk: 2, threads: 1, seed: 42 };
         let mut rebuild = Fleet::new(FleetScenario::new(8), cfg);
+        rebuild.set_resident(false);
         let baseline = rebuild.run(3);
+        assert_eq!(rebuild.resident_stats().resident_runs, 0);
         for threads in [1usize, 2, 4] {
             let cfg = FleetConfig { homes: 8, neighborhood: 4, chunk: 2, threads, seed: 42 };
             let mut fleet = Fleet::new(FleetScenario::new(8), cfg);
-            fleet.set_resident(true);
             let report = fleet.run(3);
             assert_eq!(report, baseline, "threads={threads}");
             let stats = fleet.resident_stats();

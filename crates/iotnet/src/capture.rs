@@ -37,9 +37,11 @@ pub struct Capture {
 impl Capture {
     /// A capture buffer holding up to `capacity` packets. The bound is
     /// its identity; what it holds is written by [`Capture::recycle`].
+    /// Nothing is reserved here: only a `Mirror` rule ever records, so
+    /// the ring grows with what is captured and a network that mirrors
+    /// nothing never pays for one.
     pub fn new(capacity: usize) -> Capture {
-        let mut capture =
-            Capture { ring: VecDeque::with_capacity(capacity.min(4096)), capacity, total: 0 };
+        let mut capture = Capture { ring: VecDeque::new(), capacity, total: 0 };
         capture.recycle();
         capture
     }
@@ -80,11 +82,10 @@ impl Capture {
     }
 
     /// Bring the buffer to its t = 0 state — empty, total zero, same
-    /// `capacity` bound — retaining the ring's allocation. The
-    /// constructor ends here. The ring is the single largest per-world
-    /// buffer (E25 recycles it across fleet homes), and since a
-    /// `VecDeque`'s spare capacity is behaviorally invisible, a recycled
-    /// capture records and evicts exactly like a cold one.
+    /// `capacity` bound — retaining whatever the ring has grown to. The
+    /// constructor ends here. A `VecDeque`'s spare capacity is
+    /// behaviorally invisible, so a recycled capture records and evicts
+    /// exactly like a new one.
     pub fn recycle(&mut self) {
         self.ring.clear();
         self.total = 0;

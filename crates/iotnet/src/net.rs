@@ -188,45 +188,6 @@ enum NetEvent {
     NicFiltered,
 }
 
-/// Recyclable network storage harvested from a finished simulation
-/// (E25 arena-reuse). Holds the buffers whose construction dominates a
-/// per-home world build — the event queue (arena + wheel + heaps), the
-/// capture ring and the delivery buffer — exactly as the finished run
-/// left them: the build that takes them resets them, as it resets the
-/// ones it allocates, so reuse is behaviorally invisible. Deliberately
-/// excludes the steer `HashMap`: recycled map capacity could perturb
-/// iteration order, and determinism outranks the few bytes it would save.
-#[derive(Debug, Default)]
-pub struct NetScrap {
-    queue: Option<EventQueue<NetEvent>>,
-    capture: Option<Capture>,
-    deliveries: Vec<Delivery>,
-    /// Builds that reused this scrap's retained event queue.
-    pub queue_reused: u64,
-    /// Builds that cold-allocated their event queue (empty scrap).
-    pub queue_cold: u64,
-    /// Builds that reused this scrap's retained capture ring.
-    pub capture_reused: u64,
-    /// Builds that cold-allocated their capture ring.
-    pub capture_cold: u64,
-}
-
-impl NetScrap {
-    /// Refill this scrap's buffers from a freshly harvested one while
-    /// accumulating the reuse counters — [`Network::reclaim`] produces a
-    /// counter-free scrap, so a plain assignment would silently zero the
-    /// lifetime reuse statistics the fleet reports.
-    pub fn refill(&mut self, harvested: NetScrap) {
-        self.queue = harvested.queue;
-        self.capture = harvested.capture;
-        self.deliveries = harvested.deliveries;
-        self.queue_reused += harvested.queue_reused;
-        self.queue_cold += harvested.queue_cold;
-        self.capture_reused += harvested.capture_reused;
-        self.capture_cold += harvested.capture_cold;
-    }
-}
-
 /// The simulated network.
 ///
 /// ```
@@ -266,20 +227,10 @@ pub struct Network {
 }
 
 impl Network {
-    /// Build a network over `topo`, seeding the loss-process RNG.
+    /// Build a network over `topo`, seeding the loss-process RNG. The
+    /// topology is all a network is built from; its state, down to the
+    /// RNG seed, is written by [`Network::reset_resident`].
     pub fn new(topo: Topology, seed: u64) -> Network {
-        Network::new_recycled(topo, seed, &mut NetScrap::default())
-    }
-
-    /// [`Network::new`], rebuilding out of a [`NetScrap`]'s retained
-    /// buffers and cold-allocating what it lacks. An empty scrap is
-    /// exactly the cold path; a scrap harvested by [`Network::reclaim`]
-    /// skips the big per-world allocations (event arena, capture ring,
-    /// delivery buffer) without changing a single simulated byte. The
-    /// topology and the buffers are all a network is built from; its
-    /// state, down to the RNG seed, is written by
-    /// [`Network::reset_resident`].
-    pub fn new_recycled(topo: Topology, seed: u64, scrap: &mut NetScrap) -> Network {
         let switches = (0..topo.switch_count())
             .map(|i| Switch::new(SwitchId(i as u32), topo.ports_of(SwitchId(i as u32))))
             .collect();
@@ -287,51 +238,18 @@ impl Network {
         // packets per endpoint plus inter-switch hops — so the warm-up
         // phase fills capacity once and the steady state never reallocates.
         let in_flight = (topo.endpoint_count() * 4 + topo.switch_count() * 2).max(64);
-        let queue = match scrap.queue.take() {
-            Some(q) => {
-                scrap.queue_reused += 1;
-                q
-            }
-            None => {
-                scrap.queue_cold += 1;
-                EventQueue::with_capacity(in_flight)
-            }
-        };
-        let capture = match scrap.capture.take() {
-            Some(c) => {
-                scrap.capture_reused += 1;
-                c
-            }
-            None => {
-                scrap.capture_cold += 1;
-                Capture::new(65_536)
-            }
-        };
         let mut net = Network {
             topo,
             switches,
-            queue,
+            queue: EventQueue::with_capacity(in_flight),
             steer: std::collections::HashMap::new(),
-            deliveries: std::mem::take(&mut scrap.deliveries),
-            capture,
+            deliveries: Vec::new(),
+            capture: Capture::new(65_536),
             rng: StdRng::seed_from_u64(0),
             stats: NetStats::default(),
         };
         net.reset_resident(seed);
         net
-    }
-
-    /// Tear the network down into recyclable storage: the event queue,
-    /// capture ring and delivery buffer, moved out as they are. The next
-    /// [`Network::new_recycled`] build resets and reuses them (E25
-    /// arena-reuse across fleet homes).
-    pub fn reclaim(self) -> NetScrap {
-        NetScrap {
-            queue: Some(self.queue),
-            capture: Some(self.capture),
-            deliveries: self.deliveries,
-            ..NetScrap::default()
-        }
     }
 
     /// Bring the network to its t = 0 state for the home `seed` names:
@@ -340,9 +258,9 @@ impl Network {
     /// retained, switches lose their tracer (see [`Network::set_tracer`]),
     /// and the loss-process RNG is reseeded. The constructor ends here,
     /// so a resident world's (E26) reset is a cold build by construction.
-    /// The steer map is replaced by a brand-new `HashMap` for the same
-    /// determinism reason the scrap excludes it: recycled map capacity
-    /// could perturb iteration order.
+    /// The steer map is replaced by a brand-new `HashMap`, not cleared:
+    /// retained map capacity could perturb iteration order, and
+    /// determinism outranks the few bytes it would save.
     pub fn reset_resident(&mut self, seed: u64) {
         self.topo.reset_links();
         for sw in &mut self.switches {

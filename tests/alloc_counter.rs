@@ -159,20 +159,17 @@ fn world_construction_allocation_profile() {
     // a steady round never touches the allocator.
     steady_engine_tick_is_allocation_free();
 
-    // 7. Recycled home builds (E25): a fleet worker runs thousands of
-    // home worlds back to back, and each cold build's dominant cost is
-    // its network heap (capture ring, event arena, delivery scratch —
-    // roughly 400 KB per home, ~95% of the build's bytes).
-    // `World::new_home_recycled` rebuilds out of the previous home's
-    // reclaimed buffers: behaviorally identical, but a warm build must
-    // request hundreds of kilobytes less.
-    recycled_home_build_reuses_the_heap();
+    // 7. Cold home builds: a build reserves nothing for buffers no home
+    // fills. The mirror-capture ring is written only by a `Mirror` rule,
+    // which no deployment installs; reserving it at build was 360 KB of
+    // a 415 KB home. The ring still works for whoever does mirror.
+    cold_home_build_reserves_no_capture_ring();
 
-    // 8. Resident home rounds (E26): even a warm recycled build still
-    // re-interns signatures, recompiles the policy and reconstructs
-    // every device. A resident world serves the next home by resetting
-    // in place (`rebind_home`), so a steady-state home-round must
-    // allocate a small fraction of what a recycled build does.
+    // 8. Resident home rounds (E26): a cold build still interns
+    // signatures, compiles the policy and constructs every device. A
+    // resident world serves the next home by resetting in place
+    // (`rebind_home`), so a steady-state home-round must allocate a
+    // fraction of what a build does.
     resident_rebind_amortizes_construction();
 
     // 9. The tick loop (DESIGN.md §6): a tick in which nothing happens
@@ -249,8 +246,7 @@ fn resident_rebind_amortizes_construction() {
     let seed = 42u64;
 
     // The resident machine, built once and carried across rounds.
-    let mut scrap = WorldScrap::default();
-    let mut w = World::new_home_resident(template, seed, 1, &intel, &mut scrap);
+    let mut w = World::new_home_resident(template, seed, 1, &intel, &mut WorldScrap::default());
     w.run_until_attack_done(horizon);
 
     // Semantics first: a rebound resident run is byte-equal to a cold run.
@@ -259,32 +255,14 @@ fn resident_rebind_amortizes_construction() {
     w.run_until_attack_done(horizon);
     assert_eq!(scenario.outcome_of(0, seed, &mut w), cold, "rebind must not change the outcome");
 
-    // The from-scratch baseline the ROADMAP head-room notes point at:
-    // every active home-round pays a full `World::new_home` build.
+    // The rebuild baseline: every active home-round pays a full
+    // `World::new_home` build.
     let overrides = HomeOverrides { seed, extra_signatures: &intel };
     let cold_bytes = (0..3)
         .map(|_| {
             bytes_during(|| {
                 let mut c = World::new_home(template, &overrides);
                 c.run_until_attack_done(horizon);
-            })
-            .0
-        })
-        .min()
-        .unwrap();
-    // The E25 warm recycled build (its own scrap, warmed by one cycle):
-    // rebind must never regress below the path it replaces.
-    let mut rescrap = WorldScrap::default();
-    {
-        let r = World::new_home_recycled(template, &overrides, &mut rescrap);
-        r.reclaim_into(&mut rescrap);
-    }
-    let recycled_bytes = (0..3)
-        .map(|_| {
-            bytes_during(|| {
-                let mut r = World::new_home_recycled(template, &overrides, &mut rescrap);
-                r.run_until_attack_done(horizon);
-                r.reclaim_into(&mut rescrap);
             })
             .0
         })
@@ -300,15 +278,11 @@ fn resident_rebind_amortizes_construction() {
         })
         .min()
         .unwrap();
+    // E26's gate, in miniature (`bench::exp_resident::MIN_BYTES_RATIO`).
     assert!(
-        rebind_bytes * 5 <= cold_bytes,
-        "a resident home-round must be >=5x lighter than a from-scratch build \
+        rebind_bytes * 3 <= cold_bytes,
+        "a resident home-round must be >=3x lighter than a rebuilt one \
          (rebind {rebind_bytes} B, cold {cold_bytes} B)"
-    );
-    assert!(
-        rebind_bytes <= recycled_bytes,
-        "a resident home-round must not out-allocate the warm recycled build it replaces \
-         (rebind {rebind_bytes} B, recycled {recycled_bytes} B)"
     );
 
     // A content-identical install is a no-op epoch bump: zero allocations.
@@ -318,46 +292,44 @@ fn resident_rebind_amortizes_construction() {
     assert_eq!(allocs, 0, "a noop delta install must not allocate");
 }
 
-fn recycled_home_build_reuses_the_heap() {
-    use iotsec_fleet::{FleetScenario, HomeWorld};
-    use iotsec_repro::iotsec::world::{HomeOverrides, World, WorldScrap};
+fn cold_home_build_reserves_no_capture_ring() {
+    use iotsec_fleet::FleetScenario;
+    use iotsec_repro::iotdev::proto::{ports, AppMessage, TelemetryKind};
+    use iotsec_repro::iotnet::addr::EndpointId;
+    use iotsec_repro::iotnet::capture::Capture;
+    use iotsec_repro::iotnet::flow::{FlowAction, FlowMatch, FlowRule};
+    use iotsec_repro::iotnet::packet::{Packet, TransportHeader};
+    use iotsec_repro::iotnet::time::SimTime;
+    use iotsec_repro::iotsec::world::{HomeOverrides, World};
+
+    let (allocs, _ring) = allocs_during(|| Capture::new(65_536));
+    assert_eq!(allocs, 0, "an empty capture ring must not allocate");
 
     let scenario = FleetScenario::new(1);
-    let seed = 42u64;
-    let sig = scenario.discovery(0).expect("the E20 camera signature exists");
-
-    // Recycling is a capacity optimization, never a semantic one: the
-    // recycled run returns exactly what the cold run returns — naked
-    // (attacked) and defended alike, cold scrap and warm scrap alike.
-    let mut scrap = WorldScrap::default();
-    for intel in [&[][..], &[sig][..]] {
-        let cold = scenario.run_home(0, seed, intel);
-        let first = scenario.run_home_recycled(0, seed, intel, &mut scrap);
-        assert_eq!(first, cold, "recycled run (cold scrap) must equal the cold run");
-        let warm = scenario.run_home_recycled(0, seed, intel, &mut scrap);
-        assert_eq!(warm, cold, "recycled run (warm scrap) must equal the cold run");
-    }
-
-    // The heap pin: a warm recycled build skips the big network buffers.
-    let overrides = HomeOverrides { seed, extra_signatures: &[] };
     let template = scenario.template();
+    let overrides = HomeOverrides { seed: 42, extra_signatures: &[] };
     let cold_bytes =
         (0..3).map(|_| bytes_during(|| World::new_home(template, &overrides)).0).min().unwrap();
-    let warm_bytes = (0..3)
-        .map(|_| {
-            bytes_during(|| {
-                let w = World::new_home_recycled(template, &overrides, &mut scrap);
-                w.reclaim_into(&mut scrap);
-            })
-            .0
-        })
-        .min()
-        .unwrap();
-    assert!(
-        warm_bytes + 300_000 <= cold_bytes,
-        "a warm recycled build must save at least 300 KB over a cold one \
-         (cold {cold_bytes} B, warm {warm_bytes} B)"
+    assert!(cold_bytes < 80_000, "a cold E20 home build requested {cold_bytes} B (>= 80 KB)");
+
+    // The ring is there when asked for: mirror at the home's one switch
+    // and put one frame on the wire.
+    let mut w = World::new_home(template, &overrides);
+    let sw = w.core_switch();
+    w.net.install_rule(sw, FlowRule::new(500, FlowMatch::any(), FlowAction::Mirror));
+    let (a, z) = (EndpointId(0), EndpointId(1));
+    let frame = Packet::new(
+        w.net.mac_of(a),
+        w.net.mac_of(z),
+        w.net.ip_of(a),
+        w.net.ip_of(z),
+        TransportHeader::udp(4000, ports::TELEMETRY),
+        AppMessage::Telemetry { kind: TelemetryKind::Power, value: 21.0 }.encode(),
     );
+    w.net.send(a, SimTime::ZERO, frame);
+    w.net.step_until(SimTime::from_secs(1));
+    assert_eq!(w.net.capture.len(), 1, "a mirrored frame must be captured exactly once");
+    assert_eq!(w.net.stats.mirrored, 1);
 }
 
 /// Round spacing of the steady-state loop: 2^21 ns, an exact multiple of

@@ -171,10 +171,10 @@ proptest! {
         prop_assert_eq!(wheel.processed, model.processed);
     }
 
-    /// `reset()` is what `Network::reset_resident` and `reclaim` rest
-    /// on: a queue reset part-way through a drain — events still parked
-    /// in the due heap, the wheel and the overflow tier, cursor advanced —
-    /// replays a schedule exactly like a cold queue, with the clock and
+    /// `reset()` is what `Network::reset_resident` rests on: a queue
+    /// reset part-way through a drain — events still parked in the due
+    /// heap, the wheel and the overflow tier, cursor advanced — replays
+    /// a schedule exactly like a cold queue, with the clock and
     /// `processed` restarted from zero.
     #[test]
     fn prop_reset_queue_replays_like_a_cold_one(

@@ -156,6 +156,8 @@ fn network_reset_is_fresh() {
         let sw = b.add_switch();
         b.attach_endpoint(sw, LinkParams::wifi());
         b.attach_endpoint(sw, LinkParams::wifi());
+        // A bystander 40 ms away: its copy of a flood is the last to land.
+        b.attach_endpoint(sw, LinkParams::wan());
         Network::new(b.build(), SEED)
     };
     assert_reset_is_fresh(
@@ -183,6 +185,17 @@ fn network_reset_is_fresh() {
             }
             // Half the traffic delivered, half still queued.
             assert!(!net.step_until(SimTime::from_millis(8)).is_empty());
+            assert!(net.has_pending());
+            // A frame for a MAC nobody owns floods, and every NIC discards
+            // its copy. At 50 ms the wheel is empty — each of those copies
+            // is counted, not queued — and the bystander's is still in
+            // flight: a resident home must not inherit it.
+            net.step_until(SimTime::from_millis(30));
+            let mut stray = packet(1, 99, 80);
+            stray.eth.src = net.mac_of(a);
+            net.send(a, SimTime::from_millis(30), stray);
+            assert!(net.step_until(SimTime::from_millis(50)).is_empty());
+            assert!(format!("{net:?}").contains("queue: EventQueue { len: 0,"));
             assert!(net.has_pending());
         },
         |net| net.reset_resident(SEED),

@@ -253,7 +253,8 @@ pub struct EventQueue<E> {
     len: usize,
     next_seq: u64,
     now: SimTime,
-    /// Events popped over the queue's lifetime.
+    /// Events simulated over the queue's lifetime: every pop, plus the
+    /// events the network counted without queueing (`fold_elided`).
     pub processed: u64,
 }
 
@@ -506,6 +507,18 @@ impl<E> EventQueue<E> {
             }
         }
         min
+    }
+
+    /// Account for `count` events that were simulated without a ticket,
+    /// the latest of them due at `latest`: they join `processed`, and the
+    /// clock moves to `latest` if that is ahead of it — where popping
+    /// them would have left it, and what [`EventQueue::schedule`] clamps
+    /// against. This exists only so `Network` can fold the flood copies
+    /// it counts instead of queueing (DESIGN.md §11); the caller owes
+    /// that no pending ticket is due at or before `latest`.
+    pub(crate) fn fold_elided(&mut self, count: u64, latest: SimTime) {
+        self.processed += count;
+        self.now = self.now.max(latest);
     }
 
     /// Pop the next event, advancing the clock to its timestamp.

@@ -181,11 +181,6 @@ enum NetEvent {
         ep: EndpointId,
         pkt: Packet,
     },
-    /// A flood copy arriving at an endpoint whose NIC discards it. Endpoint
-    /// MACs are fixed when the topology is built, so the sending switch
-    /// already knows the outcome; the copy keeps its wire transmission and
-    /// its place in the queue, and carries nothing.
-    NicFiltered,
 }
 
 /// The simulated network.
@@ -217,6 +212,12 @@ pub struct Network {
     topo: Topology,
     switches: Vec<Switch>,
     queue: EventQueue<NetEvent>,
+    /// Arrival times of flood copies in flight toward a NIC that will
+    /// discard them, in send order. Such a copy is an event of the
+    /// simulation but not a ticket in `queue`: all its arrival does is
+    /// count, so [`Network::step_until_into`] counts it once its time has
+    /// come.
+    nic_discards: Vec<SimTime>,
     steer: std::collections::HashMap<SteerId, SteerHandle>,
     deliveries: Vec<Delivery>,
     /// Mirrored-packet capture buffer.
@@ -242,6 +243,7 @@ impl Network {
             topo,
             switches,
             queue: EventQueue::with_capacity(in_flight),
+            nic_discards: Vec::new(),
             steer: std::collections::HashMap::new(),
             deliveries: Vec::new(),
             capture: Capture::new(65_536),
@@ -267,6 +269,7 @@ impl Network {
             sw.reset_resident();
         }
         self.queue.reset();
+        self.nic_discards.clear();
         self.steer = std::collections::HashMap::new();
         self.deliveries.clear();
         self.capture.recycle();
@@ -309,6 +312,11 @@ impl Network {
     /// The endpoint owning `ip`, if any.
     pub fn endpoint_by_ip(&self, ip: Ipv4Addr) -> Option<EndpointId> {
         self.topo.endpoint_by_ip(ip)
+    }
+
+    /// The port switch `sw` has learned `mac` on, if any.
+    pub fn learned_port(&self, sw: SwitchId, mac: MacAddr) -> Option<PortNo> {
+        self.switches[sw.0 as usize].learned_port(mac)
     }
 
     /// Install a flow rule on a switch.
@@ -374,18 +382,40 @@ impl Network {
                     self.stats.delivered += 1;
                     self.deliveries.push(Delivery { endpoint: ep, at, packet: pkt });
                 }
-                NetEvent::NicFiltered => self.stats.nic_filtered += 1,
             }
         }
+        self.fold_nic_discards(deadline);
         out.append(&mut self.deliveries);
     }
 
-    /// Whether any events remain queued.
-    pub fn has_pending(&self) -> bool {
-        !self.queue.is_empty()
+    /// Count the discarded flood copies that have arrived by `deadline`,
+    /// as popping them would have: one `nic_filtered` and one processed
+    /// event each, and the clock at the latest of them. The clock matters
+    /// because [`Network::send`] clamps against it. Runs once the queue
+    /// holds nothing due by `deadline`, so the fold never overtakes a
+    /// ticket.
+    fn fold_nic_discards(&mut self, deadline: SimTime) {
+        let in_flight = self.nic_discards.len();
+        let mut latest = SimTime::ZERO;
+        self.nic_discards.retain(|&at| {
+            if at <= deadline {
+                latest = latest.max(at);
+            }
+            at > deadline
+        });
+        let arrived = (in_flight - self.nic_discards.len()) as u64;
+        self.stats.nic_filtered += arrived;
+        self.queue.fold_elided(arrived, latest);
     }
 
-    /// Total events popped by the event engine over the network's lifetime.
+    /// Whether any event — queued, or a discarded flood copy still in
+    /// flight — is yet to happen.
+    pub fn has_pending(&self) -> bool {
+        !self.queue.is_empty() || !self.nic_discards.is_empty()
+    }
+
+    /// Total events simulated over the network's lifetime: every ticket
+    /// the event engine popped, and every flood copy counted without one.
     pub fn events_processed(&self) -> u64 {
         self.queue.processed
     }
@@ -408,6 +438,9 @@ impl Network {
         reg.counter("net.mirrored", self.stats.mirrored);
         reg.counter("net.nic_filtered", self.stats.nic_filtered);
         reg.counter("net.events_processed", self.events_processed());
+        // Tickets that went through the event engine: a counted flood copy
+        // is the one simulated event that takes none.
+        reg.counter("net.events_queued", self.events_processed() - self.stats.nic_filtered);
         let (lookups, hits) = self.cache_stats();
         reg.counter("net.cache_lookups", lookups);
         reg.counter("net.cache_hits", hits);
@@ -471,8 +504,10 @@ impl Network {
 
     /// Transmit one copy of a frame addressed to `dst` out of `port` and
     /// schedule its arrival. `frame` is called only when the far end will
-    /// look at the packet: a copy the receiving NIC would discard is
-    /// scheduled as [`NetEvent::NicFiltered`] instead.
+    /// look at the packet. Endpoint MACs are fixed when the topology is
+    /// built, so the sending switch already knows which NICs will discard
+    /// their copy: such a copy is transmitted like any other, and then
+    /// only its arrival time is kept (`nic_discards`).
     fn forward_port(
         &mut self,
         at: SimTime,
@@ -494,7 +529,12 @@ impl Network {
             PortTarget::Endpoint(ep) if dst == self.topo.endpoint(ep).mac || dst.is_broadcast() => {
                 NetEvent::AtEndpoint { ep, pkt: frame() }
             }
-            PortTarget::Endpoint(_) => NetEvent::NicFiltered,
+            PortTarget::Endpoint(_) => {
+                // `t` is past the pop being handled, so `schedule` would
+                // not have clamped it.
+                self.nic_discards.push(t);
+                return;
+            }
             PortTarget::Unwired => unreachable!("port_out yields wired ports only"),
         };
         self.queue.schedule(t, ev);
@@ -658,6 +698,12 @@ mod tests {
         assert_eq!(d.len(), 1);
         assert_eq!(d[0].endpoint, c);
         assert_eq!(net.stats.nic_filtered, 1);
+        // Three events were simulated — one hop up, two copies down — and
+        // the discarded copy is the one that took no ticket.
+        let mut reg = MetricsRegistry::new();
+        net.export_metrics(&mut reg);
+        assert_eq!(reg.get("net.events_processed"), Some(trace::MetricValue::Counter(3)));
+        assert_eq!(reg.get("net.events_queued"), Some(trace::MetricValue::Counter(2)));
         // The switch learned a's port from that frame: the reply is
         // unicast and no further copy reaches the bystander.
         net.send(c, net.now(), pkt_between(&net, c, a, b"back"));

@@ -8,8 +8,10 @@
 //!
 //! Two things keep per-packet work off the hot loop:
 //!
-//! * Port lists are [`PortList`]s (inline up to 8 ports) — unicast output
-//!   and home-scale floods never allocate.
+//! * Port lists are [`PortList`]s (inline up to 8 ports) — a unicast
+//!   output never allocates. A flood wider than that does: a 38-port home
+//!   floods 37 ports, so computing the decision reserves the list once, at
+//!   its exact size, and every cached repeat clones it (one allocation).
 //! * A flow-decision cache memoizes the full `(in_port, flow key)` →
 //!   decision mapping, skipping the linear table scan for repeat flows.
 //!   The key is the two-word [`PackedFlowKey`], so hashing and equality
@@ -216,7 +218,9 @@ impl Switch {
                 return PortList::from_slice(&[p]);
             }
         }
-        (0..self.n_ports).map(PortNo).filter(|p| *p != in_port).collect()
+        let mut flood = PortList::with_capacity(usize::from(self.n_ports).saturating_sub(1));
+        flood.extend((0..self.n_ports).map(PortNo).filter(|p| *p != in_port));
+        flood
     }
 }
 

@@ -2,9 +2,12 @@
 //!
 //! [`SmallVec<T, N>`] stores up to `N` elements inline (no heap allocation)
 //! and spills to a `Vec<T>` beyond that. The workspace uses it on the
-//! per-packet forwarding path, where port lists are almost always tiny
-//! (a unicast output is one port; home-scale floods are a handful), so the
-//! inline representation makes the common case allocation-free.
+//! per-packet forwarding path, where the common port list is tiny (a
+//! learned unicast output is one port), so the inline representation makes
+//! the common case allocation-free. A flood is not that case: a 38-port
+//! home floods 37 ports, far past any inline capacity worth carrying, so
+//! the switch reserves a flood list exactly once with
+//! [`SmallVec::with_capacity`] instead of growing it by doubling.
 //!
 //! The API mirrors the subset of the real crate's v2 generics form that the
 //! workspace uses; `T: Copy + Default` keeps the inline buffer simple (no
@@ -27,6 +30,16 @@ impl<T: Copy + Default, const N: usize> SmallVec<T, N> {
     /// An empty vector (inline, no allocation).
     pub fn new() -> Self {
         SmallVec { inline: [T::default(); N], len: 0, spill: None }
+    }
+
+    /// An empty vector with room for `cap` elements: inline when they fit,
+    /// otherwise spilled up front with one exact-size reservation.
+    pub fn with_capacity(cap: usize) -> Self {
+        let mut out = Self::new();
+        if cap > N {
+            out.spill = Some(Vec::with_capacity(cap));
+        }
+        out
     }
 
     /// Number of elements.
@@ -255,6 +268,18 @@ mod tests {
         assert!(v.spilled());
         assert_eq!(v.as_slice(), &[0, 1, 2, 3, 4]);
         assert_eq!(v.len(), 5);
+    }
+
+    #[test]
+    fn with_capacity_spills_once_or_not_at_all() {
+        let v: SmallVec<u16, 4> = SmallVec::with_capacity(4);
+        assert!(!v.spilled());
+        let mut v: SmallVec<u16, 4> = SmallVec::with_capacity(37);
+        assert!(v.spilled() && v.is_empty());
+        let reserved = v.spill.as_ref().map(Vec::capacity);
+        v.extend(0..37);
+        assert_eq!(v.len(), 37);
+        assert_eq!(v.spill.as_ref().map(Vec::capacity), reserved, "filled without regrowing");
     }
 
     #[test]

@@ -16,29 +16,39 @@
 //! 4. [`EventArena`] generational handles turn use-after-free into a
 //!    detected error: a stale handle yields `None`, never a different
 //!    event, across arbitrary insert/remove interleavings.
-//! 5. The flood contract: a copy the receiving NIC discards travels as a
-//!    payload-free event, and every count a payload-carrying copy would
+//! 5. The flood contract: a copy the receiving NIC discards is counted,
+//!    not queued, and every count a queued, payload-carrying copy would
 //!    have moved still moves — checked frame by frame against a learning
 //!    switch modelled here, on a cold and on a recycled event queue.
 //! 6. Link addressing: a fault set through a wire's `(NodeId, NodeId)` key
 //!    is what the packet path, which reaches links by position, then sees.
+//! 7. The step-boundary contract: after every `send` and every
+//!    `step_until`, counters, event count, clock, `has_pending` and the
+//!    delivery stream are those of a network in which *every* copy is a
+//!    queued event — the model written here — for deadlines that fall
+//!    between the arrivals of one flood's copies.
 
+use iotsec_repro::iotdev::device::DeviceId;
 use iotsec_repro::iotnet::addr::{EndpointId, Ipv4Addr, MacAddr, NodeId, PortNo, SwitchId};
 use iotsec_repro::iotnet::engine::{EventArena, EventHandle};
 use iotsec_repro::iotnet::flow::{
     FlowAction, FlowMatch, FlowRule, FlowTable, PackedFlowKey, SteerId,
 };
+use iotsec_repro::iotnet::link::{Link, LinkParams};
 use iotsec_repro::iotnet::net::{Delivery, Network};
 use iotsec_repro::iotnet::packet::{
     EthernetHeader, Ipv4Header, PackedHeaders, Packet, TcpFlags, TransportHeader,
 };
+use iotsec_repro::iotnet::stats::NetStats;
 use iotsec_repro::iotnet::time::{SimDuration, SimTime};
 use iotsec_repro::iotnet::topology::{PortTarget, Topology, TopologyBuilder};
 use iotsec_repro::iotsec::defense::Defense;
 use iotsec_repro::iotsec::scenario;
 use iotsec_repro::iotsec::world::World;
 use proptest::prelude::*;
-use std::collections::HashMap;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
+use std::collections::{BTreeMap, HashMap};
 
 fn mac() -> impl Strategy<Value = MacAddr> {
     any::<u64>().prop_map(|b| {
@@ -351,6 +361,133 @@ impl FloodModel {
     }
 }
 
+/// The three wire kinds of property 7, slowest last: 100 µs, 2 ms, 40 ms.
+fn wire_kind(k: u8) -> LinkParams {
+    [LinkParams::lan(), LinkParams::wifi(), LinkParams::wan()][k as usize]
+}
+
+/// Where a modelled copy is headed.
+enum Hop {
+    /// Up an endpoint's wire, into switch port `from`.
+    Switch { from: usize },
+    /// Down to endpoint `ep`'s NIC, which accepts or discards it.
+    Nic { ep: usize },
+}
+
+/// One learning switch with endpoint `i` on port `i`, stated the plain
+/// way: **every** copy a wire carries is an event, queued at its
+/// `Link::transmit` arrival (clamped to the clock) and counted when it is
+/// popped. A sorted map is the queue; the links and the loss-process RNG
+/// are the model's own, so it shares nothing with the network under test
+/// but `Link::transmit` and the seed.
+struct QueuedModel {
+    macs: Vec<MacAddr>,
+    up: Vec<Link>,
+    down: Vec<Link>,
+    learned: HashMap<MacAddr, usize>,
+    rng: StdRng,
+    queue: BTreeMap<(SimTime, u64), (Hop, Packet)>,
+    seq: u64,
+    now: SimTime,
+    stats: NetStats,
+    processed: u64,
+}
+
+impl QueuedModel {
+    fn new(net: &Network, kinds: &[u8], seed: u64) -> QueuedModel {
+        let links = || kinds.iter().map(|&k| Link::new(wire_kind(k))).collect::<Vec<_>>();
+        QueuedModel {
+            macs: (0..kinds.len()).map(|i| net.mac_of(EndpointId(i as u32))).collect(),
+            up: links(),
+            down: links(),
+            learned: HashMap::new(),
+            // `Network::reset_resident`'s seeding, "network" in ASCII.
+            rng: StdRng::seed_from_u64(seed ^ 0x006e_6574_776f_726b),
+            queue: BTreeMap::new(),
+            seq: 0,
+            now: SimTime::ZERO,
+            stats: NetStats::default(),
+            processed: 0,
+        }
+    }
+
+    /// Put a copy on the wire `hop` crosses at `at`: queued if carried.
+    fn transmit(&mut self, at: SimTime, hop: Hop, pkt: Packet) {
+        let link = match hop {
+            Hop::Switch { from } => &mut self.up[from],
+            Hop::Nic { ep } => &mut self.down[ep],
+        };
+        match link.transmit(at, pkt.wire_bits(), &mut self.rng) {
+            Some(t) => {
+                self.queue.insert((t.max(self.now), self.seq), (hop, pkt));
+                self.seq += 1;
+            }
+            None => self.stats.dropped_loss += 1,
+        }
+    }
+
+    fn send(&mut self, src: usize, at: SimTime, pkt: Packet) {
+        self.stats.sent += 1;
+        self.transmit(at, Hop::Switch { from: src }, pkt);
+    }
+
+    fn step_until(&mut self, deadline: SimTime) -> Vec<(EndpointId, SimTime, Packet)> {
+        let mut delivered = Vec::new();
+        while let Some(first) = self.queue.first_entry() {
+            if first.key().0 > deadline {
+                break;
+            }
+            let ((at, _), (hop, pkt)) = first.remove_entry();
+            self.now = at;
+            self.processed += 1;
+            match hop {
+                Hop::Switch { from } => {
+                    self.learned.insert(pkt.eth.src, from);
+                    let known =
+                        self.learned.get(&pkt.eth.dst).filter(|_| !pkt.eth.dst.is_multicast());
+                    let out: Vec<usize> = match known {
+                        Some(&p) if p == from => vec![],
+                        Some(&p) => vec![p],
+                        None => (0..self.macs.len()).filter(|&p| p != from).collect(),
+                    };
+                    for ep in out {
+                        self.transmit(at, Hop::Nic { ep }, pkt.clone());
+                    }
+                }
+                Hop::Nic { ep } if pkt.eth.dst == self.macs[ep] || pkt.eth.dst.is_broadcast() => {
+                    self.stats.delivered += 1;
+                    delivered.push((EndpointId(ep as u32), at, pkt));
+                }
+                Hop::Nic { .. } => self.stats.nic_filtered += 1,
+            }
+        }
+        delivered
+    }
+}
+
+/// One step of property 7's drive.
+#[derive(Debug, Clone, Copy)]
+enum NetOp {
+    /// A frame from endpoint `src` (modulo the count), stamped `us` after
+    /// the last deadline — or before it, behind the network clock, so
+    /// that the send is clamped.
+    Send { src: usize, dst: Dst, early: bool, us: u64 },
+    /// `step_until` a deadline `us` past the last one.
+    Step { us: u64 },
+}
+
+fn net_op() -> impl Strategy<Value = NetOp> {
+    // Gaps on the scale of each wire kind, so that a deadline lands
+    // between the LAN, Wi-Fi and WAN copies of one flood.
+    let gap = || prop_oneof![0u64..300, 300u64..6_000, 6_000u64..90_000];
+    prop_oneof![
+        (frame_spec(), any::<bool>(), 0u64..3_000)
+            .prop_map(|((src, dst), early, us)| NetOp::Send { src, dst, early, us }),
+        gap().prop_map(|us| NetOp::Step { us }),
+        gap().prop_map(|us| NetOp::Step { us }),
+    ]
+}
+
 /// Everything link counters say about a drained network: copies offered
 /// to endpoint uplinks, copies refused anywhere, copies carried anywhere,
 /// copies carried to an endpoint.
@@ -632,6 +769,73 @@ proptest! {
         prop_assert_eq!(&streams[0], &streams[1]);
     }
 
+    /// Property 7: at **every** step boundary the network is where a
+    /// network that queues every copy would be. One switch, endpoints on
+    /// LAN, Wi-Fi and WAN wires (so one flood's copies arrive out of send
+    /// order, 100 µs to 40 ms apart, and some are lost), unknown-unicast,
+    /// learned-unicast and broadcast frames, sends stamped behind the
+    /// clock, and deadlines that cut floods in half. This is what licenses
+    /// counting a discarded copy instead of queueing it: it passed, as
+    /// written, when those copies were queued.
+    #[test]
+    fn every_step_boundary_matches_a_network_that_queues_every_copy(
+        kinds in proptest::collection::vec(0u8..3, 3..8),
+        seed in any::<u64>(),
+        lossy in proptest::collection::vec((0usize..8, 1u32..6), 0..3),
+        ops in proptest::collection::vec(net_op(), 1..80),
+    ) {
+        let mut b = TopologyBuilder::new();
+        let sw = b.add_switch();
+        for &k in &kinds {
+            b.attach_endpoint(sw, wire_kind(k));
+        }
+        let mut net = Network::new(b.build(), seed);
+        let mut model = QueuedModel::new(&net, &kinds, seed);
+        for (i, _) in kinds.iter().enumerate() {
+            prop_assert_eq!(net.topology().endpoint(EndpointId(i as u32)).port, PortNo(i as u16));
+        }
+        for &(ep, tenths) in &lossy {
+            let (ep, loss) = (ep % kinds.len(), Some(f64::from(tenths) / 10.0));
+            let node = NodeId::Endpoint(EndpointId(ep as u32));
+            net.topology_mut().set_wire_burst_loss(node, NodeId::Switch(sw), loss);
+            model.up[ep].burst_loss = loss;
+            model.down[ep].burst_loss = loss;
+        }
+        let agree = |net: &Network, model: &QueuedModel| -> Result<(), TestCaseError> {
+            prop_assert_eq!(net.stats, model.stats);
+            prop_assert_eq!(net.events_processed(), model.processed);
+            prop_assert_eq!(net.now(), model.now);
+            prop_assert_eq!(net.has_pending(), !model.queue.is_empty());
+            Ok(())
+        };
+        let mut deadline = SimTime::ZERO;
+        // A last step far past the slowest wire drains both.
+        let drain = NetOp::Step { us: 10_000_000 };
+        for (n, op) in ops.into_iter().chain([drain]).enumerate() {
+            match op {
+                NetOp::Send { src, dst, early, us } => {
+                    let src = src % kinds.len();
+                    let us = SimDuration::from_micros(us);
+                    let at = if early {
+                        SimTime::from_nanos(deadline.as_nanos().saturating_sub(us.as_nanos()))
+                    } else {
+                        deadline + us
+                    };
+                    let pkt = frame(&net, EndpointId(src as u32), dst, n);
+                    net.send(EndpointId(src as u32), at, pkt.clone());
+                    model.send(src, at, pkt);
+                }
+                NetOp::Step { us } => {
+                    deadline += SimDuration::from_micros(us);
+                    let got = net.step_until(deadline);
+                    prop_assert_eq!(stream(&got), model.step_until(deadline));
+                }
+            }
+            agree(&net, &model)?;
+        }
+        prop_assert!(!net.has_pending());
+    }
+
     /// Property 6: a wire failed, made lossy or made corrupting through
     /// its key carries nothing afterwards, in either direction, the
     /// copies it refuses are the ones `NetStats` counts as lost, and a
@@ -707,7 +911,8 @@ fn recycled_slot_invalidates_old_handle() {
 
 /// The E21 `home-iotsec/s20151116/p24` cell (the benchmark's first cold
 /// home): 5 513 of its 5 880 events are flood copies a NIC discards.
-/// Every one must still be transmitted, queued, popped and counted.
+/// Every one must still be transmitted and counted, though none of them
+/// is queued or popped.
 #[test]
 fn defended_p24_home_counters_are_pinned() {
     let (d, _) = scenario::scaled_home(Defense::iotsec(), 20151116, 24);
@@ -719,4 +924,60 @@ fn defended_p24_home_counters_are_pinned() {
         (s.sent, s.delivered, s.dropped_loss, s.nic_filtered, w.net.events_processed()),
         (215, 154, 33, 5513, 5880)
     );
+}
+
+/// Why that home floods (ROADMAP E36(a)), as a fact: the hub — a sink for
+/// telemetry and events that transmits only when a recipe fires, and in
+/// this campaign none does — is the one station the learning switch
+/// never hears from, so every frame addressed to it floods, and nothing
+/// else does. The tally of those frames is the test's own: a mirror rule
+/// below every installed rule copies each frame for the hub into the
+/// capture ring on its way to the forwarding it would have had anyway.
+#[test]
+fn p24_floods_have_one_cause() {
+    let (d, _) = scenario::scaled_home(Defense::iotsec(), 20151116, 24);
+    let mut w = World::new(&d);
+    w.env.occupied = true;
+    let sw = w.core_switch();
+    let hub_ip = w.device(DeviceId(0)).hub.expect("devices report to the hub");
+    let hub = w.net.endpoint_by_ip(hub_ip).expect("the hub is attached");
+    w.net.install_rule(sw, FlowRule::new(1, FlowMatch::to_host(hub_ip), FlowAction::Mirror));
+    w.run_until_attack_done(SimDuration::from_secs(300));
+
+    // The tap changed nothing it was not meant to.
+    let s = w.net.stats;
+    assert_eq!(
+        (s.sent, s.delivered, s.dropped_loss, s.nic_filtered, w.net.events_processed()),
+        (215, 154, 33, 5513, 5880)
+    );
+    let floods = w.net.capture.len() as u64;
+    assert_eq!(floods, s.mirrored);
+
+    let t = w.net.topology();
+    let offered = |from: NodeId, to: NodeId| {
+        let l = t.link(from, to).expect("wired");
+        l.carried + l.dropped + l.corrupted
+    };
+    let mut lost_beside_the_hub = 0;
+    for (ep, info) in t.endpoints() {
+        let (node, switch) = (NodeId::Endpoint(ep), NodeId::Switch(info.switch));
+        // A station is learned, on its own port, iff it has been heard.
+        let heard = t.link(node, switch).expect("wired").carried > 0;
+        assert_eq!(w.net.learned_port(sw, info.mac), heard.then_some(info.port), "{ep:?}");
+        if ep != hub {
+            lost_beside_the_hub += refused(t, switch, node);
+        }
+    }
+    // The hub never transmits, so it is on no port...
+    assert_eq!(offered(NodeId::Endpoint(hub), NodeId::Switch(sw)), 0);
+    assert_eq!(w.net.learned_port(sw, t.endpoint(hub).mac), None);
+    // ...so each frame for it went out of every port but its sender's,
+    // and nothing else ever went out of the hub's port: every flood of
+    // the run is one of these.
+    assert_eq!(offered(NodeId::Switch(sw), NodeId::Endpoint(hub)), floods);
+    // Beside the hub's own copy, each flood put `ports - 2` copies on
+    // wires whose NIC would discard them; each was lost or discarded.
+    let ports = u64::from(t.ports_of(sw));
+    assert_eq!((floods, ports), (154, 38));
+    assert_eq!(s.nic_filtered + lost_beside_the_hub, floods * (ports - 2));
 }

@@ -330,7 +330,9 @@ impl Report for ResidentBenchReport {
                         .field("policy_recompiles", s.policy_recompiles)
                         .field("devices_patched", s.devices_patched)
                         .field("devices_kept", s.devices_kept)
-                        .field("dropped", s.dropped),
+                        .field("dropped", s.dropped)
+                        .field("ticks_executed", s.ticks_executed)
+                        .field("ticks_simulated", s.ticks_simulated),
                 )
                 .field("legs", list(a.legs.iter().map(Leg::json)))
                 // Quiet is memo-served on both paths — its ratios are

@@ -4,7 +4,10 @@
 //! the hub, the attacker, and — when IoTSec is deployed — the controller
 //! and the µmbox runtime. A fixed tick (default 100 ms) drives device
 //! FSMs, physics, the hub and the attacker; the packet-level event
-//! engine runs at full resolution between ticks.
+//! engine runs at full resolution between ticks. The tick is the
+//! semantic grid, not the unit of work: [`World::run`] executes the
+//! ticks in which something is due and replays only the physics of the
+//! rest (DESIGN.md §6).
 
 use crate::chaos::ChaosConfig;
 use crate::defense::{upnp_pinholes, Defense, IoTSecConfig};
@@ -105,6 +108,17 @@ impl ControlPlane {
         }
     }
 
+    /// The instant from which `step` next does anything. The replicated
+    /// plane logs every environment report it is handed, so it is always
+    /// due (`World::polls_every_tick` keeps such worlds off this path).
+    fn next_due(&self) -> Option<SimTime> {
+        match self {
+            ControlPlane::Flat(c) => c.next_due(),
+            ControlPlane::Hier(h) => h.next_due(),
+            ControlPlane::Replicated(_) => Some(SimTime::ZERO),
+        }
+    }
+
     fn reconcile(&mut self, now: SimTime) -> Vec<Directive> {
         match self {
             ControlPlane::Flat(c) => c.reconcile(now),
@@ -201,6 +215,8 @@ struct HomeState {
     last_failovers: u64,
     /// Whole-class recomputes refused by the admission controller.
     admission_shed: u64,
+    /// Ticks [`World::step`] executed; the clock counts the ticks simulated.
+    ticks_executed: u64,
 }
 
 /// The per-home containers whose capacity outlives the home:
@@ -249,6 +265,9 @@ pub struct World {
     /// The physical environment.
     pub env: Environment,
     devices: Vec<IoTDevice>,
+    /// Indices of the devices whose class senses the physics: the only
+    /// ones a coasted stretch has to keep asking whether they are steady.
+    physics_watchers: Vec<usize>,
     device_endpoints: Vec<EndpointId>,
     entities: HashMap<EndpointId, Entity>,
     hub: Option<(Hub, EndpointId)>,
@@ -588,6 +607,10 @@ impl World {
     }
 
     fn build(deployment: &Deployment, tracer: Tracer, home: Option<&HomeOverrides<'_>>) -> World {
+        assert!(
+            deployment.tick > SimDuration::ZERO,
+            "Deployment.tick must be positive: a zero tick never advances the clock"
+        );
         let seed = home.map_or(deployment.seed, |h| h.seed);
         let extra: &[AttackSignature] = home.map_or(&[], |h| h.extra_signatures);
         // The safety monitor subscribes to the deterministic trace
@@ -690,6 +713,9 @@ impl World {
             tick: deployment.tick,
             net,
             env: Environment::new(),
+            physics_watchers: (0..devices.len())
+                .filter(|&i| devices[i].class.senses_physics())
+                .collect(),
             devices,
             device_endpoints,
             entities,
@@ -962,9 +988,12 @@ impl World {
         }
     }
 
-    /// Advance one tick.
+    /// Advance one tick, executing every phase of it. [`World::run`]
+    /// calls this for the ticks in which something is due; called
+    /// directly it is the reference the run loop is tested against.
     pub fn step(&mut self) {
         self.clock += self.tick;
+        self.home.ticks_executed += 1;
         let now = self.clock;
 
         // 0. Chaos: apply due network faults, crashes and outages.
@@ -1188,20 +1217,137 @@ impl World {
 
     /// Run for a duration.
     pub fn run(&mut self, duration: SimDuration) {
-        let end = self.clock + duration;
-        while self.clock + self.tick <= end {
-            self.step();
-        }
+        self.advance(self.clock + duration, false);
     }
 
     /// Run until the campaign completes (or `limit` elapses).
     pub fn run_until_attack_done(&mut self, limit: SimDuration) {
-        let end = self.clock + limit;
-        while !self.attack_done() && self.clock + self.tick <= end {
-            self.step();
-        }
+        self.advance(self.clock + limit, true);
         // A little settling time for physics and the control plane.
         self.run(SimDuration::from_secs(2));
+    }
+
+    /// Ticks simulated so far: grid points the clock has passed.
+    pub fn ticks_simulated(&self) -> u64 {
+        self.clock.as_nanos() / self.tick.as_nanos()
+    }
+
+    /// Ticks executed so far — at most [`World::ticks_simulated`], and
+    /// fewer wherever [`World::run`] found stretches in which nothing
+    /// was due.
+    pub fn ticks_executed(&self) -> u64 {
+        self.home.ticks_executed
+    }
+
+    /// The run loop: bring the clock to the last grid point at or before
+    /// `end` — or, with `until_attack_done`, to the first one at which
+    /// the campaign is over — executing the ticks in which something is
+    /// due and coasting through the rest.
+    ///
+    /// A stretch is coasted only from a tick that was executed in full
+    /// *and was silent* — no packet-plane event, no controller event.
+    /// What a tick derives from device state (the `bulbs_on` / `power_w`
+    /// accumulators, the hub's last-seen environment, the controller's
+    /// view of it) is derived before the packet plane drains, and a
+    /// delivery can change the device state it was derived from; after a
+    /// silent tick it is current. The first tick of every call is
+    /// executed for the same reason, one level up: `env`, `net` and
+    /// `clock` are `pub`, and callers change them between calls.
+    fn advance(&mut self, end: SimTime, until_attack_done: bool) {
+        let polled = self.polls_every_tick();
+        let mut settled = false;
+        while !(until_attack_done && self.attack_done()) {
+            if settled {
+                let room = (end - self.clock).as_nanos() / self.tick.as_nanos();
+                self.coast(room.min(self.idle_ticks()));
+            }
+            if self.clock + self.tick > end {
+                return;
+            }
+            let before = self.activity();
+            self.step();
+            settled = !polled && self.activity() == before;
+        }
+    }
+
+    /// Whether this world's layers accrue *per tick* by definition, so
+    /// that every tick must be executed: a chaos schedule
+    /// (`account_degradation` adds one tick of unprotected time per down
+    /// chain per tick, the `DeliveryChannel` pumps its retry timers, the
+    /// `Replicated` plane logs every environment report) or a safety
+    /// layer (the monitor evaluates its invariants and the breakers run
+    /// their cooldowns against every tick's facts). Decided from what the
+    /// deployment installed, as [`World::supports_resident`] is.
+    fn polls_every_tick(&self) -> bool {
+        self.chaos_enabled || self.safety.is_some()
+    }
+
+    /// Packet-plane and controller events so far: a tick across which
+    /// neither moves was silent.
+    fn activity(&self) -> (u64, u64) {
+        (self.net.events_processed(), self.control.as_ref().map_or(0, |c| c.events_processed()))
+    }
+
+    /// The earliest instant from which some time-driven component does
+    /// anything: each fires on the first tick at or after its instant.
+    /// Physics and the classes that read it have no instant — `coast`
+    /// watches them tick by tick.
+    fn next_due(&self) -> Option<SimTime> {
+        let devices = self.devices.iter().filter_map(IoTDevice::next_due);
+        let steers = self.buf.pending_steers.iter().map(|p| p.0);
+        let swaps = self.buf.pending_swaps.iter().map(|p| p.0);
+        devices
+            .chain(steers)
+            .chain(swaps)
+            .chain(self.attacker.as_ref().and_then(|(a, _)| a.next_due()))
+            .chain(self.net.next_due())
+            .chain(self.control.as_ref().and_then(ControlPlane::next_due))
+            .chain(self.home.lifecycle.as_ref().and_then(LifecycleManager::next_due))
+            .min()
+    }
+
+    /// How many ticks from now fall strictly before [`World::next_due`].
+    fn idle_ticks(&self) -> u64 {
+        match self.next_due() {
+            None => u64::MAX,
+            Some(due) if due <= self.clock => 0,
+            Some(due) => ((due - self.clock).as_nanos() - 1) / self.tick.as_nanos(),
+        }
+    }
+
+    /// Simulate up to `ticks` ticks in which nothing is due without
+    /// executing them: what [`World::step`] would have done in each is
+    /// one Euler step of the physics (replayed, not solved — the `f64`
+    /// bits reach thermostat, light and smoke telemetry) and one frame
+    /// per streaming camera. Stops *before* the first tick that would not
+    /// have been a no-op after all: one in which a device is not
+    /// [`IoTDevice::steady`], or after whose physics step the hub and the
+    /// controller would be told a different discretization than the one
+    /// they hold ([`Environment::bands`] is all of it that physics moves).
+    fn coast(&mut self, ticks: u64) {
+        if ticks == 0 || !self.devices.iter().all(|d| d.steady(&self.env)) {
+            return;
+        }
+        let dt = self.tick.as_secs_f64();
+        let reported = self.env.bands();
+        let mut coasted = 0;
+        // Nothing acts on a device during the stretch, so only physics
+        // can unsettle one, and only one that senses it.
+        while coasted < ticks
+            && self.physics_watchers.iter().all(|&i| self.devices[i].steady(&self.env))
+        {
+            let before = self.env.clone();
+            self.env.step(dt);
+            if self.env.bands() != reported {
+                self.env = before;
+                break;
+            }
+            coasted += 1;
+        }
+        for dev in &mut self.devices {
+            dev.coast(coasted);
+        }
+        self.clock += self.tick * coasted;
     }
 
     fn activate_pending(&mut self, now: SimTime) {
@@ -1507,6 +1653,8 @@ impl World {
                 SimDuration::from_nanos(m.safety.quarantine_time_ns).as_secs_f64(),
             );
         }
+        reg.counter("world.ticks_simulated", self.ticks_simulated());
+        reg.counter("world.ticks_executed", self.ticks_executed());
         reg.gauge("world.sim_secs", self.clock.as_secs_f64());
         reg.gauge("world.fail_open_exposure_secs", m.fail_open_exposure.as_secs_f64());
         reg.gauge("world.unprotected_secs", m.unprotected_total().as_secs_f64());
@@ -2028,6 +2176,45 @@ mod tests {
             }
         }
         assert_eq!(admitted, 28, "every canned home template supports residency");
+    }
+
+    #[test]
+    #[should_panic(expected = "Deployment.tick must be positive")]
+    fn a_zero_tick_is_rejected_at_build() {
+        // `while clock + tick <= end` never ends on a zero tick, and the
+        // run loop divides by it.
+        let mut d = camera_deployment(Defense::None);
+        d.tick = SimDuration::ZERO;
+        World::new(&d);
+    }
+
+    #[test]
+    fn run_executes_the_ticks_in_which_something_is_due() {
+        // A defended camera home: the campaign, the µmbox boots and one
+        // telemetry round per five seconds are all that is ever due.
+        let mut w = World::new(&camera_deployment(Defense::iotsec()));
+        w.run_until_attack_done(SimDuration::from_secs(120));
+        w.run(SimDuration::from_secs(60));
+        let (executed, ticks) = (w.ticks_executed(), w.ticks_simulated());
+        assert!(ticks > 600 && executed * 4 < ticks, "{executed} of {ticks} ticks executed");
+        // `step` always executes, and counts.
+        w.step();
+        assert_eq!((w.ticks_executed(), w.ticks_simulated()), (executed + 1, ticks + 1));
+        // Layers that accrue per tick keep every tick.
+        for layered in [
+            |d: &mut Deployment| {
+                d.chaos(ChaosConfig::new());
+            },
+            |d: &mut Deployment| {
+                d.safety(iotctl::safety::SafetyConfig::default());
+            },
+        ] {
+            let mut d = camera_deployment(Defense::iotsec());
+            layered(&mut d);
+            let mut w = World::new(&d);
+            w.run(SimDuration::from_secs(30));
+            assert_eq!((w.ticks_executed(), w.ticks_simulated()), (300, 300));
+        }
     }
 
     #[test]

@@ -103,6 +103,11 @@ pub struct ResidentStats {
     /// Resident worlds dropped by chaos worker crashes (each forces one
     /// full rebuild).
     pub dropped: u64,
+    /// Ticks the resident machines executed, over all their home-rounds.
+    pub ticks_executed: u64,
+    /// Ticks those home-rounds simulated: what a tick-by-tick run would
+    /// have executed.
+    pub ticks_simulated: u64,
 }
 
 impl ResidentStats {
@@ -115,6 +120,8 @@ impl ResidentStats {
         self.devices_patched += o.devices_patched;
         self.devices_kept += o.devices_kept;
         self.dropped += o.dropped;
+        self.ticks_executed += o.ticks_executed;
+        self.ticks_simulated += o.ticks_simulated;
     }
 }
 

@@ -82,6 +82,12 @@ impl FleetScenario {
     }
 }
 
+/// Add a finished home-round's tick counts to the resident stats.
+fn count_ticks(w: &World, stats: &mut ResidentStats) {
+    stats.ticks_executed += w.ticks_executed();
+    stats.ticks_simulated += w.ticks_simulated();
+}
+
 impl HomeWorld for FleetScenario {
     type Resident = ResidentWorld;
 
@@ -126,12 +132,14 @@ impl HomeWorld for FleetScenario {
                 w.rebind_home(seed);
                 stats.resident_runs += 1;
                 w.run_until_attack_done(self.horizon);
+                count_ticks(w, stats);
                 self.outcome_of(home, seed, w)
             }
             None => {
                 stats.full_builds += 1;
                 let mut w = World::new_home_resident(&self.template, seed, epoch, intel, scrap);
                 w.run_until_attack_done(self.horizon);
+                count_ticks(&w, stats);
                 let out = self.outcome_of(home, seed, &mut w);
                 *slot = Some(ResidentWorld::new(w));
                 out

@@ -160,6 +160,18 @@ impl Controller {
         }
     }
 
+    /// The instant from which [`Controller::step`] next does anything:
+    /// the earliest view update waiting to reach the gates, or the moment
+    /// the front of the event queue finishes service (`step` serves it on
+    /// the first call at or after `start + service_time`).
+    pub fn next_due(&self) -> Option<SimTime> {
+        let view = self.pending_view.front().map(|(due, ..)| *due);
+        let served = self.queue.front().map(|(arrival, _)| {
+            self.busy_until.max(self.outage_until).max(*arrival) + self.service_time()
+        });
+        view.into_iter().chain(served).min()
+    }
+
     /// Process queued work up to `now`; returns directives to execute.
     pub fn step(&mut self, now: SimTime) -> Vec<Directive> {
         if self.is_down(now) {
@@ -391,6 +403,29 @@ mod tests {
         // The event can't finish service until the lag has drained.
         assert!(ctl.step(SimTime::from_secs(1)).is_empty());
         assert!(!ctl.step(SimTime::from_secs(4)).is_empty());
+    }
+
+    #[test]
+    fn next_due_is_when_step_next_does_anything() {
+        // An idle controller is never due.
+        let mut ctl = fig3_controller();
+        ctl.reconcile(SimTime::ZERO);
+        assert_eq!(ctl.next_due(), None);
+        // A queued event is due when its service completes, behind any
+        // lag and any outage — and `step` one nanosecond earlier is a
+        // no-op, at that instant serves it.
+        let arrival = SimTime::from_millis(2);
+        ctl.inject_lag(SimTime::from_millis(1), SimDuration::from_secs(3));
+        ctl.ingest(event(0, SecurityEventKind::SignatureMatch, arrival));
+        let due = ctl.next_due().expect("an event is queued");
+        assert_eq!(due, SimTime::from_millis(3_001) + ctl.service_time());
+        assert!(ctl.step(SimTime::from_nanos(due.as_nanos() - 1)).is_empty());
+        assert_eq!(ctl.stats.events_processed, 0);
+        assert!(!ctl.step(due).is_empty());
+        assert_eq!(ctl.next_due(), None);
+        // A view update on its way to the gates is due when it lands.
+        ctl.ingest_env(SimTime::from_secs(9), &[(EnvVar::Smoke, "yes")]);
+        assert_eq!(ctl.next_due(), Some(SimTime::from_secs(9) + SimDuration::from_millis(20)));
     }
 
     #[test]

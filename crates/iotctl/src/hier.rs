@@ -184,6 +184,12 @@ impl HierarchicalController {
         self.global.ingest_env(at, values);
     }
 
+    /// The earliest [`Controller::next_due`] across the hierarchy.
+    pub fn next_due(&self) -> Option<SimTime> {
+        let locals = self.locals.iter().filter_map(|(_, local)| local.next_due());
+        locals.chain(self.global.next_due()).min()
+    }
+
     /// Step every controller; returns the merged directives.
     pub fn step(&mut self, now: SimTime) -> Vec<Directive> {
         let mut out = Vec::new();

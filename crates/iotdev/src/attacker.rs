@@ -293,6 +293,19 @@ impl Attacker {
         }
     }
 
+    /// The instant from which [`Attacker::poll`] next does anything: a
+    /// wait's end, a reply's deadline, the start of time while a step is
+    /// waiting to be launched, never once the plan is over. A reply that
+    /// arrives earlier reaches [`Attacker::on_delivery`] as a packet.
+    pub fn next_due(&self) -> Option<SimTime> {
+        match self.state {
+            AttackerState::Idle => Some(SimTime::ZERO),
+            AttackerState::Awaiting { deadline, .. } => Some(deadline),
+            AttackerState::Waiting { until } => Some(until),
+            AttackerState::Done => None,
+        }
+    }
+
     /// Drive the attacker: returns packets to inject at `now`.
     pub fn poll(&mut self, now: SimTime) -> Vec<AttackerEmit> {
         match self.state {
@@ -523,6 +536,27 @@ mod tests {
             Ipv4Addr::new(10, 0, 0, 5),
             vec![Vulnerability::default_admin_admin()],
         )
+    }
+
+    #[test]
+    fn poll_before_next_due_does_nothing() {
+        // A reply that never comes, then a wait: polled every 100 ms, the
+        // attacker emits or records only on the first poll at or after
+        // the instant `next_due` named.
+        let target = Ipv4Addr::new(10, 0, 0, 5);
+        let wait = AttackStep::Wait { duration: SimDuration::from_millis(750) };
+        let plan = AttackPlan::new("timeouts", vec![AttackStep::Probe { target }, wait]);
+        let mut atk = Attacker::new(Ipv4Addr::new(100, 64, 0, 9), plan);
+        let mut now = SimTime::ZERO;
+        while let Some(due) = atk.next_due() {
+            now += SimDuration::from_millis(100);
+            let before = (atk.outcomes().len(), format!("{:?}", atk.state));
+            let emitted = !atk.poll(now).is_empty();
+            let moved = emitted || before != (atk.outcomes().len(), format!("{:?}", atk.state));
+            assert_eq!(moved, now >= due, "at {now}: next_due said {due}");
+        }
+        assert!(atk.done());
+        assert_eq!(atk.outcomes().len(), 2);
     }
 
     #[test]

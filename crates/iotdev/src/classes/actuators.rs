@@ -65,6 +65,15 @@ impl SmartPlug {
         }
     }
 
+    /// The breaker this plug drives, if any, already follows its relay.
+    pub(crate) fn steady(&self, env: &Environment) -> bool {
+        match self.load {
+            PlugLoad::AirConditioner => env.ac_breaker_on == self.on,
+            PlugLoad::Oven => env.oven_breaker_on == self.on,
+            PlugLoad::Lamp | PlugLoad::Generic => true,
+        }
+    }
+
     fn load_watts(&self) -> f64 {
         if !self.on {
             return 0.5; // standby
@@ -155,6 +164,10 @@ impl WindowActuator {
         }
     }
 
+    pub(crate) fn steady(&self, env: &Environment) -> bool {
+        env.window_open == self.open
+    }
+
     pub(crate) fn tick(&mut self, env: &mut Environment) -> TickOutputs {
         env.window_open = self.open;
         TickOutputs::of(TickOutput::Telemetry(TelemetryKind::Status, self.open as u8 as f64))
@@ -189,6 +202,14 @@ impl SmartLock {
             }
             _ => false,
         }
+    }
+
+    /// Locked, and the door agrees. An unlocked lock is never steady:
+    /// it reports `DoorOpened` as a *level*, on every tick it stays
+    /// unlocked — the one class that does (see the module doc of
+    /// [`crate::classes`]).
+    pub(crate) fn steady(&self, env: &Environment) -> bool {
+        self.locked && env.door_locked
     }
 
     pub(crate) fn tick(&mut self, env: &mut Environment) -> TickOutputs {
@@ -226,8 +247,20 @@ impl Oven {
         }
     }
 
+    fn duty(&self) -> f64 {
+        if self.on {
+            1.0
+        } else {
+            0.0
+        }
+    }
+
+    pub(crate) fn steady(&self, env: &Environment) -> bool {
+        env.oven_duty == self.duty()
+    }
+
     pub(crate) fn tick(&mut self, env: &mut Environment) -> TickOutputs {
-        env.oven_duty = if self.on { 1.0 } else { 0.0 };
+        env.oven_duty = self.duty();
         if self.on {
             env.power_w += 2000.0;
         }

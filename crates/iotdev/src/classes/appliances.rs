@@ -48,13 +48,36 @@ impl Thermostat {
         }
     }
 
-    pub(crate) fn tick(&mut self, env: &mut Environment) -> TickOutputs {
+    /// What the hysteresis loop demands at this room temperature.
+    fn demand(&self, env: &Environment) -> bool {
         if env.temperature_c > self.setpoint_c + HYSTERESIS_C {
-            self.cooling = true;
+            true
         } else if env.temperature_c < self.setpoint_c - HYSTERESIS_C {
-            self.cooling = false;
+            false
+        } else {
+            self.cooling
         }
-        env.ac_duty = if self.cooling { 1.0 } else { 0.0 };
+    }
+
+    fn duty(&self) -> f64 {
+        if self.cooling {
+            1.0
+        } else {
+            0.0
+        }
+    }
+
+    /// The room is inside the band (or already on the demanded side of
+    /// it) and the AC already holds this thermostat's duty and setpoint.
+    pub(crate) fn steady(&self, env: &Environment) -> bool {
+        self.demand(env) == self.cooling
+            && env.ac_duty == self.duty()
+            && env.ac_setpoint_c == self.setpoint_c
+    }
+
+    pub(crate) fn tick(&mut self, env: &mut Environment) -> TickOutputs {
+        self.cooling = self.demand(env);
+        env.ac_duty = self.duty();
         env.ac_setpoint_c = self.setpoint_c;
         TickOutputs::of(TickOutput::Telemetry(TelemetryKind::Temperature, env.temperature_c))
     }

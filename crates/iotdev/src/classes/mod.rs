@@ -6,8 +6,14 @@
 //!   control action and updates both internal state and the shared
 //!   [`Environment`];
 //! * **sensing** — [`DeviceLogic::tick`] reads the environment and emits
-//!   telemetry and edge-triggered events;
+//!   telemetry and edge-triggered events (one stated exception: an
+//!   unlocked [`SmartLock`] reports `DoorOpened` as a *level*, on every
+//!   tick it stays unlocked);
 //! * **introspection** — class-specific data such as the camera image.
+//!
+//! Most ticks of most devices change nothing: [`DeviceLogic::steady`]
+//! says when, and the world's run loop does not execute those ticks
+//! (DESIGN.md §6).
 //!
 //! Classes are grouped as sensors (camera, motion, light, fire alarm),
 //! actuators (plug, bulb, window, lock, oven, traffic light) and
@@ -190,6 +196,40 @@ impl DeviceLogic {
         }
     }
 
+    /// Whether [`DeviceLogic::tick`] against `env` would be a no-op: no
+    /// event, the FSM's state unchanged (a streaming camera's frame
+    /// counter aside — see [`DeviceLogic::coast`]), and `env` left as it
+    /// is but for the per-tick accumulators `bulbs_on` / `power_w`, which
+    /// every tick re-derives. Sensors are steady while they agree with
+    /// what they sense, actuators while the field they assert already
+    /// holds their position; the telemetry sample a steady tick still
+    /// returns is the device wrapper's to schedule.
+    pub fn steady(&self, env: &Environment) -> bool {
+        match self {
+            DeviceLogic::Camera(s) => s.steady(env),
+            DeviceLogic::SmartPlug(s) => s.steady(env),
+            DeviceLogic::Thermostat(s) => s.steady(env),
+            DeviceLogic::FireAlarm(s) => s.steady(env),
+            DeviceLogic::WindowActuator(s) => s.steady(env),
+            DeviceLogic::SmartLock(s) => s.steady(env),
+            DeviceLogic::Oven(s) => s.steady(env),
+            DeviceLogic::MotionSensor(s) => s.steady(env),
+            // Accumulators and constant telemetry only.
+            DeviceLogic::LightBulb(_)
+            | DeviceLogic::LightSensor(_)
+            | DeviceLogic::SetTopBox(_)
+            | DeviceLogic::Refrigerator(_)
+            | DeviceLogic::TrafficLight(_) => true,
+        }
+    }
+
+    /// Account for `ticks` consecutive steady ticks without running them.
+    pub fn coast(&mut self, ticks: u64) {
+        if let DeviceLogic::Camera(s) = self {
+            s.coast(ticks);
+        }
+    }
+
     /// The camera's current image, if this is a camera.
     pub fn image_data(&self) -> Option<Bytes> {
         match self {
@@ -224,6 +264,127 @@ mod tests {
             // Ticking a fresh device never panics and yields finite output.
             let out = logic.tick(&mut env);
             assert!(out.len() <= TickOutputs::CAPACITY);
+        }
+    }
+
+    /// A grid of rooms around every threshold a class reads.
+    fn rooms() -> Vec<Environment> {
+        let mut rooms = Vec::new();
+        for bits in 0u32..128 {
+            let flag = |i: u32| bits >> i & 1 == 1;
+            for temperature_c in [15.0, 21.4, 21.6, 22.4, 22.6, 30.0] {
+                for smoke_density in [0.0, 0.49, 0.5, 2.0] {
+                    rooms.push(Environment {
+                        temperature_c,
+                        smoke_density,
+                        occupied: flag(0),
+                        window_open: flag(1),
+                        door_locked: flag(2),
+                        ac_breaker_on: flag(3),
+                        oven_breaker_on: flag(4),
+                        ac_duty: if flag(5) { 1.0 } else { 0.0 },
+                        oven_duty: if flag(6) { 1.0 } else { 0.0 },
+                        ac_setpoint_c: if flag(5) { 22.0 } else { 21.0 },
+                        ..Environment::new()
+                    });
+                }
+            }
+        }
+        rooms
+    }
+
+    /// Every state a class FSM can be driven to: fresh, after each
+    /// action it accepts, and (plugs) under each load.
+    fn states(class: DeviceClass) -> Vec<DeviceLogic> {
+        let actions = [
+            ControlAction::TurnOn,
+            ControlAction::TurnOff,
+            ControlAction::Open,
+            ControlAction::Close,
+            ControlAction::Lock,
+            ControlAction::Unlock,
+            ControlAction::SetTarget(210),
+        ];
+        let mut fresh = vec![DeviceLogic::new(class)];
+        if class == DeviceClass::SmartPlug {
+            for load in [PlugLoad::AirConditioner, PlugLoad::Oven, PlugLoad::Lamp] {
+                fresh.push(DeviceLogic::SmartPlug(SmartPlug { load, ..SmartPlug::default() }));
+            }
+        }
+        let mut all = fresh.clone();
+        for logic in &fresh {
+            for action in actions {
+                let mut driven = logic.clone();
+                if driven.apply_action(action, &mut Environment::new()) {
+                    // One tick, so sensors hold a verdict about some room.
+                    driven.tick(&mut Environment::new());
+                    all.push(driven);
+                }
+            }
+        }
+        all
+    }
+
+    #[test]
+    fn a_steady_tick_is_a_no_op() {
+        for class in DeviceClass::ALL {
+            let (mut steady, mut moving) = (0, 0);
+            for logic in states(class) {
+                for room in rooms() {
+                    if !logic.steady(&room) {
+                        moving += 1;
+                        continue;
+                    }
+                    steady += 1;
+                    let (mut ticked, mut after) = (logic.clone(), room.clone());
+                    let out = ticked.tick(&mut after);
+                    assert!(
+                        !out.iter().any(|o| matches!(o, TickOutput::Event(_))),
+                        "{class:?} {logic:?} emitted {:?} in {room:?}",
+                        &*out
+                    );
+                    // Only the per-tick accumulators may differ.
+                    after.bulbs_on = room.bulbs_on;
+                    after.power_w = room.power_w;
+                    assert_eq!(after, room, "{class:?} {logic:?} moved the room");
+                    // Only a streaming camera's frame counter may differ,
+                    // and `coast` accounts for it.
+                    let mut coasted = logic.clone();
+                    coasted.coast(1);
+                    assert_eq!(ticked, coasted, "{class:?} changed state in {room:?}");
+                    // And only a class that senses the physics can be
+                    // unsettled by it.
+                    let mut later = room.clone();
+                    later.step(0.1);
+                    assert!(
+                        class.senses_physics() || logic.steady(&later),
+                        "{class:?} {logic:?} unsettled by physics in {room:?}"
+                    );
+                }
+            }
+            assert!(steady > 0, "{class:?} is never steady");
+            let always = matches!(
+                class,
+                DeviceClass::LightBulb
+                    | DeviceClass::LightSensor
+                    | DeviceClass::SetTopBox
+                    | DeviceClass::Refrigerator
+                    | DeviceClass::TrafficLight
+            );
+            assert_eq!(moving == 0, always, "{class:?}: {moving} unsteady cases");
+        }
+    }
+
+    #[test]
+    fn an_unlocked_lock_is_never_steady() {
+        // The one class that reports a level: `DoorOpened` on every tick
+        // the door stays unlocked, whatever the room says.
+        let mut lock = DeviceLogic::new(DeviceClass::SmartLock);
+        assert!(lock.apply_action(ControlAction::Unlock, &mut Environment::new()));
+        for room in rooms() {
+            assert!(!lock.steady(&room));
+            let out = lock.tick(&mut room.clone());
+            assert!(out.contains(&TickOutput::Event(EventKind::DoorOpened)));
         }
     }
 

@@ -61,6 +61,19 @@ impl Camera {
         out
     }
 
+    /// Off, or already agreeing with the room about who is in it.
+    pub(crate) fn steady(&self, env: &Environment) -> bool {
+        !self.streaming || self.motion == env.occupied
+    }
+
+    /// `ticks` steady ticks at once: all a steady tick does is count a
+    /// frame — and the frame number is in every image an attacker pulls.
+    pub(crate) fn coast(&mut self, ticks: u64) {
+        if self.streaming {
+            self.frames += ticks;
+        }
+    }
+
     /// The current frame, as bytes an attacker would exfiltrate.
     pub fn image(&self) -> Bytes {
         Bytes::from(format!("JPEG:frame{}:motion{}", self.frames, self.motion))
@@ -88,6 +101,10 @@ impl MotionSensor {
         out.push(TickOutput::Telemetry(TelemetryKind::Motion, self.motion as u8 as f64));
         out
     }
+
+    pub(crate) fn steady(&self, env: &Environment) -> bool {
+        self.motion == env.occupied
+    }
 }
 
 /// Ambient light sensor.
@@ -108,6 +125,11 @@ pub struct FireAlarm {
 }
 
 impl FireAlarm {
+    /// Sounding exactly when there is smoke to sound about.
+    pub(crate) fn steady(&self, env: &Environment) -> bool {
+        self.alarming == (env.smoke_density >= thresholds::SMOKE_ALARM)
+    }
+
     pub(crate) fn tick(&mut self, env: &mut Environment) -> TickOutputs {
         let mut out = TickOutputs::new();
         let smoke = env.smoke_density >= thresholds::SMOKE_ALARM;

@@ -79,6 +79,14 @@ impl DeviceClass {
         DeviceClass::TrafficLight,
     ];
 
+    /// Whether the class FSM reacts to a continuous variable — room
+    /// temperature, smoke density: the ones [`Environment::step`] moves —
+    /// so that physics alone can end its [`IoTDevice::steady`]. Every
+    /// other class stays steady until somebody acts on it or on the room.
+    pub fn senses_physics(self) -> bool {
+        matches!(self, DeviceClass::Thermostat | DeviceClass::FireAlarm)
+    }
+
     /// A stable lowercase name.
     pub fn name(self) -> &'static str {
         match self {
@@ -539,6 +547,25 @@ impl IoTDevice {
         out
     }
 
+    /// The instant from which [`IoTDevice::tick`] next reports telemetry
+    /// (`None` for a dead device, which does nothing).
+    pub fn next_due(&self) -> Option<SimTime> {
+        self.alive.then(|| self.last_telemetry + self.telemetry_period)
+    }
+
+    /// Whether a tick before [`IoTDevice::next_due`] would do nothing:
+    /// the device is dead, or its class FSM is [`DeviceLogic::steady`].
+    pub fn steady(&self, env: &Environment) -> bool {
+        !self.alive || self.logic.steady(env)
+    }
+
+    /// Account for `ticks` such ticks without running them.
+    pub fn coast(&mut self, ticks: u64) {
+        if self.alive {
+            self.logic.coast(ticks);
+        }
+    }
+
     /// Advance the device by one tick: sense/actuate the environment and
     /// emit periodic telemetry.
     pub fn tick(&mut self, now: SimTime, env: &mut Environment) -> DeviceOutput {
@@ -626,6 +653,39 @@ mod tests {
 
     fn attacker_ip() -> Ipv4Addr {
         Ipv4Addr::new(100, 64, 0, 99)
+    }
+
+    #[test]
+    fn a_dead_device_is_steady_and_never_due() {
+        // Unsteady for a live camera: the room is occupied and it has
+        // not said so yet.
+        let mut d = dev(DeviceClass::Camera, vec![]);
+        let mut env = Environment::new();
+        assert!(!d.steady(&env));
+        assert_eq!(d.next_due(), Some(SimTime::from_secs(5)));
+        d.alive = false;
+        assert!(d.steady(&env));
+        assert_eq!(d.next_due(), None);
+        let image = d.logic.image_data();
+        d.coast(10);
+        let out = d.tick(SimTime::from_secs(60), &mut env);
+        assert!(out.messages.is_empty() && out.events.is_empty());
+        assert_eq!(d.logic.image_data(), image, "a dead camera counts no frames");
+    }
+
+    #[test]
+    fn telemetry_goes_out_on_the_first_tick_at_or_after_next_due() {
+        let mut d = dev(DeviceClass::Refrigerator, vec![]);
+        d.hub = Some(Ipv4Addr::new(10, 0, 0, 1));
+        let mut env = Environment::new();
+        let tick = SimDuration::from_millis(100);
+        let mut now = SimTime::ZERO;
+        for _ in 0..200 {
+            let due = d.next_due().expect("alive");
+            now += tick;
+            let sent = !d.tick(now, &mut env).messages.is_empty();
+            assert_eq!(sent, now >= due, "at {now}: next_due said {due}");
+        }
     }
 
     #[test]

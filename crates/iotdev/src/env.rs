@@ -61,7 +61,7 @@ impl EnvVar {
 ///
 /// Devices write through typed setters (the actuation surface); dynamics
 /// advance on [`Environment::step`].
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Environment {
     /// Room temperature in °C.
     pub temperature_c: f64,
@@ -190,23 +190,41 @@ impl Environment {
         self.light_level = self.daylight + self.bulbs_on as f64 * 40.0;
     }
 
+    /// Where the continuous variables sit against the thresholds: the
+    /// temperature band (0 low, 1 normal, 2 high), smoke at alarm level,
+    /// light at bright level. This is the part of
+    /// [`Environment::discretize`] that physics can move — the other four
+    /// discrete variables are positions and inputs [`Environment::step`]
+    /// never writes — so between two snapshots with only physics in
+    /// between, the discretization moved iff this did, and comparing it
+    /// is three small values instead of seven strings.
+    pub fn bands(&self) -> (u8, bool, bool) {
+        use thresholds::*;
+        let temperature = if self.temperature_c < TEMP_LOW_C {
+            0
+        } else if self.temperature_c > TEMP_HIGH_C {
+            2
+        } else {
+            1
+        };
+        (temperature, self.smoke_density >= SMOKE_ALARM, self.light_level >= LIGHT_BRIGHT)
+    }
+
     /// Discretize into the policy layer's `EnvVar = value` snapshot.
     pub fn discretize(&self) -> DiscreteEnv {
-        use thresholds::*;
+        let (temperature, smoke, bright) = self.bands();
         DiscreteEnv {
-            temperature: if self.temperature_c < TEMP_LOW_C {
-                "low"
-            } else if self.temperature_c > TEMP_HIGH_C {
-                "high"
-            } else {
-                "normal"
+            temperature: match temperature {
+                0 => "low",
+                1 => "normal",
+                _ => "high",
             },
-            smoke: if self.smoke_density >= SMOKE_ALARM { "yes" } else { "no" },
-            light: if self.light_level >= LIGHT_BRIGHT { "bright" } else { "dark" },
+            smoke: if smoke { "yes" } else { "no" },
+            light: if bright { "bright" } else { "dark" },
             occupancy: if self.occupied { "present" } else { "absent" },
             window: if self.window_open { "open" } else { "closed" },
             door: if self.door_locked { "locked" } else { "unlocked" },
-            power_draw: if self.power_w > POWER_HIGH_W { "high" } else { "normal" },
+            power_draw: if self.power_w > thresholds::POWER_HIGH_W { "high" } else { "normal" },
         }
     }
 }
@@ -331,6 +349,43 @@ mod tests {
         assert_eq!(d.window, "closed");
         assert_eq!(d.door, "locked");
         assert_eq!(d.get(EnvVar::Smoke), "no");
+    }
+
+    #[test]
+    fn physics_moves_the_discretization_only_through_its_bands() {
+        // Rooms straddling every threshold, every input on and off: one
+        // `step` changes `discretize()` exactly when it changes `bands()`.
+        let mut moved = 0;
+        for bits in 0u32..64 {
+            let flag = |i: u32| bits >> i & 1 == 1;
+            for temperature_c in [16.999, 17.0, 26.999, 27.0, 27.001] {
+                for smoke_density in [0.0, 0.4995, 0.5, 0.5005] {
+                    for unattended_oven_s in [0.0, 119.95, 500.0] {
+                        let before = Environment {
+                            temperature_c,
+                            smoke_density,
+                            unattended_oven_s,
+                            occupied: flag(0),
+                            window_open: flag(1),
+                            door_locked: flag(2),
+                            ac_breaker_on: flag(3),
+                            ac_duty: if flag(4) { 1.0 } else { 0.0 },
+                            oven_duty: if flag(5) { 1.0 } else { 0.0 },
+                            daylight: if flag(5) { 29.0 } else { 0.0 },
+                            bulbs_on: bits % 2,
+                            power_w: 1400.0 + 200.0 * f64::from(bits % 2),
+                            ..Environment::new()
+                        };
+                        let mut after = before.clone();
+                        after.step(0.1);
+                        let same_bands = after.bands() == before.bands();
+                        assert_eq!(after.discretize() == before.discretize(), same_bands);
+                        moved += u32::from(!same_bands);
+                    }
+                }
+            }
+        }
+        assert!(moved > 100, "only {moved} rooms crossed a threshold");
     }
 
     #[test]

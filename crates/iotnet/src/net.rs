@@ -408,6 +408,13 @@ impl Network {
         self.queue.fold_elided(arrived, latest);
     }
 
+    /// When the earliest pending event — queued, or a discarded flood
+    /// copy still in flight — is due: [`Network::step_until_into`] with an
+    /// earlier deadline does nothing.
+    pub fn next_due(&self) -> Option<SimTime> {
+        self.queue.peek_time().into_iter().chain(self.nic_discards.iter().copied()).min()
+    }
+
     /// Whether any event — queued, or a discarded flood copy still in
     /// flight — is yet to happen.
     pub fn has_pending(&self) -> bool {
@@ -711,6 +718,33 @@ mod tests {
         assert_eq!(d.len(), 1);
         assert_eq!(d[0].endpoint, a);
         assert_eq!(net.stats.nic_filtered, 1);
+    }
+
+    #[test]
+    fn next_due_walks_every_pending_event_flood_copies_included() {
+        // Same flood as above, stepped from due instant to due instant:
+        // stepping to just before `next_due` does nothing, stepping to it
+        // does something, and the walk ends with nothing pending — the
+        // discarded copy, which holds no ticket, is one of the stops.
+        let mut b = TopologyBuilder::new();
+        let sw = b.add_switch();
+        let a = b.attach_endpoint(sw, LinkParams::lan());
+        let c = b.attach_endpoint(sw, LinkParams::wifi());
+        b.attach_endpoint(sw, LinkParams::wan());
+        let mut net = Network::new(b.build(), 7);
+        assert_eq!(net.next_due(), None);
+        net.send(a, SimTime::ZERO, pkt_between(&net, a, c, b"flood"));
+        let mut stops = 0;
+        while let Some(due) = net.next_due() {
+            let before = net.events_processed();
+            net.step_until(SimTime::from_nanos(due.as_nanos() - 1));
+            assert_eq!(net.events_processed(), before, "early at {due}");
+            net.step_until(due);
+            assert!(net.events_processed() > before, "nothing was due at {due}");
+            stops += 1;
+        }
+        assert_eq!((stops, net.events_processed(), net.stats.nic_filtered), (3, 3, 1));
+        assert!(!net.has_pending());
     }
 
     #[test]

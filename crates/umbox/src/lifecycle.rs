@@ -259,6 +259,18 @@ impl LifecycleManager {
         done_at
     }
 
+    /// The earliest deadline [`LifecycleManager::advance`] is waiting for:
+    /// a boot or reconfiguration completing, a watchdog firing.
+    pub fn next_due(&self) -> Option<SimTime> {
+        let deadline = |inst: &UmboxInstance| match inst.state {
+            UmboxState::Booting { ready_at } => Some(ready_at),
+            UmboxState::Reconfiguring { done_at, .. } => Some(done_at),
+            UmboxState::Crashed { restart_at } => Some(restart_at),
+            UmboxState::Running | UmboxState::Dead => None,
+        };
+        self.instances.values().filter_map(deadline).min()
+    }
+
     /// Mark booting/reconfiguring instances whose deadline passed as
     /// running, and respawn crashed instances whose watchdog fired
     /// (called from the simulation loop).
@@ -369,6 +381,25 @@ mod tests {
         mgr.advance(ready);
         assert_eq!(mgr.get(id).unwrap().state, UmboxState::Running);
         assert_eq!(mgr.serving_count(ready), 1);
+    }
+
+    #[test]
+    fn next_due_is_the_earliest_deadline_advance_waits_for() {
+        let mut mgr = LifecycleManager::new(1);
+        assert_eq!(mgr.next_due(), None);
+        let (a, ready_a) = mgr.launch(DeviceId(0), VmKind::UnikernelPooled, SimTime::ZERO);
+        let (_, ready_b) = mgr.launch(DeviceId(1), VmKind::FullVm, SimTime::ZERO);
+        assert_eq!(mgr.next_due(), Some(ready_a));
+        mgr.advance(ready_a);
+        assert_eq!(mgr.next_due(), Some(ready_b));
+        mgr.advance(ready_b);
+        assert_eq!(mgr.next_due(), None, "running instances wait for nothing");
+        let done = mgr.reconfigure(a, ready_b);
+        assert_eq!(mgr.next_due(), Some(done));
+        mgr.crash(a, ready_b);
+        assert_eq!(mgr.next_due(), Some(ready_b + mgr.watchdog_delay));
+        mgr.retire(a);
+        assert_eq!(mgr.next_due(), None);
     }
 
     #[test]

@@ -52,6 +52,12 @@ fn bytes_during<R>(f: impl FnOnce() -> R) -> (u64, R) {
     (BYTES.load(Ordering::Relaxed) - before, result)
 }
 
+/// `(allocations, bytes)` requested while running `f`.
+fn cost_of(f: impl FnOnce()) -> (u64, u64) {
+    let (bytes, (allocs, ())) = bytes_during(|| allocs_during(f));
+    (allocs, bytes)
+}
+
 /// Minimum allocation count over `n` trials (absorbs one-off lazy-init
 /// noise from the runtime or test harness).
 fn min_allocs_over<R>(n: usize, mut f: impl FnMut() -> R) -> u64 {
@@ -181,6 +187,7 @@ fn world_construction_allocation_profile() {
 fn idle_ticks_are_allocation_free() {
     use iotsec_fleet::{FleetScenario, HomeWorld};
     use iotsec_repro::iotlearn::AttackSignature;
+    use iotsec_repro::iotnet::time::SimDuration;
     use iotsec_repro::iotsec::world::{World, WorldScrap};
     use std::sync::Arc;
 
@@ -228,6 +235,43 @@ fn idle_ticks_are_allocation_free() {
             }
         }
         assert!(quiet >= 140, "only {quiet} idle ticks were observed");
+
+        // The run loop (DESIGN.md §6) does not execute such ticks at all.
+        // From 300 ms past a report, four seconds hold nothing due: `run`
+        // executes their first tick, coasts through the other 39, and the
+        // allocator hears of neither.
+        while w.clock.as_nanos() / 1_000_000 % TELEMETRY_MS != 3 * TICK_MS {
+            w.step();
+        }
+        let (executed, ticks) = (w.ticks_executed(), w.ticks_simulated());
+        let (allocs, ()) = allocs_during(|| w.run(SimDuration::from_secs(4)));
+        assert_eq!(allocs, 0, "a coasted stretch allocated");
+        assert_eq!(w.ticks_simulated(), ticks + 40);
+        assert_eq!(w.ticks_executed(), executed + 1, "39 of the 40 ticks are coasted");
+
+        // Coasted ticks allocated nothing when they were executed either:
+        // a home-round run asks the allocator for exactly what the same
+        // home-round stepped tick by tick asks for, to the byte.
+        let ran = cost_of(|| {
+            w.rebind_home(seed);
+            w.run_until_attack_done(horizon);
+        });
+        let (ran_executed, ran_clock) = (w.ticks_executed(), w.clock);
+        let stepped = cost_of(|| {
+            w.rebind_home(seed);
+            let tick = SimDuration::from_millis(TICK_MS);
+            let end = w.clock + horizon;
+            while !w.attack_done() && w.clock + tick <= end {
+                w.step();
+            }
+            for _ in 0..2_000 / TICK_MS {
+                w.step();
+            }
+        });
+        assert_eq!(w.clock, ran_clock, "the stepped home-round covers the same ticks");
+        assert!(ran_executed * 4 < w.ticks_executed(), "{ran_executed} of {}", w.ticks_executed());
+        assert_eq!(ran, stepped, "(allocations, bytes) of a home-round, run vs stepped");
+        assert_eq!(ran.0, first, "and the pinned home-round above is that home-round");
     }
 }
 

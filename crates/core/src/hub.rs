@@ -12,8 +12,8 @@ use iotdev::device::{AdminCreds, DeviceClass, DeviceId, OutMessage};
 use iotdev::env::DiscreteEnv;
 use iotdev::proto::{ports, AppMessage, ControlAuth, EventKind};
 use iotnet::addr::Ipv4Addr;
+use iotnet::hash::WordMap;
 use iotpolicy::recipe::{Recipe, Trigger};
-use std::collections::HashMap;
 
 /// The hub.
 #[derive(Debug)]
@@ -23,8 +23,8 @@ pub struct Hub {
     pub ip: Ipv4Addr,
     recipes: Vec<Recipe>,
     /// Device directory: id → (ip, class).
-    pub directory: HashMap<DeviceId, (Ipv4Addr, DeviceClass)>,
-    ip_to_class: HashMap<Ipv4Addr, DeviceClass>,
+    pub directory: WordMap<DeviceId, (Ipv4Addr, DeviceClass)>,
+    ip_to_class: WordMap<Ipv4Addr, DeviceClass>,
     creds: AdminCreds,
     prev_env: Option<DiscreteEnv>,
     /// Recipes fired so far.
@@ -40,8 +40,8 @@ impl Hub {
         let mut hub = Hub {
             ip,
             recipes: Vec::new(),
-            directory: HashMap::new(),
-            ip_to_class: HashMap::new(),
+            directory: WordMap::default(),
+            ip_to_class: WordMap::default(),
             creds,
             prev_env: None,
             fired: 0,

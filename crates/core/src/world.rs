@@ -31,6 +31,7 @@ use iotlearn::signature::{AttackSignature, Matcher, Severity};
 use iotnet::addr::{EndpointId, Ipv4Addr, NodeId, SwitchId};
 use iotnet::faults::FaultScheduler;
 use iotnet::flow::{FlowAction, FlowMatch, FlowRule, SteerId};
+use iotnet::hash::WordMap;
 use iotnet::link::LinkParams;
 use iotnet::net::{InlineProcessor, InlineVerdict, Network};
 use iotnet::packet::{Packet, TcpFlags, TransportHeader};
@@ -42,7 +43,7 @@ use iotpolicy::posture::Posture;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::cell::RefCell;
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet};
 use std::rc::Rc;
 use std::sync::Arc;
 use trace::tracer::TraceConfig;
@@ -192,9 +193,6 @@ pub struct WorldScrap {}
 /// starts every home — cold-built or rebound — at its `Default`.
 #[derive(Default)]
 struct HomeState {
-    /// The controller's data-plane view (what gates read).
-    gate_view: ViewHandle,
-    event_sink: EventSink,
     lifecycle: Option<LifecycleManager>,
     cluster: Option<Cluster>,
     victim_bytes: u64,
@@ -224,18 +222,28 @@ struct HomeState {
 /// and resident home-rounds never re-grow them.
 #[derive(Default)]
 struct HomeBuffers {
-    chains: HashMap<DeviceId, UmboxSlot>,
+    /// The controller's data-plane view (what gates read) and the sink
+    /// chains report into: handles the controller and every chain share,
+    /// so a new home keeps them and starts from their contents emptied.
+    gate_view: ViewHandle,
+    event_sink: EventSink,
+    chains: WordMap<DeviceId, UmboxSlot>,
     pending_steers: Vec<(SimTime, DeviceId, Rc<RefCell<UmboxChain>>, UmboxId)>,
     pending_swaps: Vec<(SimTime, DeviceId, UmboxChain)>,
     pending_events: Vec<SecurityEvent>,
     /// Delivery buffer handed to [`Network::step_until_into`].
     delivery_scratch: Vec<iotnet::net::Delivery>,
+    /// Output buffer handed to [`IoTDevice::tick_into`]; empty between
+    /// devices.
+    device_out: DeviceOutput,
     /// Per-device fact rows rebuilt for the safety monitor each tick.
     facts_scratch: Vec<DeviceFacts>,
 }
 
 impl HomeBuffers {
     fn clear(&mut self) {
+        self.gate_view.clear();
+        self.event_sink.clear();
         self.chains.clear();
         self.pending_steers.clear();
         self.pending_swaps.clear();
@@ -269,7 +277,8 @@ pub struct World {
     /// ones a coasted stretch has to keep asking whether they are steady.
     physics_watchers: Vec<usize>,
     device_endpoints: Vec<EndpointId>,
-    entities: HashMap<EndpointId, Entity>,
+    /// Who owns each endpoint, indexed by [`EndpointId`].
+    entities: Vec<Option<Entity>>,
     hub: Option<(Hub, EndpointId)>,
     attacker: Option<(Attacker, EndpointId)>,
     control: Option<ControlPlane>,
@@ -587,7 +596,7 @@ impl World {
             }
         }
         if let Some(ControlPlane::Flat(c)) = &mut self.control {
-            c.reset_runtime(self.home.gate_view.clone());
+            c.reset_runtime(self.buf.gate_view.clone());
         }
     }
 
@@ -666,8 +675,7 @@ impl World {
 
         // --- devices ------------------------------------------------------
         let mut devices = Vec::with_capacity(deployment.devices.len());
-        // Devices plus at most hub, attacker and victim endpoints.
-        let mut entities = HashMap::with_capacity(deployment.devices.len() + 3);
+        let mut entities = vec![None; net.topology().endpoint_count()];
         for (i, setup) in deployment.devices.iter().enumerate() {
             let ep = device_endpoints[i];
             devices.push(IoTDevice::new(
@@ -677,7 +685,7 @@ impl World {
                 net.ip_of(ep),
                 setup.all_vulns(), // the device has every flaw it shipped with
             ));
-            entities.insert(ep, Entity::Device(i));
+            entities[ep.0 as usize] = Some(Entity::Device(i));
         }
 
         // --- hub ----------------------------------------------------------
@@ -689,19 +697,19 @@ impl World {
             for r in &deployment.recipes {
                 hub.add_recipe(r.clone());
             }
-            entities.insert(ep, Entity::Hub);
+            entities[ep.0 as usize] = Some(Entity::Hub);
             (hub, ep)
         });
 
         // --- attacker -----------------------------------------------------
         let victim_ip = victim_ep.map(|ep| net.ip_of(ep));
         let attacker = attacker_ep.map(|ep| {
-            entities.insert(ep, Entity::Attacker);
+            entities[ep.0 as usize] = Some(Entity::Attacker);
             let plan = resolve_plan(&deployment.campaign, &devices, victim_ip);
             (Attacker::new(net.ip_of(ep), plan), ep)
         });
         if let Some(ep) = victim_ep {
-            entities.insert(ep, Entity::Victim);
+            entities[ep.0 as usize] = Some(Entity::Victim);
         }
 
         let cfg = match &deployment.defense {
@@ -804,7 +812,7 @@ impl World {
                     view_propagation: config.view_propagation,
                     ..ControllerConfig::default()
                 };
-                let gate_view = world.home.gate_view.clone();
+                let gate_view = world.buf.gate_view.clone();
                 let standby = deployment.chaos.as_ref().is_some_and(|c| c.standby_controller);
                 world.control = Some(if config.hierarchical {
                     ControlPlane::Hier(Box::new(HierarchicalController::new(
@@ -851,7 +859,7 @@ impl World {
 
     /// The controller's data-plane view (what gates read).
     pub fn gate_view(&self) -> &ViewHandle {
-        &self.home.gate_view
+        &self.buf.gate_view
     }
 
     /// The core/gateway switch (where the WAN, hub and NFV cluster
@@ -1004,10 +1012,12 @@ impl World {
 
         // 2. Device FSM ticks + physics.
         self.env.begin_tick();
+        let mut out = std::mem::take(&mut self.buf.device_out);
         for i in 0..self.devices.len() {
-            let out = self.devices[i].tick(now, &mut self.env);
-            self.dispatch(self.device_endpoints[i], now, out);
+            self.devices[i].tick_into(now, &mut self.env, &mut out);
+            self.dispatch(self.device_endpoints[i], now, &mut out);
         }
+        self.buf.device_out = out;
         self.env.step(self.tick.as_secs_f64());
         if (self.env.window_open || !self.env.door_locked) && !self.env.occupied {
             self.home.breach_at.get_or_insert(now);
@@ -1054,7 +1064,7 @@ impl World {
         // The event buffer leaves the world for the ingest loop only and
         // goes back with its capacity, like the delivery buffer above.
         let mut events = std::mem::take(&mut self.buf.pending_events);
-        self.home.event_sink.drain_into(&mut events);
+        self.buf.event_sink.drain_into(&mut events);
         let mut directives = Vec::new();
         let mut reachable = true;
         if let Some(control) = &mut self.control {
@@ -1410,8 +1420,8 @@ impl World {
             required_creds: self.devices[device.0 as usize].creds.clone(),
             cleared_sources: self.hub.as_ref().map(|(h, _)| vec![h.ip]).unwrap_or_default(),
             signatures: self.signatures_for(device),
-            view: self.home.gate_view.clone(),
-            events: self.home.event_sink.clone(),
+            view: self.buf.gate_view.clone(),
+            events: self.buf.event_sink.clone(),
             failure_mode: self.failure_mode,
             tracer: self.tracer.clone(),
         }
@@ -1486,11 +1496,11 @@ impl World {
     }
 
     fn route_delivery(&mut self, d: iotnet::net::Delivery) {
-        let Some(&entity) = self.entities.get(&d.endpoint) else { return };
+        let Some(entity) = self.entities[d.endpoint.0 as usize] else { return };
         let Ok(msg) = AppMessage::decode(&d.packet.payload) else { return };
         match entity {
             Entity::Device(i) => {
-                let out = self.devices[i].handle_message(
+                let mut out = self.devices[i].handle_message(
                     d.at,
                     d.packet.ip.src,
                     d.packet.transport.src_port(),
@@ -1498,7 +1508,7 @@ impl World {
                     msg,
                     &mut self.env,
                 );
-                self.dispatch(self.device_endpoints[i], d.at, out);
+                self.dispatch(self.device_endpoints[i], d.at, &mut out);
             }
             Entity::Hub => {
                 if let AppMessage::Event { kind } = msg {
@@ -1521,11 +1531,13 @@ impl World {
         }
     }
 
-    fn dispatch(&mut self, from: EndpointId, at: SimTime, out: DeviceOutput) {
-        for m in out.messages {
+    /// Send what a device produced and queue what it reported, leaving
+    /// `out` empty with its capacity.
+    fn dispatch(&mut self, from: EndpointId, at: SimTime, out: &mut DeviceOutput) {
+        for m in out.messages.drain(..) {
             self.send_message(from, at, &m, None);
         }
-        self.buf.pending_events.extend(out.events);
+        self.buf.pending_events.append(&mut out.events);
     }
 
     fn send_message(

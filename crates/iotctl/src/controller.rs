@@ -107,9 +107,9 @@ impl Controller {
     /// Bring the controller to its t = 0 state — empty view and queues,
     /// idle, nothing installed, zeroed stats — keeping the compiled
     /// policy, the configuration and the queues' capacity, and binding
-    /// `gate_view`: a resident world (E26) hands every home a fresh
-    /// handle. The constructor ends here, so a reset controller is one
-    /// built by [`Controller::new`] with the same policy and config.
+    /// `gate_view`, which the caller has emptied. The constructor ends
+    /// here, so a reset controller is one built by [`Controller::new`]
+    /// with the same policy and config.
     pub fn reset_runtime(&mut self, gate_view: ViewHandle) {
         self.view = GlobalView::new();
         self.queue.clear();

@@ -13,6 +13,7 @@ use iotnet::addr::Ipv4Addr;
 use iotnet::time::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// How a control-plane step authenticates.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -137,8 +138,8 @@ impl AttackPlan {
 pub struct AttackOutcome {
     /// Step index in the plan.
     pub step: usize,
-    /// Step label.
-    pub label: String,
+    /// Step label: the attacker's one copy of it, shared.
+    pub label: Arc<str>,
     /// Whether the step achieved its goal.
     pub success: bool,
     /// When the outcome was decided.
@@ -187,6 +188,10 @@ pub struct Attacker {
     /// The attacker's own address (on the WAN side in most scenarios).
     pub ip: Ipv4Addr,
     plan: AttackPlan,
+    /// Each step's label, written out once: a label is a `format!` of
+    /// the step's addresses, and a campaign that is replayed home after
+    /// home would otherwise spell the same few strings every round.
+    labels: Vec<Arc<str>>,
     step_idx: usize,
     state: AttackerState,
     tokens: HashMap<Ipv4Addr, u32>,
@@ -205,6 +210,7 @@ impl Attacker {
     pub fn new(ip: Ipv4Addr, plan: AttackPlan) -> Attacker {
         let mut attacker = Attacker {
             ip,
+            labels: plan.steps.iter().map(|step| step.label().into()).collect(),
             plan,
             step_idx: 0,
             state: AttackerState::Idle,
@@ -275,7 +281,7 @@ impl Attacker {
     }
 
     fn record(&mut self, now: SimTime, success: bool) {
-        let label = self.plan.steps[self.step_idx].label();
+        let label = self.labels[self.step_idx].clone();
         self.outcomes.push(AttackOutcome { step: self.step_idx, label, success, at: now });
         self.step_idx += 1;
         self.state = if self.step_idx >= self.plan.steps.len() {

@@ -569,10 +569,18 @@ impl IoTDevice {
     /// Advance the device by one tick: sense/actuate the environment and
     /// emit periodic telemetry.
     pub fn tick(&mut self, now: SimTime, env: &mut Environment) -> DeviceOutput {
-        if !self.alive {
-            return DeviceOutput::default();
-        }
         let mut out = DeviceOutput::default();
+        self.tick_into(now, env, &mut out);
+        out
+    }
+
+    /// [`IoTDevice::tick`] appending to a caller-owned output, so a loop
+    /// over a home's devices reuses one pair of vectors instead of
+    /// growing a fresh pair for every device that has something to say.
+    pub fn tick_into(&mut self, now: SimTime, env: &mut Environment, out: &mut DeviceOutput) {
+        if !self.alive {
+            return;
+        }
         let tick_outputs = self.logic.tick(env);
         let due = now.duration_since(self.last_telemetry) >= self.telemetry_period;
         if due {
@@ -607,7 +615,6 @@ impl IoTDevice {
                 }
             }
         }
-        out
     }
 }
 

@@ -11,6 +11,7 @@ use iotdev::proto::{ports, tag, AppMessage, ControlAuth};
 use iotdev::registry::Sku;
 use iotnet::packet::{PackedHeaders, Packet};
 use serde::{Deserialize, Serialize};
+use std::cell::OnceCell;
 
 /// How bad a match is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
@@ -61,26 +62,35 @@ pub enum Matcher {
 impl Matcher {
     /// Evaluate against a wire packet.
     pub fn matches(&self, pkt: &Packet) -> bool {
-        let msg = AppMessage::decode(&pkt.payload).ok();
+        self.matches_decoded(pkt, &OnceCell::new())
+    }
+
+    /// [`Matcher::matches`] for a caller that runs several matchers over
+    /// one packet: `decoded` holds the packet's payload decode from the
+    /// first matcher that needs it on, so the IDS decodes a packet at
+    /// most once however many signatures its prefilters admit. The cell
+    /// must be fresh for each packet.
+    pub fn matches_decoded(&self, pkt: &Packet, decoded: &OnceCell<Option<AppMessage>>) -> bool {
+        let msg = || decoded.get_or_init(|| AppMessage::decode(&pkt.payload).ok()).as_ref();
         match self {
             Matcher::DefaultCredLogin { user, pass } => matches!(
-                &msg,
+                msg(),
                 Some(AppMessage::MgmtLogin { user: u, pass: p }) if u == user && p == pass
             ),
             Matcher::MgmtFromExternal => {
                 pkt.transport.dst_port() == ports::MGMT && !pkt.ip.src.is_private()
             }
             Matcher::KeyAuthControl { key } => matches!(
-                &msg,
+                msg(),
                 Some(AppMessage::Control { auth: ControlAuth::Key(k), .. }) if k == key
             ),
             Matcher::UnauthenticatedControl => {
-                matches!(&msg, Some(AppMessage::Control { auth: ControlAuth::None, .. }))
+                matches!(msg(), Some(AppMessage::Control { auth: ControlAuth::None, .. }))
             }
-            Matcher::CloudCommand => matches!(&msg, Some(AppMessage::CloudCommand { .. })),
+            Matcher::CloudCommand => matches!(msg(), Some(AppMessage::CloudCommand { .. })),
             Matcher::RecursiveDnsFromExternal => {
-                matches!(&msg, Some(AppMessage::DnsQuery { recursion: true, .. }))
-                    && !pkt.ip.src.is_private()
+                !pkt.ip.src.is_private()
+                    && matches!(msg(), Some(AppMessage::DnsQuery { recursion: true, .. }))
             }
             Matcher::PayloadContains(needle) => {
                 !needle.is_empty() && pkt.payload.windows(needle.len()).any(|w| w == &needle[..])

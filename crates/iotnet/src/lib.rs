@@ -15,6 +15,8 @@
 //!   codec (encode to bytes, parse back), in the spirit of smoltcp's
 //!   explicit representation types.
 //! * [`flow`] — OpenFlow-like match/action rules and priority flow tables.
+//! * [`hash`] — the unkeyed word hasher behind every map of the packet
+//!   path, from the switch tables up to the world's.
 //! * [`switch`] — SDN switches with flow tables, default actions and
 //!   per-port counters.
 //! * [`link`] — links with latency, bandwidth, loss and failure state.
@@ -38,6 +40,7 @@ pub mod capture;
 pub mod engine;
 pub mod faults;
 pub mod flow;
+pub mod hash;
 pub mod link;
 pub mod net;
 pub mod packet;

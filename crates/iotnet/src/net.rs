@@ -22,6 +22,7 @@ use crate::addr::{EndpointId, Ipv4Addr, MacAddr, PortNo, SwitchId};
 use crate::capture::Capture;
 use crate::engine::EventQueue;
 use crate::flow::{FlowRule, SteerId};
+use crate::hash::WordMap;
 use crate::packet::Packet;
 use crate::stats::NetStats;
 use crate::switch::{Switch, SwitchDecision};
@@ -218,7 +219,7 @@ pub struct Network {
     /// count, so [`Network::step_until_into`] counts it once its time has
     /// come.
     nic_discards: Vec<SimTime>,
-    steer: std::collections::HashMap<SteerId, SteerHandle>,
+    steer: WordMap<SteerId, SteerHandle>,
     deliveries: Vec<Delivery>,
     /// Mirrored-packet capture buffer.
     pub capture: Capture,
@@ -244,7 +245,7 @@ impl Network {
             switches,
             queue: EventQueue::with_capacity(in_flight),
             nic_discards: Vec::new(),
-            steer: std::collections::HashMap::new(),
+            steer: WordMap::default(),
             deliveries: Vec::new(),
             capture: Capture::new(65_536),
             rng: StdRng::seed_from_u64(0),
@@ -260,9 +261,6 @@ impl Network {
     /// retained, switches lose their tracer (see [`Network::set_tracer`]),
     /// and the loss-process RNG is reseeded. The constructor ends here,
     /// so a resident world's (E26) reset is a cold build by construction.
-    /// The steer map is replaced by a brand-new `HashMap`, not cleared:
-    /// retained map capacity could perturb iteration order, and
-    /// determinism outranks the few bytes it would save.
     pub fn reset_resident(&mut self, seed: u64) {
         self.topo.reset_links();
         for sw in &mut self.switches {
@@ -270,7 +268,7 @@ impl Network {
         }
         self.queue.reset();
         self.nic_discards.clear();
-        self.steer = std::collections::HashMap::new();
+        self.steer.clear();
         self.deliveries.clear();
         self.capture.recycle();
         self.rng = StdRng::seed_from_u64(seed ^ 0x006e_6574_776f_726b_u64);
@@ -457,44 +455,59 @@ impl Network {
     }
 
     fn handle_at_switch(&mut self, at: SimTime, sw: SwitchId, in_port: PortNo, pkt: Packet) {
-        let decision = self.switches[sw.0 as usize].process_at(at, in_port, &pkt);
-        match decision {
+        let Network { topo, switches, queue, nic_discards, steer, capture, rng, stats, .. } = self;
+        let switch = &mut switches[sw.0 as usize];
+        let mut wires = Wires { topo, queue, nic_discards, rng, stats };
+        match switch.decide(at, in_port, &pkt) {
             SwitchDecision::Drop => {
-                self.stats.dropped_policy += 1;
+                wires.stats.dropped_policy += 1;
             }
             SwitchDecision::Output(ports) => {
-                self.forward_out(at, sw, &ports, pkt);
+                wires.forward_out(at, sw, ports, pkt);
             }
             SwitchDecision::MirrorAnd(ports) => {
-                self.stats.mirrored += 1;
-                self.capture.record(at, sw, pkt.clone());
-                self.forward_out(at, sw, &ports, pkt);
+                wires.stats.mirrored += 1;
+                capture.record(at, sw, pkt.clone());
+                wires.forward_out(at, sw, ports, pkt);
             }
-            SwitchDecision::Steer(id) => {
-                self.stats.steered += 1;
-                let Some(handle) = self.steer.get_mut(&id) else {
+            &SwitchDecision::Steer(id) => {
+                wires.stats.steered += 1;
+                let Some(handle) = steer.get_mut(&id) else {
                     // Steer rule with no registered µmbox: fail closed, as
                     // the paper's security posture demands.
-                    self.stats.dropped_policy += 1;
+                    wires.stats.dropped_policy += 1;
                     return;
                 };
                 handle.hits += 1;
                 let verdict = handle.processor.process(at, pkt);
                 let delay = handle.detour + verdict.latency;
                 if verdict.forward.is_empty() {
-                    self.stats.dropped_inline += 1;
+                    wires.stats.dropped_inline += 1;
                 }
                 let resume_at = at + delay;
                 for out in verdict.forward {
                     // Resume with normal forwarding (not a table re-lookup)
                     // so the steer rule cannot loop on its own output.
-                    let ports = self.switches[sw.0 as usize].normal_ports(in_port, &out);
-                    self.forward_out(resume_at, sw, &ports, out);
+                    let ports = switch.normal_ports(in_port, &out);
+                    wires.forward_out(resume_at, sw, &ports, out);
                 }
             }
         }
     }
+}
 
+/// What a frame leaving a switch touches — every part of the [`Network`]
+/// but the switches, so a port list can be forwarded while the switch
+/// that decided it still owns it.
+struct Wires<'a> {
+    topo: &'a mut Topology,
+    queue: &'a mut EventQueue<NetEvent>,
+    nic_discards: &'a mut Vec<SimTime>,
+    rng: &'a mut StdRng,
+    stats: &'a mut NetStats,
+}
+
+impl Wires<'_> {
     /// Put one copy of `pkt` on the wire of every port in `ports`, in
     /// order. The last port takes the packet itself, so a single-port
     /// (learned unicast) hop clones nothing.
@@ -527,7 +540,7 @@ impl Network {
         let Some((target, out)) = self.topo.port_out(sw, port) else {
             return;
         };
-        let Some(t) = self.topo.link_at(out).transmit(at, bits, &mut self.rng) else {
+        let Some(t) = self.topo.link_at(out).transmit(at, bits, self.rng) else {
             self.stats.dropped_loss += 1;
             return;
         };

@@ -9,26 +9,35 @@
 //! Two things keep per-packet work off the hot loop:
 //!
 //! * Port lists are [`PortList`]s (inline up to 8 ports) — a unicast
-//!   output never allocates. A flood wider than that does: a 38-port home
-//!   floods 37 ports, so computing the decision reserves the list once, at
-//!   its exact size, and every cached repeat clones it (one allocation).
+//!   output never allocates. A flood wider than that does, once: a
+//!   38-port home floods 37 ports, so computing the decision reserves the
+//!   list at its exact size and moves it into the decision cache, and
+//!   [`Switch::decide`] lends every repeat the cached list.
 //! * A flow-decision cache memoizes the full `(in_port, flow key)` →
 //!   decision mapping, skipping the linear table scan for repeat flows.
-//!   The key is the two-word [`PackedFlowKey`], so hashing and equality
-//!   compare machine words instead of seven header fields. The cache is
+//!   The key is the two-word [`PackedFlowKey`] — every packet field a
+//!   decision can depend on — and both of the switch's tables hash with
+//!   [`WordHasher`](crate::hash::WordHasher): five word folds and a
+//!   closing multiply for a probe of the cache. The cache is
 //!   invalidated by flow-table changes (via [`FlowTable::epoch`])
 //!   and by MAC-table learning changes, so cached decisions are always
 //!   exactly what the slow path would have computed. Rule hit / miss
 //!   counters are still updated on cache hits, keeping every counter
 //!   byte-identical to an uncached run. A miss scans the table with
 //!   [`FlowTable::lookup_index`].
+//!
+//! Both tables are bounded: the hasher is unkeyed and [`Network::send`]
+//! takes any frame, so neither may grow with what arrives.
+//!
+//! [`Network::send`]: crate::net::Network::send
 
 use crate::addr::{MacAddr, PortNo, SwitchId};
 use crate::flow::{FlowAction, FlowRule, FlowTable, PackedFlowKey};
+use crate::hash::WordMap;
 use crate::packet::Packet;
 use crate::time::SimTime;
 use smallvec::SmallVec;
-use std::collections::HashMap;
+use std::collections::hash_map::Entry;
 use trace::{TraceEvent, Tracer};
 
 /// An output port list, inline (allocation-free) up to 8 ports.
@@ -38,6 +47,12 @@ pub type PortList = SmallVec<PortNo, 8>;
 /// Sized for the workspace's scenarios (tens of devices × a few flows
 /// each); wiping on overflow keeps the policy trivially correct.
 const DECISION_CACHE_CAP: usize = 1024;
+
+/// Stations learned per switch before the MAC table is wiped — what a CAM
+/// that overflows does: every destination is unknown again, so unicast
+/// floods until its station is next heard from. A hundred times the
+/// largest home the workspace builds.
+const MAC_TABLE_CAP: usize = 4096;
 
 /// Forwarding decision produced by a switch for one packet.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -70,11 +85,11 @@ pub struct Switch {
     pub n_ports: u16,
     /// The controller-programmed flow table.
     pub table: FlowTable,
-    mac_table: HashMap<MacAddr, PortNo>,
+    mac_table: WordMap<MacAddr, PortNo>,
     /// Decision cache keyed by the packed flow key — the two-word encoding
     /// of every packet field a forwarding decision can depend on (see
     /// [`PackedFlowKey`]). Packets differing only in payload share an entry.
-    cache: HashMap<(PortNo, PackedFlowKey), CachedDecision>,
+    cache: WordMap<(PortNo, PackedFlowKey), CachedDecision>,
     /// Flow-table epoch the cache was filled against.
     cache_epoch: u64,
     /// Packets processed.
@@ -98,8 +113,8 @@ impl Switch {
             id,
             n_ports,
             table: FlowTable::new(),
-            mac_table: HashMap::new(),
-            cache: HashMap::new(),
+            mac_table: WordMap::default(),
+            cache: WordMap::default(),
             cache_epoch: 0,
             rx_packets: 0,
             policy_drops: 0,
@@ -158,12 +173,18 @@ impl Switch {
     }
 
     /// [`Switch::process`] with the simulated arrival instant, used as
-    /// the sim-time key for trace emission (cache hit/miss, policy drop).
+    /// the sim-time key for trace emission (cache hit/miss, policy drop):
+    /// an owned copy of what [`Switch::decide`] lends.
     pub fn process_at(&mut self, now: SimTime, in_port: PortNo, packet: &Packet) -> SwitchDecision {
+        self.decide(now, in_port, packet).clone()
+    }
+
+    /// Decide what happens to a packet arriving on `in_port` at `now`,
+    /// lending the decision from the cache it is kept in — a repeated
+    /// flood is forwarded off the cached port list, not a copy of it.
+    pub fn decide(&mut self, now: SimTime, in_port: PortNo, packet: &Packet) -> &SwitchDecision {
         self.rx_packets += 1;
-        if !packet.eth.src.is_multicast()
-            && self.mac_table.insert(packet.eth.src, in_port) != Some(in_port)
-        {
+        if !packet.eth.src.is_multicast() && self.learn(packet.eth.src, in_port) {
             // A new or moved station changes what `Normal` forwarding does.
             self.cache.clear();
         }
@@ -175,53 +196,84 @@ impl Switch {
         }
         let key = (in_port, PackedFlowKey::of(packet));
         self.cache_lookups += 1;
-        if let Some(cached) = self.cache.get(&key) {
-            self.cache_hits += 1;
-            self.tracer.emit(now.as_nanos(), TraceEvent::CacheHit { switch: self.id.0 });
-            self.table.record(cached.rule);
-            if cached.decision == SwitchDecision::Drop {
-                self.policy_drops += 1;
-                self.tracer.emit(now.as_nanos(), TraceEvent::PolicyDrop { switch: self.id.0 });
-            }
-            return cached.decision.clone();
-        }
-        self.tracer.emit(now.as_nanos(), TraceEvent::CacheMiss { switch: self.id.0 });
-        let rule = self.table.lookup_index(in_port, packet);
-        self.table.record(rule);
-        let action = rule.map(|i| self.table.rule(i).action).unwrap_or(FlowAction::Normal);
-        let decision = match action {
-            FlowAction::Drop => {
-                self.policy_drops += 1;
-                self.tracer.emit(now.as_nanos(), TraceEvent::PolicyDrop { switch: self.id.0 });
-                SwitchDecision::Drop
-            }
-            FlowAction::Output(p) => SwitchDecision::Output(PortList::from_slice(&[p])),
-            FlowAction::Steer(id) => SwitchDecision::Steer(id),
-            FlowAction::Mirror => SwitchDecision::MirrorAnd(self.normal_ports(in_port, packet)),
-            FlowAction::Normal => SwitchDecision::Output(self.normal_ports(in_port, packet)),
-        };
-        if self.cache.len() >= DECISION_CACHE_CAP {
+        if self.cache.len() >= DECISION_CACHE_CAP && !self.cache.contains_key(&key) {
             self.cache.clear();
         }
-        self.cache.insert(key, CachedDecision { rule, decision: decision.clone() });
-        decision
+        let at = now.as_nanos();
+        let cached = match self.cache.entry(key) {
+            Entry::Occupied(hit) => {
+                self.cache_hits += 1;
+                self.tracer.emit(at, TraceEvent::CacheHit { switch: self.id.0 });
+                hit.into_mut()
+            }
+            Entry::Vacant(miss) => {
+                self.tracer.emit(at, TraceEvent::CacheMiss { switch: self.id.0 });
+                let rule = self.table.lookup_index(in_port, packet);
+                let normal = || normal_ports(&self.mac_table, self.n_ports, in_port, packet);
+                let decision = match rule.map_or(FlowAction::Normal, |i| self.table.rule(i).action)
+                {
+                    FlowAction::Drop => SwitchDecision::Drop,
+                    FlowAction::Output(p) => SwitchDecision::Output(PortList::from_slice(&[p])),
+                    FlowAction::Steer(id) => SwitchDecision::Steer(id),
+                    FlowAction::Mirror => SwitchDecision::MirrorAnd(normal()),
+                    FlowAction::Normal => SwitchDecision::Output(normal()),
+                };
+                miss.insert(CachedDecision { rule, decision })
+            }
+        };
+        // Hit or miss, the counters move as the table scan moves them.
+        self.table.record(cached.rule);
+        if cached.decision == SwitchDecision::Drop {
+            self.policy_drops += 1;
+            self.tracer.emit(at, TraceEvent::PolicyDrop { switch: self.id.0 });
+        }
+        &cached.decision
+    }
+
+    /// Record that `mac` was heard on `port`; whether that is news.
+    fn learn(&mut self, mac: MacAddr, port: PortNo) -> bool {
+        match self.mac_table.get_mut(&mac) {
+            Some(known) if *known == port => false,
+            Some(known) => {
+                *known = port;
+                true
+            }
+            None => {
+                if self.mac_table.len() >= MAC_TABLE_CAP {
+                    self.mac_table.clear();
+                }
+                self.mac_table.insert(mac, port);
+                true
+            }
+        }
     }
 
     /// Normal (learning L2) forwarding: known unicast goes out its learned
     /// port; unknown unicast and broadcast flood all ports except ingress.
     pub fn normal_ports(&self, in_port: PortNo, packet: &Packet) -> PortList {
-        if !packet.eth.dst.is_multicast() {
-            if let Some(&p) = self.mac_table.get(&packet.eth.dst) {
-                if p == in_port {
-                    return PortList::new(); // already on the right segment
-                }
-                return PortList::from_slice(&[p]);
-            }
-        }
-        let mut flood = PortList::with_capacity(usize::from(self.n_ports).saturating_sub(1));
-        flood.extend((0..self.n_ports).map(PortNo).filter(|p| *p != in_port));
-        flood
+        normal_ports(&self.mac_table, self.n_ports, in_port, packet)
     }
+}
+
+/// [`Switch::normal_ports`] over the two fields it reads, for
+/// [`Switch::decide`] to call while it holds a slot of the cache.
+fn normal_ports(
+    mac_table: &WordMap<MacAddr, PortNo>,
+    n_ports: u16,
+    in_port: PortNo,
+    packet: &Packet,
+) -> PortList {
+    if !packet.eth.dst.is_multicast() {
+        if let Some(&p) = mac_table.get(&packet.eth.dst) {
+            if p == in_port {
+                return PortList::new(); // already on the right segment
+            }
+            return PortList::from_slice(&[p]);
+        }
+    }
+    let mut flood = PortList::with_capacity(usize::from(n_ports).saturating_sub(1));
+    flood.extend((0..n_ports).map(PortNo).filter(|p| *p != in_port));
+    flood
 }
 
 #[cfg(test)]
@@ -343,6 +395,49 @@ mod tests {
         sw.process(PortNo(2), &pkt(b, a));
         let d = sw.process(PortNo(0), &pkt(a, b));
         assert_eq!(d, SwitchDecision::Output(ports(&[PortNo(2)])));
+    }
+
+    #[test]
+    fn mac_table_overflow_wipes_and_relearns() {
+        let mut sw = Switch::new(SwitchId(0), 4);
+        let known = MacAddr::from_index(20_000);
+        sw.process(PortNo(3), &pkt(known, MacAddr::BROADCAST));
+        let stranger = |i: u32| pkt(MacAddr::from_index(i), known);
+        // While `known` is in the table, frames for it are unicast.
+        assert_eq!(
+            sw.process(PortNo(0), &stranger(0)),
+            SwitchDecision::Output(ports(&[PortNo(3)]))
+        );
+        for i in 1..10_000 {
+            sw.process(PortNo(0), &stranger(i));
+            assert!(sw.mac_table.len() <= MAC_TABLE_CAP);
+            assert!(sw.cache.len() <= DECISION_CACHE_CAP);
+        }
+        // The overflow forgot it, cached decisions with it: unknown
+        // unicast floods...
+        assert_eq!(sw.learned_port(known), None);
+        let flood = ports(&[PortNo(1), PortNo(2), PortNo(3)]);
+        assert_eq!(sw.process(PortNo(0), &stranger(0)), SwitchDecision::Output(flood));
+        // ...until the station is heard from again.
+        sw.process(PortNo(3), &pkt(known, MacAddr::BROADCAST));
+        assert_eq!(sw.learned_port(known), Some(PortNo(3)));
+        assert_eq!(
+            sw.process(PortNo(0), &stranger(0)),
+            SwitchDecision::Output(ports(&[PortNo(3)]))
+        );
+    }
+
+    #[test]
+    fn decide_lends_what_process_returns() {
+        let mut sw = Switch::new(SwitchId(0), 38);
+        let p = pkt(MacAddr::from_index(1), MacAddr::from_index(2));
+        let owned = sw.process(PortNo(0), &p);
+        assert_eq!(*sw.decide(SimTime::ZERO, PortNo(0), &p), owned);
+        assert_eq!((sw.cache_lookups, sw.cache_hits), (2, 1));
+        match owned {
+            SwitchDecision::Output(flood) => assert_eq!(flood.len(), 37),
+            other => panic!("expected a flood, got {other:?}"),
+        }
     }
 
     #[test]

@@ -13,9 +13,9 @@
 //! its `(NodeId, NodeId)` key, which resolves to the same index.
 
 use crate::addr::{EndpointId, Ipv4Addr, MacAddr, NodeId, PortNo, SwitchId};
+use crate::hash::WordMap;
 use crate::link::{Link, LinkParams};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 
 /// Position of a directed link in [`Topology`]'s link vector.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -68,7 +68,7 @@ pub struct Topology {
     switch_ports: Vec<Vec<Port>>,
     endpoints: Vec<Attachment>,
     links: Vec<Link>,
-    ip_index: HashMap<Ipv4Addr, EndpointId>,
+    ip_index: WordMap<Ipv4Addr, EndpointId>,
 }
 
 impl std::fmt::Debug for Topology {

@@ -10,8 +10,8 @@
 use crate::context::SecurityContext;
 use iotdev::device::{DeviceClass, DeviceId};
 use iotdev::env::{DiscreteEnv, EnvVar};
+use iotnet::hash::WordMap;
 use serde::Serialize;
-use std::collections::HashMap;
 
 /// One device's slot in the schema.
 #[derive(Debug, Clone, PartialEq, Serialize)]
@@ -35,8 +35,9 @@ pub struct StateSchema {
     /// Pattern compilation and rule factoring resolve slots per rule per
     /// lookup; with hundreds of devices the former O(devices) scan
     /// dominated policy compilation.
-    dev_index: HashMap<DeviceId, usize>,
-    env_index: HashMap<EnvVar, usize>,
+    dev_index: WordMap<DeviceId, usize>,
+    /// Indexed by the variable itself.
+    env_index: [Option<usize>; EnvVar::ALL.len()],
 }
 
 impl StateSchema {
@@ -67,8 +68,8 @@ impl StateSchema {
 
     /// Track an environment variable.
     pub fn add_env(&mut self, var: EnvVar) -> &mut Self {
-        if !self.env_vars.contains(&var) {
-            self.env_index.insert(var, self.env_vars.len());
+        if self.env_index[var as usize].is_none() {
+            self.env_index[var as usize] = Some(self.env_vars.len());
             self.env_vars.push(var);
         }
         self
@@ -90,7 +91,7 @@ impl StateSchema {
     /// Slot index of an environment variable — O(1) via the precomputed
     /// index.
     pub fn env_slot(&self, var: EnvVar) -> Option<usize> {
-        self.env_index.get(&var).copied()
+        self.env_index[var as usize]
     }
 
     /// Exact size of the state space: `Π|Cᵢ| × Π|Eⱼ|`.

@@ -1,66 +1,101 @@
 //! Offline shim for the `bytes` crate (see `crates/shims/README.md`).
 //!
 //! Provides the slice of the API this workspace uses: cheaply cloneable
-//! immutable [`Bytes`] (ref-counted), an append-only [`BytesMut`] builder
-//! with big-endian `put_*` writers via [`BufMut`], big-endian `get_*`
-//! readers via [`Buf`] on `&[u8]`, and `freeze`.
+//! immutable [`Bytes`], an append-only [`BytesMut`] builder with
+//! big-endian `put_*` writers via [`BufMut`], big-endian `get_*` readers
+//! via [`Buf`] on `&[u8]`, and `freeze`.
+//!
+//! Most of what the simulation puts on the wire is a telemetry sample, a
+//! login, an ack or an event — a dozen bytes. Both types therefore keep
+//! short contents in the value itself: a [`Bytes`] of up to 30 bytes
+//! never touches the allocator, nor does the [`BytesMut`] that builds
+//! it; longer contents are ref-counted and heap-built as upstream's are.
+//! Which of the two a value is shows in nothing but its allocation count.
 
 use std::fmt;
 use std::ops::{Deref, DerefMut};
 use std::sync::Arc;
 
+/// The longest contents a [`Bytes`] stores inline: with the length byte
+/// and the enum tag the value is 32 bytes, twice an `Arc<[u8]>`.
+const INLINE_CAP: usize = 30;
+
 /// A cheaply cloneable immutable byte buffer.
-#[derive(Clone, Default)]
-pub struct Bytes(Arc<[u8]>);
+#[derive(Clone)]
+pub struct Bytes(Repr);
+
+#[derive(Clone)]
+enum Repr {
+    Inline { len: u8, buf: [u8; INLINE_CAP] },
+    Shared(Arc<[u8]>),
+}
 
 impl Bytes {
     /// An empty buffer.
-    pub fn new() -> Bytes {
-        Bytes(Arc::from(&[][..]))
+    pub const fn new() -> Bytes {
+        Bytes(Repr::Inline { len: 0, buf: [0; INLINE_CAP] })
     }
 
     /// Wrap a static slice.
     pub fn from_static(data: &'static [u8]) -> Bytes {
-        Bytes(Arc::from(data))
+        Bytes::copy_from_slice(data)
     }
 
     /// Copy a slice into a new buffer.
     pub fn copy_from_slice(data: &[u8]) -> Bytes {
-        Bytes(Arc::from(data))
+        if data.len() > INLINE_CAP {
+            return Bytes(Repr::Shared(Arc::from(data)));
+        }
+        let mut buf = [0; INLINE_CAP];
+        buf[..data.len()].copy_from_slice(data);
+        Bytes(Repr::Inline { len: data.len() as u8, buf })
     }
 
     /// Length in bytes.
     pub fn len(&self) -> usize {
-        self.0.len()
+        self.deref().len()
     }
 
     /// Whether the buffer is empty.
     pub fn is_empty(&self) -> bool {
-        self.0.is_empty()
+        self.deref().is_empty()
     }
 
     /// Copy out to a `Vec`.
     pub fn to_vec(&self) -> Vec<u8> {
-        self.0.to_vec()
+        self.deref().to_vec()
+    }
+}
+
+impl Default for Bytes {
+    fn default() -> Bytes {
+        Bytes::new()
     }
 }
 
 impl Deref for Bytes {
     type Target = [u8];
     fn deref(&self) -> &[u8] {
-        &self.0
+        match &self.0 {
+            Repr::Inline { len, buf } => &buf[..usize::from(*len)],
+            Repr::Shared(data) => data,
+        }
     }
 }
 
 impl AsRef<[u8]> for Bytes {
     fn as_ref(&self) -> &[u8] {
-        &self.0
+        self
     }
 }
 
 impl From<Vec<u8>> for Bytes {
     fn from(v: Vec<u8>) -> Bytes {
-        Bytes(Arc::from(v.into_boxed_slice()))
+        if v.len() > INLINE_CAP {
+            Bytes(Repr::Shared(Arc::from(v)))
+        } else {
+            Bytes::copy_from_slice(&v)
+        }
     }
 }
 
@@ -84,33 +119,33 @@ impl From<String> for Bytes {
 
 impl PartialEq for Bytes {
     fn eq(&self, other: &Bytes) -> bool {
-        self.0[..] == other.0[..]
+        self[..] == other[..]
     }
 }
 impl Eq for Bytes {}
 
 impl PartialEq<[u8]> for Bytes {
     fn eq(&self, other: &[u8]) -> bool {
-        &self.0[..] == other
+        &self[..] == other
     }
 }
 
 impl PartialEq<&[u8]> for Bytes {
     fn eq(&self, other: &&[u8]) -> bool {
-        &self.0[..] == *other
+        &self[..] == *other
     }
 }
 
 impl std::hash::Hash for Bytes {
     fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
-        self.0.hash(state);
+        self[..].hash(state);
     }
 }
 
 impl fmt::Debug for Bytes {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "b\"")?;
-        for b in self.0.iter() {
+        for b in self.iter() {
             for esc in std::ascii::escape_default(*b) {
                 write!(f, "{}", esc as char)?;
             }
@@ -124,53 +159,96 @@ impl serde::Serialize for Bytes {}
 #[cfg(feature = "serde")]
 impl<'de> serde::Deserialize<'de> for Bytes {}
 
-/// A growable byte buffer for building wire images.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct BytesMut(Vec<u8>);
+/// The longest contents a [`BytesMut`] builds in place.
+const BUILD_CAP: usize = 32;
+
+/// A growable byte buffer for building wire images. It builds in place
+/// up to 32 bytes and moves to a `Vec` with the write that would pass
+/// that.
+#[derive(Clone)]
+pub struct BytesMut(MutRepr);
+
+#[derive(Clone)]
+enum MutRepr {
+    Inline { len: u8, buf: [u8; BUILD_CAP] },
+    Heap(Vec<u8>),
+}
 
 impl BytesMut {
     /// An empty builder.
-    pub fn new() -> BytesMut {
-        BytesMut(Vec::new())
+    pub const fn new() -> BytesMut {
+        BytesMut(MutRepr::Inline { len: 0, buf: [0; BUILD_CAP] })
     }
 
     /// An empty builder with reserved capacity.
     pub fn with_capacity(cap: usize) -> BytesMut {
-        BytesMut(Vec::with_capacity(cap))
+        if cap > BUILD_CAP {
+            BytesMut(MutRepr::Heap(Vec::with_capacity(cap)))
+        } else {
+            BytesMut::new()
+        }
     }
 
     /// Length in bytes.
     pub fn len(&self) -> usize {
-        self.0.len()
+        self.deref().len()
     }
 
     /// Whether the buffer is empty.
     pub fn is_empty(&self) -> bool {
-        self.0.is_empty()
+        self.deref().is_empty()
     }
 
     /// Convert to an immutable [`Bytes`].
     pub fn freeze(self) -> Bytes {
-        Bytes::from(self.0)
+        match self.0 {
+            MutRepr::Inline { len, buf } => Bytes::copy_from_slice(&buf[..usize::from(len)]),
+            MutRepr::Heap(v) => Bytes::from(v),
+        }
+    }
+}
+
+impl Default for BytesMut {
+    fn default() -> BytesMut {
+        BytesMut::new()
+    }
+}
+
+impl PartialEq for BytesMut {
+    fn eq(&self, other: &BytesMut) -> bool {
+        self[..] == other[..]
+    }
+}
+impl Eq for BytesMut {}
+
+impl fmt::Debug for BytesMut {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_tuple("BytesMut").field(&&self[..]).finish()
     }
 }
 
 impl Deref for BytesMut {
     type Target = [u8];
     fn deref(&self) -> &[u8] {
-        &self.0
+        match &self.0 {
+            MutRepr::Inline { len, buf } => &buf[..usize::from(*len)],
+            MutRepr::Heap(v) => v,
+        }
     }
 }
 
 impl DerefMut for BytesMut {
     fn deref_mut(&mut self) -> &mut [u8] {
-        &mut self.0
+        match &mut self.0 {
+            MutRepr::Inline { len, buf } => &mut buf[..usize::from(*len)],
+            MutRepr::Heap(v) => v,
+        }
     }
 }
 
 impl AsRef<[u8]> for BytesMut {
     fn as_ref(&self) -> &[u8] {
-        &self.0
+        self
     }
 }
 
@@ -266,19 +344,33 @@ pub trait BufMut {
 
 impl BufMut for BytesMut {
     fn put_slice(&mut self, src: &[u8]) {
-        self.0.extend_from_slice(src);
+        match &mut self.0 {
+            MutRepr::Inline { len, buf } => {
+                let (start, end) = (usize::from(*len), usize::from(*len) + src.len());
+                if end <= BUILD_CAP {
+                    buf[start..end].copy_from_slice(src);
+                    *len = end as u8;
+                } else {
+                    let mut spilled = Vec::with_capacity(end.max(2 * BUILD_CAP));
+                    spilled.extend_from_slice(&buf[..start]);
+                    spilled.extend_from_slice(src);
+                    self.0 = MutRepr::Heap(spilled);
+                }
+            }
+            MutRepr::Heap(v) => v.extend_from_slice(src),
+        }
     }
     fn put_u8(&mut self, v: u8) {
-        self.0.push(v);
+        self.put_slice(&[v]);
     }
     fn put_u16(&mut self, v: u16) {
-        self.0.extend_from_slice(&v.to_be_bytes());
+        self.put_slice(&v.to_be_bytes());
     }
     fn put_u32(&mut self, v: u32) {
-        self.0.extend_from_slice(&v.to_be_bytes());
+        self.put_slice(&v.to_be_bytes());
     }
     fn put_u64(&mut self, v: u64) {
-        self.0.extend_from_slice(&v.to_be_bytes());
+        self.put_slice(&v.to_be_bytes());
     }
 }
 
@@ -335,6 +427,82 @@ mod tests {
         let mut r: &[u8] = &frozen;
         assert_eq!(r.get_f64(), 1.5);
         assert_eq!(r.get_i16(), -2);
+    }
+
+    /// Every way of making a `Bytes` of `data`, and the representation
+    /// the length does not pick: short contents forced behind an `Arc`.
+    fn every_form(data: &[u8]) -> Vec<Bytes> {
+        let mut built = BytesMut::new();
+        built.put_slice(data);
+        vec![
+            Bytes::copy_from_slice(data),
+            Bytes::from(data.to_vec()),
+            built.freeze(),
+            Bytes(Repr::Shared(Arc::from(data))),
+        ]
+    }
+
+    #[test]
+    fn representations_are_indistinguishable() {
+        use std::collections::hash_map::DefaultHasher;
+        use std::hash::{Hash, Hasher};
+        let hash_of = |v: &dyn Fn(&mut DefaultHasher)| {
+            let mut h = DefaultHasher::new();
+            v(&mut h);
+            h.finish()
+        };
+        for len in [0usize, 1, 30, 31, 4096] {
+            let data: Vec<u8> = (0..len).map(|i| (i * 7 + 3) as u8).collect();
+            let forms = every_form(&data);
+            let inline = |b: &Bytes| matches!(b.0, Repr::Inline { .. });
+            assert_eq!(inline(&forms[0]), len <= INLINE_CAP, "len {len}");
+            assert_eq!(inline(&forms[2]), len <= INLINE_CAP, "len {len}");
+            assert!(!inline(&forms[3]));
+            for b in &forms {
+                assert_eq!(b, &forms[0]);
+                assert_eq!(b.clone(), *b);
+                assert_eq!(*b, data[..]);
+                assert_eq!(b.to_vec(), data);
+                assert_eq!((b.len(), b.is_empty()), (len, len == 0));
+                assert_eq!(format!("{b:?}"), format!("{:?}", forms[3]));
+                // Hashes as the slice it derefs to, as an `Arc<[u8]>` does.
+                assert_eq!(hash_of(&|h| b.hash(h)), hash_of(&|h| data[..].hash(h)));
+            }
+            let mut other = data.clone();
+            other.push(0);
+            assert_ne!(Bytes::from(other), forms[0]);
+        }
+        assert_eq!(format!("{:?}", Bytes::from_static(b"a\n\xff")), "b\"a\\n\\xff\"");
+        assert_eq!(std::mem::size_of::<Bytes>(), 32);
+    }
+
+    #[test]
+    fn builder_spills_without_losing_bytes() {
+        let data: Vec<u8> = (0..200u8).collect();
+        // Every split point around the in-place capacity, the spill
+        // landing mid-`put_slice`, on a `put_u8` and on a `put_u64`.
+        for first in 0..=40 {
+            let mut b = BytesMut::with_capacity(32);
+            b.put_slice(&data[..first]);
+            b.put_slice(&data[first..100]);
+            assert_eq!(&b[..], &data[..100], "split at {first}");
+            b.put_u8(data[100]);
+            b.put_u64(u64::from_be_bytes(data[101..109].try_into().unwrap()));
+            assert_eq!(b.len(), 109);
+            assert_eq!(b.freeze(), Bytes::copy_from_slice(&data[..109]));
+        }
+        for len in 28..=36usize {
+            let mut b = BytesMut::new();
+            (0..len).for_each(|i| b.put_u8(i as u8));
+            b[0] = 0xee;
+            let mut want: Vec<u8> = (0..len).map(|i| i as u8).collect();
+            want[0] = 0xee;
+            assert_eq!(b.clone().freeze().to_vec(), want);
+            let mut same = BytesMut::with_capacity(4096);
+            same.put_slice(&want);
+            assert_eq!(b, same, "an in-place and a heap builder compare by contents");
+            assert_eq!(format!("{b:?}"), format!("{same:?}"));
+        }
     }
 
     #[test]

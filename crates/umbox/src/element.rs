@@ -7,12 +7,11 @@
 //! on the device's behalf, report security events, and account its
 //! processing cost.
 
-use iotdev::env::EnvVar;
+use iotdev::env::{EnvValues, EnvVar};
 use iotdev::events::SecurityEvent;
 use iotnet::packet::Packet;
 use iotnet::time::{SimDuration, SimTime};
 use std::cell::RefCell;
-use std::collections::HashMap;
 use std::rc::Rc;
 
 /// What an element did with a packet.
@@ -89,6 +88,11 @@ impl EventSink {
         out.append(&mut self.0.borrow_mut());
     }
 
+    /// Discard all pending events, keeping the buffer.
+    pub fn clear(&self) {
+        self.0.borrow_mut().clear();
+    }
+
     /// Number of pending events.
     pub fn len(&self) -> usize {
         self.0.borrow().len()
@@ -104,7 +108,7 @@ impl EventSink {
 /// read by context-gate elements (Figure 5's "global state identifies a
 /// person in the room").
 #[derive(Debug, Clone, Default)]
-pub struct ViewHandle(Rc<RefCell<HashMap<EnvVar, &'static str>>>);
+pub struct ViewHandle(Rc<RefCell<EnvValues>>);
 
 impl ViewHandle {
     /// A fresh, empty view.
@@ -114,12 +118,18 @@ impl ViewHandle {
 
     /// Controller-side: set a variable.
     pub fn set(&self, var: EnvVar, value: &'static str) {
-        self.0.borrow_mut().insert(var, value);
+        self.0.borrow_mut().set(var, value);
     }
 
     /// Gate-side: read a variable.
     pub fn get(&self, var: EnvVar) -> Option<&'static str> {
-        self.0.borrow().get(&var).copied()
+        self.0.borrow().get(var)
+    }
+
+    /// Forget every variable: the view of a home at t = 0, in the handle
+    /// the home's chains and controller already share.
+    pub fn clear(&self) {
+        *self.0.borrow_mut() = EnvValues::default();
     }
 }
 

@@ -14,6 +14,7 @@ use iotdev::proto::{ports, AppMessage};
 use iotlearn::signature::{AttackSignature, Prefilter};
 use iotnet::packet::Packet;
 use iotnet::time::{SimDuration, SimTime};
+use std::cell::OnceCell;
 use std::rc::Rc;
 
 /// The signature IDS element.
@@ -67,11 +68,15 @@ impl Element for SigIds {
     fn process(&mut self, now: SimTime, packet: Packet) -> ElementOutcome {
         self.inspected += 1;
         let cost = self.per_packet_cost();
-        // One packed-header computation serves every signature's screen;
-        // only signatures whose prefilter admits pay for a payload decode.
+        // One packed-header computation serves every signature's screen,
+        // and one payload decode — made when the first admitted signature
+        // asks for it — serves every matcher.
         let headers = packet.packed_headers();
+        let decoded = OnceCell::new();
         for (sig, pf) in self.signatures.iter().zip(self.prefilters.iter()) {
-            if pf.admits(&headers, &packet.payload) && sig.matcher.matches(&packet) {
+            if pf.admits(&headers, &packet.payload)
+                && sig.matcher.matches_decoded(&packet, &decoded)
+            {
                 self.matches += 1;
                 return ElementOutcome::drop(cost).with_event(
                     SecurityEvent::new(now, self.device, SecurityEventKind::SignatureMatch)

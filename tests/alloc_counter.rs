@@ -182,6 +182,141 @@ fn world_construction_allocation_profile() {
     // costs no allocation at all, and a whole resident home-round
     // allocates a small, exactly repeatable number of times.
     idle_ticks_are_allocation_free();
+
+    // 10. The per-event sites (DESIGN.md §6, "Allocation discipline"): a
+    // message that fits a `Bytes` inline is encoded without the
+    // allocator, the IDS decodes a packet once however many signatures
+    // want to look at it, and a flood the switch has decided before is
+    // forwarded off the list its decision cache already holds.
+    short_messages_encode_without_allocating();
+    ids_decodes_a_packet_once();
+    cached_flood_replays_without_allocating();
+}
+
+fn short_messages_encode_without_allocating() {
+    use iotsec_repro::iotdev::proto::{
+        AppMessage, ControlAction, ControlAuth, EventKind, MgmtCommand, TelemetryKind,
+    };
+    use iotsec_repro::iotnet::addr::Ipv4Addr;
+
+    let user = || "admin".to_string();
+    let pass = user;
+    let short = [
+        AppMessage::MgmtLogin { user: user(), pass: pass() },
+        AppMessage::MgmtLoginOk { token: 7 },
+        AppMessage::MgmtDenied,
+        AppMessage::MgmtCommand { token: 7, command: MgmtCommand::GetImage },
+        AppMessage::MgmtCommand { token: 7, command: MgmtCommand::SetPassword { new: pass() } },
+        AppMessage::MgmtResult {
+            ok: true,
+            data: 0x5eed_c0de_5eed_c0de_u64.to_be_bytes().to_vec().into(),
+        },
+        AppMessage::Control { action: ControlAction::SetTarget(21), auth: ControlAuth::None },
+        AppMessage::Control { action: ControlAction::Unlock, auth: ControlAuth::Token(7) },
+        AppMessage::Control { action: ControlAction::TurnOff, auth: ControlAuth::Key(u64::MAX) },
+        AppMessage::Control {
+            action: ControlAction::Open,
+            auth: ControlAuth::Password { user: user(), pass: pass() },
+        },
+        AppMessage::ControlAck { ok: true },
+        AppMessage::Telemetry { kind: TelemetryKind::Power, value: 21.0 },
+        AppMessage::Event { kind: EventKind::SmokeAlarm },
+        AppMessage::DnsQuery { name: "amp0.example".into(), recursion: true },
+        AppMessage::DnsResponse {
+            name: "amp0.example".into(),
+            addr: Ipv4Addr::new(1, 2, 3, 4),
+            answers: 0,
+        },
+        AppMessage::CloudCommand { action: ControlAction::TurnOff },
+    ];
+    for msg in &short {
+        let (allocs, wire) = allocs_during(|| msg.encode());
+        assert!(wire.len() <= 30, "{msg:?} is {} bytes on the wire", wire.len());
+        assert_eq!(allocs, 0, "encoding {msg:?} ({} bytes) allocated", wire.len());
+        assert_eq!(AppMessage::decode(&wire).as_ref(), Ok(msg));
+    }
+    // Past 30 bytes a payload is shared, not inline: one allocation, the
+    // `Arc`, whether or not the builder had to spill on the way.
+    for answers in [1u16, 2, 40] {
+        let long =
+            AppMessage::DnsResponse { name: "a".into(), addr: Ipv4Addr::new(1, 2, 3, 4), answers };
+        let (allocs, wire) = allocs_during(|| long.encode());
+        assert!(wire.len() > 30 && allocs >= 1, "{} bytes, {allocs} allocations", wire.len());
+    }
+}
+
+fn ids_decodes_a_packet_once() {
+    use iotsec_repro::iotdev::device::DeviceId;
+    use iotsec_repro::iotdev::proto::{ports, AppMessage};
+    use iotsec_repro::iotdev::registry::Sku;
+    use iotsec_repro::iotlearn::signature::{AttackSignature, Matcher, Severity};
+    use iotsec_repro::iotnet::addr::{Ipv4Addr, MacAddr};
+    use iotsec_repro::iotnet::packet::{Packet, TransportHeader};
+    use iotsec_repro::iotnet::time::SimTime;
+    use iotsec_repro::umbox::element::Element;
+    use iotsec_repro::umbox::ids::SigIds;
+
+    let sku = Sku::new("dlink", "dcs-930l", "1.0");
+    let ids_with = |n: u32| {
+        let signatures: Vec<AttackSignature> = (0..n)
+            .map(|i| {
+                let matcher = Matcher::DefaultCredLogin {
+                    user: format!("user{i}"),
+                    pass: format!("pass{i}"),
+                };
+                AttackSignature::new(sku.clone(), "default-credentials", matcher, Severity::Medium)
+            })
+            .collect();
+        SigIds::new(DeviceId(0), signatures)
+    };
+    // A login no signature names: every prefilter admits it (the tag is
+    // right), every matcher has to look inside, and it passes.
+    let login = Packet::new(
+        MacAddr::from_index(200),
+        MacAddr::from_index(10),
+        Ipv4Addr::new(203, 0, 113, 7),
+        Ipv4Addr::new(10, 0, 0, 10),
+        TransportHeader::udp(40_000, ports::MGMT),
+        AppMessage::MgmtLogin { user: "admin".into(), pass: "hunter2".into() }.encode(),
+    );
+    let inspect = |ids: &mut SigIds| {
+        let frame = login.clone();
+        let (allocs, outcome) = allocs_during(|| ids.process(SimTime::ZERO, frame));
+        assert!(outcome.packet.is_some() && outcome.events.is_empty());
+        allocs
+    };
+    let (one, twelve) = (inspect(&mut ids_with(1)), inspect(&mut ids_with(12)));
+    assert_eq!(one, twelve, "allocations under 1 and under 12 login signatures");
+    assert_eq!(one, 2, "one decode of a login is its two strings");
+}
+
+fn cached_flood_replays_without_allocating() {
+    use iotsec_repro::iotnet::addr::{Ipv4Addr, MacAddr, PortNo, SwitchId};
+    use iotsec_repro::iotnet::packet::{Packet, TransportHeader};
+    use iotsec_repro::iotnet::switch::{Switch, SwitchDecision};
+    use iotsec_repro::iotnet::time::SimTime;
+
+    // The p24 home's switch: 38 ports, so a flood is 37 — past the eight
+    // a port list holds inline.
+    let mut sw = Switch::new(SwitchId(0), 38);
+    let to_nobody = Packet::new(
+        MacAddr::from_index(10),
+        MacAddr::from_index(1),
+        Ipv4Addr::new(10, 0, 0, 10),
+        Ipv4Addr::new(10, 0, 0, 2),
+        TransportHeader::udp(5683, 5683),
+        Default::default(),
+    );
+    let flood_width = |sw: &mut Switch| match sw.decide(SimTime::ZERO, PortNo(3), &to_nobody) {
+        SwitchDecision::Output(ports) => ports.len(),
+        other => panic!("expected a flood, got {other:?}"),
+    };
+    let (cold, width) = allocs_during(|| flood_width(&mut sw));
+    assert_eq!(width, 37);
+    assert!(cold >= 1, "deciding a 37-port flood builds its list");
+    let (warm, width) = allocs_during(|| flood_width(&mut sw));
+    assert_eq!((warm, width), (0, 37), "a cached flood is lent, not copied");
+    assert_eq!((sw.cache_lookups, sw.cache_hits), (2, 1));
 }
 
 fn idle_ticks_are_allocation_free() {
@@ -191,9 +326,10 @@ fn idle_ticks_are_allocation_free() {
     use iotsec_repro::iotsec::world::{World, WorldScrap};
     use std::sync::Arc;
 
-    /// Ceiling on one resident home-round (rebind + run). The heap-`Vec`
-    /// class ticks alone were 370 of the 543 this used to take.
-    const HOME_ROUND_ALLOCS: u64 = 200;
+    /// One resident home-round (rebind + run), at both seeds, in debug
+    /// and in release. It was 543 with heap-`Vec` class ticks and 158
+    /// before payloads went inline; DESIGN.md §6 lists the 86 by site.
+    const HOME_ROUND_ALLOCS: u64 = 86;
     /// Devices report telemetry every 5 s of sim time, all on the same
     /// tick; the reports cross the network during the tick after.
     const TELEMETRY_MS: u64 = 5_000;

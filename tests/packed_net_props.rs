@@ -27,6 +27,12 @@
 //!    delivery stream are those of a network in which *every* copy is a
 //!    queued event — the model written here — for deadlines that fall
 //!    between the arrivals of one flood's copies.
+//! 8. The switch contract: over random frame streams with rule installs,
+//!    cookie removals and `table.clear()` in between, `process_at`'s
+//!    decisions and every counter it keeps are those of a learning
+//!    switch with a decision cache written here over two `BTreeMap`s —
+//!    so nothing observable depends on how the switch's own two tables
+//!    hash or probe.
 
 use iotsec_repro::iotdev::device::DeviceId;
 use iotsec_repro::iotnet::addr::{EndpointId, Ipv4Addr, MacAddr, NodeId, PortNo, SwitchId};
@@ -40,6 +46,7 @@ use iotsec_repro::iotnet::packet::{
     EthernetHeader, Ipv4Header, PackedHeaders, Packet, TcpFlags, TransportHeader,
 };
 use iotsec_repro::iotnet::stats::NetStats;
+use iotsec_repro::iotnet::switch::{PortList, Switch, SwitchDecision};
 use iotsec_repro::iotnet::time::{SimDuration, SimTime};
 use iotsec_repro::iotnet::topology::{PortTarget, Topology, TopologyBuilder};
 use iotsec_repro::iotsec::defense::Defense;
@@ -508,6 +515,112 @@ fn link_totals(t: &Topology) -> (u64, u64, u64, u64) {
     (offered_up, lost, carried, carried_down)
 }
 
+/// The learning switch of property 8, with ordered maps for both tables.
+/// Its rule table is a [`FlowTable`] of its own, fed the same edits.
+struct ModelSwitch {
+    n_ports: u16,
+    table: FlowTable,
+    macs: BTreeMap<MacAddr, PortNo>,
+    cache: BTreeMap<(PortNo, FlowFields), (Option<usize>, SwitchDecision)>,
+    cache_epoch: u64,
+    lookups: u64,
+    hits: u64,
+    policy_drops: u64,
+}
+
+type FlowFields = (MacAddr, MacAddr, Ipv4Addr, Ipv4Addr, u8, u16, u16);
+
+impl ModelSwitch {
+    fn normal_ports(&self, in_port: PortNo, p: &Packet) -> PortList {
+        match self.macs.get(&p.eth.dst) {
+            Some(&port) if !p.eth.dst.is_multicast() => {
+                if port == in_port {
+                    PortList::new()
+                } else {
+                    PortList::from_slice(&[port])
+                }
+            }
+            _ => (0..self.n_ports).map(PortNo).filter(|port| *port != in_port).collect(),
+        }
+    }
+
+    fn process(&mut self, in_port: PortNo, p: &Packet) -> SwitchDecision {
+        if !p.eth.src.is_multicast() && self.macs.insert(p.eth.src, in_port) != Some(in_port) {
+            self.cache.clear();
+        }
+        if self.cache_epoch != self.table.epoch() {
+            self.cache_epoch = self.table.epoch();
+            self.cache.clear();
+        }
+        self.lookups += 1;
+        let key = (in_port, flow_fields(p));
+        let (rule, decision) = match self.cache.get(&key) {
+            Some(cached) => {
+                self.hits += 1;
+                cached.clone()
+            }
+            None => {
+                let rule = self.table.lookup_index(in_port, p);
+                let decision = match rule.map_or(FlowAction::Normal, |i| self.table.rule(i).action)
+                {
+                    FlowAction::Drop => SwitchDecision::Drop,
+                    FlowAction::Output(port) => {
+                        SwitchDecision::Output(PortList::from_slice(&[port]))
+                    }
+                    FlowAction::Steer(id) => SwitchDecision::Steer(id),
+                    FlowAction::Mirror => SwitchDecision::MirrorAnd(self.normal_ports(in_port, p)),
+                    FlowAction::Normal => SwitchDecision::Output(self.normal_ports(in_port, p)),
+                };
+                // The switch wipes a full cache before it inserts.
+                if self.cache.len() >= 1024 {
+                    self.cache.clear();
+                }
+                self.cache.insert(key, (rule, decision.clone()));
+                (rule, decision)
+            }
+        };
+        self.table.record(rule);
+        self.policy_drops += u64::from(decision == SwitchDecision::Drop);
+        decision
+    }
+}
+
+/// What happens between two frames of property 8's stream.
+#[derive(Debug, Clone)]
+enum TableEdit {
+    Install(FlowRule),
+    RemoveCookie(u64),
+    Clear,
+}
+
+fn table_edit() -> impl Strategy<Value = TableEdit> {
+    prop_oneof![
+        flow_rule().prop_map(TableEdit::Install),
+        flow_rule().prop_map(TableEdit::Install),
+        (0u64..2).prop_map(TableEdit::RemoveCookie),
+        Just(TableEdit::Clear),
+    ]
+}
+
+/// A frame of property 8: `(source station, destination, (ip octets,
+/// port picks))`. Destinations past the station count are the broadcast
+/// address and a MAC nobody owns.
+type StationFrame = (usize, usize, (u8, u8, usize, usize));
+
+fn station_frame() -> impl Strategy<Value = StationFrame> {
+    (0usize..40, 0usize..42, (0u8..3, 0u8..3, 0usize..3, 0usize..3))
+}
+
+/// A step of property 8: an optional table edit, then one of the run's
+/// few frames (so that frames recur with edits and other stations'
+/// traffic in between), from its station's own port or — one time in
+/// six — the next one over, one to three times in a row.
+type SwitchStep = (Option<TableEdit>, usize, bool, usize);
+
+fn switch_step() -> impl Strategy<Value = SwitchStep> {
+    (sparse(table_edit()), 0usize..8, (0u8..6).prop_map(|m| m == 0), 1usize..4)
+}
+
 proptest! {
     /// Property 1: the packed-word encoding reconstructs the exact header
     /// structs — `unpack ∘ pack = id`, which also makes `pack` injective.
@@ -889,6 +1002,80 @@ proptest! {
         prop_assert_eq!(net.stats.dropped_loss, lost);
         for (from, to) in [(x, y), (y, x)] {
             prop_assert!(net.topology().link(from, to).expect("wired").carried >= 1);
+        }
+    }
+
+    /// Property 8: the switch is the model switch — decision by decision
+    /// and counter by counter — whatever is done to its rule table between
+    /// frames, with floods wider than a `PortList`'s inline slots, with
+    /// stations that move and with repeats that hit the decision cache.
+    #[test]
+    fn switch_is_a_learning_switch_with_a_decision_cache(
+        stations in 2usize..41,
+        n_ports in 2u16..42,
+        frames in proptest::collection::vec(station_frame(), 1..8),
+        steps in proptest::collection::vec(switch_step(), 1..80),
+    ) {
+        let mut sw = Switch::new(SwitchId(0), n_ports);
+        let mut model = ModelSwitch {
+            n_ports,
+            table: FlowTable::new(),
+            macs: BTreeMap::new(),
+            cache: BTreeMap::new(),
+            cache_epoch: 0,
+            lookups: 0,
+            hits: 0,
+            policy_drops: 0,
+        };
+        for (edit, pick, moved, repeats) in steps {
+            let (src, dst, (is, id, sp, dp)) = frames[pick % frames.len()];
+            match edit {
+                Some(TableEdit::Install(rule)) => {
+                    sw.install(rule.clone());
+                    model.table.install(rule);
+                }
+                Some(TableEdit::RemoveCookie(cookie)) => {
+                    prop_assert_eq!(
+                        sw.remove_by_cookie(cookie),
+                        model.table.remove_by_cookie(cookie)
+                    );
+                }
+                Some(TableEdit::Clear) => {
+                    sw.table.clear();
+                    model.table.clear();
+                }
+                None => {}
+            }
+            let src = src % stations;
+            let dst_mac = match dst % (stations + 2) {
+                d if d == stations => MacAddr::BROADCAST,
+                d if d == stations + 1 => MacAddr::from_index(9_999),
+                d => MacAddr::from_index(d as u32),
+            };
+            let in_port = PortNo((src as u16 + u16::from(moved)) % n_ports);
+            let ports = [7u16, 53, 5683];
+            let p = Packet::new(
+                MacAddr::from_index(src as u32),
+                dst_mac,
+                Ipv4Addr::new(10, 0, is, 1),
+                Ipv4Addr::new(10, 0, id, 2),
+                TransportHeader::udp(ports[sp], ports[dp]),
+                Default::default(),
+            );
+            for _ in 0..repeats {
+                prop_assert_eq!(sw.process_at(SimTime::ZERO, in_port, &p), model.process(in_port, &p));
+            }
+            prop_assert_eq!(sw.cache_lookups, model.lookups);
+            prop_assert_eq!(sw.cache_hits, model.hits);
+            prop_assert_eq!(sw.policy_drops, model.policy_drops);
+            prop_assert_eq!(sw.rx_packets, model.lookups);
+            prop_assert_eq!(sw.table.misses, model.table.misses);
+            let hits = |t: &FlowTable| t.iter().map(|(_, hits)| hits).collect::<Vec<_>>();
+            prop_assert_eq!(hits(&sw.table), hits(&model.table));
+        }
+        for station in 0..stations as u32 + 1 {
+            let mac = MacAddr::from_index(station);
+            prop_assert_eq!(sw.learned_port(mac), model.macs.get(&mac).copied());
         }
     }
 }

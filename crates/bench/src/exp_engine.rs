@@ -1,7 +1,7 @@
-//! E21 — the zero-alloc arena event engine and the packed packet path,
+//! E21 — the zero-alloc event engine and the packed packet path,
 //! measured.
 //!
-//! Three measurements, one determinism gate:
+//! Two measurements, one determinism gate:
 //!
 //! 1. **World sweep** — the E16 scaled-home grid
 //!    ([`crate::exp_perf::standard_jobs`], 18 world instances) runs
@@ -13,9 +13,6 @@
 //!    steered IDS chain runs `schedule → fire → forward → verdict`
 //!    rounds while a caller-supplied allocation counter watches; the
 //!    measured window must execute with **zero** allocations.
-//! 3. **Queue micro-benchmark** — a synthetic schedule/pop storm through
-//!    the timer wheel, for a ns/event number uncontaminated by world
-//!    logic.
 //!
 //! Wall-clock numbers land only in the `wall_ms`-marked volatile section
 //! of `BENCH_E21.json`; digests, counters and the alloc-free verdict are
@@ -32,7 +29,6 @@ use iotdev::device::{AdminCreds, DeviceId};
 use iotdev::proto::{ports, AppMessage, TelemetryKind};
 use iotdev::registry::Sku;
 use iotlearn::signature::{AttackSignature, Matcher, Severity};
-use iotnet::engine::EventQueue;
 use iotnet::flow::{FlowAction, FlowMatch, FlowRule, SteerId};
 use iotnet::link::LinkParams;
 use iotnet::net::{Delivery, Network};
@@ -40,32 +36,21 @@ use iotnet::packet::{Packet, TransportHeader};
 use iotnet::time::{SimDuration, SimTime};
 use iotnet::topology::TopologyBuilder;
 use iotpolicy::posture::{Posture, SecurityModule};
-use std::time::Instant;
 use trace::tracer::Tracer;
 use umbox::chain::{build_chain, ChainConfig, FailureMode};
 use umbox::element::{EventSink, ViewHandle};
 
-/// Steady-probe round spacing: 2^21 ns, an exact multiple of the timer
-/// wheel's level-0 slot width (2^12 ns) and level-1 slot width (2^18 ns).
-/// Every round therefore lands its events in a slot-index pattern that
-/// repeats with a short period, so a modest warm phase provably touches
-/// every wheel slot the measured phase will use — allocation in the
-/// measured window then genuinely means a steady-state leak, not a cold
-/// slot vector.
+/// Steady-probe round spacing (2^21 ns ≈ 2.1 ms): every round drains
+/// before the next is sent.
 const STEADY_STEP_NS: u64 = 1 << 21;
-/// Warm-up rounds. At 2^21 ns per round the wheel's level-2 slot index
-/// advances once every 8 rounds (lap = 512 rounds) and the overflow
-/// re-anchor fires at the 2^30 ns boundary (round 512), so 576 rounds
-/// covers one full level-2 lap plus the first overflow crossing — every
-/// slot vector and heap the measured window can touch is already warm.
+/// Warm-up rounds. Every round is the same exchange, so the event heap
+/// and every buffer on the packet path have held their peak after the
+/// first; allocation in the measured window then genuinely means a
+/// steady-state leak. The count is kept because `packed_events` is a
+/// stable field of the record.
 const STEADY_WARM: u64 = 576;
-/// Measured rounds (well clear of the next overflow crossing at 1024).
+/// Measured rounds.
 const STEADY_MEASURE: u64 = 64;
-
-/// Events scheduled and popped by the queue micro-benchmark.
-const MICRO_EVENTS: u64 = 1 << 18;
-/// Batch size of the micro-benchmark's schedule/pop cycle.
-const MICRO_BATCH: u64 = 4096;
 
 /// Steady-state allocation probe result.
 pub struct SteadyProbe {
@@ -87,8 +72,6 @@ pub struct EngineReport {
     pub sweep: Leg,
     /// Steady-state allocation probe.
     pub steady: SteadyProbe,
-    /// Micro-benchmark wall time (volatile).
-    pub micro_wall_ns: u128,
 }
 
 impl EngineReport {
@@ -96,17 +79,13 @@ impl EngineReport {
     pub fn deterministic(&self) -> bool {
         self.sweep.identical && self.steady.allocs == 0
     }
-
-    fn micro_ns_per_event(&self) -> f64 {
-        self.micro_wall_ns as f64 / MICRO_EVENTS as f64
-    }
 }
 
 impl Report for EngineReport {
     fn table(&self) -> Table {
         let (events, rate, _) = self.outcome();
         let mut table = Table::new(
-            "E21: arena engine + packed packet path — one serial sweep",
+            "E21: event engine + packed packet path — one serial sweep",
             &["leg", "threads", "jobs", "events", "cache hit rate", "identical", "wall ms"],
         );
         table.rowd(&[
@@ -124,12 +103,11 @@ impl Report for EngineReport {
     fn summary(&self) -> String {
         format!(
             "E21 summary: {} jobs, {} events, steady-state allocs/round {:.2} \
-             (alloc-free: {}), micro ns/event wheel={:.0}, deterministic: {}",
+             (alloc-free: {}), deterministic: {}",
             self.reference.len(),
             totals(&self.reference).0,
             self.steady.allocs as f64 / STEADY_MEASURE as f64,
             self.steady.allocs == 0,
-            self.micro_ns_per_event(),
             self.deterministic(),
         )
     }
@@ -145,17 +123,11 @@ impl Report for EngineReport {
         let (events, lookups, hits) = totals(&self.reference);
         let wall_ms = self.sweep.cost.wall_ms;
         let ns_per_event = (wall_ms as f64 * 1e6) / (events.max(1) as f64);
-        let timing = [
-            Obj::new()
-                .field("leg", quoted(&self.sweep.label))
-                .field("sweep_wall_ms", wall_ms)
-                .field("ns_per_event", fixed(ns_per_event, 1))
-                .field("events_per_sec", fixed(per_sec(events, wall_ms), 0)),
-            Obj::new()
-                .field("micro", quoted("queue-wheel"))
-                .field("micro_wall_ms", self.micro_wall_ns / 1_000_000)
-                .field("ns_per_event", fixed(self.micro_ns_per_event(), 1)),
-        ];
+        let timing = [Obj::new()
+            .field("leg", quoted(&self.sweep.label))
+            .field("sweep_wall_ms", wall_ms)
+            .field("ns_per_event", fixed(ns_per_event, 1))
+            .field("events_per_sec", fixed(per_sec(events, wall_ms), 0))];
         let doc = Doc::new("BENCH_E21.json")
             .field("experiment", quoted("e21"))
             .field("seed", SEED)
@@ -266,35 +238,6 @@ fn steady_probe(alloc_count: &dyn Fn() -> u64) -> SteadyProbe {
     SteadyProbe { events: net.events_processed() - events_before, delivered, allocs }
 }
 
-/// Schedule/pop [`MICRO_EVENTS`] synthetic events through the timer
-/// wheel in batches, returning the wall time in nanoseconds. The
-/// xorshift offsets exercise near (wheel slots) and far (overflow tier)
-/// schedules.
-fn micro_queue_wall_ns() -> u128 {
-    let mut q: EventQueue<u64> = EventQueue::with_capacity(MICRO_BATCH as usize);
-    let mut x = SEED | 1;
-    let mut popped = 0u64;
-    let start = Instant::now();
-    while popped < MICRO_EVENTS {
-        let base = q.now().as_nanos();
-        for i in 0..MICRO_BATCH {
-            x ^= x >> 12;
-            x ^= x << 25;
-            x ^= x >> 27;
-            let r = x.wrapping_mul(0x2545_f491_4f6c_dd1d);
-            // Simulated latencies are microseconds to low milliseconds
-            // (LAN hops, µmbox detours); one event in 64 sits seconds out
-            // to keep the overflow tier honest.
-            let offset = if i % 64 == 0 { r % 4_000_000_000 } else { r % 4_000_000 };
-            q.schedule(SimTime::from_nanos(base + offset), i);
-        }
-        while q.pop().is_some() {
-            popped += 1;
-        }
-    }
-    start.elapsed().as_nanos()
-}
-
 /// E21 — sweep the E16 grid, probe the steady state through
 /// `alloc_count` (a reader of the process's allocation counter; the
 /// `experiments` binary installs a counting global allocator and passes
@@ -304,10 +247,6 @@ pub fn engine(alloc_count: &dyn Fn() -> u64) -> EngineReport {
 
     // Steady-state probe first, on a quiet process.
     let steady = steady_probe(alloc_count);
-
-    // Queue micro-benchmark: warm once (page cache, lazy init), then time.
-    micro_queue_wall_ns();
-    let micro_wall_ns = micro_queue_wall_ns();
 
     // Untimed reference pass, so the timed pass does not absorb the
     // process's cold-start cost.
@@ -320,7 +259,7 @@ pub fn engine(alloc_count: &dyn Fn() -> u64) -> EngineReport {
         identical: timed_pass == reference,
         cost: Cost { wall_ms, bytes: 0 },
     };
-    EngineReport { reference, sweep, steady, micro_wall_ns }
+    EngineReport { reference, sweep, steady }
 }
 
 #[cfg(test)]
@@ -339,11 +278,5 @@ mod tests {
         let probe = steady_probe(&no_counter);
         assert!(probe.events > 0, "the probe must actually run the engine");
         assert_eq!(probe.delivered, STEADY_MEASURE);
-    }
-
-    #[test]
-    fn micro_queue_pops_every_event() {
-        // The function would spin forever if the storm did not drain.
-        assert!(micro_queue_wall_ns() > 0);
     }
 }

@@ -24,7 +24,7 @@
 //! | E18 | [`exp_safety`] (the runtime safety sweep and CI gate) |
 //! | E19 | [`exp_space`] (the packed-state state-space engine) |
 //! | E20 | [`exp_fleet`] (the fleet-scale sharded controller) |
-//! | E21 | [`exp_engine`] (the arena event engine + packed packet path) |
+//! | E21 | [`exp_engine`] (the event engine + packed packet path) |
 //! | E23 | [`exp_vet`] (the adversarial vet campaign and CI gate) |
 //! | E25 | [`exp_fleet_chaos`] (fleet fault tolerance and recovery) |
 //! | E26 | [`exp_resident`] (resident worlds and delta intel installs) |

@@ -77,7 +77,7 @@ pub struct WorldOutcome {
     pub umbox_blocks: u64,
     /// Whether the Table-1 row-1 exploit class landed (sanity anchor).
     pub camera_leaked: bool,
-    /// Simulation events the engine processed (timer-wheel pops).
+    /// Simulation events the engine processed.
     pub events_processed: u64,
     /// Flow-decision-cache lookups.
     pub cache_lookups: u64,

@@ -116,7 +116,7 @@ fn event_queue_reset_is_fresh() {
         || EventQueue::<u32>::with_capacity(16),
         |q| {
             for i in 0..32u32 {
-                // Near, far (higher wheel levels) and beyond-the-wheel offsets.
+                // Microsecond, millisecond and seconds-out offsets.
                 let at = [4_000, 3_000_000, 5_000_000_000][i as usize % 3] * (i as u64 + 1);
                 q.schedule(SimTime::from_nanos(at), i);
             }
@@ -187,7 +187,7 @@ fn network_reset_is_fresh() {
             assert!(!net.step_until(SimTime::from_millis(8)).is_empty());
             assert!(net.has_pending());
             // A frame for a MAC nobody owns floods, and every NIC discards
-            // its copy. At 50 ms the wheel is empty — each of those copies
+            // its copy. At 50 ms the queue is empty — each of those copies
             // is counted, not queued — and the bystander's is still in
             // flight: a resident home must not inherit it.
             net.step_until(SimTime::from_millis(30));

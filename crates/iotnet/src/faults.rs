@@ -2,7 +2,7 @@
 //!
 //! The chaos layer needs repeatable failure schedules: the same seed must
 //! produce the same faults at the same simulated instants, run after run.
-//! [`FaultScheduler`] therefore rides on the existing event wheel
+//! [`FaultScheduler`] therefore rides on the existing event queue
 //! ([`EventQueue`]) rather than drawing random timers at runtime — every
 //! fault is scheduled up front (or at least deterministically), and
 //! [`FaultScheduler::apply_due`] drains the due ones into a [`Topology`]
@@ -48,10 +48,10 @@ pub enum NetFault {
     PartitionHeal(Vec<(NodeId, NodeId)>),
 }
 
-/// A seedless, deterministic fault schedule over the event wheel.
+/// A seedless, deterministic fault schedule over the event queue.
 ///
 /// Faults are enqueued with explicit times; ties apply in FIFO order
-/// (the event wheel is FIFO-stable), so a schedule built the same way
+/// (the event queue is FIFO-stable), so a schedule built the same way
 /// twice applies identically twice.
 #[derive(Debug, Default)]
 pub struct FaultScheduler {

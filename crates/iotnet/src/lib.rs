@@ -8,7 +8,7 @@
 //!
 //! * [`time`] — simulated clock ([`time::SimTime`]) and durations.
 //! * [`engine`] — a time-ordered, FIFO-stable event queue.
-//! * [`faults`] — deterministic fault injection over the event wheel:
+//! * [`faults`] — deterministic fault injection over the event queue:
 //!   link flaps (fail *and* heal), loss/corruption bursts, partitions.
 //! * [`addr`] — MAC/IPv4 addressing and node identifiers.
 //! * [`packet`] — Ethernet/IPv4/UDP/TCP packet model with a real wire
@@ -50,7 +50,7 @@ pub mod time;
 pub mod topology;
 
 pub use addr::{EndpointId, Ipv4Addr, MacAddr, NodeId, PortNo, SwitchId};
-pub use engine::{EventArena, EventHandle, EventQueue};
+pub use engine::EventQueue;
 pub use faults::{FaultScheduler, NetFault};
 pub use flow::{FlowAction, FlowMatch, FlowRule, FlowTable, PackedFlowKey};
 pub use link::{Link, LinkParams};

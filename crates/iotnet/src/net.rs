@@ -219,6 +219,8 @@ pub struct Network {
     /// count, so [`Network::step_until_into`] counts it once its time has
     /// come.
     nic_discards: Vec<SimTime>,
+    /// Most events `queue` has held at once since the last reset.
+    queue_peak: usize,
     steer: WordMap<SteerId, SteerHandle>,
     deliveries: Vec<Delivery>,
     /// Mirrored-packet capture buffer.
@@ -236,15 +238,18 @@ impl Network {
         let switches = (0..topo.switch_count())
             .map(|i| Switch::new(SwitchId(i as u32), topo.ports_of(SwitchId(i as u32))))
             .collect();
-        // Pre-size the event arena for the typical in-flight load — a few
-        // packets per endpoint plus inter-switch hops — so the warm-up
-        // phase fills capacity once and the steady state never reallocates.
+        // Room in the event queue's heap for a few packets per endpoint
+        // plus inter-switch hops, so a steady state never grows it (the
+        // E21 and `alloc_counter` pins rest on this). Generous by
+        // measurement: a defended p24 home peaks at 50 pending of the 156
+        // reserved, a fleet home at 3 of 64 (`net.queue_peak`).
         let in_flight = (topo.endpoint_count() * 4 + topo.switch_count() * 2).max(64);
         let mut net = Network {
             topo,
             switches,
             queue: EventQueue::with_capacity(in_flight),
             nic_discards: Vec::new(),
+            queue_peak: 0,
             steer: WordMap::default(),
             deliveries: Vec::new(),
             capture: Capture::new(65_536),
@@ -268,6 +273,7 @@ impl Network {
         }
         self.queue.reset();
         self.nic_discards.clear();
+        self.queue_peak = 0;
         self.steer.clear();
         self.deliveries.clear();
         self.capture.recycle();
@@ -354,6 +360,7 @@ impl Network {
             Some(at) => {
                 self.queue
                     .schedule(at, NetEvent::AtSwitch { sw: info.switch, in_port: info.port, pkt });
+                self.note_queue_depth();
             }
             None => self.stats.dropped_loss += 1,
         }
@@ -374,7 +381,10 @@ impl Network {
         while let Some((at, ev)) = self.queue.pop_until(deadline) {
             match ev {
                 NetEvent::AtSwitch { sw, in_port, pkt } => {
-                    self.handle_at_switch(at, sw, in_port, pkt)
+                    // Handling a frame only schedules, so the depth after
+                    // it is the deepest the queue got during it.
+                    self.handle_at_switch(at, sw, in_port, pkt);
+                    self.note_queue_depth();
                 }
                 NetEvent::AtEndpoint { ep, pkt } => {
                     self.stats.delivered += 1;
@@ -419,6 +429,16 @@ impl Network {
         !self.queue.is_empty() || !self.nic_discards.is_empty()
     }
 
+    fn note_queue_depth(&mut self) {
+        self.queue_peak = self.queue_peak.max(self.queue.len());
+    }
+
+    /// Most events the queue has held at once since the last reset: the
+    /// depth the choice of queue rests on (DESIGN.md §6).
+    pub fn queue_peak(&self) -> usize {
+        self.queue_peak
+    }
+
     /// Total events simulated over the network's lifetime: every ticket
     /// the event engine popped, and every flood copy counted without one.
     pub fn events_processed(&self) -> u64 {
@@ -446,6 +466,7 @@ impl Network {
         // Tickets that went through the event engine: a counted flood copy
         // is the one simulated event that takes none.
         reg.counter("net.events_queued", self.events_processed() - self.stats.nic_filtered);
+        reg.gauge("net.queue_peak", self.queue_peak as f64);
         let (lookups, hits) = self.cache_stats();
         reg.counter("net.cache_lookups", lookups);
         reg.counter("net.cache_hits", hits);

@@ -157,12 +157,12 @@ fn world_construction_allocation_profile() {
     warm_fleet_round_is_allocation_free();
 
     // 6. The full engine tick (E21): schedule → fire → forward → verdict
-    // through a steered IDS chain is allocation-free once warm. Event
-    // payloads live in the generational arena, wheel slots and heaps
-    // move Copy tickets, the decision cache is keyed by the packed flow
-    // key, the IDS prefilter screens the benign traffic without a
-    // payload decode, and pass/drop verdicts carry packets inline — so
-    // a steady round never touches the allocator.
+    // through a steered IDS chain is allocation-free once warm. The
+    // event heap keeps the capacity `Network::new` reserved and its
+    // entries carry their packets inline, the decision cache is keyed
+    // by the packed flow key, the IDS prefilter screens the benign
+    // traffic without a payload decode, and pass/drop verdicts carry
+    // packets inline — so a steady round never touches the allocator.
     steady_engine_tick_is_allocation_free();
 
     // 7. Cold home builds: a build reserves nothing for buffers no home
@@ -512,14 +512,11 @@ fn cold_home_build_reserves_no_capture_ring() {
     assert_eq!(w.net.stats.mirrored, 1);
 }
 
-/// Round spacing of the steady-state loop: 2^21 ns, an exact multiple of
-/// the timer wheel's slot widths, so the wheel-slot usage pattern repeats
-/// with a short period and the warm phase provably covers every slot the
-/// measured phase touches (the same geometry as `bench::exp_engine`'s
-/// steady probe; see DESIGN.md §11).
+/// Round spacing of the steady-state loop (every round drains before
+/// the next is sent) and its warm-up: every round is the same exchange,
+/// so the event heap has held its peak depth after the first. The same
+/// values as `bench::exp_engine`'s steady probe.
 const STEADY_STEP_NS: u64 = 1 << 21;
-/// One full level-2 slot lap (512 rounds) plus the first overflow
-/// re-anchor crossing at the 2^30 ns boundary.
 const STEADY_WARM: u64 = 576;
 const STEADY_MEASURE: u64 = 64;
 

@@ -13,9 +13,9 @@
 //!    none — for arbitrary rule tables, packets and ingress ports,
 //!    before and after a cookie removal; `lookup` bumps exactly that
 //!    rule's hit counter, or `misses`.
-//! 4. [`EventArena`] generational handles turn use-after-free into a
-//!    detected error: a stale handle yields `None`, never a different
-//!    event, across arbitrary insert/remove interleavings.
+//! 4. The traffic the event queue is chosen for: a defended home never
+//!    has more than tens of events pending (`Network::queue_peak`), so a
+//!    workload that deepens the queue says so here.
 //! 5. The flood contract: a copy the receiving NIC discards is counted,
 //!    not queued, and every count a queued, payload-carrying copy would
 //!    have moved still moves — checked frame by frame against a learning
@@ -35,8 +35,8 @@
 //!    hash or probe.
 
 use iotsec_repro::iotdev::device::DeviceId;
+use iotsec_repro::iotlearn::AttackSignature;
 use iotsec_repro::iotnet::addr::{EndpointId, Ipv4Addr, MacAddr, NodeId, PortNo, SwitchId};
-use iotsec_repro::iotnet::engine::{EventArena, EventHandle};
 use iotsec_repro::iotnet::flow::{
     FlowAction, FlowMatch, FlowRule, FlowTable, PackedFlowKey, SteerId,
 };
@@ -51,7 +51,7 @@ use iotsec_repro::iotnet::time::{SimDuration, SimTime};
 use iotsec_repro::iotnet::topology::{PortTarget, Topology, TopologyBuilder};
 use iotsec_repro::iotsec::defense::Defense;
 use iotsec_repro::iotsec::scenario;
-use iotsec_repro::iotsec::world::World;
+use iotsec_repro::iotsec::world::{HomeOverrides, World};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -746,43 +746,6 @@ proptest! {
         }
     }
 
-    /// Property 4: across arbitrary insert/remove interleavings, every
-    /// live handle resolves to exactly the event it was issued for, and
-    /// every stale handle is a detected error (`None` from both `get`
-    /// and `remove`) — never a different event.
-    #[test]
-    fn arena_handles_are_generation_safe(
-        ops in proptest::collection::vec((any::<bool>(), any::<u16>()), 1..80),
-    ) {
-        let mut arena: EventArena<u64> = EventArena::new();
-        let mut live: Vec<(EventHandle, u64)> = Vec::new();
-        let mut stale: Vec<EventHandle> = Vec::new();
-        let mut next: u64 = 0;
-        for (insert, sel) in ops {
-            if insert || live.is_empty() {
-                let h = arena.insert(next);
-                live.push((h, next));
-                next += 1;
-            } else {
-                let (h, v) = live.swap_remove(sel as usize % live.len());
-                prop_assert_eq!(arena.remove(h), Some(v));
-                stale.push(h);
-            }
-            prop_assert_eq!(arena.len(), live.len());
-            for &(h, v) in &live {
-                prop_assert_eq!(arena.get(h), Some(&v));
-            }
-            for &h in &stale {
-                prop_assert_eq!(arena.get(h), None);
-            }
-        }
-        // Stale removes are rejected without disturbing live events.
-        for h in stale {
-            prop_assert_eq!(arena.remove(h), None);
-        }
-        prop_assert_eq!(arena.len(), live.len());
-    }
-
     /// Property 5: frame by frame, the network's counters, its event
     /// count and its deliveries are what the modelled learning fabric
     /// says — with lossy wires.
@@ -1080,22 +1043,6 @@ proptest! {
     }
 }
 
-/// The recycling case spelled out: a slot reused after removal bumps its
-/// generation, so the old handle observes `None` while the new handle
-/// sees the new event — even though both name the same slot index.
-#[test]
-fn recycled_slot_invalidates_old_handle() {
-    let mut arena: EventArena<&'static str> = EventArena::new();
-    let old = arena.insert("first");
-    assert_eq!(arena.remove(old), Some("first"));
-    let new = arena.insert("second");
-    assert_ne!(old.raw(), new.raw(), "recycled handle must differ");
-    assert_eq!(old.raw() & 0x00ff_ffff, new.raw() & 0x00ff_ffff, "same slot index");
-    assert_eq!(arena.get(old), None);
-    assert_eq!(arena.remove(old), None);
-    assert_eq!(arena.get(new), Some(&"second"));
-}
-
 /// The E21 `home-iotsec/s20151116/p24` cell (the benchmark's first cold
 /// home): 5 513 of its 5 880 events are flood copies a NIC discards.
 /// Every one must still be transmitted and counted, though none of them
@@ -1111,6 +1058,35 @@ fn defended_p24_home_counters_are_pinned() {
         (s.sent, s.delivered, s.dropped_loss, s.nic_filtered, w.net.events_processed()),
         (215, 154, 33, 5513, 5880)
     );
+}
+
+/// Pin 4: the pending depths the binary-heap event queue was chosen at
+/// (DESIGN.md §6) — the defended p24 home measured 50 of 367 scheduled,
+/// a defended fleet home under the seven Table-1 signatures 3 of 22.
+#[test]
+fn defended_homes_keep_the_event_queue_shallow() {
+    let peak_within = |w: &World, measured: usize, bound: usize| {
+        let peak = w.net.queue_peak();
+        assert!(
+            peak <= bound,
+            "pending depth grew {:.1}× ({measured} → {peak}) — re-open the queue choice, \
+             DESIGN.md §6",
+            peak as f64 / measured as f64
+        );
+    };
+    let (d, _) = scenario::scaled_home(Defense::iotsec(), 20151116, 24);
+    let mut w = World::new(&d);
+    w.env.occupied = true;
+    w.run_until_attack_done(SimDuration::from_secs(300));
+    peak_within(&w, 50, 64);
+
+    let (template, cam) = scenario::fleet_home(Defense::iotsec(), 0);
+    let sku = &template.devices[cam.0 as usize].sku;
+    let intel: Vec<AttackSignature> =
+        (1..=7).filter_map(|row| AttackSignature::for_table1_row(row, sku)).collect();
+    let mut w = World::new_home(&template, &HomeOverrides { seed: 1, extra_signatures: &intel });
+    w.run_until_attack_done(SimDuration::from_secs(120));
+    peak_within(&w, 3, 8);
 }
 
 /// Why that home floods (ROADMAP E36(a)), as a fact: the hub — a sink for

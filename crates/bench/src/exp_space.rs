@@ -15,9 +15,10 @@
 //! Every engine must report the identical state count, posture-class
 //! count and order-independent digests; any divergence fails the run
 //! (and, through the runner, the CI `state-space-gate` job). On top of
-//! the exhaustive sweeps, each population also runs the frontier BFS
-//! (serial vs parallel vs naive shell histograms) and the exact
-//! reachable-conflict scan (packed co-activation vs witness search).
+//! the exhaustive sweeps, each population also counts the shells around
+//! the initial state (the packed odometer pass vs the naive search's
+//! histogram) and runs the exact reachable-conflict scan (packed
+//! co-activation vs witness search).
 //!
 //! The n = 12 population (3,359,232 raw states) is the cell the naive
 //! engine could not fill at the old `1 << 20` ceiling — here it runs
@@ -26,9 +27,7 @@
 use crate::report::{fixed, hit_rate, list, quoted, timed, Doc, Obj, Report, SEED};
 use crate::Table;
 use iotpolicy::conflict::{find_reachable_rule_conflicts, find_reachable_rule_conflicts_naive};
-use iotpolicy::explore::{
-    bfs_naive, bfs_packed, bfs_uses_dense_visited, explore_naive, explore_packed,
-};
+use iotpolicy::explore::{bfs_naive, bfs_packed, explore_naive, explore_packed};
 use iotpolicy::policy::FsmPolicy;
 use trace::tracer::Tracer;
 
@@ -59,11 +58,8 @@ pub struct SpaceCell {
     /// Full packed-serial digest line (counts + order-independent
     /// class/quiet digests) — the reference every other leg must match.
     pub digest: String,
-    /// BFS shell histogram plus frontier digest from the packed
-    /// serial BFS.
+    /// Shell histogram plus frontier digest from the packed pass.
     pub bfs: String,
-    /// Whether the BFS visited set fit the dense bitset arena.
-    pub dense_visited: bool,
     /// Reachable rule conflicts found by the packed co-activation scan.
     pub conflicts: usize,
     /// Whether the naive legs ran (raw space under the limits).
@@ -129,7 +125,6 @@ impl Report for SpaceReport {
                 "classes",
                 "memo hit rate",
                 "bfs shells",
-                "dense visited",
                 "conflicts",
                 "naive leg",
                 "identical",
@@ -143,7 +138,6 @@ impl Report for SpaceReport {
                 format!("{:.4}", hit_rate(c.memo.1, c.memo.0)),
                 // shells=[a,b,...] → shell count (depth of the BFS layering).
                 c.bfs.matches(',').count().saturating_add(1).to_string(),
-                c.dense_visited.to_string(),
                 c.conflicts.to_string(),
                 if c.naive_ran { "ran" } else { "infeasible" }.to_string(),
                 c.identical.to_string(),
@@ -178,7 +172,6 @@ impl Report for SpaceReport {
                 .field("classes", c.classes)
                 .field("digest", quoted(&c.digest))
                 .field("bfs", quoted(&c.bfs))
-                .field("dense_visited", c.dense_visited)
                 .field("conflicts", c.conflicts)
                 .field("naive_ran", c.naive_ran)
                 .field("identical", c.identical)
@@ -241,18 +234,12 @@ fn run_cell(n: u32) -> SpaceCell {
         identical &= par.digest() == reference;
     }
 
-    // Frontier BFS: serial reference, parallel byte-identity, naive
-    // shell histogram while it fits.
-    let tracer = Tracer::disabled();
-    let bfs_serial = bfs_packed(&policy, 1, &tracer).expect(PACKABLE);
-    let bfs_ref = format!("{} fd={:016x}", bfs_serial.histogram(), bfs_serial.frontier_digest);
-    for &t in PAR_THREADS {
-        let par = bfs_packed(&policy, t, &tracer).expect(PACKABLE);
-        identical &= format!("{} fd={:016x}", par.histogram(), par.frontier_digest) == bfs_ref;
-    }
+    // Shells around the initial state: the packed pass (it takes no
+    // threads), against the naive search's histogram while that fits.
+    let bfs = bfs_packed(&policy, 1, &Tracer::disabled()).expect(PACKABLE);
     if raw <= NAIVE_BFS_LIMIT {
         // The naive BFS carries no frontier digest; shells must match.
-        identical &= bfs_naive(&policy).histogram() == bfs_serial.histogram();
+        identical &= bfs_naive(&policy).histogram() == bfs.histogram();
     }
 
     // Reachable conflicts: packed co-activation vs witness search.
@@ -266,8 +253,7 @@ fn run_cell(n: u32) -> SpaceCell {
         states: serial.states,
         classes: serial.classes,
         digest: reference,
-        bfs: bfs_ref,
-        dense_visited: bfs_uses_dense_visited(&policy).unwrap_or(false),
+        bfs: format!("{} fd={:016x}", bfs.histogram(), bfs.frontier_digest),
         conflicts: conflicts.len(),
         naive_ran,
         identical,
@@ -294,7 +280,6 @@ mod tests {
         assert!(c.naive_ran);
         assert_eq!(c.states, 2592);
         assert!(c.classes > 0);
-        assert!(c.dense_visited);
     }
 
     #[test]
@@ -305,7 +290,6 @@ mod tests {
             classes: 1,
             digest: String::new(),
             bfs: String::new(),
-            dense_visited: true,
             conflicts: 0,
             naive_ran: naive.is_some(),
             identical: true,

@@ -1,5 +1,5 @@
-//! State-space exploration: exhaustive sweeps and frontier BFS over the
-//! packed engine (experiment E19).
+//! State-space exploration: exhaustive sweeps and the shells around the
+//! initial state, over the packed engine (experiment E19).
 //!
 //! Two engines compute the same [`SpaceStats`]:
 //!
@@ -15,16 +15,32 @@
 //!   counts, class sets and quiet-state digests are byte-identical at
 //!   every thread count regardless of scheduling.
 //!
-//! [`bfs_packed`] explores the same space as a breadth-first frontier
-//! expansion from the initial state (successor relation = one slot
-//! changes value), with a dense word-indexed bitset visited arena when
-//! the packed word fits [`DENSE_WORD_BITS_MAX`] bits and a hashed set
-//! otherwise, emitting one control-class
-//! [`TraceEvent::SpaceFrontier`] per depth.
+//! # Shells, counted
+//!
+//! [`bfs_packed`] reports how many states lie within *k* moves of the
+//! initial state, one control-class [`TraceEvent::SpaceFrontier`] per
+//! *k*. A move sets any one slot to any other value of its domain
+//! ([`crate::packed::PackedLayout::successors`]; [`bfs_naive`] spells
+//! out the same relation over legacy states) and the initial state is
+//! the all-zero word, so the graph is a Hamming graph: a state's depth
+//! is the number of its slots that are not at index 0, and the shell
+//! sizes are the coefficients of ∏ᵢ(1 + (rᵢ − 1)·x) over the slot
+//! radices rᵢ. Nothing has to be searched. One odometer pass over the
+//! layout carries `(word, depth)` — a slot leaving index 0 adds one, a
+//! slot wrapping back to it takes one away — and folds each state into
+//! its shell's count and into the `(depth, word)` digest. The digest is
+//! why the pass enumerates at all: it is an XOR over every state and is
+//! pinned in `BENCH_E19.json` and the harness's golden.
+//!
+//! This was a frontier search until PR 24 (a dense word-indexed visited
+//! bitset, a hashed set past 28 bits, two frontier buffers); DESIGN.md
+//! §9 keeps its figures. A relation that is ever *restricted* — FSM
+//! edges instead of any-to-any — needs a search again; the reference
+//! one lives in `tests/state_space_props.rs`, which holds this pass to
+//! it.
 
-use crate::packed::{FxBuild, MemoPolicy, PackedState};
+use crate::packed::{FxBuild, MemoPolicy};
 use crate::policy::FsmPolicy;
-use fixedbitset::FixedBitSet;
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use trace::digest::fnv64;
@@ -33,11 +49,6 @@ use trace::tracer::Tracer;
 
 /// Ranks per chunk of the sweep: the unit workers claim.
 pub const CHUNK: u128 = 1 << 14;
-
-/// Largest packed-word width for which the BFS visited set uses a dense
-/// bitset indexed by the word itself (2²⁸ bits = 32 MiB); wider spaces
-/// fall back to a hashed set.
-pub const DENSE_WORD_BITS_MAX: u32 = 28;
 
 /// FNV-1a of a state rank — the per-state term of the order-independent
 /// (XOR-merged) digests.
@@ -208,7 +219,8 @@ fn explore_chunked<'a>(policy: &'a FsmPolicy, threads: usize, chunk: u128) -> Op
     })
 }
 
-/// Result of a frontier BFS from the initial state.
+/// The shells around the initial state: what a frontier BFS from it
+/// finds, however computed.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct BfsStats {
     /// Total states reached.
@@ -237,99 +249,51 @@ fn fnv_depth_word(depth: u32, word: u128) -> u64 {
     fnv64(&bytes)
 }
 
-/// Whether a packed BFS over this policy's schema would use the dense
-/// visited arena (E19 reports this per population).
-pub fn bfs_uses_dense_visited(policy: &FsmPolicy) -> Option<bool> {
-    let layout = crate::packed::PackedLayout::of(&policy.schema)?;
-    Some(layout.total_bits() <= DENSE_WORD_BITS_MAX)
-}
-
-/// Frontier BFS over the packed space from the initial state; successors
-/// flip one slot to one other value. `None` when the schema does not
-/// pack. A successor is marked visited the moment it is first generated,
-/// so each depth's frontier is its first-sighting order and nothing is
-/// buffered between expansion and marking. The visited arena is a dense
-/// word-indexed bitset when the packed word fits
-/// [`DENSE_WORD_BITS_MAX`] bits and a hashed set otherwise. One
+/// Shell sizes around the initial state and the `(depth, word)` digest,
+/// in one odometer pass over the packed space (module docs: the moves
+/// set one slot to any other value, so depth is the number of slots off
+/// index 0 and there is nothing to search). `None` when the schema does
+/// not pack. Memory is O(slots) at any width. One
 /// [`TraceEvent::SpaceFrontier`] is emitted per depth with
 /// `at_ns = depth`.
 ///
-/// `threads` is accepted and ignored: the expansion is serial at every
-/// thread count (DESIGN.md §9 records why the parallel arm was deleted).
+/// `threads` is accepted and ignored (the harness's call shape).
 pub fn bfs_packed(policy: &FsmPolicy, _threads: usize, tracer: &Tracer) -> Option<BfsStats> {
     let layout = crate::packed::PackedLayout::of(&policy.schema)?;
-    let dense = layout.total_bits() <= DENSE_WORD_BITS_MAX;
-    Some(bfs_over(&layout, dense, tracer))
-}
-
-/// [`bfs_packed`] with the arena choice exposed to the unit tests
-/// (`dense` requires a word of at most 32 bits).
-fn bfs_over(layout: &crate::packed::PackedLayout, dense: bool, tracer: &Tracer) -> BfsStats {
-    if dense {
-        // The word fits a register half: each slot's field is decoded
-        // once, not per visit, and the arithmetic is 32-bit.
-        let fields: Vec<(u32, u32, u32)> =
-            layout.slots().map(|s| (s.shift, s.mask() as u32, s.radix as u32)).collect();
-        let mut visited = FixedBitSet::with_capacity(layout.word_space() as usize);
-        visited.put(0);
-        bfs_levels(0u32, tracer, |frontier, next| {
-            for &w in frontier {
-                for &(shift, mask, radix) in &fields {
-                    let current = (w & mask) >> shift;
-                    let cleared = w & !mask;
-                    // Every value but the current one, ascending, with
-                    // no branch on which one that is.
-                    for i in 0..radix - 1 {
-                        let s = cleared | (i + (i >= current) as u32) << shift;
-                        if !visited.put(s as usize) {
-                            next.push(s);
-                        }
-                    }
-                }
+    // One `(step, mask, last)` per digit: the field's unit, its mask and
+    // its value at the last index. A single-valued slot never leaves
+    // index 0: it is no digit of the odometer and no unit of depth.
+    let mut digits = Vec::with_capacity(layout.slots().count());
+    digits.extend(
+        layout
+            .slots()
+            .filter(|s| s.radix > 1)
+            .map(|s| (1u128 << s.shift, s.mask(), ((s.radix - 1) as u128) << s.shift)),
+    );
+    // The deepest shell — every digit off 0 — is never empty.
+    let mut stats = BfsStats { depths: vec![0; digits.len() + 1], ..BfsStats::default() };
+    let (mut word, mut depth) = (0u128, 0usize);
+    'states: loop {
+        stats.frontier_digest ^= fnv_depth_word(depth as u32, word);
+        stats.depths[depth] += 1;
+        for &(step, mask, last) in &digits {
+            let field = word & mask;
+            if field != last {
+                word += step;
+                depth += (field == 0) as usize;
+                continue 'states;
             }
-        })
-    } else {
-        let mut visited: HashSet<u128> = HashSet::from([layout.first().0]);
-        bfs_levels(layout.first().0, tracer, |frontier, next| {
-            for &w in frontier {
-                layout.successors(PackedState(w), |s| {
-                    if visited.insert(s.0) {
-                        next.push(s.0);
-                    }
-                });
-            }
-        })
-    }
-}
-
-/// The level loop both arenas share: digest, count and trace the
-/// frontier, then let `expand` write the next one (every state not seen
-/// before, marked as it is pushed).
-fn bfs_levels<W: Copy + Into<u128>>(
-    first: W,
-    tracer: &Tracer,
-    mut expand: impl FnMut(&[W], &mut Vec<W>),
-) -> BfsStats {
-    let mut stats = BfsStats::default();
-    let mut frontier = vec![first];
-    let mut next = Vec::new();
-    let mut depth: u32 = 0;
-    while !frontier.is_empty() {
-        for w in &frontier {
-            stats.frontier_digest ^= fnv_depth_word(depth, (*w).into());
+            // Wrapping from its last index, which is not 0.
+            word &= !mask;
+            depth -= 1;
         }
-        stats.depths.push(frontier.len() as u64);
-        stats.visited += frontier.len() as u128;
-        tracer.emit(
-            depth as u64,
-            TraceEvent::SpaceFrontier { depth, frontier: frontier.len() as u64 },
-        );
-        next.clear();
-        expand(&frontier, &mut next);
-        std::mem::swap(&mut frontier, &mut next);
-        depth += 1;
+        break;
     }
-    stats
+    for (depth, &frontier) in stats.depths.iter().enumerate() {
+        stats.visited += frontier as u128;
+        tracer.emit(depth as u64, TraceEvent::SpaceFrontier { depth: depth as u32, frontier });
+    }
+    Some(stats)
 }
 
 /// Frontier BFS with the legacy state representation (hash-set visited,
@@ -451,17 +415,6 @@ mod tests {
     }
 
     #[test]
-    fn hashed_visited_arena_matches_dense() {
-        let policy = small_policy();
-        let layout = crate::packed::PackedLayout::of(&policy.schema).unwrap();
-        let dense = bfs_over(&layout, true, &Tracer::disabled());
-        let hashed = bfs_over(&layout, false, &Tracer::disabled());
-        assert_eq!(hashed, dense);
-        assert_ne!(hashed.frontier_digest, 0);
-        assert_eq!(hashed.histogram(), bfs_naive(&policy).histogram());
-    }
-
-    #[test]
     fn bfs_covers_the_product_space() {
         // Every state of a product space is reachable by single-slot
         // moves, so BFS must visit exactly size() states, in Hamming
@@ -514,12 +467,6 @@ mod tests {
     }
 
     #[test]
-    fn dense_visited_is_used_for_small_spaces() {
-        let policy = small_policy();
-        assert_eq!(bfs_uses_dense_visited(&policy), Some(true));
-    }
-
-    #[test]
     fn unpackable_schema_returns_none() {
         let mut s = crate::state_space::StateSchema::new();
         for i in 0..70 {
@@ -532,6 +479,5 @@ mod tests {
         let policy = FsmPolicy::new(s);
         assert!(explore_packed(&policy, 1).is_none());
         assert!(bfs_packed(&policy, 1, &Tracer::disabled()).is_none());
-        assert!(bfs_uses_dense_visited(&policy).is_none());
     }
 }

@@ -172,13 +172,6 @@ impl PackedLayout {
         self.total_bits
     }
 
-    /// Number of distinct packed *words* (`1 << total_bits`); ≥
-    /// [`PackedLayout::size`] because non-power-of-two radices leave
-    /// holes. This is the capacity of a word-indexed dense visited set.
-    pub fn word_space(&self) -> u128 {
-        1u128 << self.total_bits
-    }
-
     /// The device slot's bit field.
     pub fn dev_slot(&self, slot: usize) -> SlotBits {
         self.dev[slot]
@@ -289,8 +282,9 @@ impl PackedLayout {
 
     /// Visit every one-slot neighbour of `p`: each slot changed to each
     /// *other* value in its domain, in digit order then ascending value
-    /// order. This is the transition relation of the frontier BFS —
-    /// context escalations and environment flips are all one-slot moves.
+    /// order. This is the transition relation whose shells
+    /// [`crate::explore::bfs_packed`] counts — context escalations and
+    /// environment flips are all one-slot moves.
     #[inline]
     pub fn successors(&self, p: PackedState, mut visit: impl FnMut(PackedState)) {
         for slot in self.slots() {
@@ -948,7 +942,7 @@ mod tests {
         let policy = mixed_policy();
         let layout = PackedLayout::of(&policy.schema).unwrap();
         assert_eq!(layout.size(), policy.schema.size());
-        assert!(layout.word_space() >= layout.size());
+        assert!(1u128 << layout.total_bits() >= layout.size());
     }
 
     #[test]

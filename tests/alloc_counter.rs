@@ -131,23 +131,20 @@ fn world_construction_allocation_profile() {
     });
     assert_eq!(sweep, 0, "warm packed sweep must not allocate");
 
-    // 4b. The frontier BFS marks a state visited the moment it first
-    // generates it, so nothing is buffered between expansion and
-    // marking: over 9 cameras (93 312 states, ≈2 M successors) it asks
-    // for the visited bitset and two frontier buffers, the same bytes
-    // every run. Buffering the ≈630 k not-yet-visited candidates for an
-    // ordered merge used to cost over 20 MB here.
+    // 4b. The shell count is one odometer pass: it asks for the layout,
+    // its digits and one counter per shell — O(slots), not O(states).
+    // 9 cameras are 93 312 states and 12 are 3 359 232; the search this
+    // replaced asked for 590 300 B and 20 972 080 B there (a visited
+    // arena and two frontier buffers).
     use iotsec_repro::iotpolicy::explore::bfs_packed;
     use iotsec_repro::trace::tracer::Tracer;
 
-    let cameras = iotsec_bench::exp_policy::policy_for(9, 2);
-    let bfs = || {
-        let once = || bytes_during(|| bfs_packed(&cameras, 1, &Tracer::disabled())).0;
-        (0..3).map(|_| once()).min().unwrap()
-    };
-    let (first_bfs, second_bfs) = (bfs(), bfs());
-    assert_eq!(first_bfs, second_bfs, "the BFS must allocate deterministically");
-    assert!(first_bfs <= 4 << 20, "serial BFS over 9 cameras requested {first_bfs} B (> 4 MiB)");
+    for (n, pairs, bound) in [(9, 2, 1 << 10), (12, 3, 2 << 10)] {
+        let cameras = iotsec_bench::exp_policy::policy_for(n, pairs);
+        let (bytes, bfs) = bytes_during(|| bfs_packed(&cameras, 1, &Tracer::disabled()));
+        assert_eq!(bfs.expect("E19 policy family packs").visited, cameras.schema.size());
+        assert!(bytes <= bound, "shell pass over {n} cameras requested {bytes} B (> {bound} B)");
+    }
 
     // 5. The warm fleet tick (E20): once a fleet's intel epoch stops
     // moving, a whole round is memo replay — every home's outcome is a

@@ -2,7 +2,10 @@
 //! encoding must be a bijection onto the legacy representation, packed
 //! odometer iteration must replay the legacy iterator byte-for-byte,
 //! and every engine — naive, packed-serial, packed-parallel — must
-//! agree on counts, digests, BFS shells and reachable conflicts.
+//! agree on counts, digests, BFS shells and reachable conflicts. The
+//! shell count in `bfs_packed` is held to two independent specs kept
+//! here: a reference search ([`reference_bfs`]) and the closed form
+//! ([`product_shells`]).
 
 use iotsec_repro::iotdev::device::{DeviceClass, DeviceId};
 use iotsec_repro::iotdev::env::EnvVar;
@@ -10,13 +13,17 @@ use iotsec_repro::iotpolicy::conflict::{
     find_reachable_rule_conflicts, find_reachable_rule_conflicts_naive,
 };
 use iotsec_repro::iotpolicy::context::SecurityContext;
-use iotsec_repro::iotpolicy::explore::{bfs_naive, bfs_packed, explore_naive, explore_packed};
+use iotsec_repro::iotpolicy::explore::{
+    bfs_naive, bfs_packed, explore_naive, explore_packed, BfsStats,
+};
 use iotsec_repro::iotpolicy::packed::{MemoPolicy, PackedLayout};
 use iotsec_repro::iotpolicy::policy::{FsmPolicy, PolicyRule, StatePattern};
 use iotsec_repro::iotpolicy::posture::{BlockClass, Posture, SecurityModule};
 use iotsec_repro::iotpolicy::state_space::StateSchema;
+use iotsec_repro::trace::digest::fnv64;
 use iotsec_repro::trace::tracer::Tracer;
 use proptest::prelude::*;
+use std::collections::HashSet;
 
 /// Build a schema from raw generator output: each device picks a class
 /// and a domain that is a distinct-value prefix of the context space
@@ -83,6 +90,79 @@ fn policy_from(schema: StateSchema, strict: bool, rules: &[RawRule]) -> FsmPolic
         policy.add_rule(rule);
     }
     policy
+}
+
+/// The frontier search `bfs_packed` no longer runs: hash-set visited,
+/// [`PackedLayout::successors`] as the transition relation, level by
+/// level from the initial state, digest = XOR of
+/// `fnv64(depth_le ‖ word_le)` over every `(depth, state)`. It is the
+/// spec of `visited`, `depths` and `frontier_digest`, and the search to
+/// start from if the relation is ever restricted (DESIGN.md §9).
+fn reference_bfs(layout: &PackedLayout) -> BfsStats {
+    let mut stats = BfsStats::default();
+    let mut visited = HashSet::from([layout.first().0]);
+    let mut frontier = vec![layout.first()];
+    let mut depth = 0u32;
+    while !frontier.is_empty() {
+        stats.depths.push(frontier.len() as u64);
+        let mut next = Vec::new();
+        for &p in &frontier {
+            let mut bytes = [0u8; 20];
+            bytes[..4].copy_from_slice(&depth.to_le_bytes());
+            bytes[4..].copy_from_slice(&p.0.to_le_bytes());
+            stats.frontier_digest ^= fnv64(&bytes);
+            layout.successors(p, |s| {
+                if visited.insert(s.0) {
+                    next.push(s);
+                }
+            });
+        }
+        frontier = next;
+        depth += 1;
+    }
+    stats.visited = visited.len() as u128;
+    stats
+}
+
+/// Slot radices in digit order: environment slots, then devices.
+fn radices(schema: &StateSchema) -> Vec<u64> {
+    let env = schema.env_vars.iter().map(|v| v.domain().len() as u64);
+    env.chain(schema.devices.iter().map(|d| d.contexts.len() as u64)).collect()
+}
+
+/// Coefficients of ∏(1 + (rᵢ − 1)·x) over the slots that can move:
+/// coefficient *k* counts the states with exactly *k* slots off their
+/// initial value, which is shell *k* of a search whose moves set any one
+/// slot to any other value.
+fn product_shells(radices: &[u64]) -> Vec<u64> {
+    let mut shells = vec![1u64];
+    for r in radices.iter().filter(|r| **r > 1) {
+        shells.push(0);
+        for k in (1..shells.len()).rev() {
+            shells[k] += shells[k - 1] * (r - 1);
+        }
+    }
+    shells
+}
+
+/// `bfs_packed` against the closed form on one policy.
+fn assert_shells_are_the_product(policy: &FsmPolicy) {
+    let bfs = bfs_packed(policy, 1, &Tracer::disabled()).expect("the policy packs");
+    let radices = radices(&policy.schema);
+    assert_eq!(bfs.depths, product_shells(&radices), "radices {radices:?}");
+    assert_eq!(bfs.depths.len(), 1 + radices.iter().filter(|r| **r > 1).count());
+    let layout = PackedLayout::of(&policy.schema).expect("the policy packs");
+    assert_eq!(bfs.visited, layout.size());
+    assert_eq!(bfs.visited, policy.schema.size());
+}
+
+/// E19's four populations (n = 12 is 3 359 232 states, past any search
+/// a test could afford) have the shells their layouts predict.
+#[test]
+fn e19_populations_have_product_shells() {
+    for &n in iotsec_bench::exp_space::POPULATIONS {
+        assert_shells_are_the_product(&iotsec_bench::exp_policy::policy_for(n, n / 4));
+    }
 }
 
 proptest! {
@@ -183,23 +263,51 @@ proptest! {
         prop_assert_eq!(serial.states, policy.schema.size());
     }
 
-    /// BFS agrees the same way: the packed frontier search visits the
-    /// same shells as the naive clone-heavy search, and the parallel
-    /// expansion is byte-identical to serial (digest included).
+    /// The shells agree with the naive clone-heavy search over legacy
+    /// states, and `threads` is ignored: 1 and 4 return equal stats.
     #[test]
-    fn prop_bfs_shells_and_parallel_identity(
+    fn prop_bfs_shells_match_naive(
         n in 2u32..6,
         pairs in 0u32..3,
-        threads in 2usize..4,
     ) {
         let policy = iotsec_bench::exp_policy::policy_for(n, pairs);
         let tracer = Tracer::disabled();
-        let serial = bfs_packed(&policy, 1, &tracer).expect("policy family packs");
-        let parallel = bfs_packed(&policy, threads, &tracer).expect("policy family packs");
-        prop_assert_eq!(serial.histogram(), parallel.histogram());
-        prop_assert_eq!(serial.frontier_digest, parallel.frontier_digest);
-        prop_assert_eq!(bfs_naive(&policy).histogram(), serial.histogram());
-        prop_assert_eq!(serial.visited, policy.schema.size());
+        let bfs = bfs_packed(&policy, 1, &tracer).expect("policy family packs");
+        prop_assert_eq!(&bfs, &bfs_packed(&policy, 4, &tracer).expect("policy family packs"));
+        prop_assert_eq!(bfs_naive(&policy).histogram(), bfs.histogram());
+        prop_assert_eq!(bfs.visited, policy.schema.size());
+    }
+
+    /// `bfs_packed` equals the reference search — visited count, every
+    /// shell and the frontier digest, the one field `bfs_naive` cannot
+    /// check — on random schemas (radices 1–4, so single-valued and
+    /// non-power-of-two slots both occur) and on the policy family.
+    #[test]
+    fn prop_bfs_matches_reference_search(
+        devices in prop::collection::vec((0u8..13, 0u8..4), 1..5),
+        envs in prop::collection::vec(0u8..7, 0..3),
+        n in 2u32..7,
+        pairs in 0u32..3,
+    ) {
+        let random = FsmPolicy::new(schema_from(&devices, &envs));
+        for policy in [random, iotsec_bench::exp_policy::policy_for(n, pairs)] {
+            let layout = PackedLayout::of(&policy.schema).expect("small schemas always pack");
+            let bfs = bfs_packed(&policy, 1, &Tracer::disabled()).expect("small schemas always pack");
+            prop_assert_eq!(bfs, reference_bfs(&layout));
+        }
+    }
+
+    /// The closed form is the spec: shells are the coefficients of
+    /// ∏(1 + (rᵢ − 1)·x), one per movable slot plus the initial state.
+    #[test]
+    fn prop_bfs_shells_are_the_product(
+        devices in prop::collection::vec((0u8..13, 0u8..4), 1..5),
+        envs in prop::collection::vec(0u8..7, 0..3),
+        n in 2u32..7,
+        pairs in 0u32..3,
+    ) {
+        assert_shells_are_the_product(&FsmPolicy::new(schema_from(&devices, &envs)));
+        assert_shells_are_the_product(&iotsec_bench::exp_policy::policy_for(n, pairs));
     }
 
     /// The packed co-activation conflict scan equals the exhaustive

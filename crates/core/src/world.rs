@@ -6,8 +6,9 @@
 //! FSMs, physics, the hub and the attacker; the packet-level event
 //! engine runs at full resolution between ticks. The tick is the
 //! semantic grid, not the unit of work: [`World::run`] executes the
-//! ticks in which something is due and replays only the physics of the
-//! rest (DESIGN.md §6).
+//! ticks in which something is due, runs their device pass only where a
+//! device has work, and replays only the physics of the rest
+//! (DESIGN.md §6).
 
 use crate::chaos::ChaosConfig;
 use crate::defense::{upnp_pinholes, Defense, IoTSecConfig};
@@ -23,7 +24,7 @@ use iotctl::safety::{self, DeviceFacts, SafetyMonitor};
 use iotdev::attacker::{AttackPlan, AttackStep, Attacker, AttackerEmit};
 use iotdev::classes::{DeviceLogic, PlugLoad};
 use iotdev::device::{AdminCreds, DeviceId, DeviceOutput, IoTDevice, OutMessage};
-use iotdev::env::{EnvVar, Environment};
+use iotdev::env::{DiscreteEnv, EnvVar, Environment};
 use iotdev::events::SecurityEvent;
 use iotdev::proto::AppMessage;
 use iotdev::vuln::Vulnerability;
@@ -106,6 +107,18 @@ impl ControlPlane {
             ControlPlane::Flat(c) => c.step(now),
             ControlPlane::Hier(h) => h.step(now),
             ControlPlane::Replicated(r) => r.step(now),
+        }
+    }
+
+    /// Whether the view's environment is `env`, so that reporting `env`
+    /// again would change nothing. A served event can move it off the
+    /// last report; the planes with more than one view answer no.
+    fn holds_env(&self, env: &DiscreteEnv) -> bool {
+        match self {
+            ControlPlane::Flat(c) => {
+                EnvVar::ALL.iter().all(|&v| c.view.env.get(v) == Some(env.get(v)))
+            }
+            ControlPlane::Hier(_) | ControlPlane::Replicated(_) => false,
         }
     }
 
@@ -213,8 +226,15 @@ struct HomeState {
     last_failovers: u64,
     /// Whole-class recomputes refused by the admission controller.
     admission_shed: u64,
-    /// Ticks [`World::step`] executed; the clock counts the ticks simulated.
+    /// Ticks executed, in full or device-coasted; the clock counts the
+    /// ticks simulated.
     ticks_executed: u64,
+    /// A delivery reached a device since the last full device pass, so
+    /// the accumulators that pass derived may be stale.
+    touched: bool,
+    /// The discretization the hub and the control plane were last handed;
+    /// `None` once a served event has moved the control plane's view off it.
+    reported: Option<DiscreteEnv>,
 }
 
 /// The per-home containers whose capacity outlives the home:
@@ -997,12 +1017,26 @@ impl World {
     }
 
     /// Advance one tick, executing every phase of it. [`World::run`]
-    /// calls this for the ticks in which something is due; called
-    /// directly it is the reference the run loop is tested against.
+    /// runs the same body, skipping only what it can show does nothing;
+    /// called directly this is the reference the run loop is tested
+    /// against.
     pub fn step(&mut self) {
+        self.execute(true);
+    }
+
+    /// One tick. A full tick runs every phase; a device-coasted one
+    /// (`!full`, chosen by `advance` only when every device is steady,
+    /// none is due and none has been reached by a delivery since the last
+    /// full device pass) runs only the phases that would do something:
+    /// the device pass is a frame count, the environment report runs on
+    /// a discretization the hub and the control plane do not hold yet,
+    /// and the attacker, control plane and lifecycle run once their
+    /// `next_due` has come.
+    fn execute(&mut self, full: bool) {
         self.clock += self.tick;
         self.home.ticks_executed += 1;
         let now = self.clock;
+        let due = move |at: Option<SimTime>| full || at.is_some_and(|at| at <= now);
 
         // 0. Chaos: apply due network faults, crashes and outages.
         self.apply_chaos(now);
@@ -1010,33 +1044,47 @@ impl World {
         // 1. Activate µmboxes that finished booting / reconfiguring.
         self.activate_pending(now);
 
-        // 2. Device FSM ticks + physics.
-        self.env.begin_tick();
-        let mut out = std::mem::take(&mut self.buf.device_out);
-        for i in 0..self.devices.len() {
-            self.devices[i].tick_into(now, &mut self.env, &mut out);
-            self.dispatch(self.device_endpoints[i], now, &mut out);
+        // 2. Device FSM ticks + physics. On a device-coasted tick the pass
+        // would change nothing but camera frames and re-sum the
+        // accumulators to what they hold.
+        if full {
+            self.home.touched = false;
+            self.env.begin_tick();
+            let mut out = std::mem::take(&mut self.buf.device_out);
+            for i in 0..self.devices.len() {
+                self.devices[i].tick_into(now, &mut self.env, &mut out);
+                self.dispatch(self.device_endpoints[i], now, &mut out);
+            }
+            self.buf.device_out = out;
+        } else {
+            for dev in &mut self.devices {
+                dev.coast(1);
+            }
         }
-        self.buf.device_out = out;
         self.env.step(self.tick.as_secs_f64());
         if (self.env.window_open || !self.env.door_locked) && !self.env.occupied {
             self.home.breach_at.get_or_insert(now);
         }
 
-        // 3. Hub: env-edge recipes + environment reporting.
+        // 3. Hub: env-edge recipes + environment reporting. Handing the
+        // hub or the control plane the discretization it holds changes
+        // nothing.
         let denv = self.env.discretize();
-        if let Some((hub, ep)) = &mut self.hub {
-            let (sends, ep) = (hub.on_env(denv), *ep);
-            for m in sends {
-                self.send_message(ep, now, &m, None);
+        if full || self.home.reported != Some(denv) {
+            self.home.reported = Some(denv);
+            if let Some((hub, ep)) = &mut self.hub {
+                let (sends, ep) = (hub.on_env(denv), *ep);
+                for m in sends {
+                    self.send_message(ep, now, &m, None);
+                }
             }
-        }
-        if let Some(control) = &mut self.control {
-            control.ingest_env(now, &EnvVar::ALL.map(|var| (var, denv.get(var))));
+            if let Some(control) = &mut self.control {
+                control.ingest_env(now, &EnvVar::ALL.map(|var| (var, denv.get(var))));
+            }
         }
 
         // 4. Attacker.
-        if let Some((attacker, ep)) = &mut self.attacker {
+        if let Some((attacker, ep)) = self.attacker.as_mut().filter(|(a, _)| due(a.next_due())) {
             let (emits, ep) = (attacker.poll(now), *ep);
             for AttackerEmit { out, spoof_src } in emits {
                 self.send_message(ep, now, &out, spoof_src);
@@ -1067,7 +1115,8 @@ impl World {
         self.buf.event_sink.drain_into(&mut events);
         let mut directives = Vec::new();
         let mut reachable = true;
-        if let Some(control) = &mut self.control {
+        let has_events = !events.is_empty();
+        if let Some(control) = self.control.as_mut().filter(|c| has_events || due(c.next_due())) {
             let down = control.is_down(now);
             for e in events.drain(..) {
                 if down {
@@ -1080,7 +1129,13 @@ impl World {
             if !down {
                 self.home.blocked_reaction.clear();
             }
+            let served = control.events_processed();
             directives = control.step(now);
+            if control.events_processed() != served
+                && self.home.reported.is_some_and(|env| !control.holds_env(&env))
+            {
+                self.home.reported = None;
+            }
             reachable = !control.is_down(now);
             for d in &directives {
                 let (device, kind) = (d.device().0, directive_kind(d));
@@ -1125,7 +1180,7 @@ impl World {
                 self.execute_directive(d, now);
             }
         }
-        if let Some(lc) = &mut self.home.lifecycle {
+        if let Some(lc) = self.home.lifecycle.as_mut().filter(|lc| due(lc.next_due())) {
             for (device, _restart_at) in lc.advance(now) {
                 self.tracer.emit(now.as_nanos(), TraceEvent::UmboxRespawn { device: device.0 });
             }
@@ -1252,17 +1307,20 @@ impl World {
     /// The run loop: bring the clock to the last grid point at or before
     /// `end` — or, with `until_attack_done`, to the first one at which
     /// the campaign is over — executing the ticks in which something is
-    /// due and coasting through the rest.
+    /// due, coasting through the rest, and running a device pass only on
+    /// the executed ticks in which a device has work.
     ///
-    /// A stretch is coasted only from a tick that was executed in full
-    /// *and was silent* — no packet-plane event, no controller event.
-    /// What a tick derives from device state (the `bulbs_on` / `power_w`
-    /// accumulators, the hub's last-seen environment, the controller's
-    /// view of it) is derived before the packet plane drains, and a
-    /// delivery can change the device state it was derived from; after a
-    /// silent tick it is current. The first tick of every call is
-    /// executed for the same reason, one level up: `env`, `net` and
-    /// `clock` are `pub`, and callers change them between calls.
+    /// What a tick derives — the `bulbs_on` / `power_w` accumulators in
+    /// the device pass, the discretization the hub and the control plane
+    /// hold in the report — is derived before the packet plane drains.
+    /// It stays current after an executed tick in which no delivery
+    /// reached a device (only a delivery changes a device between device
+    /// passes) and after which the control plane's view still holds the
+    /// last report (only a served event can move it). After such a tick
+    /// the loop may coast, and the next executed tick may coast its
+    /// devices if every one is steady and none is due. The first tick of
+    /// every call is executed in full: `env`, `net` and `clock` are
+    /// `pub`, and callers change them between calls.
     fn advance(&mut self, end: SimTime, until_attack_done: bool) {
         let polled = self.polls_every_tick();
         let mut settled = false;
@@ -1271,12 +1329,15 @@ impl World {
                 let room = (end - self.clock).as_nanos() / self.tick.as_nanos();
                 self.coast(room.min(self.idle_ticks()));
             }
-            if self.clock + self.tick > end {
+            let now = self.clock + self.tick;
+            if now > end {
                 return;
             }
-            let before = self.activity();
-            self.step();
-            settled = !polled && self.activity() == before;
+            let idle =
+                |d: &IoTDevice| d.next_due().is_none_or(|due| due > now) && d.steady(&self.env);
+            let full = !settled || !self.devices.iter().all(idle);
+            self.execute(full);
+            settled = !polled && !self.home.touched && self.home.reported.is_some();
         }
     }
 
@@ -1290,12 +1351,6 @@ impl World {
     /// deployment installed, as [`World::supports_resident`] is.
     fn polls_every_tick(&self) -> bool {
         self.chaos_enabled || self.safety.is_some()
-    }
-
-    /// Packet-plane and controller events so far: a tick across which
-    /// neither moves was silent.
-    fn activity(&self) -> (u64, u64) {
-        (self.net.events_processed(), self.control.as_ref().map_or(0, |c| c.events_processed()))
     }
 
     /// The earliest instant from which some time-driven component does
@@ -1500,6 +1555,7 @@ impl World {
         let Ok(msg) = AppMessage::decode(&d.packet.payload) else { return };
         match entity {
             Entity::Device(i) => {
+                self.home.touched = true;
                 let mut out = self.devices[i].handle_message(
                     d.at,
                     d.packet.ip.src,

@@ -326,6 +326,8 @@ fn idle_ticks_are_allocation_free() {
     /// One resident home-round (rebind + run), at both seeds, in debug
     /// and in release. It was 543 with heap-`Vec` class ticks and 158
     /// before payloads went inline; DESIGN.md §6 lists the 86 by site.
+    /// Device-coasted ticks skip phases, never add to them: the count
+    /// must not rise with them either.
     const HOME_ROUND_ALLOCS: u64 = 86;
     /// Devices report telemetry every 5 s of sim time, all on the same
     /// tick; the reports cross the network during the tick after.
@@ -381,6 +383,18 @@ fn idle_ticks_are_allocation_free() {
         assert_eq!(allocs, 0, "a coasted stretch allocated");
         assert_eq!(w.ticks_simulated(), ticks + 40);
         assert_eq!(w.ticks_executed(), executed + 1, "39 of the 40 ticks are coasted");
+
+        // A second from the tick before a report: the report tick runs
+        // in full, the next one, on which only its frames arrive at the
+        // hub, runs device-coasted, and the other eight are coasted. The
+        // allocator hears of none of them.
+        while w.clock.as_nanos() / 1_000_000 % TELEMETRY_MS != TELEMETRY_MS - TICK_MS {
+            w.step();
+        }
+        let executed = w.ticks_executed();
+        let (allocs, ()) = allocs_during(|| w.run(SimDuration::from_secs(1)));
+        assert_eq!(allocs, 0, "a report and its device-coasted delivery tick allocated");
+        assert_eq!(w.ticks_executed(), executed + 2, "the report and its delivery are executed");
 
         // Coasted ticks allocated nothing when they were executed either:
         // a home-round run asks the allocator for exactly what the same

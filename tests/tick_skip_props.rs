@@ -6,10 +6,10 @@
 //!
 //! "Indistinguishable" is everything a caller can read: the packet-level
 //! trace stream line for line, the report, the metrics registry, the
-//! clock, every environment float bit for bit, each camera's next image,
-//! the network counters. Where `run` executes fewer ticks than it
-//! simulates, this file is the licence; where it executes all of them
-//! (both sides step), it passes trivially.
+//! clock, every environment float bit for bit, what the gates read of
+//! it, each camera's next image, the network counters. Where `run`
+//! executes fewer ticks than it simulates, this file is the licence;
+//! where it executes all of them (both sides step), it passes trivially.
 
 use iotsec_repro::iotctl::safety::SafetyConfig;
 use iotsec_repro::iotdev::classes::{DeviceLogic, PlugLoad};
@@ -118,8 +118,9 @@ fn observe(w: &World, devices: usize) -> String {
             )
         })
         .collect();
+    let gates = EnvVar::ALL.map(|var| w.gate_view().get(var));
     format!(
-        "clock={:?}\nenv={:?}\nstats={:?}\nevents={} pending={} done={} victim={}\n\
+        "clock={:?}\nenv={:?}\ngates={gates:?}\nstats={:?}\nevents={} pending={} done={} victim={}\n\
          report={:?}\nmetrics=\n{}\ndevices={devices:#?}",
         w.clock,
         env_bits(&w.env),
@@ -168,6 +169,15 @@ fn check_pair(label: &str, d: &Deployment, horizon: SimDuration, seed: u64) -> W
     check_pair_from(label, d, horizon, seed, |_| {})
 }
 
+/// One `run*` call of a pair: the poke before it, how long, and whether
+/// it is `run_until_attack_done`.
+#[derive(Debug, Clone, Copy)]
+struct Segment {
+    draw: u32,
+    span: SimDuration,
+    until_done: bool,
+}
+
 /// [`check_pair`] over worlds `prepare` has set the scene in.
 fn check_pair_from(
     label: &str,
@@ -176,25 +186,40 @@ fn check_pair_from(
     seed: u64,
     prepare: impl Fn(&mut World),
 ) -> World {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let count = rng.gen_range(1..8u32);
+    let mut left = horizon.as_nanos();
+    let segments: Vec<Segment> = (0..count)
+        .map(|seg| {
+            let draw = rng.gen_range(0..1_000u32);
+            // Segment lengths are not multiples of the tick, so a `run`
+            // ends between grid points and the next one starts there.
+            let span = if seg + 1 == count { left } else { rng.gen_range(0..left.max(2) / 2 + 1) };
+            left -= span;
+            let until_done = rng.gen_range(0..4u32) == 0;
+            Segment { draw, span: SimDuration::from_nanos(span), until_done }
+        })
+        .collect();
+    check_segments(&format!("{label} seed {seed}"), d, &segments, prepare)
+}
+
+/// Run one world by `run*`, its twin by `step`, over `segments`,
+/// comparing after every one. Returns the world that ran.
+fn check_segments(
+    label: &str,
+    d: &Deployment,
+    segments: &[Segment],
+    prepare: impl Fn(&mut World),
+) -> World {
     let (run_trace, step_trace) =
         (Tracer::new(TraceConfig::full()), Tracer::new(TraceConfig::full()));
     let mut ran = World::new_traced(d, run_trace.clone());
     let mut stepped = World::new_traced(d, step_trace.clone());
     prepare(&mut ran);
     prepare(&mut stepped);
-    let mut rng = StdRng::seed_from_u64(seed);
-    let segments = rng.gen_range(1..8u32);
-    let mut left = horizon.as_nanos();
-    for seg in 0..segments {
-        let draw = rng.gen_range(0..1_000u32);
+    for (seg, &Segment { draw, span, until_done }) in segments.iter().enumerate() {
         poke(&mut ran, draw);
         poke(&mut stepped, draw);
-        // Segment lengths are not multiples of the tick, so a `run` ends
-        // between grid points and the next one starts there.
-        let span = if seg + 1 == segments { left } else { rng.gen_range(0..left.max(2) / 2 + 1) };
-        left -= span;
-        let span = SimDuration::from_nanos(span);
-        let until_done = rng.gen_range(0..4u32) == 0;
         if until_done {
             ran.run_until_attack_done(span);
             step_until_attack_done(&mut stepped, d.tick, span);
@@ -202,9 +227,8 @@ fn check_pair_from(
             ran.run(span);
             step_for(&mut stepped, d.tick, span);
         }
-        let at = format!(
-            "{label} seed {seed} segment {seg}/{segments} ({span}, until_done={until_done})"
-        );
+        let at =
+            format!("{label} segment {seg}/{} ({span}, until_done={until_done})", segments.len());
         if let Some(div) = first_divergence(&step_trace.to_jsonl(), &run_trace.to_jsonl()) {
             panic!("{at}: trace diverged from the stepped twin:\n{}", render_divergence(&div));
         }
@@ -349,6 +373,99 @@ fn run_equals_step_when_the_room_is_changed_between_runs() {
             });
         }
     }
+}
+
+/// A home in which a delivery changes nothing but what the next device
+/// pass adds up: an open window makes the hub light a bulb (dark →
+/// bright) and cut an oven's plug (2 000 W → standby, high → normal), and
+/// the normal draw lights a second bulb. Bulbs and plugs are steady
+/// whatever they hold, and no device is due for seconds after.
+fn accumulator_home(defense: Defense) -> Deployment {
+    let mut d = Deployment::new();
+    let bulb = d.device(DeviceSetup::clean(DeviceClass::LightBulb));
+    let plug = d.device(DeviceSetup::clean(DeviceClass::SmartPlug).powering(PlugLoad::Oven));
+    let lamp = d.device(DeviceSetup::clean(DeviceClass::LightBulb));
+    let recipes = [
+        (Trigger::EnvEquals(EnvVar::Window, "open"), bulb, ControlAction::TurnOn),
+        (Trigger::EnvEquals(EnvVar::Window, "open"), plug, ControlAction::TurnOff),
+        (Trigger::EnvEquals(EnvVar::PowerDraw, "normal"), lamp, ControlAction::TurnOn),
+    ];
+    for (id, (trigger, target, action)) in recipes.into_iter().enumerate() {
+        d.recipe(Recipe { id: id as u32, trigger, action: RecipeAction { target, action } });
+    }
+    d.defend_with(defense);
+    d
+}
+
+#[test]
+fn run_equals_step_where_a_delivery_moves_only_an_accumulator() {
+    // The commands land a tick after the edge that sent them and nothing
+    // is due but their acks: the tick after must still run the device
+    // pass that counts the lit bulb and the dropped load.
+    let prepare = |w: &mut World| {
+        w.env.window_open = true;
+        w.env.daylight = 0.0;
+    };
+    for defense in [Defense::None, Defense::iotsec()] {
+        let d = accumulator_home(defense);
+        let whole = [Segment { draw: 5, span: SimDuration::from_secs(20), until_done: false }];
+        let w = check_segments("accumulator-home", &d, &whole, prepare);
+        assert_eq!(w.report().recipes_fired, 3, "bulb, plug, then the lamp on the normal draw");
+        assert_eq!((w.env.bulbs_on, w.env.discretize().light), (2, "bright"));
+        for seed in 0..8 {
+            check_pair_from("accumulator-home", &d, SimDuration::from_secs(20), seed, prepare);
+        }
+    }
+}
+
+#[test]
+fn a_device_coasted_tick_reports_a_moved_discretization() {
+    // Nothing in this room senses the temperature: it warms toward the
+    // 28 °C ambient unwatched, so the tick on which it passes 27 °C has
+    // no device work and is device-coasted. The hub's "high" edge and the
+    // controller's view (read through the gates) must still move on it.
+    let mut d = Deployment::new();
+    d.device(DeviceSetup::clean(DeviceClass::Refrigerator));
+    let bulb = d.device(DeviceSetup::clean(DeviceClass::LightBulb));
+    d.recipe(Recipe {
+        id: 0,
+        trigger: Trigger::EnvEquals(EnvVar::Temperature, "high"),
+        action: RecipeAction { target: bulb, action: ControlAction::TurnOn },
+    });
+    d.defend_with(Defense::iotsec());
+    let recipe = |w: &World| w.report().recipes_fired > 0;
+    let viewed = |w: &World| w.gate_view().get(EnvVar::Temperature) == Some("high");
+    check_crossings(
+        "unwatched warming",
+        &d,
+        6_000,
+        |_| {},
+        &[("the hub's temperature recipe fires", &recipe), ("the gates read high", &viewed)],
+    );
+}
+
+#[test]
+fn run_equals_step_where_a_served_event_contradicts_the_last_report() {
+    // Someone leaves, comes back and leaves again, one tick apart. Each
+    // motion event is served a tick after the report of the same change,
+    // so the "present" one lands after the room is empty again and moves
+    // the controller's view off the report it just had. A stepped world
+    // hands the next tick's report over and its gates learn "absent"; a
+    // run must not skip that report, or its gates read "present" for good.
+    let mut d = Deployment::new();
+    d.device(DeviceSetup::clean(DeviceClass::MotionSensor));
+    d.device(DeviceSetup::clean(DeviceClass::Refrigerator));
+    d.defend_with(Defense::iotsec());
+    let run = |draw, span| Segment { draw, span, until_done: false };
+    let (settle, flip) = (5, 0); // `poke` does nothing / flips `occupied`
+    let schedule = [
+        run(settle, SimDuration::from_secs(1)),
+        run(flip, d.tick),
+        run(flip, d.tick),
+        run(flip, SimDuration::from_secs(2)),
+    ];
+    let w = check_segments("in-out-in-out", &d, &schedule, |_| {});
+    assert_eq!(w.gate_view().get(EnvVar::Occupancy), Some("absent"));
 }
 
 /// A resident machine rebound to a home and *run* must equal a cold

@@ -2,7 +2,7 @@
 //!
 //! A [`ChaosConfig`] attached to a [`crate::Deployment`] turns the world
 //! into a hostile place in a *reproducible* way: every fault — link
-//! flaps, loss/corruption bursts, µmbox crashes, controller outages — is
+//! flaps, loss bursts, µmbox crashes, controller outages — is
 //! either placed explicitly or derived from `seed` alone, so two runs
 //! with the same deployment and the same chaos seed produce
 //! byte-identical [`crate::Metrics`].

@@ -77,7 +77,7 @@ impl Defense {
 /// The WAN-facing ports a vulnerable device exposes through the
 /// perimeter (how each Table 1 row was reachable from the Internet in
 /// the first place).
-pub fn upnp_pinholes(vulns: &[Vulnerability]) -> Vec<u16> {
+pub(crate) fn upnp_pinholes(vulns: &[Vulnerability]) -> Vec<u16> {
     let mut ports_open = Vec::new();
     for v in vulns {
         match v {

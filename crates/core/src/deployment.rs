@@ -75,13 +75,13 @@ impl DeviceSetup {
     }
 
     /// Add a vulnerability known to the operator.
-    pub fn with_vuln(mut self, vuln: Vulnerability) -> DeviceSetup {
+    pub(crate) fn with_vuln(mut self, vuln: Vulnerability) -> DeviceSetup {
         self.vulns.push(vuln);
         self
     }
 
     /// Every flaw the device actually ships with.
-    pub fn all_vulns(&self) -> Vec<Vulnerability> {
+    pub(crate) fn all_vulns(&self) -> Vec<Vulnerability> {
         self.vulns.iter().chain(self.undisclosed.iter()).cloned().collect()
     }
 }
@@ -258,7 +258,7 @@ impl Deployment {
     }
 
     /// Whether any step reflects DNS (a victim host is then attached).
-    pub fn needs_victim(&self) -> bool {
+    pub(crate) fn needs_victim(&self) -> bool {
         self.campaign.iter().any(|s| matches!(s, StepSpec::DnsReflect { .. }))
     }
 }

@@ -95,7 +95,7 @@ impl Hub {
 
     /// Feed a device event (arrived on the telemetry plane); returns the
     /// actuations any event-triggered recipes produce.
-    pub fn on_event(&mut self, from: Ipv4Addr, event: EventKind) -> Vec<OutMessage> {
+    pub(crate) fn on_event(&mut self, from: Ipv4Addr, event: EventKind) -> Vec<OutMessage> {
         let Some(&class) = self.ip_to_class.get(&from) else { return Vec::new() };
         let hits: Vec<usize> = self
             .recipes

@@ -70,5 +70,5 @@ pub mod world;
 pub use chaos::ChaosConfig;
 pub use defense::{Defense, IoTSecConfig};
 pub use deployment::{AttackerLocation, Deployment, DeviceSetup, StepSpec};
-pub use metrics::{CampaignReport, Metrics};
+pub use metrics::Metrics;
 pub use world::{HomeOverrides, World};

@@ -119,17 +119,6 @@ impl Metrics {
     }
 }
 
-/// A labelled `(defense, metrics)` pair — one row of a comparison table.
-#[derive(Debug, Clone, Serialize)]
-pub struct CampaignReport {
-    /// Scenario label.
-    pub scenario: String,
-    /// Defense label.
-    pub defense: String,
-    /// Outcomes.
-    pub metrics: Metrics,
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -73,7 +73,6 @@ fn link_reset_is_fresh() {
                 link.transmit(SimTime::from_millis(i), 12_000, &mut rng);
             }
             link.burst_loss = Some(0.5);
-            link.corrupt_rate = 0.25;
             link.fail();
         },
         Link::reset_runtime,

@@ -89,16 +89,6 @@ impl RecoveryPolicy {
         RecoveryPolicy { retry: false, ..RecoveryPolicy::standard() }
     }
 
-    /// The `no-reconcile` seeded weakness.
-    pub fn no_reconcile() -> RecoveryPolicy {
-        RecoveryPolicy { reconcile: false, ..RecoveryPolicy::standard() }
-    }
-
-    /// The `unbounded-staleness` seeded weakness.
-    pub fn unbounded_staleness() -> RecoveryPolicy {
-        RecoveryPolicy { declare_degraded: false, ..RecoveryPolicy::standard() }
-    }
-
     /// Backoff (in rounds) before retry `attempt` (1-based):
     /// `min(2^(attempt-1), max_backoff)`, at least 1.
     pub fn backoff(&self, attempt: u32) -> u32 {
@@ -209,19 +199,19 @@ impl FleetChaos {
     /// Does neighborhood `n`'s flush get dropped this `attempt`
     /// (0 = first try, 1.. = retries — each retry faces the weather
     /// independently)?
-    pub fn drops_flush(&self, round: u32, n: u32, attempt: u32) -> bool {
+    pub(crate) fn drops_flush(&self, round: u32, n: u32, attempt: u32) -> bool {
         self.chance(self.drop_pm, round, n, 0x1000 + u64::from(attempt))
     }
 
     /// Does neighborhood `n`'s surviving flush also land a duplicate
     /// next round?
-    pub fn dups_flush(&self, round: u32, n: u32) -> bool {
+    pub(crate) fn dups_flush(&self, round: u32, n: u32) -> bool {
         self.chance(self.dup_pm, round, n, 0x2000)
     }
 
     /// Rotation amount for this round's surviving flush list (`0` = in
     /// order); `len` is the number of flushes that survived.
-    pub fn reorders(&self, round: u32, len: usize) -> usize {
+    pub(crate) fn reorders(&self, round: u32, len: usize) -> usize {
         if len < 2 || !self.chance(self.reorder_pm, round, 0, 0x3000) {
             return 0;
         }
@@ -229,17 +219,17 @@ impl FleetChaos {
     }
 
     /// Does neighborhood `n`'s aggregator crash at this barrier?
-    pub fn crashes_agg(&self, round: u32, n: u32) -> bool {
+    pub(crate) fn crashes_agg(&self, round: u32, n: u32) -> bool {
         self.chance(self.crash_pm, round, n, 0x4000)
     }
 
     /// Does a partition cut neighborhood `n` off starting this barrier?
-    pub fn partition_begins(&self, round: u32, n: u32) -> bool {
+    pub(crate) fn partition_begins(&self, round: u32, n: u32) -> bool {
         self.chance(self.partition_pm, round, n, 0x5000)
     }
 
     /// Is neighborhood `n`'s due install wave delayed one round?
-    pub fn delays_install(&self, round: u32, n: u32) -> bool {
+    pub(crate) fn delays_install(&self, round: u32, n: u32) -> bool {
         self.chance(self.delay_pm, round, n, 0x6000)
     }
 }
@@ -315,14 +305,9 @@ mod tests {
     }
 
     #[test]
-    fn weakened_arms_flip_exactly_one_flag() {
+    fn no_retry_flips_exactly_one_flag() {
         let s = RecoveryPolicy::standard();
         assert_eq!(RecoveryPolicy::no_retry(), RecoveryPolicy { retry: false, ..s });
-        assert_eq!(RecoveryPolicy::no_reconcile(), RecoveryPolicy { reconcile: false, ..s });
-        assert_eq!(
-            RecoveryPolicy::unbounded_staleness(),
-            RecoveryPolicy { declare_degraded: false, ..s }
-        );
     }
 
     #[test]

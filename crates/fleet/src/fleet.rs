@@ -1329,7 +1329,8 @@ mod tests {
             }
             .with_horizon(4);
             let cfg = chaos_cfg(7);
-            let weak = chaos.with_policy(RecoveryPolicy::no_reconcile());
+            let weak = chaos
+                .with_policy(RecoveryPolicy { reconcile: false, ..RecoveryPolicy::standard() });
             let (fleet, events) = run_chaos(cfg, weak, CHAOS_ROUNDS);
             let violations = check_fleet_trace(&events, &spec_for(&cfg, &weak, CHAOS_ROUNDS));
             if violations.iter().any(|v| v.invariant == "unrecovered") {

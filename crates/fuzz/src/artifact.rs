@@ -203,6 +203,7 @@ mod tests {
         assert!(parse("seed=1\nhorizon=10\ndevice=row:9\n").is_err()); // bad row
         assert!(parse("seed=1\nhorizon=10\ndevice=row:1\nstep=exploit:5\n").is_err()); // range
         assert!(parse("seed=1\nhorizon=10\nrecipe=occupancy:sideways:0\n").is_err()); // domain
+        assert!(parse("seed=1\nhorizon=10\ndevice=row:5\nfault=flap:0:8:2\n").is_err()); // heal first
         assert!(parse("seed=x\n").is_err());
         assert!(parse("wibble=1\n").is_err());
     }

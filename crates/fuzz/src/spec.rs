@@ -178,8 +178,9 @@ impl ScenarioSpec {
     }
 
     /// Structural validity: every index in range, rows in 1..=7, trigger
-    /// values in domain. The generator always produces valid specs; the
-    /// artifact parser re-checks on load.
+    /// values in domain, every flap healing at or after it fails. The
+    /// generator always produces valid specs; the artifact parser
+    /// re-checks on load.
     pub fn validate(&self) -> Result<(), String> {
         if self.devices.is_empty() {
             return Err("scenario has no devices".into());
@@ -203,6 +204,11 @@ impl ScenarioSpec {
         for f in &self.faults {
             if f.device().is_some_and(|d| d >= n) {
                 return Err(format!("fault device out of range: {f:?}"));
+            }
+            if let FaultSpec::FlapUplink { down_secs, up_secs, .. } = *f {
+                if down_secs > up_secs {
+                    return Err(format!("flap heals before it fails: {f:?}"));
+                }
             }
         }
         for s in &self.attack {

@@ -225,28 +225,18 @@ impl<T: Clone + Ord> Default for RegionIntel<T> {
     }
 }
 
-/// One checkpointed entry of the region's durable log: the epoch an
-/// absorbing round produced and the novel items it added.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RegionLogEntry<T> {
-    /// Region epoch after this absorbing round's bump.
-    pub epoch: u32,
-    /// The items first absorbed in this round, in `Ord` order.
-    pub items: Vec<T>,
-}
-
 /// The region's checkpointed, append-only absorb log (E25).
 ///
 /// The region checkpoints every absorbing round here — epoch plus the
 /// novel items that produced it — so a crashed neighborhood aggregator
-/// can *respawn by replay*: reading the log tail past its last known
+/// can *respawn by replay*: reading the deltas past its last known
 /// epoch reconstructs exactly the intel it missed while down, without
 /// asking any home to re-report what the region already knows. The log
 /// is strictly monotone (entry `i` holds epoch `i + 1`) because the
 /// epoch contract on [`RegionIntel`] is dense.
 #[derive(Debug, Default)]
 pub struct RegionLog<T> {
-    entries: Vec<RegionLogEntry<T>>,
+    entries: Vec<Vec<T>>,
 }
 
 impl<T: Clone + Ord> RegionLog<T> {
@@ -267,19 +257,12 @@ impl<T: Clone + Ord> RegionLog<T> {
             "region log checkpoints must be dense and in epoch order"
         );
         assert!(!items.is_empty(), "an absorbing round always adds at least one item");
-        self.entries.push(RegionLogEntry { epoch, items });
+        self.entries.push(items);
     }
 
     /// The epoch of the latest checkpoint (0 when nothing was absorbed).
     pub fn epoch(&self) -> u32 {
         self.entries.len() as u32
-    }
-
-    /// Replay the log tail: every entry *after* `since_epoch`, in epoch
-    /// order. A respawned aggregator that last saw `since_epoch` applies
-    /// exactly these to catch up.
-    pub fn replay_since(&self, since_epoch: u32) -> &[RegionLogEntry<T>] {
-        &self.entries[(since_epoch as usize).min(self.entries.len())..]
     }
 
     /// The per-epoch delta: exactly the items first absorbed at `epoch`
@@ -291,7 +274,7 @@ impl<T: Clone + Ord> RegionLog<T> {
         if epoch == 0 {
             return None;
         }
-        self.entries.get(epoch as usize - 1).map(|e| e.items.as_slice())
+        self.entries.get(epoch as usize - 1).map(Vec::as_slice)
     }
 
     /// Number of checkpointed absorbing rounds.
@@ -558,16 +541,12 @@ mod tests {
         assert_eq!(log.len(), 2);
         assert_eq!(log.epoch(), 2);
         // An aggregator that last saw epoch 1 replays exactly epoch 2.
-        let tail = log.replay_since(1);
-        assert_eq!(tail.len(), 1);
-        assert_eq!(tail[0], RegionLogEntry { epoch: 2, items: vec![9] });
-        // Fully caught up → empty replay; epoch beyond the log → empty.
-        assert!(log.replay_since(2).is_empty());
-        assert!(log.replay_since(7).is_empty());
-        // A fresh respawn (epoch 0) replays everything in order.
-        let all = log.replay_since(0);
-        assert_eq!(all[0].items, vec![1, 3]);
-        assert_eq!(all[1].items, vec![9]);
+        assert_eq!(log.delta_of(2), Some(&[9][..]));
+        // Past the log, and epoch 0, there is nothing to replay.
+        assert_eq!(log.delta_of(3), None);
+        assert_eq!(log.delta_of(0), None);
+        // A fresh respawn (epoch 0) replays every delta in order.
+        assert_eq!(log.delta_of(1), Some(&[1, 3][..]));
     }
 
     #[test]

@@ -134,14 +134,8 @@ impl Controller {
         now < self.outage_until
     }
 
-    /// Add processing lag: the controller behaves as if busy for an
-    /// extra `extra` from `now` (fault injection).
-    pub fn inject_lag(&mut self, now: SimTime, extra: SimDuration) {
-        self.busy_until = self.busy_until.max(now) + extra;
-    }
-
     /// The per-event service time at the current policy size.
-    pub fn service_time(&self) -> SimDuration {
+    pub(crate) fn service_time(&self) -> SimDuration {
         self.config.service_base + self.config.service_per_rule * self.policy.rules.len() as u64
     }
 
@@ -242,11 +236,6 @@ impl Controller {
         state
     }
 
-    /// Pending event-queue depth.
-    pub fn queue_depth(&self) -> usize {
-        self.queue.len()
-    }
-
     /// Semantic fingerprint of the posture vector this controller
     /// believes is installed in the data plane.
     ///
@@ -318,9 +307,9 @@ mod tests {
         for _ in 0..100 {
             ctl.ingest(event(0, SecurityEventKind::AuthFailureBurst, SimTime::from_millis(1)));
         }
-        assert_eq!(ctl.queue_depth(), 100);
+        assert_eq!(ctl.queue.len(), 100);
         ctl.step(SimTime::from_secs(10));
-        assert_eq!(ctl.queue_depth(), 0);
+        assert!(ctl.queue.is_empty());
         assert_eq!(ctl.stats.events_processed, 100);
         // The 100th event waited behind 99 service times.
         assert!(ctl.stats.latency.max() > ctl.service_time() * 50);
@@ -335,7 +324,7 @@ mod tests {
         }
         // Only ~service-budget worth of events fit in 1 ms.
         ctl.step(SimTime::from_millis(1));
-        assert!(ctl.queue_depth() > 0);
+        assert!(!ctl.queue.is_empty());
     }
 
     #[test]
@@ -395,27 +384,16 @@ mod tests {
     }
 
     #[test]
-    fn injected_lag_delays_service() {
-        let mut ctl = fig3_controller();
-        ctl.reconcile(SimTime::ZERO);
-        ctl.inject_lag(SimTime::from_millis(1), SimDuration::from_secs(3));
-        ctl.ingest(event(0, SecurityEventKind::SignatureMatch, SimTime::from_millis(2)));
-        // The event can't finish service until the lag has drained.
-        assert!(ctl.step(SimTime::from_secs(1)).is_empty());
-        assert!(!ctl.step(SimTime::from_secs(4)).is_empty());
-    }
-
-    #[test]
     fn next_due_is_when_step_next_does_anything() {
         // An idle controller is never due.
         let mut ctl = fig3_controller();
         ctl.reconcile(SimTime::ZERO);
         assert_eq!(ctl.next_due(), None);
         // A queued event is due when its service completes, behind any
-        // lag and any outage — and `step` one nanosecond earlier is a
-        // no-op, at that instant serves it.
+        // outage — and `step` one nanosecond earlier is a no-op, at that
+        // instant serves it.
         let arrival = SimTime::from_millis(2);
-        ctl.inject_lag(SimTime::from_millis(1), SimDuration::from_secs(3));
+        ctl.inject_outage(SimTime::from_millis(1), SimDuration::from_secs(3));
         ctl.ingest(event(0, SecurityEventKind::SignatureMatch, arrival));
         let due = ctl.next_due().expect("an event is queued");
         assert_eq!(due, SimTime::from_millis(3_001) + ctl.service_time());

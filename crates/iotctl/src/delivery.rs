@@ -71,7 +71,7 @@ pub struct DeliveryStats {
 
 /// A directive in flight.
 #[derive(Debug, Clone)]
-pub struct DirectiveEnvelope {
+pub(crate) struct DirectiveEnvelope {
     /// Content-derived idempotence ID.
     pub id: u64,
     /// The directive itself.
@@ -88,7 +88,7 @@ pub struct DirectiveEnvelope {
 /// Content-derived idempotence ID: FNV-1a over the directive's debug
 /// representation. Two directives with identical content (same device,
 /// kind and posture) share an ID.
-pub fn directive_id(directive: &Directive) -> u64 {
+pub(crate) fn directive_id(directive: &Directive) -> u64 {
     trace::digest::fnv64(format!("{directive:?}").as_bytes())
 }
 

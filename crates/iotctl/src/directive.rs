@@ -77,7 +77,7 @@ impl Directive {
     /// The delivery criticality, derived from the directive's content.
     ///
     /// Deliberately *not* a stored field: the idempotence ID
-    /// ([`crate::delivery::directive_id`]) hashes the directive's debug
+    /// (`directive_id`) hashes the directive's debug
     /// representation, so an extra field would change every ID and
     /// break dedup across versions. Deriving keeps the wire content —
     /// and the IDs — exactly as they were.
@@ -100,7 +100,7 @@ impl Directive {
 }
 
 /// Plan the directive sequence that moves a device from `old` to `new`.
-pub fn plan_transition(device: DeviceId, old: &Posture, new: &Posture) -> Option<Directive> {
+pub(crate) fn plan_transition(device: DeviceId, old: &Posture, new: &Posture) -> Option<Directive> {
     match (old.is_allow(), new.is_allow()) {
         (true, true) => None,
         (true, false) => Some(Directive::Launch { device, posture: new.clone() }),

@@ -202,11 +202,6 @@ impl ReplicatedController {
     pub fn installed_fingerprint(&self) -> u64 {
         self.active.installed_fingerprint()
     }
-
-    /// Whether a warm standby is still available.
-    pub fn has_standby(&self) -> bool {
-        self.standby.is_some()
-    }
 }
 
 #[cfg(test)]
@@ -237,7 +232,7 @@ mod tests {
         let directives = rc.step(SimTime::from_secs(1));
         assert!(directives.iter().any(|d| d.device() == DeviceId(1)));
         assert_eq!(rc.failovers, 0);
-        assert!(rc.has_standby());
+        assert!(rc.standby.is_some());
     }
 
     #[test]
@@ -260,7 +255,7 @@ mod tests {
         // its re-sync window first.
         assert!(rc.step(SimTime::from_secs(13)).is_empty());
         assert_eq!(rc.failovers, 1);
-        assert!(!rc.has_standby());
+        assert!(rc.standby.is_none());
         assert!(rc.is_down(SimTime::from_secs(13))); // re-syncing
 
         // After the re-sync the new primary serves the replayed event and
@@ -293,7 +288,7 @@ mod tests {
         assert_eq!((rc.log.len(), rc.env_log.len()), (0, 0));
         let standby = rc.standby.as_ref().expect("not promoted yet");
         assert_eq!(standby.view.env_value(EnvVar::Occupancy), Some("present"));
-        assert_eq!(standby.queue_depth(), 1);
+        assert_eq!(standby.stats.max_queue, 1);
 
         // Promote, then take the new (and last) active down as well: for
         // the whole outage nobody could replay a log, so none is kept.

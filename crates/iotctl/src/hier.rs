@@ -149,19 +149,9 @@ impl HierarchicalController {
         HierarchicalController { locals, global, device_home }
     }
 
-    /// Number of local controllers.
-    pub fn local_count(&self) -> usize {
-        self.locals.len()
-    }
-
     /// Rules escalated to the global controller.
-    pub fn global_rule_count(&self) -> usize {
+    pub(crate) fn global_rule_count(&self) -> usize {
         self.global.policy.rules.len()
-    }
-
-    /// Largest local policy (rules) — the hot spot.
-    pub fn max_local_rules(&self) -> usize {
-        self.locals.iter().map(|(_, c)| c.policy.rules.len()).max().unwrap_or(0)
     }
 
     /// Route one event: to its home local, and to the global controller
@@ -263,12 +253,12 @@ mod tests {
             ViewHandle::new(),
         );
         // Devices 0,1 coupled → 9 components (1 pair + 8 singletons).
-        assert_eq!(h.local_count(), 9);
+        assert_eq!(h.locals.len(), 9);
         // No rules span components: the global controller idles.
         assert_eq!(h.global_rule_count(), 0);
         // Each local policy is small (the 0/1 pair holds 2×2 escalation
         // rules plus the two protect rules).
-        assert!(h.max_local_rules() <= 6);
+        assert!(h.locals.iter().all(|(_, c)| c.policy.rules.len() <= 6));
     }
 
     #[test]
@@ -283,7 +273,7 @@ mod tests {
         // With high probability devices 0 and 1 land apart, pushing the
         // cross-device rule (and nothing else) to the global controller.
         // Even if they land together this seed keeps the test stable.
-        assert!(h.local_count() <= 5);
+        assert!(h.locals.len() <= 5);
         let spanning = h.global_rule_count();
         assert!(spanning <= 2); // the two protect rules at most
     }

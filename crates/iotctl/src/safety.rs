@@ -95,7 +95,7 @@ impl SafetyConfig {
     }
 
     /// The staleness budget for a device class.
-    pub fn staleness_budget_for(&self, class: DeviceClass) -> SimDuration {
+    pub(crate) fn staleness_budget_for(&self, class: DeviceClass) -> SimDuration {
         if is_actuator(class) {
             self.actuator_staleness_budget
         } else {
@@ -252,11 +252,6 @@ impl SafetyMonitor {
     /// Accumulated counters.
     pub fn stats(&self) -> &SafetyStats {
         &self.stats
-    }
-
-    /// Whether `device` has been escalated into quarantine.
-    pub fn is_quarantined(&self, device: DeviceId) -> bool {
-        self.quarantined.contains(&device)
     }
 
     /// Devices currently quarantined, in id order.
@@ -682,10 +677,10 @@ mod tests {
         let (mut m, _t) = monitor(cfg);
         m.tick(SimTime::ZERO, false, 1, &[facts(1, true, false, 0)]);
         m.tick(SimTime::from_secs(1), false, 1, &[facts(1, true, true, 2)]);
-        assert!(!m.is_quarantined(DeviceId(1)));
+        assert!(m.quarantined().next().is_none());
         let newly = m.tick(SimTime::from_secs(2), false, 1, &[facts(1, true, true, 4)]);
         assert_eq!(newly, vec![DeviceId(1)]);
-        assert!(m.is_quarantined(DeviceId(1)));
+        assert!(m.quarantined().eq([DeviceId(1)]));
         assert_eq!(m.stats().quarantines, 1);
         // Sticky: no re-quarantine, but time accrues.
         let again = m.tick(SimTime::from_secs(3), false, 1, &[facts(1, true, true, 6)]);

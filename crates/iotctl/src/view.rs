@@ -107,16 +107,8 @@ impl GlobalView {
         }
     }
 
-    /// Operator action: clear a device back to `Normal` after
-    /// remediation.
-    pub fn clear_context(&mut self, device: DeviceId, at: SimTime) {
-        if self.contexts.remove(&device).is_some() {
-            self.bump(at);
-        }
-    }
-
     /// Contexts as a slice of pairs, for building policy states.
-    pub fn context_pairs(&self) -> Vec<(DeviceId, SecurityContext)> {
+    pub(crate) fn context_pairs(&self) -> Vec<(DeviceId, SecurityContext)> {
         self.contexts.iter().map(|(k, v)| (*k, *v)).collect()
     }
 }
@@ -182,14 +174,5 @@ mod tests {
         let v1 = v.version;
         assert!(!v.apply_env_report(SimTime::from_secs(3), &[(EnvVar::Temperature, "high")]));
         assert_eq!(v.version, v1);
-    }
-
-    #[test]
-    fn clear_context_resets() {
-        let mut v = GlobalView::new();
-        v.apply_event(&ev(SecurityEventKind::SignatureMatch));
-        assert_eq!(v.context(DeviceId(0)), SecurityContext::Suspicious);
-        v.clear_context(DeviceId(0), SimTime::from_secs(9));
-        assert_eq!(v.context(DeviceId(0)), SecurityContext::Normal);
     }
 }

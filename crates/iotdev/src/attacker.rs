@@ -258,7 +258,7 @@ impl Attacker {
     }
 
     /// A key stolen during the campaign, if any.
-    pub fn stolen_key(&self) -> Option<u64> {
+    pub(crate) fn stolen_key(&self) -> Option<u64> {
         self.stolen_keys.first().copied()
     }
 
@@ -270,7 +270,7 @@ impl Attacker {
     }
 
     /// A captured session token for `target`, if any.
-    pub fn token_for(&self, target: Ipv4Addr) -> Option<u32> {
+    pub(crate) fn token_for(&self, target: Ipv4Addr) -> Option<u32> {
         self.tokens.get(&target).copied()
     }
 

@@ -106,9 +106,6 @@ pub struct LightBulb {
 }
 
 impl LightBulb {
-    /// The conventional color index for "red" in the substrate.
-    pub const RED: u8 = 1;
-
     pub(crate) fn apply(&mut self, action: ControlAction) -> bool {
         match action {
             ControlAction::TurnOn => {
@@ -380,9 +377,9 @@ mod tests {
     #[test]
     fn bulb_set_color_turns_on() {
         let mut b = LightBulb::default();
-        assert!(b.apply(ControlAction::SetColor(LightBulb::RED)));
+        assert!(b.apply(ControlAction::SetColor(1)));
         assert!(b.on);
-        assert_eq!(b.color, LightBulb::RED);
+        assert_eq!(b.color, 1);
         let mut env = Environment::new();
         env.begin_tick();
         b.tick(&mut env);

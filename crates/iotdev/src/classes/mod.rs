@@ -46,7 +46,7 @@ pub enum TickOutput {
 /// Everything one class FSM produces on one tick, held inline.
 ///
 /// No class emits more than one edge event plus one telemetry sample per
-/// tick, so the list holds at most [`TickOutputs::CAPACITY`] entries and a
+/// tick, so the list holds at most `TickOutputs::CAPACITY` entries and a
 /// tick never touches the heap. A third [`push`](TickOutputs::push) is a
 /// bug in the class FSM and panics in every build profile — an output is
 /// never silently dropped. Reads (and comparisons) go through the slice
@@ -59,7 +59,7 @@ pub struct TickOutputs {
 
 impl TickOutputs {
     /// The per-class, per-tick bound: one edge event + one telemetry sample.
-    pub const CAPACITY: usize = 2;
+    pub(crate) const CAPACITY: usize = 2;
 
     /// No output (a powered-down sensor).
     pub fn new() -> TickOutputs {
@@ -77,7 +77,7 @@ impl TickOutputs {
         out
     }
 
-    /// Append an output; panics past [`TickOutputs::CAPACITY`].
+    /// Append an output; panics past `TickOutputs::CAPACITY`.
     pub fn push(&mut self, output: TickOutput) {
         let len = usize::from(self.len);
         assert!(

@@ -270,7 +270,7 @@ impl IoTDevice {
     }
 
     /// Whether this instance carries a given vulnerability class.
-    pub fn has_vuln(&self, id: &str) -> bool {
+    pub(crate) fn has_vuln(&self, id: &str) -> bool {
         self.vulns.iter().any(|v| v.id() == id)
     }
 

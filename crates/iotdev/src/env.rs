@@ -129,15 +129,15 @@ impl Default for Environment {
 /// Thresholds used by [`Environment::discretize`].
 pub mod thresholds {
     /// Below this, Temperature = low.
-    pub const TEMP_LOW_C: f64 = 17.0;
+    pub(crate) const TEMP_LOW_C: f64 = 17.0;
     /// Above this, Temperature = high.
-    pub const TEMP_HIGH_C: f64 = 27.0;
+    pub(crate) const TEMP_HIGH_C: f64 = 27.0;
     /// At or above this smoke density, Smoke = yes.
-    pub const SMOKE_ALARM: f64 = 0.5;
+    pub(crate) const SMOKE_ALARM: f64 = 0.5;
     /// At or above this light level, Light = bright.
-    pub const LIGHT_BRIGHT: f64 = 30.0;
+    pub(crate) const LIGHT_BRIGHT: f64 = 30.0;
     /// Above this wattage, PowerDraw = high.
-    pub const POWER_HIGH_W: f64 = 1500.0;
+    pub(crate) const POWER_HIGH_W: f64 = 1500.0;
 }
 
 impl Environment {
@@ -302,17 +302,6 @@ impl EnvValues {
     pub fn iter(&self) -> impl Iterator<Item = (EnvVar, &'static str)> + '_ {
         EnvVar::ALL.iter().zip(&self.0).filter_map(|(var, value)| value.map(|v| (*var, v)))
     }
-}
-
-/// A timestamped snapshot of the discrete environment, as shipped to the
-/// controller's global view.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
-pub struct EnvSnapshot {
-    /// Snapshot time (nanoseconds of sim time; kept raw to avoid a
-    /// dependency cycle in serialized reports).
-    pub at_ns: u64,
-    /// The discrete values.
-    pub values: DiscreteEnv,
 }
 
 #[cfg(test)]

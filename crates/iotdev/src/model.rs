@@ -281,15 +281,6 @@ impl AbstractModel {
         }
     }
 
-    /// Environment variables any transition of this model can write.
-    pub fn env_writes(&self) -> Vec<EnvVar> {
-        let mut vars: Vec<EnvVar> =
-            self.transitions.iter().flat_map(|t| t.writes.iter().map(|(v, _)| *v)).collect();
-        vars.sort();
-        vars.dedup();
-        vars
-    }
-
     /// Transitions firing from `state` on `input`.
     pub fn step(&self, state: usize, input: AbstractInput) -> Option<&Transition> {
         self.transitions.iter().find(|t| t.from == state && t.input == input)
@@ -345,7 +336,7 @@ mod tests {
         for class in [DeviceClass::Camera, DeviceClass::FireAlarm, DeviceClass::LightSensor] {
             let m = AbstractModel::for_device(class, None);
             assert!(!m.env_reads.is_empty());
-            assert!(m.env_writes().is_empty(), "{class:?}");
+            assert!(m.transitions.iter().all(|t| t.writes.is_empty()), "{class:?}");
         }
     }
 

@@ -241,25 +241,25 @@ pub mod tag {
     /// `AppMessage::MgmtLogin`.
     pub const MGMT_LOGIN: u8 = 1;
     /// `AppMessage::MgmtLoginOk`.
-    pub const MGMT_LOGIN_OK: u8 = 2;
+    pub(crate) const MGMT_LOGIN_OK: u8 = 2;
     /// `AppMessage::MgmtDenied`.
-    pub const MGMT_DENIED: u8 = 3;
+    pub(crate) const MGMT_DENIED: u8 = 3;
     /// `AppMessage::MgmtCommand`.
-    pub const MGMT_COMMAND: u8 = 4;
+    pub(crate) const MGMT_COMMAND: u8 = 4;
     /// `AppMessage::MgmtResult`.
-    pub const MGMT_RESULT: u8 = 5;
+    pub(crate) const MGMT_RESULT: u8 = 5;
     /// `AppMessage::Control`.
     pub const CONTROL: u8 = 6;
     /// `AppMessage::ControlAck`.
-    pub const CONTROL_ACK: u8 = 7;
+    pub(crate) const CONTROL_ACK: u8 = 7;
     /// `AppMessage::Telemetry`.
     pub const TELEMETRY: u8 = 8;
     /// `AppMessage::Event`.
-    pub const EVENT: u8 = 9;
+    pub(crate) const EVENT: u8 = 9;
     /// `AppMessage::DnsQuery`.
     pub const DNS_QUERY: u8 = 10;
     /// `AppMessage::DnsResponse`.
-    pub const DNS_RESPONSE: u8 = 11;
+    pub(crate) const DNS_RESPONSE: u8 = 11;
     /// `AppMessage::CloudCommand`.
     pub const CLOUD_COMMAND: u8 = 12;
 }
@@ -642,7 +642,7 @@ impl AppMessage {
 
     /// Which protocol plane this message belongs to (decides the
     /// destination port).
-    pub fn plane_port(&self) -> u16 {
+    pub(crate) fn plane_port(&self) -> u16 {
         match self {
             AppMessage::MgmtLogin { .. }
             | AppMessage::MgmtLoginOk { .. }

@@ -55,18 +55,6 @@ impl Vulnerability {
         }
     }
 
-    /// The Table 1 row(s) this class reproduces.
-    pub fn table1_rows(&self) -> &'static [u8] {
-        match self {
-            Vulnerability::DefaultCredentials { .. } => &[1],
-            Vulnerability::OpenMgmtAccess => &[2, 3],
-            Vulnerability::ExposedKeyPair { .. } => &[4],
-            Vulnerability::NoAuthControl => &[5],
-            Vulnerability::OpenDnsResolver => &[6],
-            Vulnerability::CloudBypassBackdoor => &[7],
-        }
-    }
-
     /// The canonical Avtech-style default account.
     pub fn default_admin_admin() -> Vulnerability {
         Vulnerability::DefaultCredentials { user: "admin".into(), pass: "admin".into() }
@@ -97,14 +85,6 @@ mod tests {
         ids.sort();
         ids.dedup();
         assert_eq!(ids.len(), classes.len());
-    }
-
-    #[test]
-    fn table1_rows_cover_all_seven() {
-        let mut rows: Vec<u8> =
-            Vulnerability::all_classes().iter().flat_map(|v| v.table1_rows().to_vec()).collect();
-        rows.sort();
-        assert_eq!(rows, vec![1, 2, 3, 4, 5, 6, 7]);
     }
 
     #[test]

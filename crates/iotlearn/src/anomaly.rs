@@ -33,20 +33,6 @@ pub enum Plane {
     Cloud,
 }
 
-impl Plane {
-    /// Classify a destination port.
-    pub fn of_port(port: u16) -> Plane {
-        use iotdev::proto::ports;
-        match port {
-            ports::MGMT => Plane::Mgmt,
-            ports::CONTROL => Plane::Control,
-            ports::DNS => Plane::Dns,
-            ports::CLOUD => Plane::Cloud,
-            _ => Plane::Telemetry,
-        }
-    }
-}
-
 /// The context key profiles can be conditioned on.
 pub type Context = &'static str;
 
@@ -84,7 +70,7 @@ impl PlaneStats {
 
 /// One learned profile (per device, or per device+context).
 #[derive(Debug, Clone, Default, Serialize)]
-pub struct Profile {
+pub(crate) struct Profile {
     rates: BTreeMap<Plane, PlaneStats>,
     peers: BTreeSet<Ipv4Addr>,
 }
@@ -308,16 +294,5 @@ mod tests {
         // absent sails through. This is E12's headline contrast.
         let v = d.score(DeviceId(0), "absent", &typical_window(10.0));
         assert!(!v.flagged, "{v:?}");
-    }
-
-    #[test]
-    fn plane_port_classification() {
-        use iotdev::proto::ports;
-        assert_eq!(Plane::of_port(ports::MGMT), Plane::Mgmt);
-        assert_eq!(Plane::of_port(ports::CONTROL), Plane::Control);
-        assert_eq!(Plane::of_port(ports::DNS), Plane::Dns);
-        assert_eq!(Plane::of_port(ports::CLOUD), Plane::Cloud);
-        assert_eq!(Plane::of_port(ports::TELEMETRY), Plane::Telemetry);
-        assert_eq!(Plane::of_port(9999), Plane::Telemetry);
     }
 }

@@ -19,7 +19,6 @@
 //! MulVal-style monotone derivation, which is sound w.r.t. the
 //! over-approximate models.
 
-use crate::fuzz::ground_truth;
 use iotdev::classes::PlugLoad;
 use iotdev::device::{DeviceClass, DeviceId};
 use iotdev::env::EnvVar;
@@ -47,7 +46,7 @@ impl DeviceSpec {
     /// network. Key theft and default credentials also yield control;
     /// open management alone yields data, not actuation — we still count
     /// it as control of cameras (disabling the stream blinds policies).
-    pub fn remotely_controllable(&self) -> bool {
+    pub(crate) fn remotely_controllable(&self) -> bool {
         self.remote_vulns.iter().any(|v| {
             matches!(
                 v.as_str(),
@@ -137,12 +136,6 @@ impl AttackGraph {
     pub fn build(specs: Vec<DeviceSpec>, recipes: Vec<Recipe>) -> AttackGraph {
         let models = specs.iter().map(|s| AbstractModel::for_device(s.class, s.load)).collect();
         AttackGraph { specs, models, recipes }
-    }
-
-    /// Number of statically-known cross-device couplings (from the
-    /// abstract models alone; recipes add more).
-    pub fn model_coupling_count(&self) -> usize {
-        ground_truth(&self.models).len()
     }
 
     fn spec_index(&self, id: DeviceId) -> Option<usize> {
@@ -435,12 +428,5 @@ mod tests {
         let path = graph.find_attack(Fact::Env(EnvVar::Door, "unlocked")).expect("smoke chain");
         assert!(path.stages() >= 3, "{:#?}", path.steps);
         assert!(path.steps.iter().any(|s| matches!(s, Step::RecipeFires { recipe: 7, .. })));
-    }
-
-    #[test]
-    fn coupling_count_reflects_models() {
-        let (specs, recipes) = breakin_deployment();
-        let graph = AttackGraph::build(specs, recipes);
-        assert!(graph.model_coupling_count() >= 1);
     }
 }

@@ -47,7 +47,7 @@ impl Fingerprint {
 
     /// Similarity in `[0, 1]`: Jaccard over ports and telemetry, with a
     /// period-agreement bonus term.
-    pub fn similarity(&self, other: &Fingerprint) -> f64 {
+    pub(crate) fn similarity(&self, other: &Fingerprint) -> f64 {
         let jaccard = |a: &BTreeSet<u16>, b: &BTreeSet<u16>| -> f64 {
             let inter = a.intersection(b).count() as f64;
             let union = a.union(b).count() as f64;

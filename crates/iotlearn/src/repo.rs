@@ -27,7 +27,7 @@ pub struct ReporterId(pub u32);
 
 /// A submission awaiting admission.
 #[derive(Debug, Clone, Serialize)]
-pub struct Submission {
+pub(crate) struct Submission {
     /// Submission id.
     pub id: u64,
     /// The candidate signature (already anonymized: no reporter field).
@@ -36,15 +36,13 @@ pub struct Submission {
     pub approval: f64,
     /// Weighted disapproval mass.
     pub disapproval: f64,
-    /// Whether the static selectivity screen flagged it.
-    pub screened: bool,
     submitter: ReporterId,
     voters: Vec<(ReporterId, bool)>,
 }
 
 /// A notification queued for a subscriber.
 #[derive(Debug, Clone, PartialEq, Serialize)]
-pub struct Notification {
+pub(crate) struct Notification {
     /// The published signature.
     pub signature: AttackSignature,
     /// Earliest time the subscriber may act on it.
@@ -208,16 +206,10 @@ impl SignatureRepo {
             signature,
             approval: 0.0,
             disapproval: 0.0,
-            screened: false,
             submitter: reporter,
             voters: Vec::new(),
         });
         Some(id)
-    }
-
-    /// Pending submissions (for voters to inspect).
-    pub fn pending(&self) -> &[Submission] {
-        &self.pending
     }
 
     /// Vote on a pending submission. Votes are weighted by reputation
@@ -422,7 +414,7 @@ mod tests {
         repo.vote(alice, sub, true); // self-vote: ignored
         repo.vote(bob, sub, true);
         repo.vote(bob, sub, true); // double: ignored
-        assert!((repo.pending()[0].approval - 0.5).abs() < 1e-9);
+        assert!((repo.pending[0].approval - 0.5).abs() < 1e-9);
     }
 
     #[test]
@@ -519,6 +511,6 @@ mod tests {
         let alice = repo.register();
         let sub = repo.submit(alice, good_sig()).unwrap();
         repo.vote(mallory, sub, false); // vote carries no weight
-        assert_eq!(repo.pending()[0].disapproval, 0.0);
+        assert_eq!(repo.pending[0].disapproval, 0.0);
     }
 }

@@ -1,11 +1,9 @@
-//! Attack signatures and their common exchange format.
+//! Attack signatures in their common format.
 //!
 //! The paper's repository needs "traces or signatures, expressed in a
 //! common format". A signature is SKU-scoped (the granularity §4 argues
 //! honeypots cannot cover) and carries an executable [`Matcher`] the IDS
-//! µmbox evaluates against wire packets. Signatures serialize to JSON via
-//! [`AttackSignature::to_json`]/[`AttackSignature::from_json`] — that is
-//! the wire format of the repository.
+//! µmbox evaluates against wire packets.
 
 use iotdev::proto::{ports, tag, AppMessage, ControlAuth};
 use iotdev::registry::Sku;
@@ -232,309 +230,6 @@ impl AttackSignature {
         };
         Some(sig)
     }
-
-    /// Serialize to the repository's JSON wire format.
-    pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(160);
-        out.push_str(&format!("{{\"id\":{},\"sku\":{{", self.id));
-        out.push_str(&format!(
-            "\"vendor\":{},\"model\":{},\"firmware\":{}",
-            json::string(&self.sku.vendor),
-            json::string(&self.sku.model),
-            json::string(&self.sku.firmware)
-        ));
-        out.push_str(&format!("}},\"vuln_id\":{},\"matcher\":", json::string(&self.vuln_id)));
-        match &self.matcher {
-            Matcher::DefaultCredLogin { user, pass } => out.push_str(&format!(
-                "{{\"kind\":\"DefaultCredLogin\",\"user\":{},\"pass\":{}}}",
-                json::string(user),
-                json::string(pass)
-            )),
-            Matcher::MgmtFromExternal => out.push_str("{\"kind\":\"MgmtFromExternal\"}"),
-            Matcher::KeyAuthControl { key } => {
-                out.push_str(&format!("{{\"kind\":\"KeyAuthControl\",\"key\":{key}}}"))
-            }
-            Matcher::UnauthenticatedControl => {
-                out.push_str("{\"kind\":\"UnauthenticatedControl\"}")
-            }
-            Matcher::CloudCommand => out.push_str("{\"kind\":\"CloudCommand\"}"),
-            Matcher::RecursiveDnsFromExternal => {
-                out.push_str("{\"kind\":\"RecursiveDnsFromExternal\"}")
-            }
-            Matcher::PayloadContains(needle) => {
-                let bytes: Vec<String> = needle.iter().map(|b| b.to_string()).collect();
-                out.push_str(&format!(
-                    "{{\"kind\":\"PayloadContains\",\"needle\":[{}]}}",
-                    bytes.join(",")
-                ));
-            }
-            Matcher::MatchAll => out.push_str("{\"kind\":\"MatchAll\"}"),
-        }
-        let sev = match self.severity {
-            Severity::Low => "Low",
-            Severity::Medium => "Medium",
-            Severity::High => "High",
-        };
-        out.push_str(&format!(",\"severity\":\"{sev}\"}}"));
-        out
-    }
-
-    /// Parse the repository's JSON wire format.
-    pub fn from_json(text: &str) -> Result<AttackSignature, String> {
-        json::parse_signature(text)
-    }
-}
-
-/// Minimal JSON writer/parser for the signature wire format. serde here is
-/// a compile-only marker shim (crates/shims/README.md), so the one format
-/// the repository actually exchanges is hand-rolled and schema-specific.
-mod json {
-    use super::{AttackSignature, Matcher, Severity};
-    use iotdev::registry::Sku;
-
-    /// Escape and quote a string.
-    pub fn string(s: &str) -> String {
-        let mut out = String::with_capacity(s.len() + 2);
-        out.push('"');
-        for c in s.chars() {
-            match c {
-                '"' => out.push_str("\\\""),
-                '\\' => out.push_str("\\\\"),
-                '\n' => out.push_str("\\n"),
-                '\r' => out.push_str("\\r"),
-                '\t' => out.push_str("\\t"),
-                c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-                c => out.push(c),
-            }
-        }
-        out.push('"');
-        out
-    }
-
-    struct Parser<'a> {
-        s: &'a [u8],
-        i: usize,
-    }
-
-    impl<'a> Parser<'a> {
-        fn ws(&mut self) {
-            while self.i < self.s.len() && self.s[self.i].is_ascii_whitespace() {
-                self.i += 1;
-            }
-        }
-
-        fn eat(&mut self, c: u8) -> Result<(), String> {
-            self.ws();
-            if self.i < self.s.len() && self.s[self.i] == c {
-                self.i += 1;
-                Ok(())
-            } else {
-                Err(format!("expected '{}' at byte {}", c as char, self.i))
-            }
-        }
-
-        fn peek(&mut self) -> Option<u8> {
-            self.ws();
-            self.s.get(self.i).copied()
-        }
-
-        fn str_val(&mut self) -> Result<String, String> {
-            self.eat(b'"')?;
-            let mut out = String::new();
-            loop {
-                let b = *self.s.get(self.i).ok_or("unterminated string")?;
-                self.i += 1;
-                match b {
-                    b'"' => return Ok(out),
-                    b'\\' => {
-                        let e = *self.s.get(self.i).ok_or("bad escape")?;
-                        self.i += 1;
-                        match e {
-                            b'"' => out.push('"'),
-                            b'\\' => out.push('\\'),
-                            b'/' => out.push('/'),
-                            b'n' => out.push('\n'),
-                            b'r' => out.push('\r'),
-                            b't' => out.push('\t'),
-                            b'u' => {
-                                let hex =
-                                    self.s.get(self.i..self.i + 4).ok_or("short \\u escape")?;
-                                self.i += 4;
-                                let code = u32::from_str_radix(
-                                    std::str::from_utf8(hex).map_err(|e| e.to_string())?,
-                                    16,
-                                )
-                                .map_err(|e| e.to_string())?;
-                                out.push(char::from_u32(code).ok_or("bad \\u escape")?);
-                            }
-                            _ => return Err("unknown escape".into()),
-                        }
-                    }
-                    b => {
-                        // Re-assemble multi-byte UTF-8 sequences.
-                        let len = match b {
-                            0x00..=0x7f => 1,
-                            0xc0..=0xdf => 2,
-                            0xe0..=0xef => 3,
-                            _ => 4,
-                        };
-                        let start = self.i - 1;
-                        self.i = start + len;
-                        let chunk = self.s.get(start..self.i).ok_or("truncated utf8")?;
-                        out.push_str(std::str::from_utf8(chunk).map_err(|e| e.to_string())?);
-                    }
-                }
-            }
-        }
-
-        fn u64_val(&mut self) -> Result<u64, String> {
-            self.ws();
-            let start = self.i;
-            while self.i < self.s.len() && self.s[self.i].is_ascii_digit() {
-                self.i += 1;
-            }
-            if start == self.i {
-                return Err(format!("expected number at byte {start}"));
-            }
-            std::str::from_utf8(&self.s[start..self.i])
-                .map_err(|e| e.to_string())?
-                .parse()
-                .map_err(|e: std::num::ParseIntError| e.to_string())
-        }
-
-        /// Iterate `key: value` pairs of an object, dispatching on key.
-        fn object(
-            &mut self,
-            mut field: impl FnMut(&mut Parser<'a>, &str) -> Result<(), String>,
-        ) -> Result<(), String> {
-            self.eat(b'{')?;
-            if self.peek() == Some(b'}') {
-                self.i += 1;
-                return Ok(());
-            }
-            loop {
-                let key = self.str_val()?;
-                self.eat(b':')?;
-                field(self, &key)?;
-                match self.peek() {
-                    Some(b',') => self.i += 1,
-                    Some(b'}') => {
-                        self.i += 1;
-                        return Ok(());
-                    }
-                    _ => return Err(format!("expected ',' or '}}' at byte {}", self.i)),
-                }
-            }
-        }
-    }
-
-    fn sku(p: &mut Parser<'_>) -> Result<Sku, String> {
-        let (mut vendor, mut model, mut firmware) = (None, None, None);
-        p.object(|p, key| {
-            let v = p.str_val()?;
-            match key {
-                "vendor" => vendor = Some(v),
-                "model" => model = Some(v),
-                "firmware" => firmware = Some(v),
-                _ => return Err(format!("unknown sku field {key:?}")),
-            }
-            Ok(())
-        })?;
-        Ok(Sku {
-            vendor: vendor.ok_or("sku missing vendor")?,
-            model: model.ok_or("sku missing model")?,
-            firmware: firmware.ok_or("sku missing firmware")?,
-        })
-    }
-
-    fn matcher(p: &mut Parser<'_>) -> Result<Matcher, String> {
-        let mut kind = None;
-        let (mut user, mut pass, mut key, mut needle) = (None, None, None, None);
-        p.object(|p, field| {
-            match field {
-                "kind" => kind = Some(p.str_val()?),
-                "user" => user = Some(p.str_val()?),
-                "pass" => pass = Some(p.str_val()?),
-                "key" => key = Some(p.u64_val()?),
-                "needle" => {
-                    let mut bytes = Vec::new();
-                    p.eat(b'[')?;
-                    if p.peek() == Some(b']') {
-                        p.i += 1;
-                    } else {
-                        loop {
-                            let b = p.u64_val()?;
-                            bytes.push(u8::try_from(b).map_err(|e| e.to_string())?);
-                            match p.peek() {
-                                Some(b',') => p.i += 1,
-                                Some(b']') => {
-                                    p.i += 1;
-                                    break;
-                                }
-                                _ => return Err("bad needle array".into()),
-                            }
-                        }
-                    }
-                    needle = Some(bytes);
-                }
-                _ => return Err(format!("unknown matcher field {field:?}")),
-            }
-            Ok(())
-        })?;
-        match kind.as_deref().ok_or("matcher missing kind")? {
-            "DefaultCredLogin" => Ok(Matcher::DefaultCredLogin {
-                user: user.ok_or("DefaultCredLogin missing user")?,
-                pass: pass.ok_or("DefaultCredLogin missing pass")?,
-            }),
-            "MgmtFromExternal" => Ok(Matcher::MgmtFromExternal),
-            "KeyAuthControl" => {
-                Ok(Matcher::KeyAuthControl { key: key.ok_or("KeyAuthControl missing key")? })
-            }
-            "UnauthenticatedControl" => Ok(Matcher::UnauthenticatedControl),
-            "CloudCommand" => Ok(Matcher::CloudCommand),
-            "RecursiveDnsFromExternal" => Ok(Matcher::RecursiveDnsFromExternal),
-            "PayloadContains" => {
-                Ok(Matcher::PayloadContains(needle.ok_or("PayloadContains missing needle")?))
-            }
-            "MatchAll" => Ok(Matcher::MatchAll),
-            other => Err(format!("unknown matcher kind {other:?}")),
-        }
-    }
-
-    pub fn parse_signature(text: &str) -> Result<AttackSignature, String> {
-        let mut p = Parser { s: text.as_bytes(), i: 0 };
-        let (mut id, mut sig_sku, mut vuln_id, mut m, mut severity) =
-            (None, None, None, None, None);
-        p.object(|p, field| {
-            match field {
-                "id" => id = Some(p.u64_val()?),
-                "sku" => sig_sku = Some(sku(p)?),
-                "vuln_id" => vuln_id = Some(p.str_val()?),
-                "matcher" => m = Some(matcher(p)?),
-                "severity" => {
-                    severity = Some(match p.str_val()?.as_str() {
-                        "Low" => Severity::Low,
-                        "Medium" => Severity::Medium,
-                        "High" => Severity::High,
-                        other => return Err(format!("unknown severity {other:?}")),
-                    })
-                }
-                _ => return Err(format!("unknown signature field {field:?}")),
-            }
-            Ok(())
-        })?;
-        p.ws();
-        if p.i != p.s.len() {
-            return Err(format!("trailing data at byte {}", p.i));
-        }
-        Ok(AttackSignature {
-            id: id.ok_or("signature missing id")?,
-            sku: sig_sku.ok_or("signature missing sku")?,
-            vuln_id: vuln_id.ok_or("signature missing vuln_id")?,
-            matcher: m.ok_or("signature missing matcher")?,
-            severity: severity.ok_or("signature missing severity")?,
-        })
-    }
 }
 
 #[cfg(test)]
@@ -691,25 +386,5 @@ mod tests {
             assert!(sig.matcher.is_selective(), "row {row}");
         }
         assert!(AttackSignature::for_table1_row(8, &sku).is_none());
-    }
-
-    #[test]
-    fn signatures_serialize_to_the_common_format() {
-        let sku = Sku::new("belkin", "wemo", "1.0");
-        for row in 1..=7 {
-            let sig = AttackSignature::for_table1_row(row, &sku).unwrap();
-            let json = sig.to_json();
-            let back = AttackSignature::from_json(&json).unwrap();
-            assert_eq!(sig, back, "row {row}: {json}");
-        }
-        // Escapes and raw payload bytes survive the trip too.
-        let tricky = AttackSignature::new(
-            Sku::new("acme \"iot\"", "λ-hub", "2.0\n"),
-            "payload\\path",
-            Matcher::PayloadContains(vec![0, 34, 92, 255]),
-            Severity::Low,
-        );
-        assert_eq!(AttackSignature::from_json(&tricky.to_json()).unwrap(), tricky);
-        assert!(AttackSignature::from_json("{\"id\":1}").is_err());
     }
 }

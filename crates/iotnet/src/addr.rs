@@ -50,8 +50,6 @@ impl fmt::Display for MacAddr {
 pub struct Ipv4Addr(pub [u8; 4]);
 
 impl Ipv4Addr {
-    /// The unspecified address `0.0.0.0`.
-    pub const UNSPECIFIED: Ipv4Addr = Ipv4Addr([0, 0, 0, 0]);
     /// The limited broadcast address `255.255.255.255`.
     pub const BROADCAST: Ipv4Addr = Ipv4Addr([255, 255, 255, 255]);
 
@@ -197,7 +195,7 @@ mod tests {
         assert!(a.in_prefix(Ipv4Addr::new(10, 0, 0, 0), 8));
         assert!(a.in_prefix(Ipv4Addr::new(10, 0, 1, 0), 24));
         assert!(!a.in_prefix(Ipv4Addr::new(10, 0, 2, 0), 24));
-        assert!(a.in_prefix(Ipv4Addr::UNSPECIFIED, 0));
+        assert!(a.in_prefix(Ipv4Addr::new(0, 0, 0, 0), 0));
         assert!(a.in_prefix(a, 32));
         assert!(!Ipv4Addr::new(10, 0, 1, 8).in_prefix(a, 32));
     }

@@ -15,8 +15,6 @@
 //!   together so a flap can never leave the wire down forever.
 //! * **Loss burst** — a wire's loss probability is overridden for a
 //!   window ([`FaultScheduler::loss_burst`]).
-//! * **Corruption burst** — frames on a wire are corrupted in flight and
-//!   discarded for a window ([`FaultScheduler::corruption_burst`]).
 //! * **Partition** — every wire crossing a node-set boundary fails for a
 //!   window ([`FaultScheduler::partition`]); the crossing set is computed
 //!   deterministically from the topology's sorted wire list.
@@ -38,10 +36,6 @@ pub enum NetFault {
     LossBurst(NodeId, NodeId, f64),
     /// End a loss burst: restore the wire's static loss probability.
     LossClear(NodeId, NodeId),
-    /// Begin a corruption burst at the given per-frame probability.
-    CorruptBurst(NodeId, NodeId, f64),
-    /// End a corruption burst.
-    CorruptClear(NodeId, NodeId),
     /// Fail every wire in the cut set (a network partition forms).
     PartitionCut(Vec<(NodeId, NodeId)>),
     /// Heal every wire in the cut set (the partition heals).
@@ -95,21 +89,6 @@ impl FaultScheduler {
         self.queue.schedule(until, NetFault::LossClear(a, b));
     }
 
-    /// Schedule a corruption burst on the wire between `a` and `b`:
-    /// per-frame corruption probability `rate` from `from` until `until`.
-    pub fn corruption_burst(
-        &mut self,
-        a: NodeId,
-        b: NodeId,
-        from: SimTime,
-        until: SimTime,
-        rate: f64,
-    ) {
-        assert!(from <= until, "burst must end at or after it starts");
-        self.queue.schedule(from, NetFault::CorruptBurst(a, b, rate));
-        self.queue.schedule(until, NetFault::CorruptClear(a, b));
-    }
-
     /// Schedule a partition isolating `group` from the rest of the
     /// topology between `from` and `until`: every wire with exactly one
     /// end in `group` fails at `from` and heals at `until`. The cut set
@@ -155,16 +134,6 @@ impl FaultScheduler {
                 NetFault::LossClear(a, b) => {
                     self.tracer.emit(at.as_nanos(), TraceEvent::FaultHealed { kind: "loss-clear" });
                     topo.set_wire_burst_loss(a, b, None);
-                }
-                NetFault::CorruptBurst(a, b, rate) => {
-                    self.tracer
-                        .emit(at.as_nanos(), TraceEvent::FaultFired { kind: "corrupt-burst" });
-                    topo.set_wire_corrupt_rate(a, b, rate);
-                }
-                NetFault::CorruptClear(a, b) => {
-                    self.tracer
-                        .emit(at.as_nanos(), TraceEvent::FaultHealed { kind: "corrupt-clear" });
-                    topo.set_wire_corrupt_rate(a, b, 0.0);
                 }
                 NetFault::PartitionCut(cut) => {
                     self.tracer
@@ -241,28 +210,23 @@ mod tests {
     }
 
     #[test]
-    fn loss_and_corruption_bursts_window_correctly() {
+    fn loss_burst_windows_correctly() {
         let mut b = TopologyBuilder::new();
         let sw = b.add_switch();
-        let e = b.attach_endpoint(sw, LinkParams::ideal());
+        let e = b.attach_endpoint(sw, LinkParams::lan());
         let mut topo = b.build();
         let (ne, ns) = (NodeId::Endpoint(e), NodeId::Switch(sw));
 
         let mut faults = FaultScheduler::new();
         faults.loss_burst(ne, ns, SimTime::from_secs(1), SimTime::from_secs(2), 0.9);
-        faults.corruption_burst(ne, ns, SimTime::from_secs(1), SimTime::from_secs(3), 0.4);
 
         faults.apply_due(SimTime::from_secs(1), &mut topo);
         assert_eq!(topo.link(ne, ns).unwrap().effective_loss(), 0.9);
-        assert_eq!(topo.link(ns, ne).unwrap().corrupt_rate, 0.4);
+        assert_eq!(topo.link(ns, ne).unwrap().effective_loss(), 0.9);
 
         faults.apply_due(SimTime::from_secs(2), &mut topo);
         assert_eq!(topo.link(ne, ns).unwrap().effective_loss(), 0.0);
-        assert_eq!(topo.link(ne, ns).unwrap().corrupt_rate, 0.4);
-
-        faults.apply_due(SimTime::from_secs(3), &mut topo);
-        assert_eq!(topo.link(ne, ns).unwrap().corrupt_rate, 0.0);
-        assert_eq!(faults.applied, 4);
+        assert_eq!(faults.applied, 2);
     }
 
     #[test]

@@ -89,11 +89,6 @@ impl FlowMatch {
         FlowMatch { ip_dst: Some((ip, 32)), ..FlowMatch::default() }
     }
 
-    /// Match traffic *from* a host address.
-    pub fn from_host(ip: Ipv4Addr) -> FlowMatch {
-        FlowMatch { ip_src: Some((ip, 32)), ..FlowMatch::default() }
-    }
-
     /// Match traffic to a specific TCP service on a host.
     pub fn to_tcp_service(ip: Ipv4Addr, port: u16) -> FlowMatch {
         FlowMatch {
@@ -448,8 +443,6 @@ mod tests {
         assert!(FlowMatch::to_tcp_service(cam, 80).matches(PortNo(0), &p80));
         assert!(!FlowMatch::to_tcp_service(cam, 80).matches(PortNo(0), &p81));
         assert!(!FlowMatch::to_udp_service(cam, 80).matches(PortNo(0), &p80));
-        assert!(FlowMatch::from_host(cam)
-            .matches(PortNo(0), &pkt(cam, cam, TransportHeader::udp(1, 2))));
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! * [`time`] — simulated clock ([`time::SimTime`]) and durations.
 //! * [`engine`] — a time-ordered, FIFO-stable event queue.
 //! * [`faults`] — deterministic fault injection over the event queue:
-//!   link flaps (fail *and* heal), loss/corruption bursts, partitions.
+//!   link flaps (fail *and* heal), loss bursts, partitions.
 //! * [`addr`] — MAC/IPv4 addressing and node identifiers.
 //! * [`packet`] — Ethernet/IPv4/UDP/TCP packet model with a real wire
 //!   codec (encode to bytes, parse back), in the spirit of smoltcp's

@@ -46,12 +46,6 @@ impl LinkParams {
             loss: 0.001,
         }
     }
-
-    /// An ideal link (zero latency, infinite bandwidth, lossless) for
-    /// microbenchmarks that must isolate processing cost.
-    pub fn ideal() -> LinkParams {
-        LinkParams { latency: SimDuration::ZERO, bandwidth_bps: 0, loss: 0.0 }
-    }
 }
 
 /// Runtime state of a link (one direction; the topology stores one `Link`
@@ -73,11 +67,6 @@ pub struct Link {
     /// Transient loss-probability override (fault-injection loss burst);
     /// while `Some`, it replaces `params.loss`.
     pub burst_loss: Option<f64>,
-    /// Transient probability that a carried frame is corrupted in flight
-    /// and discarded at the receiver (failed FCS). `0.0` outside bursts.
-    pub corrupt_rate: f64,
-    /// Packets discarded because they were corrupted in flight.
-    pub corrupted: u64,
 }
 
 impl Link {
@@ -92,8 +81,6 @@ impl Link {
             carried: 0,
             bytes: 0,
             burst_loss: None,
-            corrupt_rate: 0.0,
-            corrupted: 0,
         };
         link.reset_runtime();
         link
@@ -110,20 +97,18 @@ impl Link {
         self.carried = 0;
         self.bytes = 0;
         self.burst_loss = None;
-        self.corrupt_rate = 0.0;
-        self.corrupted = 0;
     }
 
     /// The loss probability currently in force: the burst override if one
     /// is active, the static parameter otherwise.
-    pub fn effective_loss(&self) -> f64 {
+    pub(crate) fn effective_loss(&self) -> f64 {
         self.burst_loss.unwrap_or(self.params.loss)
     }
 
     /// Attempt to transmit `wire_bits` at time `now`.
     ///
     /// Returns `Some(delivery_time)` if the packet survives, `None` if it
-    /// is lost, corrupted in flight, or the link is down. The transmitter
+    /// is lost or the link is down. The transmitter
     /// queue is advanced either way only on success.
     pub fn transmit<R: Rng>(
         &mut self,
@@ -140,10 +125,6 @@ impl Link {
             self.dropped += 1;
             return None;
         }
-        if self.corrupt_rate > 0.0 && rng.gen::<f64>() < self.corrupt_rate {
-            self.corrupted += 1;
-            return None;
-        }
         let start = now.max(self.tx_free_at);
         let ser = SimDuration::transmission(wire_bits, self.params.bandwidth_bps);
         let done_tx = start + ser;
@@ -153,19 +134,13 @@ impl Link {
         Some(done_tx + self.params.latency)
     }
 
-    /// Current queueing delay a packet arriving at `now` would see before
-    /// its serialization starts.
-    pub fn queue_delay(&self, now: SimTime) -> SimDuration {
-        self.tx_free_at.duration_since(now)
-    }
-
     /// Take the link down (failure injection).
     pub fn fail(&mut self) {
         self.up = false;
     }
 
     /// Bring the link back up.
-    pub fn repair(&mut self) {
+    pub(crate) fn repair(&mut self) {
         self.up = true;
     }
 }
@@ -202,13 +177,12 @@ mod tests {
         let t2 = link.transmit(SimTime::ZERO, 8, &mut rng).unwrap();
         assert_eq!(t1.as_millis(), 1);
         assert_eq!(t2.as_millis(), 2); // queued behind the first
-        assert_eq!(link.queue_delay(SimTime::ZERO).as_millis(), 2);
     }
 
     #[test]
     fn down_link_drops() {
         let mut rng = StdRng::seed_from_u64(1);
-        let mut link = Link::new(LinkParams::ideal());
+        let mut link = Link::new(LinkParams::lan());
         link.fail();
         assert!(link.transmit(SimTime::ZERO, 100, &mut rng).is_none());
         assert_eq!(link.dropped, 1);
@@ -234,7 +208,7 @@ mod tests {
     #[test]
     fn burst_loss_overrides_static_loss() {
         let mut rng = StdRng::seed_from_u64(7);
-        let mut link = Link::new(LinkParams::ideal()); // static loss 0.0
+        let mut link = Link::new(LinkParams::lan()); // static loss 0.0
         assert_eq!(link.effective_loss(), 0.0);
         link.burst_loss = Some(1.0);
         assert_eq!(link.effective_loss(), 1.0);
@@ -245,21 +219,10 @@ mod tests {
     }
 
     #[test]
-    fn corruption_burst_discards_frames() {
-        let mut rng = StdRng::seed_from_u64(7);
-        let mut link = Link::new(LinkParams::ideal());
-        link.corrupt_rate = 1.0;
-        assert!(link.transmit(SimTime::ZERO, 100, &mut rng).is_none());
-        assert_eq!(link.corrupted, 1);
-        assert_eq!(link.dropped, 0); // corruption is counted separately
-        link.corrupt_rate = 0.0;
-        assert!(link.transmit(SimTime::ZERO, 100, &mut rng).is_some());
-    }
-
-    #[test]
     fn ideal_link_is_instant() {
         let mut rng = StdRng::seed_from_u64(1);
-        let mut link = Link::new(LinkParams::ideal());
+        let mut link =
+            Link::new(LinkParams { latency: SimDuration::ZERO, bandwidth_bps: 0, loss: 0.0 });
         let t = link.transmit(SimTime::from_millis(5), 1 << 20, &mut rng).unwrap();
         assert_eq!(t, SimTime::from_millis(5));
     }

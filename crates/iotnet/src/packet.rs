@@ -43,7 +43,7 @@ impl fmt::Display for ParseError {
 impl std::error::Error for ParseError {}
 
 /// EtherType for IPv4 — the only L3 protocol the substrate models.
-pub const ETHERTYPE_IPV4: u16 = 0x0800;
+pub(crate) const ETHERTYPE_IPV4: u16 = 0x0800;
 
 /// IP protocol numbers the substrate models.
 pub mod ip_proto {
@@ -60,13 +60,13 @@ pub struct EthernetHeader {
     pub dst: MacAddr,
     /// Source MAC.
     pub src: MacAddr,
-    /// EtherType (always [`ETHERTYPE_IPV4`] in this substrate).
+    /// EtherType (always `ETHERTYPE_IPV4` in this substrate).
     pub ethertype: u16,
 }
 
 impl EthernetHeader {
     /// Wire length of the header in bytes.
-    pub const LEN: usize = 14;
+    pub(crate) const LEN: usize = 14;
 
     /// Emit to wire bytes.
     pub fn emit(&self, buf: &mut BytesMut) {
@@ -108,7 +108,7 @@ pub struct Ipv4Header {
 
 impl Ipv4Header {
     /// Wire length of the (option-less) header.
-    pub const LEN: usize = 20;
+    pub(crate) const LEN: usize = 20;
 
     /// Emit to wire bytes, computing the header checksum.
     pub fn emit(&self, buf: &mut BytesMut) {
@@ -402,17 +402,6 @@ impl Packet {
         let payload = Bytes::copy_from_slice(&data[payload_start..payload_end.max(payload_start)]);
         Ok(Packet { eth, ip, transport, payload })
     }
-
-    /// Decrement TTL; returns `false` if the packet must be dropped
-    /// (TTL exhausted).
-    pub fn decrement_ttl(&mut self) -> bool {
-        if self.ip.ttl <= 1 {
-            false
-        } else {
-            self.ip.ttl -= 1;
-            true
-        }
-    }
 }
 
 /// All three packet headers packed into two `u128` words plus a `u32`
@@ -558,7 +547,7 @@ impl Packet {
 }
 
 /// RFC 1071 internet checksum over `data`.
-pub fn internet_checksum(data: &[u8]) -> u16 {
+pub(crate) fn internet_checksum(data: &[u8]) -> u16 {
     let mut sum: u32 = 0;
     let mut chunks = data.chunks_exact(2);
     for c in &mut chunks {
@@ -680,15 +669,6 @@ mod tests {
         wire[12] = 0x86; // 0x86dd = IPv6
         wire[13] = 0xdd;
         assert_eq!(Packet::from_wire(&wire), Err(ParseError::UnsupportedEtherType(0x86dd)));
-    }
-
-    #[test]
-    fn ttl_decrement() {
-        let mut p = sample_packet(b"");
-        p.ip.ttl = 2;
-        assert!(p.decrement_ttl());
-        assert_eq!(p.ip.ttl, 1);
-        assert!(!p.decrement_ttl());
     }
 
     #[test]

@@ -142,7 +142,7 @@ impl SimDuration {
     /// Returns [`SimDuration::ZERO`] for an infinite-rate link
     /// (`bits_per_sec == 0` is treated as infinite, matching
     /// [`crate::link::LinkParams`]).
-    pub fn transmission(bits: u64, bits_per_sec: u64) -> SimDuration {
+    pub(crate) fn transmission(bits: u64, bits_per_sec: u64) -> SimDuration {
         if bits_per_sec == 0 {
             return SimDuration::ZERO;
         }

@@ -60,7 +60,7 @@ pub struct EndpointInfo {
 }
 
 /// A directed-link key: traffic flowing out of `from` towards `to`.
-pub type LinkKey = (NodeId, NodeId);
+pub(crate) type LinkKey = (NodeId, NodeId);
 
 /// The wiring of a network: switches, endpoints, and directed links.
 #[derive(Default)]
@@ -85,7 +85,7 @@ impl std::fmt::Debug for Topology {
 
 impl Topology {
     /// Number of switches.
-    pub fn switch_count(&self) -> usize {
+    pub(crate) fn switch_count(&self) -> usize {
         self.switch_ports.len()
     }
 
@@ -162,7 +162,7 @@ impl Topology {
     }
 
     /// Mutable access to the directed link `from -> to`, if wired.
-    pub fn link_mut(&mut self, from: NodeId, to: NodeId) -> Option<&mut Link> {
+    pub(crate) fn link_mut(&mut self, from: NodeId, to: NodeId) -> Option<&mut Link> {
         self.link_ix(from, to).map(|ix| self.link_at(ix))
     }
 
@@ -185,11 +185,6 @@ impl Topology {
         self.each_direction(a, b, Link::fail);
     }
 
-    /// Repair both directions of the wire between two nodes.
-    pub fn repair_wire(&mut self, a: NodeId, b: NodeId) {
-        self.heal_wire(a, b);
-    }
-
     /// Heal both directions of the wire between two nodes: the link comes
     /// back up and traffic resumes. Counterpart to [`Topology::fail_wire`];
     /// the fault scheduler uses this for the "heal" half of a link flap.
@@ -203,15 +198,9 @@ impl Topology {
         self.each_direction(a, b, |l| l.burst_loss = loss);
     }
 
-    /// Set the in-flight corruption probability on both directions of the
-    /// wire between two nodes (`0.0` ends the burst).
-    pub fn set_wire_corrupt_rate(&mut self, a: NodeId, b: NodeId, rate: f64) {
-        self.each_direction(a, b, |l| l.corrupt_rate = rate);
-    }
-
     /// Reset the runtime state of every link (both directions) back to
     /// freshly-built: up, idle, zeroed counters, no fault overrides.
-    pub fn reset_links(&mut self) {
+    pub(crate) fn reset_links(&mut self) {
         for link in &mut self.links {
             link.reset_runtime();
         }
@@ -440,8 +429,6 @@ mod tests {
         t.fail_wire(ns, ne);
         assert!(!t.link(ns, ne).unwrap().up);
         assert!(!t.link(ne, ns).unwrap().up);
-        t.repair_wire(ns, ne);
-        assert!(t.link(ns, ne).unwrap().up);
     }
 
     #[test]
@@ -536,7 +523,6 @@ mod tests {
         for mut t in shapes() {
             for (a, b) in t.wires() {
                 t.set_wire_burst_loss(a, b, Some(0.5));
-                t.set_wire_corrupt_rate(a, b, 0.5);
                 for (from, to) in [(a, b), (b, a)] {
                     let l = t.link_mut(from, to).unwrap();
                     for _ in 0..8 {
@@ -581,7 +567,5 @@ mod tests {
         assert_eq!(t.link(ne, ns).unwrap().effective_loss(), 0.5);
         t.set_wire_burst_loss(ns, ne, None);
         assert_eq!(t.link(ns, ne).unwrap().effective_loss(), 0.0);
-        t.set_wire_corrupt_rate(ns, ne, 0.25);
-        assert_eq!(t.link(ne, ns).unwrap().corrupt_rate, 0.25);
     }
 }

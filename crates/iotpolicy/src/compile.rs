@@ -27,16 +27,16 @@ pub mod priority {
     /// Standing vulnerability mitigations.
     pub const MITIGATION: u16 = 50;
     /// Cross-device safety gates.
-    pub const SAFETY_GATE: u16 = 60;
+    pub(crate) const SAFETY_GATE: u16 = 60;
     /// Suspicious-context escalation.
-    pub const SUSPICIOUS: u16 = 80;
+    pub(crate) const SUSPICIOUS: u16 = 80;
     /// Compromised-context quarantine.
-    pub const QUARANTINE: u16 = 90;
+    pub(crate) const QUARANTINE: u16 = 90;
 }
 
 /// The standing mitigation posture for one vulnerability class — the
 /// "network patch" of Figure 4.
-pub fn mitigation_for(vuln: &Vulnerability) -> Posture {
+pub(crate) fn mitigation_for(vuln: &Vulnerability) -> Posture {
     match vuln {
         Vulnerability::DefaultCredentials { .. } | Vulnerability::OpenMgmtAccess => {
             Posture::of(SecurityModule::PasswordProxy)

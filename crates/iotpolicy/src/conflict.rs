@@ -62,7 +62,7 @@ pub fn find_recipe_conflicts(recipes: &[Recipe]) -> Vec<Conflict> {
 }
 
 /// Find equal-priority rule contradictions in a compiled policy.
-pub fn find_rule_conflicts(policy: &FsmPolicy) -> Vec<Conflict> {
+pub(crate) fn find_rule_conflicts(policy: &FsmPolicy) -> Vec<Conflict> {
     let mut out = Vec::new();
     for (i, ra) in policy.rules.iter().enumerate() {
         for (j, rb) in policy.rules.iter().enumerate().skip(i + 1) {
@@ -127,17 +127,17 @@ fn reachable_conflict(policy: &FsmPolicy, i: usize, j: usize, dev: DeviceId) -> 
 /// Find equal-priority rule contradictions whose patterns co-activate in
 /// some *actual* state of the schema's product space.
 ///
-/// [`find_rule_conflicts`] uses [`crate::policy::StatePattern::overlaps`],
+/// `find_rule_conflicts` uses `StatePattern::overlaps`,
 /// which over-approximates: two patterns that agree on their shared pins
 /// "overlap" even when one of them pins a context outside the device's
 /// domain and can never fire. This function decides co-activation
 /// exactly. On packable schemas that decision is analytic on the
-/// compiled masks ([`crate::packed::PackedPattern::overlaps`]): both
+/// compiled masks (`PackedPattern::overlaps`): both
 /// patterns feasible and agreeing wherever their masks intersect —
 /// equivalent to a full state scan because patterns are conjunctions of
 /// slot pins over a product space. Unpackable schemas fall back to the
 /// over-approximation (and keep its description text via
-/// [`find_rule_conflicts`]).
+/// `find_rule_conflicts`).
 pub fn find_reachable_rule_conflicts(policy: &FsmPolicy) -> Vec<Conflict> {
     let Some(layout) = crate::packed::PackedLayout::of(&policy.schema) else {
         return find_rule_conflicts(policy);

@@ -17,7 +17,7 @@
 //! * [`PackedState`] — one state as one `u128`. Encode/decode to
 //!   [`SystemState`] is a bijection; iteration, ranking and successor
 //!   generation are pure register arithmetic with zero allocation.
-//! * [`PackedPattern`] — a policy rule pattern compiled to a
+//! * `PackedPattern` — a policy rule pattern compiled to a
 //!   `(mask, value)` pair: a state matches iff `word & mask == value`,
 //!   one AND and one compare instead of two `BTreeMap` walks.
 //! * [`MemoPolicy`] — memoized policy evaluation. The posture vector of
@@ -41,7 +41,7 @@ use std::sync::{Arc, Mutex};
 /// couple of cycles, in the fxhash tradition, which is safe here
 /// because the keys are not attacker-controlled.
 #[derive(Debug, Default, Clone, Copy)]
-pub struct FxHasher(u64);
+pub(crate) struct FxHasher(u64);
 
 impl FxHasher {
     #[inline]
@@ -80,11 +80,11 @@ impl Hasher for FxHasher {
 }
 
 /// `BuildHasher` for [`FxHasher`]-backed maps.
-pub type FxBuild = BuildHasherDefault<FxHasher>;
+pub(crate) type FxBuild = BuildHasherDefault<FxHasher>;
 
 /// One slot's bit field inside the packed word.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SlotBits {
+pub(crate) struct SlotBits {
     /// Bit offset of the field.
     pub shift: u32,
     /// Field width in bits (`0` for single-valued domains).
@@ -106,7 +106,7 @@ impl SlotBits {
 
     /// Extract this slot's domain index from a packed word.
     #[inline]
-    pub fn index_of(&self, word: u128) -> usize {
+    pub(crate) fn index_of(&self, word: u128) -> usize {
         if self.bits == 0 {
             0
         } else {
@@ -127,7 +127,6 @@ pub struct PackedState(pub u128);
 pub struct PackedLayout {
     env: Vec<SlotBits>,
     dev: Vec<SlotBits>,
-    total_bits: u32,
     size: u128,
 }
 
@@ -158,7 +157,7 @@ impl PackedLayout {
         for d in &schema.devices {
             dev.push(place(d.contexts.len() as u64)?);
         }
-        Some(PackedLayout { env, dev, total_bits: shift, size })
+        Some(PackedLayout { env, dev, size })
     }
 
     /// Exact number of states (`Π radix`), identical to
@@ -167,18 +166,13 @@ impl PackedLayout {
         self.size
     }
 
-    /// Total bits used by the packed word.
-    pub fn total_bits(&self) -> u32 {
-        self.total_bits
-    }
-
     /// The device slot's bit field.
-    pub fn dev_slot(&self, slot: usize) -> SlotBits {
+    pub(crate) fn dev_slot(&self, slot: usize) -> SlotBits {
         self.dev[slot]
     }
 
     /// The environment slot's bit field.
-    pub fn env_slot(&self, slot: usize) -> SlotBits {
+    pub(crate) fn env_slot(&self, slot: usize) -> SlotBits {
         self.env[slot]
     }
 
@@ -210,7 +204,7 @@ impl PackedLayout {
     /// maintenance ([`MemoPolicy::mask_step`]): a pattern whose mask
     /// misses the region kept its match bit.
     #[inline]
-    pub fn next_masked(&self, p: PackedState) -> Option<(PackedState, u128)> {
+    pub(crate) fn next_masked(&self, p: PackedState) -> Option<(PackedState, u128)> {
         let mut word = p.0;
         let mut changed: u128 = 0;
         for slot in self.slots() {
@@ -302,7 +296,7 @@ impl PackedLayout {
 
 /// A rule pattern compiled against a layout: `word & mask == value`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PackedPattern {
+pub(crate) struct PackedPattern {
     /// Union of the constrained slots' field masks.
     pub mask: u128,
     /// Required field values, already shifted into place.
@@ -350,17 +344,11 @@ impl PackedPattern {
         out
     }
 
-    /// Whether the packed state satisfies the pattern.
-    #[inline]
-    pub fn matches(&self, p: PackedState) -> bool {
-        self.feasible && p.0 & self.mask == self.value
-    }
-
     /// Whether some state in the product space satisfies *both*
     /// patterns. Patterns are conjunctions of slot pins over a full
     /// product space, so a common state exists iff the two agree on
     /// every slot both pin — and both are feasible at all.
-    pub fn overlaps(&self, other: &PackedPattern) -> bool {
+    pub(crate) fn overlaps(&self, other: &PackedPattern) -> bool {
         self.feasible
             && other.feasible
             && (self.value ^ other.value) & (self.mask & other.mask) == 0
@@ -369,11 +357,11 @@ impl PackedPattern {
 
 /// Upper bound on rule count for the memoized engine (the rule-match
 /// mask is four `u64` words).
-pub const MAX_MEMO_RULES: usize = 256;
+pub(crate) const MAX_MEMO_RULES: usize = 256;
 
 /// Which rules matched a state: the memoization key.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RuleMask([u64; 4]);
+pub(crate) struct RuleMask([u64; 4]);
 
 /// Four word folds. The derived impl hashes `[u64; 4]` as a length
 /// prefix plus one 32-byte `write`, which [`FxHasher`] folds byte by
@@ -437,7 +425,6 @@ type SlotOutcomes = Arc<Mutex<Vec<SlotOutcome>>>;
 pub struct MemoPolicy<'a> {
     policy: &'a FsmPolicy,
     layout: PackedLayout,
-    patterns: Vec<PackedPattern>,
     /// Rule indices sorted by `(priority, index)` — the evaluation
     /// order of [`FsmPolicy::evaluate`].
     eval_order: Vec<u32>,
@@ -510,7 +497,7 @@ pub struct MemoPolicy<'a> {
 
 impl<'a> MemoPolicy<'a> {
     /// Build the engine, or `None` when the schema does not pack into
-    /// 127 bits or the policy exceeds [`MAX_MEMO_RULES`] rules.
+    /// 127 bits or the policy exceeds `MAX_MEMO_RULES` rules.
     pub fn new(policy: &'a FsmPolicy) -> Option<MemoPolicy<'a>> {
         MemoPolicy::sharing(policy, SlotOutcomes::default())
     }
@@ -577,7 +564,6 @@ impl<'a> MemoPolicy<'a> {
         Some(MemoPolicy {
             policy,
             layout,
-            patterns,
             eval_order,
             rule_postures,
             feasible,
@@ -610,18 +596,13 @@ impl<'a> MemoPolicy<'a> {
         &self.layout
     }
 
-    /// The rules' compiled patterns (policy order).
-    pub fn patterns(&self) -> &[PackedPattern] {
-        &self.patterns
-    }
-
     /// `(lookups, memo hits)` so far.
     pub fn stats(&self) -> (u64, u64) {
         (self.lookups, self.hits)
     }
 
     /// Number of distinct posture classes seen so far.
-    pub fn class_count(&self) -> usize {
+    pub(crate) fn class_count(&self) -> usize {
         self.class_fps.len()
     }
 
@@ -642,7 +623,7 @@ impl<'a> MemoPolicy<'a> {
 
     /// The cached fingerprint of class `id` (computed once at intern
     /// time).
-    pub fn class_fingerprint(&self, id: u32) -> u64 {
+    pub(crate) fn class_fingerprint(&self, id: u32) -> u64 {
         self.class_fps[id as usize]
     }
 
@@ -650,7 +631,7 @@ impl<'a> MemoPolicy<'a> {
     /// allocation. Infeasible patterns were dropped at build time —
     /// they match nothing, so their mask bits stay zero for free.
     #[inline]
-    pub fn mask_of(&self, p: PackedState) -> RuleMask {
+    pub(crate) fn mask_of(&self, p: PackedState) -> RuleMask {
         let mut mask = RuleMask([0; 4]);
         for (i, m, v) in &self.feasible {
             if p.0 & m == *v {
@@ -668,7 +649,7 @@ impl<'a> MemoPolicy<'a> {
     /// the scan — on a typical odometer step only the rules pinning
     /// the lowest digit are re-evaluated.
     #[inline]
-    pub fn mask_step(&self, mask: &mut RuleMask, p: PackedState, changed: u128) {
+    pub(crate) fn mask_step(&self, mask: &mut RuleMask, p: PackedState, changed: u128) {
         for (i, m, v) in &self.feasible {
             if m & changed == 0 {
                 break;
@@ -694,7 +675,7 @@ impl<'a> MemoPolicy<'a> {
     /// holds — the memo half of the hot path, used by sweeps that
     /// maintain the mask incrementally via [`MemoPolicy::mask_step`].
     #[inline]
-    pub fn class_of_mask(&mut self, mask: RuleMask) -> u32 {
+    pub(crate) fn class_of_mask(&mut self, mask: RuleMask) -> u32 {
         self.lookups += 1;
         if let Some((last_mask, id)) = self.last {
             if last_mask == mask {
@@ -942,7 +923,6 @@ mod tests {
         let policy = mixed_policy();
         let layout = PackedLayout::of(&policy.schema).unwrap();
         assert_eq!(layout.size(), policy.schema.size());
-        assert!(1u128 << layout.total_bits() >= layout.size());
     }
 
     #[test]
@@ -1084,7 +1064,7 @@ mod tests {
             &StatePattern::any().env(EnvVar::Door, "locked"),
         );
         assert!(!pat.feasible);
-        assert!(!pat.matches(layout.first()));
+        assert!(!pat.overlaps(&pat), "no state satisfies it");
     }
 
     #[test]

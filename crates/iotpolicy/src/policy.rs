@@ -69,7 +69,7 @@ impl StatePattern {
     /// Whether two patterns can match a common state (used by conflict
     /// detection): they overlap unless they pin the same slot to
     /// different values.
-    pub fn overlaps(&self, other: &StatePattern) -> bool {
+    pub(crate) fn overlaps(&self, other: &StatePattern) -> bool {
         for (id, a) in &self.contexts {
             if let Some(b) = other.contexts.get(id) {
                 if a != b {

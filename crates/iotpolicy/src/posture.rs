@@ -147,7 +147,7 @@ impl Posture {
     /// engine can fingerprint a class from its interned per-slot
     /// postures without materializing the full vector; the word
     /// encoding here *is* the fingerprint definition, shared by both.
-    pub fn fingerprint_words(&self, dev: DeviceId, eat: &mut impl FnMut(u64)) {
+    pub(crate) fn fingerprint_words(&self, dev: DeviceId, eat: &mut impl FnMut(u64)) {
         // Tag device and module words differently so the flattened
         // stream cannot alias across map entries.
         eat(1 << 56 | dev.0 as u64);
@@ -199,7 +199,7 @@ impl Posture {
     /// Whether two postures are operationally contradictory (one allows
     /// everything, the other blocks everything) — used by conflict
     /// detection on equal-priority rules.
-    pub fn contradicts(&self, other: &Posture) -> bool {
+    pub(crate) fn contradicts(&self, other: &Posture) -> bool {
         (self.is_allow() && other.blocks_all()) || (other.is_allow() && self.blocks_all())
     }
 }
@@ -307,11 +307,6 @@ impl PostureVector {
         self.by_device.get(&id).cloned().unwrap_or_default()
     }
 
-    /// Merge a posture into a device's entry.
-    pub fn merge_into(&mut self, id: DeviceId, posture: &Posture) {
-        self.by_device.entry(id).or_default().merge(posture);
-    }
-
     /// A stable 64-bit fingerprint of the whole vector — the FSM
     /// continuity token. The safety monitor records it before a
     /// controller failover and compares once the promoted standby has
@@ -383,12 +378,12 @@ mod tests {
     #[test]
     fn vector_diff_finds_changes() {
         let mut old = PostureVector::new();
-        old.merge_into(DeviceId(0), &Posture::of(SecurityModule::PasswordProxy));
-        old.merge_into(DeviceId(1), &Posture::of(SecurityModule::Mirror));
+        old.by_device.insert(DeviceId(0), Posture::of(SecurityModule::PasswordProxy));
+        old.by_device.insert(DeviceId(1), Posture::of(SecurityModule::Mirror));
         let mut new = PostureVector::new();
-        new.merge_into(DeviceId(0), &Posture::of(SecurityModule::PasswordProxy));
-        new.merge_into(DeviceId(1), &Posture::quarantine());
-        new.merge_into(DeviceId(2), &Posture::of(SecurityModule::Mirror));
+        new.by_device.insert(DeviceId(0), Posture::of(SecurityModule::PasswordProxy));
+        new.by_device.insert(DeviceId(1), Posture::quarantine());
+        new.by_device.insert(DeviceId(2), Posture::of(SecurityModule::Mirror));
         let diff = old.diff(&new);
         assert_eq!(diff, vec![DeviceId(1), DeviceId(2)]);
     }
@@ -402,11 +397,11 @@ mod tests {
     #[test]
     fn fingerprint_tracks_semantic_content() {
         let mut a = PostureVector::new();
-        a.merge_into(DeviceId(0), &Posture::of(SecurityModule::PasswordProxy));
+        a.by_device.insert(DeviceId(0), Posture::of(SecurityModule::PasswordProxy));
         let mut b = PostureVector::new();
-        b.merge_into(DeviceId(0), &Posture::of(SecurityModule::PasswordProxy));
+        b.by_device.insert(DeviceId(0), Posture::of(SecurityModule::PasswordProxy));
         assert_eq!(a.fingerprint(), b.fingerprint());
-        b.merge_into(DeviceId(1), &Posture::quarantine());
+        b.by_device.insert(DeviceId(1), Posture::quarantine());
         assert_ne!(a.fingerprint(), b.fingerprint());
         assert_eq!(PostureVector::new().fingerprint(), PostureVector::new().fingerprint());
     }

@@ -21,7 +21,7 @@
 //! exactly the full-state answer. A property test pins this down.
 
 use crate::policy::FsmPolicy;
-use crate::state_space::{StateSchema, SystemState};
+use crate::state_space::StateSchema;
 use serde::Serialize;
 use std::collections::HashMap;
 
@@ -58,7 +58,7 @@ impl FactoredSpace {
     }
 
     /// The raw product-space size, for the explosion ratio.
-    pub fn raw_states(&self) -> u128 {
+    pub(crate) fn raw_states(&self) -> u128 {
         self.components.iter().map(|c| c.size).product()
     }
 
@@ -179,26 +179,13 @@ fn slot_key(s: Slot) -> (u8, usize) {
     }
 }
 
-/// Project `state` onto a component: slots outside the component are
-/// reset to their first value. Sound because no rule spans components.
-pub fn project(schema: &StateSchema, state: &SystemState, component: &Component) -> SystemState {
-    let mut s = schema.initial_state();
-    for slot in &component.slots {
-        match *slot {
-            Slot::Device(i) => s.contexts[i] = state.contexts[i],
-            Slot::Env(j) => s.env[j] = state.env[j],
-        }
-    }
-    s
-}
-
 /// Count posture-equivalence classes by full enumeration. `None` if the
 /// space exceeds `limit` states.
 ///
 /// Runs on the packed memoized engine ([`crate::explore`]) when the
 /// schema packs into a `u128` word — each distinct rule-match set is
 /// evaluated once, each state costs a handful of word operations — and
-/// falls back to [`collapse_count_naive`] otherwise. The two engines are
+/// falls back to `collapse_count_naive` otherwise. The two engines are
 /// differentially tested equal over the same space.
 pub fn collapse_count(policy: &FsmPolicy, limit: u128) -> Option<usize> {
     if policy.schema.size() > limit {
@@ -214,7 +201,7 @@ pub fn collapse_count(policy: &FsmPolicy, limit: u128) -> Option<usize> {
 /// [`FsmPolicy::evaluate`], key classes by the canonical `Debug`
 /// rendering. Kept as the differential reference (and the fallback for
 /// unpackable schemas); E19 benchmarks it against the packed engines.
-pub fn collapse_count_naive(policy: &FsmPolicy, limit: u128) -> Option<usize> {
+pub(crate) fn collapse_count_naive(policy: &FsmPolicy, limit: u128) -> Option<usize> {
     if policy.schema.size() > limit {
         return None;
     }
@@ -293,7 +280,14 @@ mod tests {
         for state in policy.schema.iter_states() {
             let full = policy.evaluate(&state);
             for comp in &f.components {
-                let projected = project(&policy.schema, &state, comp);
+                // Slots outside the component reset to their first value.
+                let mut projected = policy.schema.initial_state();
+                for slot in &comp.slots {
+                    match *slot {
+                        Slot::Device(i) => projected.contexts[i] = state.contexts[i],
+                        Slot::Env(j) => projected.env[j] = state.env[j],
+                    }
+                }
                 let part = policy.evaluate(&projected);
                 for slot in &comp.slots {
                     if let Slot::Device(i) = slot {

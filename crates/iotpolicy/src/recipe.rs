@@ -30,7 +30,7 @@ impl Trigger {
     /// Whether two triggers can hold at the same time. Two values of the
     /// same environment variable are mutually exclusive; everything else
     /// can co-occur.
-    pub fn can_cooccur(&self, other: &Trigger) -> bool {
+    pub(crate) fn can_cooccur(&self, other: &Trigger) -> bool {
         match (self, other) {
             (Trigger::EnvEquals(va, xa), Trigger::EnvEquals(vb, xb)) => va != vb || xa == xb,
             _ => true,
@@ -71,7 +71,7 @@ impl Recipe {
     /// Whether two recipes contradict: their triggers can co-occur and
     /// their actions on the same target are opposed. This is exactly the
     /// paper's smoke-alarm vs Sighthound ambiguity.
-    pub fn contradicts(&self, other: &Recipe) -> bool {
+    pub(crate) fn contradicts(&self, other: &Recipe) -> bool {
         self.action.target == other.action.target
             && self.trigger.can_cooccur(&other.trigger)
             && actions_opposed(self.action.action, other.action.action)
@@ -79,7 +79,7 @@ impl Recipe {
 }
 
 /// Whether two actions on the same device are mutually exclusive.
-pub fn actions_opposed(a: ControlAction, b: ControlAction) -> bool {
+pub(crate) fn actions_opposed(a: ControlAction, b: ControlAction) -> bool {
     use ControlAction::*;
     matches!(
         (a, b),

@@ -9,7 +9,7 @@
 
 use crate::context::SecurityContext;
 use iotdev::device::{DeviceClass, DeviceId};
-use iotdev::env::{DiscreteEnv, EnvVar};
+use iotdev::env::EnvVar;
 use iotnet::hash::WordMap;
 use serde::Serialize;
 
@@ -48,7 +48,7 @@ impl StateSchema {
 
     /// Add a device with the default two-valued context domain
     /// (`normal` / `suspicious`).
-    pub fn add_device(&mut self, id: DeviceId, class: DeviceClass) -> &mut Self {
+    pub(crate) fn add_device(&mut self, id: DeviceId, class: DeviceClass) -> &mut Self {
         self.add_device_with(id, class, vec![SecurityContext::Normal, SecurityContext::Suspicious])
     }
 
@@ -75,22 +75,14 @@ impl StateSchema {
         self
     }
 
-    /// Track every modelled environment variable.
-    pub fn add_all_env(&mut self) -> &mut Self {
-        for v in EnvVar::ALL {
-            self.add_env(v);
-        }
-        self
-    }
-
     /// Slot index of a device — O(1) via the precomputed index.
-    pub fn device_slot(&self, id: DeviceId) -> Option<usize> {
+    pub(crate) fn device_slot(&self, id: DeviceId) -> Option<usize> {
         self.dev_index.get(&id).copied()
     }
 
     /// Slot index of an environment variable — O(1) via the precomputed
     /// index.
-    pub fn env_slot(&self, var: EnvVar) -> Option<usize> {
+    pub(crate) fn env_slot(&self, var: EnvVar) -> Option<usize> {
         self.env_index[var as usize]
     }
 
@@ -112,27 +104,6 @@ impl StateSchema {
         }
     }
 
-    /// Build a state from explicit contexts and a discretized environment.
-    /// Devices not mentioned get their first (most benign) context value.
-    pub fn state_from(
-        &self,
-        contexts: &[(DeviceId, SecurityContext)],
-        env: &DiscreteEnv,
-    ) -> SystemState {
-        let mut s = self.initial_state();
-        for (id, ctx) in contexts {
-            if let Some(slot) = self.device_slot(*id) {
-                s.contexts[slot] = *ctx;
-            }
-        }
-        for (slot, var) in self.env_vars.iter().enumerate() {
-            let value = env.get(*var);
-            let idx = var.domain().iter().position(|v| *v == value).unwrap_or(0);
-            s.env[slot] = idx as u8;
-        }
-        s
-    }
-
     /// Iterate the entire space in odometer order. Only sensible for
     /// small schemas; the exhaustive-equivalence experiments guard size.
     pub fn iter_states(&self) -> StateIter<'_> {
@@ -146,7 +117,7 @@ impl StateSchema {
     }
 
     /// The context of `id` in `state`, if the device is in the schema.
-    pub fn context_of(&self, state: &SystemState, id: DeviceId) -> Option<SecurityContext> {
+    pub(crate) fn context_of(&self, state: &SystemState, id: DeviceId) -> Option<SecurityContext> {
         let slot = self.device_slot(id)?;
         state.contexts.get(slot).copied()
     }
@@ -269,7 +240,9 @@ mod tests {
         for i in 0..40 {
             s.add_device_with(DeviceId(i), DeviceClass::Camera, SecurityContext::ALL.to_vec());
         }
-        s.add_all_env();
+        for v in EnvVar::ALL {
+            s.add_env(v);
+        }
         assert!(s.size() > u64::MAX as u128 / 4);
     }
 
@@ -297,11 +270,12 @@ mod tests {
     }
 
     #[test]
-    fn state_from_and_accessors() {
+    fn state_accessors() {
         let s = two_device_schema();
-        let mut env = iotdev::env::Environment::new();
-        env.smoke_density = 1.0;
-        let st = s.state_from(&[(DeviceId(0), SecurityContext::Suspicious)], &env.discretize());
+        let st = s
+            .initial_state()
+            .with_context(&s, DeviceId(0), SecurityContext::Suspicious)
+            .with_env(&s, EnvVar::Smoke, "yes");
         assert_eq!(s.context_of(&st, DeviceId(0)), Some(SecurityContext::Suspicious));
         assert_eq!(s.context_of(&st, DeviceId(1)), Some(SecurityContext::Normal));
         assert_eq!(s.env_value(&st, EnvVar::Smoke), Some("yes"));

@@ -73,13 +73,13 @@ impl TraceAggregator {
 
     /// The `k` hottest switches by data-plane event count, hottest
     /// first; ties break by ascending switch id.
-    pub fn top_switches(&self, k: usize) -> Vec<(u32, u64)> {
+    pub(crate) fn top_switches(&self, k: usize) -> Vec<(u32, u64)> {
         top_k(&self.switch_heat, k)
     }
 
     /// The `k` hottest µmboxes (by protected-device id), hottest first;
     /// ties break by ascending device id.
-    pub fn top_umboxes(&self, k: usize) -> Vec<(u32, u64)> {
+    pub(crate) fn top_umboxes(&self, k: usize) -> Vec<(u32, u64)> {
         top_k(&self.umbox_heat, k)
     }
 

@@ -127,7 +127,7 @@ pub enum TraceEvent {
         /// Outage duration in nanoseconds.
         duration_ns: u64,
     },
-    /// A network fault fired (wire down, loss/corruption burst begins,
+    /// A network fault fired (wire down, loss burst begins,
     /// partition cut).
     FaultFired {
         /// Fault kind label, e.g. `"wire-down"`.

@@ -58,7 +58,7 @@ impl Default for BreakerConfig {
 
 /// The three breaker states.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
-pub enum BreakerState {
+pub(crate) enum BreakerState {
     /// Healthy: crashes are counted but the chain serves normally.
     Closed,
     /// Tripped: the chain serves its failure-mode fallback and respawns
@@ -88,7 +88,7 @@ pub enum BreakerEvent {
 
 /// One device's breaker.
 #[derive(Debug, Clone)]
-pub struct CircuitBreaker {
+pub(crate) struct CircuitBreaker {
     cfg: BreakerConfig,
     /// Current state.
     pub state: BreakerState,
@@ -102,12 +102,6 @@ impl CircuitBreaker {
     /// A closed breaker with the given tuning.
     pub fn new(cfg: BreakerConfig) -> CircuitBreaker {
         CircuitBreaker { cfg, state: BreakerState::Closed, recent: Vec::new(), trips: 0 }
-    }
-
-    /// Whether the breaker is open at `now` (chain must serve its
-    /// fallback).
-    pub fn is_open(&self) -> bool {
-        matches!(self.state, BreakerState::Open { .. })
     }
 
     /// The hold deadline while open.
@@ -203,11 +197,6 @@ impl BreakerBank {
         self.breakers.get_mut(&device).and_then(|b| b.tick(now, serving))
     }
 
-    /// Whether `device`'s breaker is open.
-    pub fn is_open(&self, device: DeviceId) -> bool {
-        self.breakers.get(&device).is_some_and(|b| b.is_open())
-    }
-
     /// The respawn hold deadline for `device` while its breaker is
     /// open.
     pub fn open_until(&self, device: DeviceId) -> Option<SimTime> {
@@ -239,7 +228,7 @@ mod tests {
         let mut b = CircuitBreaker::new(cfg());
         assert_eq!(b.on_crash(SimTime::from_secs(1)), None);
         assert_eq!(b.on_crash(SimTime::from_secs(2)), Some(BreakerEvent::Tripped));
-        assert!(b.is_open());
+        assert!(b.open_until().is_some());
         assert_eq!(b.open_until(), Some(SimTime::from_secs(17)));
         assert_eq!(b.trips, 1);
         // Further crashes while open neither re-trip nor extend.
@@ -260,12 +249,12 @@ mod tests {
         let mut b = CircuitBreaker::new(cfg());
         b.on_crash(SimTime::from_secs(1));
         b.on_crash(SimTime::from_secs(2));
-        assert!(b.is_open());
+        assert!(b.open_until().is_some());
         // Cooldown not yet over.
         assert_eq!(b.tick(SimTime::from_secs(10), false), None);
         // Cooldown over: half-open.
         assert_eq!(b.tick(SimTime::from_secs(17), false), Some(BreakerEvent::HalfOpened));
-        assert!(!b.is_open());
+        assert!(b.open_until().is_none());
         // Trial time only counts; not serving yet.
         assert_eq!(b.tick(SimTime::from_secs(22), false), None);
         // Serving through the trial: re-close.
@@ -303,8 +292,8 @@ mod tests {
         bank.on_crash(a, SimTime::from_secs(1));
         bank.on_crash(b, SimTime::from_secs(1));
         assert_eq!(bank.on_crash(a, SimTime::from_secs(2)), Some(BreakerEvent::Tripped));
-        assert!(bank.is_open(a));
-        assert!(!bank.is_open(b));
+        assert!(bank.open_until(a).is_some());
+        assert!(bank.open_until(b).is_none());
         assert_eq!(bank.open_until(a), Some(SimTime::from_secs(17)));
         assert_eq!(bank.open_until(b), None);
         assert_eq!(bank.trips(), 1);

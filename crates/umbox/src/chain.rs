@@ -20,11 +20,8 @@ use iotpolicy::posture::{Posture, SecurityModule};
 use serde::Serialize;
 use trace::{TraceEvent, Tracer};
 
-/// One slot in a chain. A closed enum (rather than trait objects all the
-/// way down) so rulesets can be hot-swapped without downcasting; the
-/// `Custom` escape hatch keeps the platform extensible, as the paper's
-/// "extensible programming platform" requires.
-pub enum Slot {
+/// One slot in a chain: a closed enum rather than trait objects.
+pub(crate) enum Slot {
     /// Block filter.
     Block(BlockFilter),
     /// Protocol whitelist.
@@ -43,8 +40,6 @@ pub enum Slot {
     Proxy(PasswordProxy),
     /// Mirror tap.
     Mirror(MirrorTap),
-    /// A user-supplied element.
-    Custom(Box<dyn Element>),
 }
 
 impl Slot {
@@ -59,15 +54,6 @@ impl Slot {
             Slot::Challenger(e) => e,
             Slot::Proxy(e) => e,
             Slot::Mirror(e) => e,
-            Slot::Custom(e) => e.as_mut(),
-        }
-    }
-
-    /// The slot's label.
-    pub fn label(&mut self) -> &'static str {
-        match self {
-            Slot::Custom(_) => "custom",
-            other => other.as_element().label(),
         }
     }
 }
@@ -159,7 +145,7 @@ impl UmboxChain {
     }
 
     /// Append a slot.
-    pub fn push(&mut self, slot: Slot) {
+    pub(crate) fn push(&mut self, slot: Slot) {
         self.slots.push(slot);
     }
 
@@ -171,22 +157,6 @@ impl UmboxChain {
     /// Whether the chain has no elements.
     pub fn is_empty(&self) -> bool {
         self.slots.is_empty()
-    }
-
-    /// Hot-swap the IDS ruleset (if the chain has an IDS); returns the
-    /// new generation, or `None` if no IDS is present. No packets are
-    /// dropped by the swap — the paper's availability requirement.
-    pub fn update_signatures(
-        &mut self,
-        signatures: impl Into<std::rc::Rc<[AttackSignature]>>,
-    ) -> Option<u16> {
-        for slot in &mut self.slots {
-            if let Slot::Ids(ids) = slot {
-                ids.update_signatures(signatures);
-                return Some(ids.generation);
-            }
-        }
-        None
     }
 
     /// Run a packet through the chain (the core of the inline adapter).
@@ -390,7 +360,7 @@ mod tests {
         assert_eq!(chain.len(), 7);
         let mut labels = Vec::new();
         for slot in &mut chain.slots {
-            labels.push(slot.label());
+            labels.push(slot.as_element().label());
         }
         assert_eq!(
             labels,
@@ -421,28 +391,6 @@ mod tests {
         }
         assert_eq!(cfg.events.len(), 1); // batched: 1 per 3 blocked
         assert!(chain.busy > SimDuration::ZERO);
-    }
-
-    #[test]
-    fn hot_swap_reaches_embedded_ids() {
-        use iotdev::registry::Sku;
-        use iotlearn::signature::{Matcher, Severity};
-        let cfg = config();
-        let mut chain = build_chain(&Posture::of(SecurityModule::Ids { ruleset: 1 }), &cfg);
-        let backdoor =
-            pkt(ports::CLOUD, &AppMessage::CloudCommand { action: ControlAction::TurnOff });
-        assert_eq!(chain.run(SimTime::ZERO, backdoor.clone()).forward.len(), 1);
-        let gen = chain.update_signatures(vec![AttackSignature::new(
-            Sku::new("belkin", "wemo", "1.1"),
-            "cloud-bypass-backdoor",
-            Matcher::CloudCommand,
-            Severity::High,
-        )]);
-        assert_eq!(gen, Some(2));
-        assert!(chain.run(SimTime::ZERO, backdoor).forward.is_empty());
-        // Chains without an IDS report None.
-        let mut plain = build_chain(&Posture::allow(), &config());
-        assert_eq!(plain.update_signatures(vec![]), None);
     }
 
     #[test]

@@ -45,7 +45,7 @@ impl ElementOutcome {
     }
 
     /// Attach an event.
-    pub fn with_event(mut self, event: SecurityEvent) -> ElementOutcome {
+    pub(crate) fn with_event(mut self, event: SecurityEvent) -> ElementOutcome {
         self.events.push(event);
         self
     }
@@ -73,7 +73,7 @@ impl EventSink {
     }
 
     /// Append events.
-    pub fn push_all(&self, events: impl IntoIterator<Item = SecurityEvent>) {
+    pub(crate) fn push_all(&self, events: impl IntoIterator<Item = SecurityEvent>) {
         self.0.borrow_mut().extend(events);
     }
 
@@ -140,19 +140,19 @@ pub mod costs {
     use iotnet::time::SimDuration;
 
     /// Password proxy: TCP interpose + credential rewrite.
-    pub const PROXY: SimDuration = SimDuration::from_micros(50);
+    pub(crate) const PROXY: SimDuration = SimDuration::from_micros(50);
     /// Signature IDS fixed cost per packet.
-    pub const IDS_BASE: SimDuration = SimDuration::from_micros(15);
+    pub(crate) const IDS_BASE: SimDuration = SimDuration::from_micros(15);
     /// Signature IDS per-signature marginal cost.
-    pub const IDS_PER_SIG: SimDuration = SimDuration::from_micros(2);
+    pub(crate) const IDS_PER_SIG: SimDuration = SimDuration::from_micros(2);
     /// Rate limiter.
-    pub const RATE_LIMIT: SimDuration = SimDuration::from_micros(2);
+    pub(crate) const RATE_LIMIT: SimDuration = SimDuration::from_micros(2);
     /// Protocol whitelist / block filter.
-    pub const FILTER: SimDuration = SimDuration::from_micros(3);
+    pub(crate) const FILTER: SimDuration = SimDuration::from_micros(3);
     /// Context gate (one shared-view lookup).
-    pub const GATE: SimDuration = SimDuration::from_micros(5);
+    pub(crate) const GATE: SimDuration = SimDuration::from_micros(5);
     /// Mirror (copy).
-    pub const MIRROR: SimDuration = SimDuration::from_micros(8);
+    pub(crate) const MIRROR: SimDuration = SimDuration::from_micros(8);
 }
 
 #[cfg(test)]

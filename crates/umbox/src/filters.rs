@@ -6,13 +6,13 @@ use iotdev::device::DeviceId;
 use iotdev::events::{SecurityEvent, SecurityEventKind};
 use iotdev::proto::{ports, AppMessage, ControlAction};
 use iotnet::packet::Packet;
-use iotnet::time::{SimDuration, SimTime};
+use iotnet::time::SimTime;
 use iotpolicy::posture::BlockClass;
 use std::collections::BTreeSet;
 
 /// Drops packets in a [`BlockClass`].
 #[derive(Debug)]
-pub struct BlockFilter {
+pub(crate) struct BlockFilter {
     /// Protected device.
     pub device: DeviceId,
     /// What to block.
@@ -119,7 +119,7 @@ impl Element for ProtocolWhitelist {
 
 /// A token-bucket rate limiter.
 #[derive(Debug)]
-pub struct RateLimiter {
+pub(crate) struct RateLimiter {
     /// Sustained packets per second.
     pub pps: u32,
     /// Bucket depth (burst tolerance).
@@ -172,7 +172,7 @@ impl Element for RateLimiter {
 /// the oldest copy is O(1) rather than shifting the whole buffer on
 /// every packet once full.
 #[derive(Debug)]
-pub struct MirrorTap {
+pub(crate) struct MirrorTap {
     /// Retained copies, oldest first.
     pub taps: std::collections::VecDeque<Packet>,
     capacity: usize,
@@ -200,12 +200,6 @@ impl Element for MirrorTap {
     fn label(&self) -> &'static str {
         "mirror-tap"
     }
-}
-
-/// Convenience: the combined per-packet latency of a set of element
-/// costs (used by E10's analytical checks).
-pub fn chain_cost(costs: &[SimDuration]) -> SimDuration {
-    costs.iter().fold(SimDuration::ZERO, |acc, c| acc + *c)
 }
 
 #[cfg(test)]
@@ -333,11 +327,5 @@ mod tests {
         assert_eq!(m.taps.len(), 3);
         assert_eq!(m.seen, 5);
         assert_eq!(m.taps[0].transport.src_port(), 2);
-    }
-
-    #[test]
-    fn chain_cost_sums() {
-        let total = chain_cost(&[costs::PROXY, costs::FILTER, costs::RATE_LIMIT]);
-        assert_eq!(total.as_micros(), 55);
     }
 }

@@ -25,7 +25,7 @@
 //!   models calibrated to the ClickOS/Jitsu numbers the paper cites
 //!   (experiment E9).
 //! * [`resource`] — the on-premise cluster / upgraded IoT router
-//!   resource model (placement, capacity, utilization).
+//!   resource model (placement and capacity).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -40,7 +40,7 @@ pub mod lifecycle;
 pub mod proxy;
 pub mod resource;
 
-pub use breaker::{BreakerBank, BreakerConfig, BreakerEvent, BreakerState, CircuitBreaker};
+pub use breaker::{BreakerBank, BreakerConfig, BreakerEvent};
 pub use chain::{build_chain, ChainConfig, FailureMode, UmboxChain};
 pub use element::{Element, ElementOutcome, EventSink, ViewHandle};
 pub use lifecycle::{LifecycleManager, UmboxInstance, UmboxState, VmKind};

@@ -40,7 +40,7 @@ pub enum VmKind {
 
 impl VmKind {
     /// Instantiation latency.
-    pub fn boot_latency(self) -> SimDuration {
+    pub(crate) fn boot_latency(self) -> SimDuration {
         match self {
             VmKind::UnikernelPooled => SimDuration::from_micros(1_500),
             VmKind::Unikernel => SimDuration::from_millis(25),
@@ -62,7 +62,7 @@ impl VmKind {
     }
 
     /// Memory footprint in MiB (for the resource model).
-    pub fn footprint_mib(self) -> u32 {
+    pub(crate) fn footprint_mib(self) -> u32 {
         match self {
             VmKind::UnikernelPooled | VmKind::Unikernel => 8,
             VmKind::Container => 64,
@@ -332,11 +332,6 @@ impl LifecycleManager {
         self.instances.get(&id)
     }
 
-    /// Instances currently serving at `now`.
-    pub fn serving_count(&self, now: SimTime) -> usize {
-        self.instances.values().filter(|i| i.is_serving(now)).count()
-    }
-
     /// All live (non-dead) instances.
     pub fn live(&self) -> impl Iterator<Item = &UmboxInstance> {
         self.instances.values().filter(|i| i.state != UmboxState::Dead)
@@ -380,7 +375,6 @@ mod tests {
         assert!(mgr.get(id).unwrap().is_serving(ready));
         mgr.advance(ready);
         assert_eq!(mgr.get(id).unwrap().state, UmboxState::Running);
-        assert_eq!(mgr.serving_count(ready), 1);
     }
 
     #[test]
@@ -433,7 +427,7 @@ mod tests {
         mgr.advance(ready);
         mgr.retire(id);
         assert_eq!(mgr.pool_available, 1);
-        assert_eq!(mgr.serving_count(ready), 0);
+        assert!(!mgr.get(id).unwrap().is_serving(ready));
         assert_eq!(mgr.live().count(), 0);
     }
 

@@ -147,7 +147,7 @@ impl Element for PasswordProxy {
 /// the challenge as an allowlist the controller can seed (the owner's
 /// app passes; a bot does not).
 #[derive(Debug)]
-pub struct LoginChallenger {
+pub(crate) struct LoginChallenger {
     /// The protected device.
     pub device: DeviceId,
     /// Sources that have passed the challenge.

@@ -21,7 +21,7 @@ pub enum PlacementPolicy {
 
 /// One server (or the IoT router).
 #[derive(Debug, Clone, Serialize)]
-pub struct Server {
+pub(crate) struct Server {
     /// Memory capacity in MiB.
     pub capacity_mib: u32,
     /// Memory in use.
@@ -117,25 +117,9 @@ impl Cluster {
         }
     }
 
-    /// Overall memory utilization in `[0, 1]`.
-    pub fn utilization(&self) -> f64 {
-        let cap: u64 = self.servers.iter().map(|s| s.capacity_mib as u64).sum();
-        let used: u64 = self.servers.iter().map(|s| s.used_mib as u64).sum();
-        if cap == 0 {
-            0.0
-        } else {
-            used as f64 / cap as f64
-        }
-    }
-
     /// How many µmboxes of `kind` this cluster can still host.
     pub fn remaining_slots(&self, kind: VmKind) -> u32 {
         self.servers.iter().map(|s| s.free() / kind.footprint_mib().max(1)).sum()
-    }
-
-    /// Total placements.
-    pub fn placement_count(&self) -> usize {
-        self.servers.iter().map(|s| s.placements.len()).sum()
     }
 }
 
@@ -184,17 +168,9 @@ mod tests {
         c.place(DeviceId(0), VmKind::Unikernel).unwrap();
         c.place(DeviceId(0), VmKind::Unikernel).unwrap();
         c.place(DeviceId(1), VmKind::Unikernel).unwrap();
-        assert_eq!(c.placement_count(), 3);
+        assert_eq!(c.remaining_slots(VmKind::Unikernel), 5);
         c.release(DeviceId(0));
-        assert_eq!(c.placement_count(), 1);
-        assert!((c.utilization() - 8.0 / 64.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn utilization_tracks_usage() {
-        let mut c = Cluster::enterprise(2, 64, PlacementPolicy::FirstFit);
-        assert_eq!(c.utilization(), 0.0);
-        c.place(DeviceId(0), VmKind::Container).unwrap();
-        assert!((c.utilization() - 0.5).abs() < 1e-9);
+        // Both of device 0's placements went; device 1's 8 MiB stays.
+        assert_eq!(c.remaining_slots(VmKind::Unikernel), 7);
     }
 }

@@ -285,10 +285,9 @@ fn stream(ds: &[Delivery]) -> Vec<(EndpointId, SimTime, Packet)> {
     ds.iter().map(|d| (d.endpoint, d.at, d.packet.clone())).collect()
 }
 
-/// Copies a directed link refused (loss, failure or corruption).
+/// Copies a directed link refused (loss or failure).
 fn refused(t: &Topology, from: NodeId, to: NodeId) -> u64 {
-    let l = t.link(from, to).expect("wired");
-    l.dropped + l.corrupted
+    t.link(from, to).expect("wired").dropped
 }
 
 /// A test-side learning switch fabric that counts what one frame does,
@@ -503,10 +502,10 @@ fn link_totals(t: &Topology) -> (u64, u64, u64, u64) {
     for (a, b) in t.wires() {
         for (from, to) in [(a, b), (b, a)] {
             let l = t.link(from, to).expect("wired");
-            lost += l.dropped + l.corrupted;
+            lost += l.dropped;
             carried += l.carried;
             match (from, to) {
-                (NodeId::Endpoint(_), _) => offered_up += l.carried + l.dropped + l.corrupted,
+                (NodeId::Endpoint(_), _) => offered_up += l.carried + l.dropped,
                 (_, NodeId::Endpoint(_)) => carried_down += l.carried,
                 _ => {}
             }
@@ -912,16 +911,16 @@ proptest! {
         prop_assert!(!net.has_pending());
     }
 
-    /// Property 6: a wire failed, made lossy or made corrupting through
-    /// its key carries nothing afterwards, in either direction, the
-    /// copies it refuses are the ones `NetStats` counts as lost, and a
-    /// heal through the key carries again.
+    /// Property 6: a wire failed or made lossy through its key carries
+    /// nothing afterwards, in either direction, the copies it refuses
+    /// are the ones `NetStats` counts as lost, and a heal through the key
+    /// carries again.
     #[test]
     fn keyed_faults_are_what_the_packet_path_sees(
         a in 0usize..8,
         b in 0usize..4,
         wire in 0usize..64,
-        fault in 0u8..3,
+        fault in 0u8..2,
     ) {
         let mut net = Network::new(shape(a, b), 7);
         let wires = net.topology().wires();
@@ -932,8 +931,7 @@ proptest! {
         let (x, y) = wires[wire % wires.len()];
         match fault {
             0 => net.topology_mut().fail_wire(x, y),
-            1 => net.topology_mut().set_wire_burst_loss(x, y, Some(1.0)),
-            _ => net.topology_mut().set_wire_corrupt_rate(x, y, 1.0),
+            _ => net.topology_mut().set_wire_burst_loss(x, y, Some(1.0)),
         }
         // A broadcast from every endpoint offers every directed link a copy.
         let broadcast_from_all = |net: &mut Network| {
@@ -950,7 +948,6 @@ proptest! {
             let l = t.link(from, to).expect("wired");
             prop_assert_eq!(l.carried, 0);
             prop_assert!(refused(t, from, to) >= 1);
-            prop_assert_eq!(l.corrupted > 0, fault == 2);
         }
         let (offered_up, lost, carried, _) = link_totals(t);
         prop_assert_eq!(lost, refused(t, x, y) + refused(t, y, x));
@@ -960,7 +957,6 @@ proptest! {
 
         net.topology_mut().heal_wire(x, y);
         net.topology_mut().set_wire_burst_loss(x, y, Some(0.0));
-        net.topology_mut().set_wire_corrupt_rate(x, y, 0.0);
         broadcast_from_all(&mut net);
         prop_assert_eq!(net.stats.dropped_loss, lost);
         for (from, to) in [(x, y), (y, x)] {
@@ -1119,7 +1115,7 @@ fn p24_floods_have_one_cause() {
     let t = w.net.topology();
     let offered = |from: NodeId, to: NodeId| {
         let l = t.link(from, to).expect("wired");
-        l.carried + l.dropped + l.corrupted
+        l.carried + l.dropped
     };
     let mut lost_beside_the_hub = 0;
     for (ep, info) in t.endpoints() {

@@ -7,10 +7,15 @@
 //! the artifact's `# violation=` trailer — if a defense change ever
 //! *fixes* one of these repros, this test fails and the artifact should
 //! be regenerated or retired deliberately.
+//!
+//! A hostile artifact — a rendered one with a number overwritten — must
+//! be rejected by the parser or replay without panicking.
 
-use iotsec_fuzz::artifact;
 use iotsec_fuzz::oracle::defense_on_violations;
+use iotsec_fuzz::{artifact, generate, GenConfig, Weakness};
+use proptest::prelude::*;
 use std::collections::BTreeSet;
+use std::panic::catch_unwind;
 use std::path::PathBuf;
 
 fn corpus() -> Vec<(String, String)> {
@@ -61,5 +66,54 @@ fn corpus_artifacts_are_minimal_scale() {
         let spec = artifact::parse(&text).unwrap_or_else(|e| panic!("{name}: {e}"));
         assert!(spec.devices.len() <= 3, "{name}: {} devices", spec.devices.len());
         assert!(spec.faults.len() <= 2, "{name}: {} faults", spec.faults.len());
+    }
+}
+
+/// A flap that heals before it fails. The parser once accepted it and the
+/// replay then panicked building the world's fault schedule.
+const REVERSED_FLAP: &str = "seed=1\nhorizon=10\ndevice=row:5\nfault=flap:0:8:2\n";
+
+/// A hostile artifact is rejected by `parse`, or replays without panicking.
+fn rejected_or_replayed(text: &str) -> Result<(), TestCaseError> {
+    let Ok(spec) = artifact::parse(text) else { return Ok(()) };
+    prop_assert!(
+        catch_unwind(|| defense_on_violations(&spec)).is_ok(),
+        "a parsed artifact panicked on replay:\n{text}"
+    );
+    Ok(())
+}
+
+proptest! {
+    /// Overwrite one numeric field of one clause of a rendered artifact
+    /// with an arbitrary `u32`. A horizon is taken modulo 31, so every
+    /// replay stays within 30 simulated seconds.
+    #[test]
+    fn prop_hostile_numeric_fields_are_rejected_or_replay(
+        seed in any::<u64>(),
+        pick in any::<usize>(),
+        value in any::<u32>(),
+    ) {
+        rejected_or_replayed(REVERSED_FLAP)?;
+        let mut spec = generate(seed, &GenConfig::weakened(Weakness::FailOpen));
+        spec.horizon_secs = spec.horizon_secs.min(30);
+        let mut clauses: Vec<(String, Vec<String>)> = artifact::render(&spec)
+            .lines()
+            .filter_map(|l| l.split_once('='))
+            .map(|(k, v)| (k.to_string(), v.split(':').map(str::to_string).collect()))
+            .collect();
+        let numeric: Vec<(usize, usize)> = clauses
+            .iter()
+            .enumerate()
+            .flat_map(|(c, (_, fields))| {
+                let numbers = fields.iter().enumerate().filter(|(_, f)| f.parse::<u64>().is_ok());
+                numbers.map(move |(i, _)| (c, i))
+            })
+            .collect();
+        let (c, i) = numeric[pick % numeric.len()];
+        let value = if clauses[c].0 == "horizon" { value % 31 } else { value };
+        clauses[c].1[i] = value.to_string();
+        let text: String =
+            clauses.iter().map(|(k, fields)| format!("{k}={}\n", fields.join(":"))).collect();
+        rejected_or_replayed(&text)?;
     }
 }

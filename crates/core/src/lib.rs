@@ -65,6 +65,7 @@ pub mod deployment;
 pub mod hub;
 pub mod metrics;
 pub mod scenario;
+mod trajectory;
 pub mod world;
 
 pub use chaos::ChaosConfig;

@@ -15,6 +15,7 @@ use crate::defense::{upnp_pinholes, Defense, IoTSecConfig};
 use crate::deployment::{AttackerLocation, Deployment, Site, StepSpec};
 use crate::hub::Hub;
 use crate::metrics::Metrics;
+use crate::trajectory::Trajectory;
 use iotctl::controller::{Controller, ControllerConfig};
 use iotctl::delivery::DeliveryChannel;
 use iotctl::directive::Directive;
@@ -229,6 +230,9 @@ struct HomeState {
     /// Ticks executed, in full or device-coasted; the clock counts the
     /// ticks simulated.
     ticks_executed: u64,
+    /// Physics steps taken, executed or coasted: the tick index of the
+    /// next one in the trajectory.
+    steps: u64,
     /// A delivery reached a device since the last full device pass, so
     /// the accumulators that pass derived may be stale.
     touched: bool,
@@ -256,6 +260,9 @@ struct HomeBuffers {
     /// Output buffer handed to [`IoTDevice::tick_into`]; empty between
     /// devices.
     device_out: DeviceOutput,
+    /// Output buffer handed to [`Attacker::poll_into`]; empty between
+    /// polls.
+    attacker_out: Vec<AttackerEmit>,
     /// Per-device fact rows rebuilt for the safety monitor each tick.
     facts_scratch: Vec<DeviceFacts>,
 }
@@ -320,6 +327,11 @@ pub struct World {
     standing_ids: Vec<bool>,
     core_switch: SwitchId,
     device_switch: Vec<SwitchId>,
+    /// What every chain of this world is built from. The hub's address,
+    /// the shared handles, the failure mode and the tracer are the
+    /// world's; each launch writes in its device, that device's current
+    /// credentials (over the strings the last one left) and its ruleset.
+    chain_config: ChainConfig,
     home: HomeState,
     buf: HomeBuffers,
     // --- chaos layer (all inert unless `chaos_enabled`) ----------------
@@ -327,7 +339,6 @@ pub struct World {
     /// in `faults`/`crash_plan`/`outage_plan`; the full `ChaosConfig` is
     /// consumed at construction, not cloned into the world.
     chaos_enabled: bool,
-    failure_mode: FailureMode,
     faults: FaultScheduler,
     /// Sorted µmbox crash schedule; `crash_idx` is the cursor.
     crash_plan: Vec<(SimTime, DeviceId)>,
@@ -350,8 +361,10 @@ pub struct World {
     resident: Option<Box<ResidentBind>>,
 }
 
-/// What a resident world (E26) keeps to take an intel delta: the intel
-/// installed on it and the template `install_intel` reads its inputs from.
+/// What a resident world (E26) keeps across homes: the intel installed on
+/// it and the template `install_intel` reads its inputs from, to take an
+/// intel delta, and the physics its homes have stepped. A cold world
+/// steps each tick of its one home once, so it keeps no trajectory.
 struct ResidentBind {
     /// Intel epoch currently installed on this world.
     epoch: u32,
@@ -359,6 +372,7 @@ struct ResidentBind {
     /// content-equal snapshot installs as a no-op).
     intel: Arc<[AttackSignature]>,
     template: Deployment,
+    trajectory: Trajectory,
 }
 
 /// What [`World::apply_intel_delta`] did, for the fleet's
@@ -488,7 +502,8 @@ impl World {
         let overrides = HomeOverrides { seed, extra_signatures: intel };
         let mut world = World::build(template, Tracer::disabled(), Some(&overrides));
         let (intel, template) = (Arc::clone(intel), template.clone());
-        world.resident = Some(Box::new(ResidentBind { epoch, intel, template }));
+        let trajectory = Trajectory::default();
+        world.resident = Some(Box::new(ResidentBind { epoch, intel, template, trajectory }));
         world
     }
 
@@ -736,6 +751,17 @@ impl World {
             Defense::IoTSec(config) => Some(*config),
             _ => None,
         };
+        let buf = HomeBuffers::default();
+        let chain_config = ChainConfig {
+            device: DeviceId(0),
+            required_creds: AdminCreds::new("", ""),
+            cleared_sources: hub.iter().map(|(hub, _)| hub.ip).collect(),
+            signatures: Rc::from([]),
+            view: buf.gate_view.clone(),
+            events: buf.event_sink.clone(),
+            failure_mode: deployment.chaos.as_ref().map(|c| c.failure_mode).unwrap_or_default(),
+            tracer: tracer.clone(),
+        };
         let mut world = World {
             clock: SimTime::ZERO,
             tick: deployment.tick,
@@ -759,10 +785,10 @@ impl World {
             standing_ids: Vec::new(),
             core_switch: core,
             device_switch,
+            chain_config,
             home: HomeState::default(),
-            buf: HomeBuffers::default(),
+            buf,
             chaos_enabled: deployment.chaos.is_some(),
-            failure_mode: deployment.chaos.as_ref().map(|c| c.failure_mode).unwrap_or_default(),
             faults: FaultScheduler::new(),
             crash_plan: Vec::new(),
             crash_idx: 0,
@@ -1061,7 +1087,8 @@ impl World {
                 dev.coast(1);
             }
         }
-        self.env.step(self.tick.as_secs_f64());
+        self.step_physics();
+        self.home.steps += 1;
         if (self.env.window_open || !self.env.door_locked) && !self.env.occupied {
             self.home.breach_at.get_or_insert(now);
         }
@@ -1083,12 +1110,15 @@ impl World {
             }
         }
 
-        // 4. Attacker.
+        // 4. Attacker, into a buffer lent out and returned like the ones
+        // below.
         if let Some((attacker, ep)) = self.attacker.as_mut().filter(|(a, _)| due(a.next_due())) {
-            let (emits, ep) = (attacker.poll(now), *ep);
-            for AttackerEmit { out, spoof_src } in emits {
+            let (mut emits, ep) = (std::mem::take(&mut self.buf.attacker_out), *ep);
+            attacker.poll_into(now, &mut emits);
+            for AttackerEmit { out, spoof_src } in emits.drain(..) {
                 self.send_message(ep, now, &out, spoof_src);
             }
+            self.buf.attacker_out = emits;
         }
 
         // 5. Drain the packet plane (replies can cascade within a tick).
@@ -1321,13 +1351,22 @@ impl World {
     /// devices if every one is steady and none is due. The first tick of
     /// every call is executed in full: `env`, `net` and `clock` are
     /// `pub`, and callers change them between calls.
+    ///
+    /// A resident world's trajectory is sized here, for every tick up to
+    /// `end`, so that no tick grows it.
     fn advance(&mut self, end: SimTime, until_attack_done: bool) {
         let polled = self.polls_every_tick();
+        if let Some(bind) = &mut self.resident {
+            let ticks = (end - self.clock).as_nanos() / self.tick.as_nanos();
+            bind.trajectory.reserve(self.home.steps.saturating_add(ticks));
+        }
+        // A tick may be coasted only strictly before `stop`: up to `end`
+        // and strictly before the earliest `next_due`.
+        let past_end = end + SimDuration::from_nanos(1);
         let mut settled = false;
         while !(until_attack_done && self.attack_done()) {
             if settled {
-                let room = (end - self.clock).as_nanos() / self.tick.as_nanos();
-                self.coast(room.min(self.idle_ticks()));
+                self.coast(self.next_due().map_or(past_end, |due| due.min(past_end)));
             }
             let now = self.clock + self.tick;
             if now > end {
@@ -1371,48 +1410,67 @@ impl World {
             .min()
     }
 
-    /// How many ticks from now fall strictly before [`World::next_due`].
-    fn idle_ticks(&self) -> u64 {
-        match self.next_due() {
-            None => u64::MAX,
-            Some(due) if due <= self.clock => 0,
-            Some(due) => ((due - self.clock).as_nanos() - 1) / self.tick.as_nanos(),
-        }
-    }
-
-    /// Simulate up to `ticks` ticks in which nothing is due without
-    /// executing them: what [`World::step`] would have done in each is
-    /// one Euler step of the physics (replayed, not solved — the `f64`
-    /// bits reach thermostat, light and smoke telemetry) and one frame
-    /// per streaming camera. Stops *before* the first tick that would not
-    /// have been a no-op after all: one in which a device is not
+    /// Simulate the ticks strictly before `stop` in which nothing is due
+    /// without executing them: what [`World::step`] would have done in
+    /// each is one Euler step of the physics (replayed, not solved — the
+    /// `f64` bits reach thermostat, light and smoke telemetry) and one
+    /// frame per streaming camera. Stops *before* the first tick that
+    /// would not have been a no-op after all: one in which a device is not
     /// [`IoTDevice::steady`], or after whose physics step the hub and the
     /// controller would be told a different discretization than the one
     /// they hold ([`Environment::bands`] is all of it that physics moves).
-    fn coast(&mut self, ticks: u64) {
-        if ticks == 0 || !self.devices.iter().all(|d| d.steady(&self.env)) {
+    fn coast(&mut self, stop: SimTime) {
+        let tick = self.tick;
+        if self.clock + tick >= stop || !self.devices.iter().all(|d| d.steady(&self.env)) {
             return;
         }
-        let dt = self.tick.as_secs_f64();
         let reported = self.env.bands();
-        let mut coasted = 0;
+        let first = self.home.steps;
         // Nothing acts on a device during the stretch, so only physics
-        // can unsettle one, and only one that senses it.
-        while coasted < ticks
+        // can unsettle one, and only one that senses it. With no such
+        // device, a stretch this machine has stepped before is walked
+        // along its trajectory: each entry's bands, and nothing else.
+        let walk = self.resident.as_deref().filter(|_| self.physics_watchers.is_empty());
+        if let Some(bind) = walk {
+            let mut last = None;
+            for step in bind.trajectory.replay(self.home.steps, &self.env) {
+                if self.clock + tick >= stop || step.bands != reported {
+                    break;
+                }
+                self.clock += tick;
+                self.home.steps += 1;
+                last = Some(step);
+            }
+            if let Some(step) = last {
+                self.env.clone_from(&step.post);
+            }
+        }
+        while self.clock + tick < stop
             && self.physics_watchers.iter().all(|&i| self.devices[i].steady(&self.env))
         {
             let before = self.env.clone();
-            self.env.step(dt);
+            self.step_physics();
             if self.env.bands() != reported {
                 self.env = before;
                 break;
             }
-            coasted += 1;
+            self.clock += tick;
+            self.home.steps += 1;
         }
         for dev in &mut self.devices {
-            dev.coast(coasted);
+            dev.coast(self.home.steps - first);
         }
-        self.clock += self.tick * coasted;
+    }
+
+    /// One Euler step of the room, the home's `home.steps`-th. A resident
+    /// world takes it through its trajectory, which serves a step it has
+    /// recorded from these bits and records the others.
+    fn step_physics(&mut self) {
+        let dt = self.tick.as_secs_f64();
+        match &mut self.resident {
+            Some(bind) => bind.trajectory.step(self.home.steps, &mut self.env, dt),
+            None => self.env.step(dt),
+        }
     }
 
     fn activate_pending(&mut self, now: SimTime) {
@@ -1469,17 +1527,13 @@ impl World {
         Rc::clone(&self.device_signatures[device.0 as usize])
     }
 
-    fn chain_config(&self, device: DeviceId) -> ChainConfig {
-        ChainConfig {
-            device,
-            required_creds: self.devices[device.0 as usize].creds.clone(),
-            cleared_sources: self.hub.as_ref().map(|(h, _)| vec![h.ip]).unwrap_or_default(),
-            signatures: self.signatures_for(device),
-            view: self.buf.gate_view.clone(),
-            events: self.buf.event_sink.clone(),
-            failure_mode: self.failure_mode,
-            tracer: self.tracer.clone(),
-        }
+    /// The chain configuration for `device`, written over the last one.
+    fn chain_config(&mut self, device: DeviceId) -> &ChainConfig {
+        let config = &mut self.chain_config;
+        config.device = device;
+        config.required_creds.clone_from(&self.devices[device.0 as usize].creds);
+        config.signatures = Rc::clone(&self.device_signatures[device.0 as usize]);
+        config
     }
 
     fn execute_directive(&mut self, directive: Directive, now: SimTime) {
@@ -1494,7 +1548,7 @@ impl World {
             Directive::Launch { device, posture } => self.launch_umbox(device, &posture, now),
             Directive::Reconfigure { device, posture } => {
                 if self.buf.chains.contains_key(&device) {
-                    let new_chain = build_chain(&posture, &self.chain_config(device));
+                    let new_chain = build_chain(&posture, self.chain_config(device));
                     let done_at = {
                         let slot = self.buf.chains.get(&device).unwrap();
                         self.home.lifecycle.as_mut().map(|lc| lc.reconfigure(slot.instance, now))
@@ -1546,7 +1600,7 @@ impl World {
             now.as_nanos(),
             TraceEvent::UmboxLaunch { device: device.0, ready_ns: ready_at.as_nanos() },
         );
-        let chain = Rc::new(RefCell::new(build_chain(posture, &self.chain_config(device))));
+        let chain = Rc::new(RefCell::new(build_chain(posture, self.chain_config(device))));
         self.buf.pending_steers.push((ready_at, device, chain, instance));
     }
 

@@ -5,7 +5,8 @@
 //! cold" cannot drift apart. Each case here builds one value, dirties it
 //! through its public API, resets it, and compares its `Debug` with a
 //! second fresh value. After a reset every map a type owns is empty (or
-//! holds one configured entry), so `Debug` output is deterministic.
+//! holds one configured entry), so `Debug` output is deterministic; a
+//! buffer kept for its capacity is emptied, so it prints like a new one.
 
 use bytes::Bytes;
 use iotctl::controller::{Controller, ControllerConfig};
@@ -265,13 +266,19 @@ fn attacker_reset_is_fresh() {
                     data: Bytes::copy_from_slice(&42u64.to_be_bytes()),
                 },
             ];
+            let mut out = Vec::new();
+            let mut poll = |attacker: &mut Attacker, now| {
+                out.clear();
+                attacker.poll_into(now, &mut out);
+                out.len()
+            };
             for reply in &replies {
-                assert_eq!(attacker.poll(now).len(), 1);
+                assert_eq!(poll(attacker, now), 1);
                 now += SimDuration::from_millis(100);
                 attacker.on_delivery(now, target, reply);
             }
-            assert_eq!(attacker.poll(now).len(), 3, "the reflection burst");
-            attacker.poll(now);
+            assert_eq!(poll(attacker, now), 3, "the reflection burst");
+            poll(attacker, now);
             assert_eq!(attacker.outcomes().len(), 3);
             assert!(!attacker.done(), "the campaign is left mid-wait");
         },
@@ -318,6 +325,8 @@ fn controller_reset_is_fresh() {
             ctl.ingest_env(at, &[(EnvVar::Occupancy, "present")]);
             ctl.ingest(SecurityEvent::new(at, DeviceId(0), SecurityEventKind::AuthFailureBurst));
             ctl.step(SimTime::from_secs(2));
+            // Two reconciliations have left their scratch behind: the
+            // policy state, the matching rules and the replaced vector.
             // Left with work queued, a view update in flight and an outage.
             ctl.ingest(SecurityEvent::new(at, DeviceId(0), SecurityEventKind::AuthFailureBurst));
             ctl.ingest_env(SimTime::from_secs(3), &[(EnvVar::Occupancy, "absent")]);

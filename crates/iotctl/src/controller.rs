@@ -22,7 +22,8 @@ use iotdev::events::SecurityEvent;
 use iotnet::stats::DurationHist;
 use iotnet::time::{SimDuration, SimTime};
 use iotpolicy::policy::FsmPolicy;
-use iotpolicy::posture::PostureVector;
+use iotpolicy::posture::{Posture, PostureVector};
+use iotpolicy::state_space::SystemState;
 use serde::Serialize;
 use std::collections::VecDeque;
 use umbox::element::ViewHandle;
@@ -62,6 +63,19 @@ pub struct ControllerStats {
     pub max_queue: usize,
 }
 
+/// The buffers a reconciliation works in, kept between reconciliations
+/// and emptied, capacity kept, by [`Controller::reset_runtime`].
+#[derive(Debug, Default)]
+struct Reconcile {
+    /// The policy state built from the view.
+    state: SystemState,
+    /// [`FsmPolicy::evaluate_into`]'s matching rules.
+    matching: Vec<(u16, usize)>,
+    /// The posture vector the last reconciliation replaced, which the
+    /// next one overwrites with its target.
+    target: PostureVector,
+}
+
 /// The flat (single-instance) controller.
 #[derive(Debug)]
 pub struct Controller {
@@ -81,6 +95,7 @@ pub struct Controller {
     outage_until: SimTime,
     /// Counters.
     pub stats: ControllerStats,
+    scratch: Reconcile,
 }
 
 impl Controller {
@@ -99,6 +114,7 @@ impl Controller {
             pending_view: VecDeque::new(),
             outage_until: SimTime::ZERO,
             stats: ControllerStats::default(),
+            scratch: Reconcile::default(),
         };
         controller.reset_runtime(gate_view);
         controller
@@ -106,7 +122,7 @@ impl Controller {
 
     /// Bring the controller to its t = 0 state — empty view and queues,
     /// idle, nothing installed, zeroed stats — keeping the compiled
-    /// policy, the configuration and the queues' capacity, and binding
+    /// policy, the configuration and every buffer's capacity, and binding
     /// `gate_view`, which the caller has emptied. The constructor ends
     /// here, so a reset controller is one built by [`Controller::new`]
     /// with the same policy and config.
@@ -118,7 +134,14 @@ impl Controller {
         self.gate_view = gate_view;
         self.pending_view.clear();
         self.outage_until = SimTime::ZERO;
-        self.stats = ControllerStats::default();
+        let ControllerStats { events_processed, directives, latency, max_queue } = &mut self.stats;
+        (*events_processed, *directives, *max_queue) = (0, 0, 0);
+        latency.clear();
+        let Reconcile { state, matching, target } = &mut self.scratch;
+        state.contexts.clear();
+        state.env.clear();
+        matching.clear();
+        target.by_device.clear();
     }
 
     /// Take the controller down from `from` for `duration` (fault
@@ -206,33 +229,31 @@ impl Controller {
     }
 
     /// Recompute postures from the current view and emit the directive
-    /// diff.
+    /// diff. The state, the evaluation and the target vector are written
+    /// over the buffers the last reconciliation left, and the diff borrows
+    /// both vectors' postures, so only a directive owns anything new.
     pub fn reconcile(&mut self, _now: SimTime) -> Vec<Directive> {
-        let state = self.state_from_view();
-        let target = self.policy.evaluate(&state);
-        let mut directives = Vec::new();
-        for device in self.installed.diff(&target) {
-            if let Some(d) =
-                plan_transition(device, &self.installed.posture(device), &target.posture(device))
-            {
-                directives.push(d);
-            }
-        }
-        self.installed = target;
+        let Reconcile { state, matching, target } = &mut self.scratch;
+        self.view.write_state(&self.policy.schema, state);
+        self.policy.evaluate_into(state, matching, target);
+        let allow = Posture::allow();
+        let directives: Vec<Directive> = self
+            .installed
+            .changes(target)
+            .filter_map(|(device, old, new)| {
+                plan_transition(device, old.unwrap_or(&allow), new.unwrap_or(&allow))
+            })
+            .collect();
+        std::mem::swap(&mut self.installed, target);
         self.stats.directives += directives.len() as u64;
         directives
     }
 
     /// Build the policy-state from the view (unknown env vars keep their
     /// first domain value — the benign default).
-    pub fn state_from_view(&self) -> iotpolicy::state_space::SystemState {
-        let mut state = self.policy.schema.initial_state();
-        for (id, ctx) in self.view.context_pairs() {
-            state = state.with_context(&self.policy.schema, id, ctx);
-        }
-        for (var, value) in self.view.env.iter() {
-            state = state.with_env(&self.policy.schema, var, value);
-        }
+    pub fn state_from_view(&self) -> SystemState {
+        let mut state = SystemState::default();
+        self.view.write_state(&self.policy.schema, &mut state);
         state
     }
 

@@ -10,6 +10,7 @@ use iotdev::env::{EnvValues, EnvVar};
 use iotdev::events::{SecurityEvent, SecurityEventKind};
 use iotnet::time::SimTime;
 use iotpolicy::context::SecurityContext;
+use iotpolicy::state_space::{StateSchema, SystemState};
 use serde::Serialize;
 use std::collections::BTreeMap;
 
@@ -107,9 +108,18 @@ impl GlobalView {
         }
     }
 
-    /// Contexts as a slice of pairs, for building policy states.
-    pub(crate) fn context_pairs(&self) -> Vec<(DeviceId, SecurityContext)> {
-        self.contexts.iter().map(|(k, v)| (*k, *v)).collect()
+    /// Overwrite `state` with the policy state this view describes under
+    /// `schema`: the initial state, then every known context and
+    /// environment value (an unknown variable keeps its first domain
+    /// value, the benign default).
+    pub(crate) fn write_state(&self, schema: &StateSchema, state: &mut SystemState) {
+        schema.reset_state(state);
+        for (&id, &ctx) in &self.contexts {
+            state.set_context(schema, id, ctx);
+        }
+        for (var, value) in self.env.iter() {
+            state.set_env(schema, var, value);
+        }
     }
 }
 

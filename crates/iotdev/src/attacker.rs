@@ -12,6 +12,7 @@ use crate::proto::{ports, AppMessage, ControlAction, ControlAuth, MgmtCommand};
 use iotnet::addr::Ipv4Addr;
 use iotnet::time::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -48,9 +49,9 @@ pub enum AttackStep {
         /// Target device address.
         target: Ipv4Addr,
         /// Username to try.
-        user: String,
+        user: Cow<'static, str>,
         /// Password to try.
-        pass: String,
+        pass: Cow<'static, str>,
     },
     /// Run a dictionary of well-known default credentials.
     DictionaryLogin {
@@ -156,18 +157,26 @@ pub struct AttackerEmit {
     pub spoof_src: Option<Ipv4Addr>,
 }
 
+/// The default credential dictionary (well-known IoT defaults), tried in
+/// order.
+const DICTIONARY: [(&str, &str); 5] = [
+    ("admin", "admin"),
+    ("admin", "1234"),
+    ("root", "root"),
+    ("admin", "password"),
+    ("user", "user"),
+];
+
 /// The default credential dictionary (well-known IoT defaults).
-pub fn default_dictionary() -> Vec<(String, String)> {
-    [
-        ("admin", "admin"),
-        ("admin", "1234"),
-        ("root", "root"),
-        ("admin", "password"),
-        ("user", "user"),
-    ]
-    .iter()
-    .map(|(u, p)| (u.to_string(), p.to_string()))
-    .collect()
+pub fn default_dictionary() -> &'static [(&'static str, &'static str)] {
+    &DICTIONARY
+}
+
+/// The login an attacker sends for dictionary entry `i`: its strings are
+/// the dictionary's own, not copies.
+fn dictionary_login(i: usize) -> AppMessage {
+    let (user, pass) = DICTIONARY[i];
+    AppMessage::MgmtLogin { user: user.into(), pass: pass.into() }
 }
 
 const REPLY_TIMEOUT: SimDuration = SimDuration::from_secs(2);
@@ -196,7 +205,6 @@ pub struct Attacker {
     state: AttackerState,
     tokens: HashMap<Ipv4Addr, u32>,
     stolen_keys: Vec<u64>,
-    dictionary: Vec<(String, String)>,
     outcomes: Vec<AttackOutcome>,
     next_src_port: u16,
     /// Total DNS queries fired (for the DDoS accounting).
@@ -205,8 +213,8 @@ pub struct Attacker {
 
 impl Attacker {
     /// An attacker at `ip` executing `plan` with the well-known default
-    /// dictionary — its identity; the campaign's progress is written by
-    /// [`Attacker::reset_runtime`].
+    /// dictionary ([`default_dictionary`]) — its identity; the campaign's
+    /// progress is written by [`Attacker::reset_runtime`].
     pub fn new(ip: Ipv4Addr, plan: AttackPlan) -> Attacker {
         let mut attacker = Attacker {
             ip,
@@ -216,7 +224,6 @@ impl Attacker {
             state: AttackerState::Idle,
             tokens: HashMap::new(),
             stolen_keys: Vec::new(),
-            dictionary: default_dictionary(),
             outcomes: Vec::new(),
             next_src_port: 0,
             dns_queries_sent: 0,
@@ -231,10 +238,10 @@ impl Attacker {
     }
 
     /// Rewind the campaign to t = 0 — step 0, idle, no tokens, keys, or
-    /// outcomes, first source port — keeping the plan, source IP and
-    /// dictionary. The constructor ends here, so the attacker a resident
-    /// world (E26) reuses across rounds is a cold-built one; whoever owns
-    /// it re-seeds out-of-band keys via [`Attacker::learn_key`].
+    /// outcomes, first source port — keeping the plan and source IP. The
+    /// constructor ends here, so the attacker a resident world (E26)
+    /// reuses across rounds is a cold-built one; whoever owns it re-seeds
+    /// out-of-band keys via [`Attacker::learn_key`].
     pub fn reset_runtime(&mut self) {
         self.step_idx = 0;
         self.state = AttackerState::Idle;
@@ -299,8 +306,8 @@ impl Attacker {
         }
     }
 
-    /// The instant from which [`Attacker::poll`] next does anything: a
-    /// wait's end, a reply's deadline, the start of time while a step is
+    /// The instant from which [`Attacker::poll_into`] next does anything:
+    /// a wait's end, a reply's deadline, the start of time while a step is
     /// waiting to be launched, never once the plan is over. A reply that
     /// arrives earlier reaches [`Attacker::on_delivery`] as a packet.
     pub fn next_due(&self) -> Option<SimTime> {
@@ -312,105 +319,78 @@ impl Attacker {
         }
     }
 
-    /// Drive the attacker: returns packets to inject at `now`.
-    pub fn poll(&mut self, now: SimTime) -> Vec<AttackerEmit> {
+    /// Drive the attacker: append the packets to inject at `now` to
+    /// `out`. The buffer is the caller's and a login's strings are the
+    /// plan's or the dictionary's, so a poll allocates only for what a
+    /// step spells out anew (a DNS query's name).
+    pub fn poll_into(&mut self, now: SimTime, out: &mut Vec<AttackerEmit>) {
         match self.state {
-            AttackerState::Done => Vec::new(),
+            AttackerState::Done => {}
             AttackerState::Waiting { until } => {
                 if now >= until {
                     self.record(now, true);
                 }
-                Vec::new()
             }
             AttackerState::Awaiting { deadline, dict_idx } => {
-                if now >= deadline {
-                    // Timed out; dictionary steps try the next entry.
-                    if let AttackStep::DictionaryLogin { target } =
-                        self.plan.steps[self.step_idx].clone()
-                    {
-                        if dict_idx + 1 < self.dictionary.len() {
-                            let (user, pass) = self.dictionary[dict_idx + 1].clone();
-                            let emit = self.emit_to(target, AppMessage::MgmtLogin { user, pass });
-                            self.state = AttackerState::Awaiting {
-                                deadline: now + REPLY_TIMEOUT,
-                                dict_idx: dict_idx + 1,
-                            };
-                            return vec![emit];
-                        }
-                    }
-                    self.record(now, false);
+                if now < deadline {
+                    return;
                 }
-                Vec::new()
+                // Timed out; dictionary steps try the next entry.
+                match self.plan.steps[self.step_idx] {
+                    AttackStep::DictionaryLogin { target } if dict_idx + 1 < DICTIONARY.len() => {
+                        out.push(self.emit_to(target, dictionary_login(dict_idx + 1)));
+                        self.state = AttackerState::Awaiting {
+                            deadline: now + REPLY_TIMEOUT,
+                            dict_idx: dict_idx + 1,
+                        };
+                    }
+                    _ => self.record(now, false),
+                }
             }
             AttackerState::Idle => {
-                if self.step_idx >= self.plan.steps.len() {
+                let Some(step) = self.plan.steps.get(self.step_idx) else {
                     self.state = AttackerState::Done;
-                    return Vec::new();
-                }
-                let step = self.plan.steps[self.step_idx].clone();
-                match step {
-                    AttackStep::Probe { target } => {
-                        let emit = self.emit_to(
-                            target,
-                            AppMessage::MgmtLogin { user: "probe".into(), pass: "probe".into() },
-                        );
-                        self.state =
-                            AttackerState::Awaiting { deadline: now + REPLY_TIMEOUT, dict_idx: 0 };
-                        vec![emit]
-                    }
+                    return;
+                };
+                let (target, msg) = match step {
+                    AttackStep::Probe { target } => (
+                        *target,
+                        AppMessage::MgmtLogin { user: "probe".into(), pass: "probe".into() },
+                    ),
                     AttackStep::Login { target, user, pass } => {
-                        let emit = self.emit_to(target, AppMessage::MgmtLogin { user, pass });
-                        self.state =
-                            AttackerState::Awaiting { deadline: now + REPLY_TIMEOUT, dict_idx: 0 };
-                        vec![emit]
+                        (*target, AppMessage::MgmtLogin { user: user.clone(), pass: pass.clone() })
                     }
-                    AttackStep::DictionaryLogin { target } => {
-                        let (user, pass) = self.dictionary[0].clone();
-                        let emit = self.emit_to(target, AppMessage::MgmtLogin { user, pass });
-                        self.state =
-                            AttackerState::Awaiting { deadline: now + REPLY_TIMEOUT, dict_idx: 0 };
-                        vec![emit]
-                    }
+                    AttackStep::DictionaryLogin { target } => (*target, dictionary_login(0)),
                     AttackStep::Mgmt { target, command } => {
-                        let token = self.token_for(target).unwrap_or(0);
-                        let emit = self.emit_to(target, AppMessage::MgmtCommand { token, command });
-                        self.state =
-                            AttackerState::Awaiting { deadline: now + REPLY_TIMEOUT, dict_idx: 0 };
-                        vec![emit]
+                        let token = self.token_for(*target).unwrap_or(0);
+                        (*target, AppMessage::MgmtCommand { token, command: command.clone() })
                     }
                     AttackStep::Control { target, action, auth } => {
                         let auth = match auth {
                             AttackAuth::None => ControlAuth::None,
                             AttackAuth::Creds { user, pass } => {
-                                ControlAuth::Password { user, pass }
+                                ControlAuth::Password { user: user.clone(), pass: pass.clone() }
                             }
                             AttackAuth::Session => {
-                                ControlAuth::Token(self.token_for(target).unwrap_or(0))
+                                ControlAuth::Token(self.token_for(*target).unwrap_or(0))
                             }
                             AttackAuth::StolenKey => {
                                 ControlAuth::Key(self.stolen_key().unwrap_or(0))
                             }
                         };
-                        let emit = self.emit_to(target, AppMessage::Control { action, auth });
-                        self.state =
-                            AttackerState::Awaiting { deadline: now + REPLY_TIMEOUT, dict_idx: 0 };
-                        vec![emit]
+                        (*target, AppMessage::Control { action: *action, auth })
                     }
                     AttackStep::Cloud { target, action } => {
-                        let emit = self.emit_to(target, AppMessage::CloudCommand { action });
-                        self.state =
-                            AttackerState::Awaiting { deadline: now + REPLY_TIMEOUT, dict_idx: 0 };
-                        vec![emit]
+                        (*target, AppMessage::CloudCommand { action: *action })
                     }
-                    AttackStep::DnsReflect { reflector, victim, queries } => {
-                        let mut emits = Vec::with_capacity(queries as usize);
+                    &AttackStep::DnsReflect { reflector, victim, queries } => {
                         for i in 0..queries {
                             let msg = AppMessage::DnsQuery {
                                 name: format!("amp{i}.example"),
                                 recursion: true,
                             };
                             let src_port = self.alloc_port();
-                            emits.push(AttackerEmit {
+                            out.push(AttackerEmit {
                                 out: OutMessage {
                                     dst: reflector,
                                     dst_port: ports::DNS,
@@ -423,75 +403,65 @@ impl Attacker {
                         self.dns_queries_sent += queries as u64;
                         // Fire-and-forget: responses go to the victim.
                         self.record(now, true);
-                        emits
+                        return;
                     }
-                    AttackStep::Wait { duration } => {
+                    &AttackStep::Wait { duration } => {
                         self.state = AttackerState::Waiting { until: now + duration };
-                        Vec::new()
+                        return;
                     }
-                }
+                };
+                out.push(self.emit_to(target, msg));
+                self.state = AttackerState::Awaiting { deadline: now + REPLY_TIMEOUT, dict_idx: 0 };
             }
         }
     }
 
     /// Feed a packet delivered to the attacker's endpoint.
     pub fn on_delivery(&mut self, now: SimTime, from: Ipv4Addr, msg: &AppMessage) {
-        let AttackerState::Awaiting { .. } = self.state else {
+        let AttackerState::Awaiting { dict_idx, .. } = self.state else {
             return;
         };
-        if self.step_idx >= self.plan.steps.len() {
+        let Some(step) = self.plan.steps.get(self.step_idx) else {
             return;
-        }
-        let step = self.plan.steps[self.step_idx].clone();
-        match (step, msg) {
-            (AttackStep::Probe { target }, _) if from == target => {
-                self.record(now, true);
-            }
+        };
+        let success = match (step, msg) {
+            (AttackStep::Probe { target }, _) if from == *target => true,
             (AttackStep::Login { target, .. }, AppMessage::MgmtLoginOk { token })
             | (AttackStep::DictionaryLogin { target }, AppMessage::MgmtLoginOk { token })
-                if from == target =>
+                if from == *target =>
             {
-                self.tokens.insert(target, *token);
-                self.record(now, true);
+                self.tokens.insert(*target, *token);
+                true
             }
-            (AttackStep::Login { target, .. }, AppMessage::MgmtDenied) if from == target => {
-                self.record(now, false);
-            }
-            (AttackStep::DictionaryLogin { target }, AppMessage::MgmtDenied) if from == target => {
-                // Try the next dictionary entry immediately.
-                let AttackerState::Awaiting { dict_idx, .. } = self.state else {
+            (AttackStep::Login { target, .. }, AppMessage::MgmtDenied) if from == *target => false,
+            (AttackStep::DictionaryLogin { target }, AppMessage::MgmtDenied) if from == *target => {
+                if dict_idx + 1 < DICTIONARY.len() {
+                    // Try the next dictionary entry immediately: poll fires it.
+                    self.state = AttackerState::Awaiting { deadline: now, dict_idx };
                     return;
-                };
-                if dict_idx + 1 < self.dictionary.len() {
-                    self.state = AttackerState::Awaiting {
-                        deadline: now, // poll() fires the next try
-                        dict_idx,
-                    };
-                } else {
-                    self.record(now, false);
                 }
+                false
             }
             (AttackStep::Mgmt { target, command }, AppMessage::MgmtResult { ok, data })
-                if from == target =>
+                if from == *target =>
             {
-                if *ok && command == MgmtCommand::ExtractKeys && data.len() >= 8 {
+                if *ok && *command == MgmtCommand::ExtractKeys && data.len() >= 8 {
                     let mut k = [0u8; 8];
                     k.copy_from_slice(&data[..8]);
                     self.stolen_keys.push(u64::from_be_bytes(k));
                 }
-                self.record(now, *ok);
+                *ok
             }
-            (AttackStep::Mgmt { target, .. }, AppMessage::MgmtDenied) if from == target => {
-                self.record(now, false);
-            }
+            (AttackStep::Mgmt { target, .. }, AppMessage::MgmtDenied) if from == *target => false,
             (AttackStep::Control { target, .. }, AppMessage::ControlAck { ok })
             | (AttackStep::Cloud { target, .. }, AppMessage::ControlAck { ok })
-                if from == target =>
+                if from == *target =>
             {
-                self.record(now, *ok);
+                *ok
             }
-            _ => {}
-        }
+            _ => return,
+        };
+        self.record(now, success);
     }
 }
 
@@ -503,12 +473,19 @@ mod tests {
     use crate::registry::Sku;
     use crate::vuln::Vulnerability;
 
+    /// One poll into a fresh buffer.
+    fn poll(attacker: &mut Attacker, now: SimTime) -> Vec<AttackerEmit> {
+        let mut out = Vec::new();
+        attacker.poll_into(now, &mut out);
+        out
+    }
+
     fn drive(attacker: &mut Attacker, device: &mut IoTDevice, rounds: usize) {
         // A minimal in-memory "network": zero-latency, loss-free.
         let mut env = Environment::new();
         let mut now = SimTime::ZERO;
         for _ in 0..rounds {
-            let emits = attacker.poll(now);
+            let emits = poll(attacker, now);
             for e in emits {
                 let src = e.spoof_src.unwrap_or(attacker.ip);
                 if e.out.dst == device.ip {
@@ -557,7 +534,7 @@ mod tests {
         while let Some(due) = atk.next_due() {
             now += SimDuration::from_millis(100);
             let before = (atk.outcomes().len(), format!("{:?}", atk.state));
-            let emitted = !atk.poll(now).is_empty();
+            let emitted = !poll(&mut atk, now).is_empty();
             let moved = emitted || before != (atk.outcomes().len(), format!("{:?}", atk.state));
             assert_eq!(moved, now >= due, "at {now}: next_due said {due}");
         }
@@ -669,7 +646,7 @@ mod tests {
                 vec![AttackStep::DnsReflect { reflector, victim, queries: 25 }],
             ),
         );
-        let emits = atk.poll(SimTime::ZERO);
+        let emits = poll(&mut atk, SimTime::ZERO);
         assert_eq!(emits.len(), 25);
         assert!(emits.iter().all(|e| e.spoof_src == Some(victim)));
         assert!(emits.iter().all(|e| e.out.dst == reflector));
@@ -687,11 +664,11 @@ mod tests {
                 vec![AttackStep::Wait { duration: SimDuration::from_secs(10) }],
             ),
         );
-        assert!(atk.poll(SimTime::ZERO).is_empty());
+        assert!(poll(&mut atk, SimTime::ZERO).is_empty());
         assert!(!atk.done());
-        atk.poll(SimTime::from_secs(5));
+        poll(&mut atk, SimTime::from_secs(5));
         assert!(!atk.done());
-        atk.poll(SimTime::from_secs(10));
+        poll(&mut atk, SimTime::from_secs(10));
         assert!(atk.done());
         assert!(atk.campaign_succeeded());
     }
@@ -705,8 +682,8 @@ mod tests {
                 vec![AttackStep::Probe { target: Ipv4Addr::new(10, 0, 0, 99) }],
             ),
         );
-        atk.poll(SimTime::ZERO);
-        atk.poll(SimTime::from_secs(5)); // past the timeout
+        poll(&mut atk, SimTime::ZERO);
+        poll(&mut atk, SimTime::from_secs(5)); // past the timeout
         assert!(atk.done());
         assert!(!atk.campaign_succeeded());
         assert!(!atk.outcomes()[0].success);

@@ -108,7 +108,7 @@ impl DeviceClass {
 }
 
 /// Owner-configured administrator credentials.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub struct AdminCreds {
     /// Username.
     pub user: String,
@@ -134,6 +134,18 @@ impl AdminCreds {
     fn set_owner_default(&mut self) {
         self.user.replace_range(.., "owner");
         self.pass.replace_range(.., "S3cure!pass");
+    }
+}
+
+impl Clone for AdminCreds {
+    fn clone(&self) -> AdminCreds {
+        AdminCreds { user: self.user.clone(), pass: self.pass.clone() }
+    }
+
+    /// Copies into the strings this value holds, keeping their capacity.
+    fn clone_from(&mut self, source: &AdminCreds) {
+        self.user.clone_from(&source.user);
+        self.pass.clone_from(&source.pass);
     }
 }
 
@@ -307,7 +319,7 @@ impl IoTDevice {
         }
         match (dst_port, msg) {
             (ports::MGMT, AppMessage::MgmtLogin { user, pass }) => {
-                self.handle_login(now, src, src_port, user, pass)
+                self.handle_login(now, src, src_port, &user, &pass)
             }
             (ports::MGMT, AppMessage::MgmtCommand { token, command }) => {
                 self.handle_mgmt_command(now, src, src_port, token, command)
@@ -332,12 +344,12 @@ impl IoTDevice {
         now: SimTime,
         src: Ipv4Addr,
         src_port: u16,
-        user: String,
-        pass: String,
+        user: &str,
+        pass: &str,
     ) -> DeviceOutput {
         let open = self.has_vuln("open-mgmt-access");
         let owner_ok = user == self.creds.user && pass == self.creds.pass;
-        let default_ok = self.default_cred_match(&user, &pass);
+        let default_ok = self.default_cred_match(user, pass);
         if open || owner_ok || default_ok {
             let token = self.next_token;
             self.next_token += 1;
@@ -765,7 +777,7 @@ mod tests {
                 attacker_ip(),
                 6000,
                 ports::MGMT,
-                AppMessage::MgmtLogin { user: "admin".into(), pass: format!("guess{i}") },
+                AppMessage::MgmtLogin { user: "admin".into(), pass: format!("guess{i}").into() },
                 &mut env,
             );
             burst +=

@@ -210,6 +210,56 @@ impl Environment {
         (temperature, self.smoke_density >= SMOKE_ALARM, self.light_level >= LIGHT_BRIGHT)
     }
 
+    /// Whether `other` holds this environment bit for bit: every float by
+    /// [`f64::to_bits`] (so `-0.0` is not `0.0` and a NaN equals itself),
+    /// every other field by value. [`Environment::step`] is a pure
+    /// function of these bits and its `dt`, so two environments for which
+    /// this holds step to the same bits. The destructuring is exhaustive:
+    /// a field added to the struct does not compile here until it is
+    /// compared.
+    pub fn same_bits(&self, other: &Environment) -> bool {
+        let Environment {
+            temperature_c,
+            ambient_c,
+            smoke_density,
+            light_level,
+            daylight,
+            occupied,
+            window_open,
+            door_locked,
+            ac_duty,
+            ac_setpoint_c,
+            ac_breaker_on,
+            oven_duty,
+            oven_breaker_on,
+            bulbs_on,
+            power_w,
+            unattended_oven_s,
+        } = self;
+        let floats = [
+            (temperature_c, other.temperature_c),
+            (ambient_c, other.ambient_c),
+            (smoke_density, other.smoke_density),
+            (light_level, other.light_level),
+            (daylight, other.daylight),
+            (ac_duty, other.ac_duty),
+            (ac_setpoint_c, other.ac_setpoint_c),
+            (oven_duty, other.oven_duty),
+            (power_w, other.power_w),
+            (unattended_oven_s, other.unattended_oven_s),
+        ];
+        floats.iter().all(|(a, b)| a.to_bits() == b.to_bits())
+            && (*occupied, *window_open, *door_locked, *ac_breaker_on, *oven_breaker_on, *bulbs_on)
+                == (
+                    other.occupied,
+                    other.window_open,
+                    other.door_locked,
+                    other.ac_breaker_on,
+                    other.oven_breaker_on,
+                    other.bulbs_on,
+                )
+    }
+
     /// Discretize into the policy layer's `EnvVar = value` snapshot.
     pub fn discretize(&self) -> DiscreteEnv {
         let (temperature, smoke, bright) = self.bands();
@@ -375,6 +425,38 @@ mod tests {
             }
         }
         assert!(moved > 100, "only {moved} rooms crossed a threshold");
+    }
+
+    #[test]
+    fn same_bits_compares_every_field_by_its_bits() {
+        let room = Environment { ambient_c: 31.5, bulbs_on: 2, ..Environment::new() };
+        assert!(room.same_bits(&room.clone()));
+        let moved: [fn(&mut Environment); 16] = [
+            |e| e.temperature_c += 1e-12,
+            |e| e.ambient_c = 30.0,
+            |e| e.smoke_density = -0.0,
+            |e| e.light_level = 1.0,
+            |e| e.daylight = 0.0,
+            |e| e.occupied = false,
+            |e| e.window_open = true,
+            |e| e.door_locked = false,
+            |e| e.ac_duty = 0.5,
+            |e| e.ac_setpoint_c = 20.0,
+            |e| e.ac_breaker_on = false,
+            |e| e.oven_duty = 1.0,
+            |e| e.oven_breaker_on = false,
+            |e| e.bulbs_on = 3,
+            |e| e.power_w = 60.0,
+            |e| e.unattended_oven_s = 0.1,
+        ];
+        for (i, change) in moved.iter().enumerate() {
+            let mut other = room.clone();
+            change(&mut other);
+            assert!(!room.same_bits(&other), "field {i} changed unseen");
+        }
+        // Bits, not `==`: -0.0 == 0.0 (above, unequal bits), NaN != NaN.
+        let nan = Environment { power_w: f64::NAN, ..room.clone() };
+        assert!(nan.same_bits(&nan.clone()) && nan != nan.clone());
     }
 
     #[test]

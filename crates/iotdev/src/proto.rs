@@ -17,6 +17,7 @@ use bytes::{Buf, BufMut, Bytes, BytesMut};
 use core::fmt;
 use iotnet::addr::Ipv4Addr;
 use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
 
 /// Well-known ports of the substrate protocol.
 pub mod ports {
@@ -153,12 +154,14 @@ pub enum EventKind {
 /// One application-layer message.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum AppMessage {
-    /// Login to the management console.
+    /// Login to the management console. The strings are `'static` where
+    /// the sender spells them from a constant (the attacker's dictionary,
+    /// a campaign's login), and owned where they were decoded.
     MgmtLogin {
         /// Username.
-        user: String,
+        user: Cow<'static, str>,
         /// Password.
-        pass: String,
+        pass: Cow<'static, str>,
     },
     /// Login accepted; carry `token` in subsequent commands.
     MgmtLoginOk {
@@ -230,6 +233,125 @@ pub enum AppMessage {
     },
 }
 
+/// An [`AppMessage`] read in place: its strings and data borrow the wire
+/// bytes. Payload inspectors (the IDS's matchers, the login challenger)
+/// decode this and copy nothing; [`AppMessage::decode`] is this decode
+/// made owned, so the two accept exactly the same payloads.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum MessageRef<'a> {
+    /// [`AppMessage::MgmtLogin`].
+    MgmtLogin {
+        /// Username.
+        user: &'a str,
+        /// Password.
+        pass: &'a str,
+    },
+    /// [`AppMessage::MgmtLoginOk`].
+    MgmtLoginOk {
+        /// Session token.
+        token: u32,
+    },
+    /// [`AppMessage::MgmtDenied`].
+    MgmtDenied,
+    /// [`AppMessage::MgmtCommand`].
+    MgmtCommand {
+        /// Session token.
+        token: u32,
+        /// The command.
+        command: CommandRef<'a>,
+    },
+    /// [`AppMessage::MgmtResult`].
+    MgmtResult {
+        /// Success flag.
+        ok: bool,
+        /// Returned data.
+        data: &'a [u8],
+    },
+    /// [`AppMessage::Control`].
+    Control {
+        /// The requested action.
+        action: ControlAction,
+        /// Credentials, if any.
+        auth: AuthRef<'a>,
+    },
+    /// [`AppMessage::ControlAck`].
+    ControlAck {
+        /// Whether the action was performed.
+        ok: bool,
+    },
+    /// [`AppMessage::Telemetry`].
+    Telemetry {
+        /// What is being reported.
+        kind: TelemetryKind,
+        /// The value.
+        value: f64,
+    },
+    /// [`AppMessage::Event`].
+    Event {
+        /// The event.
+        kind: EventKind,
+    },
+    /// [`AppMessage::DnsQuery`].
+    DnsQuery {
+        /// Queried name.
+        name: &'a str,
+        /// Recursion desired.
+        recursion: bool,
+    },
+    /// [`AppMessage::DnsResponse`].
+    DnsResponse {
+        /// Echoed name.
+        name: &'a str,
+        /// Resolved address.
+        addr: Ipv4Addr,
+        /// Number of answer records.
+        answers: u16,
+    },
+    /// [`AppMessage::CloudCommand`].
+    CloudCommand {
+        /// The action.
+        action: ControlAction,
+    },
+}
+
+/// A [`MgmtCommand`] read in place.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum CommandRef<'a> {
+    /// [`MgmtCommand::GetConfig`].
+    GetConfig,
+    /// [`MgmtCommand::GetImage`].
+    GetImage,
+    /// [`MgmtCommand::SetPassword`].
+    SetPassword {
+        /// The new password.
+        new: &'a str,
+    },
+    /// [`MgmtCommand::ExtractKeys`].
+    ExtractKeys,
+    /// [`MgmtCommand::FirmwareDump`].
+    FirmwareDump,
+    /// [`MgmtCommand::Reboot`].
+    Reboot,
+}
+
+/// A [`ControlAuth`] read in place.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum AuthRef<'a> {
+    /// [`ControlAuth::None`].
+    None,
+    /// [`ControlAuth::Password`].
+    Password {
+        /// Username.
+        user: &'a str,
+        /// Password.
+        pass: &'a str,
+    },
+    /// [`ControlAuth::Token`].
+    Token(u32),
+    /// [`ControlAuth::Key`].
+    Key(u64),
+}
+
 // ---- tag constants -------------------------------------------------------
 
 /// Wire tags: the first byte of every encoded [`AppMessage`] names its
@@ -282,7 +404,7 @@ fn put_string(buf: &mut BytesMut, s: &str) {
     buf.put_slice(s.as_bytes());
 }
 
-fn get_string(buf: &mut &[u8]) -> Result<String, CodecError> {
+fn get_str<'a>(buf: &mut &'a [u8]) -> Result<&'a str, CodecError> {
     if buf.remaining() < 2 {
         return Err(CodecError::Truncated);
     }
@@ -290,7 +412,7 @@ fn get_string(buf: &mut &[u8]) -> Result<String, CodecError> {
     if buf.remaining() < len {
         return Err(CodecError::Truncated);
     }
-    let s = std::str::from_utf8(&buf[..len]).map_err(|_| CodecError::BadString)?.to_owned();
+    let s = std::str::from_utf8(&buf[..len]).map_err(|_| CodecError::BadString)?;
     buf.advance(len);
     Ok(s)
 }
@@ -300,7 +422,7 @@ fn put_bytes(buf: &mut BytesMut, b: &[u8]) {
     buf.put_slice(b);
 }
 
-fn get_bytes(buf: &mut &[u8]) -> Result<Bytes, CodecError> {
+fn get_bytes<'a>(buf: &mut &'a [u8]) -> Result<&'a [u8], CodecError> {
     if buf.remaining() < 4 {
         return Err(CodecError::Truncated);
     }
@@ -308,7 +430,7 @@ fn get_bytes(buf: &mut &[u8]) -> Result<Bytes, CodecError> {
     if buf.remaining() < len {
         return Err(CodecError::Truncated);
     }
-    let b = Bytes::copy_from_slice(&buf[..len]);
+    let b = &buf[..len];
     buf.advance(len);
     Ok(b)
 }
@@ -327,19 +449,34 @@ impl MgmtCommand {
             MgmtCommand::Reboot => buf.put_u8(5),
         }
     }
+}
 
-    fn decode(buf: &mut &[u8]) -> Result<MgmtCommand, CodecError> {
+impl<'a> CommandRef<'a> {
+    fn decode(buf: &mut &'a [u8]) -> Result<CommandRef<'a>, CodecError> {
         if buf.remaining() < 1 {
             return Err(CodecError::Truncated);
         }
         match buf.get_u8() {
-            0 => Ok(MgmtCommand::GetConfig),
-            1 => Ok(MgmtCommand::GetImage),
-            2 => Ok(MgmtCommand::SetPassword { new: get_string(buf)? }),
-            3 => Ok(MgmtCommand::ExtractKeys),
-            4 => Ok(MgmtCommand::FirmwareDump),
-            5 => Ok(MgmtCommand::Reboot),
+            0 => Ok(CommandRef::GetConfig),
+            1 => Ok(CommandRef::GetImage),
+            2 => Ok(CommandRef::SetPassword { new: get_str(buf)? }),
+            3 => Ok(CommandRef::ExtractKeys),
+            4 => Ok(CommandRef::FirmwareDump),
+            5 => Ok(CommandRef::Reboot),
             t => Err(CodecError::BadTag(t)),
+        }
+    }
+}
+
+impl From<CommandRef<'_>> for MgmtCommand {
+    fn from(command: CommandRef<'_>) -> MgmtCommand {
+        match command {
+            CommandRef::GetConfig => MgmtCommand::GetConfig,
+            CommandRef::GetImage => MgmtCommand::GetImage,
+            CommandRef::SetPassword { new } => MgmtCommand::SetPassword { new: new.into() },
+            CommandRef::ExtractKeys => MgmtCommand::ExtractKeys,
+            CommandRef::FirmwareDump => MgmtCommand::FirmwareDump,
+            CommandRef::Reboot => MgmtCommand::Reboot,
         }
     }
 }
@@ -421,27 +558,42 @@ impl ControlAuth {
             }
         }
     }
+}
 
-    fn decode(buf: &mut &[u8]) -> Result<ControlAuth, CodecError> {
+impl<'a> AuthRef<'a> {
+    fn decode(buf: &mut &'a [u8]) -> Result<AuthRef<'a>, CodecError> {
         if buf.remaining() < 1 {
             return Err(CodecError::Truncated);
         }
         match buf.get_u8() {
-            0 => Ok(ControlAuth::None),
-            1 => Ok(ControlAuth::Password { user: get_string(buf)?, pass: get_string(buf)? }),
+            0 => Ok(AuthRef::None),
+            1 => Ok(AuthRef::Password { user: get_str(buf)?, pass: get_str(buf)? }),
             2 => {
                 if buf.remaining() < 4 {
                     return Err(CodecError::Truncated);
                 }
-                Ok(ControlAuth::Token(buf.get_u32()))
+                Ok(AuthRef::Token(buf.get_u32()))
             }
             3 => {
                 if buf.remaining() < 8 {
                     return Err(CodecError::Truncated);
                 }
-                Ok(ControlAuth::Key(buf.get_u64()))
+                Ok(AuthRef::Key(buf.get_u64()))
             }
             t => Err(CodecError::BadTag(t)),
+        }
+    }
+}
+
+impl From<AuthRef<'_>> for ControlAuth {
+    fn from(auth: AuthRef<'_>) -> ControlAuth {
+        match auth {
+            AuthRef::None => ControlAuth::None,
+            AuthRef::Password { user, pass } => {
+                ControlAuth::Password { user: user.into(), pass: pass.into() }
+            }
+            AuthRef::Token(t) => ControlAuth::Token(t),
+            AuthRef::Key(k) => ControlAuth::Key(k),
         }
     }
 }
@@ -556,88 +708,10 @@ impl AppMessage {
         buf.freeze()
     }
 
-    /// Decode from wire bytes.
+    /// Decode from wire bytes: [`MessageRef::decode`], its strings and
+    /// data copied out.
     pub fn decode(data: &[u8]) -> Result<AppMessage, CodecError> {
-        let mut buf = data;
-        if buf.remaining() < 1 {
-            return Err(CodecError::Truncated);
-        }
-        let tag = buf.get_u8();
-        let msg = match tag {
-            T_MGMT_LOGIN => {
-                AppMessage::MgmtLogin { user: get_string(&mut buf)?, pass: get_string(&mut buf)? }
-            }
-            T_MGMT_LOGIN_OK => {
-                if buf.remaining() < 4 {
-                    return Err(CodecError::Truncated);
-                }
-                AppMessage::MgmtLoginOk { token: buf.get_u32() }
-            }
-            T_MGMT_DENIED => AppMessage::MgmtDenied,
-            T_MGMT_COMMAND => {
-                if buf.remaining() < 4 {
-                    return Err(CodecError::Truncated);
-                }
-                let token = buf.get_u32();
-                AppMessage::MgmtCommand { token, command: MgmtCommand::decode(&mut buf)? }
-            }
-            T_MGMT_RESULT => {
-                if buf.remaining() < 1 {
-                    return Err(CodecError::Truncated);
-                }
-                let ok = buf.get_u8() != 0;
-                AppMessage::MgmtResult { ok, data: get_bytes(&mut buf)? }
-            }
-            T_CONTROL => AppMessage::Control {
-                action: ControlAction::decode(&mut buf)?,
-                auth: ControlAuth::decode(&mut buf)?,
-            },
-            T_CONTROL_ACK => {
-                if buf.remaining() < 1 {
-                    return Err(CodecError::Truncated);
-                }
-                AppMessage::ControlAck { ok: buf.get_u8() != 0 }
-            }
-            T_TELEMETRY => {
-                if buf.remaining() < 9 {
-                    return Err(CodecError::Truncated);
-                }
-                let kind = kind_from_u8(buf.get_u8())?;
-                AppMessage::Telemetry { kind, value: buf.get_f64() }
-            }
-            T_EVENT => {
-                if buf.remaining() < 1 {
-                    return Err(CodecError::Truncated);
-                }
-                AppMessage::Event { kind: event_from_u8(buf.get_u8())? }
-            }
-            T_DNS_QUERY => {
-                let name = get_string(&mut buf)?;
-                if buf.remaining() < 1 {
-                    return Err(CodecError::Truncated);
-                }
-                AppMessage::DnsQuery { name, recursion: buf.get_u8() != 0 }
-            }
-            T_DNS_RESPONSE => {
-                let name = get_string(&mut buf)?;
-                if buf.remaining() < 6 {
-                    return Err(CodecError::Truncated);
-                }
-                let mut a = [0u8; 4];
-                a.copy_from_slice(&buf[..4]);
-                buf.advance(4);
-                let answers = buf.get_u16();
-                if buf.remaining() < answers as usize * 32 {
-                    return Err(CodecError::Truncated);
-                }
-                AppMessage::DnsResponse { name, addr: Ipv4Addr(a), answers }
-            }
-            T_CLOUD_COMMAND => {
-                AppMessage::CloudCommand { action: ControlAction::decode(&mut buf)? }
-            }
-            t => return Err(CodecError::BadTag(t)),
-        };
-        Ok(msg)
+        MessageRef::decode(data).map(AppMessage::from)
     }
 
     /// Which protocol plane this message belongs to (decides the
@@ -663,6 +737,123 @@ impl AppMessage {
     }
 }
 
+impl<'a> MessageRef<'a> {
+    /// Decode from wire bytes, borrowing every string and byte field.
+    pub fn decode(data: &'a [u8]) -> Result<MessageRef<'a>, CodecError> {
+        let mut buf = data;
+        if buf.remaining() < 1 {
+            return Err(CodecError::Truncated);
+        }
+        let tag = buf.get_u8();
+        let msg = match tag {
+            T_MGMT_LOGIN => {
+                MessageRef::MgmtLogin { user: get_str(&mut buf)?, pass: get_str(&mut buf)? }
+            }
+            T_MGMT_LOGIN_OK => {
+                if buf.remaining() < 4 {
+                    return Err(CodecError::Truncated);
+                }
+                MessageRef::MgmtLoginOk { token: buf.get_u32() }
+            }
+            T_MGMT_DENIED => MessageRef::MgmtDenied,
+            T_MGMT_COMMAND => {
+                if buf.remaining() < 4 {
+                    return Err(CodecError::Truncated);
+                }
+                let token = buf.get_u32();
+                MessageRef::MgmtCommand { token, command: CommandRef::decode(&mut buf)? }
+            }
+            T_MGMT_RESULT => {
+                if buf.remaining() < 1 {
+                    return Err(CodecError::Truncated);
+                }
+                let ok = buf.get_u8() != 0;
+                MessageRef::MgmtResult { ok, data: get_bytes(&mut buf)? }
+            }
+            T_CONTROL => MessageRef::Control {
+                action: ControlAction::decode(&mut buf)?,
+                auth: AuthRef::decode(&mut buf)?,
+            },
+            T_CONTROL_ACK => {
+                if buf.remaining() < 1 {
+                    return Err(CodecError::Truncated);
+                }
+                MessageRef::ControlAck { ok: buf.get_u8() != 0 }
+            }
+            T_TELEMETRY => {
+                if buf.remaining() < 9 {
+                    return Err(CodecError::Truncated);
+                }
+                let kind = kind_from_u8(buf.get_u8())?;
+                MessageRef::Telemetry { kind, value: buf.get_f64() }
+            }
+            T_EVENT => {
+                if buf.remaining() < 1 {
+                    return Err(CodecError::Truncated);
+                }
+                MessageRef::Event { kind: event_from_u8(buf.get_u8())? }
+            }
+            T_DNS_QUERY => {
+                let name = get_str(&mut buf)?;
+                if buf.remaining() < 1 {
+                    return Err(CodecError::Truncated);
+                }
+                MessageRef::DnsQuery { name, recursion: buf.get_u8() != 0 }
+            }
+            T_DNS_RESPONSE => {
+                let name = get_str(&mut buf)?;
+                if buf.remaining() < 6 {
+                    return Err(CodecError::Truncated);
+                }
+                let mut a = [0u8; 4];
+                a.copy_from_slice(&buf[..4]);
+                buf.advance(4);
+                let answers = buf.get_u16();
+                if buf.remaining() < answers as usize * 32 {
+                    return Err(CodecError::Truncated);
+                }
+                MessageRef::DnsResponse { name, addr: Ipv4Addr(a), answers }
+            }
+            T_CLOUD_COMMAND => {
+                MessageRef::CloudCommand { action: ControlAction::decode(&mut buf)? }
+            }
+            t => return Err(CodecError::BadTag(t)),
+        };
+        Ok(msg)
+    }
+}
+
+impl From<MessageRef<'_>> for AppMessage {
+    fn from(msg: MessageRef<'_>) -> AppMessage {
+        match msg {
+            MessageRef::MgmtLogin { user, pass } => {
+                AppMessage::MgmtLogin { user: user.to_owned().into(), pass: pass.to_owned().into() }
+            }
+            MessageRef::MgmtLoginOk { token } => AppMessage::MgmtLoginOk { token },
+            MessageRef::MgmtDenied => AppMessage::MgmtDenied,
+            MessageRef::MgmtCommand { token, command } => {
+                AppMessage::MgmtCommand { token, command: command.into() }
+            }
+            MessageRef::MgmtResult { ok, data } => {
+                AppMessage::MgmtResult { ok, data: Bytes::copy_from_slice(data) }
+            }
+            MessageRef::Control { action, auth } => {
+                AppMessage::Control { action, auth: auth.into() }
+            }
+            MessageRef::ControlAck { ok } => AppMessage::ControlAck { ok },
+            MessageRef::Telemetry { kind, value } => AppMessage::Telemetry { kind, value },
+            MessageRef::Event { kind } => AppMessage::Event { kind },
+            MessageRef::DnsQuery { name, recursion } => {
+                AppMessage::DnsQuery { name: name.into(), recursion }
+            }
+            MessageRef::DnsResponse { name, addr, answers } => {
+                AppMessage::DnsResponse { name: name.into(), addr, answers }
+            }
+            MessageRef::CloudCommand { action } => AppMessage::CloudCommand { action },
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -672,6 +863,23 @@ mod tests {
         let wire = msg.encode();
         let back = AppMessage::decode(&wire).unwrap();
         assert_eq!(msg, back);
+    }
+
+    #[test]
+    fn a_borrowed_decode_reads_the_wire_in_place() {
+        let wire = AppMessage::MgmtLogin { user: "admin".into(), pass: "hunter2".into() }.encode();
+        let Ok(MessageRef::MgmtLogin { user, pass }) = MessageRef::decode(&wire) else {
+            panic!("a login decodes as one");
+        };
+        assert_eq!((user, pass), ("admin", "hunter2"));
+        let span = wire.as_ptr_range();
+        assert!(span.contains(&user.as_ptr()) && span.contains(&pass.as_ptr()), "copied out");
+        // The owned decode is the borrowed one made owned, error for error.
+        for cut in 0..wire.len() {
+            let owned = AppMessage::decode(&wire[..cut]);
+            assert_eq!(owned, MessageRef::decode(&wire[..cut]).map(AppMessage::from));
+            assert!(owned.is_err(), "a login cut to {cut} bytes decoded");
+        }
     }
 
     #[test]
@@ -775,7 +983,7 @@ mod tests {
 
         #[test]
         fn prop_login_round_trip(user in "[ -~]{0,20}", pass in "[ -~]{0,20}") {
-            round_trip(AppMessage::MgmtLogin { user, pass });
+            round_trip(AppMessage::MgmtLogin { user: user.into(), pass: pass.into() });
         }
 
         #[test]

@@ -51,7 +51,8 @@ pub fn mine_signatures(capture: &[Packet], sku: &Sku) -> Vec<AttackSignature> {
         let external = !pkt.ip.src.is_private();
         match msg {
             AppMessage::MgmtLogin { user, pass } if external => {
-                login_attempts.entry((user, pass)).or_default().insert(pkt.ip.src.0);
+                let key = (user.into_owned(), pass.into_owned());
+                login_attempts.entry(key).or_default().insert(pkt.ip.src.0);
             }
             AppMessage::Control { auth, .. } if external => match auth {
                 ControlAuth::None => push(AttackSignature::new(
@@ -114,7 +115,7 @@ pub fn mine_signatures(capture: &[Packet], sku: &Sku) -> Vec<AttackSignature> {
 /// attacker's [`iotdev::attacker::default_dictionary`] — defenders read
 /// the same breach reports).
 fn is_well_known_default(user: &str, pass: &str) -> bool {
-    iotdev::attacker::default_dictionary().iter().any(|(u, p)| u == user && p == pass)
+    iotdev::attacker::default_dictionary().iter().any(|&(u, p)| u == user && p == pass)
 }
 
 #[cfg(test)]

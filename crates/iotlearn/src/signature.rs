@@ -5,7 +5,7 @@
 //! honeypots cannot cover) and carries an executable [`Matcher`] the IDS
 //! µmbox evaluates against wire packets.
 
-use iotdev::proto::{ports, tag, AppMessage, ControlAuth};
+use iotdev::proto::{ports, tag, AuthRef, MessageRef};
 use iotdev::registry::Sku;
 use iotnet::packet::{PackedHeaders, Packet};
 use serde::{Deserialize, Serialize};
@@ -66,29 +66,34 @@ impl Matcher {
     /// [`Matcher::matches`] for a caller that runs several matchers over
     /// one packet: `decoded` holds the packet's payload decode from the
     /// first matcher that needs it on, so the IDS decodes a packet at
-    /// most once however many signatures its prefilters admit. The cell
-    /// must be fresh for each packet.
-    pub fn matches_decoded(&self, pkt: &Packet, decoded: &OnceCell<Option<AppMessage>>) -> bool {
-        let msg = || decoded.get_or_init(|| AppMessage::decode(&pkt.payload).ok()).as_ref();
+    /// most once however many signatures its prefilters admit. The decode
+    /// borrows the payload, so it copies no string. The cell must be fresh
+    /// for each packet.
+    pub fn matches_decoded<'p>(
+        &self,
+        pkt: &'p Packet,
+        decoded: &OnceCell<Option<MessageRef<'p>>>,
+    ) -> bool {
+        let msg = || *decoded.get_or_init(|| MessageRef::decode(&pkt.payload).ok());
         match self {
             Matcher::DefaultCredLogin { user, pass } => matches!(
                 msg(),
-                Some(AppMessage::MgmtLogin { user: u, pass: p }) if u == user && p == pass
+                Some(MessageRef::MgmtLogin { user: u, pass: p }) if u == user && p == pass
             ),
             Matcher::MgmtFromExternal => {
                 pkt.transport.dst_port() == ports::MGMT && !pkt.ip.src.is_private()
             }
             Matcher::KeyAuthControl { key } => matches!(
                 msg(),
-                Some(AppMessage::Control { auth: ControlAuth::Key(k), .. }) if k == key
+                Some(MessageRef::Control { auth: AuthRef::Key(k), .. }) if k == *key
             ),
             Matcher::UnauthenticatedControl => {
-                matches!(msg(), Some(AppMessage::Control { auth: ControlAuth::None, .. }))
+                matches!(msg(), Some(MessageRef::Control { auth: AuthRef::None, .. }))
             }
-            Matcher::CloudCommand => matches!(msg(), Some(AppMessage::CloudCommand { .. })),
+            Matcher::CloudCommand => matches!(msg(), Some(MessageRef::CloudCommand { .. })),
             Matcher::RecursiveDnsFromExternal => {
                 !pkt.ip.src.is_private()
-                    && matches!(msg(), Some(AppMessage::DnsQuery { recursion: true, .. }))
+                    && matches!(msg(), Some(MessageRef::DnsQuery { recursion: true, .. }))
             }
             Matcher::PayloadContains(needle) => {
                 !needle.is_empty() && pkt.payload.windows(needle.len()).any(|w| w == &needle[..])
@@ -110,7 +115,7 @@ impl Matcher {
 
     /// The cheapest necessary condition for this matcher — the IDS runs it
     /// against the packed header words and the first payload byte before
-    /// paying for a full [`AppMessage`] decode. See [`Prefilter`].
+    /// paying for a [`MessageRef`] decode. See [`Prefilter`].
     pub fn prefilter(&self) -> Prefilter {
         match self {
             Matcher::DefaultCredLogin { .. } => Prefilter::Tag(tag::MGMT_LOGIN),
@@ -128,8 +133,8 @@ impl Matcher {
 /// against the packed header words ([`PackedHeaders`]) and the first
 /// payload byte — no decode, no allocation.
 ///
-/// Soundness rests on the wire format: [`AppMessage::encode`] writes the
-/// variant's tag byte first, so a successful decode to variant `V` implies
+/// Soundness rests on the wire format: every encoded message starts with
+/// its variant's tag byte ([`tag`]), so a successful decode to variant `V` implies
 /// `payload[0] == tag(V)`. A prefilter may therefore *admit* packets the
 /// full matcher rejects (it is a screen, not a decision), but it never
 /// rejects a packet the matcher would flag — the IDS still runs the full
@@ -137,7 +142,7 @@ impl Matcher {
 /// byte-identical to an unscreened run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Prefilter {
-    /// Payload must start with this [`AppMessage`] wire tag.
+    /// Payload must start with this message wire tag ([`tag`]).
     Tag(u8),
     /// Wire tag plus a non-RFC1918 source address.
     TagAndExternalSrc(u8),
@@ -235,7 +240,7 @@ impl AttackSignature {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use iotdev::proto::ControlAction;
+    use iotdev::proto::{AppMessage, ControlAction, ControlAuth};
     use iotnet::addr::{Ipv4Addr, MacAddr};
     use iotnet::packet::TransportHeader;
 

@@ -176,37 +176,63 @@ impl FsmPolicy {
     /// [`PolicyRule::overriding`], in which case it replaces them. The
     /// baseline sits underneath everything.
     pub fn evaluate(&self, state: &SystemState) -> PostureVector {
-        let mut matching: Vec<(u16, usize)> = self
-            .rules
-            .iter()
-            .enumerate()
-            .filter(|(_, r)| r.pattern.matches(&self.schema, state))
-            .map(|(i, r)| (r.priority, i))
-            .collect();
-        matching.sort();
-        let mut acc: BTreeMap<DeviceId, Posture> = BTreeMap::new();
-        for (_, idx) in matching {
-            let rule = &self.rules[idx];
-            for (dev, posture) in &rule.postures {
-                let entry = acc.entry(*dev).or_default();
-                if rule.override_lower {
-                    *entry = posture.clone();
-                } else {
-                    entry.merge(posture);
+        let mut out = PostureVector::new();
+        self.evaluate_into(state, &mut Vec::new(), &mut out);
+        out
+    }
+
+    /// [`FsmPolicy::evaluate`] into buffers the caller keeps: `matching`
+    /// is scratch, and `out` is overwritten with the posture vector in
+    /// `state`, a posture it already holds rewritten in place. Once the
+    /// buffers have held what a state needs, evaluating it again asks the
+    /// allocator for nothing.
+    pub fn evaluate_into(
+        &self,
+        state: &SystemState,
+        matching: &mut Vec<(u16, usize)>,
+        out: &mut PostureVector,
+    ) {
+        matching.clear();
+        let rules = self.rules.iter().enumerate();
+        matching.extend(
+            rules
+                .filter(|(_, r)| r.pattern.matches(&self.schema, state))
+                .map(|(i, r)| (r.priority, i)),
+        );
+        matching.sort_unstable();
+        out.by_device.retain(|id, _| self.schema.device_slot(*id).is_some());
+        for dev in &self.schema.devices {
+            // Rules merge in order and an overriding one replaces what
+            // came before it: the last overriding rule that names the
+            // device and the rules after it decide, over the baseline.
+            let names = |i: usize| self.rules[i].postures.get(&dev.id);
+            let from = matching
+                .iter()
+                .rposition(|&(_, i)| self.rules[i].override_lower && names(i).is_some())
+                .unwrap_or(0);
+            let fill = |p: &mut Posture| {
+                p.clear();
+                p.merge(&self.baseline);
+                for q in matching[from..].iter().filter_map(|&(_, i)| names(i)) {
+                    p.merge(q);
+                }
+            };
+            match out.by_device.get_mut(&dev.id) {
+                Some(p) => {
+                    fill(p);
+                    if p.is_allow() {
+                        out.by_device.remove(&dev.id);
+                    }
+                }
+                None => {
+                    let mut p = Posture::allow();
+                    fill(&mut p);
+                    if !p.is_allow() {
+                        out.by_device.insert(dev.id, p);
+                    }
                 }
             }
         }
-        let mut vec = PostureVector::new();
-        for dev in &self.schema.devices {
-            let mut p = self.baseline.clone();
-            if let Some(win) = acc.get(&dev.id) {
-                p.merge(win);
-            }
-            if !p.is_allow() {
-                vec.by_device.insert(dev.id, p);
-            }
-        }
-        vec
     }
 
     /// The posture of a single device in `state`.
@@ -412,6 +438,33 @@ mod tests {
         policy.baseline = Posture::of(SecurityModule::ProtocolWhitelist);
         let p = policy.posture_for(&policy.schema.initial_state(), DeviceId(0));
         assert!(p.contains(&SecurityModule::ProtocolWhitelist));
+    }
+
+    #[test]
+    fn evaluate_into_one_reused_vector_is_evaluate() {
+        // Figure 3 plus an overriding quarantine of the window on smoke,
+        // with and without a baseline: every state, in odometer order and
+        // back, evaluated over the last state's vector and scratch, so
+        // postures appear, grow, shrink, are replaced and vanish in place.
+        let mut policy = figure3_policy(ALARM, WINDOW);
+        policy.add_rule(
+            PolicyRule::new(
+                200,
+                StatePattern::any().env(EnvVar::Smoke, "yes"),
+                WINDOW,
+                Posture::quarantine(),
+            )
+            .overriding(),
+        );
+        for baseline in [Posture::allow(), Posture::of(SecurityModule::ProtocolWhitelist)] {
+            policy.baseline = baseline;
+            let states: Vec<SystemState> = policy.schema.iter_states().collect();
+            let (mut matching, mut out) = (Vec::new(), PostureVector::new());
+            for state in states.iter().chain(states.iter().rev()) {
+                policy.evaluate_into(state, &mut matching, &mut out);
+                assert_eq!(out, policy.evaluate(state), "{state:?}");
+            }
+        }
     }
 
     #[test]

@@ -129,6 +129,11 @@ impl Posture {
         self
     }
 
+    /// Remove every module, keeping the buffer.
+    pub(crate) fn clear(&mut self) {
+        self.modules.clear();
+    }
+
     /// Union with another posture.
     pub fn merge(&mut self, other: &Posture) {
         for m in &other.modules {
@@ -324,14 +329,34 @@ impl PostureVector {
         fingerprint_postures(self.by_device.iter().map(|(dev, posture)| (*dev, posture)))
     }
 
-    /// Devices whose posture differs between `self` (old) and `new` —
-    /// the reconfiguration set the controller must touch.
-    pub fn diff<'a>(&'a self, new: &'a PostureVector) -> Vec<DeviceId> {
-        let mut ids: Vec<DeviceId> =
-            self.by_device.keys().chain(new.by_device.keys()).copied().collect();
-        ids.sort();
-        ids.dedup();
-        ids.into_iter().filter(|id| self.posture(*id) != new.posture(*id)).collect()
+    /// The devices whose posture differs between `self` (old) and `new`,
+    /// in id order, each with its old and new posture borrowed (`None`
+    /// where the vector has no entry, which is `allow`) — the
+    /// reconfiguration set the controller must touch, found in one walk
+    /// over the two sorted maps.
+    pub fn changes<'a>(
+        &'a self,
+        new: &'a PostureVector,
+    ) -> impl Iterator<Item = (DeviceId, Option<&'a Posture>, Option<&'a Posture>)> + 'a {
+        let (mut old, mut new) =
+            (self.by_device.iter().peekable(), new.by_device.iter().peekable());
+        std::iter::from_fn(move || loop {
+            let id = match (old.peek(), new.peek()) {
+                (None, None) => return None,
+                (Some((a, _)), Some((b, _))) => (**a).min(**b),
+                (Some((id, _)), None) | (None, Some((id, _))) => **id,
+            };
+            let a = old.next_if(|(k, _)| **k == id).map(|(_, p)| p);
+            let b = new.next_if(|(k, _)| **k == id).map(|(_, p)| p);
+            let same = match (a, b) {
+                (Some(a), Some(b)) => a == b,
+                (Some(p), None) | (None, Some(p)) => p.is_allow(),
+                (None, None) => true,
+            };
+            if !same {
+                return Some((id, a, b));
+            }
+        })
     }
 }
 
@@ -384,8 +409,19 @@ mod tests {
         new.by_device.insert(DeviceId(0), Posture::of(SecurityModule::PasswordProxy));
         new.by_device.insert(DeviceId(1), Posture::quarantine());
         new.by_device.insert(DeviceId(2), Posture::of(SecurityModule::Mirror));
-        let diff = old.diff(&new);
-        assert_eq!(diff, vec![DeviceId(1), DeviceId(2)]);
+        // An explicit `allow` entry is no entry.
+        new.by_device.insert(DeviceId(3), Posture::allow());
+        let changes: Vec<_> = old.changes(&new).collect();
+        let quarantine = Posture::quarantine();
+        let mirror = Posture::of(SecurityModule::Mirror);
+        assert_eq!(
+            changes,
+            vec![
+                (DeviceId(1), Some(&mirror), Some(&quarantine)),
+                (DeviceId(2), None, Some(&mirror)),
+            ]
+        );
+        assert_eq!(new.changes(&old).count(), 2);
     }
 
     #[test]

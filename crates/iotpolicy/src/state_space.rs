@@ -98,10 +98,18 @@ impl StateSchema {
 
     /// The fully-`normal`, first-env-value state.
     pub fn initial_state(&self) -> SystemState {
-        SystemState {
-            contexts: self.devices.iter().map(|d| d.contexts[0]).collect(),
-            env: vec![0; self.env_vars.len()],
-        }
+        let mut state = SystemState::default();
+        self.reset_state(&mut state);
+        state
+    }
+
+    /// Overwrite `state` with [`StateSchema::initial_state`] in place,
+    /// keeping its buffers.
+    pub fn reset_state(&self, state: &mut SystemState) {
+        state.contexts.clear();
+        state.contexts.extend(self.devices.iter().map(|d| d.contexts[0]));
+        state.env.clear();
+        state.env.resize(self.env_vars.len(), 0);
     }
 
     /// Iterate the entire space in odometer order. Only sensible for
@@ -124,7 +132,7 @@ impl StateSchema {
 }
 
 /// One concrete system state.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, Hash, Serialize)]
 pub struct SystemState {
     /// Per-device contexts, by schema slot.
     pub contexts: Vec<SecurityContext>,
@@ -140,20 +148,30 @@ impl SystemState {
         id: DeviceId,
         ctx: SecurityContext,
     ) -> Self {
+        self.set_context(schema, id, ctx);
+        self
+    }
+
+    /// [`SystemState::with_context`] in place.
+    pub fn set_context(&mut self, schema: &StateSchema, id: DeviceId, ctx: SecurityContext) {
         if let Some(slot) = schema.device_slot(id) {
             self.contexts[slot] = ctx;
         }
-        self
     }
 
     /// Set an environment variable by value name.
     pub fn with_env(mut self, schema: &StateSchema, var: EnvVar, value: &str) -> Self {
+        self.set_env(schema, var, value);
+        self
+    }
+
+    /// [`SystemState::with_env`] in place.
+    pub fn set_env(&mut self, schema: &StateSchema, var: EnvVar, value: &str) {
         if let Some(slot) = schema.env_slot(var) {
             if let Some(idx) = var.domain().iter().position(|v| *v == value) {
                 self.env[slot] = idx as u8;
             }
         }
-        self
     }
 }
 

@@ -184,16 +184,16 @@ impl UmboxChain {
         let mut cost = SimDuration::ZERO;
         let mut current = packet;
         for slot in &mut self.slots {
-            let ElementOutcome { packet, replies, events, cost: c } =
+            let ElementOutcome { packet, reply, event, cost: c } =
                 slot.as_element().process(now, current);
             cost += c;
-            self.events.push_all(events);
-            if !replies.is_empty() {
+            self.events.push_all(event);
+            if let Some(reply) = reply {
                 // The element answered on the device's behalf.
                 self.intercepted += 1;
                 self.busy += cost;
                 self.exit_trace(now, "intercept");
-                return InlineVerdict { forward: replies.into(), latency: cost };
+                return InlineVerdict::pass(reply, cost);
             }
             match packet {
                 Some(p) => current = p,

@@ -4,7 +4,7 @@
 //! paper proposes "a lightweight Click version akin to TinyOS" as the
 //! programming platform). Each element sees one packet and produces an
 //! [`ElementOutcome`]: keep/transform/drop the packet, optionally reply
-//! on the device's behalf, report security events, and account its
+//! on the device's behalf, report a security event, and account its
 //! processing cost.
 
 use iotdev::env::{EnvValues, EnvVar};
@@ -14,16 +14,18 @@ use iotnet::time::{SimDuration, SimTime};
 use std::cell::RefCell;
 use std::rc::Rc;
 
-/// What an element did with a packet.
+/// What an element did with a packet. No element answers with more than
+/// one reply or reports more than one event per packet, so both are held
+/// in the value and an outcome never allocates.
 #[derive(Debug)]
 pub struct ElementOutcome {
     /// The packet to hand to the next element (`None` = dropped).
     pub packet: Option<Packet>,
-    /// Packets to emit instead/in addition (proxy replies). These skip
-    /// the rest of the chain.
-    pub replies: Vec<Packet>,
-    /// Security events to report to the controller.
-    pub events: Vec<SecurityEvent>,
+    /// A packet to emit instead (a proxy's answer). It skips the rest of
+    /// the chain.
+    pub reply: Option<Packet>,
+    /// A security event to report to the controller.
+    pub event: Option<SecurityEvent>,
     /// Processing cost.
     pub cost: SimDuration,
 }
@@ -31,22 +33,22 @@ pub struct ElementOutcome {
 impl ElementOutcome {
     /// Pass the packet through unchanged.
     pub fn pass(packet: Packet, cost: SimDuration) -> ElementOutcome {
-        ElementOutcome { packet: Some(packet), replies: Vec::new(), events: Vec::new(), cost }
+        ElementOutcome { packet: Some(packet), reply: None, event: None, cost }
     }
 
     /// Drop the packet.
     pub fn drop(cost: SimDuration) -> ElementOutcome {
-        ElementOutcome { packet: None, replies: Vec::new(), events: Vec::new(), cost }
+        ElementOutcome { packet: None, reply: None, event: None, cost }
     }
 
     /// Drop the packet and reply on the device's behalf.
     pub fn reply(reply: Packet, cost: SimDuration) -> ElementOutcome {
-        ElementOutcome { packet: None, replies: vec![reply], events: Vec::new(), cost }
+        ElementOutcome { packet: None, reply: Some(reply), event: None, cost }
     }
 
     /// Attach an event.
     pub(crate) fn with_event(mut self, event: SecurityEvent) -> ElementOutcome {
-        self.events.push(event);
+        self.event = Some(event);
         self
     }
 }

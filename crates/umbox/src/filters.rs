@@ -4,7 +4,7 @@
 use crate::element::{costs, Element, ElementOutcome};
 use iotdev::device::DeviceId;
 use iotdev::events::{SecurityEvent, SecurityEventKind};
-use iotdev::proto::{ports, AppMessage, ControlAction};
+use iotdev::proto::{ports, ControlAction, MessageRef};
 use iotnet::packet::Packet;
 use iotnet::time::SimTime;
 use iotpolicy::posture::BlockClass;
@@ -28,30 +28,30 @@ impl BlockFilter {
     }
 
     fn blocks(&self, packet: &Packet) -> bool {
-        let msg = AppMessage::decode(&packet.payload).ok();
+        let msg = MessageRef::decode(&packet.payload).ok();
         match self.class {
             BlockClass::All => true,
             BlockClass::Actuation => {
-                matches!(msg, Some(AppMessage::Control { .. } | AppMessage::CloudCommand { .. }))
+                matches!(msg, Some(MessageRef::Control { .. } | MessageRef::CloudCommand { .. }))
             }
             BlockClass::OpenVerbs => matches!(
                 msg,
-                Some(AppMessage::Control {
+                Some(MessageRef::Control {
                     action: ControlAction::Open | ControlAction::Unlock,
                     ..
-                }) | Some(AppMessage::CloudCommand {
+                }) | Some(MessageRef::CloudCommand {
                     action: ControlAction::Open | ControlAction::Unlock,
                 })
             ),
             BlockClass::OnVerbs => matches!(
                 msg,
-                Some(AppMessage::Control { action: ControlAction::TurnOn, .. })
-                    | Some(AppMessage::CloudCommand { action: ControlAction::TurnOn })
+                Some(MessageRef::Control { action: ControlAction::TurnOn, .. })
+                    | Some(MessageRef::CloudCommand { action: ControlAction::TurnOn })
             ),
             BlockClass::Cloud => packet.transport.dst_port() == ports::CLOUD,
             BlockClass::DnsResponses => {
                 packet.transport.dst_port() == ports::DNS
-                    && matches!(msg, Some(AppMessage::DnsQuery { recursion: true, .. }))
+                    && matches!(msg, Some(MessageRef::DnsQuery { recursion: true, .. }))
                     && !packet.ip.src.is_private()
             }
         }
@@ -205,7 +205,7 @@ impl Element for MirrorTap {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use iotdev::proto::ControlAuth;
+    use iotdev::proto::{AppMessage, ControlAuth};
     use iotnet::addr::{Ipv4Addr, MacAddr};
     use iotnet::packet::TransportHeader;
 
@@ -250,7 +250,7 @@ mod tests {
         let mut cloud = BlockFilter::new(DeviceId(0), BlockClass::Cloud);
         let out = cloud.process(SimTime::ZERO, pkt(ports::CLOUD, &cloud_on));
         assert!(out.packet.is_none());
-        assert_eq!(out.events[0].kind, SecurityEventKind::BackdoorAccessed);
+        assert_eq!(out.event.unwrap().kind, SecurityEventKind::BackdoorAccessed);
         assert!(cloud.process(SimTime::ZERO, pkt(ports::CONTROL, &turn_on)).packet.is_some());
     }
 

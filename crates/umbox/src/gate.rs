@@ -12,7 +12,7 @@ use crate::element::{costs, Element, ElementOutcome, ViewHandle};
 use iotdev::device::DeviceId;
 use iotdev::env::EnvVar;
 use iotdev::events::{SecurityEvent, SecurityEventKind};
-use iotdev::proto::AppMessage;
+use iotdev::proto::MessageRef;
 use iotnet::packet::Packet;
 use iotnet::time::SimTime;
 
@@ -50,8 +50,8 @@ impl ContextGate {
     /// while the Figure 5 "ON only when someone is home" policy holds.
     fn is_gated_actuation(packet: &Packet) -> bool {
         use iotdev::proto::ControlAction::*;
-        match AppMessage::decode(&packet.payload) {
-            Ok(AppMessage::Control { action, .. }) | Ok(AppMessage::CloudCommand { action }) => {
+        match MessageRef::decode(&packet.payload) {
+            Ok(MessageRef::Control { action, .. }) | Ok(MessageRef::CloudCommand { action }) => {
                 matches!(action, TurnOn | Open | Unlock)
             }
             _ => false,
@@ -84,7 +84,7 @@ impl Element for ContextGate {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use iotdev::proto::{ports, ControlAction, ControlAuth};
+    use iotdev::proto::{ports, AppMessage, ControlAction, ControlAuth};
     use iotnet::addr::{Ipv4Addr, MacAddr};
     use iotnet::packet::TransportHeader;
 
@@ -107,7 +107,7 @@ mod tests {
         let out = gate.process(SimTime::ZERO, control_pkt(ControlAction::TurnOn));
         assert!(out.packet.is_none());
         assert_eq!(gate.blocked, 1);
-        assert_eq!(out.events[0].kind, SecurityEventKind::BlockedActuation);
+        assert_eq!(out.event.unwrap().kind, SecurityEventKind::BlockedActuation);
         // Somebody comes home: the same message passes.
         view.set(EnvVar::Occupancy, "present");
         let out = gate.process(SimTime::ZERO, control_pkt(ControlAction::TurnOn));

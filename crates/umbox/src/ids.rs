@@ -10,7 +10,7 @@
 use crate::element::{costs, Element, ElementOutcome};
 use iotdev::device::DeviceId;
 use iotdev::events::{SecurityEvent, SecurityEventKind};
-use iotdev::proto::{ports, AppMessage};
+use iotdev::proto::{ports, MessageRef};
 use iotlearn::signature::{AttackSignature, Prefilter};
 use iotnet::packet::Packet;
 use iotnet::time::{SimDuration, SimTime};
@@ -103,8 +103,8 @@ impl DnsGuard {
 impl Element for DnsGuard {
     fn process(&mut self, now: SimTime, packet: Packet) -> ElementOutcome {
         if packet.transport.dst_port() == ports::DNS {
-            if let Ok(AppMessage::DnsQuery { recursion: true, .. }) =
-                AppMessage::decode(&packet.payload)
+            if let Ok(MessageRef::DnsQuery { recursion: true, .. }) =
+                MessageRef::decode(&packet.payload)
             {
                 // Reflection queries carry a spoofed (victim) source,
                 // which is almost never on this LAN.
@@ -128,6 +128,7 @@ impl Element for DnsGuard {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use iotdev::proto::AppMessage;
     use iotdev::registry::Sku;
     use iotlearn::signature::{Matcher, Severity};
     use iotnet::addr::{Ipv4Addr, MacAddr};
@@ -164,7 +165,7 @@ mod tests {
         let out = ids.process(SimTime::ZERO, backdoor);
         assert!(out.packet.is_none());
         assert_eq!(ids.matches, 1);
-        assert_eq!(out.events[0].kind, SecurityEventKind::SignatureMatch);
+        assert_eq!(out.event.unwrap().kind, SecurityEventKind::SignatureMatch);
     }
 
     #[test]

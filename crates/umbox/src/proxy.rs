@@ -12,7 +12,7 @@
 use crate::element::{costs, Element, ElementOutcome};
 use iotdev::device::{AdminCreds, DeviceId};
 use iotdev::events::{SecurityEvent, SecurityEventKind};
-use iotdev::proto::{ports, AppMessage};
+use iotdev::proto::{ports, AppMessage, AuthRef, MessageRef};
 use iotnet::packet::{Packet, TransportHeader};
 use iotnet::time::SimTime;
 
@@ -99,9 +99,9 @@ impl PasswordProxy {
 
 impl Element for PasswordProxy {
     fn process(&mut self, now: SimTime, packet: Packet) -> ElementOutcome {
-        match (packet.transport.dst_port(), AppMessage::decode(&packet.payload)) {
-            (ports::MGMT, Ok(AppMessage::MgmtLogin { user, pass })) => {
-                if self.creds_ok(&user, &pass) {
+        match (packet.transport.dst_port(), MessageRef::decode(&packet.payload)) {
+            (ports::MGMT, Ok(MessageRef::MgmtLogin { user, pass })) => {
+                if self.creds_ok(user, pass) {
                     self.allowed_logins += 1;
                     self.authorized.insert(packet.ip.src);
                     ElementOutcome::pass(packet, costs::PROXY)
@@ -110,7 +110,7 @@ impl Element for PasswordProxy {
                     self.deny(now, &packet, AppMessage::MgmtDenied)
                 }
             }
-            (ports::MGMT, Ok(AppMessage::MgmtCommand { .. })) => {
+            (ports::MGMT, Ok(MessageRef::MgmtCommand { .. })) => {
                 if self.authorized.contains(&packet.ip.src) {
                     ElementOutcome::pass(packet, costs::PROXY)
                 } else {
@@ -118,11 +118,9 @@ impl Element for PasswordProxy {
                     self.deny(now, &packet, AppMessage::MgmtDenied)
                 }
             }
-            (ports::CONTROL, Ok(AppMessage::Control { auth, .. })) => {
-                let ok = match &auth {
-                    iotdev::proto::ControlAuth::Password { user, pass } => {
-                        self.creds_ok(user, pass)
-                    }
+            (ports::CONTROL, Ok(MessageRef::Control { auth, .. })) => {
+                let ok = match auth {
+                    AuthRef::Password { user, pass } => self.creds_ok(user, pass),
                     _ => self.authorized.contains(&packet.ip.src),
                 };
                 if ok {
@@ -168,7 +166,7 @@ impl Element for LoginChallenger {
         if packet.transport.dst_port() != ports::MGMT {
             return ElementOutcome::pass(packet, costs::FILTER);
         }
-        if matches!(AppMessage::decode(&packet.payload), Ok(AppMessage::MgmtLogin { .. }))
+        if matches!(MessageRef::decode(&packet.payload), Ok(MessageRef::MgmtLogin { .. }))
             && !self.cleared.contains(&packet.ip.src)
         {
             self.challenged += 1;
@@ -199,7 +197,8 @@ mod tests {
             Ipv4Addr::new(100, 64, 0, 9),
             Ipv4Addr::new(10, 0, 0, 5),
             TransportHeader::tcp(40000, ports::MGMT, 1, Default::default()),
-            AppMessage::MgmtLogin { user: user.into(), pass: pass.into() }.encode(),
+            AppMessage::MgmtLogin { user: user.to_owned().into(), pass: pass.to_owned().into() }
+                .encode(),
         )
     }
 
@@ -208,8 +207,7 @@ mod tests {
         let mut proxy = PasswordProxy::new(DeviceId(0), AdminCreds::new("owner", "Str0ng!"));
         let out = proxy.process(SimTime::ZERO, login_pkt("admin", "admin"));
         assert!(out.packet.is_none(), "default creds must not reach the device");
-        assert_eq!(out.replies.len(), 1);
-        let reply = AppMessage::decode(&out.replies[0].payload).unwrap();
+        let reply = AppMessage::decode(&out.reply.unwrap().payload).unwrap();
         assert_eq!(reply, AppMessage::MgmtDenied);
         assert_eq!(proxy.blocked_logins, 1);
     }
@@ -219,7 +217,7 @@ mod tests {
         let mut proxy = PasswordProxy::new(DeviceId(0), AdminCreds::new("owner", "Str0ng!"));
         let out = proxy.process(SimTime::ZERO, login_pkt("owner", "Str0ng!"));
         assert!(out.packet.is_some());
-        assert!(out.replies.is_empty());
+        assert!(out.reply.is_none());
         assert_eq!(proxy.allowed_logins, 1);
     }
 
@@ -228,7 +226,7 @@ mod tests {
         let mut proxy = PasswordProxy::new(DeviceId(0), AdminCreds::new("owner", "Str0ng!"));
         let pkt = login_pkt("admin", "admin");
         let out = proxy.process(SimTime::ZERO, pkt.clone());
-        let reply = &out.replies[0];
+        let reply = out.reply.unwrap();
         assert_eq!(reply.ip.dst, pkt.ip.src);
         assert_eq!(reply.ip.src, pkt.ip.dst); // appears to come from the device
         assert_eq!(reply.transport.dst_port(), pkt.transport.src_port());
@@ -239,7 +237,8 @@ mod tests {
         let mut proxy = PasswordProxy::new(DeviceId(0), AdminCreds::new("owner", "Str0ng!"));
         let mut events = 0;
         for _ in 0..9 {
-            events += proxy.process(SimTime::ZERO, login_pkt("admin", "admin")).events.len();
+            events +=
+                proxy.process(SimTime::ZERO, login_pkt("admin", "admin")).event.iter().count();
         }
         assert_eq!(events, 3);
     }
@@ -285,9 +284,8 @@ mod tests {
         // with a spoofed negative ack.
         let out = proxy.process(SimTime::ZERO, ctl(ControlAuth::None));
         assert!(out.packet.is_none());
-        assert_eq!(out.replies.len(), 1);
         assert_eq!(
-            AppMessage::decode(&out.replies[0].payload).unwrap(),
+            AppMessage::decode(&out.reply.unwrap().payload).unwrap(),
             AppMessage::ControlAck { ok: false }
         );
         // Owner-credentialed actuation (the hub) passes.

@@ -511,6 +511,63 @@ fn rebound_and_run_equals_cold_and_stepped() {
     }
 }
 
+/// A resident machine's physics is served from the trajectory its earlier
+/// homes stepped (DESIGN.md §6, "A resident world never steps the same
+/// physics twice"); a cold build steps every tick of its one home. Rebound
+/// across seeds and rounds — some rounds with `env` written between the
+/// rebind and the run — and run, the resident must equal a cold build of
+/// the same home run the same way: the network's trace line for line,
+/// what the hub was told and when (every telemetry value bit for bit), and
+/// everything [`observe`] reads. Every canned template runs, the p24 home
+/// with its thermostats and fire alarm among them, whose coasted
+/// stretches are stepped tick by tick rather than walked.
+#[test]
+fn a_resident_home_round_equals_a_cold_one_trace_for_trace() {
+    // Rounds revisit seeds, so the trajectory holds the very rooms each
+    // round steps; an ambient written by hand is a room it does not hold.
+    let rounds: [(u64, Option<f64>); 6] =
+        [(12, None), (13, None), (12, Some(31.5)), (12, None), (13, Some(28.0)), (12, Some(24.25))];
+    let empty: Arc<[AttackSignature]> = Vec::new().into();
+    let mut replayed = 0;
+    for defense in [Defense::None, Defense::iotsec()] {
+        for (label, template) in templates(&defense) {
+            if !World::supports_resident(&template) {
+                continue;
+            }
+            let horizon = horizon_of(&label);
+            let mut resident =
+                World::new_home_resident(&template, 11, 0, &empty, &mut WorldScrap::default());
+            resident.run_until_attack_done(horizon);
+            for (round, &(seed, ambient)) in rounds.iter().enumerate() {
+                let home_round = |w: &mut World| {
+                    if let Some(ambient) = ambient {
+                        w.env.ambient_c = ambient;
+                    }
+                    let trace = Tracer::new(TraceConfig::full());
+                    w.net.set_tracer(trace.clone());
+                    if w.device(DeviceId(0)).hub.is_some() {
+                        tap_the_hub(w);
+                    }
+                    w.run_until_attack_done(horizon);
+                    (trace.to_jsonl(), hub_inbox(w), observe(w, template.devices.len()))
+                };
+                resident.rebind_home(seed);
+                let got = home_round(&mut resident);
+                let overrides = HomeOverrides { seed, extra_signatures: &[] };
+                let want = home_round(&mut World::new_home(&template, &overrides));
+                let at = format!("{label} round {round} (seed {seed}, ambient {ambient:?})");
+                if let Some(div) = first_divergence(&want.0, &got.0) {
+                    panic!("{at}: trace diverged from the cold home:\n{}", render_divergence(&div));
+                }
+                assert_eq!(got.1, want.1, "{at}: what the hub was told, and when");
+                assert_eq!(got.2, want.2, "{at}: state diverged from the cold home");
+                replayed += 1;
+            }
+        }
+    }
+    assert!(replayed >= 150, "only {replayed} resident home-rounds were checked");
+}
+
 /// Mirror every frame addressed to the hub into the capture ring: each
 /// telemetry value and device event, with the instant it crossed the
 /// switch. (A mirror rule below every installed rule changes no

@@ -55,8 +55,7 @@ fn attack_window(rng: &mut StdRng, kind: u8) -> Window {
 pub fn evaluate(context_conditioned: bool, seed: u64) -> (f64, f64) {
     let dev = DeviceId(0);
     let mut rng = StdRng::seed_from_u64(seed);
-    let mut det =
-        AnomalyDetector::new(AnomalyConfig { context_conditioned, ..AnomalyConfig::default() });
+    let mut det = AnomalyDetector::new(AnomalyConfig { context_conditioned });
     for _ in 0..300 {
         let occupied = rng.gen_bool(0.5);
         let ctx = if occupied { "present" } else { "absent" };

@@ -194,12 +194,7 @@ mod tests {
 
     #[test]
     fn undefended_repo_leaks_garbage() {
-        let cfg = RepoConfig {
-            use_reputation: false,
-            screen_unselective: false,
-            quorum: 1.0,
-            ..RepoConfig::default()
-        };
+        let cfg = RepoConfig { use_reputation: false, screen_unselective: false, quorum: 1.0 };
         let out = run_crowd(100, 0.4, 40, cfg, 1);
         assert!(out.published_bad > 0, "{out:?}");
     }

@@ -99,7 +99,7 @@ pub fn consistency() -> Table {
         c.gate_actuation(DeviceId(0), EnvVar::Occupancy, "present");
         let mut ctl = Controller::new(
             c.build(),
-            ControllerConfig { view_propagation: propagation, ..ControllerConfig::default() },
+            ControllerConfig { view_propagation: propagation },
             gate_view.clone(),
         );
         // Start with somebody home; the gate learns it.

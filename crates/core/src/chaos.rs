@@ -5,7 +5,7 @@
 //! flaps, loss bursts, µmbox crashes, controller outages — is
 //! either placed explicitly or derived from `seed` alone, so two runs
 //! with the same deployment and the same chaos seed produce
-//! byte-identical [`crate::Metrics`].
+//! byte-identical [`crate::metrics::Metrics`].
 //!
 //! The config also fixes the *degradation semantics* of the enforcement
 //! path while it is degraded:
@@ -16,15 +16,13 @@
 //! * `watchdog_delay` is how long a crashed instance sits before the
 //!   lifecycle watchdog respawns it from the pool.
 //! * `standby_controller` pairs the flat controller with a warm standby
-//!   ([`iotctl::failover`]), and `delivery` tunes the hardened directive
+//!   ([`iotctl::failover`]), and `delivery` sizes the hardened directive
 //!   channel ([`iotctl::delivery`]) that chaos runs route directives
 //!   through.
 
 use iotctl::delivery::DeliveryConfig;
-use iotctl::failover::FailoverConfig;
 use iotdev::device::DeviceId;
 use iotnet::time::{SimDuration, SimTime};
-use serde::Serialize;
 use umbox::chain::FailureMode;
 
 /// The fault schedule and degradation semantics of a chaos run.
@@ -33,7 +31,7 @@ use umbox::chain::FailureMode;
 /// from `seed` within `[0, horizon)`; the `*_at` vectors place faults
 /// explicitly (experiments use these for precise timelines). Both kinds
 /// compose.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct ChaosConfig {
     /// Seed for pseudo-random fault placement (independent of the
     /// deployment's traffic seed).
@@ -47,8 +45,6 @@ pub struct ChaosConfig {
     pub flap_downtime: SimDuration,
     /// Seeded loss bursts on device uplinks.
     pub loss_bursts: u32,
-    /// Loss-burst duration.
-    pub burst_len: SimDuration,
     /// Loss probability during a burst.
     pub burst_loss: f64,
     /// Seeded µmbox crashes (of devices that have a chain installed).
@@ -71,9 +67,7 @@ pub struct ChaosConfig {
     pub watchdog_delay: SimDuration,
     /// Pair the flat controller with a warm standby.
     pub standby_controller: bool,
-    /// Failover detection/re-sync tuning (used with a standby).
-    pub failover: FailoverConfig,
-    /// Directive-delivery channel tuning.
+    /// Directive-delivery channel capacity.
     pub delivery: DeliveryConfig,
 }
 
@@ -85,7 +79,6 @@ impl Default for ChaosConfig {
             link_flaps: 0,
             flap_downtime: SimDuration::from_secs(2),
             loss_bursts: 0,
-            burst_len: SimDuration::from_secs(1),
             burst_loss: 0.5,
             umbox_crashes: 0,
             controller_outages: 0,
@@ -96,7 +89,6 @@ impl Default for ChaosConfig {
             failure_mode: FailureMode::FailOpen,
             watchdog_delay: SimDuration::from_secs(5),
             standby_controller: false,
-            failover: FailoverConfig::default(),
             delivery: DeliveryConfig::default(),
         }
     }
@@ -150,28 +142,11 @@ impl ChaosConfig {
         self.watchdog_delay = delay;
         self
     }
-
-    /// Whether any fault is scheduled at all.
-    pub fn is_quiet(&self) -> bool {
-        self.link_flaps == 0
-            && self.loss_bursts == 0
-            && self.umbox_crashes == 0
-            && self.controller_outages == 0
-            && self.flap_uplink.is_empty()
-            && self.crash_at.is_empty()
-            && self.outage_at.is_empty()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn default_schedule_is_quiet() {
-        assert!(ChaosConfig::new().is_quiet());
-        assert!(!ChaosConfig::new().crash(SimTime::from_secs(5), DeviceId(0)).is_quiet());
-    }
 
     #[test]
     fn builders_compose() {

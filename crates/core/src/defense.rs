@@ -30,11 +30,6 @@ pub struct IoTSecConfig {
     /// Whether IDS chains are pre-loaded with the Table 1 signature set
     /// (as if the crowdsourced repository had already distributed them).
     pub signatures: bool,
-    /// Extra detour latency for steering through the µmbox substrate
-    /// (≈ 2× the cluster link for an enterprise; ~0 on an IoT router).
-    pub steer_detour: SimDuration,
-    /// Pre-booted unikernel pool size.
-    pub pool: u32,
 }
 
 impl Default for IoTSecConfig {
@@ -44,8 +39,6 @@ impl Default for IoTSecConfig {
             view_propagation: SimDuration::from_millis(20),
             vm_kind: VmKind::UnikernelPooled,
             signatures: true,
-            steer_detour: SimDuration::from_micros(200),
-            pool: 64,
         }
     }
 }

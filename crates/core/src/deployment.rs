@@ -3,7 +3,7 @@
 //! A [`Deployment`] says *what exists* (devices with their flaws and
 //! physical roles, recipes, safety policy hints), *who attacks*
 //! (a campaign written against device ids, resolved to addresses when
-//! the world is built), and *what defends* (a [`crate::Defense`]).
+//! the world is built), and *what defends* (a [`crate::defense::Defense`]).
 
 use crate::chaos::ChaosConfig;
 use crate::defense::Defense;
@@ -145,8 +145,6 @@ pub struct Deployment {
     pub devices: Vec<DeviceSetup>,
     /// Hub recipes.
     pub recipes: Vec<Recipe>,
-    /// Whether a hub is deployed (recipes require one).
-    pub with_hub: bool,
     /// The attack campaign, if any.
     pub campaign: Vec<StepSpec>,
     /// Attacker location.
@@ -184,7 +182,6 @@ impl Default for Deployment {
         Deployment {
             devices: Vec::new(),
             recipes: Vec::new(),
-            with_hub: true,
             campaign: Vec::new(),
             attacker_location: AttackerLocation::Wan,
             defense: Defense::None,
@@ -239,7 +236,7 @@ impl Deployment {
     }
 
     /// Add a Figure 3-style protection pair.
-    pub fn protect(&mut self, watched: DeviceId, protected: DeviceId) -> &mut Self {
+    pub(crate) fn protect(&mut self, watched: DeviceId, protected: DeviceId) -> &mut Self {
         self.protect_pairs.push((watched, protected));
         self
     }

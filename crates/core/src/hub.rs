@@ -70,11 +70,6 @@ impl Hub {
         self.recipes.push(recipe);
     }
 
-    /// Installed recipes.
-    pub fn recipes(&self) -> &[Recipe] {
-        &self.recipes
-    }
-
     fn actuate(&mut self, recipe_idx: usize) -> Option<OutMessage> {
         let recipe = &self.recipes[recipe_idx];
         let (target_ip, _) = *self.directory.get(&recipe.action.target)?;

@@ -68,8 +68,4 @@ pub mod scenario;
 mod trajectory;
 pub mod world;
 
-pub use chaos::ChaosConfig;
-pub use defense::{Defense, IoTSecConfig};
-pub use deployment::{AttackerLocation, Deployment, DeviceSetup, StepSpec};
-pub use metrics::Metrics;
-pub use world::{HomeOverrides, World};
+pub use deployment::{Deployment, DeviceSetup};

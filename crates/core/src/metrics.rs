@@ -10,11 +10,10 @@ use iotctl::safety::SafetyStats;
 use iotdev::attacker::AttackOutcome;
 use iotdev::device::DeviceId;
 use iotnet::time::{SimDuration, SimTime};
-use serde::Serialize;
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Aggregated outcome of one simulated run.
-#[derive(Debug, Clone, Default, Serialize)]
+#[derive(Debug, Clone, Default)]
 pub struct Metrics {
     /// Devices that accepted attacker control.
     pub compromised: BTreeSet<DeviceId>,

@@ -306,7 +306,8 @@ pub struct World {
     device_endpoints: Vec<EndpointId>,
     /// Who owns each endpoint, indexed by [`EndpointId`].
     entities: Vec<Option<Entity>>,
-    hub: Option<(Hub, EndpointId)>,
+    hub: Hub,
+    hub_ep: EndpointId,
     attacker: Option<(Attacker, EndpointId)>,
     control: Option<ControlPlane>,
     cfg: Option<IoTSecConfig>,
@@ -604,15 +605,17 @@ impl World {
         self.net.set_tracer(self.tracer.clone());
         self.home = HomeState::default();
         self.buf.clear();
-        if let Some(cfg) = &self.cfg {
-            let mut lc = LifecycleManager::new(cfg.pool);
+        if self.cfg.is_some() {
+            /// Pre-booted unikernel pool size.
+            const POOL: u32 = 64;
+            let mut lc = LifecycleManager::new(POOL);
             if let Some(delay) = self.watchdog_delay {
                 lc.watchdog_delay = delay;
             }
             self.home.lifecycle = Some(lc);
             self.home.cluster = Some(cluster_for(self.site));
         }
-        let hub_ip = self.hub.as_ref().map(|(hub, _)| hub.ip);
+        let hub_ip = Some(self.hub.ip);
         for (dev, load) in self.devices.iter_mut().zip(&self.plug_loads) {
             dev.reset_runtime();
             dev.hub = hub_ip;
@@ -621,9 +624,7 @@ impl World {
                 plug.load = *load;
             }
         }
-        if let Some((hub, _)) = &mut self.hub {
-            hub.reset_runtime();
-        }
+        self.hub.reset_runtime();
         if let Some((attacker, _)) = &mut self.attacker {
             attacker.reset_runtime();
             for key in &self.pre_stolen_keys {
@@ -693,9 +694,7 @@ impl World {
             (0..deployment.devices.len()).map(|i| edge_switches[i % edge_switches.len()]).collect();
         let device_endpoints: Vec<EndpointId> =
             device_switch.iter().map(|sw| b.attach_endpoint(*sw, LinkParams::wifi())).collect();
-        let hub_ep = deployment
-            .with_hub
-            .then(|| b.attach_endpoint_with(core, LinkParams::lan(), Ipv4Addr::new(10, 0, 200, 1)));
+        let hub_ep = b.attach_endpoint_with(core, LinkParams::lan(), Ipv4Addr::new(10, 0, 200, 1));
         let attacker_ep =
             (!deployment.campaign.is_empty()).then(|| match deployment.attacker_location {
                 AttackerLocation::Wan => {
@@ -724,17 +723,14 @@ impl World {
         }
 
         // --- hub ----------------------------------------------------------
-        let hub = hub_ep.map(|ep| {
-            let mut hub = Hub::new(net.ip_of(ep), AdminCreds::owner_default());
-            for (i, dev) in devices.iter().enumerate() {
-                hub.register(DeviceId(i as u32), dev.ip, dev.class);
-            }
-            for r in &deployment.recipes {
-                hub.add_recipe(r.clone());
-            }
-            entities[ep.0 as usize] = Some(Entity::Hub);
-            (hub, ep)
-        });
+        let mut hub = Hub::new(net.ip_of(hub_ep), AdminCreds::owner_default());
+        for (i, dev) in devices.iter().enumerate() {
+            hub.register(DeviceId(i as u32), dev.ip, dev.class);
+        }
+        for r in &deployment.recipes {
+            hub.add_recipe(r.clone());
+        }
+        entities[hub_ep.0 as usize] = Some(Entity::Hub);
 
         // --- attacker -----------------------------------------------------
         let victim_ip = victim_ep.map(|ep| net.ip_of(ep));
@@ -755,7 +751,7 @@ impl World {
         let chain_config = ChainConfig {
             device: DeviceId(0),
             required_creds: AdminCreds::new("", ""),
-            cleared_sources: hub.iter().map(|(hub, _)| hub.ip).collect(),
+            cleared_sources: vec![hub.ip],
             signatures: Rc::from([]),
             view: buf.gate_view.clone(),
             events: buf.event_sink.clone(),
@@ -774,6 +770,7 @@ impl World {
             device_endpoints,
             entities,
             hub,
+            hub_ep,
             attacker,
             control: None,
             cfg,
@@ -854,10 +851,7 @@ impl World {
             }
             Defense::IoTSec(config) => {
                 let policy = policy.expect("a defended home with no control plane compiles one");
-                let ctl_config = ControllerConfig {
-                    view_propagation: config.view_propagation,
-                    ..ControllerConfig::default()
-                };
+                let ctl_config = ControllerConfig { view_propagation: config.view_propagation };
                 let gate_view = world.buf.gate_view.clone();
                 let standby = deployment.chaos.as_ref().is_some_and(|c| c.standby_controller);
                 world.control = Some(if config.hierarchical {
@@ -868,10 +862,8 @@ impl World {
                         gate_view,
                     )))
                 } else if standby {
-                    let failover =
-                        deployment.chaos.as_ref().map(|c| c.failover).unwrap_or_default();
                     ControlPlane::Replicated(Box::new(ReplicatedController::new(
-                        policy, ctl_config, gate_view, failover,
+                        policy, ctl_config, gate_view,
                     )))
                 } else {
                     ControlPlane::Flat(Box::new(Controller::new(policy, ctl_config, gate_view)))
@@ -886,11 +878,6 @@ impl World {
     /// Access a device.
     pub fn device(&self, id: DeviceId) -> &IoTDevice {
         &self.devices[id.0 as usize]
-    }
-
-    /// The attacker, if deployed.
-    pub fn attacker(&self) -> Option<&Attacker> {
-        self.attacker.as_ref().map(|(a, _)| a)
     }
 
     /// Whether the campaign has finished.
@@ -923,6 +910,8 @@ impl World {
     /// faults placed by a dedicated RNG seeded from `chaos.seed` alone
     /// (never the traffic RNG — placement must not perturb traffic).
     fn install_chaos(&mut self, chaos: &ChaosConfig) {
+        /// How long a seeded loss burst lasts.
+        const BURST_LEN: SimDuration = SimDuration::from_secs(1);
         let uplink = |d: DeviceId| {
             (
                 NodeId::Endpoint(self.device_endpoints[d.0 as usize]),
@@ -955,7 +944,7 @@ impl World {
             for _ in 0..chaos.loss_bursts {
                 let (a, b) = uplink(pick_device(&mut rng));
                 let at = pick_time(&mut rng);
-                faults.loss_burst(a, b, at, at + chaos.burst_len, chaos.burst_loss);
+                faults.loss_burst(a, b, at, at + BURST_LEN, chaos.burst_loss);
             }
             for _ in 0..chaos.umbox_crashes {
                 let device = pick_device(&mut rng);
@@ -1099,11 +1088,8 @@ impl World {
         let denv = self.env.discretize();
         if full || self.home.reported != Some(denv) {
             self.home.reported = Some(denv);
-            if let Some((hub, ep)) = &mut self.hub {
-                let (sends, ep) = (hub.on_env(denv), *ep);
-                for m in sends {
-                    self.send_message(ep, now, &m, None);
-                }
+            for m in self.hub.on_env(denv) {
+                self.send_message(self.hub_ep, now, &m, None);
             }
             if let Some(control) = &mut self.control {
                 control.ingest_env(now, &EnvVar::ALL.map(|var| (var, denv.get(var))));
@@ -1474,13 +1460,16 @@ impl World {
     }
 
     fn activate_pending(&mut self, now: SimTime) {
+        /// Extra detour latency for steering through the µmbox substrate
+        /// (≈ 2× the cluster link for an enterprise; ~0 on an IoT router).
+        const STEER_DETOUR: SimDuration = SimDuration::from_micros(200);
         let mut i = 0;
         while i < self.buf.pending_steers.len() {
             if self.buf.pending_steers[i].0 <= now {
                 let (_, device, chain, instance) = self.buf.pending_steers.remove(i);
                 self.home.steers += 1;
                 let steer = SteerId(self.home.steers);
-                let detour = self.cfg.map_or(SimDuration::ZERO, |c| c.steer_detour);
+                let detour = self.cfg.map_or(SimDuration::ZERO, |_| STEER_DETOUR);
                 self.net.register_steer(steer, Box::new(SharedChain(chain.clone())), detour);
                 let ip = self.devices[device.0 as usize].ip;
                 let sw = self.device_switch[device.0 as usize];
@@ -1622,11 +1611,8 @@ impl World {
             }
             Entity::Hub => {
                 if let AppMessage::Event { kind } = msg {
-                    if let Some((hub, ep)) = &mut self.hub {
-                        let (sends, ep) = (hub.on_event(d.packet.ip.src, kind), *ep);
-                        for m in sends {
-                            self.send_message(ep, d.at, &m, None);
-                        }
+                    for m in self.hub.on_event(d.packet.ip.src, kind) {
+                        self.send_message(self.hub_ep, d.at, &m, None);
                     }
                 }
             }
@@ -1727,9 +1713,7 @@ impl World {
         if let Some(bank) = &self.breakers {
             metrics.breaker_trips = bank.trips();
         }
-        if let Some((hub, _)) = &self.hub {
-            metrics.recipes_fired = hub.fired;
-        }
+        metrics.recipes_fired = self.hub.fired;
         metrics
     }
 

@@ -91,7 +91,7 @@ impl RecoveryPolicy {
 
     /// Backoff (in rounds) before retry `attempt` (1-based):
     /// `min(2^(attempt-1), max_backoff)`, at least 1.
-    pub fn backoff(&self, attempt: u32) -> u32 {
+    pub(crate) fn backoff(&self, attempt: u32) -> u32 {
         1u32.checked_shl(attempt.saturating_sub(1)).unwrap_or(u32::MAX).min(self.max_backoff.max(1))
     }
 }

@@ -231,12 +231,6 @@ pub struct FleetConfig {
 }
 
 impl FleetConfig {
-    /// A serial fleet of `homes` homes with the default shape
-    /// (neighborhoods of 100, chunks of 64, seed 42).
-    pub fn new(homes: u32) -> FleetConfig {
-        FleetConfig { homes, neighborhood: 100, chunk: 64, threads: 1, seed: 42 }
-    }
-
     /// Same fleet, different worker count.
     pub fn with_threads(mut self, threads: usize) -> FleetConfig {
         self.threads = threads;
@@ -577,17 +571,16 @@ impl<S: HomeWorld> Fleet<S> {
                 for (c, piece) in chunks.enumerate() {
                     hands[c % threads].push(piece);
                 }
-                crossbeam::scope(|s| {
+                std::thread::scope(|s| {
                     for (w, hand) in self.workers.iter_mut().zip(hands) {
                         let serve = &serve;
-                        s.spawn(move |_| {
+                        s.spawn(move || {
                             for (slots, start) in hand {
                                 serve(w, start, slots);
                             }
                         });
                     }
-                })
-                .expect("a fleet worker panicked");
+                });
             }
         }
 
@@ -687,7 +680,8 @@ impl<S: HomeWorld> Fleet<S> {
                 self.aggs[ni].rejoined = true;
             }
             if self.aggs[ni].partitioned_until == 0 && chaos.partition_begins(round, n) {
-                self.aggs[ni].partitioned_until = round + chaos.partition_rounds.max(1);
+                self.aggs[ni].partitioned_until =
+                    round.saturating_add(chaos.partition_rounds.max(1));
                 self.aggs[ni].rejoined = false;
                 self.tracer.emit(tr, TraceEvent::FleetFault { neighborhood: n, kind: "partition" });
                 self.faults += 1;
@@ -737,7 +731,7 @@ impl<S: HomeWorld> Fleet<S> {
                         .emit(tr, TraceEvent::FleetFault { neighborhood: n, kind: "flush-drop" });
                     self.faults += 1;
                     retry.attempt += 1;
-                    retry.due = round + policy.backoff(retry.attempt);
+                    retry.due = round.saturating_add(policy.backoff(retry.attempt));
                     self.aggs[ni].retry = Some(retry);
                 } else {
                     self.tracer.emit(
@@ -762,7 +756,7 @@ impl<S: HomeWorld> Fleet<S> {
                     match &mut self.aggs[ni].retry {
                         Some(r) => r.batch.extend(batch),
                         None => {
-                            let due = round + policy.backoff(1);
+                            let due = round.saturating_add(policy.backoff(1));
                             self.aggs[ni].retry = Some(RetryState { batch, attempt: 1, due });
                         }
                     }
@@ -951,34 +945,6 @@ impl<S: HomeWorld> Fleet<S> {
         total
     }
 
-    /// The per-epoch signature delta the region checkpointed at `epoch`
-    /// (`None` for epoch 0 or a not-yet-reached epoch). Chaining deltas
-    /// from 1 reconstructs every snapshot — the companion stream to the
-    /// interned full snapshots.
-    pub fn delta_of(&self, epoch: u32) -> Option<&[AttackSignature]> {
-        self.region_log.delta_of(epoch)
-    }
-
-    /// Export fleet-level reuse and residency counters into `reg` so
-    /// bench `wall_ms` lines carry them: resident-pool serving mix,
-    /// delta-vs-full install counts, memo and intern traffic.
-    pub fn export_metrics(&self, reg: &mut trace::MetricsRegistry) {
-        let rs = self.resident_stats();
-        reg.counter("fleet.resident.full_builds", rs.full_builds);
-        reg.counter("fleet.resident.resident_runs", rs.resident_runs);
-        reg.counter("fleet.resident.delta_installs", rs.delta_installs);
-        reg.counter("fleet.resident.noop_installs", rs.noop_installs);
-        reg.counter("fleet.resident.policy_recompiles", rs.policy_recompiles);
-        reg.counter("fleet.resident.devices_patched", rs.devices_patched);
-        reg.counter("fleet.resident.devices_kept", rs.devices_kept);
-        reg.counter("fleet.resident.dropped", rs.dropped);
-        let (hits, misses) = self.memo_counts();
-        reg.counter("fleet.memo.hits", hits);
-        reg.counter("fleet.memo.misses", misses);
-        reg.counter("fleet.intel.interned_live", self.interner.distinct() as u64);
-        reg.counter("fleet.intel.interned_retired", self.interner.retired());
-    }
-
     /// Every published discovery absorbed, every retry drained, and
     /// every home at the region epoch. Chaos-off this is trivially true
     /// after any absorbing round's barrier.
@@ -1005,7 +971,7 @@ impl<S: HomeWorld> Fleet<S> {
             rounds: self.round,
             digest: self.digest.finish(),
             epoch: self.installed_epoch,
-            intel_len: self.region.len(),
+            intel_len: self.intel.len(),
             discoveries: self.discoveries,
             installs: self.ledger.installs(),
             batches: self.ledger.batches(),
@@ -1044,19 +1010,9 @@ impl<S: HomeWorld> Fleet<S> {
         &self.intel
     }
 
-    /// The intel epoch currently installed fleet-wide.
-    pub fn epoch(&self) -> u32 {
-        self.installed_epoch
-    }
-
     /// The epoch installed at one home (per the ledger).
     pub fn installed_at(&self, home: u32) -> u32 {
         self.ledger.epoch_of(home)
-    }
-
-    /// The home → neighborhood directory.
-    pub fn directory(&self) -> Directory {
-        self.dir
     }
 }
 

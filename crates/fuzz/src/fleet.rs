@@ -31,6 +31,17 @@ use trace::tracer::{TraceConfig, Tracer};
 /// last fault before judging (mirrors the fleet test suite).
 pub const GRACE: u32 = 2;
 
+/// The largest fleet a spec may name. `generate_fleet` draws at most 32
+/// homes and `shrink_fleet` only ever shrinks, so a repro is never
+/// larger; 8× that leaves room for hand-written cases while a hostile
+/// `homes=4294967295` is an error, not a 4·10⁹-slot allocation.
+const MAX_HOMES: u32 = 256;
+
+/// The longest run a spec may name: generated specs run at most
+/// `14 + 6 + 8 + GRACE` = 30 rounds, and 8× that bounds a replay to
+/// milliseconds instead of ~4·10⁹ rounds.
+const MAX_ROUNDS: u32 = 240;
+
 /// The seeded weaknesses of ISSUE E25 — each is a one-flag
 /// [`RecoveryPolicy`] mutation the oracle must catch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -98,16 +109,18 @@ pub struct FleetSpec {
 
 impl FleetSpec {
     /// Structural sanity: every probability in per-mille range, shape
-    /// non-degenerate, enough rounds for the checker to judge anything.
+    /// non-degenerate and no larger than 256 homes × 240 rounds (8× what
+    /// the generator draws), enough rounds for the checker to judge
+    /// anything.
     pub fn validate(&self) -> Result<(), String> {
-        if self.homes == 0 {
-            return Err("homes must be >= 1".into());
+        if !(1..=MAX_HOMES).contains(&self.homes) {
+            return Err(format!("homes must be in 1..={MAX_HOMES}: {}", self.homes));
         }
         if self.neighborhood == 0 {
             return Err("neighborhood must be >= 1".into());
         }
-        if self.rounds == 0 {
-            return Err("rounds must be >= 1".into());
+        if !(1..=MAX_ROUNDS).contains(&self.rounds) {
+            return Err(format!("rounds must be in 1..={MAX_ROUNDS}: {}", self.rounds));
         }
         if self.chaos.partition_rounds == 0 {
             return Err("partition-rounds must be >= 1".into());
@@ -468,6 +481,9 @@ mod tests {
     fn parse_rejects_malformed_input() {
         assert!(parse_fleet("").is_err()); // zero homes
         assert!(parse_fleet("homes=4\nneighborhood=2\nrounds=0\n").is_err());
+        assert!(parse_fleet("homes=257\nneighborhood=2\nrounds=8\n").is_err());
+        assert!(parse_fleet("homes=4\nneighborhood=2\nrounds=241\n").is_err());
+        assert!(parse_fleet("homes=256\nneighborhood=2\nrounds=240\n").is_ok());
         assert!(parse_fleet("homes=4\nneighborhood=2\nrounds=8\ndrop-pm=2000\n").is_err());
         assert!(parse_fleet("homes=4\nneighborhood=2\nrounds=8\nretry=maybe\n").is_err());
         assert!(parse_fleet("homes=4\nneighborhood=2\nrounds=8\nwibble=1\n").is_err());

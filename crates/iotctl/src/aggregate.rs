@@ -40,11 +40,6 @@ impl Directory {
         Directory { homes, size: size.max(1) }
     }
 
-    /// Total number of homes.
-    pub fn homes(&self) -> u32 {
-        self.homes
-    }
-
     /// Number of neighborhoods.
     pub fn neighborhoods(&self) -> u32 {
         self.homes.div_ceil(self.size)
@@ -86,20 +81,10 @@ impl<T: Ord> NeighborhoodBuffer<T> {
         NeighborhoodBuffer { pending: Vec::new(), batches: 0 }
     }
 
-    /// Collect one discovery with no source attribution (source home 0).
-    pub fn collect(&mut self, item: T) {
-        self.collect_from(0, item);
-    }
-
     /// Collect one discovery from a member home, remembering the source
     /// so [`NeighborhoodBuffer::crash`] can report whose intel was lost.
     pub fn collect_from(&mut self, home: u32, item: T) {
         self.pending.push((home, item));
-    }
-
-    /// Number of discoveries waiting for the next flush.
-    pub fn pending(&self) -> usize {
-        self.pending.len()
     }
 
     /// Flush the buffered discoveries upward in canonical (sorted)
@@ -123,11 +108,6 @@ impl<T: Ord> NeighborhoodBuffer<T> {
         homes.sort_unstable();
         homes.dedup();
         homes
-    }
-
-    /// Number of non-empty batches flushed so far.
-    pub fn batches(&self) -> u64 {
-        self.batches
     }
 }
 
@@ -202,16 +182,6 @@ impl<T: Clone + Ord> RegionIntel<T> {
         self.epoch
     }
 
-    /// Number of distinct intel items known to the region.
-    pub fn len(&self) -> usize {
-        self.items.len()
-    }
-
-    /// Whether the region knows nothing yet.
-    pub fn is_empty(&self) -> bool {
-        self.items.is_empty()
-    }
-
     /// The canonical snapshot: every known item in `Ord` order, ready
     /// for the intern table.
     pub fn snapshot(&self) -> Vec<T> {
@@ -263,28 +233,6 @@ impl<T: Clone + Ord> RegionLog<T> {
     /// The epoch of the latest checkpoint (0 when nothing was absorbed).
     pub fn epoch(&self) -> u32 {
         self.entries.len() as u32
-    }
-
-    /// The per-epoch delta: exactly the items first absorbed at `epoch`
-    /// (`None` for epoch 0 or an epoch not yet checkpointed). This is
-    /// the delta stream the resident-world fleet (E26) publishes
-    /// alongside full snapshots — chaining `delta_of(1..=epoch())`
-    /// reconstructs every snapshot, which the fleet tests pin.
-    pub fn delta_of(&self, epoch: u32) -> Option<&[T]> {
-        if epoch == 0 {
-            return None;
-        }
-        self.entries.get(epoch as usize - 1).map(Vec::as_slice)
-    }
-
-    /// Number of checkpointed absorbing rounds.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Whether nothing has been absorbed yet.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
     }
 }
 
@@ -394,13 +342,13 @@ mod tests {
     fn buffer_flushes_sorted_and_counts_batches() {
         let mut b: NeighborhoodBuffer<u32> = NeighborhoodBuffer::new();
         assert!(b.flush().is_empty());
-        assert_eq!(b.batches(), 0);
-        b.collect(9);
-        b.collect(3);
-        assert_eq!(b.pending(), 2);
+        assert_eq!(b.batches, 0);
+        b.collect_from(0, 9);
+        b.collect_from(0, 3);
+        assert_eq!(b.pending.len(), 2);
         assert_eq!(b.flush(), vec![3, 9]);
-        assert_eq!(b.pending(), 0);
-        assert_eq!(b.batches(), 1);
+        assert_eq!(b.pending.len(), 0);
+        assert_eq!(b.batches, 1);
     }
 
     #[test]
@@ -446,7 +394,7 @@ mod tests {
         }
         // Zero-home fleet: no neighborhoods, nothing to iterate.
         let empty = Directory::new(0, 5);
-        assert_eq!(empty.homes(), 0);
+        assert_eq!(empty.homes, 0);
         assert_eq!(empty.neighborhoods(), 0);
         // Neighborhood larger than the fleet: one short neighborhood.
         let wide = Directory::new(3, 100);
@@ -510,26 +458,25 @@ mod tests {
         b.collect_from(4, 40);
         b.collect_from(2, 20);
         b.collect_from(4, 41);
-        assert_eq!(b.pending(), 3);
+        assert_eq!(b.pending.len(), 3);
         // Crash: buffered reports are lost; the distinct sources come
         // back in home order and no batch is counted.
         assert_eq!(b.crash(), vec![2, 4]);
-        assert_eq!(b.pending(), 0);
-        assert_eq!(b.batches(), 0);
+        assert_eq!(b.pending.len(), 0);
+        assert_eq!(b.batches, 0);
         // Crashing an empty buffer loses nothing.
         assert!(b.crash().is_empty());
         // The respawned buffer flushes normally, item-sorted.
         b.collect_from(2, 20);
         b.collect_from(4, 7);
         assert_eq!(b.flush(), vec![7, 20]);
-        assert_eq!(b.batches(), 1);
+        assert_eq!(b.batches, 1);
     }
 
     #[test]
     fn region_log_replays_the_tail() {
         let mut r: RegionIntel<u32> = RegionIntel::new();
         let mut log: RegionLog<u32> = RegionLog::new();
-        assert!(log.is_empty());
         assert_eq!(log.epoch(), 0);
         for batch in [vec![3, 1], vec![1, 3], vec![9]] {
             let novel = r.absorb_returning_novel(batch);
@@ -538,15 +485,9 @@ mod tests {
             }
         }
         // The duplicate middle batch produced no checkpoint.
-        assert_eq!(log.len(), 2);
         assert_eq!(log.epoch(), 2);
-        // An aggregator that last saw epoch 1 replays exactly epoch 2.
-        assert_eq!(log.delta_of(2), Some(&[9][..]));
-        // Past the log, and epoch 0, there is nothing to replay.
-        assert_eq!(log.delta_of(3), None);
-        assert_eq!(log.delta_of(0), None);
-        // A fresh respawn (epoch 0) replays every delta in order.
-        assert_eq!(log.delta_of(1), Some(&[1, 3][..]));
+        // Entry `i` holds the novel items of epoch `i + 1`, in order.
+        assert_eq!(log.entries, vec![vec![1, 3], vec![9]]);
     }
 
     #[test]

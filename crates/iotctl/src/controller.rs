@@ -24,17 +24,17 @@ use iotnet::time::{SimDuration, SimTime};
 use iotpolicy::policy::FsmPolicy;
 use iotpolicy::posture::{Posture, PostureVector};
 use iotpolicy::state_space::SystemState;
-use serde::Serialize;
 use std::collections::VecDeque;
 use umbox::element::ViewHandle;
 
+/// Fixed per-event processing cost.
+const SERVICE_BASE: SimDuration = SimDuration::from_micros(200);
+/// Additional per-event cost per policy rule in scope.
+const SERVICE_PER_RULE: SimDuration = SimDuration::from_micros(10);
+
 /// Controller tuning.
-#[derive(Debug, Clone, Copy, Serialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct ControllerConfig {
-    /// Fixed per-event processing cost.
-    pub service_base: SimDuration,
-    /// Additional per-event cost per policy rule in scope.
-    pub service_per_rule: SimDuration,
     /// Delay before view changes reach data-plane gates (`ZERO` =
     /// strong consistency).
     pub view_propagation: SimDuration,
@@ -42,16 +42,12 @@ pub struct ControllerConfig {
 
 impl Default for ControllerConfig {
     fn default() -> Self {
-        ControllerConfig {
-            service_base: SimDuration::from_micros(200),
-            service_per_rule: SimDuration::from_micros(10),
-            view_propagation: SimDuration::from_millis(20),
-        }
+        ControllerConfig { view_propagation: SimDuration::from_millis(20) }
     }
 }
 
 /// Controller counters.
-#[derive(Debug, Clone, Default, Serialize)]
+#[derive(Debug, Clone, Default)]
 pub struct ControllerStats {
     /// Events processed.
     pub events_processed: u64,
@@ -159,7 +155,7 @@ impl Controller {
 
     /// The per-event service time at the current policy size.
     pub(crate) fn service_time(&self) -> SimDuration {
-        self.config.service_base + self.config.service_per_rule * self.policy.rules.len() as u64
+        SERVICE_BASE + SERVICE_PER_RULE * self.policy.rules.len() as u64
     }
 
     /// Enqueue an event (arrival time = event time).
@@ -356,10 +352,7 @@ mod tests {
         c.gate_actuation(DeviceId(0), EnvVar::Occupancy, "present");
         let mut ctl = Controller::new(
             c.build(),
-            ControllerConfig {
-                view_propagation: SimDuration::from_millis(50),
-                ..Default::default()
-            },
+            ControllerConfig { view_propagation: SimDuration::from_millis(50) },
             gate_view.clone(),
         );
         ctl.ingest_env(SimTime::from_secs(1), &[(EnvVar::Occupancy, "present")]);
@@ -377,7 +370,7 @@ mod tests {
         c.gate_actuation(DeviceId(0), EnvVar::Occupancy, "present");
         let mut ctl = Controller::new(
             c.build(),
-            ControllerConfig { view_propagation: SimDuration::ZERO, ..Default::default() },
+            ControllerConfig { view_propagation: SimDuration::ZERO },
             gate_view.clone(),
         );
         ctl.ingest_env(SimTime::from_secs(1), &[(EnvVar::Occupancy, "absent")]);

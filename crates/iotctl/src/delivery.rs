@@ -25,33 +25,29 @@
 use crate::directive::{Criticality, Directive};
 use iotdev::device::DeviceId;
 use iotnet::time::{SimDuration, SimTime};
-use serde::Serialize;
 use std::collections::{BTreeMap, VecDeque};
 use trace::{TraceEvent, Tracer};
 
+/// First retry delay while unreachable.
+const BASE_BACKOFF: SimDuration = SimDuration::from_millis(100);
+/// Retry delay ceiling.
+const MAX_BACKOFF: SimDuration = SimDuration::from_secs(5);
+
 /// Delivery-channel tuning.
-#[derive(Debug, Clone, Copy, Serialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct DeliveryConfig {
     /// Maximum envelopes queued before shedding.
     pub capacity: usize,
-    /// First retry delay while unreachable.
-    pub base_backoff: SimDuration,
-    /// Retry delay ceiling.
-    pub max_backoff: SimDuration,
 }
 
 impl Default for DeliveryConfig {
     fn default() -> Self {
-        DeliveryConfig {
-            capacity: 64,
-            base_backoff: SimDuration::from_millis(100),
-            max_backoff: SimDuration::from_secs(5),
-        }
+        DeliveryConfig { capacity: 64 }
     }
 }
 
 /// Delivery counters.
-#[derive(Debug, Clone, Default, Serialize)]
+#[derive(Debug, Clone, Default)]
 pub struct DeliveryStats {
     /// Directives submitted by the controller.
     pub submitted: u64,
@@ -188,7 +184,7 @@ impl DeliveryChannel {
                         },
                     );
                     let exp = env.attempts.saturating_sub(1).min(16);
-                    let backoff = (self.cfg.base_backoff * (1u64 << exp)).min(self.cfg.max_backoff);
+                    let backoff = (BASE_BACKOFF * (1u64 << exp)).min(MAX_BACKOFF);
                     env.next_attempt = now + backoff;
                 }
             }
@@ -258,7 +254,7 @@ mod tests {
         // Uniform criticality: the incoming directive is the newest of
         // the lowest tier, so it is the one refused (the pre-Criticality
         // behavior, preserved byte-for-byte for uniform queues).
-        let mut ch = DeliveryChannel::new(DeliveryConfig { capacity: 2, ..Default::default() });
+        let mut ch = DeliveryChannel::new(DeliveryConfig { capacity: 2 });
         assert!(ch.submit(SimTime::ZERO, launch(1)));
         assert!(ch.submit(SimTime::ZERO, launch(2)));
         assert!(!ch.submit(SimTime::ZERO, launch(3))); // shed
@@ -272,7 +268,7 @@ mod tests {
 
     #[test]
     fn quarantine_evicts_the_newest_of_the_lowest_tier() {
-        let mut ch = DeliveryChannel::new(DeliveryConfig { capacity: 2, ..Default::default() });
+        let mut ch = DeliveryChannel::new(DeliveryConfig { capacity: 2 });
         // Two telemetry-tier entries; device 2's is the newer.
         assert!(ch.submit(SimTime::ZERO, Directive::Retire { device: DeviceId(1) }));
         assert!(ch.submit(SimTime::ZERO, Directive::Retire { device: DeviceId(2) }));
@@ -289,7 +285,7 @@ mod tests {
 
     #[test]
     fn quarantine_is_only_shed_against_quarantine() {
-        let mut ch = DeliveryChannel::new(DeliveryConfig { capacity: 1, ..Default::default() });
+        let mut ch = DeliveryChannel::new(DeliveryConfig { capacity: 1 });
         let q =
             |dev: u32| Directive::Launch { device: DeviceId(dev), posture: Posture::quarantine() };
         assert!(ch.submit(SimTime::ZERO, q(1)));
@@ -303,12 +299,7 @@ mod tests {
 
     #[test]
     fn unreachable_channel_backs_off_exponentially() {
-        let cfg = DeliveryConfig {
-            capacity: 8,
-            base_backoff: SimDuration::from_millis(100),
-            max_backoff: SimDuration::from_secs(1),
-        };
-        let mut ch = DeliveryChannel::new(cfg);
+        let mut ch = DeliveryChannel::new(DeliveryConfig { capacity: 8 });
         ch.submit(SimTime::ZERO, launch(1));
 
         // Attempt 1 at t=0 → next at 100ms; attempt 2 → +200ms; etc.
@@ -321,10 +312,13 @@ mod tests {
         assert_eq!(ch.stats.retries, 2);
         ch.pump(SimTime::from_millis(300), false);
         assert_eq!(ch.stats.retries, 3);
-        // Backoff is capped at max_backoff.
+        // Backoff is capped at `MAX_BACKOFF`: pumps 10 s apart are each
+        // due, and the last one re-arms exactly one cap later.
         for i in 0..10 {
             ch.pump(SimTime::from_secs(10 + 10 * i), false);
         }
+        assert_eq!(ch.stats.retries, 13);
+        assert_eq!(ch.queue[0].next_attempt, SimTime::from_secs(100) + MAX_BACKOFF);
         assert_eq!(ch.depth(), 1);
 
         // The channel heals: the envelope finally delivers.

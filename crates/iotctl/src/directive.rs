@@ -7,7 +7,6 @@
 
 use iotdev::device::DeviceId;
 use iotpolicy::posture::{Posture, SecurityModule};
-use serde::Serialize;
 
 /// How urgent a directive is when the delivery channel must shed.
 ///
@@ -15,7 +14,7 @@ use serde::Serialize;
 /// patch-proxy > telemetry` — so `Ord` comparisons read naturally:
 /// under queue pressure the lowest tier loses first, and an admission
 /// controller under backlog keeps only the upper tiers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Criticality {
     /// Pure observation: mirror-only postures, retires back to allow.
     Telemetry,
@@ -29,7 +28,7 @@ pub enum Criticality {
 
 impl Criticality {
     /// Stable label for trace payloads.
-    pub fn label(self) -> &'static str {
+    pub(crate) fn label(self) -> &'static str {
         match self {
             Criticality::Telemetry => "telemetry",
             Criticality::PatchProxy => "patch-proxy",
@@ -40,7 +39,7 @@ impl Criticality {
 }
 
 /// One control-plane directive.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Directive {
     /// Launch a µmbox chain realizing `posture` for `device` and steer
     /// the device's traffic through it.

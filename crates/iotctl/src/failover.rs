@@ -5,12 +5,12 @@
 //! module pairs the flat [`Controller`] with a warm standby:
 //!
 //! * Events and environment reports are delivered to the primary and
-//!   appended to a replay log; every `checkpoint_interval` the log is
-//!   drained into the standby, keeping its view warm (but it emits no
-//!   directives while passive).
-//! * When the primary has been down for `detect_after` (missed
+//!   appended to a replay log; every second (`CHECKPOINT_INTERVAL`) the
+//!   log is drained into the standby, keeping its view warm (but it
+//!   emits no directives while passive).
+//! * When the primary has been down for 5 s (`DETECT_AFTER`, missed
 //!   heartbeats), the standby is promoted. Promotion replays the
-//!   un-checkpointed log tail into the standby and pays a `resync`
+//!   un-checkpointed log tail into the standby and pays a 2 s `RESYNC`
 //!   outage window before the new primary serves.
 //! * The promoted controller's installed-posture vector starts empty, so
 //!   its first reconcile re-emits the full posture for its view — the
@@ -24,37 +24,21 @@ use iotdev::env::{EnvValues, EnvVar};
 use iotdev::events::SecurityEvent;
 use iotnet::time::{SimDuration, SimTime};
 use iotpolicy::policy::FsmPolicy;
-use serde::Serialize;
 use umbox::element::ViewHandle;
 
-/// Failover tuning.
-#[derive(Debug, Clone, Copy, Serialize)]
-pub struct FailoverConfig {
-    /// How long the primary must be unresponsive before the standby is
-    /// promoted (missed-heartbeat threshold).
-    pub detect_after: SimDuration,
-    /// Outage window the promoted standby pays to re-sync its view
-    /// before serving.
-    pub resync: SimDuration,
-    /// How often the standby's view is checkpointed from the replay log.
-    pub checkpoint_interval: SimDuration,
-}
-
-impl Default for FailoverConfig {
-    fn default() -> Self {
-        FailoverConfig {
-            detect_after: SimDuration::from_secs(5),
-            resync: SimDuration::from_secs(2),
-            checkpoint_interval: SimDuration::from_secs(1),
-        }
-    }
-}
+/// How long the primary must be unresponsive before the standby is
+/// promoted (missed-heartbeat threshold).
+const DETECT_AFTER: SimDuration = SimDuration::from_secs(5);
+/// Outage window the promoted standby pays to re-sync its view before
+/// serving.
+const RESYNC: SimDuration = SimDuration::from_secs(2);
+/// How often the standby's view is checkpointed from the replay log.
+const CHECKPOINT_INTERVAL: SimDuration = SimDuration::from_secs(1);
 
 /// A primary controller with one warm standby.
 pub struct ReplicatedController {
     active: Controller,
     standby: Option<Controller>,
-    cfg: FailoverConfig,
     /// Events and environment reports since the standby's last
     /// checkpoint (the replay log). Appended to only while a standby
     /// exists to replay them into; empty from the promotion on.
@@ -75,12 +59,10 @@ impl ReplicatedController {
         policy: FsmPolicy,
         config: ControllerConfig,
         gate_view: ViewHandle,
-        cfg: FailoverConfig,
     ) -> ReplicatedController {
         ReplicatedController {
             active: Controller::new(policy.clone(), config, gate_view.clone()),
             standby: Some(Controller::new(policy, config, gate_view)),
-            cfg,
             log: Vec::new(),
             env_log: Vec::new(),
             last_checkpoint: SimTime::ZERO,
@@ -153,7 +135,7 @@ impl ReplicatedController {
     pub fn step(&mut self, now: SimTime) -> Vec<Directive> {
         if !self.active.is_down(now) {
             self.down_since = None;
-            if now.duration_since(self.last_checkpoint) >= self.cfg.checkpoint_interval {
+            if now.duration_since(self.last_checkpoint) >= CHECKPOINT_INTERVAL {
                 self.checkpoint(now);
             }
             return self.active.step(now);
@@ -162,12 +144,12 @@ impl ReplicatedController {
         // The active replica is down. Wait out the detection threshold,
         // then promote the standby (if one remains).
         let since = *self.down_since.get_or_insert(now);
-        if now.duration_since(since) >= self.cfg.detect_after {
+        if now.duration_since(since) >= DETECT_AFTER {
             if let Some(mut sb) = self.standby.take() {
                 // Re-sync: replay the un-checkpointed log tail, then pay
                 // the resync window before the new primary serves.
                 Self::replay(&mut self.env_log, &mut self.log, &mut sb);
-                sb.inject_outage(now, self.cfg.resync);
+                sb.inject_outage(now, RESYNC);
                 self.retired_events += self.active.stats.events_processed;
                 self.active = sb;
                 self.down_since = None;
@@ -189,11 +171,6 @@ impl ReplicatedController {
         self.retired_events + self.active.stats.events_processed
     }
 
-    /// The currently active replica.
-    pub fn active(&self) -> &Controller {
-        &self.active
-    }
-
     /// Installed-posture fingerprint of the active replica (see
     /// [`Controller::installed_fingerprint`]). Right after a promotion
     /// this reflects the standby's empty installed vector; the
@@ -212,12 +189,16 @@ mod tests {
     use iotdev::vuln::Vulnerability;
     use iotpolicy::compile::PolicyCompiler;
 
-    fn replicated(cfg: FailoverConfig) -> ReplicatedController {
+    fn policy() -> FsmPolicy {
         let mut c = PolicyCompiler::new();
         c.device(DeviceId(0), DeviceClass::FireAlarm, &[Vulnerability::CloudBypassBackdoor]);
         c.device(DeviceId(1), DeviceClass::WindowActuator, &[]);
         c.protect_on_suspicion(DeviceId(0), DeviceId(1));
-        ReplicatedController::new(c.build(), ControllerConfig::default(), ViewHandle::new(), cfg)
+        c.build()
+    }
+
+    fn replicated() -> ReplicatedController {
+        ReplicatedController::new(policy(), ControllerConfig::default(), ViewHandle::new())
     }
 
     fn sig_match(at: SimTime) -> SecurityEvent {
@@ -226,7 +207,7 @@ mod tests {
 
     #[test]
     fn healthy_pair_behaves_like_a_flat_controller() {
-        let mut rc = replicated(FailoverConfig::default());
+        let mut rc = replicated();
         rc.reconcile(SimTime::ZERO);
         rc.ingest(sig_match(SimTime::from_millis(10)));
         let directives = rc.step(SimTime::from_secs(1));
@@ -237,12 +218,7 @@ mod tests {
 
     #[test]
     fn failover_promotes_standby_and_reemits_posture() {
-        let cfg = FailoverConfig {
-            detect_after: SimDuration::from_secs(2),
-            resync: SimDuration::from_secs(1),
-            checkpoint_interval: SimDuration::from_secs(1),
-        };
-        let mut rc = replicated(cfg);
+        let mut rc = replicated();
         rc.reconcile(SimTime::ZERO);
 
         // The primary dies at t=10s for a long time.
@@ -250,13 +226,16 @@ mod tests {
         // An attack event arrives during the outage.
         rc.ingest(sig_match(SimTime::from_secs(11)));
         assert!(rc.step(SimTime::from_secs(11)).is_empty());
-
-        // Detection threshold passes: the standby is promoted but pays
-        // its re-sync window first.
+        // Still inside the detection threshold: no promotion yet.
         assert!(rc.step(SimTime::from_secs(13)).is_empty());
+        assert_eq!(rc.failovers, 0);
+
+        // Detection threshold passes (11 s + 5 s): the standby is promoted
+        // but pays its re-sync window first.
+        assert!(rc.step(SimTime::from_secs(16)).is_empty());
         assert_eq!(rc.failovers, 1);
         assert!(rc.standby.is_none());
-        assert!(rc.is_down(SimTime::from_secs(13))); // re-syncing
+        assert!(rc.is_down(SimTime::from_secs(17))); // re-syncing until 18 s
 
         // After the re-sync the new primary serves the replayed event and
         // re-emits posture — including the standing mitigation its empty
@@ -270,12 +249,7 @@ mod tests {
 
     #[test]
     fn nothing_is_logged_once_the_standby_is_spent() {
-        let cfg = FailoverConfig {
-            detect_after: SimDuration::from_secs(2),
-            resync: SimDuration::from_secs(1),
-            checkpoint_interval: SimDuration::from_secs(1),
-        };
-        let mut rc = replicated(cfg);
+        let mut rc = replicated();
         rc.reconcile(SimTime::ZERO);
         let report = [(EnvVar::Occupancy, "present"), (EnvVar::Smoke, "no")];
 
@@ -290,20 +264,21 @@ mod tests {
         assert_eq!(standby.view.env_value(EnvVar::Occupancy), Some("present"));
         assert_eq!(standby.stats.max_queue, 1);
 
-        // Promote, then take the new (and last) active down as well: for
-        // the whole outage nobody could replay a log, so none is kept.
+        // Promote (down at 10 s, promoted at 15 s, re-synced at 17 s), then
+        // take the new (and last) active down as well: for the whole
+        // outage nobody could replay a log, so none is kept.
         rc.inject_outage(SimTime::from_secs(10), SimDuration::from_secs(120));
         rc.step(SimTime::from_secs(10));
-        rc.step(SimTime::from_secs(12));
+        rc.step(SimTime::from_secs(15));
         assert_eq!(rc.failovers, 1);
-        rc.inject_outage(SimTime::from_secs(13), SimDuration::from_secs(30));
+        rc.inject_outage(SimTime::from_secs(17), SimDuration::from_secs(30));
         for tick in 0..200u64 {
-            let now = SimTime::from_secs(13) + SimDuration::from_millis(100 * tick);
+            let now = SimTime::from_secs(17) + SimDuration::from_millis(100 * tick);
             rc.ingest_env(now, &report);
             rc.ingest(sig_match(now));
             assert!(rc.step(now).is_empty());
         }
-        assert!(rc.is_down(SimTime::from_secs(33)));
+        assert!(rc.is_down(SimTime::from_secs(37)));
         assert_eq!((rc.log.len(), rc.env_log.len()), (0, 0));
 
         // Recovery: the queued events are served, checkpoints keep
@@ -322,27 +297,21 @@ mod tests {
 
     #[test]
     fn recovery_is_much_faster_than_riding_out_the_outage() {
-        // With failover the pair is back in ~detect+resync; without it,
-        // the outage runs its full course.
-        let cfg = FailoverConfig {
-            detect_after: SimDuration::from_secs(2),
-            resync: SimDuration::from_secs(1),
-            checkpoint_interval: SimDuration::from_secs(1),
-        };
-        let mut rc = replicated(cfg);
+        // With failover the pair is back after detect + resync (5 s + 2 s);
+        // a flat controller without a standby rides out the whole outage.
+        let mut rc = replicated();
         rc.reconcile(SimTime::ZERO);
         rc.inject_outage(SimTime::from_secs(10), SimDuration::from_secs(120));
         rc.step(SimTime::from_secs(10)); // failure first observed
-        rc.step(SimTime::from_secs(12)); // promotion
-                                         // Back at 13s — two minutes before the injected outage would end.
-        assert!(!rc.is_down(SimTime::from_secs(13)));
+        rc.step(SimTime::from_secs(15)); // promotion
+                                         // Back at 17s — nearly two minutes before the injected outage ends.
+        assert!(!rc.is_down(SimTime::from_secs(17)));
 
-        let mut single =
-            replicated(FailoverConfig { detect_after: SimDuration::from_secs(1_000_000), ..cfg });
+        let mut single = Controller::new(policy(), ControllerConfig::default(), ViewHandle::new());
         single.reconcile(SimTime::ZERO);
         single.inject_outage(SimTime::from_secs(10), SimDuration::from_secs(120));
-        single.step(SimTime::from_secs(12));
-        assert!(single.is_down(SimTime::from_secs(13)));
+        single.step(SimTime::from_secs(15));
+        assert!(single.is_down(SimTime::from_secs(17)));
         assert!(single.is_down(SimTime::from_secs(129)));
     }
 }

@@ -46,12 +46,3 @@ pub mod failover;
 pub mod hier;
 pub mod safety;
 pub mod view;
-
-pub use aggregate::{Directory, InstallLedger, NeighborhoodBuffer, RegionIntel};
-pub use controller::{Controller, ControllerConfig, ControllerStats};
-pub use delivery::{DeliveryChannel, DeliveryConfig, DeliveryStats};
-pub use directive::{Criticality, Directive};
-pub use failover::{FailoverConfig, ReplicatedController};
-pub use hier::{HierarchicalController, Partitioning};
-pub use safety::{DeviceFacts, SafetyConfig, SafetyMonitor, SafetyStats};
-pub use view::GlobalView;

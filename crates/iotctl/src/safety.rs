@@ -37,33 +37,34 @@ use crate::directive::Criticality;
 use iotdev::device::{DeviceClass, DeviceId};
 use iotnet::time::{SimDuration, SimTime};
 use iotpolicy::posture::PostureVector;
-use serde::Serialize;
 use std::collections::{BTreeMap, BTreeSet};
 use trace::event::TraceEvent;
 use trace::tracer::Tracer;
 use umbox::breaker::BreakerConfig;
 
+/// Tighter staleness budget for actuating classes (locks, plugs, ovens,
+/// traffic lights...): a stale gate can do physical harm.
+const ACTUATOR_STALENESS_BUDGET: SimDuration = SimDuration::from_secs(5);
+/// How long after a failover the installed-posture fingerprint may
+/// remain empty before the monitor calls it a silent FSM reset.
+const CONTINUITY_WINDOW: SimDuration = SimDuration::from_secs(10);
+/// Violations a device may accrue before escalation to quarantine.
+const QUARANTINE_AFTER: u32 = 3;
+
 /// Safety-monitor tuning. `None` in the deployment means the whole
 /// subsystem is inert (no monitor, no breakers, no admission control).
-#[derive(Debug, Clone, Copy, Serialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct SafetyConfig {
     /// Staleness budget for non-actuating device classes.
     pub staleness_budget: SimDuration,
-    /// Tighter staleness budget for actuating classes (locks, plugs,
-    /// ovens, traffic lights...): a stale gate can do physical harm.
-    pub actuator_staleness_budget: SimDuration,
-    /// How long after a failover the installed-posture fingerprint may
-    /// remain empty before the monitor calls it a silent FSM reset.
-    pub continuity_window: SimDuration,
-    /// Violations a device may accrue before escalation to quarantine.
-    pub quarantine_after: u32,
     /// Whether the monitor escalates at all. `false` = detect-only
     /// (used as the measurement baseline in experiment E18).
     pub escalate: bool,
     /// Directive backlog above which the admission controller sheds
     /// whole-class recomputes below [`Criticality::Revoke`].
     pub admission_backlog: usize,
-    /// Per-µmbox circuit-breaker tuning (see `umbox::breaker`).
+    /// Whether per-µmbox circuit breakers run (their timings are
+    /// constants in `umbox::breaker`).
     pub breaker: BreakerConfig,
 }
 
@@ -71,9 +72,6 @@ impl Default for SafetyConfig {
     fn default() -> Self {
         SafetyConfig {
             staleness_budget: SimDuration::from_secs(10),
-            actuator_staleness_budget: SimDuration::from_secs(5),
-            continuity_window: SimDuration::from_secs(10),
-            quarantine_after: 3,
             escalate: true,
             admission_backlog: 32,
             breaker: BreakerConfig::default(),
@@ -89,7 +87,7 @@ impl SafetyConfig {
     pub fn detect_only() -> Self {
         SafetyConfig {
             escalate: false,
-            breaker: BreakerConfig { enabled: false, ..BreakerConfig::default() },
+            breaker: BreakerConfig { enabled: false },
             ..SafetyConfig::default()
         }
     }
@@ -97,7 +95,7 @@ impl SafetyConfig {
     /// The staleness budget for a device class.
     pub(crate) fn staleness_budget_for(&self, class: DeviceClass) -> SimDuration {
         if is_actuator(class) {
-            self.actuator_staleness_budget
+            ACTUATOR_STALENESS_BUDGET
         } else {
             self.staleness_budget
         }
@@ -129,7 +127,7 @@ pub fn admit(cfg: &SafetyConfig, backlog: usize, criticality: Criticality) -> bo
 }
 
 /// Counters the monitor accumulates; exported with the run metrics.
-#[derive(Debug, Clone, Default, Serialize)]
+#[derive(Debug, Clone, Default)]
 pub struct SafetyStats {
     /// Total invariant violations recorded.
     pub violations: u64,
@@ -254,11 +252,6 @@ impl SafetyMonitor {
         &self.stats
     }
 
-    /// Devices currently quarantined, in id order.
-    pub fn quarantined(&self) -> impl Iterator<Item = DeviceId> + '_ {
-        self.quarantined.iter().copied()
-    }
-
     fn record(&mut self, now: SimTime, device: DeviceId, invariant: &'static str) {
         self.stats.violations += 1;
         match invariant {
@@ -304,7 +297,7 @@ impl SafetyMonitor {
             match event {
                 TraceEvent::Failover { .. } => {
                     let pre = self.healthy_fingerprint.unwrap_or(self.empty_fingerprint);
-                    self.expected_recovery = Some((pre, now + self.cfg.continuity_window));
+                    self.expected_recovery = Some((pre, now + CONTINUITY_WINDOW));
                 }
                 TraceEvent::BreakerTrip { device } => tripped.push(DeviceId(device)),
                 _ => {}
@@ -388,7 +381,7 @@ impl SafetyMonitor {
         }
 
         // 5. Escalation: breaker trips quarantine immediately; repeat
-        //    offenders quarantine after `quarantine_after` violations.
+        //    offenders quarantine after `QUARANTINE_AFTER` violations.
         let mut newly = Vec::new();
         if self.cfg.escalate {
             for device in tripped {
@@ -398,7 +391,7 @@ impl SafetyMonitor {
             }
             for f in facts {
                 let count = self.violation_count.get(&f.device).copied().unwrap_or(0);
-                if count >= self.cfg.quarantine_after && self.quarantined.insert(f.device) {
+                if count >= QUARANTINE_AFTER && self.quarantined.insert(f.device) {
                     newly.push(f.device);
                 }
             }
@@ -673,17 +666,18 @@ mod tests {
 
     #[test]
     fn repeat_offenders_escalate_to_quarantine_and_stay_there() {
-        let cfg = SafetyConfig { quarantine_after: 2, ..SafetyConfig::default() };
-        let (mut m, _t) = monitor(cfg);
+        let (mut m, _t) = monitor(SafetyConfig::default());
         m.tick(SimTime::ZERO, false, 1, &[facts(1, true, false, 0)]);
+        // Two leaking ticks: two violations, still below the threshold.
         m.tick(SimTime::from_secs(1), false, 1, &[facts(1, true, true, 2)]);
-        assert!(m.quarantined().next().is_none());
-        let newly = m.tick(SimTime::from_secs(2), false, 1, &[facts(1, true, true, 4)]);
+        m.tick(SimTime::from_secs(2), false, 1, &[facts(1, true, true, 4)]);
+        assert!(m.quarantined.is_empty());
+        let newly = m.tick(SimTime::from_secs(3), false, 1, &[facts(1, true, true, 6)]);
         assert_eq!(newly, vec![DeviceId(1)]);
-        assert!(m.quarantined().eq([DeviceId(1)]));
+        assert!(m.quarantined.iter().eq([&DeviceId(1)]));
         assert_eq!(m.stats().quarantines, 1);
         // Sticky: no re-quarantine, but time accrues.
-        let again = m.tick(SimTime::from_secs(3), false, 1, &[facts(1, true, true, 6)]);
+        let again = m.tick(SimTime::from_secs(4), false, 1, &[facts(1, true, true, 8)]);
         assert!(again.is_empty());
         assert_eq!(m.stats().quarantine_time_ns, SimDuration::from_secs(1).as_nanos());
     }

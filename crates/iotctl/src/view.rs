@@ -11,11 +11,10 @@ use iotdev::events::{SecurityEvent, SecurityEventKind};
 use iotnet::time::SimTime;
 use iotpolicy::context::SecurityContext;
 use iotpolicy::state_space::{StateSchema, SystemState};
-use serde::Serialize;
 use std::collections::BTreeMap;
 
 /// The controller's view of the world.
-#[derive(Debug, Clone, Default, Serialize)]
+#[derive(Debug, Clone, Default)]
 pub struct GlobalView {
     /// Device security contexts (devices default to `Normal`).
     pub contexts: BTreeMap<DeviceId, SecurityContext>,
@@ -29,12 +28,12 @@ pub struct GlobalView {
 
 impl GlobalView {
     /// A fresh, empty view.
-    pub fn new() -> GlobalView {
+    pub(crate) fn new() -> GlobalView {
         GlobalView::default()
     }
 
     /// The context of a device (defaults to `Normal`).
-    pub fn context(&self, id: DeviceId) -> SecurityContext {
+    pub(crate) fn context(&self, id: DeviceId) -> SecurityContext {
         self.contexts.get(&id).copied().unwrap_or(SecurityContext::Normal)
     }
 

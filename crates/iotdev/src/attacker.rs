@@ -11,13 +11,12 @@ use crate::device::OutMessage;
 use crate::proto::{ports, AppMessage, ControlAction, ControlAuth, MgmtCommand};
 use iotnet::addr::Ipv4Addr;
 use iotnet::time::{SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
 use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::Arc;
 
 /// How a control-plane step authenticates.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum AttackAuth {
     /// No credentials (works only against `no-auth-control` devices).
     None,
@@ -37,7 +36,7 @@ pub enum AttackAuth {
 }
 
 /// One step of an attack plan.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum AttackStep {
     /// Probe a management interface (any answer counts as "present").
     Probe {
@@ -102,7 +101,7 @@ pub enum AttackStep {
 
 impl AttackStep {
     /// Short label for reports.
-    pub fn label(&self) -> String {
+    pub(crate) fn label(&self) -> String {
         match self {
             AttackStep::Probe { target } => format!("probe {target}"),
             AttackStep::Login { target, user, .. } => format!("login {user}@{target}"),
@@ -119,7 +118,7 @@ impl AttackStep {
 }
 
 /// An ordered campaign.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AttackPlan {
     /// Campaign name (for reports).
     pub name: String,
@@ -135,7 +134,7 @@ impl AttackPlan {
 }
 
 /// The recorded result of one step.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AttackOutcome {
     /// Step index in the plan.
     pub step: usize,
@@ -255,13 +254,6 @@ impl Attacker {
     /// Per-step outcomes so far.
     pub fn outcomes(&self) -> &[AttackOutcome] {
         &self.outcomes
-    }
-
-    /// Whether every step succeeded (and the plan completed).
-    pub fn campaign_succeeded(&self) -> bool {
-        self.done()
-            && self.outcomes.len() == self.plan.steps.len()
-            && self.outcomes.iter().all(|o| o.success)
     }
 
     /// A key stolen during the campaign, if any.
@@ -473,6 +465,13 @@ mod tests {
     use crate::registry::Sku;
     use crate::vuln::Vulnerability;
 
+    /// Whether every step succeeded (and the plan completed).
+    fn campaign_succeeded(atk: &Attacker) -> bool {
+        atk.done()
+            && atk.outcomes.len() == atk.plan.steps.len()
+            && atk.outcomes.iter().all(|o| o.success)
+    }
+
     /// One poll into a fresh buffer.
     fn poll(attacker: &mut Attacker, now: SimTime) -> Vec<AttackerEmit> {
         let mut out = Vec::new();
@@ -557,7 +556,7 @@ mod tests {
             ),
         );
         drive(&mut atk, &mut cam, 100);
-        assert!(atk.campaign_succeeded(), "{:?}", atk.outcomes());
+        assert!(campaign_succeeded(&atk), "{:?}", atk.outcomes());
         assert!(cam.privacy_leaked);
         assert!(atk.token_for(target).is_some());
     }
@@ -578,7 +577,7 @@ mod tests {
         );
         drive(&mut atk, &mut cam, 100);
         assert!(atk.done());
-        assert!(!atk.campaign_succeeded());
+        assert!(!campaign_succeeded(&atk));
         assert!(!cam.privacy_leaked);
     }
 
@@ -608,7 +607,7 @@ mod tests {
             ),
         );
         drive(&mut atk, &mut cam, 100);
-        assert!(atk.campaign_succeeded(), "{:?}", atk.outcomes());
+        assert!(campaign_succeeded(&atk), "{:?}", atk.outcomes());
         assert_eq!(atk.stolen_key(), Some(key));
         assert!(cam.compromised);
     }
@@ -631,7 +630,7 @@ mod tests {
             ),
         );
         drive(&mut atk, &mut plug, 100);
-        assert!(atk.campaign_succeeded());
+        assert!(campaign_succeeded(&atk));
         assert!(plug.compromised);
     }
 
@@ -651,7 +650,7 @@ mod tests {
         assert!(emits.iter().all(|e| e.spoof_src == Some(victim)));
         assert!(emits.iter().all(|e| e.out.dst == reflector));
         assert!(atk.done());
-        assert!(atk.campaign_succeeded());
+        assert!(campaign_succeeded(&atk));
         assert_eq!(atk.dns_queries_sent, 25);
     }
 
@@ -670,7 +669,7 @@ mod tests {
         assert!(!atk.done());
         poll(&mut atk, SimTime::from_secs(10));
         assert!(atk.done());
-        assert!(atk.campaign_succeeded());
+        assert!(campaign_succeeded(&atk));
     }
 
     #[test]
@@ -685,7 +684,7 @@ mod tests {
         poll(&mut atk, SimTime::ZERO);
         poll(&mut atk, SimTime::from_secs(5)); // past the timeout
         assert!(atk.done());
-        assert!(!atk.campaign_succeeded());
+        assert!(!campaign_succeeded(&atk));
         assert!(!atk.outcomes()[0].success);
     }
 }

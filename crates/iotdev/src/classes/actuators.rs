@@ -8,11 +8,10 @@
 use super::{TickOutput, TickOutputs};
 use crate::env::Environment;
 use crate::proto::{ControlAction, EventKind, TelemetryKind};
-use serde::{Deserialize, Serialize};
 
 /// What a smart plug powers — the implicit cross-device coupling of the
 /// paper's motivating scenarios.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PlugLoad {
     /// The air-conditioner (the break-in chain: plug off → temp rises →
     /// windows open).

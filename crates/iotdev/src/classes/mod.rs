@@ -5,13 +5,13 @@
 //! * **actuation** — [`DeviceLogic::apply_action`] applies a validated
 //!   control action and updates both internal state and the shared
 //!   [`Environment`];
-//! * **sensing** — [`DeviceLogic::tick`] reads the environment and emits
+//! * **sensing** — `DeviceLogic::tick` reads the environment and emits
 //!   telemetry and edge-triggered events (one stated exception: an
 //!   unlocked [`SmartLock`] reports `DoorOpened` as a *level*, on every
 //!   tick it stays unlocked);
 //! * **introspection** — class-specific data such as the camera image.
 //!
-//! Most ticks of most devices change nothing: [`DeviceLogic::steady`]
+//! Most ticks of most devices change nothing: `DeviceLogic::steady`
 //! says when, and the world's run loop does not execute those ticks
 //! (DESIGN.md §6).
 //!
@@ -23,9 +23,8 @@ mod actuators;
 mod appliances;
 mod sensors;
 
-pub use actuators::{
-    LightBulb, Oven, PlugLoad, SmartLock, SmartPlug, TrafficLight, WindowActuator,
-};
+pub(crate) use actuators::{LightBulb, Oven};
+pub use actuators::{PlugLoad, SmartLock, SmartPlug, TrafficLight, WindowActuator};
 pub use appliances::{Refrigerator, SetTopBox, Thermostat};
 pub use sensors::{Camera, FireAlarm, LightSensor, MotionSensor};
 
@@ -36,7 +35,7 @@ use bytes::Bytes;
 
 /// What a class FSM produces on a tick.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub enum TickOutput {
+pub(crate) enum TickOutput {
     /// A periodic telemetry sample.
     Telemetry(TelemetryKind, f64),
     /// An edge-triggered event.
@@ -52,7 +51,7 @@ pub enum TickOutput {
 /// never silently dropped. Reads (and comparisons) go through the slice
 /// it derefs to.
 #[derive(Debug, Clone, Copy)]
-pub struct TickOutputs {
+pub(crate) struct TickOutputs {
     items: [TickOutput; TickOutputs::CAPACITY],
     len: u8,
 }
@@ -62,7 +61,7 @@ impl TickOutputs {
     pub(crate) const CAPACITY: usize = 2;
 
     /// No output (a powered-down sensor).
-    pub fn new() -> TickOutputs {
+    pub(crate) fn new() -> TickOutputs {
         // Slots at or past `len` are never read; any value fills them.
         TickOutputs {
             items: [TickOutput::Telemetry(TelemetryKind::Status, 0.0); Self::CAPACITY],
@@ -71,14 +70,14 @@ impl TickOutputs {
     }
 
     /// A single output (the telemetry-only common case).
-    pub fn of(output: TickOutput) -> TickOutputs {
+    pub(crate) fn of(output: TickOutput) -> TickOutputs {
         let mut out = TickOutputs::new();
         out.push(output);
         out
     }
 
     /// Append an output; panics past `TickOutputs::CAPACITY`.
-    pub fn push(&mut self, output: TickOutput) {
+    pub(crate) fn push(&mut self, output: TickOutput) {
         let len = usize::from(self.len);
         assert!(
             len < Self::CAPACITY,
@@ -105,8 +104,8 @@ impl std::ops::Deref for TickOutputs {
 }
 
 /// The per-class state machine, dispatched by enum (devices are created
-/// in bulk by the workload generators; static dispatch keeps them cheap
-/// and serde-friendly).
+/// in bulk by the workload generators; static dispatch keeps them
+/// cheap).
 #[derive(Debug, Clone, PartialEq)]
 pub enum DeviceLogic {
     /// Surveillance camera.
@@ -139,7 +138,7 @@ pub enum DeviceLogic {
 
 impl DeviceLogic {
     /// Fresh state for a class.
-    pub fn new(class: DeviceClass) -> DeviceLogic {
+    pub(crate) fn new(class: DeviceClass) -> DeviceLogic {
         match class {
             DeviceClass::Camera => DeviceLogic::Camera(Camera::default()),
             DeviceClass::SmartPlug => DeviceLogic::SmartPlug(SmartPlug::default()),
@@ -178,7 +177,7 @@ impl DeviceLogic {
     }
 
     /// Sense and actuate the environment for one tick.
-    pub fn tick(&mut self, env: &mut Environment) -> TickOutputs {
+    pub(crate) fn tick(&mut self, env: &mut Environment) -> TickOutputs {
         match self {
             DeviceLogic::Camera(s) => s.tick(env),
             DeviceLogic::SmartPlug(s) => s.tick(env),
@@ -204,7 +203,7 @@ impl DeviceLogic {
     /// what they sense, actuators while the field they assert already
     /// holds their position; the telemetry sample a steady tick still
     /// returns is the device wrapper's to schedule.
-    pub fn steady(&self, env: &Environment) -> bool {
+    pub(crate) fn steady(&self, env: &Environment) -> bool {
         match self {
             DeviceLogic::Camera(s) => s.steady(env),
             DeviceLogic::SmartPlug(s) => s.steady(env),
@@ -224,7 +223,7 @@ impl DeviceLogic {
     }
 
     /// Account for `ticks` consecutive steady ticks without running them.
-    pub fn coast(&mut self, ticks: u64) {
+    pub(crate) fn coast(&mut self, ticks: u64) {
         if let DeviceLogic::Camera(s) = self {
             s.coast(ticks);
         }

@@ -75,7 +75,7 @@ impl Camera {
     }
 
     /// The current frame, as bytes an attacker would exfiltrate.
-    pub fn image(&self) -> Bytes {
+    pub(crate) fn image(&self) -> Bytes {
         Bytes::from(format!("JPEG:frame{}:motion{}", self.frames, self.motion))
     }
 }

@@ -17,11 +17,10 @@ use bytes::Bytes;
 use core::fmt;
 use iotnet::addr::Ipv4Addr;
 use iotnet::time::{SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// Identifier of a device within a deployment.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct DeviceId(pub u32);
 
 impl fmt::Display for DeviceId {
@@ -31,7 +30,7 @@ impl fmt::Display for DeviceId {
 }
 
 /// The classes of IoT device the substrate models.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum DeviceClass {
     /// IP surveillance camera (Table 1 rows 1 and 4; Figures 4–5).
     Camera,
@@ -108,7 +107,7 @@ impl DeviceClass {
 }
 
 /// Owner-configured administrator credentials.
-#[derive(Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, PartialEq, Eq)]
 pub struct AdminCreds {
     /// Username.
     pub user: String,
@@ -566,7 +565,7 @@ impl IoTDevice {
     }
 
     /// Whether a tick before [`IoTDevice::next_due`] would do nothing:
-    /// the device is dead, or its class FSM is [`DeviceLogic::steady`].
+    /// the device is dead, or its class FSM is `DeviceLogic::steady`.
     pub fn steady(&self, env: &Environment) -> bool {
         !self.alive || self.logic.steady(env)
     }

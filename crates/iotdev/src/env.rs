@@ -10,10 +10,8 @@
 //! with simple first-order dynamics, plus a **discretization** into the
 //! `EnvVar = value` form the policy layer (§3.2 of the paper) operates on.
 
-use serde::{Deserialize, Serialize};
-
 /// Discrete environmental variables, as seen by the policy layer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum EnvVar {
     /// Room temperature, discretized Low / Normal / High.
     Temperature,
@@ -61,7 +59,7 @@ impl EnvVar {
 ///
 /// Devices write through typed setters (the actuation surface); dynamics
 /// advance on [`Environment::step`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Environment {
     /// Room temperature in °C.
     pub temperature_c: f64,
@@ -280,7 +278,7 @@ impl Environment {
 }
 
 /// The discretized environment: one value per [`EnvVar`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct DiscreteEnv {
     /// Temperature band.
     pub temperature: &'static str,
@@ -321,7 +319,7 @@ impl DiscreteEnv {
 /// may name any subset of the variables. A fixed array indexed by the
 /// variable, so a lookup is an index and comparing a whole report against
 /// the stored values touches no allocator and no tree.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EnvValues([Option<&'static str>; EnvVar::ALL.len()]);
 
 impl EnvValues {

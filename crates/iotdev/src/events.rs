@@ -8,10 +8,9 @@
 use crate::device::DeviceId;
 use iotnet::addr::Ipv4Addr;
 use iotnet::time::SimTime;
-use serde::{Deserialize, Serialize};
 
 /// What happened.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SecurityEventKind {
     /// Repeated failed management logins from one source (brute-force).
     AuthFailureBurst,
@@ -62,7 +61,7 @@ impl SecurityEventKind {
 }
 
 /// A timestamped, attributed security event.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SecurityEvent {
     /// When it happened.
     pub at: SimTime,

@@ -37,12 +37,3 @@ pub mod model;
 pub mod proto;
 pub mod registry;
 pub mod vuln;
-
-pub use attacker::{AttackOutcome, AttackPlan, AttackStep, Attacker};
-pub use device::{AdminCreds, DeviceClass, DeviceId, DeviceOutput, IoTDevice, OutMessage};
-pub use env::{DiscreteEnv, EnvValues, EnvVar, Environment};
-pub use events::{SecurityEvent, SecurityEventKind};
-pub use model::AbstractModel;
-pub use proto::{AppMessage, ControlAction, MgmtCommand};
-pub use registry::{Sku, SkuRegistry};
-pub use vuln::Vulnerability;

@@ -18,10 +18,9 @@ use crate::classes::PlugLoad;
 use crate::device::DeviceClass;
 use crate::env::EnvVar;
 use crate::proto::ControlAction;
-use serde::Serialize;
 
 /// An input that can drive a model transition.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum AbstractInput {
     /// A network control action.
     Action(ControlAction),
@@ -30,7 +29,7 @@ pub enum AbstractInput {
 }
 
 /// One transition of an abstract model.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Transition {
     /// Source state index.
     pub from: usize,
@@ -44,7 +43,7 @@ pub struct Transition {
 
 /// An abstract model of a device class (optionally specialized by the
 /// plug's load, which determines its physical coupling).
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AbstractModel {
     /// The modelled class.
     pub class: DeviceClass,
@@ -285,19 +284,6 @@ impl AbstractModel {
     pub fn step(&self, state: usize, input: AbstractInput) -> Option<&Transition> {
         self.transitions.iter().find(|t| t.from == state && t.input == input)
     }
-
-    /// All distinct inputs this model reacts to.
-    pub fn inputs(&self) -> Vec<AbstractInput> {
-        let mut inputs: Vec<AbstractInput> = self.transitions.iter().map(|t| t.input).collect();
-        inputs.dedup_by(|a, b| a == b);
-        let mut uniq = Vec::new();
-        for i in inputs {
-            if !uniq.contains(&i) {
-                uniq.push(i);
-            }
-        }
-        uniq
-    }
 }
 
 #[cfg(test)]
@@ -346,14 +332,5 @@ mod tests {
         let t = m.step(0, AbstractInput::Action(ControlAction::Open)).unwrap();
         assert_eq!(m.states[t.to], "open");
         assert!(m.step(0, AbstractInput::Action(ControlAction::Close)).is_none());
-    }
-
-    #[test]
-    fn inputs_are_deduplicated() {
-        let m = AbstractModel::for_device(DeviceClass::TrafficLight, None);
-        // Four transitions but only three distinct inputs (SetPhase(0)
-        // appears twice).
-        assert_eq!(m.transitions.len(), 4);
-        assert_eq!(m.inputs().len(), 3);
     }
 }

@@ -9,14 +9,13 @@
 //! device to do.*
 //!
 //! Messages are length-delimited binary (tag byte + fields) carried in the
-//! UDP/TCP payload of an [`iotnet::Packet`]. The codec is total in both
+//! UDP/TCP payload of an [`iotnet::packet::Packet`]. The codec is total in both
 //! directions and property-tested for round-trip fidelity, since signature
 //! µmboxes match on these wire bytes.
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use core::fmt;
 use iotnet::addr::Ipv4Addr;
-use serde::{Deserialize, Serialize};
 use std::borrow::Cow;
 
 /// Well-known ports of the substrate protocol.
@@ -57,7 +56,7 @@ impl fmt::Display for CodecError {
 impl std::error::Error for CodecError {}
 
 /// Management-plane commands.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum MgmtCommand {
     /// Read the device configuration (leaks Wi-Fi creds on real devices).
     GetConfig,
@@ -77,7 +76,7 @@ pub enum MgmtCommand {
 }
 
 /// Control-plane actions (actuation).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ControlAction {
     /// Power on (plug, oven, bulb).
     TurnOn,
@@ -100,7 +99,7 @@ pub enum ControlAction {
 }
 
 /// Authentication attached to a control request.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum ControlAuth {
     /// No credentials.
     None,
@@ -118,7 +117,7 @@ pub enum ControlAuth {
 }
 
 /// Telemetry report kinds.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum TelemetryKind {
     /// Temperature in °C.
     Temperature,
@@ -135,7 +134,7 @@ pub enum TelemetryKind {
 }
 
 /// Asynchronous device events (pushed to subscribers / the hub).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum EventKind {
     /// Smoke alarm raised.
     SmokeAlarm,
@@ -152,7 +151,7 @@ pub enum EventKind {
 }
 
 /// One application-layer message.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum AppMessage {
     /// Login to the management console. The strings are `'static` where
     /// the sender spells them from a constant (the attacker's dictionary,
@@ -375,7 +374,7 @@ pub mod tag {
     /// `AppMessage::ControlAck`.
     pub(crate) const CONTROL_ACK: u8 = 7;
     /// `AppMessage::Telemetry`.
-    pub const TELEMETRY: u8 = 8;
+    pub(crate) const TELEMETRY: u8 = 8;
     /// `AppMessage::Event`.
     pub(crate) const EVENT: u8 = 9;
     /// `AppMessage::DnsQuery`.

@@ -3,17 +3,15 @@
 //! The paper's Table 1 lists seven reported vulnerability populations.
 //! This registry reproduces each row as a concrete SKU (vendor / model /
 //! firmware) with its device class, vulnerability classes and deployed
-//! population, and can spawn device instances for the experiments.
+//! population.
 
-use crate::device::{DeviceClass, DeviceId, IoTDevice};
+use crate::device::DeviceClass;
 use crate::vuln::Vulnerability;
 use core::fmt;
-use iotnet::addr::Ipv4Addr;
-use serde::{Deserialize, Serialize};
 
 /// A stock-keeping unit: the paper's point is that learning must work at
 /// SKU granularity ("Google Nest version XYZ"), not class granularity.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Sku {
     /// Vendor name.
     pub vendor: String,
@@ -37,7 +35,7 @@ impl fmt::Display for Sku {
 }
 
 /// One registry entry: a SKU with its class, flaws and field population.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SkuEntry {
     /// The SKU.
     pub sku: Sku,
@@ -61,7 +59,7 @@ pub struct SkuRegistry {
 
 impl SkuRegistry {
     /// An empty registry.
-    pub fn new() -> SkuRegistry {
+    pub(crate) fn new() -> SkuRegistry {
         SkuRegistry::default()
     }
 
@@ -128,13 +126,8 @@ impl SkuRegistry {
     }
 
     /// Add an entry.
-    pub fn add(&mut self, entry: SkuEntry) {
+    pub(crate) fn add(&mut self, entry: SkuEntry) {
         self.entries.push(entry);
-    }
-
-    /// All entries.
-    pub fn entries(&self) -> &[SkuEntry] {
-        &self.entries
     }
 
     /// The entry reproducing a given Table 1 row.
@@ -147,12 +140,6 @@ impl SkuRegistry {
     pub fn total_population(&self) -> u64 {
         self.entries.iter().map(|e| e.population).sum()
     }
-
-    /// Spawn a device instance of the entry at `idx`.
-    pub fn spawn(&self, idx: usize, id: DeviceId, ip: Ipv4Addr) -> IoTDevice {
-        let e = &self.entries[idx];
-        IoTDevice::new(id, e.sku.clone(), e.class, ip, e.vulns.clone())
-    }
 }
 
 #[cfg(test)]
@@ -162,7 +149,7 @@ mod tests {
     #[test]
     fn table1_has_seven_rows() {
         let r = SkuRegistry::table1();
-        assert_eq!(r.entries().len(), 7);
+        assert_eq!(r.entries.len(), 7);
         for row in 1..=7 {
             assert!(r.by_row(row).is_some(), "row {row} missing");
         }
@@ -180,17 +167,6 @@ mod tests {
         assert_eq!(r.by_row(6).unwrap().population, 500_000);
         assert_eq!(r.by_row(7).unwrap().population, 500_000);
         assert!(r.total_population() > 1_200_000);
-    }
-
-    #[test]
-    fn spawned_devices_carry_row_vulns() {
-        let r = SkuRegistry::table1();
-        let d = r.spawn(0, DeviceId(0), Ipv4Addr::new(10, 0, 0, 5));
-        assert_eq!(d.class, DeviceClass::Camera);
-        assert!(d.has_vuln("default-credentials"));
-        let d = r.spawn(4, DeviceId(1), Ipv4Addr::new(10, 0, 0, 6));
-        assert_eq!(d.class, DeviceClass::TrafficLight);
-        assert!(d.has_vuln("no-auth-control"));
     }
 
     #[test]

@@ -7,10 +7,8 @@
 //! offers no way to remove them. Only the network (the `umbox` layer) can
 //! mitigate.
 
-use serde::{Deserialize, Serialize};
-
 /// A vulnerability class attached to a device instance.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum Vulnerability {
     /// Table 1 rows 1–3: a hardcoded default account the user cannot
     /// change (`admin`/`admin` on Avtech cameras; the device's

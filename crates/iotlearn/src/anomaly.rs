@@ -15,11 +15,10 @@
 
 use iotdev::device::DeviceId;
 use iotnet::addr::Ipv4Addr;
-use serde::Serialize;
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Protocol planes profiled separately.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Plane {
     /// Management.
     Mgmt,
@@ -34,9 +33,9 @@ pub enum Plane {
 }
 
 /// The context key profiles can be conditioned on.
-pub type Context = &'static str;
+pub(crate) type Context = &'static str;
 
-#[derive(Debug, Clone, Default, Serialize)]
+#[derive(Debug, Clone, Default)]
 struct PlaneStats {
     windows: u64,
     sum: f64,
@@ -69,7 +68,7 @@ impl PlaneStats {
 }
 
 /// One learned profile (per device, or per device+context).
-#[derive(Debug, Clone, Default, Serialize)]
+#[derive(Debug, Clone, Default)]
 pub(crate) struct Profile {
     rates: BTreeMap<Plane, PlaneStats>,
     peers: BTreeSet<Ipv4Addr>,
@@ -94,7 +93,7 @@ impl Window {
 }
 
 /// The verdict for one scored window.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AnomalyVerdict {
     /// Anomaly score (0 = nominal; ≥ 1 crosses the alert threshold).
     pub score: f64,
@@ -104,23 +103,24 @@ pub struct AnomalyVerdict {
     pub reasons: Vec<String>,
 }
 
+/// Standard deviations of rate deviation tolerated.
+const K_SIGMA: f64 = 3.0;
+/// Extra absolute slack on rates (IoT telemetry is bursty at small
+/// counts).
+const RATE_SLACK: f64 = 2.0;
+/// Score at or above which a window is flagged.
+const THRESHOLD: f64 = 1.0;
+
 /// Detector configuration.
-#[derive(Debug, Clone, Copy, Serialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct AnomalyConfig {
-    /// Standard deviations of rate deviation tolerated.
-    pub k_sigma: f64,
-    /// Extra absolute slack on rates (IoT telemetry is bursty at small
-    /// counts).
-    pub rate_slack: f64,
     /// Whether profiles are conditioned on context (E12's knob).
     pub context_conditioned: bool,
-    /// Score at or above which a window is flagged.
-    pub threshold: f64,
 }
 
 impl Default for AnomalyConfig {
     fn default() -> Self {
-        AnomalyConfig { k_sigma: 3.0, rate_slack: 2.0, context_conditioned: true, threshold: 1.0 }
+        AnomalyConfig { context_conditioned: true }
     }
 }
 
@@ -179,7 +179,7 @@ impl AnomalyDetector {
         };
         for (plane, stats) in &profile.rates {
             let count = window.counts.get(plane).copied().unwrap_or(0.0);
-            let band = self.config.k_sigma * stats.std() + self.config.rate_slack;
+            let band = K_SIGMA * stats.std() + RATE_SLACK;
             let dev = (count - stats.mean()).abs();
             if dev > band {
                 let s = dev / band.max(1e-9);
@@ -196,7 +196,7 @@ impl AnomalyDetector {
             score = score.max(1.5);
             reasons.push(format!("{} never-seen peer(s), e.g. {}", new_peers.len(), new_peers[0]));
         }
-        AnomalyVerdict { score, flagged: score >= self.config.threshold, reasons }
+        AnomalyVerdict { score, flagged: score >= THRESHOLD, reasons }
     }
 }
 
@@ -281,10 +281,7 @@ mod tests {
 
     #[test]
     fn unconditioned_detector_misses_context_anomaly() {
-        let mut d = AnomalyDetector::new(AnomalyConfig {
-            context_conditioned: false,
-            ..AnomalyConfig::default()
-        });
+        let mut d = AnomalyDetector::new(AnomalyConfig { context_conditioned: false });
         for _ in 0..50 {
             d.train(DeviceId(0), "present", &typical_window(10.0));
             d.train(DeviceId(0), "absent", &typical_window(0.0));

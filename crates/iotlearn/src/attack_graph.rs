@@ -24,11 +24,10 @@ use iotdev::device::{DeviceClass, DeviceId};
 use iotdev::env::EnvVar;
 use iotdev::model::{AbstractInput, AbstractModel};
 use iotpolicy::recipe::{Recipe, Trigger};
-use serde::Serialize;
 use std::collections::{BTreeMap, BTreeSet};
 
 /// What the graph builder needs to know about one deployed device.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct DeviceSpec {
     /// Deployment id.
     pub id: DeviceId,
@@ -61,7 +60,7 @@ impl DeviceSpec {
 }
 
 /// A fact derivable by the attacker.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize)]
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Fact {
     /// The attacker controls this device's actions.
     Controls(DeviceId),
@@ -70,7 +69,7 @@ pub enum Fact {
 }
 
 /// One derivation step in an attack path.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Step {
     /// Seize a device via a vulnerability class.
     Exploit {
@@ -107,7 +106,7 @@ pub enum Step {
 }
 
 /// A multi-stage attack: the ordered steps that derive the goal.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AttackPath {
     /// The goal fact.
     pub goal: Fact,

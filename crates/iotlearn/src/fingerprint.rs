@@ -11,12 +11,10 @@
 
 use iotdev::proto::TelemetryKind;
 use iotdev::registry::Sku;
-use iotnet::time::SimDuration;
-use serde::Serialize;
 use std::collections::{BTreeMap, BTreeSet};
 
 /// The observable behavioural features of one device.
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct Fingerprint {
     /// Destination ports the device *serves* (responds on).
     pub served_ports: BTreeSet<u16>,
@@ -36,12 +34,6 @@ impl Fingerprint {
     /// Record an emitted telemetry kind.
     pub fn emit(&mut self, kind: TelemetryKind) -> &mut Self {
         self.telemetry.insert(kind);
-        self
-    }
-
-    /// Record the observed telemetry period.
-    pub fn period(&mut self, period: SimDuration) -> &mut Self {
-        self.period_s = period.as_nanos() / 1_000_000_000;
         self
     }
 
@@ -67,7 +59,7 @@ impl Fingerprint {
 }
 
 /// A fingerprint classified with its confidence.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Identification {
     /// Best-matching SKU.
     pub sku: Sku,
@@ -84,23 +76,13 @@ pub struct FingerprintDb {
 
 impl FingerprintDb {
     /// An empty database.
-    pub fn new() -> FingerprintDb {
+    pub(crate) fn new() -> FingerprintDb {
         FingerprintDb::default()
     }
 
     /// Register/overwrite a SKU's reference fingerprint.
-    pub fn learn(&mut self, sku: Sku, fingerprint: Fingerprint) {
+    pub(crate) fn learn(&mut self, sku: Sku, fingerprint: Fingerprint) {
         self.entries.insert(sku, fingerprint);
-    }
-
-    /// Number of known SKUs.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Whether empty.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
     }
 
     /// Identify an observed fingerprint; `None` if no SKU clears
@@ -225,7 +207,7 @@ mod tests {
     #[test]
     fn empty_db_identifies_nothing() {
         let db = FingerprintDb::new();
-        assert!(db.is_empty());
+        assert!(db.entries.is_empty());
         assert!(db.identify(&observed_wemo_v10(), 0.0).is_none());
     }
 }

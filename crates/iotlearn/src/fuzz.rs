@@ -17,12 +17,11 @@ use iotdev::env::EnvVar;
 use iotdev::model::{AbstractInput, AbstractModel};
 use rand::seq::SliceRandom;
 use rand::Rng;
-use serde::Serialize;
 use std::collections::{BTreeSet, HashMap};
 
 /// A discovered interaction: actuating `actor` can flip `var` to
 /// `value`, which triggers `reactor`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct InteractionEdge {
     /// Index of the acting device (into the model slice).
     pub actor: usize,
@@ -35,7 +34,7 @@ pub struct InteractionEdge {
 }
 
 /// Fuzzing strategy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Strategy {
     /// Uniformly random device + input each trial.
     Random,
@@ -44,7 +43,7 @@ pub enum Strategy {
 }
 
 /// Result of a fuzzing run.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct FuzzResult {
     /// Edges discovered, in discovery order (deduplicated).
     pub edges: Vec<InteractionEdge>,

@@ -40,10 +40,4 @@ pub mod mine;
 pub mod repo;
 pub mod signature;
 
-pub use anomaly::{AnomalyDetector, AnomalyVerdict};
-pub use attack_graph::{AttackGraph, AttackPath, DeviceSpec};
-pub use fingerprint::{Fingerprint, FingerprintDb};
-pub use fuzz::{FuzzResult, InteractionEdge};
-pub use mine::mine_signatures;
-pub use repo::{RepoConfig, ReporterId, SignatureRepo};
-pub use signature::{AttackSignature, Matcher, Severity};
+pub use signature::{AttackSignature, Matcher};

@@ -17,16 +17,15 @@
 use crate::signature::AttackSignature;
 use iotdev::registry::Sku;
 use iotnet::time::{SimDuration, SimTime};
-use serde::Serialize;
 use std::collections::HashMap;
 
 /// An opaque reporter handle. The repository knows reporters only by
 /// these ids; published signatures never carry them.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ReporterId(pub u32);
 
 /// A submission awaiting admission.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub(crate) struct Submission {
     /// Submission id.
     pub id: u64,
@@ -41,7 +40,7 @@ pub(crate) struct Submission {
 }
 
 /// A notification queued for a subscriber.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub(crate) struct Notification {
     /// The published signature.
     pub signature: AttackSignature,
@@ -64,32 +63,27 @@ impl ReporterState {
     }
 }
 
+/// Reject votes from reporters below this reputation.
+const MIN_VOTE_REPUTATION: f64 = 0.2;
+/// Notification lag for non-contributors (contributors get zero — the
+/// incentive mechanism).
+const FREERIDER_LAG: SimDuration = SimDuration::from_secs(3600);
+
 /// Repository configuration.
-#[derive(Debug, Clone, Copy, Serialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct RepoConfig {
     /// Weighted approval mass needed to publish.
     pub quorum: f64,
-    /// Reject votes from reporters below this reputation.
-    pub min_vote_reputation: f64,
     /// Whether the static selectivity screen is enabled.
     pub screen_unselective: bool,
     /// Whether reputation weighting is enabled (ablation A3 switches
     /// these off).
     pub use_reputation: bool,
-    /// Notification lag for non-contributors (contributors get zero —
-    /// the incentive mechanism).
-    pub freerider_lag: SimDuration,
 }
 
 impl Default for RepoConfig {
     fn default() -> Self {
-        RepoConfig {
-            quorum: 2.0,
-            min_vote_reputation: 0.2,
-            screen_unselective: true,
-            use_reputation: true,
-            freerider_lag: SimDuration::from_secs(3600),
-        }
+        RepoConfig { quorum: 2.0, screen_unselective: true, use_reputation: true }
     }
 }
 
@@ -234,7 +228,7 @@ impl SignatureRepo {
     fn vote_weight(&self, voter: ReporterId) -> Option<f64> {
         let rep = self.reporters.get(&voter)?.reputation();
         if self.config.use_reputation {
-            if rep < self.config.min_vote_reputation {
+            if rep < MIN_VOTE_REPUTATION {
                 return None;
             }
             Some(rep)
@@ -273,8 +267,7 @@ impl SignatureRepo {
             for subscriber in subscribers {
                 let is_contributor =
                     self.reporters.get(&subscriber).map_or(0, |r| r.contributions) > 0;
-                let lag =
-                    if is_contributor { SimDuration::ZERO } else { self.config.freerider_lag };
+                let lag = if is_contributor { SimDuration::ZERO } else { FREERIDER_LAG };
                 self.inboxes.entry(subscriber).or_default().push(Notification {
                     signature: sub.signature.clone(), // anonymized: no submitter
                     available_at: now + lag,

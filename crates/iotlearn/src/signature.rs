@@ -8,11 +8,10 @@
 use iotdev::proto::{ports, tag, AuthRef, MessageRef};
 use iotdev::registry::Sku;
 use iotnet::packet::{PackedHeaders, Packet};
-use serde::{Deserialize, Serialize};
 use std::cell::OnceCell;
 
 /// How bad a match is.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Severity {
     /// Reconnaissance / policy-relevant but not directly harmful.
     Low,
@@ -23,7 +22,7 @@ pub enum Severity {
 }
 
 /// An executable packet predicate.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Matcher {
     /// A management login using specific (default) credentials.
     DefaultCredLogin {
@@ -171,7 +170,7 @@ impl Prefilter {
 }
 
 /// A SKU-scoped attack signature — the unit the repository exchanges.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
 pub struct AttackSignature {
     /// Repository-assigned id (0 until published).
     pub id: u64,

@@ -5,10 +5,9 @@
 //! integer identifiers for switches, endpoints and topology nodes.
 
 use core::fmt;
-use serde::{Deserialize, Serialize};
 
 /// A 48-bit Ethernet MAC address.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct MacAddr(pub [u8; 6]);
 
 impl MacAddr {
@@ -43,16 +42,12 @@ impl fmt::Display for MacAddr {
 
 /// An IPv4 address.
 ///
-/// A thin wrapper (rather than `std::net::Ipv4Addr`) so that we control the
-/// serde representation and can add prefix-matching helpers used by flow
-/// rules.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+/// A thin wrapper (rather than `std::net::Ipv4Addr`) so that we can add
+/// the prefix-matching helpers flow rules use.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Ipv4Addr(pub [u8; 4]);
 
 impl Ipv4Addr {
-    /// The limited broadcast address `255.255.255.255`.
-    pub const BROADCAST: Ipv4Addr = Ipv4Addr([255, 255, 255, 255]);
-
     /// Construct from four dotted-quad octets.
     pub const fn new(a: u8, b: u8, c: u8, d: u8) -> Ipv4Addr {
         Ipv4Addr([a, b, c, d])
@@ -60,7 +55,7 @@ impl Ipv4Addr {
 
     /// Construct a `10.0.x.y` address from a small index, used when
     /// auto-assigning addresses in generated topologies.
-    pub const fn from_index(idx: u32) -> Ipv4Addr {
+    pub(crate) const fn from_index(idx: u32) -> Ipv4Addr {
         Ipv4Addr([10, ((idx >> 16) & 0xff) as u8, ((idx >> 8) & 0xff) as u8, (idx & 0xff) as u8])
     }
 
@@ -75,7 +70,7 @@ impl Ipv4Addr {
     }
 
     /// Whether `self` falls inside `prefix/len`.
-    pub fn in_prefix(self, prefix: Ipv4Addr, len: u8) -> bool {
+    pub(crate) fn in_prefix(self, prefix: Ipv4Addr, len: u8) -> bool {
         if len == 0 {
             return true;
         }
@@ -103,9 +98,7 @@ impl fmt::Display for Ipv4Addr {
 macro_rules! id_type {
     ($(#[$doc:meta])* $name:ident) => {
         $(#[$doc])*
-        #[derive(
-            Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize,
-        )]
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
         pub struct $name(pub u32);
 
         impl $name {
@@ -134,9 +127,7 @@ id_type!(
 );
 
 /// A switch port number (local to one switch).
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct PortNo(pub u16);
 
 impl PortNo {
@@ -151,7 +142,7 @@ impl fmt::Display for PortNo {
 }
 
 /// A node in the topology graph: either a switch or an endpoint.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum NodeId {
     /// An SDN switch.
     Switch(SwitchId),

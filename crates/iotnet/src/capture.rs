@@ -71,16 +71,6 @@ impl Capture {
         self.ring.iter()
     }
 
-    /// Drain all held packets, oldest-first.
-    pub fn drain(&mut self) -> Vec<CapturedPacket> {
-        self.ring.drain(..).collect()
-    }
-
-    /// Remove everything.
-    pub fn clear(&mut self) {
-        self.ring.clear();
-    }
-
     /// Bring the buffer to its t = 0 state — empty, total zero, same
     /// `capacity` bound — retaining whatever the ring has grown to. The
     /// constructor ends here. A `VecDeque`'s spare capacity is
@@ -128,16 +118,5 @@ mod tests {
         let cap = c.iter().next().unwrap();
         assert_eq!(cap.wire, cap.packet.to_wire());
         assert_eq!(cap.switch, SwitchId(1));
-    }
-
-    #[test]
-    fn drain_empties() {
-        let mut c = Capture::new(8);
-        c.record(SimTime::ZERO, SwitchId(0), pkt(1));
-        c.record(SimTime::ZERO, SwitchId(0), pkt(2));
-        let drained = c.drain();
-        assert_eq!(drained.len(), 2);
-        assert!(c.is_empty());
-        assert_eq!(c.total, 2);
     }
 }

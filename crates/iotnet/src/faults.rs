@@ -15,9 +15,6 @@
 //!   together so a flap can never leave the wire down forever.
 //! * **Loss burst** — a wire's loss probability is overridden for a
 //!   window ([`FaultScheduler::loss_burst`]).
-//! * **Partition** — every wire crossing a node-set boundary fails for a
-//!   window ([`FaultScheduler::partition`]); the crossing set is computed
-//!   deterministically from the topology's sorted wire list.
 
 use crate::addr::NodeId;
 use crate::engine::EventQueue;
@@ -27,7 +24,7 @@ use trace::{TraceEvent, Tracer};
 
 /// One scheduled fault action against the topology.
 #[derive(Debug, Clone, PartialEq)]
-pub enum NetFault {
+pub(crate) enum NetFault {
     /// Fail both directions of the wire between two nodes.
     WireDown(NodeId, NodeId),
     /// Heal both directions of the wire between two nodes.
@@ -36,10 +33,6 @@ pub enum NetFault {
     LossBurst(NodeId, NodeId, f64),
     /// End a loss burst: restore the wire's static loss probability.
     LossClear(NodeId, NodeId),
-    /// Fail every wire in the cut set (a network partition forms).
-    PartitionCut(Vec<(NodeId, NodeId)>),
-    /// Heal every wire in the cut set (the partition heals).
-    PartitionHeal(Vec<(NodeId, NodeId)>),
 }
 
 /// A seedless, deterministic fault schedule over the event queue.
@@ -67,11 +60,6 @@ impl FaultScheduler {
         self.tracer = tracer;
     }
 
-    /// Schedule a raw fault action at `at`.
-    pub fn schedule(&mut self, at: SimTime, fault: NetFault) {
-        self.queue.schedule(at, fault);
-    }
-
     /// Schedule a link flap: the wire between `a` and `b` fails at
     /// `down_at` and heals at `heal_at`. Both halves are enqueued
     /// together, so every injected outage is bounded.
@@ -87,27 +75,6 @@ impl FaultScheduler {
         assert!(from <= until, "burst must end at or after it starts");
         self.queue.schedule(from, NetFault::LossBurst(a, b, loss));
         self.queue.schedule(until, NetFault::LossClear(a, b));
-    }
-
-    /// Schedule a partition isolating `group` from the rest of the
-    /// topology between `from` and `until`: every wire with exactly one
-    /// end in `group` fails at `from` and heals at `until`. The cut set
-    /// is computed from the topology's sorted wire list, so identical
-    /// topologies yield identical cuts.
-    pub fn partition(&mut self, topo: &Topology, group: &[NodeId], from: SimTime, until: SimTime) {
-        assert!(from <= until, "partition must heal at or after it cuts");
-        let cut: Vec<(NodeId, NodeId)> = topo
-            .wires()
-            .into_iter()
-            .filter(|(a, b)| group.contains(a) != group.contains(b))
-            .collect();
-        self.queue.schedule(from, NetFault::PartitionCut(cut.clone()));
-        self.queue.schedule(until, NetFault::PartitionHeal(cut));
-    }
-
-    /// Number of fault actions still pending.
-    pub fn pending(&self) -> usize {
-        self.queue.len()
     }
 
     /// Apply every fault action due at or before `now` to the topology,
@@ -134,20 +101,6 @@ impl FaultScheduler {
                 NetFault::LossClear(a, b) => {
                     self.tracer.emit(at.as_nanos(), TraceEvent::FaultHealed { kind: "loss-clear" });
                     topo.set_wire_burst_loss(a, b, None);
-                }
-                NetFault::PartitionCut(cut) => {
-                    self.tracer
-                        .emit(at.as_nanos(), TraceEvent::FaultFired { kind: "partition-cut" });
-                    for (a, b) in cut {
-                        topo.fail_wire(a, b);
-                    }
-                }
-                NetFault::PartitionHeal(cut) => {
-                    self.tracer
-                        .emit(at.as_nanos(), TraceEvent::FaultHealed { kind: "partition-heal" });
-                    for (a, b) in cut {
-                        topo.heal_wire(a, b);
-                    }
                 }
             }
             n += 1;
@@ -206,7 +159,7 @@ mod tests {
         assert_eq!(deliveries.len(), 1);
         assert_eq!(&deliveries[0].packet.payload[..], b"back");
         assert_eq!(faults.applied, 2);
-        assert_eq!(faults.pending(), 0);
+        assert!(faults.queue.is_empty());
     }
 
     #[test]
@@ -230,25 +183,6 @@ mod tests {
     }
 
     #[test]
-    fn partition_cuts_exactly_the_boundary_wires() {
-        let (mut topo, core, edges, eps, _, _) = TopologyBuilder::enterprise(2, 2);
-        let mut faults = FaultScheduler::new();
-        // Isolate edge 0 and everything attached to it.
-        let group =
-            vec![NodeId::Switch(edges[0]), NodeId::Endpoint(eps[0]), NodeId::Endpoint(eps[1])];
-        faults.partition(&topo, &group, SimTime::from_secs(1), SimTime::from_secs(5));
-        faults.apply_due(SimTime::from_secs(1), &mut topo);
-        // Only the core<->edge0 trunk crosses the boundary.
-        let trunk = (NodeId::Switch(core), NodeId::Switch(edges[0]));
-        assert!(!topo.link(trunk.0, trunk.1).unwrap().up);
-        // Wires inside the group and outside it are untouched.
-        assert!(topo.link(NodeId::Switch(edges[0]), NodeId::Endpoint(eps[0])).unwrap().up);
-        assert!(topo.link(NodeId::Switch(core), NodeId::Switch(edges[1])).unwrap().up);
-        faults.apply_due(SimTime::from_secs(5), &mut topo);
-        assert!(topo.link(trunk.0, trunk.1).unwrap().up);
-    }
-
-    #[test]
     fn same_schedule_applies_identically() {
         let build = |faults: &mut FaultScheduler, topo: &Topology| {
             let w = topo.wires();
@@ -262,7 +196,7 @@ mod tests {
             build(&mut faults, &topo);
             let mut trace = Vec::new();
             let mut t = SimTime::ZERO;
-            while faults.pending() > 0 {
+            while !faults.queue.is_empty() {
                 t += SimDuration::from_millis(50);
                 let n = faults.apply_due(t, &mut topo);
                 if n > 0 {

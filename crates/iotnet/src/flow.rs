@@ -8,7 +8,6 @@
 
 use crate::addr::{Ipv4Addr, MacAddr, PortNo};
 use crate::packet::{ip_proto, PackedHeaders, Packet};
-use serde::{Deserialize, Serialize};
 
 /// The 7-field flow identity packed into two `u128` words, in the same
 /// bit-field style as [`PackedHeaders`]:
@@ -58,7 +57,7 @@ impl PackedFlowKey {
 ///
 /// `None` in any field means "match anything". IP addresses match against
 /// a prefix; ports match exactly.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct FlowMatch {
     /// Ingress port on the switch.
     pub in_port: Option<PortNo>,
@@ -159,29 +158,14 @@ impl FlowMatch {
         }
         true
     }
-
-    /// How many fields are constrained (used for specificity metrics and
-    /// for auto-assigning priorities when the caller does not care).
-    pub fn specificity(&self) -> u32 {
-        let mut n = 0;
-        n += self.in_port.is_some() as u32;
-        n += self.eth_src.is_some() as u32;
-        n += self.eth_dst.is_some() as u32;
-        n += self.ip_src.is_some() as u32;
-        n += self.ip_dst.is_some() as u32;
-        n += self.ip_proto.is_some() as u32;
-        n += self.src_port.is_some() as u32;
-        n += self.dst_port.is_some() as u32;
-        n
-    }
 }
 
 /// Identifier of a steer point (an inline µmbox attachment) on the network.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct SteerId(pub u32);
 
 /// What to do with a matching packet.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FlowAction {
     /// Forward out a specific port.
     Output(PortNo),
@@ -198,7 +182,7 @@ pub enum FlowAction {
 }
 
 /// A prioritized flow rule.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FlowRule {
     /// Higher priority wins; ties broken by later installation.
     pub priority: u16,
@@ -423,7 +407,6 @@ mod tests {
         let p =
             pkt(Ipv4Addr::new(1, 2, 3, 4), Ipv4Addr::new(5, 6, 7, 8), TransportHeader::udp(1, 2));
         assert!(m.matches(PortNo(0), &p));
-        assert_eq!(m.specificity(), 0);
     }
 
     #[test]

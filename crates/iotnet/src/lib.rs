@@ -48,14 +48,3 @@ pub mod stats;
 pub mod switch;
 pub mod time;
 pub mod topology;
-
-pub use addr::{EndpointId, Ipv4Addr, MacAddr, NodeId, PortNo, SwitchId};
-pub use engine::EventQueue;
-pub use faults::{FaultScheduler, NetFault};
-pub use flow::{FlowAction, FlowMatch, FlowRule, FlowTable, PackedFlowKey};
-pub use link::{Link, LinkParams};
-pub use net::{Delivery, ForwardList, InlineProcessor, InlineVerdict, Network, SteerHandle};
-pub use packet::{EthernetHeader, Ipv4Header, PackedHeaders, Packet, TransportHeader};
-pub use switch::Switch;
-pub use time::{SimDuration, SimTime};
-pub use topology::{Topology, TopologyBuilder};

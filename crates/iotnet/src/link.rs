@@ -8,10 +8,9 @@
 
 use crate::time::{SimDuration, SimTime};
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Static parameters of a link.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LinkParams {
     /// One-way propagation latency.
     pub latency: SimDuration,

@@ -55,21 +55,13 @@ pub struct ForwardList {
 
 impl ForwardList {
     /// An empty list (the drop verdict).
-    pub fn new() -> ForwardList {
+    pub(crate) fn new() -> ForwardList {
         ForwardList::default()
     }
 
     /// A single-packet list (the pass verdict), allocation-free.
-    pub fn one(pkt: Packet) -> ForwardList {
+    pub(crate) fn one(pkt: Packet) -> ForwardList {
         ForwardList { one: Some(pkt), rest: Vec::new() }
-    }
-
-    /// Append a packet (the first stays inline).
-    pub fn push(&mut self, pkt: Packet) {
-        match self.one {
-            None if self.rest.is_empty() => self.one = Some(pkt),
-            _ => self.rest.push(pkt),
-        }
     }
 
     /// Number of packets.
@@ -80,11 +72,6 @@ impl ForwardList {
     /// Whether no packets survived (the drop verdict).
     pub fn is_empty(&self) -> bool {
         self.one.is_none() && self.rest.is_empty()
-    }
-
-    /// Iterate over the packets in insertion order.
-    pub fn iter(&self) -> impl Iterator<Item = &Packet> {
-        self.one.iter().chain(self.rest.iter())
     }
 }
 
@@ -698,7 +685,7 @@ mod tests {
         let d = net.step_until(SimTime::from_secs(2)).remove(0);
         let steered_latency = d.at - t0;
         let direct_latency = direct - SimTime::ZERO;
-        assert!(steered_latency.as_micros() >= direct_latency.as_micros() + 250);
+        assert!(steered_latency >= direct_latency + SimDuration::from_micros(250));
     }
 
     #[test]

@@ -11,7 +11,6 @@
 use crate::addr::{Ipv4Addr, MacAddr};
 use bytes::{BufMut, Bytes, BytesMut};
 use core::fmt;
-use serde::{Deserialize, Serialize};
 
 /// Errors produced when parsing wire bytes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -48,13 +47,13 @@ pub(crate) const ETHERTYPE_IPV4: u16 = 0x0800;
 /// IP protocol numbers the substrate models.
 pub mod ip_proto {
     /// TCP.
-    pub const TCP: u8 = 6;
+    pub(crate) const TCP: u8 = 6;
     /// UDP.
-    pub const UDP: u8 = 17;
+    pub(crate) const UDP: u8 = 17;
 }
 
 /// Ethernet II header.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct EthernetHeader {
     /// Destination MAC.
     pub dst: MacAddr,
@@ -69,14 +68,14 @@ impl EthernetHeader {
     pub(crate) const LEN: usize = 14;
 
     /// Emit to wire bytes.
-    pub fn emit(&self, buf: &mut BytesMut) {
+    pub(crate) fn emit(&self, buf: &mut BytesMut) {
         buf.put_slice(&self.dst.0);
         buf.put_slice(&self.src.0);
         buf.put_u16(self.ethertype);
     }
 
     /// Parse from wire bytes, returning the header and bytes consumed.
-    pub fn parse(data: &[u8]) -> Result<(Self, usize), ParseError> {
+    pub(crate) fn parse(data: &[u8]) -> Result<(Self, usize), ParseError> {
         if data.len() < Self::LEN {
             return Err(ParseError::Truncated);
         }
@@ -90,7 +89,7 @@ impl EthernetHeader {
 }
 
 /// IPv4 header (no options — IHL is always 5 in this substrate).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Ipv4Header {
     /// Source address.
     pub src: Ipv4Addr,
@@ -111,7 +110,7 @@ impl Ipv4Header {
     pub(crate) const LEN: usize = 20;
 
     /// Emit to wire bytes, computing the header checksum.
-    pub fn emit(&self, buf: &mut BytesMut) {
+    pub(crate) fn emit(&self, buf: &mut BytesMut) {
         let start = buf.len();
         buf.put_u8(0x45); // version 4, IHL 5
         buf.put_u8(self.dscp);
@@ -128,7 +127,7 @@ impl Ipv4Header {
     }
 
     /// Parse from wire bytes, verifying the checksum.
-    pub fn parse(data: &[u8]) -> Result<(Self, usize), ParseError> {
+    pub(crate) fn parse(data: &[u8]) -> Result<(Self, usize), ParseError> {
         if data.len() < Self::LEN {
             return Err(ParseError::Truncated);
         }
@@ -164,7 +163,7 @@ impl Ipv4Header {
 }
 
 /// TCP flag bits carried in [`TransportHeader::Tcp`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct TcpFlags {
     /// SYN.
     pub syn: bool,
@@ -197,7 +196,7 @@ impl TcpFlags {
 /// Transport header: simplified UDP/TCP carrying ports (and, for TCP,
 /// sequence numbers and flags — enough for the stateful-firewall and
 /// proxy µmboxes to track connection establishment).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum TransportHeader {
     /// UDP.
     Udp {
@@ -232,7 +231,7 @@ impl TransportHeader {
     }
 
     /// IP protocol number of this header.
-    pub fn protocol(&self) -> u8 {
+    pub(crate) fn protocol(&self) -> u8 {
         match self {
             TransportHeader::Udp { .. } => ip_proto::UDP,
             TransportHeader::Tcp { .. } => ip_proto::TCP,
@@ -258,7 +257,7 @@ impl TransportHeader {
     }
 
     /// Wire length in bytes (UDP: 8, TCP: 20 with no options).
-    pub fn wire_len(&self) -> usize {
+    pub(crate) fn wire_len(&self) -> usize {
         match self {
             TransportHeader::Udp { .. } => 8,
             TransportHeader::Tcp { .. } => 20,
@@ -266,7 +265,7 @@ impl TransportHeader {
     }
 
     /// Emit to wire bytes. `payload_len` is needed for the UDP length field.
-    pub fn emit(&self, buf: &mut BytesMut, payload_len: usize) {
+    pub(crate) fn emit(&self, buf: &mut BytesMut, payload_len: usize) {
         match *self {
             TransportHeader::Udp { src_port, dst_port } => {
                 buf.put_u16(src_port);
@@ -289,7 +288,7 @@ impl TransportHeader {
     }
 
     /// Parse from wire bytes given the IP protocol number.
-    pub fn parse(protocol: u8, data: &[u8]) -> Result<(Self, usize), ParseError> {
+    pub(crate) fn parse(protocol: u8, data: &[u8]) -> Result<(Self, usize), ParseError> {
         match protocol {
             ip_proto::UDP => {
                 if data.len() < 8 {

@@ -2,10 +2,9 @@
 //! benchmark harness.
 
 use crate::time::SimDuration;
-use serde::{Deserialize, Serialize};
 
 /// Aggregate network counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct NetStats {
     /// Packets injected by endpoints.
     pub sent: u64,
@@ -31,13 +30,12 @@ pub struct NetStats {
 /// Keeps raw samples (bounded by `cap`) so the harness can report exact
 /// percentiles; the experiments generate at most a few hundred thousand
 /// samples per run so this is cheap and exact.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct DurationHist {
     samples: Vec<u64>,
     cap: usize,
     /// Count of all recorded samples, including those beyond `cap`.
     pub count: u64,
-    sum_ns: u128,
     max_ns: u64,
 }
 
@@ -49,9 +47,9 @@ impl Default for DurationHist {
 
 impl DurationHist {
     /// A histogram retaining up to `cap` raw samples (percentiles are
-    /// computed over retained samples; mean/max over all samples).
-    pub fn with_capacity(cap: usize) -> DurationHist {
-        DurationHist { samples: Vec::new(), cap, count: 0, sum_ns: 0, max_ns: 0 }
+    /// computed over retained samples; the maximum over all samples).
+    pub(crate) fn with_capacity(cap: usize) -> DurationHist {
+        DurationHist { samples: Vec::new(), cap, count: 0, max_ns: 0 }
     }
 
     /// A histogram with the default retention (1M samples).
@@ -63,24 +61,9 @@ impl DurationHist {
     pub fn record(&mut self, d: SimDuration) {
         let ns = d.as_nanos();
         self.count += 1;
-        self.sum_ns += ns as u128;
         self.max_ns = self.max_ns.max(ns);
         if self.samples.len() < self.cap {
             self.samples.push(ns);
-        }
-    }
-
-    /// Number of retained samples.
-    pub fn retained(&self) -> usize {
-        self.samples.len()
-    }
-
-    /// Mean over all recorded samples.
-    pub fn mean(&self) -> SimDuration {
-        if self.count == 0 {
-            SimDuration::ZERO
-        } else {
-            SimDuration::from_nanos((self.sum_ns / self.count as u128) as u64)
         }
     }
 
@@ -90,7 +73,7 @@ impl DurationHist {
     }
 
     /// The `p`-th percentile (0–100) over retained samples.
-    pub fn percentile(&self, p: f64) -> SimDuration {
+    pub(crate) fn percentile(&self, p: f64) -> SimDuration {
         if self.samples.is_empty() {
             return SimDuration::ZERO;
         }
@@ -109,7 +92,6 @@ impl DurationHist {
     pub fn clear(&mut self) {
         self.samples.clear();
         self.count = 0;
-        self.sum_ns = 0;
         self.max_ns = 0;
     }
 }
@@ -129,7 +111,6 @@ mod tests {
         assert!((50..=51).contains(&med), "median {med}");
         assert_eq!(h.percentile(99.0).as_millis(), 99);
         assert_eq!(h.max().as_millis(), 100);
-        assert_eq!(h.mean().as_millis(), 50); // (1+..+100)/100 = 50.5, trunc to ms
         h.clear();
         assert_eq!(h.count, 0);
         assert_eq!(h.median(), SimDuration::ZERO);
@@ -141,7 +122,7 @@ mod tests {
         for i in 0..100u64 {
             h.record(SimDuration::from_nanos(i));
         }
-        assert_eq!(h.retained(), 10);
+        assert_eq!(h.samples.len(), 10);
         assert_eq!(h.count, 100);
         assert_eq!(h.max().as_nanos(), 99);
     }
@@ -149,7 +130,7 @@ mod tests {
     #[test]
     fn empty_histogram_is_zero() {
         let h = DurationHist::new();
-        assert_eq!(h.mean(), SimDuration::ZERO);
+        assert_eq!(h.max(), SimDuration::ZERO);
         assert_eq!(h.percentile(99.0), SimDuration::ZERO);
     }
 }

@@ -163,18 +163,11 @@ impl Switch {
         self.mac_table.get(&mac).copied()
     }
 
-    /// Process a packet arriving on `in_port`: learn the source MAC, then
-    /// apply the flow table (falling back to `Normal` on a miss).
-    ///
-    /// Trace-free convenience wrapper over [`Switch::process_at`] for
-    /// callers (mostly tests) that don't run under a simulation clock.
-    pub fn process(&mut self, in_port: PortNo, packet: &Packet) -> SwitchDecision {
-        self.process_at(SimTime::ZERO, in_port, packet)
-    }
-
-    /// [`Switch::process`] with the simulated arrival instant, used as
-    /// the sim-time key for trace emission (cache hit/miss, policy drop):
-    /// an owned copy of what [`Switch::decide`] lends.
+    /// Process a packet arriving on `in_port` at `now`: learn the source
+    /// MAC, then apply the flow table (falling back to `Normal` on a
+    /// miss). `now` is the sim-time key for trace emission (cache
+    /// hit/miss, policy drop). An owned copy of what [`Switch::decide`]
+    /// lends.
     pub fn process_at(&mut self, now: SimTime, in_port: PortNo, packet: &Packet) -> SwitchDecision {
         self.decide(now, in_port, packet).clone()
     }
@@ -250,7 +243,7 @@ impl Switch {
 
     /// Normal (learning L2) forwarding: known unicast goes out its learned
     /// port; unknown unicast and broadcast flood all ports except ingress.
-    pub fn normal_ports(&self, in_port: PortNo, packet: &Packet) -> PortList {
+    pub(crate) fn normal_ports(&self, in_port: PortNo, packet: &Packet) -> PortList {
         normal_ports(&self.mac_table, self.n_ports, in_port, packet)
     }
 }
@@ -305,13 +298,13 @@ mod tests {
         let a = MacAddr::from_index(1);
         let b = MacAddr::from_index(2);
         // Unknown destination floods.
-        let d = sw.process(PortNo(0), &pkt(a, b));
+        let d = sw.process_at(SimTime::ZERO, PortNo(0), &pkt(a, b));
         assert_eq!(d, SwitchDecision::Output(ports(&[PortNo(1), PortNo(2), PortNo(3)])));
         // b replies from port 2; now a is known on port 0.
-        let d = sw.process(PortNo(2), &pkt(b, a));
+        let d = sw.process_at(SimTime::ZERO, PortNo(2), &pkt(b, a));
         assert_eq!(d, SwitchDecision::Output(ports(&[PortNo(0)])));
         // And b is now known on port 2.
-        let d = sw.process(PortNo(0), &pkt(a, b));
+        let d = sw.process_at(SimTime::ZERO, PortNo(0), &pkt(a, b));
         assert_eq!(d, SwitchDecision::Output(ports(&[PortNo(2)])));
         assert_eq!(sw.learned_port(a), Some(PortNo(0)));
     }
@@ -321,15 +314,19 @@ mod tests {
         let mut sw = Switch::new(SwitchId(0), 4);
         let a = MacAddr::from_index(1);
         let b = MacAddr::from_index(2);
-        sw.process(PortNo(1), &pkt(b, a)); // learn b on port 1
-        let d = sw.process(PortNo(1), &pkt(a, b)); // b is back out the ingress port
+        sw.process_at(SimTime::ZERO, PortNo(1), &pkt(b, a)); // learn b on port 1
+        let d = sw.process_at(SimTime::ZERO, PortNo(1), &pkt(a, b)); // b is back out the ingress port
         assert_eq!(d, SwitchDecision::Output(ports(&[])));
     }
 
     #[test]
     fn broadcast_floods() {
         let mut sw = Switch::new(SwitchId(0), 3);
-        let d = sw.process(PortNo(1), &pkt(MacAddr::from_index(1), MacAddr::BROADCAST));
+        let d = sw.process_at(
+            SimTime::ZERO,
+            PortNo(1),
+            &pkt(MacAddr::from_index(1), MacAddr::BROADCAST),
+        );
         assert_eq!(d, SwitchDecision::Output(ports(&[PortNo(0), PortNo(2)])));
     }
 
@@ -337,7 +334,11 @@ mod tests {
     fn policy_drop_counted() {
         let mut sw = Switch::new(SwitchId(0), 2);
         sw.install(FlowRule::new(10, FlowMatch::any(), FlowAction::Drop));
-        let d = sw.process(PortNo(0), &pkt(MacAddr::from_index(1), MacAddr::from_index(2)));
+        let d = sw.process_at(
+            SimTime::ZERO,
+            PortNo(0),
+            &pkt(MacAddr::from_index(1), MacAddr::from_index(2)),
+        );
         assert_eq!(d, SwitchDecision::Drop);
         assert_eq!(sw.policy_drops, 1);
     }
@@ -347,10 +348,10 @@ mod tests {
         let mut sw = Switch::new(SwitchId(0), 2);
         sw.install(FlowRule::new(10, FlowMatch::any(), FlowAction::Steer(SteerId(7))));
         let p = pkt(MacAddr::from_index(1), MacAddr::from_index(2));
-        assert_eq!(sw.process(PortNo(0), &p), SwitchDecision::Steer(SteerId(7)));
+        assert_eq!(sw.process_at(SimTime::ZERO, PortNo(0), &p), SwitchDecision::Steer(SteerId(7)));
         sw.table.clear();
         sw.install(FlowRule::new(10, FlowMatch::any(), FlowAction::Mirror));
-        match sw.process(PortNo(0), &p) {
+        match sw.process_at(SimTime::ZERO, PortNo(0), &p) {
             SwitchDecision::MirrorAnd(ports) => assert!(!ports.is_empty()),
             other => panic!("expected mirror, got {other:?}"),
         }
@@ -362,9 +363,9 @@ mod tests {
         let a = MacAddr::from_index(1);
         let b = MacAddr::from_index(2);
         let p = pkt(a, b);
-        sw.process(PortNo(0), &p); // cold: learns a, caches the flood
+        sw.process_at(SimTime::ZERO, PortNo(0), &p); // cold: learns a, caches the flood
         assert_eq!(sw.cache_hits, 0);
-        let d = sw.process(PortNo(0), &p); // warm
+        let d = sw.process_at(SimTime::ZERO, PortNo(0), &p); // warm
         assert_eq!(sw.cache_hits, 1);
         assert_eq!(d, SwitchDecision::Output(ports(&[PortNo(1), PortNo(2), PortNo(3)])));
         // Counters advance on cache hits exactly as on table scans.
@@ -375,12 +376,12 @@ mod tests {
     fn decision_cache_invalidated_by_table_change() {
         let mut sw = Switch::new(SwitchId(0), 2);
         let p = pkt(MacAddr::from_index(1), MacAddr::from_index(2));
-        sw.process(PortNo(0), &p);
-        sw.process(PortNo(0), &p);
+        sw.process_at(SimTime::ZERO, PortNo(0), &p);
+        sw.process_at(SimTime::ZERO, PortNo(0), &p);
         assert_eq!(sw.cache_hits, 1);
         sw.install(FlowRule::new(10, FlowMatch::any(), FlowAction::Drop));
         // The cached Output decision must not survive the install.
-        assert_eq!(sw.process(PortNo(0), &p), SwitchDecision::Drop);
+        assert_eq!(sw.process_at(SimTime::ZERO, PortNo(0), &p), SwitchDecision::Drop);
         assert_eq!(sw.policy_drops, 1);
     }
 
@@ -390,10 +391,10 @@ mod tests {
         let a = MacAddr::from_index(1);
         let b = MacAddr::from_index(2);
         // a → b floods (b unknown) and is cached.
-        sw.process(PortNo(0), &pkt(a, b));
+        sw.process_at(SimTime::ZERO, PortNo(0), &pkt(a, b));
         // b appears on port 2: learning must invalidate the cached flood.
-        sw.process(PortNo(2), &pkt(b, a));
-        let d = sw.process(PortNo(0), &pkt(a, b));
+        sw.process_at(SimTime::ZERO, PortNo(2), &pkt(b, a));
+        let d = sw.process_at(SimTime::ZERO, PortNo(0), &pkt(a, b));
         assert_eq!(d, SwitchDecision::Output(ports(&[PortNo(2)])));
     }
 
@@ -401,15 +402,15 @@ mod tests {
     fn mac_table_overflow_wipes_and_relearns() {
         let mut sw = Switch::new(SwitchId(0), 4);
         let known = MacAddr::from_index(20_000);
-        sw.process(PortNo(3), &pkt(known, MacAddr::BROADCAST));
+        sw.process_at(SimTime::ZERO, PortNo(3), &pkt(known, MacAddr::BROADCAST));
         let stranger = |i: u32| pkt(MacAddr::from_index(i), known);
         // While `known` is in the table, frames for it are unicast.
         assert_eq!(
-            sw.process(PortNo(0), &stranger(0)),
+            sw.process_at(SimTime::ZERO, PortNo(0), &stranger(0)),
             SwitchDecision::Output(ports(&[PortNo(3)]))
         );
         for i in 1..10_000 {
-            sw.process(PortNo(0), &stranger(i));
+            sw.process_at(SimTime::ZERO, PortNo(0), &stranger(i));
             assert!(sw.mac_table.len() <= MAC_TABLE_CAP);
             assert!(sw.cache.len() <= DECISION_CACHE_CAP);
         }
@@ -417,12 +418,15 @@ mod tests {
         // unicast floods...
         assert_eq!(sw.learned_port(known), None);
         let flood = ports(&[PortNo(1), PortNo(2), PortNo(3)]);
-        assert_eq!(sw.process(PortNo(0), &stranger(0)), SwitchDecision::Output(flood));
+        assert_eq!(
+            sw.process_at(SimTime::ZERO, PortNo(0), &stranger(0)),
+            SwitchDecision::Output(flood)
+        );
         // ...until the station is heard from again.
-        sw.process(PortNo(3), &pkt(known, MacAddr::BROADCAST));
+        sw.process_at(SimTime::ZERO, PortNo(3), &pkt(known, MacAddr::BROADCAST));
         assert_eq!(sw.learned_port(known), Some(PortNo(3)));
         assert_eq!(
-            sw.process(PortNo(0), &stranger(0)),
+            sw.process_at(SimTime::ZERO, PortNo(0), &stranger(0)),
             SwitchDecision::Output(ports(&[PortNo(3)]))
         );
     }
@@ -431,7 +435,7 @@ mod tests {
     fn decide_lends_what_process_returns() {
         let mut sw = Switch::new(SwitchId(0), 38);
         let p = pkt(MacAddr::from_index(1), MacAddr::from_index(2));
-        let owned = sw.process(PortNo(0), &p);
+        let owned = sw.process_at(SimTime::ZERO, PortNo(0), &p);
         assert_eq!(*sw.decide(SimTime::ZERO, PortNo(0), &p), owned);
         assert_eq!((sw.cache_lookups, sw.cache_hits), (2, 1));
         match owned {
@@ -446,7 +450,7 @@ mod tests {
         sw.install(FlowRule::new(10, FlowMatch::any(), FlowAction::Drop));
         let p = pkt(MacAddr::from_index(1), MacAddr::from_index(2));
         for _ in 0..5 {
-            assert_eq!(sw.process(PortNo(0), &p), SwitchDecision::Drop);
+            assert_eq!(sw.process_at(SimTime::ZERO, PortNo(0), &p), SwitchDecision::Drop);
         }
         assert_eq!(sw.policy_drops, 5);
         assert_eq!(sw.cache_hits, 4);

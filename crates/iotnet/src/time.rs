@@ -8,18 +8,13 @@
 
 use core::fmt;
 use core::ops::{Add, AddAssign, Div, Mul, Sub};
-use serde::{Deserialize, Serialize};
 
 /// A point in simulated time, in nanoseconds since simulation start.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SimTime(u64);
 
 /// A span of simulated time, in nanoseconds.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SimDuration(u64);
 
 impl SimTime {
@@ -74,7 +69,7 @@ impl SimTime {
     }
 
     /// The later of two instants.
-    pub fn max(self, other: SimTime) -> SimTime {
+    pub(crate) fn max(self, other: SimTime) -> SimTime {
         if self.0 >= other.0 {
             self
         } else {
@@ -117,11 +112,6 @@ impl SimDuration {
         self.0
     }
 
-    /// Whole microseconds.
-    pub const fn as_micros(self) -> u64 {
-        self.0 / 1_000
-    }
-
     /// Whole milliseconds.
     pub const fn as_millis(self) -> u64 {
         self.0 / 1_000_000
@@ -130,11 +120,6 @@ impl SimDuration {
     /// Seconds as a float (for reporting).
     pub fn as_secs_f64(self) -> f64 {
         self.0 as f64 / 1e9
-    }
-
-    /// Saturating subtraction.
-    pub fn saturating_sub(self, other: SimDuration) -> SimDuration {
-        SimDuration(self.0.saturating_sub(other.0))
     }
 
     /// Duration needed to serialize `bits` onto a link of `bits_per_sec`.
@@ -282,7 +267,7 @@ mod tests {
     fn transmission_delay() {
         // 1500-byte packet on 10 Mbit/s: 12000 bits / 1e7 bps = 1.2 ms.
         let d = SimDuration::transmission(1500 * 8, 10_000_000);
-        assert_eq!(d.as_micros(), 1200);
+        assert_eq!(d, SimDuration::from_micros(1200));
         // Infinite-rate link.
         assert_eq!(SimDuration::transmission(1 << 20, 0), SimDuration::ZERO);
         // One bit past the `u64` product at 1 bit/s no longer fits in ns.

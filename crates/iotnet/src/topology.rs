@@ -15,7 +15,6 @@
 use crate::addr::{EndpointId, Ipv4Addr, MacAddr, NodeId, PortNo, SwitchId};
 use crate::hash::WordMap;
 use crate::link::{Link, LinkParams};
-use serde::{Deserialize, Serialize};
 
 /// Position of a directed link in [`Topology`]'s link vector.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -36,7 +35,7 @@ struct Attachment {
 }
 
 /// What a switch port is wired to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PortTarget {
     /// Wired to a port on another switch.
     Switch(SwitchId, PortNo),
@@ -47,7 +46,7 @@ pub enum PortTarget {
 }
 
 /// Static information about an endpoint attachment.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EndpointInfo {
     /// The endpoint's MAC address.
     pub mac: MacAddr,
@@ -134,7 +133,7 @@ impl Topology {
     }
 
     /// Look up the endpoint owning an IP address.
-    pub fn endpoint_by_ip(&self, ip: Ipv4Addr) -> Option<EndpointId> {
+    pub(crate) fn endpoint_by_ip(&self, ip: Ipv4Addr) -> Option<EndpointId> {
         self.ip_index.get(&ip).copied()
     }
 

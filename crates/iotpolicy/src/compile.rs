@@ -248,9 +248,9 @@ mod tests {
     #[test]
     fn actuation_gate_present_in_all_states() {
         let policy = compiled();
-        for (state, _) in policy.enumerate().iter().take(64) {
-            let p = policy.posture_for(state, PLUG);
-            if policy.schema.context_of(state, PLUG) == Some(SecurityContext::Compromised) {
+        for state in policy.schema.iter_states().take(64) {
+            let p = policy.posture_for(&state, PLUG);
+            if policy.schema.context_of(&state, PLUG) == Some(SecurityContext::Compromised) {
                 assert!(p.blocks_all());
             } else {
                 assert!(

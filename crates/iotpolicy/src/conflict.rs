@@ -13,10 +13,9 @@ use crate::recipe::Recipe;
 use iotdev::device::DeviceId;
 use rand::seq::SliceRandom;
 use rand::Rng;
-use serde::Serialize;
 
 /// The kind of conflict found.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ConflictKind {
     /// Two recipes whose triggers can co-occur command opposed actions on
     /// the same device.
@@ -27,7 +26,7 @@ pub enum ConflictKind {
 }
 
 /// One detected conflict.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Conflict {
     /// First participant (recipe id or rule index).
     pub a: u32,

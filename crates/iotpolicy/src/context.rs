@@ -7,10 +7,8 @@
 //! the fire alarm is `normal` and must be blocked when it is
 //! `suspicious` (Figure 3).
 
-use serde::{Deserialize, Serialize};
-
 /// A device's security context.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum SecurityContext {
     /// Behaving as expected.
     Normal,
@@ -35,7 +33,7 @@ impl SecurityContext {
     ];
 
     /// The stable lowercase name used in policies and reports.
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             SecurityContext::Normal => "normal",
             SecurityContext::Suspicious => "suspicious",
@@ -47,7 +45,7 @@ impl SecurityContext {
     /// Severity ordering used by escalation logic (higher = worse).
     /// `Unpatched` is a *latent* risk: worse than `normal`, better than
     /// observed suspicion.
-    pub fn severity(self) -> u8 {
+    pub(crate) fn severity(self) -> u8 {
         match self {
             SecurityContext::Normal => 0,
             SecurityContext::Unpatched => 1,

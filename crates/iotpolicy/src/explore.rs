@@ -48,7 +48,7 @@ use trace::event::TraceEvent;
 use trace::tracer::Tracer;
 
 /// Ranks per chunk of the sweep: the unit workers claim.
-pub const CHUNK: u128 = 1 << 14;
+pub(crate) const CHUNK: u128 = 1 << 14;
 
 /// FNV-1a of a state rank — the per-state term of the order-independent
 /// (XOR-merged) digests.
@@ -138,7 +138,7 @@ pub fn explore_naive(policy: &FsmPolicy) -> SpaceStats {
 
 /// Exhaustive sweep with the packed engine. `None` when the schema does
 /// not pack (see [`MemoPolicy::new`]). The rank space is cut into
-/// [`CHUNK`]-sized chunks claimed off an atomic cursor by
+/// `CHUNK`-sized chunks claimed off an atomic cursor by
 /// `min(threads, chunks)` workers — the calling thread is one of them,
 /// so `threads <= 1` spawns nothing and is the same loop run alone.
 /// Every worker holds its own [`MemoPolicy`] over one shared
@@ -189,11 +189,11 @@ fn explore_chunked<'a>(policy: &'a FsmPolicy, threads: usize, chunk: u128) -> Op
     };
 
     let workers = threads.clamp(1, n_chunks);
-    let (memo, quiet_states, quiet_digest) = crossbeam::scope(|scope| {
+    let (memo, quiet_states, quiet_digest) = std::thread::scope(|scope| {
         let hands: Vec<_> = (1..workers)
             .map(|_| {
                 let (memo, serve) = (first.sibling(), &serve);
-                scope.spawn(move |_| serve(memo))
+                scope.spawn(move || serve(memo))
             })
             .collect();
         let (mut memo, mut quiet_states, mut quiet_digest) = serve(first);
@@ -204,8 +204,7 @@ fn explore_chunked<'a>(policy: &'a FsmPolicy, threads: usize, chunk: u128) -> Op
             quiet_digest ^= digest;
         }
         (memo, quiet_states, quiet_digest)
-    })
-    .expect("exploration worker panicked");
+    });
 
     let classes = memo.class_count() as u32;
     let (lookups, hits) = memo.stats();

@@ -21,15 +21,13 @@ use std::sync::Arc;
 #[derive(Debug, Default)]
 pub struct Interner<T> {
     snapshots: Vec<Arc<[T]>>,
-    hits: u64,
-    misses: u64,
     retired: u64,
 }
 
 impl<T: Clone + PartialEq> Interner<T> {
     /// An empty intern table.
     pub fn new() -> Interner<T> {
-        Interner { snapshots: Vec::new(), hits: 0, misses: 0, retired: 0 }
+        Interner { snapshots: Vec::new(), retired: 0 }
     }
 
     /// Intern a snapshot: returns the shared allocation for this exact
@@ -40,24 +38,11 @@ impl<T: Clone + PartialEq> Interner<T> {
     /// does not normalize them.
     pub fn intern(&mut self, items: &[T]) -> Arc<[T]> {
         if let Some(found) = self.snapshots.iter().find(|s| s.as_ref() == items) {
-            self.hits += 1;
             return Arc::clone(found);
         }
-        self.misses += 1;
         let snap: Arc<[T]> = items.to_vec().into();
         self.snapshots.push(Arc::clone(&snap));
         snap
-    }
-
-    /// Number of distinct snapshots interned so far.
-    pub fn distinct(&self) -> usize {
-        self.snapshots.len()
-    }
-
-    /// `(hits, misses)` — lookups served from an existing allocation vs
-    /// lookups that allocated a new snapshot.
-    pub fn stats(&self) -> (u64, u64) {
-        (self.hits, self.misses)
     }
 
     /// Epoch GC (E26): retire every interned snapshot whose only
@@ -80,12 +65,6 @@ impl<T: Clone + PartialEq> Interner<T> {
         retired
     }
 
-    /// Snapshots retired by [`Interner::retain_shared`] over the table's
-    /// lifetime.
-    pub fn retired(&self) -> u64 {
-        self.retired
-    }
-
     /// Total distinct snapshots ever interned: currently live plus
     /// retired. This is the GC-invariant counter fleet reports use, so
     /// enabling epoch GC does not change reported dedup figures.
@@ -104,8 +83,7 @@ mod tests {
         let a = t.intern(&[1, 2, 3]);
         let b = t.intern(&[1, 2, 3]);
         assert!(Arc::ptr_eq(&a, &b));
-        assert_eq!(t.distinct(), 1);
-        assert_eq!(t.stats(), (1, 1));
+        assert_eq!(t.snapshots.len(), 1);
     }
 
     #[test]
@@ -114,11 +92,11 @@ mod tests {
         let a = t.intern(&[1, 2]);
         let b = t.intern(&[1, 2, 3]);
         assert!(!Arc::ptr_eq(&a, &b));
-        assert_eq!(t.distinct(), 2);
+        assert_eq!(t.snapshots.len(), 2);
         // Order matters: the table does not normalize.
         let c = t.intern(&[2, 1]);
         assert!(!Arc::ptr_eq(&a, &c));
-        assert_eq!(t.distinct(), 3);
+        assert_eq!(t.snapshots.len(), 3);
     }
 
     #[test]
@@ -128,8 +106,8 @@ mod tests {
         let dead = t.intern(&[3, 4]);
         drop(dead);
         assert_eq!(t.retain_shared(), 1);
-        assert_eq!(t.distinct(), 1);
-        assert_eq!(t.retired(), 1);
+        assert_eq!(t.snapshots.len(), 1);
+        assert_eq!(t.retired, 1);
         // The GC-invariant total still counts the retired snapshot.
         assert_eq!(t.distinct_total(), 2);
         // The live snapshot survives and is still shared.
@@ -152,7 +130,7 @@ mod tests {
                 window.pop_front();
             }
             t.retain_shared();
-            assert!(t.distinct() <= 5, "interner footprint grew past the live window");
+            assert!(t.snapshots.len() <= 5, "interner footprint grew past the live window");
         }
         assert_eq!(t.distinct_total(), 1000);
     }
@@ -163,6 +141,6 @@ mod tests {
         let a = t.intern(&[]);
         let b = t.intern(&[]);
         assert!(Arc::ptr_eq(&a, &b));
-        assert_eq!(t.distinct(), 1);
+        assert_eq!(t.snapshots.len(), 1);
     }
 }

@@ -15,12 +15,12 @@
 //! * [`state_space`] — the schema `S = Π|Cᵢ| × Π|Eⱼ|`, with exact
 //!   counting and iteration (the state-explosion experiment E1).
 //! * [`posture`] — security modules and per-device postures.
-//! * [`policy`] — pattern-based `state → posture` rules ([`FsmPolicy`]),
+//! * [`policy`] — pattern-based `state → posture` rules ([`policy::FsmPolicy`]),
 //!   the Figure 3 example expressed directly.
 //! * [`recipe`] — the IFTTT strawman: a recipe language, parser and the
 //!   Table 2 corpus generator.
 //! * [`compile`] — compiling vulnerability knowledge + recipes into an
-//!   [`FsmPolicy`] (vuln mitigations, context escalation, actuation
+//!   [`policy::FsmPolicy`] (vuln mitigations, context escalation, actuation
 //!   gating).
 //! * [`conflict`] — recipe/rule conflict and ambiguity detection (the
 //!   smoke-alarm vs Sighthound example).
@@ -49,16 +49,3 @@ pub mod posture;
 pub mod prune;
 pub mod recipe;
 pub mod state_space;
-
-pub use compile::PolicyCompiler;
-pub use conflict::{Conflict, ConflictKind};
-pub use context::SecurityContext;
-pub use explore::{BfsStats, SpaceStats};
-pub use intern::Interner;
-pub use packed::{MemoPolicy, PackedLayout, PackedState};
-pub use policy::{FsmPolicy, PolicyRule, StatePattern};
-pub use posture::{
-    class_allowlist, quarantine_allowlist, Posture, PostureVector, SecurityModule, ServiceAllow,
-};
-pub use recipe::{Recipe, RecipeAction, Trigger};
-pub use state_space::{StateSchema, SystemState};

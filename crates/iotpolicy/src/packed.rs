@@ -96,7 +96,7 @@ pub(crate) struct SlotBits {
 impl SlotBits {
     /// The field mask, already shifted into place.
     #[inline]
-    pub fn mask(&self) -> u128 {
+    pub(crate) fn mask(&self) -> u128 {
         if self.bits == 0 {
             0
         } else {
@@ -309,7 +309,7 @@ pub(crate) struct PackedPattern {
 
 impl PackedPattern {
     /// Compile `pattern` against `schema`'s layout.
-    pub fn compile(
+    pub(crate) fn compile(
         layout: &PackedLayout,
         schema: &StateSchema,
         pattern: &crate::policy::StatePattern,
@@ -586,18 +586,13 @@ impl<'a> MemoPolicy<'a> {
         })
     }
 
-    /// The underlying policy.
-    pub fn policy(&self) -> &'a FsmPolicy {
-        self.policy
-    }
-
     /// The schema's packed layout.
     pub fn layout(&self) -> &PackedLayout {
         &self.layout
     }
 
     /// `(lookups, memo hits)` so far.
-    pub fn stats(&self) -> (u64, u64) {
+    pub(crate) fn stats(&self) -> (u64, u64) {
         (self.lookups, self.hits)
     }
 
@@ -610,7 +605,7 @@ impl<'a> MemoPolicy<'a> {
     /// slot-posture arena. Classes are stored as per-position id
     /// tuples; only callers that need the full vector pay for building
     /// one.
-    pub fn class(&self, id: u32) -> PostureVector {
+    pub(crate) fn class(&self, id: u32) -> PostureVector {
         let stride = self.resolved_slots.len();
         let start = id as usize * stride;
         self.materialize(&self.class_pids[start..start + stride])

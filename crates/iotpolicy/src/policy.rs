@@ -14,12 +14,11 @@ use crate::posture::{Posture, PostureVector};
 use crate::state_space::{StateSchema, SystemState};
 use iotdev::device::DeviceId;
 use iotdev::env::EnvVar;
-use serde::Serialize;
 use std::collections::BTreeMap;
 
 /// A partial assignment over the state space: unconstrained slots match
 /// anything.
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct StatePattern {
     /// Required device contexts.
     pub contexts: BTreeMap<DeviceId, SecurityContext>,
@@ -50,7 +49,7 @@ impl StatePattern {
     /// Constraints on devices or variables the schema does not track are
     /// unsatisfiable — a policy referring to unknown slots never fires,
     /// which is the fail-closed reading.
-    pub fn matches(&self, schema: &StateSchema, state: &SystemState) -> bool {
+    pub(crate) fn matches(&self, schema: &StateSchema, state: &SystemState) -> bool {
         for (id, want) in &self.contexts {
             match schema.context_of(state, *id) {
                 Some(have) if have == *want => {}
@@ -86,15 +85,10 @@ impl StatePattern {
         }
         true
     }
-
-    /// Number of constrained slots.
-    pub fn specificity(&self) -> usize {
-        self.contexts.len() + self.env.len()
-    }
 }
 
 /// One prioritized policy rule.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PolicyRule {
     /// Higher wins; equal priorities merge (and are checked for
     /// contradictions by the conflict detector).
@@ -132,7 +126,7 @@ impl PolicyRule {
     }
 
     /// Mark the rule as replacing lower-priority postures.
-    pub fn overriding(mut self) -> PolicyRule {
+    pub(crate) fn overriding(mut self) -> PolicyRule {
         self.override_lower = true;
         self
     }
@@ -145,7 +139,7 @@ impl PolicyRule {
 }
 
 /// The compiled policy for one deployment.
-#[derive(Debug, Clone, Default, Serialize)]
+#[derive(Debug, Clone, Default)]
 pub struct FsmPolicy {
     /// The deployment's state schema.
     pub schema: StateSchema,
@@ -173,7 +167,7 @@ impl FsmPolicy {
     /// Per device: matching rules apply in ascending priority order (ties
     /// in installation order); each rule *merges* its posture with what
     /// lower layers accumulated, unless it is marked
-    /// [`PolicyRule::overriding`], in which case it replaces them. The
+    /// `PolicyRule::overriding`, in which case it replaces them. The
     /// baseline sits underneath everything.
     pub fn evaluate(&self, state: &SystemState) -> PostureVector {
         let mut out = PostureVector::new();
@@ -238,18 +232,6 @@ impl FsmPolicy {
     /// The posture of a single device in `state`.
     pub fn posture_for(&self, state: &SystemState, id: DeviceId) -> Posture {
         self.evaluate(state).posture(id)
-    }
-
-    /// Exhaustively enumerate `(state, posture-vector)` pairs. Only for
-    /// small schemas (tests and the E1/A1 experiments).
-    pub fn enumerate(&self) -> Vec<(SystemState, PostureVector)> {
-        self.schema
-            .iter_states()
-            .map(|s| {
-                let v = self.evaluate(&s);
-                (s, v)
-            })
-            .collect()
     }
 }
 
@@ -465,12 +447,5 @@ mod tests {
                 assert_eq!(out, policy.evaluate(state), "{state:?}");
             }
         }
-    }
-
-    #[test]
-    fn enumerate_covers_space() {
-        let policy = figure3_policy(ALARM, WINDOW);
-        let all = policy.enumerate();
-        assert_eq!(all.len() as u128, policy.schema.size());
     }
 }

@@ -9,12 +9,11 @@
 use iotdev::device::{DeviceClass, DeviceId};
 use iotdev::env::EnvVar;
 use iotdev::proto::ports;
-use serde::Serialize;
 use smallvec::SmallVec;
 use std::collections::BTreeMap;
 
 /// Classes of messages a posture can block.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum BlockClass {
     /// Block everything to/from the device.
     All,
@@ -31,7 +30,7 @@ pub enum BlockClass {
 }
 
 /// A security module in a device's posture.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum SecurityModule {
     /// Interpose on management logins and require strong credentials
     /// (the Figure 4 password-proxy µmbox).
@@ -88,7 +87,7 @@ impl Default for SecurityModule {
 /// the two-module quarantine), so the set lives inline — the packed
 /// state-space engine interns hundreds of thousands of them and the
 /// inline representation keeps that cold path allocation-free.
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct Posture {
     modules: SmallVec<SecurityModule, 2>,
 }
@@ -211,7 +210,7 @@ impl Posture {
 
 /// One allowed service (protocol plane, destination port) on a device
 /// — an entry in a per-class allow-list.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ServiceAllow {
     /// True for TCP, false for UDP.
     pub tcp: bool,
@@ -221,12 +220,12 @@ pub struct ServiceAllow {
 
 impl ServiceAllow {
     /// A TCP service.
-    pub fn tcp(port: u16) -> ServiceAllow {
+    pub(crate) fn tcp(port: u16) -> ServiceAllow {
         ServiceAllow { tcp: true, port }
     }
 
     /// A UDP service.
-    pub fn udp(port: u16) -> ServiceAllow {
+    pub(crate) fn udp(port: u16) -> ServiceAllow {
         ServiceAllow { tcp: false, port }
     }
 }
@@ -295,7 +294,7 @@ pub(crate) fn fingerprint_postures<'a>(
 }
 
 /// The postures of every device in one state.
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct PostureVector {
     /// Per-device postures. Devices absent from the map are `allow`.
     pub by_device: BTreeMap<DeviceId, Posture>,
@@ -308,7 +307,7 @@ impl PostureVector {
     }
 
     /// The posture of a device (allow if unset).
-    pub fn posture(&self, id: DeviceId) -> Posture {
+    pub(crate) fn posture(&self, id: DeviceId) -> Posture {
         self.by_device.get(&id).cloned().unwrap_or_default()
     }
 

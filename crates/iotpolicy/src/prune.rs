@@ -22,11 +22,10 @@
 
 use crate::policy::FsmPolicy;
 use crate::state_space::StateSchema;
-use serde::Serialize;
 use std::collections::HashMap;
 
 /// A slot in the schema: a device's context or an environment variable.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Slot {
     /// Device slot index.
     Device(usize),
@@ -35,7 +34,7 @@ pub enum Slot {
 }
 
 /// One independent component of the factored space.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Component {
     /// Member slots.
     pub slots: Vec<Slot>,
@@ -44,7 +43,7 @@ pub struct Component {
 }
 
 /// The factored state space.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FactoredSpace {
     /// Independent components.
     pub components: Vec<Component>,

@@ -15,10 +15,9 @@ use iotdev::env::EnvVar;
 use iotdev::proto::{ControlAction, EventKind};
 use rand::seq::SliceRandom;
 use rand::Rng;
-use serde::Serialize;
 
 /// What fires a recipe.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Trigger {
     /// An environment variable reaches a value ("temperature is high").
     EnvEquals(EnvVar, &'static str),
@@ -39,7 +38,7 @@ impl Trigger {
 }
 
 /// The THEN part: an actuation on a target device.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RecipeAction {
     /// Target device.
     pub target: DeviceId,
@@ -48,7 +47,7 @@ pub struct RecipeAction {
 }
 
 /// One recipe.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Recipe {
     /// Corpus-unique id.
     pub id: u32,
@@ -270,7 +269,7 @@ impl TargetPool {
 }
 
 /// The three Table 2 anchor devices and their recipe counts.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Table2Anchor {
     /// NEST Protect — 188 cross-device recipes.
     NestProtect,
@@ -345,7 +344,12 @@ impl Table2Anchor {
     /// Generate this anchor's corpus at the paper's size. ~95 % of
     /// recipes follow the anchor's canonical intent per target; the rest
     /// pick freely (the sloppy tail where contradictions live).
-    pub fn corpus<R: Rng>(self, pool: &TargetPool, rng: &mut R, first_id: u32) -> Vec<Recipe> {
+    pub(crate) fn corpus<R: Rng>(
+        self,
+        pool: &TargetPool,
+        rng: &mut R,
+        first_id: u32,
+    ) -> Vec<Recipe> {
         let triggers = self.triggers();
         let mut recipes = Vec::with_capacity(self.paper_count());
         let actionable: Vec<(DeviceId, DeviceClass)> = pool

@@ -11,10 +11,9 @@ use crate::context::SecurityContext;
 use iotdev::device::{DeviceClass, DeviceId};
 use iotdev::env::EnvVar;
 use iotnet::hash::WordMap;
-use serde::Serialize;
 
 /// One device's slot in the schema.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DeviceVar {
     /// The device.
     pub id: DeviceId,
@@ -25,7 +24,7 @@ pub struct DeviceVar {
 }
 
 /// The shape of a deployment's state space.
-#[derive(Debug, Clone, PartialEq, Default, Serialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct StateSchema {
     /// Devices, in slot order.
     pub devices: Vec<DeviceVar>,
@@ -119,7 +118,7 @@ impl StateSchema {
     }
 
     /// The env-variable domain value of `state` at `var`, if tracked.
-    pub fn env_value(&self, state: &SystemState, var: EnvVar) -> Option<&'static str> {
+    pub(crate) fn env_value(&self, state: &SystemState, var: EnvVar) -> Option<&'static str> {
         let slot = self.env_slot(var)?;
         var.domain().get(state.env[slot] as usize).copied()
     }
@@ -132,7 +131,7 @@ impl StateSchema {
 }
 
 /// One concrete system state.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Hash, Serialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, Hash)]
 pub struct SystemState {
     /// Per-device contexts, by schema slot.
     pub contexts: Vec<SecurityContext>,

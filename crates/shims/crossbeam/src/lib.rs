@@ -1,10 +1,12 @@
 //! Offline shim for the `crossbeam` crate (see `crates/shims/README.md`).
 //!
-//! One piece of crossbeam is used in this workspace: `crossbeam::scope`,
-//! which maps directly to `std::thread::scope` (std has had scoped
-//! threads since 1.63). The one API difference: crossbeam passes a scope
-//! reference into each spawned closure for nested spawning — callers
-//! here all ignore it (`|_|`), so the shim passes `()`.
+//! The workspace used one piece of crossbeam, `crossbeam::scope`, which
+//! maps directly to `std::thread::scope` (std has had scoped threads
+//! since 1.63); its callers now use `std::thread::scope` itself, and
+//! nothing names this crate. It stays while `benchmark/Cargo.lock` pins
+//! the manifests' dependency edges. The one API difference: crossbeam
+//! passes a scope reference into each spawned closure for nested
+//! spawning, so the shim passes `()`.
 
 use std::thread;
 

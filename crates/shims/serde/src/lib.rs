@@ -3,9 +3,10 @@
 //! The build environment has no network access and no vendored registry,
 //! so the workspace carries minimal in-repo substitutes for its external
 //! dependencies (see `crates/shims/README.md`). This shim provides the
-//! `Serialize`/`Deserialize` *marker* traits plus no-op derive macros —
-//! enough for every `#[derive(Serialize, Deserialize)]` in the tree to
-//! compile. Nothing in the workspace calls serde's serialization methods
+//! `Serialize`/`Deserialize` *marker* traits plus no-op derive macros.
+//! No code in the workspace derives or names them any more; the crate
+//! stays while `benchmark/Cargo.lock` pins the manifests' dependency
+//! edges. Nothing in the workspace ever called serde's serialization methods
 //! (the one JSON exchange format, crowdsourced signatures, has an explicit
 //! hand-rolled codec in `iotlearn::signature`), so the traits are empty.
 

@@ -33,7 +33,7 @@ impl TraceAggregator {
     }
 
     /// Fold one event into the aggregate.
-    pub fn observe(&mut self, at_ns: u64, event: &TraceEvent) {
+    pub(crate) fn observe(&mut self, at_ns: u64, event: &TraceEvent) {
         self.total += 1;
         self.last_ns = self.last_ns.max(at_ns);
         *self.by_component.entry((event.component(), event.kind())).or_insert(0) += 1;
@@ -59,16 +59,6 @@ impl TraceAggregator {
         for (at, ev) in events {
             self.observe(*at, ev);
         }
-    }
-
-    /// Total events observed.
-    pub fn total(&self) -> u64 {
-        self.total
-    }
-
-    /// Occurrences of `kind` under `component`.
-    pub fn count(&self, component: &'static str, kind: &'static str) -> u64 {
-        self.by_component.get(&(component, kind)).copied().unwrap_or(0)
     }
 
     /// The `k` hottest switches by data-plane event count, hottest
@@ -132,10 +122,11 @@ mod tests {
         agg.observe(1, &TraceEvent::CacheHit { switch: 0 });
         agg.observe(2, &TraceEvent::CacheHit { switch: 1 });
         agg.observe(3, &TraceEvent::DirectiveIssued { device: 0, kind: "launch" });
-        assert_eq!(agg.total(), 3);
-        assert_eq!(agg.count("iotnet", "cache-hit"), 2);
-        assert_eq!(agg.count("iotctl", "directive-issued"), 1);
-        assert_eq!(agg.count("umbox", "umbox-enter"), 0);
+        let count = |component, kind| agg.by_component.get(&(component, kind)).copied();
+        assert_eq!(agg.total, 3);
+        assert_eq!(count("iotnet", "cache-hit"), Some(2));
+        assert_eq!(count("iotctl", "directive-issued"), Some(1));
+        assert_eq!(count("umbox", "umbox-enter"), None);
     }
 
     #[test]

@@ -297,7 +297,7 @@ impl TraceEvent {
     }
 
     /// Stable kind label (the `"e"` field of the JSONL rendering).
-    pub fn kind(&self) -> &'static str {
+    pub(crate) fn kind(&self) -> &'static str {
         match self {
             TraceEvent::DirectiveIssued { .. } => "directive-issued",
             TraceEvent::DirectiveDelivered { .. } => "directive-delivered",
@@ -339,7 +339,7 @@ impl TraceEvent {
 
     /// The emitting component (for the aggregator's per-component
     /// histograms).
-    pub fn component(&self) -> &'static str {
+    pub(crate) fn component(&self) -> &'static str {
         match self {
             TraceEvent::DirectiveIssued { .. }
             | TraceEvent::DirectiveDelivered { .. }

@@ -22,7 +22,7 @@ pub enum MetricValue {
 /// Named, typed metrics with a name-sorted snapshot.
 ///
 /// Storage is insertion-ordered; ordering is imposed only by
-/// [`MetricsRegistry::snapshot`], which sorts by name. Re-registering a
+/// `MetricsRegistry::snapshot`, which sorts by name. Re-registering a
 /// counter name adds to it (so scattered per-component counters can be
 /// absorbed additively); re-registering a gauge overwrites.
 #[derive(Debug, Clone, Default)]
@@ -74,22 +74,12 @@ impl MetricsRegistry {
         self.entries.iter().find(|(n, _)| n == name).map(|(_, v)| *v)
     }
 
-    /// Number of registered metrics.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// True when no metrics are registered.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
     /// Name-sorted snapshot of all metrics.
     ///
     /// The sort happens here, at snapshot time — insertion order never
     /// leaks into the output, which is what makes snapshots comparable
     /// across worlds that registered metrics in different orders.
-    pub fn snapshot(&self) -> Vec<(String, MetricValue)> {
+    pub(crate) fn snapshot(&self) -> Vec<(String, MetricValue)> {
         let mut snap = self.entries.clone();
         snap.sort_by(|a, b| a.0.cmp(&b.0));
         snap
@@ -143,7 +133,7 @@ mod tests {
         r.counter("net.cache_hits", 3);
         r.counter("net.cache_hits", 4);
         assert_eq!(r.get("net.cache_hits"), Some(MetricValue::Counter(7)));
-        assert_eq!(r.len(), 1);
+        assert_eq!(r.entries.len(), 1);
     }
 
     #[test]

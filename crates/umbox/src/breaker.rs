@@ -8,10 +8,10 @@
 //! down. The breaker is the standard remedy, made deterministic:
 //!
 //! ```text
-//!            crash ≥ trip_after within window
+//!            crash ≥ TRIP_AFTER within WINDOW
 //!   Closed ──────────────────────────────────► Open
-//!     ▲                                          │ cooldown elapses
-//!     │ trial window clean                       ▼
+//!     ▲                                          │ COOLDOWN elapses
+//!     │ TRIAL window clean                       ▼
 //!     └────────────────────────────────────── HalfOpen
 //!                 (a crash in HalfOpen re-opens immediately)
 //! ```
@@ -26,38 +26,33 @@
 
 use iotdev::device::DeviceId;
 use iotnet::time::{SimDuration, SimTime};
-use serde::Serialize;
 use std::collections::BTreeMap;
 
-/// Breaker tuning knobs (all sim-time; no wall-clock anywhere).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+/// Crashes within `WINDOW` that trip the breaker.
+const TRIP_AFTER: u32 = 2;
+/// Sliding window over which crashes are counted.
+const WINDOW: SimDuration = SimDuration::from_secs(30);
+/// How long the breaker stays open before probing again.
+const COOLDOWN: SimDuration = SimDuration::from_secs(15);
+/// Clean serving time required in half-open before re-closing.
+const TRIAL: SimDuration = SimDuration::from_secs(5);
+
+/// Whether breakers run; their timings are the constants above, all
+/// sim-time (no wall-clock anywhere).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BreakerConfig {
     /// Master switch; disabled breakers never leave `Closed`.
     pub enabled: bool,
-    /// Crashes within [`BreakerConfig::window`] that trip the breaker.
-    pub trip_after: u32,
-    /// Sliding window over which crashes are counted.
-    pub window: SimDuration,
-    /// How long the breaker stays open before probing again.
-    pub cooldown: SimDuration,
-    /// Clean serving time required in half-open before re-closing.
-    pub trial: SimDuration,
 }
 
 impl Default for BreakerConfig {
     fn default() -> Self {
-        BreakerConfig {
-            enabled: true,
-            trip_after: 2,
-            window: SimDuration::from_secs(30),
-            cooldown: SimDuration::from_secs(15),
-            trial: SimDuration::from_secs(5),
-        }
+        BreakerConfig { enabled: true }
     }
 }
 
 /// The three breaker states.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum BreakerState {
     /// Healthy: crashes are counted but the chain serves normally.
     Closed,
@@ -100,12 +95,12 @@ pub(crate) struct CircuitBreaker {
 
 impl CircuitBreaker {
     /// A closed breaker with the given tuning.
-    pub fn new(cfg: BreakerConfig) -> CircuitBreaker {
+    pub(crate) fn new(cfg: BreakerConfig) -> CircuitBreaker {
         CircuitBreaker { cfg, state: BreakerState::Closed, recent: Vec::new(), trips: 0 }
     }
 
     /// The hold deadline while open.
-    pub fn open_until(&self) -> Option<SimTime> {
+    pub(crate) fn open_until(&self) -> Option<SimTime> {
         match self.state {
             BreakerState::Open { until } => Some(until),
             _ => None,
@@ -114,7 +109,7 @@ impl CircuitBreaker {
 
     /// Record a crash at `now`. Returns `Some(Tripped)` exactly when
     /// this crash opens the breaker.
-    pub fn on_crash(&mut self, now: SimTime) -> Option<BreakerEvent> {
+    pub(crate) fn on_crash(&mut self, now: SimTime) -> Option<BreakerEvent> {
         if !self.cfg.enabled {
             return None;
         }
@@ -126,11 +121,10 @@ impl CircuitBreaker {
                 Some(BreakerEvent::Tripped)
             }
             BreakerState::Closed => {
-                let horizon =
-                    SimTime::from_nanos(now.as_nanos().saturating_sub(self.cfg.window.as_nanos()));
+                let horizon = SimTime::from_nanos(now.as_nanos().saturating_sub(WINDOW.as_nanos()));
                 self.recent.retain(|&t| t >= horizon);
                 self.recent.push(now);
-                if self.recent.len() as u32 >= self.cfg.trip_after {
+                if self.recent.len() as u32 >= TRIP_AFTER {
                     self.trip(now);
                     Some(BreakerEvent::Tripped)
                 } else {
@@ -143,7 +137,7 @@ impl CircuitBreaker {
     /// Advance the state machine at `now`; `serving` is whether the
     /// device's instance currently serves traffic (half-open trials only
     /// count clean time while an instance is actually up).
-    pub fn tick(&mut self, now: SimTime, serving: bool) -> Option<BreakerEvent> {
+    pub(crate) fn tick(&mut self, now: SimTime, serving: bool) -> Option<BreakerEvent> {
         if !self.cfg.enabled {
             return None;
         }
@@ -152,7 +146,7 @@ impl CircuitBreaker {
                 self.state = BreakerState::HalfOpen { since: now };
                 Some(BreakerEvent::HalfOpened)
             }
-            BreakerState::HalfOpen { since } if serving && now >= since + self.cfg.trial => {
+            BreakerState::HalfOpen { since } if serving && now >= since + TRIAL => {
                 self.state = BreakerState::Closed;
                 self.recent.clear();
                 Some(BreakerEvent::Reclosed)
@@ -162,7 +156,7 @@ impl CircuitBreaker {
     }
 
     fn trip(&mut self, now: SimTime) {
-        self.state = BreakerState::Open { until: now + self.cfg.cooldown };
+        self.state = BreakerState::Open { until: now + COOLDOWN };
         self.recent.clear();
         self.trips += 1;
     }
@@ -213,19 +207,9 @@ impl BreakerBank {
 mod tests {
     use super::*;
 
-    fn cfg() -> BreakerConfig {
-        BreakerConfig {
-            enabled: true,
-            trip_after: 2,
-            window: SimDuration::from_secs(30),
-            cooldown: SimDuration::from_secs(15),
-            trial: SimDuration::from_secs(5),
-        }
-    }
-
     #[test]
     fn trips_on_repeated_crashes_within_window() {
-        let mut b = CircuitBreaker::new(cfg());
+        let mut b = CircuitBreaker::new(BreakerConfig::default());
         assert_eq!(b.on_crash(SimTime::from_secs(1)), None);
         assert_eq!(b.on_crash(SimTime::from_secs(2)), Some(BreakerEvent::Tripped));
         assert!(b.open_until().is_some());
@@ -238,7 +222,7 @@ mod tests {
 
     #[test]
     fn crashes_outside_the_window_do_not_trip() {
-        let mut b = CircuitBreaker::new(cfg());
+        let mut b = CircuitBreaker::new(BreakerConfig::default());
         assert_eq!(b.on_crash(SimTime::from_secs(1)), None);
         assert_eq!(b.on_crash(SimTime::from_secs(40)), None);
         assert_eq!(b.on_crash(SimTime::from_secs(41)), Some(BreakerEvent::Tripped));
@@ -246,7 +230,7 @@ mod tests {
 
     #[test]
     fn full_cycle_open_halfopen_closed() {
-        let mut b = CircuitBreaker::new(cfg());
+        let mut b = CircuitBreaker::new(BreakerConfig::default());
         b.on_crash(SimTime::from_secs(1));
         b.on_crash(SimTime::from_secs(2));
         assert!(b.open_until().is_some());
@@ -266,7 +250,7 @@ mod tests {
 
     #[test]
     fn crash_during_half_open_reopens() {
-        let mut b = CircuitBreaker::new(cfg());
+        let mut b = CircuitBreaker::new(BreakerConfig::default());
         b.on_crash(SimTime::from_secs(1));
         b.on_crash(SimTime::from_secs(2));
         b.tick(SimTime::from_secs(17), false);
@@ -277,7 +261,7 @@ mod tests {
 
     #[test]
     fn disabled_breaker_never_leaves_closed() {
-        let mut b = CircuitBreaker::new(BreakerConfig { enabled: false, ..cfg() });
+        let mut b = CircuitBreaker::new(BreakerConfig { enabled: false });
         for s in 0..10 {
             assert_eq!(b.on_crash(SimTime::from_secs(s)), None);
         }
@@ -287,7 +271,7 @@ mod tests {
 
     #[test]
     fn bank_tracks_devices_independently() {
-        let mut bank = BreakerBank::new(cfg());
+        let mut bank = BreakerBank::new(BreakerConfig::default());
         let (a, b) = (DeviceId(0), DeviceId(1));
         bank.on_crash(a, SimTime::from_secs(1));
         bank.on_crash(b, SimTime::from_secs(1));

@@ -17,7 +17,6 @@ use iotnet::net::{InlineProcessor, InlineVerdict};
 use iotnet::packet::Packet;
 use iotnet::time::{SimDuration, SimTime};
 use iotpolicy::posture::{Posture, SecurityModule};
-use serde::Serialize;
 use trace::{TraceEvent, Tracer};
 
 /// One slot in a chain: a closed enum rather than trait objects.
@@ -65,7 +64,7 @@ impl Slot {
 /// but leaves the device unprotected for the outage window; `FailClosed`
 /// preserves the security invariant but blackholes the device. The chaos
 /// experiment (E15) quantifies both.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum FailureMode {
     /// Pass traffic unfiltered while down (availability over security).
     /// The default, matching the implicit semantics of the boot window
@@ -127,7 +126,7 @@ pub struct UmboxChain {
 
 impl UmboxChain {
     /// An empty chain (passes everything).
-    pub fn empty(device: DeviceId, events: EventSink) -> UmboxChain {
+    pub(crate) fn empty(device: DeviceId, events: EventSink) -> UmboxChain {
         UmboxChain {
             device,
             slots: Vec::new(),
@@ -389,7 +388,7 @@ mod tests {
             assert_eq!(out.forward.len(), 1);
             assert!(out.latency > SimDuration::ZERO);
         }
-        assert_eq!(cfg.events.len(), 1); // batched: 1 per 3 blocked
+        assert_eq!(cfg.events.drain().len(), 1); // batched: 1 per 3 blocked
         assert!(chain.busy > SimDuration::ZERO);
     }
 

@@ -32,17 +32,17 @@ pub struct ElementOutcome {
 
 impl ElementOutcome {
     /// Pass the packet through unchanged.
-    pub fn pass(packet: Packet, cost: SimDuration) -> ElementOutcome {
+    pub(crate) fn pass(packet: Packet, cost: SimDuration) -> ElementOutcome {
         ElementOutcome { packet: Some(packet), reply: None, event: None, cost }
     }
 
     /// Drop the packet.
-    pub fn drop(cost: SimDuration) -> ElementOutcome {
+    pub(crate) fn drop(cost: SimDuration) -> ElementOutcome {
         ElementOutcome { packet: None, reply: None, event: None, cost }
     }
 
     /// Drop the packet and reply on the device's behalf.
-    pub fn reply(reply: Packet, cost: SimDuration) -> ElementOutcome {
+    pub(crate) fn reply(reply: Packet, cost: SimDuration) -> ElementOutcome {
         ElementOutcome { packet: None, reply: Some(reply), event: None, cost }
     }
 
@@ -93,16 +93,6 @@ impl EventSink {
     /// Discard all pending events, keeping the buffer.
     pub fn clear(&self) {
         self.0.borrow_mut().clear();
-    }
-
-    /// Number of pending events.
-    pub fn len(&self) -> usize {
-        self.0.borrow().len()
-    }
-
-    /// Whether empty.
-    pub fn is_empty(&self) -> bool {
-        self.0.borrow().is_empty()
     }
 }
 
@@ -166,16 +156,16 @@ mod tests {
     #[test]
     fn event_sink_roundtrip() {
         let sink = EventSink::new();
-        assert!(sink.is_empty());
+        assert!(sink.0.borrow().is_empty());
         sink.push_all([SecurityEvent::new(
             SimTime::ZERO,
             DeviceId(1),
             SecurityEventKind::SmokeAlarm,
         )]);
-        assert_eq!(sink.len(), 1);
+        assert_eq!(sink.0.borrow().len(), 1);
         let drained = sink.drain();
         assert_eq!(drained.len(), 1);
-        assert!(sink.is_empty());
+        assert!(sink.0.borrow().is_empty());
         // Clones share state.
         let clone = sink.clone();
         clone.push_all([SecurityEvent::new(
@@ -183,12 +173,12 @@ mod tests {
             DeviceId(2),
             SecurityEventKind::SmokeAlarm,
         )]);
-        assert_eq!(sink.len(), 1);
+        assert_eq!(sink.0.borrow().len(), 1);
         // Draining into a buffer appends after what it already holds.
         let mut buffer = drained;
         sink.drain_into(&mut buffer);
         assert_eq!(buffer.iter().map(|e| e.device.0).collect::<Vec<_>>(), [1, 2]);
-        assert!(sink.is_empty());
+        assert!(sink.0.borrow().is_empty());
     }
 
     #[test]

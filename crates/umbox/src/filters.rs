@@ -23,7 +23,7 @@ pub(crate) struct BlockFilter {
 
 impl BlockFilter {
     /// A filter for one block class.
-    pub fn new(device: DeviceId, class: BlockClass) -> BlockFilter {
+    pub(crate) fn new(device: DeviceId, class: BlockClass) -> BlockFilter {
         BlockFilter { device, class, dropped: 0 }
     }
 
@@ -82,7 +82,7 @@ impl Element for BlockFilter {
 
 /// Only the device's declared protocol planes get through.
 #[derive(Debug)]
-pub struct ProtocolWhitelist {
+pub(crate) struct ProtocolWhitelist {
     /// Allowed destination ports.
     pub allowed: BTreeSet<u16>,
     /// Dropped packets.
@@ -91,13 +91,13 @@ pub struct ProtocolWhitelist {
 
 impl ProtocolWhitelist {
     /// Whitelist the given ports.
-    pub fn new(allowed: impl IntoIterator<Item = u16>) -> ProtocolWhitelist {
+    pub(crate) fn new(allowed: impl IntoIterator<Item = u16>) -> ProtocolWhitelist {
         ProtocolWhitelist { allowed: allowed.into_iter().collect(), dropped: 0 }
     }
 
     /// The standard plane set for a well-behaved device (no DNS, no
     /// cloud).
-    pub fn standard() -> ProtocolWhitelist {
+    pub(crate) fn standard() -> ProtocolWhitelist {
         ProtocolWhitelist::new([ports::MGMT, ports::CONTROL, ports::TELEMETRY])
     }
 }
@@ -132,7 +132,7 @@ pub(crate) struct RateLimiter {
 
 impl RateLimiter {
     /// A limiter at `pps` with a burst of the same size.
-    pub fn new(pps: u32) -> RateLimiter {
+    pub(crate) fn new(pps: u32) -> RateLimiter {
         RateLimiter {
             pps,
             burst: pps.max(1),
@@ -182,7 +182,7 @@ pub(crate) struct MirrorTap {
 
 impl MirrorTap {
     /// A tap retaining up to `capacity` packets.
-    pub fn new(capacity: usize) -> MirrorTap {
+    pub(crate) fn new(capacity: usize) -> MirrorTap {
         MirrorTap { taps: std::collections::VecDeque::new(), capacity, seen: 0 }
     }
 }

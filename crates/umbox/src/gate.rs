@@ -18,7 +18,7 @@ use iotnet::time::SimTime;
 
 /// The Figure 5 context gate.
 #[derive(Debug)]
-pub struct ContextGate {
+pub(crate) struct ContextGate {
     /// The gated device.
     pub device: DeviceId,
     /// The variable the gate checks.
@@ -35,7 +35,7 @@ pub struct ContextGate {
 
 impl ContextGate {
     /// A gate requiring `var == required` on `view`.
-    pub fn new(
+    pub(crate) fn new(
         device: DeviceId,
         var: EnvVar,
         required: &'static str,

@@ -95,7 +95,7 @@ pub(crate) struct DnsGuard {
 
 impl DnsGuard {
     /// A fresh guard.
-    pub fn new(device: DeviceId) -> DnsGuard {
+    pub(crate) fn new(device: DeviceId) -> DnsGuard {
         DnsGuard { device, dropped_queries: 0 }
     }
 }

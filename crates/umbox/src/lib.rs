@@ -14,7 +14,7 @@
 //!   repository, rate limiters / protocol whitelists / block filters,
 //!   and the Figure 5 context gate.
 //! * [`chain`] — posture → chain compilation and the
-//!   [`iotnet::InlineProcessor`] adapter that attaches a chain to a
+//!   [`iotnet::net::InlineProcessor`] adapter that attaches a chain to a
 //!   switch steer point.
 //! * [`breaker`] — per-µmbox circuit breakers (closed → open →
 //!   half-open, deterministic sim-time cooldowns) that route a
@@ -39,9 +39,3 @@ pub mod ids;
 pub mod lifecycle;
 pub mod proxy;
 pub mod resource;
-
-pub use breaker::{BreakerBank, BreakerConfig, BreakerEvent};
-pub use chain::{build_chain, ChainConfig, FailureMode, UmboxChain};
-pub use element::{Element, ElementOutcome, EventSink, ViewHandle};
-pub use lifecycle::{LifecycleManager, UmboxInstance, UmboxState, VmKind};
-pub use resource::{Cluster, PlacementPolicy};

@@ -19,11 +19,10 @@
 use iotdev::device::DeviceId;
 use iotnet::stats::DurationHist;
 use iotnet::time::{SimDuration, SimTime};
-use serde::Serialize;
 use std::collections::BTreeMap;
 
 /// How a µmbox is realized.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum VmKind {
     /// Attach a pre-booted unikernel from the pool.
     UnikernelPooled,
@@ -73,7 +72,7 @@ impl VmKind {
 }
 
 /// Lifecycle state of one instance.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum UmboxState {
     /// Booting; ready at the stored time.
     Booting {
@@ -100,11 +99,11 @@ pub enum UmboxState {
 }
 
 /// Handle to a managed instance.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct UmboxId(pub u32);
 
 /// One managed µmbox instance.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct UmboxInstance {
     /// Handle.
     pub id: UmboxId,
@@ -331,11 +330,6 @@ impl LifecycleManager {
     pub fn get(&self, id: UmboxId) -> Option<&UmboxInstance> {
         self.instances.get(&id)
     }
-
-    /// All live (non-dead) instances.
-    pub fn live(&self) -> impl Iterator<Item = &UmboxInstance> {
-        self.instances.values().filter(|i| i.state != UmboxState::Dead)
-    }
 }
 
 #[cfg(test)]
@@ -428,7 +422,7 @@ mod tests {
         mgr.retire(id);
         assert_eq!(mgr.pool_available, 1);
         assert!(!mgr.get(id).unwrap().is_serving(ready));
-        assert_eq!(mgr.live().count(), 0);
+        assert!(mgr.instances.values().all(|i| i.state == UmboxState::Dead));
     }
 
     #[test]

@@ -47,7 +47,7 @@ fn reply_for(original: &Packet, msg: AppMessage) -> Packet {
 ///   come from an authorized source — this is the "network patch" for
 ///   `no-auth-control` devices like the Table 1 traffic lights.
 #[derive(Debug)]
-pub struct PasswordProxy {
+pub(crate) struct PasswordProxy {
     /// The protected device.
     pub device: DeviceId,
     /// The administrator-chosen credentials the proxy enforces.
@@ -66,7 +66,7 @@ pub struct PasswordProxy {
 
 impl PasswordProxy {
     /// A proxy enforcing `required` in front of `device`.
-    pub fn new(device: DeviceId, required: AdminCreds) -> PasswordProxy {
+    pub(crate) fn new(device: DeviceId, required: AdminCreds) -> PasswordProxy {
         PasswordProxy {
             device,
             required,
@@ -156,7 +156,7 @@ pub(crate) struct LoginChallenger {
 
 impl LoginChallenger {
     /// A challenger with a pre-cleared source set.
-    pub fn new(device: DeviceId, cleared: Vec<iotnet::addr::Ipv4Addr>) -> LoginChallenger {
+    pub(crate) fn new(device: DeviceId, cleared: Vec<iotnet::addr::Ipv4Addr>) -> LoginChallenger {
         LoginChallenger { device, cleared, challenged: 0 }
     }
 }

@@ -8,10 +8,9 @@
 
 use crate::lifecycle::VmKind;
 use iotdev::device::DeviceId;
-use serde::Serialize;
 
 /// Placement policy across servers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PlacementPolicy {
     /// First server with room.
     FirstFit,
@@ -20,7 +19,7 @@ pub enum PlacementPolicy {
 }
 
 /// One server (or the IoT router).
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub(crate) struct Server {
     /// Memory capacity in MiB.
     pub capacity_mib: u32,
@@ -37,7 +36,7 @@ impl Server {
 }
 
 /// A placement error.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct NoCapacity {
     /// MiB requested.
     pub requested_mib: u32,
@@ -46,7 +45,7 @@ pub struct NoCapacity {
 }
 
 /// The compute substrate µmboxes run on.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Cluster {
     servers: Vec<Server>,
     policy: PlacementPolicy,

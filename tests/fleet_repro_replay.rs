@@ -11,9 +11,13 @@
 //!
 //! which re-runs the weakened-arm seed sweep, ddmin-shrinks the first
 //! catch for each weakness and rewrites the three artifacts.
+//!
+//! A hostile artifact — a corpus one with a number overwritten — must be
+//! rejected by the parser or replay without panicking.
 
 use std::collections::BTreeSet;
 use std::fs;
+use std::panic::catch_unwind;
 use std::path::PathBuf;
 
 use iotsec_fuzz::fleet::{
@@ -57,24 +61,64 @@ fn bless_corpus() {
     }
 }
 
+/// Every `.repro` artifact in the corpus, as `(file name, text)`.
+fn corpus() -> Vec<(String, String)> {
+    let mut files: Vec<PathBuf> = fs::read_dir(corpus_dir())
+        .expect("tests/repros/fleet exists")
+        .map(|e| e.expect("read corpus entry").path())
+        .filter(|p| p.extension().is_some_and(|x| x == "repro"))
+        .collect();
+    files.sort();
+    files
+        .into_iter()
+        .map(|p| {
+            let name = p.file_name().unwrap().to_string_lossy().into_owned();
+            (name, fs::read_to_string(&p).expect("read artifact"))
+        })
+        .collect()
+}
+
+/// Overwrite each numeric key of each corpus artifact, one at a time,
+/// with `0`, `1` and `u32::MAX`. `parse_fleet` rejects the result or
+/// `fleet_violations` replays it without panicking: the barrier's round
+/// sums must saturate (a `u32::MAX`-round partition or backoff), and
+/// `homes` and `rounds` must be bounded at parse time (at `u32::MAX`
+/// either names a run no machine finishes).
+#[test]
+fn hostile_numeric_keys_are_rejected_or_replay() {
+    let mut replayed = 0;
+    for (name, text) in corpus() {
+        let lines: Vec<&str> = text.lines().collect();
+        for (i, line) in lines.iter().enumerate() {
+            let Some((key, value)) = line.split_once('=') else { continue };
+            if line.starts_with('#') || value.parse::<u64>().is_err() {
+                continue;
+            }
+            for hostile in [0, 1, u32::MAX] {
+                let mut edited = lines.clone();
+                let clause = format!("{key}={hostile}");
+                edited[i] = &clause;
+                let Ok(spec) = parse_fleet(&edited.join("\n")) else { continue };
+                let run = catch_unwind(|| fleet_violations(&spec));
+                assert!(run.is_ok(), "{name}: `{clause}` parsed and then panicked on replay");
+                replayed += 1;
+            }
+        }
+    }
+    assert!(replayed > 0, "every hostile artifact was rejected: the replay arm never ran");
+}
+
 #[test]
 fn fleet_repro_corpus_replays_and_stays_minimal() {
     if std::env::var("FLEET_REPRO_BLESS").is_ok() {
         bless_corpus();
     }
     let mut seen = BTreeSet::new();
-    for entry in fs::read_dir(corpus_dir()).expect("tests/repros/fleet exists") {
-        let path = entry.expect("read corpus entry").path();
-        if path.extension().and_then(|e| e.to_str()) != Some("repro") {
-            continue;
-        }
-        let name = path.file_stem().unwrap().to_str().unwrap().to_string();
-        let text = fs::read_to_string(&path).expect("read artifact");
-
+    for (name, text) in corpus() {
         // The artifact replays: parse back, re-run, and the produced
         // invariant set matches the `# violation=` trailers exactly.
-        let spec = parse_fleet(&text)
-            .unwrap_or_else(|e| panic!("{}: artifact no longer parses: {e}", path.display()));
+        let spec =
+            parse_fleet(&text).unwrap_or_else(|e| panic!("{name}: artifact no longer parses: {e}"));
         let produced: BTreeSet<&str> =
             fleet_violations(&spec).iter().map(|v| v.invariant).collect();
         let claimed: BTreeSet<&str> = text
@@ -82,25 +126,18 @@ fn fleet_repro_corpus_replays_and_stays_minimal() {
             .filter_map(|l| l.strip_prefix("# violation="))
             .map(|l| l.split_whitespace().next().unwrap())
             .collect();
-        assert!(!claimed.is_empty(), "{}: artifact claims no violations", path.display());
-        assert_eq!(
-            produced,
-            claimed,
-            "{}: replay produced a different violation set",
-            path.display()
-        );
+        assert!(!claimed.is_empty(), "{name}: artifact claims no violations");
+        assert_eq!(produced, claimed, "{name}: replay produced a different violation set");
 
         // The corpus stays minimal: ddmin has already run, so re-running
         // it must not find anything smaller.
         let repro = shrink_fleet(&spec).expect("violating artifact shrinks");
         assert_eq!(
-            repro.spec,
-            spec,
-            "{}: artifact is not 1-minimal any more — re-bless with FLEET_REPRO_BLESS=1",
-            path.display()
+            repro.spec, spec,
+            "{name}: artifact is not 1-minimal any more — re-bless with FLEET_REPRO_BLESS=1"
         );
 
-        seen.insert(name);
+        seen.insert(name.trim_end_matches(".repro").to_string());
     }
     let expected: BTreeSet<String> = CASES.iter().map(|(w, _)| w.label().to_string()).collect();
     assert_eq!(seen, expected, "corpus must hold exactly one artifact per seeded weakness");

@@ -5,7 +5,6 @@
 //! cargo run --release -p iotsec-bench --bin experiments            # all
 //! cargo run --release -p iotsec-bench --bin experiments table1     # one
 //! cargo run --release -p iotsec-bench --bin experiments e16 --threads 4
-//! cargo run --release -p iotsec-bench --bin experiments all --json # + BENCH_E16.json
 //! cargo run --release -p iotsec-bench --bin experiments --trace    # E17 trace harness
 //! ```
 //!
@@ -13,11 +12,9 @@
 //! (e20/e25/e26) population and round count for ad-hoc scaling runs —
 //! leave them off when regenerating the checked-in BENCH_*.json files,
 //! which CI byte-compares at the committed defaults.
-//! `--threads N` sets the worker count for the E16 parallel sweep;
-//! `--json` writes `BENCH_E16.json` with one record per experiment run
-//! (wall-clock for each, plus engine/cache counters for E16). If E16's
-//! parallel digests diverge from the serial reference the process exits
-//! non-zero — the CI perf-smoke job depends on that. The `e18` arm
+//! `--threads N` sets the worker count for the E16 parallel sweep. If
+//! E16's parallel digests diverge from the serial reference the process
+//! exits non-zero — the CI perf-smoke job depends on that. The `e18` arm
 //! always writes `BENCH_E18.json` (sim-time metrics only, so the file
 //! is byte-stable) and exits non-zero on any safety-gate failure — the
 //! CI safety-gate job depends on *that*. The `e19` arm always writes
@@ -55,11 +52,11 @@
 //! diverges from its rebuild reference or the churn arms fail the
 //! amortization gate — the CI resident-gate job depends on that.
 
-use iotsec_bench::report::{emit, fixed, quoted, timed, Doc, Obj};
+use iotsec_bench::report::emit;
 use iotsec_bench::{
     exp_anomaly, exp_chaos, exp_crowd, exp_ctl, exp_engine, exp_fleet, exp_fleet_chaos, exp_models,
     exp_perf, exp_pipeline, exp_policy, exp_resident, exp_safety, exp_space, exp_trace, exp_umbox,
-    exp_vet, exp_world, metrics, Table, SEED,
+    exp_vet, exp_world, Table, SEED,
 };
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -113,19 +110,22 @@ struct Ctx {
     rounds: Option<u32>,
 }
 
-/// Runs one experiment to completion; returns [`Report::outcome`]
-/// (`(0, 0.0, true)` for a plain table).
+/// Runs one experiment to completion; returns whether its gate held
+/// ([`Report::passed`]; a plain table always passes).
 ///
-/// [`Report::outcome`]: iotsec_bench::report::Report::outcome
-type Run = fn(&Ctx) -> (u64, f64, bool);
+/// [`Report::passed`]: iotsec_bench::report::Report::passed
+type Run = fn(&Ctx) -> bool;
 
-fn print(tables: impl IntoIterator<Item = Table>) -> (u64, f64, bool) {
+/// An experiment's id and aliases, and how to run it.
+type Experiment = (&'static [&'static str], Run);
+
+fn print(tables: impl IntoIterator<Item = Table>) -> bool {
     tables.into_iter().for_each(|t| t.print());
-    (0, 0.0, true)
+    true
 }
 
 /// Every experiment, in `all` order: its id, its aliases, how to run it.
-const EXPERIMENTS: &[(&[&str], Run)] = &[
+const EXPERIMENTS: &[Experiment] = &[
     (&["table1", "t1"], |_| print([exp_world::table1()])),
     (&["table2", "t2"], |_| print([exp_policy::table2(SEED)])),
     (&["fig3", "f3"], |_| print([exp_world::figure3()])),
@@ -158,17 +158,16 @@ const EXPERIMENTS: &[(&[&str], Run)] = &[
     (&["resident", "e26"], |c| emit(&exp_resident::resident(&alloc_bytes, c.homes, c.rounds))),
 ];
 
-/// Resolve every requested id (or alias) before anything runs: the ids
-/// as typed — they name the `BENCH_E16.json` records — each with its
-/// experiment. No ids, or `all` among them, is every experiment.
-fn plan(ids: &[String]) -> Result<Vec<(&str, Run)>, String> {
+/// Resolve every requested id (or alias) before anything runs. No ids,
+/// or `all` among them, is every experiment.
+fn plan(ids: &[String]) -> Result<Vec<&'static Experiment>, String> {
     if ids.is_empty() || ids.iter().any(|i| i == "all") {
-        return Ok(EXPERIMENTS.iter().map(|(names, run)| (names[0], *run)).collect());
+        return Ok(EXPERIMENTS.iter().collect());
     }
     ids.iter()
         .map(|id| {
             let known = EXPERIMENTS.iter().find(|(names, _)| names.contains(&id.as_str()));
-            known.map(|(_, run)| (id.as_str(), *run)).ok_or_else(|| {
+            known.ok_or_else(|| {
                 let all: Vec<&str> = EXPERIMENTS.iter().map(|(names, _)| names[0]).collect();
                 format!("unknown experiment '{id}'. available: all {}", all.join(" "))
             })
@@ -200,13 +199,11 @@ where
 }
 
 fn main() {
-    let mut json = false;
     let mut ctx = Ctx { threads: 2, homes: None, rounds: None };
     let mut ids: Vec<String> = Vec::new();
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--json" => json = true,
             "--trace" => ids.push("trace".to_string()),
             "--threads" => ctx.threads = positive_arg(&arg, &mut args),
             "--homes" => ctx.homes = Some(positive_arg(&arg, &mut args)),
@@ -220,39 +217,9 @@ fn main() {
     });
 
     println!("# IoTSec reproduction — experiment run (seed {SEED})");
-    let mut records = Vec::new();
     let mut diverged = false;
-    for (id, run) in to_run {
-        metrics::reset();
-        let ((events, hit_rate, deterministic), wall_ms) = timed(|| run(&ctx));
-        // Experiments that run worlds on this thread accumulate their
-        // engine counters in the thread-local tally; prefer those
-        // over the (often zero) values the arm returned directly.
-        let (reg_events, reg_rate) = metrics::take();
-        let (events, hit_rate) =
-            if reg_events > 0 { (reg_events, reg_rate) } else { (events, hit_rate) };
-        diverged |= !deterministic;
-        // One `BENCH_E16.json` record per experiment run. Every record
-        // carries the full field set; only world-running experiments
-        // populate the engine counters.
-        records.push(
-            Obj::new()
-                .field("experiment", quoted(id))
-                .field("seed", SEED)
-                .field("threads", ctx.threads)
-                .field("wall_ms", wall_ms)
-                .field("events_processed", events)
-                .field("cache_hit_rate", fixed(hit_rate, 4))
-                .field("deterministic", deterministic),
-        );
-    }
-    if json {
-        let count = records.len();
-        let doc = Doc::new("BENCH_E16.json")
-            .field("seed", SEED)
-            .field("threads", ctx.threads)
-            .volatile_rows("experiments", records);
-        println!("wrote {} ({count} records)", doc.write());
+    for (_, run) in to_run {
+        diverged |= !run(&ctx);
     }
     if diverged {
         eprintln!(
@@ -286,13 +253,13 @@ mod tests {
         assert!(err.starts_with("unknown experiment 'bogus'. available: all table1 table2 "));
         assert!(err.ends_with(" vet fleet_chaos resident"));
 
-        // A known id keeps the spelling it was asked for by; `all` (or
-        // nothing) is every experiment under its canonical id.
+        // An id or alias names its experiment; `all` (or nothing) is
+        // every experiment, in order.
         let typed = ids(&["e16", "trace", "a3"]);
-        let names: Vec<&str> = plan(&typed).unwrap().iter().map(|(id, _)| *id).collect();
-        assert_eq!(names, ["e16", "trace", "a3"]);
+        let names: Vec<&str> = plan(&typed).unwrap().iter().map(|(names, _)| names[0]).collect();
+        assert_eq!(names, ["perf", "trace", "crowd"]);
         assert_eq!(plan(&[]).unwrap().len(), EXPERIMENTS.len());
-        assert_eq!(plan(&ids(&["fig3", "all"])).unwrap()[0].0, "table1");
+        assert_eq!(plan(&ids(&["fig3", "all"])).unwrap()[0].0[0], "table1");
         let mut all: Vec<&str> =
             EXPERIMENTS.iter().flat_map(|(names, _)| names.iter().copied()).collect();
         all.sort_unstable();

@@ -52,7 +52,6 @@ pub fn failure_modes() -> Table {
         let mut w = World::new(&d);
         w.run_until_attack_done(SimDuration::from_secs(60));
         let m = w.report();
-        crate::metrics::record_world(&w);
         t.rowd(&[
             if fail_closed { "fail-closed" } else { "fail-open" }.to_string(),
             m.privacy_leaked.contains(&cam).to_string(),
@@ -91,7 +90,6 @@ pub fn failover() -> Table {
         let mut w = World::new(&d);
         w.run(SimDuration::from_secs(90));
         let m = w.report();
-        crate::metrics::record_world(&w);
         t.rowd(&[
             if standby { "primary + standby" } else { "single" }.to_string(),
             m.controller_failovers.to_string(),
@@ -126,7 +124,6 @@ pub fn determinism(seed: u64) -> Table {
         let mut w = World::new(&d);
         // Run past the fault horizon so the whole schedule plays out.
         w.run(SimDuration::from_secs(45));
-        crate::metrics::record_world(&w);
         w.report()
     };
     for chaos_seed in [seed, seed ^ 0xDEAD] {

@@ -103,8 +103,8 @@ impl Report for FleetBenchReport {
         )
     }
 
-    fn outcome(&self) -> (u64, f64, bool) {
-        (self.reference.events, 0.0, self.deterministic())
+    fn passed(&self) -> bool {
+        self.deterministic()
     }
 
     /// A stable section (fleet digest, propagation facts, memo/intern

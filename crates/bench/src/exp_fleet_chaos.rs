@@ -245,8 +245,8 @@ impl Report for FleetChaosReport {
         )
     }
 
-    fn outcome(&self) -> (u64, f64, bool) {
-        (self.faults(), 0.0, self.deterministic())
+    fn passed(&self) -> bool {
+        self.deterministic()
     }
 
     /// A stable section (per-cell convergence rounds, digests,

@@ -302,9 +302,8 @@ impl Report for ResidentBenchReport {
     }
 
     /// The gate is `identical && amortized`.
-    fn outcome(&self) -> (u64, f64, bool) {
-        let runs = self.arms.iter().map(|a| a.stats.resident_runs).sum();
-        (runs, 0.0, self.identical() && self.amortized())
+    fn passed(&self) -> bool {
+        self.identical() && self.amortized()
     }
 
     /// A stable section (per-arm digest, epoch and memo counters, the

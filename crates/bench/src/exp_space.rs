@@ -158,8 +158,8 @@ impl Report for SpaceReport {
         )
     }
 
-    fn outcome(&self) -> (u64, f64, bool) {
-        (self.states_total(), self.memo_hit_rate(), self.deterministic())
+    fn passed(&self) -> bool {
+        self.deterministic()
     }
 
     /// A stable section (counts, digests, engine agreement; the seed is

@@ -44,7 +44,6 @@ pub fn table1() -> Table {
             let mut w = World::new(&d);
             w.run_until_attack_done(SimDuration::from_secs(120));
             let m = w.report();
-            crate::metrics::record_world(&w);
             outcome.push(if exploit_landed(row, &m) { "EXPLOITED" } else { "protected" });
         }
         t.rowd(&[
@@ -72,7 +71,6 @@ pub fn figure4() -> Table {
         let mut w = World::new(&d);
         w.run_until_attack_done(SimDuration::from_secs(120));
         let m = w.report();
-        crate::metrics::record_world(&w);
         let login_ok = m.attack_outcomes.first().map(|o| o.success).unwrap_or(false);
         t.rowd(&[
             label.to_string(),
@@ -104,7 +102,6 @@ pub fn figure5() -> Table {
         w.env.occupied = false;
         w.run_until_attack_done(SimDuration::from_secs(180));
         let m = w.report();
-        crate::metrics::record_world(&w);
         let off_landed = m.attack_outcomes.first().map(|o| o.success).unwrap_or(false);
         let on_landed = m.attack_outcomes.get(1).map(|o| o.success).unwrap_or(false);
         t.rowd(&[
@@ -137,7 +134,6 @@ pub fn figure3() -> Table {
         w.env.occupied = false;
         w.run_until_attack_done(SimDuration::from_secs(180));
         let m = w.report();
-        crate::metrics::record_world(&w);
         t.rowd(&[
             label.to_string(),
             m.attack_outcomes.first().map(|o| o.success).unwrap_or(false).to_string(),
@@ -169,7 +165,6 @@ pub fn endtoend() -> Vec<Table> {
         w.env.occupied = true;
         w.run_until_attack_done(SimDuration::from_secs(300));
         let m = w.report();
-        crate::metrics::record_world(&w);
         sweep.rowd(&[
             label.to_string(),
             m.compromised.len().to_string(),
@@ -192,7 +187,6 @@ pub fn endtoend() -> Vec<Table> {
         w.env.ambient_c = 35.0;
         w.run_until_attack_done(SimDuration::from_secs(3600));
         let m = w.report();
-        crate::metrics::record_world(&w);
         chain.rowd(&[
             label.to_string(),
             m.compromised.contains(&plug).to_string(),

@@ -32,8 +32,7 @@
 //! [`report`] is the scaffold the gated experiments share — the
 //! [`report::Report`] a finished experiment hands the runner, the
 //! `BENCH_E*.json` writer, the timed determinism legs and the one
-//! [`SEED`]. [`metrics`] holds the runner's thread-local engine-counter
-//! tally, drained into each experiment's `BENCH_E16.json` record.
+//! [`SEED`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -56,7 +55,6 @@ pub mod exp_trace;
 pub mod exp_umbox;
 pub mod exp_vet;
 pub mod exp_world;
-pub mod metrics;
 pub mod report;
 pub mod sweep;
 pub mod table;

@@ -23,25 +23,24 @@ pub trait Report {
     fn table(&self) -> Table;
     /// The text printed under the table (ends with the summary line).
     fn summary(&self) -> String;
-    /// `(events, hit rate, gate)`: the engine work the experiment
-    /// accounts for itself, and whether its own determinism /
-    /// correctness gate held (`false` fails the process).
-    fn outcome(&self) -> (u64, f64, bool);
+    /// Whether the experiment's own determinism / correctness gate held
+    /// (`false` fails the process).
+    fn passed(&self) -> bool;
     /// The record file the experiment always writes, if any.
     fn record(&self) -> Option<Doc> {
         None
     }
 }
 
-/// Print a report, write its record, and return its [`Report::outcome`].
-pub fn emit(report: &impl Report) -> (u64, f64, bool) {
+/// Print a report, write its record, and return [`Report::passed`].
+pub fn emit(report: &impl Report) -> bool {
     report.table().print();
     println!("{}", report.summary());
     println!();
     if let Some(doc) = report.record() {
         println!("wrote {}", doc.write());
     }
-    report.outcome()
+    report.passed()
 }
 
 /// `hits / lookups`, with an idle cache reading 0 rather than NaN.

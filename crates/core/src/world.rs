@@ -1492,10 +1492,8 @@ impl World {
                     // An in-place reconfiguration keeps the instance's
                     // counters (it is the same µmbox, new rules).
                     let mut old = slot.chain.borrow_mut();
-                    new_chain.processed = old.processed;
                     new_chain.dropped = old.dropped;
                     new_chain.intercepted = old.intercepted;
-                    new_chain.busy = old.busy;
                     new_chain.down = old.down;
                     new_chain.fail_open_passed = old.fail_open_passed;
                     new_chain.fail_closed_dropped = old.fail_closed_dropped;

@@ -134,7 +134,7 @@ fn capture_reset_is_fresh() {
         || Capture::new(4),
         |capture| {
             for i in 0..6 {
-                capture.record(SimTime::from_millis(i), SwitchId(0), packet(1, 2, 80));
+                capture.record(SimTime::from_millis(i), packet(1, 2, 80));
             }
         },
         Capture::recycle,

@@ -26,9 +26,11 @@
 //!   region in rotated order; a pure metamorphic fault, since the
 //!   region unions into a canonical set.
 //! * **agg-crash** — a neighborhood aggregator loses its unflushed
-//!   buffer and respawns by replaying the checkpointed
-//!   [`iotctl::aggregate::RegionLog`]; the lost reports' source homes
-//!   re-publish from their memoized outcomes.
+//!   buffer and respawns empty: the region, not the aggregator, holds
+//!   the epoch, so nothing is replayed. The respawned aggregator sits
+//!   out that round's install wave, the lost reports' source homes
+//!   re-publish from their memoized outcomes, and a resident fleet drops
+//!   the co-located worker's resident worlds.
 //! * **partition** — a whole neighborhood is cut from the region for
 //!   [`FleetChaos::partition_rounds`] rounds (no flushes up, no install
 //!   waves down); on rejoin, reconciliation fast-forwards it to the

@@ -48,7 +48,7 @@
 //! digest bytes, same trace, same `BENCH_E20.json`.
 
 use crate::chaos::FleetChaos;
-use iotctl::aggregate::{Directory, InstallLedger, NeighborhoodBuffer, RegionIntel, RegionLog};
+use iotctl::aggregate::{Directory, InstallLedger, NeighborhoodBuffer, RegionIntel};
 use iotlearn::AttackSignature;
 use iotpolicy::intern::Interner;
 use iotsec::world::WorldScrap;
@@ -346,11 +346,8 @@ struct AggState {
     /// `rejoin-fast-forward` recover event).
     rejoined: bool,
     /// Crashed at this barrier (one-shot: the respawned aggregator
-    /// misses this round's install wave while replaying the log).
+    /// misses this round's install wave).
     down: bool,
-    /// Region epoch the aggregator has replayed up to (respawn
-    /// bookkeeping).
-    known_epoch: u32,
 }
 
 /// One published discovery the fleet has not yet converged on: the
@@ -405,8 +402,6 @@ pub struct Fleet<S: HomeWorld> {
     /// The chaos schedule. `None` (the default) runs the barrier under
     /// [`FleetChaos::calm`] and mutes the weather-only trace events.
     chaos: Option<FleetChaos>,
-    /// The region's checkpointed absorb log (respawn-by-replay source).
-    region_log: RegionLog<AttackSignature>,
     /// Per-neighborhood recovery state (inert chaos-off).
     aggs: Vec<AggState>,
     /// Duplicated flushes in flight: `(due round, batch)` — delivered to
@@ -483,7 +478,6 @@ impl<S: HomeWorld> Fleet<S> {
             installed_epoch: 0,
             published: vec![false; homes as usize],
             chaos,
-            region_log: RegionLog::new(),
             aggs: (0..dir.neighborhoods()).map(|_| AggState::default()).collect(),
             late_dups: Vec::new(),
             outstanding: Vec::new(),
@@ -689,17 +683,14 @@ impl<S: HomeWorld> Fleet<S> {
             let connected = self.aggs[ni].partitioned_until == 0;
 
             // Crash: the in-memory collection buffer is lost and its
-            // source homes must re-publish; the respawned aggregator
-            // replays the checkpointed region log to relearn the epoch
-            // and sits out this round's install wave.
+            // source homes must re-publish; the respawned aggregator sits
+            // out this round's install wave.
             if chaos.crashes_agg(round, n) {
                 self.tracer.emit(tr, TraceEvent::FleetFault { neighborhood: n, kind: "agg-crash" });
                 self.faults += 1;
                 for home in self.buffers[ni].crash() {
                     self.published[home as usize] = false;
                 }
-                let replayed_to = self.region_log.epoch();
-                self.aggs[ni].known_epoch = replayed_to;
                 self.aggs[ni].down = true;
                 // In resident mode the crash also takes down the worker
                 // co-located with this aggregator: its resident worlds
@@ -789,8 +780,7 @@ impl<S: HomeWorld> Fleet<S> {
             upward.extend(batch);
         }
 
-        // Absorb once; checkpoint the novelty into the region log and
-        // name every newly-known signature in the trace.
+        // Absorb once and name every newly-known signature in the trace.
         let novel = self.region.absorb_returning_novel(upward);
         let absorbed = !novel.is_empty();
         if absorbed {
@@ -806,7 +796,6 @@ impl<S: HomeWorld> Fleet<S> {
                     o.goal = Some(new_epoch);
                 }
             }
-            self.region_log.checkpoint(new_epoch, novel);
             let snapshot = self.region.snapshot();
             self.intel = self.interner.intern(&snapshot);
             self.snapshots.push(Some(self.intel.clone()));

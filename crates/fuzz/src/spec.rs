@@ -166,6 +166,14 @@ pub struct ScenarioSpec {
     pub attack: Vec<AttackStep>,
 }
 
+/// The most devices a spec may name. The generator draws at most
+/// `GenConfig::max_devices` (10 in every configuration the repo builds)
+/// and the shrinker only drops devices, so a repro is never larger; 8×
+/// that leaves room for hand-written cases — the rule `FleetSpec` applies
+/// to homes and rounds — while a hostile artifact's device list cannot
+/// outgrow what one switch can number.
+pub(crate) const MAX_DEVICES: usize = 80;
+
 impl ScenarioSpec {
     /// Run length as a duration.
     pub fn horizon(&self) -> SimDuration {
@@ -177,13 +185,16 @@ impl ScenarioSpec {
         (0..self.devices.len()).filter(|&i| self.devices[i].is_vulnerable()).collect()
     }
 
-    /// Structural validity: every index in range, rows in 1..=7, trigger
-    /// values in domain, every flap healing at or after it fails. The
-    /// generator always produces valid specs; the artifact parser
-    /// re-checks on load.
+    /// Structural validity: 1 to 80 devices, every index in range, rows
+    /// in 1..=7, trigger values in domain, every flap healing at or after
+    /// it fails. The generator always produces valid specs; the artifact
+    /// parser re-checks on load.
     pub fn validate(&self) -> Result<(), String> {
         if self.devices.is_empty() {
             return Err("scenario has no devices".into());
+        }
+        if self.devices.len() > MAX_DEVICES {
+            return Err(format!("at most {MAX_DEVICES} devices: {}", self.devices.len()));
         }
         for d in &self.devices {
             if let DeviceSpec::Row(r) = d {

@@ -72,13 +72,12 @@ impl Directory {
 #[derive(Debug)]
 pub struct NeighborhoodBuffer<T> {
     pending: Vec<(u32, T)>,
-    batches: u64,
 }
 
 impl<T: Ord> NeighborhoodBuffer<T> {
     /// An empty buffer.
     pub fn new() -> NeighborhoodBuffer<T> {
-        NeighborhoodBuffer { pending: Vec::new(), batches: 0 }
+        NeighborhoodBuffer { pending: Vec::new() }
     }
 
     /// Collect one discovery from a member home, remembering the source
@@ -88,12 +87,11 @@ impl<T: Ord> NeighborhoodBuffer<T> {
     }
 
     /// Flush the buffered discoveries upward in canonical (sorted)
-    /// order. Counts a batch only when there was something to flush.
+    /// order.
     pub fn flush(&mut self) -> Vec<T> {
         if self.pending.is_empty() {
             return Vec::new();
         }
-        self.batches += 1;
         let mut out = std::mem::take(&mut self.pending);
         out.sort_by(|a, b| a.1.cmp(&b.1).then(a.0.cmp(&b.0)));
         out.into_iter().map(|(_, item)| item).collect()
@@ -101,8 +99,8 @@ impl<T: Ord> NeighborhoodBuffer<T> {
 
     /// Crash the aggregator: every buffered (unflushed) report is lost.
     /// Returns the distinct source homes whose reports evaporated, in
-    /// home order, so the recovery path can make them re-publish. Not a
-    /// batch — nothing flows upward.
+    /// home order, so the recovery path can make them re-publish. Nothing
+    /// flows upward.
     pub fn crash(&mut self) -> Vec<u32> {
         let mut homes: Vec<u32> = self.pending.drain(..).map(|(home, _)| home).collect();
         homes.sort_unstable();
@@ -155,9 +153,8 @@ impl<T: Clone + Ord> RegionIntel<T> {
 
     /// [`RegionIntel::absorb`], but returns the novel items themselves
     /// (in `Ord` order) instead of a flag — empty means the batch was a
-    /// duplicate and the epoch did not move. The caller checkpoints the
-    /// novel set into a [`RegionLog`] and emits per-signature absorb
-    /// events from it (E25).
+    /// duplicate and the epoch did not move. The caller emits
+    /// per-signature absorb events from it (E25).
     pub fn absorb_returning_novel(&mut self, batch: Vec<T>) -> Vec<T> {
         let mut novel = Vec::new();
         for item in batch {
@@ -192,47 +189,6 @@ impl<T: Clone + Ord> RegionIntel<T> {
 impl<T: Clone + Ord> Default for RegionIntel<T> {
     fn default() -> RegionIntel<T> {
         RegionIntel::new()
-    }
-}
-
-/// The region's checkpointed, append-only absorb log (E25).
-///
-/// The region checkpoints every absorbing round here — epoch plus the
-/// novel items that produced it — so a crashed neighborhood aggregator
-/// can *respawn by replay*: reading the deltas past its last known
-/// epoch reconstructs exactly the intel it missed while down, without
-/// asking any home to re-report what the region already knows. The log
-/// is strictly monotone (entry `i` holds epoch `i + 1`) because the
-/// epoch contract on [`RegionIntel`] is dense.
-#[derive(Debug, Default)]
-pub struct RegionLog<T> {
-    entries: Vec<Vec<T>>,
-}
-
-impl<T: Clone + Ord> RegionLog<T> {
-    /// An empty log (region at epoch 0, nothing absorbed yet).
-    pub fn new() -> RegionLog<T> {
-        RegionLog { entries: Vec::new() }
-    }
-
-    /// Checkpoint one absorbing round. `epoch` must be the next dense
-    /// epoch and `items` its novel set (the return of
-    /// [`RegionIntel::absorb_returning_novel`]); both are checked so a
-    /// gap or out-of-order checkpoint fails loudly instead of corrupting
-    /// every future replay.
-    pub fn checkpoint(&mut self, epoch: u32, items: Vec<T>) {
-        assert_eq!(
-            epoch,
-            self.entries.len() as u32 + 1,
-            "region log checkpoints must be dense and in epoch order"
-        );
-        assert!(!items.is_empty(), "an absorbing round always adds at least one item");
-        self.entries.push(items);
-    }
-
-    /// The epoch of the latest checkpoint (0 when nothing was absorbed).
-    pub fn epoch(&self) -> u32 {
-        self.entries.len() as u32
     }
 }
 
@@ -339,16 +295,14 @@ mod tests {
     }
 
     #[test]
-    fn buffer_flushes_sorted_and_counts_batches() {
+    fn buffer_flushes_sorted() {
         let mut b: NeighborhoodBuffer<u32> = NeighborhoodBuffer::new();
         assert!(b.flush().is_empty());
-        assert_eq!(b.batches, 0);
         b.collect_from(0, 9);
         b.collect_from(0, 3);
         assert_eq!(b.pending.len(), 2);
         assert_eq!(b.flush(), vec![3, 9]);
         assert_eq!(b.pending.len(), 0);
-        assert_eq!(b.batches, 1);
     }
 
     #[test]
@@ -460,40 +414,14 @@ mod tests {
         b.collect_from(4, 41);
         assert_eq!(b.pending.len(), 3);
         // Crash: buffered reports are lost; the distinct sources come
-        // back in home order and no batch is counted.
+        // back in home order.
         assert_eq!(b.crash(), vec![2, 4]);
         assert_eq!(b.pending.len(), 0);
-        assert_eq!(b.batches, 0);
         // Crashing an empty buffer loses nothing.
         assert!(b.crash().is_empty());
         // The respawned buffer flushes normally, item-sorted.
         b.collect_from(2, 20);
         b.collect_from(4, 7);
         assert_eq!(b.flush(), vec![7, 20]);
-        assert_eq!(b.batches, 1);
-    }
-
-    #[test]
-    fn region_log_replays_the_tail() {
-        let mut r: RegionIntel<u32> = RegionIntel::new();
-        let mut log: RegionLog<u32> = RegionLog::new();
-        assert_eq!(log.epoch(), 0);
-        for batch in [vec![3, 1], vec![1, 3], vec![9]] {
-            let novel = r.absorb_returning_novel(batch);
-            if !novel.is_empty() {
-                log.checkpoint(r.epoch(), novel);
-            }
-        }
-        // The duplicate middle batch produced no checkpoint.
-        assert_eq!(log.epoch(), 2);
-        // Entry `i` holds the novel items of epoch `i + 1`, in order.
-        assert_eq!(log.entries, vec![vec![1, 3], vec![9]]);
-    }
-
-    #[test]
-    #[should_panic(expected = "dense")]
-    fn region_log_rejects_epoch_gaps() {
-        let mut log: RegionLog<u32> = RegionLog::new();
-        log.checkpoint(2, vec![1]);
     }
 }

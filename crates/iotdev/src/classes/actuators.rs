@@ -100,8 +100,6 @@ impl SmartPlug {
 pub struct LightBulb {
     /// On/off.
     pub on: bool,
-    /// Color index (the paper's IFTTT examples set lights to red).
-    pub color: u8,
 }
 
 impl LightBulb {
@@ -115,8 +113,7 @@ impl LightBulb {
                 self.on = false;
                 true
             }
-            ControlAction::SetColor(c) => {
-                self.color = c;
+            ControlAction::SetColor(_) => {
                 self.on = true;
                 true
             }
@@ -378,7 +375,6 @@ mod tests {
         let mut b = LightBulb::default();
         assert!(b.apply(ControlAction::SetColor(1)));
         assert!(b.on);
-        assert_eq!(b.color, 1);
         let mut env = Environment::new();
         env.begin_tick();
         b.tick(&mut env);

@@ -53,8 +53,6 @@ pub struct AbstractModel {
     pub initial: usize,
     /// Transitions.
     pub transitions: Vec<Transition>,
-    /// Environment variables the device senses.
-    pub env_reads: Vec<EnvVar>,
 }
 
 impl AbstractModel {
@@ -93,7 +91,6 @@ impl AbstractModel {
                         Transition { from: 0, input: Action(TurnOn), to: 1, writes: on_writes },
                         Transition { from: 1, input: Action(TurnOff), to: 0, writes: off_writes },
                     ],
-                    env_reads: vec![],
                 }
             }
             DeviceClass::Oven => AbstractModel {
@@ -109,7 +106,6 @@ impl AbstractModel {
                     },
                     Transition { from: 1, input: Action(TurnOff), to: 0, writes: vec![] },
                 ],
-                env_reads: vec![],
             },
             DeviceClass::WindowActuator => AbstractModel {
                 class,
@@ -129,7 +125,6 @@ impl AbstractModel {
                         writes: vec![(EnvVar::Window, "closed")],
                     },
                 ],
-                env_reads: vec![],
             },
             DeviceClass::SmartLock => AbstractModel {
                 class,
@@ -149,7 +144,6 @@ impl AbstractModel {
                         writes: vec![(EnvVar::Door, "locked")],
                     },
                 ],
-                env_reads: vec![],
             },
             DeviceClass::LightBulb => AbstractModel {
                 class,
@@ -169,7 +163,6 @@ impl AbstractModel {
                         writes: vec![(EnvVar::Light, "dark")],
                     },
                 ],
-                env_reads: vec![],
             },
             DeviceClass::Thermostat => AbstractModel {
                 class,
@@ -196,7 +189,6 @@ impl AbstractModel {
                         writes: vec![(EnvVar::Temperature, "high")],
                     },
                 ],
-                env_reads: vec![EnvVar::Temperature],
             },
             DeviceClass::FireAlarm => AbstractModel {
                 class,
@@ -216,7 +208,6 @@ impl AbstractModel {
                         writes: vec![],
                     },
                 ],
-                env_reads: vec![EnvVar::Smoke],
             },
             DeviceClass::Camera | DeviceClass::MotionSensor => AbstractModel {
                 class,
@@ -236,7 +227,6 @@ impl AbstractModel {
                         writes: vec![],
                     },
                 ],
-                env_reads: vec![EnvVar::Occupancy],
             },
             DeviceClass::LightSensor => AbstractModel {
                 class,
@@ -256,7 +246,6 @@ impl AbstractModel {
                         writes: vec![],
                     },
                 ],
-                env_reads: vec![EnvVar::Light],
             },
             DeviceClass::TrafficLight => AbstractModel {
                 class,
@@ -268,15 +257,10 @@ impl AbstractModel {
                     Transition { from: 0, input: Action(SetPhase(1)), to: 1, writes: vec![] },
                     Transition { from: 1, input: Action(SetPhase(0)), to: 0, writes: vec![] },
                 ],
-                env_reads: vec![],
             },
-            DeviceClass::SetTopBox | DeviceClass::Refrigerator => AbstractModel {
-                class,
-                states: vec!["on"],
-                initial: 0,
-                transitions: vec![],
-                env_reads: vec![],
-            },
+            DeviceClass::SetTopBox | DeviceClass::Refrigerator => {
+                AbstractModel { class, states: vec!["on"], initial: 0, transitions: vec![] }
+            }
         }
     }
 
@@ -318,10 +302,9 @@ mod tests {
     }
 
     #[test]
-    fn sensors_read_but_do_not_write() {
+    fn sensors_do_not_write() {
         for class in [DeviceClass::Camera, DeviceClass::FireAlarm, DeviceClass::LightSensor] {
             let m = AbstractModel::for_device(class, None);
-            assert!(!m.env_reads.is_empty());
             assert!(m.transitions.iter().all(|t| t.writes.is_empty()), "{class:?}");
         }
     }

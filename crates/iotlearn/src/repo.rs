@@ -133,8 +133,6 @@ pub struct SignatureRepo {
     /// Published signatures later proven bad (the DoS the paper worries
     /// about: a malicious signature blocking legitimate traffic).
     pub published_bad: u64,
-    /// Submissions rejected by screen or vote.
-    pub rejected: u64,
 }
 
 impl SignatureRepo {
@@ -152,7 +150,6 @@ impl SignatureRepo {
             inboxes: HashMap::new(),
             provenance: Vec::new(),
             published_bad: 0,
-            rejected: 0,
         }
     }
 
@@ -181,7 +178,6 @@ impl SignatureRepo {
     pub fn submit(&mut self, reporter: ReporterId, mut signature: AttackSignature) -> Option<u64> {
         let screened = self.config.screen_unselective && !signature.matcher.is_selective();
         if screened {
-            self.rejected += 1;
             // A screened submission still dings the submitter: publishing
             // a match-all "signature" is at best incompetent.
             if let Some(r) = self.reporters.get_mut(&reporter) {
@@ -250,7 +246,6 @@ impl SignatureRepo {
                 self.next_signature += 1;
                 newly_published.push(sub);
             } else if sub.disapproval >= quorum {
-                self.rejected += 1;
                 if let Some(r) = self.reporters.get_mut(&sub.submitter) {
                     r.beta += 1.0;
                 }
@@ -389,7 +384,6 @@ mod tests {
         let mallory = repo.register();
         let before = repo.reputation(mallory);
         assert!(repo.submit(mallory, evil_sig()).is_none());
-        assert_eq!(repo.rejected, 1);
         assert!(repo.reputation(mallory) < before);
         // With the screen disabled (ablation), it becomes a pending sub.
         let mut repo =
@@ -432,7 +426,7 @@ mod tests {
         repo.vote(carol, sub, false);
         repo.process(SimTime::ZERO);
         assert_eq!(repo.published_count(), 0);
-        assert_eq!(repo.rejected, 1);
+        assert!(repo.pending.is_empty(), "rejected, not left pending");
         assert!(repo.reputation(mallory) < rep_before);
     }
 

@@ -2,14 +2,10 @@
 //!
 //! Mirrored packets (flow action `Mirror`) and IDS-relevant traffic land in
 //! a bounded ring buffer. The learning layer replays captures to mine
-//! signatures, and the test suite asserts on them. Captures store both the
-//! structured packet and the exact wire bytes, since signature matchers
-//! operate on wire bytes.
+//! signatures, and the test suite asserts on them.
 
-use crate::addr::SwitchId;
 use crate::packet::Packet;
 use crate::time::SimTime;
-use bytes::Bytes;
 use std::collections::VecDeque;
 
 /// One captured packet.
@@ -17,12 +13,8 @@ use std::collections::VecDeque;
 pub struct CapturedPacket {
     /// Capture timestamp.
     pub at: SimTime,
-    /// Switch the packet was mirrored from.
-    pub switch: SwitchId,
     /// The structured packet.
     pub packet: Packet,
-    /// Exact wire bytes.
-    pub wire: Bytes,
 }
 
 /// A bounded ring buffer of captured packets.
@@ -30,8 +22,6 @@ pub struct CapturedPacket {
 pub struct Capture {
     ring: VecDeque<CapturedPacket>,
     capacity: usize,
-    /// Total packets ever captured (including evicted ones).
-    pub total: u64,
 }
 
 impl Capture {
@@ -41,19 +31,17 @@ impl Capture {
     /// the ring grows with what is captured and a network that mirrors
     /// nothing never pays for one.
     pub fn new(capacity: usize) -> Capture {
-        let mut capture = Capture { ring: VecDeque::new(), capacity, total: 0 };
+        let mut capture = Capture { ring: VecDeque::new(), capacity };
         capture.recycle();
         capture
     }
 
     /// Record a packet, evicting the oldest if full.
-    pub fn record(&mut self, at: SimTime, switch: SwitchId, packet: Packet) {
-        let wire = packet.to_wire();
+    pub fn record(&mut self, at: SimTime, packet: Packet) {
         if self.ring.len() == self.capacity {
             self.ring.pop_front();
         }
-        self.ring.push_back(CapturedPacket { at, switch, packet, wire });
-        self.total += 1;
+        self.ring.push_back(CapturedPacket { at, packet });
     }
 
     /// Number of packets currently held.
@@ -71,14 +59,13 @@ impl Capture {
         self.ring.iter()
     }
 
-    /// Bring the buffer to its t = 0 state — empty, total zero, same
+    /// Bring the buffer to its t = 0 state — empty, same
     /// `capacity` bound — retaining whatever the ring has grown to. The
     /// constructor ends here. A `VecDeque`'s spare capacity is
     /// behaviorally invisible, so a recycled capture records and evicts
     /// exactly like a new one.
     pub fn recycle(&mut self) {
         self.ring.clear();
-        self.total = 0;
     }
 }
 
@@ -87,6 +74,7 @@ mod tests {
     use super::*;
     use crate::addr::{Ipv4Addr, MacAddr};
     use crate::packet::TransportHeader;
+    use bytes::Bytes;
 
     fn pkt(n: u8) -> Packet {
         Packet::new(
@@ -103,20 +91,10 @@ mod tests {
     fn records_and_evicts() {
         let mut c = Capture::new(3);
         for i in 0..5 {
-            c.record(SimTime::from_millis(i as u64), SwitchId(0), pkt(i));
+            c.record(SimTime::from_millis(i as u64), pkt(i));
         }
         assert_eq!(c.len(), 3);
-        assert_eq!(c.total, 5);
         let ports: Vec<u16> = c.iter().map(|p| p.packet.transport.src_port()).collect();
         assert_eq!(ports, vec![2, 3, 4]);
-    }
-
-    #[test]
-    fn wire_bytes_match_packet() {
-        let mut c = Capture::new(8);
-        c.record(SimTime::ZERO, SwitchId(1), pkt(9));
-        let cap = c.iter().next().unwrap();
-        assert_eq!(cap.wire, cap.packet.to_wire());
-        assert_eq!(cap.switch, SwitchId(1));
     }
 }

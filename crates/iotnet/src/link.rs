@@ -61,8 +61,6 @@ pub struct Link {
     pub dropped: u64,
     /// Packets carried.
     pub carried: u64,
-    /// Bytes carried.
-    pub bytes: u64,
     /// Transient loss-probability override (fault-injection loss burst);
     /// while `Some`, it replaces `params.loss`.
     pub burst_loss: Option<f64>,
@@ -78,7 +76,6 @@ impl Link {
             tx_free_at: SimTime::ZERO,
             dropped: 0,
             carried: 0,
-            bytes: 0,
             burst_loss: None,
         };
         link.reset_runtime();
@@ -94,7 +91,6 @@ impl Link {
         self.tx_free_at = SimTime::ZERO;
         self.dropped = 0;
         self.carried = 0;
-        self.bytes = 0;
         self.burst_loss = None;
     }
 
@@ -129,7 +125,6 @@ impl Link {
         let done_tx = start + ser;
         self.tx_free_at = done_tx;
         self.carried += 1;
-        self.bytes += wire_bits / 8;
         Some(done_tx + self.params.latency)
     }
 

@@ -143,8 +143,6 @@ pub struct SteerHandle {
     pub processor: Box<dyn InlineProcessor>,
     /// Fixed detour latency added to every steered packet (tunnel RTT).
     pub detour: SimDuration,
-    /// Packets steered through this point.
-    pub hits: u64,
 }
 
 impl std::fmt::Debug for SteerHandle {
@@ -152,7 +150,6 @@ impl std::fmt::Debug for SteerHandle {
         f.debug_struct("SteerHandle")
             .field("processor", &self.processor.label())
             .field("detour", &self.detour)
-            .field("hits", &self.hits)
             .finish()
     }
 }
@@ -329,7 +326,7 @@ impl Network {
         processor: Box<dyn InlineProcessor>,
         detour: SimDuration,
     ) {
-        self.steer.insert(id, SteerHandle { processor, detour, hits: 0 });
+        self.steer.insert(id, SteerHandle { processor, detour });
     }
 
     /// Remove a steer registration, returning it if present.
@@ -475,7 +472,7 @@ impl Network {
             }
             SwitchDecision::MirrorAnd(ports) => {
                 wires.stats.mirrored += 1;
-                capture.record(at, sw, pkt.clone());
+                capture.record(at, pkt.clone());
                 wires.forward_out(at, sw, ports, pkt);
             }
             &SwitchDecision::Steer(id) => {
@@ -486,7 +483,6 @@ impl Network {
                     wires.stats.dropped_policy += 1;
                     return;
                 };
-                handle.hits += 1;
                 let verdict = handle.processor.process(at, pkt);
                 let delay = handle.detour + verdict.latency;
                 if verdict.forward.is_empty() {

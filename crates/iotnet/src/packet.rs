@@ -3,10 +3,9 @@
 //! Following the smoltcp philosophy, packets are explicit representation
 //! types that can be emitted to and parsed from real wire bytes. The
 //! simulator mostly moves the structured [`Packet`] around (cheap, and the
-//! payload is a ref-counted [`Bytes`]), but the codec matters for three
-//! reasons: signature-based µmboxes match on wire bytes, the capture layer
-//! stores wire bytes, and byte-accurate encode/decode gives the property
-//! tests a real invariant to check.
+//! payload is a ref-counted [`Bytes`]), but the codec matters for two
+//! reasons: signature-based µmboxes match on wire bytes, and byte-accurate
+//! encode/decode gives the property tests a real invariant to check.
 
 use crate::addr::{Ipv4Addr, MacAddr};
 use bytes::{BufMut, Bytes, BytesMut};

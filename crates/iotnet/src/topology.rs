@@ -257,11 +257,20 @@ impl TopologyBuilder {
         (LinkIx(ix), LinkIx(ix + 1))
     }
 
+    /// The next port of `sw`, wired to `target` over `out`.
+    ///
+    /// # Panics
+    /// If `sw` already has `u16::MAX` ports. A port's number is the count
+    /// before it and [`Topology::ports_of`] reports the count after it,
+    /// both as `u16`: past the limit the count would read 0 and the next
+    /// port would be numbered like port 0.
     fn alloc_port(&mut self, sw: SwitchId, target: PortTarget, out: LinkIx) -> PortNo {
         let ports = &mut self.topo.switch_ports[sw.0 as usize];
-        let port = PortNo(ports.len() as u16);
+        let count = u16::try_from(ports.len() + 1).unwrap_or_else(|_| {
+            panic!("{sw} already has {} ports, the most a switch can number", ports.len())
+        });
         ports.push(Port { target, out });
-        port
+        PortNo(count - 1)
     }
 
     /// Wire two switches together with symmetric link parameters.
@@ -375,6 +384,18 @@ mod tests {
         assert_eq!(t.port_target(s1, p1), PortTarget::Switch(s0, p0));
         assert!(t.link(NodeId::Switch(s0), NodeId::Switch(s1)).is_some());
         assert!(t.link(NodeId::Switch(s1), NodeId::Switch(s0)).is_some());
+    }
+
+    #[test]
+    #[should_panic(expected = "already has 65535 ports, the most a switch can number")]
+    fn a_switch_refuses_a_port_it_cannot_number() {
+        let mut b = TopologyBuilder::new();
+        let sw = b.add_switch();
+        for _ in 0..u16::MAX {
+            b.attach_endpoint(sw, LinkParams::lan());
+        }
+        assert_eq!(b.topo.ports_of(sw), u16::MAX);
+        b.attach_endpoint(sw, LinkParams::lan());
     }
 
     #[test]

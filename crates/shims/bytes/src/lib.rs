@@ -154,11 +154,6 @@ impl fmt::Debug for Bytes {
     }
 }
 
-#[cfg(feature = "serde")]
-impl serde::Serialize for Bytes {}
-#[cfg(feature = "serde")]
-impl<'de> serde::Deserialize<'de> for Bytes {}
-
 /// The longest contents a [`BytesMut`] builds in place.
 const BUILD_CAP: usize = 32;
 

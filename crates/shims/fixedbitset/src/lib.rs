@@ -1,162 +1,1 @@
-//! Offline shim for the `fixedbitset` crate (see `crates/shims/README.md`).
-//!
-//! A fixed-capacity dense bitset over `u64` blocks — the visited-set
-//! arena of the packed state-space engine. Only the API subset the
-//! workspace uses is implemented: capacity-at-construction, single-bit
-//! set/test, block-wise union, population count and an ascending
-//! set-bit iterator.
-
-/// A fixed-capacity set of bits, indexed `0..capacity`.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct FixedBitSet {
-    blocks: Vec<u64>,
-    capacity: usize,
-}
-
-const BITS: usize = 64;
-
-impl FixedBitSet {
-    /// An empty bitset able to hold `capacity` bits, all zero.
-    pub fn with_capacity(capacity: usize) -> FixedBitSet {
-        FixedBitSet { blocks: vec![0; capacity.div_ceil(BITS)], capacity }
-    }
-
-    /// The number of bits the set can hold.
-    pub fn len(&self) -> usize {
-        self.capacity
-    }
-
-    /// True when the capacity is zero.
-    pub fn is_empty(&self) -> bool {
-        self.capacity == 0
-    }
-
-    /// Set bit `bit` to one. Panics if out of range.
-    #[inline]
-    pub fn insert(&mut self, bit: usize) {
-        assert!(bit < self.capacity, "bit {bit} out of range {}", self.capacity);
-        self.blocks[bit / BITS] |= 1 << (bit % BITS);
-    }
-
-    /// Set bit `bit` and return its previous value. Panics if out of
-    /// range.
-    #[inline]
-    pub fn put(&mut self, bit: usize) -> bool {
-        assert!(bit < self.capacity, "bit {bit} out of range {}", self.capacity);
-        let block = &mut self.blocks[bit / BITS];
-        let mask = 1u64 << (bit % BITS);
-        let was = *block & mask != 0;
-        *block |= mask;
-        was
-    }
-
-    /// Whether bit `bit` is set (false for out-of-range bits).
-    #[inline]
-    pub fn contains(&self, bit: usize) -> bool {
-        bit < self.capacity && self.blocks[bit / BITS] & (1 << (bit % BITS)) != 0
-    }
-
-    /// Clear every bit, keeping the capacity.
-    pub fn clear(&mut self) {
-        self.blocks.iter_mut().for_each(|b| *b = 0);
-    }
-
-    /// Block-wise union with `other` (capacities must match).
-    pub fn union_with(&mut self, other: &FixedBitSet) {
-        assert_eq!(self.capacity, other.capacity, "capacity mismatch in union");
-        for (a, b) in self.blocks.iter_mut().zip(&other.blocks) {
-            *a |= b;
-        }
-    }
-
-    /// Number of set bits.
-    pub fn count_ones(&self) -> usize {
-        self.blocks.iter().map(|b| b.count_ones() as usize).sum()
-    }
-
-    /// Iterator over set bits in ascending order.
-    pub fn ones(&self) -> Ones<'_> {
-        Ones { set: self, block: 0, bits: self.blocks.first().copied().unwrap_or(0) }
-    }
-}
-
-/// Ascending iterator over the set bits of a [`FixedBitSet`].
-pub struct Ones<'a> {
-    set: &'a FixedBitSet,
-    block: usize,
-    bits: u64,
-}
-
-impl Iterator for Ones<'_> {
-    type Item = usize;
-
-    #[inline]
-    fn next(&mut self) -> Option<usize> {
-        while self.bits == 0 {
-            self.block += 1;
-            if self.block >= self.set.blocks.len() {
-                return None;
-            }
-            self.bits = self.set.blocks[self.block];
-        }
-        let low = self.bits.trailing_zeros() as usize;
-        self.bits &= self.bits - 1;
-        Some(self.block * BITS + low)
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn insert_contains_count() {
-        let mut s = FixedBitSet::with_capacity(200);
-        assert!(!s.contains(0));
-        s.insert(0);
-        s.insert(63);
-        s.insert(64);
-        s.insert(199);
-        assert!(s.contains(0) && s.contains(63) && s.contains(64) && s.contains(199));
-        assert!(!s.contains(100));
-        assert!(!s.contains(5000));
-        assert_eq!(s.count_ones(), 4);
-    }
-
-    #[test]
-    fn put_reports_previous_value() {
-        let mut s = FixedBitSet::with_capacity(10);
-        assert!(!s.put(3));
-        assert!(s.put(3));
-        assert_eq!(s.count_ones(), 1);
-    }
-
-    #[test]
-    fn ones_iterates_ascending() {
-        let mut s = FixedBitSet::with_capacity(300);
-        for bit in [5usize, 64, 65, 255, 299] {
-            s.insert(bit);
-        }
-        let got: Vec<usize> = s.ones().collect();
-        assert_eq!(got, vec![5, 64, 65, 255, 299]);
-    }
-
-    #[test]
-    fn union_and_clear() {
-        let mut a = FixedBitSet::with_capacity(128);
-        let mut b = FixedBitSet::with_capacity(128);
-        a.insert(1);
-        b.insert(100);
-        a.union_with(&b);
-        assert!(a.contains(1) && a.contains(100));
-        a.clear();
-        assert_eq!(a.count_ones(), 0);
-        assert_eq!(a.len(), 128);
-    }
-
-    #[test]
-    #[should_panic(expected = "out of range")]
-    fn insert_out_of_range_panics() {
-        FixedBitSet::with_capacity(8).insert(8);
-    }
-}
+//! Empty stand-in for `fixedbitset`: nothing names it (see `crates/shims/README.md`).

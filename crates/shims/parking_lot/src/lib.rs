@@ -1,76 +1,1 @@
-//! Offline shim for the `parking_lot` crate (see `crates/shims/README.md`).
-//!
-//! Wraps `std::sync` primitives with parking_lot's non-poisoning API:
-//! `read()`/`write()`/`lock()` return guards directly. A poisoned std lock
-//! (a writer panicked) propagates the panic, matching parking_lot's
-//! effective behavior for this workspace's usage.
-
-use std::sync;
-
-/// A reader-writer lock with a non-poisoning API.
-#[derive(Debug, Default)]
-pub struct RwLock<T>(sync::RwLock<T>);
-
-impl<T> RwLock<T> {
-    /// A new lock.
-    pub fn new(value: T) -> RwLock<T> {
-        RwLock(sync::RwLock::new(value))
-    }
-
-    /// Acquire a shared read guard.
-    pub fn read(&self) -> sync::RwLockReadGuard<'_, T> {
-        self.0.read().expect("rwlock poisoned")
-    }
-
-    /// Acquire an exclusive write guard.
-    pub fn write(&self) -> sync::RwLockWriteGuard<'_, T> {
-        self.0.write().expect("rwlock poisoned")
-    }
-
-    /// Consume the lock, returning the inner value.
-    pub fn into_inner(self) -> T {
-        self.0.into_inner().expect("rwlock poisoned")
-    }
-}
-
-/// A mutex with a non-poisoning API.
-#[derive(Debug, Default)]
-pub struct Mutex<T>(sync::Mutex<T>);
-
-impl<T> Mutex<T> {
-    /// A new mutex.
-    pub fn new(value: T) -> Mutex<T> {
-        Mutex(sync::Mutex::new(value))
-    }
-
-    /// Acquire the lock.
-    pub fn lock(&self) -> sync::MutexGuard<'_, T> {
-        self.0.lock().expect("mutex poisoned")
-    }
-
-    /// Consume the mutex, returning the inner value.
-    pub fn into_inner(self) -> T {
-        self.0.into_inner().expect("mutex poisoned")
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn rwlock_read_write() {
-        let l = RwLock::new(1);
-        assert_eq!(*l.read(), 1);
-        *l.write() += 1;
-        assert_eq!(*l.read(), 2);
-        assert_eq!(l.into_inner(), 2);
-    }
-
-    #[test]
-    fn mutex_lock() {
-        let m = Mutex::new(5);
-        *m.lock() += 1;
-        assert_eq!(m.into_inner(), 6);
-    }
-}
+//! Empty stand-in for `parking_lot`: nothing names it (see `crates/shims/README.md`).

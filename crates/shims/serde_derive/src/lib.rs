@@ -1,50 +1,1 @@
-//! Offline shim for `serde_derive`: emits *empty* trait impls.
-//!
-//! The shimmed `serde::Serialize`/`Deserialize` traits are markers with no
-//! methods, so the derive only has to name the type being derived. The
-//! parser below is deliberately tiny (no `syn`): it scans the top-level
-//! token stream for the `struct`/`enum`/`union` keyword, takes the next
-//! identifier as the type name, and rejects generic types — nothing in
-//! this workspace derives serde traits on a generic type.
-
-use proc_macro::{TokenStream, TokenTree};
-
-fn type_name(input: TokenStream) -> String {
-    let mut tokens = input.into_iter();
-    while let Some(tt) = tokens.next() {
-        if let TokenTree::Ident(ident) = &tt {
-            let kw = ident.to_string();
-            if kw == "struct" || kw == "enum" || kw == "union" {
-                match tokens.next() {
-                    Some(TokenTree::Ident(name)) => {
-                        if let Some(TokenTree::Punct(p)) = tokens.next() {
-                            if p.as_char() == '<' {
-                                panic!(
-                                    "serde shim derive does not support generic type `{name}`; \
-                                     write the impl by hand"
-                                );
-                            }
-                        }
-                        return name.to_string();
-                    }
-                    other => panic!("serde shim derive: expected type name, found {other:?}"),
-                }
-            }
-        }
-    }
-    panic!("serde shim derive: no struct/enum/union found in input");
-}
-
-/// No-op `Serialize` derive.
-#[proc_macro_derive(Serialize)]
-pub fn derive_serialize(input: TokenStream) -> TokenStream {
-    let name = type_name(input);
-    format!("impl ::serde::Serialize for {name} {{}}").parse().unwrap()
-}
-
-/// No-op `Deserialize` derive.
-#[proc_macro_derive(Deserialize)]
-pub fn derive_deserialize(input: TokenStream) -> TokenStream {
-    let name = type_name(input);
-    format!("impl<'de> ::serde::Deserialize<'de> for {name} {{}}").parse().unwrap()
-}
+//! Empty stand-in for `serde_derive`: nothing names it (see `crates/shims/README.md`).

@@ -237,9 +237,9 @@ pub enum TraceEvent {
         kind: &'static str,
     },
     /// The fleet recovery path repaired a prior fault (E25): a retried
-    /// flush landed, a crashed aggregator respawned from the region log,
-    /// or a partitioned neighborhood rejoined and was fast-forwarded.
-    /// Emitted with `at_ns = round`, only on chaos-on runs.
+    /// flush landed, a crashed aggregator respawned, or a partitioned
+    /// neighborhood rejoined and was fast-forwarded. Emitted with
+    /// `at_ns = round`, only on chaos-on runs.
     FleetRecover {
         /// Recovered neighborhood aggregator id.
         neighborhood: u32,

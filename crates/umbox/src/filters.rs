@@ -17,14 +17,12 @@ pub(crate) struct BlockFilter {
     pub device: DeviceId,
     /// What to block.
     pub class: BlockClass,
-    /// Packets dropped.
-    pub dropped: u64,
 }
 
 impl BlockFilter {
     /// A filter for one block class.
     pub(crate) fn new(device: DeviceId, class: BlockClass) -> BlockFilter {
-        BlockFilter { device, class, dropped: 0 }
+        BlockFilter { device, class }
     }
 
     fn blocks(&self, packet: &Packet) -> bool {
@@ -61,7 +59,6 @@ impl BlockFilter {
 impl Element for BlockFilter {
     fn process(&mut self, now: SimTime, packet: Packet) -> ElementOutcome {
         if self.blocks(&packet) {
-            self.dropped += 1;
             let mut out = ElementOutcome::drop(costs::FILTER);
             if matches!(self.class, BlockClass::Cloud) {
                 out = out.with_event(
@@ -85,14 +82,12 @@ impl Element for BlockFilter {
 pub(crate) struct ProtocolWhitelist {
     /// Allowed destination ports.
     pub allowed: BTreeSet<u16>,
-    /// Dropped packets.
-    pub dropped: u64,
 }
 
 impl ProtocolWhitelist {
     /// Whitelist the given ports.
     pub(crate) fn new(allowed: impl IntoIterator<Item = u16>) -> ProtocolWhitelist {
-        ProtocolWhitelist { allowed: allowed.into_iter().collect(), dropped: 0 }
+        ProtocolWhitelist { allowed: allowed.into_iter().collect() }
     }
 
     /// The standard plane set for a well-behaved device (no DNS, no
@@ -107,7 +102,6 @@ impl Element for ProtocolWhitelist {
         if self.allowed.contains(&packet.transport.dst_port()) {
             ElementOutcome::pass(packet, costs::FILTER)
         } else {
-            self.dropped += 1;
             ElementOutcome::drop(costs::FILTER)
         }
     }
@@ -126,8 +120,6 @@ pub(crate) struct RateLimiter {
     pub burst: u32,
     tokens: f64,
     last_refill: SimTime,
-    /// Dropped packets.
-    pub dropped: u64,
 }
 
 impl RateLimiter {
@@ -138,7 +130,6 @@ impl RateLimiter {
             burst: pps.max(1),
             tokens: pps.max(1) as f64,
             last_refill: SimTime::ZERO,
-            dropped: 0,
         }
     }
 
@@ -157,7 +148,6 @@ impl Element for RateLimiter {
             self.tokens -= 1.0;
             ElementOutcome::pass(packet, costs::RATE_LIMIT)
         } else {
-            self.dropped += 1;
             ElementOutcome::drop(costs::RATE_LIMIT)
         }
     }
@@ -176,20 +166,17 @@ pub(crate) struct MirrorTap {
     /// Retained copies, oldest first.
     pub taps: std::collections::VecDeque<Packet>,
     capacity: usize,
-    /// Total packets seen.
-    pub seen: u64,
 }
 
 impl MirrorTap {
     /// A tap retaining up to `capacity` packets.
     pub(crate) fn new(capacity: usize) -> MirrorTap {
-        MirrorTap { taps: std::collections::VecDeque::new(), capacity, seen: 0 }
+        MirrorTap { taps: std::collections::VecDeque::new(), capacity }
     }
 }
 
 impl Element for MirrorTap {
     fn process(&mut self, _now: SimTime, packet: Packet) -> ElementOutcome {
-        self.seen += 1;
         if self.taps.len() == self.capacity {
             self.taps.pop_front();
         }
@@ -236,7 +223,6 @@ mod tests {
         // Unlock is an open-verb too.
         let unlock = AppMessage::Control { action: ControlAction::Unlock, auth: ControlAuth::None };
         assert!(f.process(SimTime::ZERO, pkt(ports::CONTROL, &unlock)).packet.is_none());
-        assert_eq!(f.dropped, 2);
     }
 
     #[test]
@@ -287,7 +273,6 @@ mod tests {
             .packet
             .is_none());
         assert!(w.process(SimTime::ZERO, pkt(ports::CONTROL, &close_msg())).packet.is_some());
-        assert_eq!(w.dropped, 2);
     }
 
     #[test]
@@ -313,7 +298,6 @@ mod tests {
             }
         }
         assert_eq!(passed, 10);
-        assert_eq!(rl.dropped, 180);
     }
 
     #[test]
@@ -325,7 +309,6 @@ mod tests {
             assert!(m.process(SimTime::ZERO, p).packet.is_some());
         }
         assert_eq!(m.taps.len(), 3);
-        assert_eq!(m.seen, 5);
         assert_eq!(m.taps[0].transport.src_port(), 2);
     }
 }

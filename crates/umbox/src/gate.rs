@@ -27,10 +27,6 @@ pub(crate) struct ContextGate {
     pub required: &'static str,
     /// The controller's view.
     view: ViewHandle,
-    /// Actuations blocked.
-    pub blocked: u64,
-    /// Actuations allowed.
-    pub allowed: u64,
 }
 
 impl ContextGate {
@@ -41,7 +37,7 @@ impl ContextGate {
         required: &'static str,
         view: ViewHandle,
     ) -> ContextGate {
-        ContextGate { device, var, required, view, blocked: 0, allowed: 0 }
+        ContextGate { device, var, required, view }
     }
 
     /// Only hazard-increasing verbs are gated (turning things ON, opening,
@@ -65,10 +61,8 @@ impl Element for ContextGate {
             return ElementOutcome::pass(packet, costs::GATE);
         }
         if self.view.get(self.var) == Some(self.required) {
-            self.allowed += 1;
             ElementOutcome::pass(packet, costs::GATE)
         } else {
-            self.blocked += 1;
             ElementOutcome::drop(costs::GATE).with_event(
                 SecurityEvent::new(now, self.device, SecurityEventKind::BlockedActuation)
                     .from_remote(packet.ip.src),
@@ -106,13 +100,11 @@ mod tests {
         let mut gate = ContextGate::new(DeviceId(0), EnvVar::Occupancy, "present", view.clone());
         let out = gate.process(SimTime::ZERO, control_pkt(ControlAction::TurnOn));
         assert!(out.packet.is_none());
-        assert_eq!(gate.blocked, 1);
         assert_eq!(out.event.unwrap().kind, SecurityEventKind::BlockedActuation);
         // Somebody comes home: the same message passes.
         view.set(EnvVar::Occupancy, "present");
         let out = gate.process(SimTime::ZERO, control_pkt(ControlAction::TurnOn));
         assert!(out.packet.is_some());
-        assert_eq!(gate.allowed, 1);
     }
 
     #[test]

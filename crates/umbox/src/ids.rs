@@ -33,8 +33,6 @@ pub struct SigIds {
     prefilters: Vec<Prefilter>,
     /// Matches so far.
     pub matches: u64,
-    /// Packets inspected.
-    pub inspected: u64,
 }
 
 fn compile_prefilters(signatures: &[AttackSignature]) -> Vec<Prefilter> {
@@ -46,7 +44,7 @@ impl SigIds {
     pub fn new(device: DeviceId, signatures: impl Into<Rc<[AttackSignature]>>) -> SigIds {
         let signatures = signatures.into();
         let prefilters = compile_prefilters(&signatures);
-        SigIds { device, signatures, prefilters, matches: 0, inspected: 0 }
+        SigIds { device, signatures, prefilters, matches: 0 }
     }
 
     fn per_packet_cost(&self) -> SimDuration {
@@ -56,7 +54,6 @@ impl SigIds {
 
 impl Element for SigIds {
     fn process(&mut self, now: SimTime, packet: Packet) -> ElementOutcome {
-        self.inspected += 1;
         let cost = self.per_packet_cost();
         // One packed-header computation serves every signature's screen,
         // and one payload decode — made when the first admitted signature
@@ -89,14 +86,12 @@ impl Element for SigIds {
 pub(crate) struct DnsGuard {
     /// Protected device.
     pub device: DeviceId,
-    /// Queries dropped.
-    pub dropped_queries: u64,
 }
 
 impl DnsGuard {
     /// A fresh guard.
     pub(crate) fn new(device: DeviceId) -> DnsGuard {
-        DnsGuard { device, dropped_queries: 0 }
+        DnsGuard { device }
     }
 }
 
@@ -109,7 +104,6 @@ impl Element for DnsGuard {
                 // Reflection queries carry a spoofed (victim) source,
                 // which is almost never on this LAN.
                 if !packet.ip.src.is_private() {
-                    self.dropped_queries += 1;
                     return ElementOutcome::drop(costs::FILTER).with_event(
                         SecurityEvent::new(now, self.device, SecurityEventKind::OpenResolverQuery)
                             .from_remote(packet.ip.src),
@@ -197,7 +191,6 @@ mod tests {
             &AppMessage::DnsQuery { name: "amp.example".into(), recursion: true },
         );
         assert!(guard.process(SimTime::ZERO, spoofed).packet.is_none());
-        assert_eq!(guard.dropped_queries, 1);
         // LAN query passes (a genuinely local resolver use).
         let local = pkt(
             Ipv4Addr::new(10, 0, 0, 3),

@@ -105,20 +105,12 @@ pub struct UmboxId(pub u32);
 /// One managed µmbox instance.
 #[derive(Debug, Clone)]
 pub struct UmboxInstance {
-    /// Handle.
-    pub id: UmboxId,
     /// The device it protects.
     pub device: DeviceId,
     /// Realization.
     pub kind: VmKind,
     /// Current state.
     pub state: UmboxState,
-    /// Boots performed (reboot-based reconfigs increment this).
-    pub boots: u32,
-    /// In-place reconfigurations performed.
-    pub reconfigs: u32,
-    /// Crashes suffered (fault injection).
-    pub crashes: u32,
 }
 
 impl UmboxInstance {
@@ -154,8 +146,6 @@ pub struct LifecycleManager {
     pub respawns: u64,
     /// Instantiation latencies observed.
     pub boot_hist: DurationHist,
-    /// Reconfiguration latencies observed.
-    pub reconfig_hist: DurationHist,
 }
 
 impl LifecycleManager {
@@ -169,7 +159,6 @@ impl LifecycleManager {
             crashes: 0,
             respawns: 0,
             boot_hist: DurationHist::new(),
-            reconfig_hist: DurationHist::new(),
         }
     }
 
@@ -194,15 +183,7 @@ impl LifecycleManager {
         self.next_id += 1;
         self.instances.insert(
             id,
-            UmboxInstance {
-                id,
-                device,
-                kind: effective,
-                state: UmboxState::Booting { ready_at },
-                boots: 1,
-                reconfigs: 0,
-                crashes: 0,
-            },
+            UmboxInstance { device, kind: effective, state: UmboxState::Booting { ready_at } },
         );
         (id, ready_at)
     }
@@ -218,7 +199,6 @@ impl LifecycleManager {
                 return;
             }
             inst.state = UmboxState::Crashed { restart_at: now + self.watchdog_delay };
-            inst.crashes += 1;
             self.crashes += 1;
         }
     }
@@ -251,10 +231,8 @@ impl LifecycleManager {
             return restart_at + inst.kind.boot_latency();
         }
         let (latency, disruptive) = inst.kind.reconfigure();
-        self.reconfig_hist.record(latency);
         let done_at = now + latency;
         inst.state = UmboxState::Reconfiguring { done_at, disruptive };
-        inst.reconfigs += 1;
         done_at
     }
 
@@ -298,7 +276,6 @@ impl LifecycleManager {
                     self.boot_hist.record(latency);
                     inst.kind = effective;
                     inst.state = UmboxState::Booting { ready_at: restart_at + latency };
-                    inst.boots += 1;
                     self.respawns += 1;
                     respawned.push((inst.device, restart_at));
                 }
@@ -399,7 +376,7 @@ mod tests {
         // Unikernel reconfig is non-disruptive: serving throughout.
         assert!(mgr.get(id).unwrap().is_serving(ready + SimDuration::from_micros(1)));
         mgr.advance(done);
-        assert_eq!(mgr.get(id).unwrap().reconfigs, 1);
+        assert_eq!(mgr.get(id).unwrap().state, UmboxState::Running);
     }
 
     #[test]
@@ -437,7 +414,6 @@ mod tests {
         mgr.crash(id, crash_at);
         assert!(!mgr.get(id).unwrap().is_serving(crash_at));
         assert_eq!(mgr.crashes, 1);
-        assert_eq!(mgr.get(id).unwrap().crashes, 1);
         // The crashed pooled slot is lost, not returned.
         assert_eq!(mgr.pool_available, 1);
 
@@ -452,7 +428,6 @@ mod tests {
         let back = restart + VmKind::UnikernelPooled.boot_latency();
         assert!(mgr.get(id).unwrap().is_serving(back));
         assert_eq!(mgr.respawns, 1);
-        assert_eq!(mgr.get(id).unwrap().boots, 2);
         assert_eq!(mgr.pool_available, 0);
     }
 

@@ -49,8 +49,6 @@ pub struct NoCapacity {
 pub struct Cluster {
     servers: Vec<Server>,
     policy: PlacementPolicy,
-    /// Placements rejected for capacity.
-    pub rejections: u64,
 }
 
 impl Cluster {
@@ -61,7 +59,6 @@ impl Cluster {
                 .map(|_| Server { capacity_mib: mib, used_mib: 0, placements: Vec::new() })
                 .collect(),
             policy,
-            rejections: 0,
         }
     }
 
@@ -91,13 +88,10 @@ impl Cluster {
                 self.servers[i].placements.push((device, kind));
                 Ok(i)
             }
-            None => {
-                self.rejections += 1;
-                Err(NoCapacity {
-                    requested_mib: need,
-                    largest_free_mib: self.servers.iter().map(|s| s.free()).max().unwrap_or(0),
-                })
-            }
+            None => Err(NoCapacity {
+                requested_mib: need,
+                largest_free_mib: self.servers.iter().map(|s| s.free()).max().unwrap_or(0),
+            }),
         }
     }
 
@@ -158,7 +152,6 @@ mod tests {
         assert!(c.place(DeviceId(1), VmKind::Unikernel).is_ok());
         let err = c.place(DeviceId(2), VmKind::Container).unwrap_err();
         assert_eq!(err.requested_mib, 64);
-        assert_eq!(c.rejections, 1);
     }
 
     #[test]

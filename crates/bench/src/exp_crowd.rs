@@ -17,8 +17,6 @@ pub struct CrowdOutcome {
     pub published_valid: usize,
     /// Bad signatures that were ever published (the DoS events).
     pub published_bad: u64,
-    /// Honest submissions that never made it.
-    pub suppressed_valid: usize,
 }
 
 /// Simulate `rounds` of repository activity with a crowd of `n`
@@ -37,7 +35,6 @@ pub fn run_crowd(
     let (malicious, honest) = reporters.split_at(n_mal);
     let sku = Sku::new("belkin", "wemo", "1.0");
 
-    let mut honest_submissions = 0usize;
     for round in 0..rounds {
         // A third of malicious reporters submit garbage each round: half
         // match-alls (screenable), half plausible-looking junk.
@@ -74,7 +71,6 @@ pub fn run_crowd(
                 Severity::Medium,
             );
             if let Some(sub) = repo.submit(*h, sig) {
-                honest_submissions += 1;
                 for h2 in honest.iter().rev().take(6) {
                     repo.vote(*h2, sub, true);
                 }
@@ -90,11 +86,7 @@ pub fn run_crowd(
     }
     let published_valid =
         repo.published().iter().filter(|s| s.vuln_id == "open-dns-resolver").count();
-    CrowdOutcome {
-        published_valid,
-        published_bad: repo.published_bad,
-        suppressed_valid: honest_submissions.saturating_sub(published_valid),
-    }
+    CrowdOutcome { published_valid, published_bad: repo.published_bad }
 }
 
 /// E3 — signature quality vs malicious fraction, with and without the

@@ -36,7 +36,7 @@
 //! **Chaos (E25).** A fleet built with [`Fleet::with_chaos`] runs the
 //! same three parts under a seeded [`crate::chaos::FleetChaos`]
 //! schedule: flushes can be dropped/duplicated/reordered, aggregators
-//! crash and respawn from the checkpointed region log, neighborhoods
+//! crash and respawn empty (the region holds the epoch), neighborhoods
 //! partition from the region for whole rounds, and install waves slip.
 //! Every fault decision is rolled serially at the barrier as a pure
 //! function of `(chaos seed, round, neighborhood)`, so chaos-on runs

@@ -16,7 +16,8 @@
 //!   stalled across two `fleet-install` events. Installs are idempotent
 //!   advances; the engine only emits them for homes actually moving.
 //! * `absorb-regression` — the region's epoch went backwards across
-//!   `fleet-absorb` events. The region log is dense and append-only.
+//!   `fleet-absorb` events. The region's epoch only advances: it bumps
+//!   when a flush brings intel the region's set did not hold.
 //! * `install-of-unabsorbed-epoch` — a home installed an epoch the
 //!   region never announced via `fleet-absorb`. Installs must be
 //!   downstream of absorption, never invented.

@@ -211,7 +211,7 @@ mod tests {
     #[test]
     fn parse_bounds_the_device_count() {
         use crate::spec::MAX_DEVICES;
-        assert_eq!(MAX_DEVICES, 8 * GenConfig::default().max_devices);
+        assert_eq!(MAX_DEVICES, 8 * crate::gen::MAX_DEVICES);
         let text = |n: usize| format!("seed=1\nhorizon=10\n{}", "device=row:1\n".repeat(n));
         assert_eq!(parse(&text(MAX_DEVICES)).expect("at the bound").devices.len(), MAX_DEVICES);
         assert!(parse(&text(MAX_DEVICES + 1)).is_err());

@@ -68,18 +68,6 @@ impl FleetWeakness {
         }
     }
 
-    /// Parse an artifact label.
-    pub fn parse(s: &str) -> Option<FleetWeakness> {
-        [
-            FleetWeakness::None,
-            FleetWeakness::NoRetry,
-            FleetWeakness::NoReconcile,
-            FleetWeakness::UnboundedStaleness,
-        ]
-        .into_iter()
-        .find(|w| w.label() == s)
-    }
-
     /// The recovery policy this weakness degrades `base` to.
     pub fn apply(self, base: RecoveryPolicy) -> RecoveryPolicy {
         match self {

@@ -29,37 +29,27 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 
-/// Generator tuning.
-#[derive(Debug, Clone, Copy)]
+/// Fewest devices a generated scenario has.
+const MIN_DEVICES: usize = 3;
+/// Most devices a generated scenario has.
+pub(crate) const MAX_DEVICES: usize = 10;
+/// Most recipes a generated scenario has.
+const MAX_RECIPES: usize = 3;
+/// Most faults a generated scenario schedules.
+const MAX_FAULTS: usize = 4;
+
+/// Which family to generate: the scenario shape is fixed, only the
+/// defense-on arm varies.
+#[derive(Debug, Clone, Copy, Default)]
 pub struct GenConfig {
-    /// Device-count range (inclusive).
-    pub min_devices: usize,
-    /// Upper bound on devices.
-    pub max_devices: usize,
-    /// Upper bound on recipes.
-    pub max_recipes: usize,
-    /// Upper bound on scheduled faults.
-    pub max_faults: usize,
     /// Weakness applied to the defense-on arm of every scenario.
     pub weakness: Weakness,
-}
-
-impl Default for GenConfig {
-    fn default() -> Self {
-        GenConfig {
-            min_devices: 3,
-            max_devices: 10,
-            max_recipes: 3,
-            max_faults: 4,
-            weakness: Weakness::None,
-        }
-    }
 }
 
 impl GenConfig {
     /// The default family with a weakened defense-on arm.
     pub fn weakened(weakness: Weakness) -> GenConfig {
-        GenConfig { weakness, ..GenConfig::default() }
+        GenConfig { weakness }
     }
 }
 
@@ -88,7 +78,7 @@ const TRIGGERS: &[(EnvVar, &str)] = &[
 /// same spec.
 pub fn generate(seed: u64, cfg: &GenConfig) -> ScenarioSpec {
     let mut rng = StdRng::seed_from_u64(seed ^ 0xE23_5CEA_A210);
-    let n = rng.gen_range(cfg.min_devices..cfg.max_devices + 1);
+    let n = rng.gen_range(MIN_DEVICES..MAX_DEVICES + 1);
 
     // Device mix: at least one Table 1 row, the rest a coin-flip blend.
     let mut devices = Vec::with_capacity(n);
@@ -106,7 +96,7 @@ pub fn generate(seed: u64, cfg: &GenConfig) -> ScenarioSpec {
     let edges = if rng.gen::<f64>() < 0.25 { rng.gen_range(2u8..5) } else { 0 };
 
     // Recipe corpus over random targets.
-    let recipes = (0..rng.gen_range(0..cfg.max_recipes + 1))
+    let recipes = (0..rng.gen_range(0..MAX_RECIPES + 1))
         .map(|_| {
             let (var, value) = *TRIGGERS.choose(&mut rng).expect("non-empty");
             RecipeSpec { var, value, target: rng.gen_range(0..devices.len()) }
@@ -148,7 +138,7 @@ pub fn generate(seed: u64, cfg: &GenConfig) -> ScenarioSpec {
     let clean: Vec<usize> = (0..devices.len()).filter(|&i| !devices[i].is_vulnerable()).collect();
     let fault_window = horizon_secs.saturating_sub(12).max(2);
     let mut faults = Vec::new();
-    for _ in 0..rng.gen_range(0..cfg.max_faults + 1) {
+    for _ in 0..rng.gen_range(0..MAX_FAULTS + 1) {
         let roll = rng.gen::<f64>();
         if roll < 0.45 {
             faults.push(FaultSpec::CrashUmbox {

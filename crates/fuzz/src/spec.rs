@@ -167,11 +167,10 @@ pub struct ScenarioSpec {
 }
 
 /// The most devices a spec may name. The generator draws at most
-/// `GenConfig::max_devices` (10 in every configuration the repo builds)
-/// and the shrinker only drops devices, so a repro is never larger; 8×
-/// that leaves room for hand-written cases — the rule `FleetSpec` applies
-/// to homes and rounds — while a hostile artifact's device list cannot
-/// outgrow what one switch can number.
+/// `gen::MAX_DEVICES` (10) and the shrinker only drops devices, so a
+/// repro is never larger; 8× that leaves room for hand-written cases —
+/// the rule `FleetSpec` applies to homes and rounds — while a hostile
+/// artifact's device list cannot outgrow what one switch can number.
 pub(crate) const MAX_DEVICES: usize = 80;
 
 impl ScenarioSpec {

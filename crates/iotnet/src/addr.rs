@@ -1,7 +1,7 @@
 //! Addressing and identifiers.
 //!
-//! The simulator uses real-format MAC and IPv4 addresses so that the wire
-//! codec in [`crate::packet`] produces byte-accurate headers, plus small
+//! The simulator uses real-format MAC and IPv4 addresses, so the headers
+//! in [`crate::packet`] carry the fields a real frame would, plus small
 //! integer identifiers for switches, endpoints and topology nodes.
 
 use core::fmt;
@@ -100,13 +100,6 @@ macro_rules! id_type {
         $(#[$doc])*
         #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
         pub struct $name(pub u32);
-
-        impl $name {
-            /// The raw index.
-            pub const fn index(self) -> u32 {
-                self.0
-            }
-        }
 
         impl fmt::Display for $name {
             fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {

@@ -1,8 +1,10 @@
 //! Packet capture.
 //!
-//! Mirrored packets (flow action `Mirror`) and IDS-relevant traffic land in
-//! a bounded ring buffer. The learning layer replays captures to mine
-//! signatures, and the test suite asserts on them.
+//! Frames a switch mirrors (flow action `Mirror`) land in a bounded ring
+//! buffer, and nothing else does. No production path reads the ring:
+//! `tests/crowdsourcing_loop.rs` mines signatures from it (E13's
+//! home A → repository → home B loop), and other tests count what it
+//! holds.
 
 use crate::packet::Packet;
 use crate::time::SimTime;

@@ -1,4 +1,4 @@
-//! The one hasher of the packet path.
+//! The word hasher of the packet path and the policy explorer.
 //!
 //! Every map a home-round probes — a switch's MAC table and decision
 //! cache, the topology's address index, the steer registry, the world's
@@ -11,6 +11,11 @@
 //! single cost of a frame. [`WordHasher`] folds each written word in a
 //! rotate, an xor and a multiply, and is unkeyed, so a map's layout is
 //! also a pure function of its contents.
+//!
+//! The policy explorer's memo tables (`iotpolicy::packed`) are keyed the
+//! same way, by four-word rule masks and by fingerprints. Its class ids
+//! are handed out in first-sight order and its digests are XORs of
+//! fingerprints, so no output depends on which hasher keys them.
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
@@ -177,6 +182,42 @@ mod tests {
         // these in bucket 0.
         assert_spreads("high words", (0u64..4096).map(|i| i << 32));
         assert!((0u64..4096).all(|i| (i << 32).wrapping_mul(K) & 127 == 0));
+    }
+
+    #[test]
+    fn rule_masks_spread() {
+        // The explorer's memo key, `iotpolicy::packed::RuleMask`: four
+        // words, one fold each. Masks that differ only in one word, in its
+        // low rules or its high ones, then masks that set any two rules.
+        struct Mask([u64; 4]);
+        impl Hash for Mask {
+            fn hash<H: Hasher>(&self, state: &mut H) {
+                for word in self.0 {
+                    state.write_u64(word);
+                }
+            }
+        }
+        for word in 0..4 {
+            for shift in [0, 52] {
+                assert_spreads(
+                    "one word",
+                    (0u64..4096).map(|i| {
+                        let mut mask = [0; 4];
+                        mask[word] = i << shift;
+                        Mask(mask)
+                    }),
+                );
+            }
+        }
+        let two_rules = (0..256).flat_map(|a| {
+            (0..a).map(move |b| {
+                let mut mask = [0; 4];
+                mask[a / 64] |= 1 << (a % 64);
+                mask[b / 64] |= 1 << (b % 64);
+                Mask(mask)
+            })
+        });
+        assert_spreads("two rules", two_rules);
     }
 
     #[test]

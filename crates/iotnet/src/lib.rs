@@ -9,14 +9,16 @@
 //! * [`time`] — simulated clock ([`time::SimTime`]) and durations.
 //! * [`engine`] — a time-ordered, FIFO-stable event queue.
 //! * [`faults`] — deterministic fault injection over the event queue:
-//!   link flaps (fail *and* heal), loss bursts, partitions.
+//!   link flaps (fail *and* heal) and loss bursts.
 //! * [`addr`] — MAC/IPv4 addressing and node identifiers.
-//! * [`packet`] — Ethernet/IPv4/UDP/TCP packet model with a real wire
-//!   codec (encode to bytes, parse back), in the spirit of smoltcp's
-//!   explicit representation types.
+//! * [`packet`] — Ethernet/IPv4/UDP/TCP packet model in the spirit of
+//!   smoltcp's explicit representation types: header structs, their
+//!   packed-word view, a byte payload and the frame's wire length. No
+//!   header is ever serialized.
 //! * [`flow`] — OpenFlow-like match/action rules and priority flow tables.
 //! * [`hash`] — the unkeyed word hasher behind every map of the packet
-//!   path, from the switch tables up to the world's.
+//!   path, from the switch tables up to the world's, and the policy
+//!   explorer's memo tables.
 //! * [`switch`] — SDN switches with flow tables, default actions and
 //!   per-port counters.
 //! * [`link`] — links with latency, bandwidth, loss and failure state.
@@ -26,8 +28,8 @@
 //! * [`net`] — the [`net::Network`]: owns switches and links, moves
 //!   packets between attached endpoints, invokes inline packet
 //!   processors (the hook µmboxes attach to), and produces deliveries.
-//! * [`capture`] — ring-buffer packet capture with filters, used by the
-//!   IDS µmboxes, the learning layer and the test suite.
+//! * [`capture`] — the bounded ring a switch's `Mirror` action records
+//!   into; tests read it, and E13's loop mines signatures from it.
 //!
 //! Everything is driven by an explicit event clock and seeded RNG so that
 //! every experiment in the reproduction is exactly repeatable.

@@ -1,44 +1,15 @@
-//! Packet representation and wire codec.
+//! Packet representation.
 //!
 //! Following the smoltcp philosophy, packets are explicit representation
-//! types that can be emitted to and parsed from real wire bytes. The
-//! simulator mostly moves the structured [`Packet`] around (cheap, and the
-//! payload is a ref-counted [`Bytes`]), but the codec matters for two
-//! reasons: signature-based µmboxes match on wire bytes, and byte-accurate
-//! encode/decode gives the property tests a real invariant to check.
+//! types: three header structs with real-format addresses and fields, and
+//! an application payload held as a ref-counted [`Bytes`] that the
+//! `iotdev` protocol encodes. Nothing serializes the headers. The µmboxes
+//! match on header fields, on the [`PackedHeaders`] words and on the
+//! decoded payload, and a link charges serialization delay by
+//! [`Packet::wire_len`], the length the frame would have on a wire.
 
 use crate::addr::{Ipv4Addr, MacAddr};
-use bytes::{BufMut, Bytes, BytesMut};
-use core::fmt;
-
-/// Errors produced when parsing wire bytes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ParseError {
-    /// The buffer is shorter than the header demands.
-    Truncated,
-    /// An EtherType we do not model (only IPv4 is supported).
-    UnsupportedEtherType(u16),
-    /// An IP protocol number we do not model.
-    UnsupportedProtocol(u8),
-    /// IPv4 header checksum mismatch.
-    BadChecksum,
-    /// IPv4 version or IHL field malformed.
-    Malformed,
-}
-
-impl fmt::Display for ParseError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            ParseError::Truncated => write!(f, "truncated packet"),
-            ParseError::UnsupportedEtherType(t) => write!(f, "unsupported ethertype 0x{t:04x}"),
-            ParseError::UnsupportedProtocol(p) => write!(f, "unsupported ip protocol {p}"),
-            ParseError::BadChecksum => write!(f, "bad ipv4 header checksum"),
-            ParseError::Malformed => write!(f, "malformed header"),
-        }
-    }
-}
-
-impl std::error::Error for ParseError {}
+use bytes::Bytes;
 
 /// EtherType for IPv4 — the only L3 protocol the substrate models.
 pub(crate) const ETHERTYPE_IPV4: u16 = 0x0800;
@@ -65,26 +36,6 @@ pub struct EthernetHeader {
 impl EthernetHeader {
     /// Wire length of the header in bytes.
     pub(crate) const LEN: usize = 14;
-
-    /// Emit to wire bytes.
-    pub(crate) fn emit(&self, buf: &mut BytesMut) {
-        buf.put_slice(&self.dst.0);
-        buf.put_slice(&self.src.0);
-        buf.put_u16(self.ethertype);
-    }
-
-    /// Parse from wire bytes, returning the header and bytes consumed.
-    pub(crate) fn parse(data: &[u8]) -> Result<(Self, usize), ParseError> {
-        if data.len() < Self::LEN {
-            return Err(ParseError::Truncated);
-        }
-        let mut dst = [0u8; 6];
-        let mut src = [0u8; 6];
-        dst.copy_from_slice(&data[0..6]);
-        src.copy_from_slice(&data[6..12]);
-        let ethertype = u16::from_be_bytes([data[12], data[13]]);
-        Ok((EthernetHeader { dst: MacAddr(dst), src: MacAddr(src), ethertype }, Self::LEN))
-    }
 }
 
 /// IPv4 header (no options — IHL is always 5 in this substrate).
@@ -107,58 +58,6 @@ pub struct Ipv4Header {
 impl Ipv4Header {
     /// Wire length of the (option-less) header.
     pub(crate) const LEN: usize = 20;
-
-    /// Emit to wire bytes, computing the header checksum.
-    pub(crate) fn emit(&self, buf: &mut BytesMut) {
-        let start = buf.len();
-        buf.put_u8(0x45); // version 4, IHL 5
-        buf.put_u8(self.dscp);
-        buf.put_u16(self.total_len);
-        buf.put_u16(0); // identification
-        buf.put_u16(0x4000); // don't fragment
-        buf.put_u8(self.ttl);
-        buf.put_u8(self.protocol);
-        buf.put_u16(0); // checksum placeholder
-        buf.put_slice(&self.src.0);
-        buf.put_slice(&self.dst.0);
-        let cksum = internet_checksum(&buf[start..start + Self::LEN]);
-        buf[start + 10..start + 12].copy_from_slice(&cksum.to_be_bytes());
-    }
-
-    /// Parse from wire bytes, verifying the checksum.
-    pub(crate) fn parse(data: &[u8]) -> Result<(Self, usize), ParseError> {
-        if data.len() < Self::LEN {
-            return Err(ParseError::Truncated);
-        }
-        if data[0] >> 4 != 4 {
-            return Err(ParseError::Malformed);
-        }
-        let ihl = (data[0] & 0x0f) as usize * 4;
-        if ihl < Self::LEN || data.len() < ihl {
-            return Err(ParseError::Malformed);
-        }
-        if internet_checksum(&data[..ihl]) != 0 {
-            return Err(ParseError::BadChecksum);
-        }
-        let total_len = u16::from_be_bytes([data[2], data[3]]);
-        let ttl = data[8];
-        let protocol = data[9];
-        let mut src = [0u8; 4];
-        let mut dst = [0u8; 4];
-        src.copy_from_slice(&data[12..16]);
-        dst.copy_from_slice(&data[16..20]);
-        Ok((
-            Ipv4Header {
-                src: Ipv4Addr(src),
-                dst: Ipv4Addr(dst),
-                protocol,
-                ttl,
-                dscp: data[1],
-                total_len,
-            },
-            ihl,
-        ))
-    }
 }
 
 /// TCP flag bits carried in [`TransportHeader::Tcp`].
@@ -262,66 +161,6 @@ impl TransportHeader {
             TransportHeader::Tcp { .. } => 20,
         }
     }
-
-    /// Emit to wire bytes. `payload_len` is needed for the UDP length field.
-    pub(crate) fn emit(&self, buf: &mut BytesMut, payload_len: usize) {
-        match *self {
-            TransportHeader::Udp { src_port, dst_port } => {
-                buf.put_u16(src_port);
-                buf.put_u16(dst_port);
-                buf.put_u16((8 + payload_len) as u16);
-                buf.put_u16(0); // checksum unused (reliable substrate)
-            }
-            TransportHeader::Tcp { src_port, dst_port, seq, flags } => {
-                buf.put_u16(src_port);
-                buf.put_u16(dst_port);
-                buf.put_u32(seq);
-                buf.put_u32(0); // ack number unused
-                buf.put_u8(5 << 4); // data offset 5 words
-                buf.put_u8(flags.to_bits());
-                buf.put_u16(0xffff); // window
-                buf.put_u16(0); // checksum unused
-                buf.put_u16(0); // urgent
-            }
-        }
-    }
-
-    /// Parse from wire bytes given the IP protocol number.
-    pub(crate) fn parse(protocol: u8, data: &[u8]) -> Result<(Self, usize), ParseError> {
-        match protocol {
-            ip_proto::UDP => {
-                if data.len() < 8 {
-                    return Err(ParseError::Truncated);
-                }
-                Ok((
-                    TransportHeader::Udp {
-                        src_port: u16::from_be_bytes([data[0], data[1]]),
-                        dst_port: u16::from_be_bytes([data[2], data[3]]),
-                    },
-                    8,
-                ))
-            }
-            ip_proto::TCP => {
-                if data.len() < 20 {
-                    return Err(ParseError::Truncated);
-                }
-                let off = ((data[12] >> 4) as usize) * 4;
-                if off < 20 || data.len() < off {
-                    return Err(ParseError::Malformed);
-                }
-                Ok((
-                    TransportHeader::Tcp {
-                        src_port: u16::from_be_bytes([data[0], data[1]]),
-                        dst_port: u16::from_be_bytes([data[2], data[3]]),
-                        seq: u32::from_be_bytes([data[4], data[5], data[6], data[7]]),
-                        flags: TcpFlags::from_bits(data[13]),
-                    },
-                    off,
-                ))
-            }
-            other => Err(ParseError::UnsupportedProtocol(other)),
-        }
-    }
 }
 
 /// A full packet: Ethernet + IPv4 + transport + application payload.
@@ -329,7 +168,7 @@ impl TransportHeader {
 pub struct Packet {
     /// L2 header.
     pub eth: EthernetHeader,
-    /// L3 header. `total_len` is recomputed on [`Packet::to_wire`].
+    /// L3 header.
     pub ip: Ipv4Header,
     /// L4 header.
     pub transport: TransportHeader,
@@ -373,33 +212,6 @@ impl Packet {
     pub fn wire_bits(&self) -> u64 {
         self.wire_len() as u64 * 8
     }
-
-    /// Serialize to wire bytes.
-    pub fn to_wire(&self) -> Bytes {
-        let mut buf = BytesMut::with_capacity(self.wire_len());
-        self.eth.emit(&mut buf);
-        let mut ip = self.ip;
-        ip.total_len = (Ipv4Header::LEN + self.transport.wire_len() + self.payload.len()) as u16;
-        ip.protocol = self.transport.protocol();
-        ip.emit(&mut buf);
-        self.transport.emit(&mut buf, self.payload.len());
-        buf.put_slice(&self.payload);
-        buf.freeze()
-    }
-
-    /// Parse from wire bytes.
-    pub fn from_wire(data: &[u8]) -> Result<Packet, ParseError> {
-        let (eth, n1) = EthernetHeader::parse(data)?;
-        if eth.ethertype != ETHERTYPE_IPV4 {
-            return Err(ParseError::UnsupportedEtherType(eth.ethertype));
-        }
-        let (ip, n2) = Ipv4Header::parse(&data[n1..])?;
-        let (transport, n3) = TransportHeader::parse(ip.protocol, &data[n1 + n2..])?;
-        let payload_start = n1 + n2 + n3;
-        let payload_end = (n1 + ip.total_len as usize).min(data.len());
-        let payload = Bytes::copy_from_slice(&data[payload_start..payload_end.max(payload_start)]);
-        Ok(Packet { eth, ip, transport, payload })
-    }
 }
 
 /// All three packet headers packed into two `u128` words plus a `u32`
@@ -420,8 +232,9 @@ impl Packet {
 /// The encoding is a **total bijection** with
 /// `(EthernetHeader, Ipv4Header, TransportHeader)` — 286 raw header bits
 /// do not fit two words, hence the `seq` side word — so
-/// [`PackedHeaders::unpack`] reconstructs the exact structs for the
-/// trace layer and the wire codec ([`From`]/[`Into`] both ways). The
+/// [`PackedHeaders::unpack`] reconstructs the exact structs. No
+/// production path unpacks: `unpack` is the inverse that
+/// `tests/packed_net_props.rs` holds [`PackedHeaders::pack`] to. The
 /// payload is *not* packed: it rides alongside as its ref-counted
 /// [`Bytes`], the fallback for data no fixed-width word can hold.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -483,8 +296,8 @@ impl PackedHeaders {
         PackedHeaders { a, b, seq }
     }
 
-    /// Reconstruct the exact header structs (the trace layer and wire
-    /// codec consume these).
+    /// Reconstruct the exact header structs: the inverse of
+    /// [`PackedHeaders::pack`].
     pub fn unpack(&self) -> (EthernetHeader, Ipv4Header, TransportHeader) {
         let eth = EthernetHeader {
             dst: mac_from_u48(self.a >> 80),
@@ -531,12 +344,6 @@ impl From<&Packet> for PackedHeaders {
     }
 }
 
-impl From<PackedHeaders> for (EthernetHeader, Ipv4Header, TransportHeader) {
-    fn from(p: PackedHeaders) -> Self {
-        p.unpack()
-    }
-}
-
 impl Packet {
     /// The packed-word view of this packet's headers.
     pub fn packed_headers(&self) -> PackedHeaders {
@@ -544,26 +351,9 @@ impl Packet {
     }
 }
 
-/// RFC 1071 internet checksum over `data`.
-pub(crate) fn internet_checksum(data: &[u8]) -> u16 {
-    let mut sum: u32 = 0;
-    let mut chunks = data.chunks_exact(2);
-    for c in &mut chunks {
-        sum += u32::from(u16::from_be_bytes([c[0], c[1]]));
-    }
-    if let [last] = chunks.remainder() {
-        sum += u32::from(u16::from_be_bytes([*last, 0]));
-    }
-    while sum > 0xffff {
-        sum = (sum & 0xffff) + (sum >> 16);
-    }
-    !(sum as u16)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
 
     fn sample_packet(payload: &[u8]) -> Packet {
         Packet::new(
@@ -577,33 +367,22 @@ mod tests {
     }
 
     #[test]
-    fn udp_round_trip() {
-        let p = sample_packet(b"hello iot");
-        let wire = p.to_wire();
-        assert_eq!(wire.len(), p.wire_len());
-        let q = Packet::from_wire(&wire).unwrap();
-        assert_eq!(p, q);
-    }
-
-    #[test]
-    fn tcp_round_trip() {
-        let p = Packet::new(
+    fn wire_len_counts_each_header_once() {
+        // Ethernet 14 + IPv4 20 + UDP 8 + payload 9; the link's
+        // serialization delay reads this.
+        let udp = sample_packet(b"hello iot");
+        assert_eq!(udp.wire_len(), 51);
+        assert_eq!(udp.wire_bits(), 51 * 8);
+        assert_eq!(usize::from(udp.ip.total_len), 51 - EthernetHeader::LEN);
+        let tcp = Packet::new(
             MacAddr::from_index(3),
             MacAddr::from_index(4),
             Ipv4Addr::new(192, 168, 1, 10),
             Ipv4Addr::new(192, 168, 1, 1),
-            TransportHeader::tcp(43122, 443, 0xdeadbeef, TcpFlags::SYN),
+            TransportHeader::tcp(43122, 443, 0xdead_beef, TcpFlags::SYN),
             Bytes::new(),
         );
-        let q = Packet::from_wire(&p.to_wire()).unwrap();
-        assert_eq!(p, q);
-        match q.transport {
-            TransportHeader::Tcp { flags, seq, .. } => {
-                assert!(flags.syn && !flags.ack);
-                assert_eq!(seq, 0xdeadbeef);
-            }
-            _ => panic!("expected tcp"),
-        }
+        assert_eq!(tcp.wire_len(), 14 + 20 + 20);
     }
 
     #[test]
@@ -621,7 +400,7 @@ mod tests {
             Bytes::new(),
         );
         let packed = PackedHeaders::from(&tcp);
-        let (eth, ip, transport) = packed.into();
+        let (eth, ip, transport) = packed.unpack();
         assert_eq!((eth, ip, transport), (tcp.eth, tcp.ip, tcp.transport));
         assert_eq!(packed.dst_port(), 443);
         assert_eq!(packed.ip_src(), Ipv4Addr::new(8, 8, 8, 8));
@@ -639,95 +418,5 @@ mod tests {
         p.ip.dscp = 0xb8;
         let (eth, ip, transport) = p.packed_headers().unpack();
         assert_eq!((eth, ip, transport), (p.eth, p.ip, p.transport));
-    }
-
-    #[test]
-    fn checksum_detects_corruption() {
-        let p = sample_packet(b"payload");
-        let mut wire = p.to_wire().to_vec();
-        // Flip a bit in the IP source address.
-        wire[EthernetHeader::LEN + 12] ^= 0x01;
-        assert_eq!(Packet::from_wire(&wire), Err(ParseError::BadChecksum));
-    }
-
-    #[test]
-    fn truncated_rejected() {
-        let p = sample_packet(b"x");
-        let wire = p.to_wire();
-        assert_eq!(Packet::from_wire(&wire[..10]), Err(ParseError::Truncated));
-        assert!(matches!(
-            Packet::from_wire(&wire[..EthernetHeader::LEN + 4]),
-            Err(ParseError::Truncated)
-        ));
-    }
-
-    #[test]
-    fn non_ipv4_rejected() {
-        let mut wire = sample_packet(b"").to_wire().to_vec();
-        wire[12] = 0x86; // 0x86dd = IPv6
-        wire[13] = 0xdd;
-        assert_eq!(Packet::from_wire(&wire), Err(ParseError::UnsupportedEtherType(0x86dd)));
-    }
-
-    #[test]
-    fn internet_checksum_known_vector() {
-        // Example from RFC 1071 section 3.
-        let data = [0x00u8, 0x01, 0xf2, 0x03, 0xf4, 0xf5, 0xf6, 0xf7];
-        assert_eq!(internet_checksum(&data), !0xddf2u16);
-    }
-
-    proptest! {
-        #[test]
-        fn prop_round_trip_udp(
-            sp in any::<u16>(), dp in any::<u16>(),
-            src in any::<u32>(), dst in any::<u32>(),
-            payload in proptest::collection::vec(any::<u8>(), 0..512),
-        ) {
-            let p = Packet::new(
-                MacAddr::from_index(src & 0xffff),
-                MacAddr::from_index(dst & 0xffff),
-                Ipv4Addr::from_u32(src),
-                Ipv4Addr::from_u32(dst),
-                TransportHeader::udp(sp, dp),
-                Bytes::from(payload),
-            );
-            let q = Packet::from_wire(&p.to_wire()).unwrap();
-            prop_assert_eq!(p, q);
-        }
-
-        #[test]
-        fn prop_round_trip_tcp(
-            sp in any::<u16>(), dp in any::<u16>(), seq in any::<u32>(),
-            syn in any::<bool>(), ack in any::<bool>(), fin in any::<bool>(), rst in any::<bool>(),
-            payload in proptest::collection::vec(any::<u8>(), 0..256),
-        ) {
-            let p = Packet::new(
-                MacAddr::from_index(9),
-                MacAddr::from_index(10),
-                Ipv4Addr::new(10, 0, 0, 9),
-                Ipv4Addr::new(10, 0, 0, 10),
-                TransportHeader::tcp(sp, dp, seq, TcpFlags { syn, ack, fin, rst }),
-                Bytes::from(payload),
-            );
-            let q = Packet::from_wire(&p.to_wire()).unwrap();
-            prop_assert_eq!(p, q);
-        }
-
-        #[test]
-        fn prop_checksum_of_emitted_header_is_zero(
-            src in any::<u32>(), dst in any::<u32>(), ttl in 1u8..255,
-        ) {
-            let hdr = Ipv4Header {
-                src: Ipv4Addr::from_u32(src),
-                dst: Ipv4Addr::from_u32(dst),
-                protocol: ip_proto::UDP,
-                ttl,
-                dscp: 0,
-                total_len: 20,
-            };
-            let mut buf = BytesMut::new();
-            hdr.emit(&mut buf);
-            prop_assert_eq!(internet_checksum(&buf), 0);
-        }
     }
 }

@@ -39,9 +39,10 @@
 //! one lives in `tests/state_space_props.rs`, which holds this pass to
 //! it.
 
-use crate::packed::{FxBuild, MemoPolicy};
+use crate::packed::MemoPolicy;
 use crate::policy::FsmPolicy;
-use std::collections::{HashMap, HashSet};
+use iotnet::hash::WordMap;
+use std::collections::HashSet;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use trace::digest::fnv64;
 use trace::event::TraceEvent;
@@ -94,7 +95,7 @@ impl SpaceStats {
 /// by fingerprint with an equality-checked collision chain.
 #[derive(Default)]
 struct ClassSet {
-    by_fp: HashMap<u64, Vec<usize>, FxBuild>,
+    by_fp: WordMap<u64, Vec<usize>>,
     vecs: Vec<crate::posture::PostureVector>,
     fps: Vec<u64>,
 }

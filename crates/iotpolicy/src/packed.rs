@@ -31,56 +31,9 @@
 use crate::policy::FsmPolicy;
 use crate::posture::{fingerprint_postures, PostureVector};
 use crate::state_space::{StateSchema, SystemState};
-use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hash, Hasher};
+use iotnet::hash::{WordHasher, WordMap};
+use std::hash::{Hash, Hasher};
 use std::sync::{Arc, Mutex};
-
-/// Multiply-xor hasher for the fixed-width keys of the memo tables
-/// (rule masks and fingerprints). SipHash dominates the sweep's hot
-/// loop at millions of probes per second; this folds each word in a
-/// couple of cycles, in the fxhash tradition, which is safe here
-/// because the keys are not attacker-controlled.
-#[derive(Debug, Default, Clone, Copy)]
-pub(crate) struct FxHasher(u64);
-
-impl FxHasher {
-    #[inline]
-    fn fold(&mut self, v: u64) {
-        self.0 = (self.0.rotate_left(5) ^ v).wrapping_mul(0x517c_c1b7_2722_0a95);
-    }
-}
-
-impl Hasher for FxHasher {
-    #[inline]
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    #[inline]
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.fold(b as u64);
-        }
-    }
-
-    #[inline]
-    fn write_u32(&mut self, v: u32) {
-        self.fold(v as u64);
-    }
-
-    #[inline]
-    fn write_u64(&mut self, v: u64) {
-        self.fold(v);
-    }
-
-    #[inline]
-    fn write_usize(&mut self, v: usize) {
-        self.fold(v as u64);
-    }
-}
-
-/// `BuildHasher` for [`FxHasher`]-backed maps.
-pub(crate) type FxBuild = BuildHasherDefault<FxHasher>;
 
 /// One slot's bit field inside the packed word.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -364,9 +317,9 @@ pub(crate) const MAX_MEMO_RULES: usize = 256;
 pub(crate) struct RuleMask([u64; 4]);
 
 /// Four word folds. The derived impl hashes `[u64; 4]` as a length
-/// prefix plus one 32-byte `write`, which [`FxHasher`] folds byte by
-/// byte: 33 dependent multiplies on every probe of every mask-keyed
-/// table.
+/// prefix plus one 32-byte `write`: a fifth fold on every probe of every
+/// mask-keyed table, and 33 under a hasher that folds `write` byte by
+/// byte.
 impl Hash for RuleMask {
     #[inline]
     fn hash<H: Hasher>(&self, state: &mut H) {
@@ -407,7 +360,7 @@ impl RuleMask {
 /// One slot's outcome table: sub-mask → posture id, and the postures.
 #[derive(Debug, Default)]
 struct SlotOutcome {
-    by_sub: HashMap<RuleMask, u32, FxBuild>,
+    by_sub: WordMap<RuleMask, u32>,
     postures: Vec<crate::posture::Posture>,
 }
 
@@ -439,7 +392,7 @@ pub struct MemoPolicy<'a> {
     /// match) and streams two words per rule instead of a struct with
     /// a branch on `feasible`.
     feasible: Vec<(u32, u128, u128)>,
-    memo: HashMap<RuleMask, u32, FxBuild>,
+    memo: WordMap<RuleMask, u32>,
     /// One-entry cache in front of `memo`: consecutive states in
     /// odometer order usually trip the same rule set (only the low
     /// digits moved), and comparing four words in registers is far
@@ -455,7 +408,7 @@ pub struct MemoPolicy<'a> {
     /// number in the hundreds of thousands, so cold evaluation becomes
     /// one probe per slot — no posture merging, no map building. This
     /// is the engine's own cache in front of `outcomes`.
-    slot_memo: Vec<HashMap<RuleMask, u32, FxBuild>>,
+    slot_memo: Vec<WordMap<RuleMask, u32>>,
     /// Per slot: the interned final postures (baseline included),
     /// **deduplicated by value** — two sub-masks producing the same
     /// posture share one id, so classes compare exactly by their
@@ -481,7 +434,7 @@ pub struct MemoPolicy<'a> {
     /// table: the full [`PostureVector`] materializes on demand.
     class_pids: Vec<u32>,
     /// Tuple hash → first class id; exact identity is the arena slice.
-    tuple_index: HashMap<u64, u32, FxBuild>,
+    tuple_index: WordMap<u64, u32>,
     /// `(tuple hash, class id)` pairs beyond the first per hash.
     tuple_overflow: Vec<(u64, u32)>,
     /// Scratch for the per-position ids of the class being interned.
@@ -567,16 +520,16 @@ impl<'a> MemoPolicy<'a> {
             eval_order,
             rule_postures,
             feasible,
-            memo: HashMap::default(),
+            memo: WordMap::default(),
             last: None,
             slot_affect,
-            slot_memo: vec![HashMap::default(); n_slots],
+            slot_memo: vec![WordMap::default(); n_slots],
             slot_postures: vec![Vec::new(); n_slots],
             outcomes,
             resolved_slots,
             fp_order,
             class_pids: Vec::new(),
-            tuple_index: HashMap::default(),
+            tuple_index: WordMap::default(),
             tuple_overflow: Vec::new(),
             pid_scratch: Vec::new(),
             class_fps: Vec::new(),
@@ -814,7 +767,7 @@ impl<'a> MemoPolicy<'a> {
     /// — `known` when another engine over the same outcome table
     /// already computed them.
     fn intern_tuple(&mut self, pids: &[u32], known: Option<(u64, bool)>) -> u32 {
-        let mut th = FxHasher::default();
+        let mut th = WordHasher::default();
         for &pid in pids {
             th.write_u32(pid);
         }

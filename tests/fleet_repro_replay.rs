@@ -12,8 +12,9 @@
 //! which re-runs the weakened-arm seed sweep, ddmin-shrinks the first
 //! catch for each weakness and rewrites the three artifacts.
 //!
-//! A hostile artifact — a corpus one with a number overwritten — must be
-//! rejected by the parser or replay without panicking.
+//! A hostile artifact — a corpus one with a number or an `on`/`off` flag
+//! overwritten — must be rejected by the parser or replay without
+//! panicking.
 
 use std::collections::BTreeSet;
 use std::fs;
@@ -106,6 +107,39 @@ fn hostile_numeric_keys_are_rejected_or_replay() {
         }
     }
     assert!(replayed > 0, "every hostile artifact was rejected: the replay arm never ran");
+}
+
+/// Swap each `on`/`off` flag of each corpus artifact (`retry`,
+/// `reconcile`, `declare-degraded`) for the other value and for garbage,
+/// one at a time. `parse_fleet` rejects the result or `fleet_violations`
+/// replays it without panicking.
+#[test]
+fn swapped_flags_are_rejected_or_replay() {
+    let (mut rejected, mut replayed) = (0, 0);
+    for (name, text) in corpus() {
+        let lines: Vec<&str> = text.lines().collect();
+        for (i, line) in lines.iter().enumerate() {
+            let Some((key, value)) = line.split_once('=') else { continue };
+            if !matches!(key, "retry" | "reconcile" | "declare-degraded") {
+                continue;
+            }
+            let other = if value == "on" { "off" } else { "on" };
+            for swapped in [other, "x-no-such-flag"] {
+                let mut edited = lines.clone();
+                let clause = format!("{key}={swapped}");
+                edited[i] = &clause;
+                let Ok(spec) = parse_fleet(&edited.join("\n")) else {
+                    rejected += 1;
+                    continue;
+                };
+                let run = catch_unwind(|| fleet_violations(&spec));
+                assert!(run.is_ok(), "{name}: `{clause}` parsed and then panicked on replay");
+                replayed += 1;
+            }
+        }
+    }
+    // Three flags per artifact, three artifacts, two swaps each.
+    assert_eq!((rejected, replayed), (9, 9));
 }
 
 #[test]

@@ -8,11 +8,14 @@
 //! *fixes* one of these repros, this test fails and the artifact should
 //! be regenerated or retired deliberately.
 //!
-//! A hostile artifact — a rendered one with a number overwritten — must
-//! be rejected by the parser or replay without panicking.
+//! A hostile artifact — a rendered one with a number or a label
+//! overwritten — must be rejected by the parser or replay without
+//! panicking.
 
+use iotdev::device::DeviceClass;
+use iotdev::env::EnvVar;
 use iotsec_fuzz::oracle::defense_on_violations;
-use iotsec_fuzz::{artifact, generate, GenConfig, Weakness};
+use iotsec_fuzz::{artifact, generate, DeviceSpec, GenConfig, RecipeSpec, ScenarioSpec, Weakness};
 use proptest::prelude::*;
 use std::collections::BTreeSet;
 use std::panic::catch_unwind;
@@ -116,4 +119,90 @@ proptest! {
             clauses.iter().map(|(k, fields)| format!("{k}={}\n", fields.join(":"))).collect();
         rejected_or_replayed(&text)?;
     }
+}
+
+/// A string no label field accepts.
+const GARBAGE: &str = "x-no-such-label";
+
+/// Every valid spelling of the weakness, the `clean:` class and the
+/// recipe trigger (`<variable>:<value>`), as `artifact::render` writes
+/// them.
+fn label_catalogue() -> (Vec<String>, Vec<String>, Vec<String>) {
+    let weaknesses = [Weakness::None, Weakness::FailOpen, Weakness::NoQuarantine]
+        .map(|w| w.label().to_string())
+        .to_vec();
+    let everything = ScenarioSpec {
+        seed: 0,
+        edges: 0,
+        horizon_secs: 1,
+        weakness: Weakness::None,
+        devices: DeviceClass::ALL.map(DeviceSpec::Clean).to_vec(),
+        recipes: EnvVar::ALL
+            .into_iter()
+            .flat_map(|var| {
+                var.domain().iter().map(move |value| RecipeSpec { var, value, target: 0 })
+            })
+            .collect(),
+        faults: Vec::new(),
+        attack: Vec::new(),
+    };
+    let text = artifact::render(&everything);
+    let classes =
+        text.lines().filter_map(|l| l.strip_prefix("device=clean:")).map(str::to_string).collect();
+    let triggers = text
+        .lines()
+        .filter_map(|l| l.strip_prefix("recipe=")?.strip_suffix(":0"))
+        .map(str::to_string)
+        .collect();
+    (weaknesses, classes, triggers)
+}
+
+/// Replace one label field of a rendered artifact — the weakness, a
+/// `clean:` class, a `row:` number, a recipe's variable with its value —
+/// with every other valid label of its kind, and with garbage. Each result
+/// is rejected by `parse` or replays without panicking.
+#[test]
+fn swapped_label_fields_are_rejected_or_replay() {
+    let (weaknesses, classes, triggers) = label_catalogue();
+    assert_eq!((weaknesses.len(), classes.len(), triggers.len()), (3, 13, 15));
+    // Table 1's rows are 1–7; 0, 8 and 9 are out of range.
+    let rows: Vec<String> = (0..=9).map(|r| r.to_string()).collect();
+    // Every other label of the field's kind, then garbage.
+    let swaps = |labels: &[String], current: &str| -> Vec<String> {
+        let others = labels.iter().filter(|l| *l != current).cloned();
+        others.chain([GARBAGE.to_string()]).collect()
+    };
+    let (mut rejected, mut replayed) = (0, 0);
+    for seed in 0..16 {
+        let mut spec = generate(seed, &GenConfig::weakened(Weakness::FailOpen));
+        spec.horizon_secs = spec.horizon_secs.min(30);
+        let text = artifact::render(&spec);
+        let lines: Vec<&str> = text.lines().collect();
+        for (i, line) in lines.iter().enumerate() {
+            let edits: Vec<String> = if let Some(w) = line.strip_prefix("weakness=") {
+                swaps(&weaknesses, w).iter().map(|w| format!("weakness={w}")).collect()
+            } else if let Some(c) = line.strip_prefix("device=clean:") {
+                swaps(&classes, c).iter().map(|c| format!("device=clean:{c}")).collect()
+            } else if let Some(r) = line.strip_prefix("device=row:") {
+                swaps(&rows, r).iter().map(|r| format!("device=row:{r}")).collect()
+            } else if let Some(recipe) = line.strip_prefix("recipe=") {
+                let (trigger, target) = recipe.rsplit_once(':').expect("var:value:target");
+                swaps(&triggers, trigger).iter().map(|t| format!("recipe={t}:{target}")).collect()
+            } else {
+                continue;
+            };
+            for edit in edits {
+                let mut edited = lines.clone();
+                edited[i] = &edit;
+                let Ok(spec) = artifact::parse(&edited.join("\n")) else {
+                    rejected += 1;
+                    continue;
+                };
+                let run = catch_unwind(|| defense_on_violations(&spec));
+                assert!(run.is_ok(), "seed {seed}: `{edit}` parsed and then panicked on replay");
+                replayed += 1;
+            }
+        }
+    }
+    assert!(rejected > 0 && replayed > 0, "{rejected} rejected, {replayed} replayed");
 }

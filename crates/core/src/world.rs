@@ -35,7 +35,7 @@ use iotnet::faults::FaultScheduler;
 use iotnet::flow::{FlowAction, FlowMatch, FlowRule, SteerId};
 use iotnet::hash::WordMap;
 use iotnet::link::LinkParams;
-use iotnet::net::{InlineProcessor, InlineVerdict, Network};
+use iotnet::net::Network;
 use iotnet::packet::{Packet, TcpFlags, TransportHeader};
 use iotnet::time::{SimDuration, SimTime};
 use iotnet::topology::TopologyBuilder;
@@ -44,7 +44,6 @@ use iotpolicy::policy::FsmPolicy;
 use iotpolicy::posture::Posture;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet};
 use std::rc::Rc;
 use std::sync::Arc;
@@ -63,20 +62,6 @@ enum Entity {
     Hub,
     Attacker,
     Victim,
-}
-
-/// A chain shared between the world (for reconfiguration and stats) and
-/// the network's steer registry.
-struct SharedChain(Rc<RefCell<UmboxChain>>);
-
-impl InlineProcessor for SharedChain {
-    fn process(&mut self, now: SimTime, pkt: Packet) -> InlineVerdict {
-        self.0.borrow_mut().process(now, pkt)
-    }
-
-    fn label(&self) -> &str {
-        "umbox-chain"
-    }
 }
 
 enum ControlPlane {
@@ -189,10 +174,17 @@ impl ControlPlane {
     }
 }
 
+/// A device's live µmbox: its chain's steer point and its instance.
+#[derive(Clone, Copy)]
 struct UmboxSlot {
     steer: SteerId,
-    chain: Rc<RefCell<UmboxChain>>,
     instance: UmboxId,
+}
+
+impl UmboxSlot {
+    fn chain(self, net: &Network) -> &UmboxChain {
+        net.processor(self.steer).expect("a live slot's chain is registered")
+    }
 }
 
 /// An empty token: nothing is banked between home builds. The frozen
@@ -252,8 +244,10 @@ struct HomeBuffers {
     gate_view: ViewHandle,
     event_sink: EventSink,
     chains: WordMap<DeviceId, UmboxSlot>,
-    pending_steers: Vec<(SimTime, DeviceId, Rc<RefCell<UmboxChain>>, UmboxId)>,
-    pending_swaps: Vec<(SimTime, DeviceId, UmboxChain)>,
+    pending_steers: Vec<(SimTime, DeviceId, UmboxChain, UmboxId)>,
+    /// Keyed by the steer point of the chain each replaces, which retiring
+    /// removes: a swap reaches only the chain it was built for.
+    pending_swaps: Vec<(SimTime, SteerId, UmboxChain)>,
     pending_events: Vec<SecurityEvent>,
     /// Delivery buffer handed to [`Network::step_until_into`].
     delivery_scratch: Vec<iotnet::net::Delivery>,
@@ -393,7 +387,7 @@ pub struct DeltaInstall {
 /// A resident [`World`] handed off between fleet rounds (E26).
 ///
 /// `World` is not `Send`: its interior uses `Rc`/`RefCell` for state
-/// shared *within one home* (signature rulesets, µmbox chains, the gate
+/// shared *within one home* (signature rulesets, the tracer, the gate
 /// view). A resident world, however, must outlive the scoped worker
 /// thread that ran it and be picked up by the next round's worker. That
 /// hand-off is serial — the fleet keeps each resident world in one
@@ -1016,7 +1010,10 @@ impl World {
         if let Some(lc) = &self.home.lifecycle {
             for (device, slot) in &self.buf.chains {
                 let serving = lc.get(slot.instance).is_some_and(|i| i.is_serving(now));
-                let mut chain = slot.chain.borrow_mut();
+                let chain = self
+                    .net
+                    .processor_mut::<UmboxChain>(slot.steer)
+                    .expect("a live slot's chain is registered");
                 chain.down = !serving;
                 if !serving {
                     *self.home.unprotected.entry(*device).or_insert(SimDuration::ZERO) += self.tick;
@@ -1243,7 +1240,7 @@ impl World {
             let device = DeviceId(i as u32);
             let (protected, chain_down, fail_open, passed) = match self.buf.chains.get(&device) {
                 Some(slot) => {
-                    let chain = slot.chain.borrow();
+                    let chain = slot.chain(&self.net);
                     (
                         true,
                         chain.down,
@@ -1470,7 +1467,7 @@ impl World {
                 self.home.steers += 1;
                 let steer = SteerId(self.home.steers);
                 let detour = self.cfg.map_or(SimDuration::ZERO, |_| STEER_DETOUR);
-                self.net.register_steer(steer, Box::new(SharedChain(chain.clone())), detour);
+                self.net.register_steer(steer, Box::new(chain), detour);
                 let ip = self.devices[device.0 as usize].ip;
                 let sw = self.device_switch[device.0 as usize];
                 self.net.install_rule(
@@ -1478,7 +1475,7 @@ impl World {
                     FlowRule::new(300, FlowMatch::to_host(ip), FlowAction::Steer(steer))
                         .with_cookie(cookie(device)),
                 );
-                self.buf.chains.insert(device, UmboxSlot { steer, chain, instance });
+                self.buf.chains.insert(device, UmboxSlot { steer, instance });
                 self.tracer.emit(now.as_nanos(), TraceEvent::UmboxReady { device: device.0 });
             } else {
                 i += 1;
@@ -1487,19 +1484,18 @@ impl World {
         let mut i = 0;
         while i < self.buf.pending_swaps.len() {
             if self.buf.pending_swaps[i].0 <= now {
-                let (_, device, mut new_chain) = self.buf.pending_swaps.remove(i);
-                if let Some(slot) = self.buf.chains.get(&device) {
+                let (_, steer, mut new_chain) = self.buf.pending_swaps.remove(i);
+                if let Some(old) = self.net.processor_mut::<UmboxChain>(steer) {
                     // An in-place reconfiguration keeps the instance's
                     // counters (it is the same µmbox, new rules).
-                    let mut old = slot.chain.borrow_mut();
                     new_chain.dropped = old.dropped;
                     new_chain.intercepted = old.intercepted;
                     new_chain.down = old.down;
                     new_chain.fail_open_passed = old.fail_open_passed;
                     new_chain.fail_closed_dropped = old.fail_closed_dropped;
+                    let device = new_chain.device.0;
                     *old = new_chain;
-                    drop(old);
-                    self.tracer.emit(now.as_nanos(), TraceEvent::UmboxSwap { device: device.0 });
+                    self.tracer.emit(now.as_nanos(), TraceEvent::UmboxSwap { device });
                 }
             } else {
                 i += 1;
@@ -1533,30 +1529,25 @@ impl World {
         );
         match directive {
             Directive::Launch { device, posture } => self.launch_umbox(device, &posture, now),
-            Directive::Reconfigure { device, posture } => {
-                if self.buf.chains.contains_key(&device) {
+            Directive::Reconfigure { device, posture } => match self.buf.chains.get(&device) {
+                Some(&UmboxSlot { steer, instance }) => {
                     let new_chain = build_chain(&posture, self.chain_config(device));
-                    let done_at = {
-                        let slot = self.buf.chains.get(&device).unwrap();
-                        self.home.lifecycle.as_mut().map(|lc| lc.reconfigure(slot.instance, now))
-                    };
-                    self.buf.pending_swaps.push((done_at.unwrap_or(now), device, new_chain));
-                } else {
-                    // Reconfigure for a chain still booting: queue a launch
-                    // with the final posture instead.
-                    self.launch_umbox(device, &posture, now);
+                    let done_at =
+                        self.home.lifecycle.as_mut().map(|lc| lc.reconfigure(instance, now));
+                    self.buf.pending_swaps.push((done_at.unwrap_or(now), steer, new_chain));
                 }
-            }
+                // Reconfigure for a chain still booting: queue a launch
+                // with the final posture instead.
+                None => self.launch_umbox(device, &posture, now),
+            },
             Directive::Retire { device } => {
                 if let Some(slot) = self.buf.chains.remove(&device) {
                     self.tracer.emit(now.as_nanos(), TraceEvent::UmboxRetire { device: device.0 });
-                    {
-                        let chain = slot.chain.borrow();
-                        self.home.retired_drops += chain.dropped;
-                        self.home.retired_intercepts += chain.intercepted;
-                        self.home.retired_fail_open += chain.fail_open_passed;
-                        self.home.retired_fail_closed += chain.fail_closed_dropped;
-                    }
+                    let chain = slot.chain(&self.net);
+                    self.home.retired_drops += chain.dropped;
+                    self.home.retired_intercepts += chain.intercepted;
+                    self.home.retired_fail_open += chain.fail_open_passed;
+                    self.home.retired_fail_closed += chain.fail_closed_dropped;
                     self.net.remove_rules_by_cookie(cookie(device));
                     self.net.unregister_steer(slot.steer);
                     if let Some(lc) = &mut self.home.lifecycle {
@@ -1587,7 +1578,7 @@ impl World {
             now.as_nanos(),
             TraceEvent::UmboxLaunch { device: device.0, ready_ns: ready_at.as_nanos() },
         );
-        let chain = Rc::new(RefCell::new(build_chain(posture, self.chain_config(device))));
+        let chain = build_chain(posture, self.chain_config(device));
         self.buf.pending_steers.push((ready_at, device, chain, instance));
     }
 
@@ -1684,7 +1675,7 @@ impl World {
         metrics.missed_blocks += self.home.retired_fail_open;
         metrics.fail_closed_drops += self.home.retired_fail_closed;
         for slot in self.buf.chains.values() {
-            let chain = slot.chain.borrow();
+            let chain = slot.chain(&self.net);
             metrics.umbox_drops += chain.dropped;
             metrics.umbox_intercepts += chain.intercepted;
             metrics.missed_blocks += chain.fail_open_passed;
@@ -2280,6 +2271,30 @@ mod tests {
             }
         }
         assert_eq!(admitted, 28, "every canned home template supports residency");
+    }
+
+    #[test]
+    fn a_reconfiguration_reaches_only_the_chain_it_was_built_for() {
+        // `DeliveryChannel::pump` may hand one tick several directives for
+        // one device. Reconfigure → Retire → Launch in one tick: the swap
+        // was built for the retired chain and must not land on the new one.
+        let cam = DeviceId(0);
+        let live = |w: &World| w.buf.chains.get(&cam).map(|slot| slot.chain(&w.net).len());
+        let mut w = World::new(&camera_deployment(Defense::iotsec()));
+        let quarantine = Posture::quarantine();
+        w.execute_directive(
+            Directive::Launch { device: cam, posture: quarantine.clone() },
+            w.clock,
+        );
+        w.run(SimDuration::from_secs(1));
+        assert_eq!(live(&w), Some(2), "the quarantine chain is up");
+        let now = w.clock;
+        w.execute_directive(Directive::Reconfigure { device: cam, posture: quarantine }, now);
+        w.execute_directive(Directive::Retire { device: cam }, now);
+        let mirror = Posture::of(iotpolicy::posture::SecurityModule::Mirror);
+        w.execute_directive(Directive::Launch { device: cam, posture: mirror }, now);
+        w.run(SimDuration::from_secs(1));
+        assert_eq!(live(&w), Some(1), "the mirror chain, not the stale quarantine");
     }
 
     #[test]

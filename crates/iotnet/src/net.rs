@@ -2,7 +2,8 @@
 //!
 //! The network owns the topology, the switches, a time-ordered event queue
 //! and the registry of **inline processors** — the hook through which
-//! µmboxes (built in the `umbox` crate) interpose on traffic. Higher
+//! µmboxes (built in the `umbox` crate) interpose on traffic; it owns each
+//! processor, which its registrant reaches again by [`SteerId`]. Higher
 //! layers drive the network with a simple inversion-of-control loop:
 //!
 //! ```text
@@ -30,6 +31,7 @@ use crate::time::{SimDuration, SimTime};
 use crate::topology::{PortTarget, Topology};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::any::Any;
 use trace::{MetricsRegistry, Tracer};
 
 /// A packet delivered to an endpoint.
@@ -123,34 +125,26 @@ impl InlineVerdict {
 /// An inline packet processor — the attachment point for µmboxes.
 ///
 /// Implementations live in the `umbox` crate; `iotnet` only defines the
-/// contract. Processing is synchronous from the simulator's point of view;
-/// the verdict's `latency` models the processing time and is added to the
+/// contract, and owns what is registered (see [`Network::processor`]).
+/// Processing is synchronous from the simulator's point of view; the
+/// verdict's `latency` models the processing time and is added to the
 /// forwarding delay of the surviving packets.
-pub trait InlineProcessor {
+pub trait InlineProcessor: Any {
     /// Process one packet that the flow table steered here.
     fn process(&mut self, now: SimTime, pkt: Packet) -> InlineVerdict;
-
-    /// A short human-readable label (for reports and debugging).
-    fn label(&self) -> &str {
-        "inline"
-    }
 }
 
 /// A registered steer point: the processor plus the fixed detour latency
 /// of reaching it (e.g. tunnelling to the on-premise cluster and back).
-pub struct SteerHandle {
-    /// The processor.
-    pub processor: Box<dyn InlineProcessor>,
+struct SteerHandle {
+    processor: Box<dyn InlineProcessor>,
     /// Fixed detour latency added to every steered packet (tunnel RTT).
-    pub detour: SimDuration,
+    detour: SimDuration,
 }
 
 impl std::fmt::Debug for SteerHandle {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("SteerHandle")
-            .field("processor", &self.processor.label())
-            .field("detour", &self.detour)
-            .finish()
+        f.debug_struct("SteerHandle").field("detour", &self.detour).finish_non_exhaustive()
     }
 }
 
@@ -329,9 +323,19 @@ impl Network {
         self.steer.insert(id, SteerHandle { processor, detour });
     }
 
-    /// Remove a steer registration, returning it if present.
-    pub fn unregister_steer(&mut self, id: SteerId) -> Option<SteerHandle> {
-        self.steer.remove(&id)
+    /// Remove, and drop, the steer registration under `id`, if any.
+    pub fn unregister_steer(&mut self, id: SteerId) {
+        self.steer.remove(&id);
+    }
+
+    /// The processor registered under `id`, if there is one and it is a `P`.
+    pub fn processor<P: InlineProcessor>(&self, id: SteerId) -> Option<&P> {
+        (self.steer.get(&id)?.processor.as_ref() as &dyn Any).downcast_ref()
+    }
+
+    /// [`Network::processor`], mutably.
+    pub fn processor_mut<P: InlineProcessor>(&mut self, id: SteerId) -> Option<&mut P> {
+        (self.steer.get_mut(&id)?.processor.as_mut() as &mut dyn Any).downcast_mut()
     }
 
     /// Inject a packet from `ep` at time `now` (must be ≥ the network
@@ -633,11 +637,11 @@ mod tests {
     }
 
     struct CountingDropper {
-        seen: std::rc::Rc<std::cell::Cell<u32>>,
+        seen: u32,
     }
     impl InlineProcessor for CountingDropper {
         fn process(&mut self, _now: SimTime, _pkt: Packet) -> InlineVerdict {
-            self.seen.set(self.seen.get() + 1);
+            self.seen += 1;
             InlineVerdict::drop(SimDuration::from_micros(50))
         }
     }
@@ -652,19 +656,25 @@ mod tests {
     #[test]
     fn steer_to_dropping_processor() {
         let (mut net, a, c, sw) = two_host_net();
-        let seen = std::rc::Rc::new(std::cell::Cell::new(0));
+        let id = SteerId(1);
         net.register_steer(
-            SteerId(1),
-            Box::new(CountingDropper { seen: seen.clone() }),
+            id,
+            Box::new(CountingDropper { seen: 0 }),
             SimDuration::from_micros(200),
         );
-        net.install_rule(sw, FlowRule::new(100, FlowMatch::any(), FlowAction::Steer(SteerId(1))));
+        net.install_rule(sw, FlowRule::new(100, FlowMatch::any(), FlowAction::Steer(id)));
         net.send(a, SimTime::ZERO, pkt_between(&net, a, c, b"x"));
         let deliveries = net.step_until(SimTime::from_secs(1));
         assert!(deliveries.is_empty());
-        assert_eq!(seen.get(), 1);
         assert_eq!(net.stats.steered, 1);
         assert_eq!(net.stats.dropped_inline, 1);
+        // The registrant reaches what it registered by id, as its type.
+        assert_eq!(net.processor::<CountingDropper>(id).map(|p| p.seen), Some(1));
+        net.processor_mut::<CountingDropper>(id).expect("registered").seen = 7;
+        assert_eq!(net.processor::<CountingDropper>(id).map(|p| p.seen), Some(7));
+        assert!(net.processor::<PassThrough>(id).is_none(), "another type is not there");
+        net.unregister_steer(id);
+        assert!(net.processor::<CountingDropper>(id).is_none());
     }
 
     #[test]

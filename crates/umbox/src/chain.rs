@@ -2,8 +2,9 @@
 //!
 //! The controller expresses *what* a device's traffic must traverse as a
 //! [`Posture`]; this module compiles it into an ordered chain of
-//! elements and adapts the chain to [`iotnet::net::InlineProcessor`] so
-//! a flow rule can steer traffic through it.
+//! elements. A chain is itself an [`iotnet::net::InlineProcessor`]: it is
+//! registered with the network by value, the network owns it from then
+//! on, and a flow rule steers traffic through it.
 
 use crate::element::{Element, ElementOutcome, EventSink, ViewHandle};
 use crate::filters::{BlockFilter, MirrorTap, ProtocolWhitelist, RateLimiter};
@@ -152,7 +153,8 @@ impl UmboxChain {
         self.slots.is_empty()
     }
 
-    /// Run a packet through the chain (the core of the inline adapter).
+    /// Run a packet through the chain (what the network calls on a
+    /// steered packet).
     ///
     /// While the backing instance is down, the packet never reaches the
     /// elements: it is passed unfiltered (`FailOpen`) or dropped
@@ -208,10 +210,6 @@ impl UmboxChain {
 impl InlineProcessor for UmboxChain {
     fn process(&mut self, now: SimTime, pkt: Packet) -> InlineVerdict {
         self.run(now, pkt)
-    }
-
-    fn label(&self) -> &str {
-        "umbox-chain"
     }
 }
 

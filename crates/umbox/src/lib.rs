@@ -13,9 +13,9 @@
 //!   Figure 4 password proxy, the signature IDS fed by the crowdsourced
 //!   repository, rate limiters / protocol whitelists / block filters,
 //!   and the Figure 5 context gate.
-//! * [`chain`] — posture → chain compilation and the
-//!   [`iotnet::net::InlineProcessor`] adapter that attaches a chain to a
-//!   switch steer point.
+//! * [`chain`] — posture → chain compilation. A chain is an
+//!   [`iotnet::net::InlineProcessor`], handed to the network by value at
+//!   a switch steer point and owned by the network from then on.
 //! * [`breaker`] — per-µmbox circuit breakers (closed → open →
 //!   half-open, deterministic sim-time cooldowns) that route a
 //!   crash-looping chain to its failure-mode fallback instead of

@@ -326,12 +326,14 @@ fn idle_ticks_are_allocation_free() {
     /// One resident home-round (rebind + run), at both seeds, in debug
     /// and in release. It was 543 with heap-`Vec` class ticks, 158 before
     /// payloads went inline, 86 before the attacker, the controller and
-    /// the µmbox elements stopped allocating and 21 before the lifecycle
-    /// dropped the reconfiguration histogram nothing read; DESIGN.md §6
+    /// the µmbox elements stopped allocating, 21 before the lifecycle
+    /// dropped the reconfiguration histogram nothing read and 20 before
+    /// the network owned each µmbox chain by value (one `Box` where the
+    /// shared `Rc` cell and its registry wrapper were two); DESIGN.md §6
     /// lists them by site. Device-coasted ticks skip phases, never add to
     /// them, and the physics trajectory grows only where a run starts: the
     /// count must not rise with either.
-    const HOME_ROUND_ALLOCS: u64 = 20;
+    const HOME_ROUND_ALLOCS: u64 = 19;
     /// Devices report telemetry every 5 s of sim time, all on the same
     /// tick; the reports cross the network during the tick after.
     const TELEMETRY_MS: u64 = 5_000;

@@ -26,7 +26,9 @@
 //!    `step_until`, counters, event count, clock, `has_pending` and the
 //!    delivery stream are those of a network in which *every* copy is a
 //!    queued event — the model written here — for deadlines that fall
-//!    between the arrivals of one flood's copies.
+//!    between the arrivals of one flood's copies, and with one endpoint's
+//!    inbound traffic steered through an inline processor that drops
+//!    some frames and delays the rest.
 //! 8. The switch contract: over random frame streams with rule installs,
 //!    cookie removals and `table.clear()` in between, `process_at`'s
 //!    decisions and every counter it keeps are those of a learning
@@ -41,7 +43,7 @@ use iotsec_repro::iotnet::flow::{
     FlowAction, FlowMatch, FlowRule, FlowTable, PackedFlowKey, SteerId,
 };
 use iotsec_repro::iotnet::link::{Link, LinkParams};
-use iotsec_repro::iotnet::net::{Delivery, Network};
+use iotsec_repro::iotnet::net::{Delivery, InlineProcessor, InlineVerdict, Network};
 use iotsec_repro::iotnet::packet::{
     EthernetHeader, Ipv4Header, PackedHeaders, Packet, TcpFlags, TransportHeader,
 };
@@ -380,12 +382,57 @@ enum Hop {
     Nic { ep: usize },
 }
 
+/// Property 7's steer point: the traffic addressed to endpoint `ep`
+/// (modulo the count) detours `detour_us` to a [`DropByIndex`] that drops
+/// every `drop_every`-th frame of the run.
+#[derive(Debug, Clone, Copy)]
+struct SteerSpec {
+    ep: usize,
+    detour_us: u64,
+    drop_every: u16,
+}
+
+fn steer_spec() -> impl Strategy<Value = Option<SteerSpec>> {
+    sparse((0usize..8, 0u64..3_000, 2u16..5).prop_map(|(ep, detour_us, drop_every)| SteerSpec {
+        ep,
+        detour_us,
+        drop_every,
+    }))
+}
+
+/// What [`DropByIndex`] takes to process a frame.
+const INLINE_LATENCY: SimDuration = SimDuration::from_micros(50);
+
+/// An inline processor that decides by the frame's index in the run (its
+/// source port, see [`frame`]): multiples of `.0` are dropped, the rest
+/// pass unchanged, each after [`INLINE_LATENCY`].
+struct DropByIndex(u16);
+
+impl DropByIndex {
+    fn drops(&self, pkt: &Packet) -> bool {
+        pkt.transport.src_port().is_multiple_of(self.0)
+    }
+}
+
+impl InlineProcessor for DropByIndex {
+    fn process(&mut self, _now: SimTime, pkt: Packet) -> InlineVerdict {
+        if self.drops(&pkt) {
+            InlineVerdict::drop(INLINE_LATENCY)
+        } else {
+            InlineVerdict::pass(pkt, INLINE_LATENCY)
+        }
+    }
+}
+
 /// One learning switch with endpoint `i` on port `i`, stated the plain
 /// way: **every** copy a wire carries is an event, queued at its
 /// `Link::transmit` arrival (clamped to the clock) and counted when it is
 /// popped. A sorted map is the queue; the links and the loss-process RNG
 /// are the model's own, so it shares nothing with the network under test
-/// but `Link::transmit` and the seed.
+/// but `Link::transmit` and the seed. A frame addressed to the steered
+/// endpoint is handed to the processor when it reaches the switch; a
+/// survivor leaves `detour + latency` later through the ports normal
+/// forwarding picks for the port it came in on.
 struct QueuedModel {
     macs: Vec<MacAddr>,
     up: Vec<Link>,
@@ -397,10 +444,13 @@ struct QueuedModel {
     now: SimTime,
     stats: NetStats,
     processed: u64,
+    /// The steered destination, the delay a survivor resumes after, and
+    /// the processor.
+    steer: Option<(Ipv4Addr, SimDuration, DropByIndex)>,
 }
 
 impl QueuedModel {
-    fn new(net: &Network, kinds: &[u8], seed: u64) -> QueuedModel {
+    fn new(net: &Network, kinds: &[u8], seed: u64, steer: Option<SteerSpec>) -> QueuedModel {
         let links = || kinds.iter().map(|&k| Link::new(wire_kind(k))).collect::<Vec<_>>();
         QueuedModel {
             macs: (0..kinds.len()).map(|i| net.mac_of(EndpointId(i as u32))).collect(),
@@ -414,6 +464,11 @@ impl QueuedModel {
             now: SimTime::ZERO,
             stats: NetStats::default(),
             processed: 0,
+            steer: steer.map(|s| {
+                let ip = net.ip_of(EndpointId((s.ep % kinds.len()) as u32));
+                let delay = SimDuration::from_micros(s.detour_us) + INLINE_LATENCY;
+                (ip, delay, DropByIndex(s.drop_every))
+            }),
         }
     }
 
@@ -449,6 +504,17 @@ impl QueuedModel {
             match hop {
                 Hop::Switch { from } => {
                     self.learned.insert(pkt.eth.src, from);
+                    let mut leave = at;
+                    if let Some((_, delay, processor)) =
+                        self.steer.as_ref().filter(|(ip, ..)| pkt.ip.dst == *ip)
+                    {
+                        self.stats.steered += 1;
+                        if processor.drops(&pkt) {
+                            self.stats.dropped_inline += 1;
+                            continue;
+                        }
+                        leave = at + *delay;
+                    }
                     let known =
                         self.learned.get(&pkt.eth.dst).filter(|_| !pkt.eth.dst.is_multicast());
                     let out: Vec<usize> = match known {
@@ -457,7 +523,7 @@ impl QueuedModel {
                         None => (0..self.macs.len()).filter(|&p| p != from).collect(),
                     };
                     for ep in out {
-                        self.transmit(at, Hop::Nic { ep }, pkt.clone());
+                        self.transmit(leave, Hop::Nic { ep }, pkt.clone());
                     }
                 }
                 Hop::Nic { ep } if pkt.eth.dst == self.macs[ep] || pkt.eth.dst.is_broadcast() => {
@@ -851,13 +917,18 @@ proptest! {
     /// learned-unicast and broadcast frames, sends stamped behind the
     /// clock, and deadlines that cut floods in half. This is what licenses
     /// counting a discarded copy instead of queueing it: it passed, as
-    /// written, when those copies were queued.
+    /// written, when those copies were queued. One run in three also
+    /// steers one endpoint's inbound traffic through an inline processor
+    /// that passes or drops by frame index, which licenses how the
+    /// network holds its processors: it passed, as written, when the
+    /// world's µmbox chains were shared with the network.
     #[test]
     fn every_step_boundary_matches_a_network_that_queues_every_copy(
         kinds in proptest::collection::vec(0u8..3, 3..8),
         seed in any::<u64>(),
         lossy in proptest::collection::vec((0usize..8, 1u32..6), 0..3),
         ops in proptest::collection::vec(net_op(), 1..80),
+        steer in steer_spec(),
     ) {
         let mut b = TopologyBuilder::new();
         let sw = b.add_switch();
@@ -865,7 +936,14 @@ proptest! {
             b.attach_endpoint(sw, wire_kind(k));
         }
         let mut net = Network::new(b.build(), seed);
-        let mut model = QueuedModel::new(&net, &kinds, seed);
+        let mut model = QueuedModel::new(&net, &kinds, seed, steer);
+        if let Some(s) = steer {
+            let ip = net.ip_of(EndpointId((s.ep % kinds.len()) as u32));
+            let detour = SimDuration::from_micros(s.detour_us);
+            net.register_steer(SteerId(1), Box::new(DropByIndex(s.drop_every)), detour);
+            let rule = FlowRule::new(1, FlowMatch::to_host(ip), FlowAction::Steer(SteerId(1)));
+            net.install_rule(sw, rule);
+        }
         for (i, _) in kinds.iter().enumerate() {
             prop_assert_eq!(net.topology().endpoint(EndpointId(i as u32)).port, PortNo(i as u16));
         }

@@ -8,49 +8,28 @@
 //! cargo run --release -p iotsec-bench --bin experiments --trace    # E17 trace harness
 //! ```
 //!
-//! `--homes N` / `--rounds N` override the fleet-shaped arms'
-//! (e20/e25/e26) population and round count for ad-hoc scaling runs —
-//! leave them off when regenerating the checked-in BENCH_*.json files,
-//! which CI byte-compares at the committed defaults.
-//! `--threads N` sets the worker count for the E16 parallel sweep. If
-//! E16's parallel digests diverge from the serial reference the process
-//! exits non-zero — the CI perf-smoke job depends on that. The `e18` arm
-//! always writes `BENCH_E18.json` (sim-time metrics only, so the file
-//! is byte-stable) and exits non-zero on any safety-gate failure — the
-//! CI safety-gate job depends on *that*. The `e19` arm always writes
-//! `BENCH_E19.json` (stable digests plus a `wall_ms`-marked volatile
-//! timing section) and exits non-zero if any state-space engine
-//! diverges from the serial packed reference — the CI state-space-gate
-//! job depends on that. The `e20` arm always writes `BENCH_E20.json`
-//! (stable fleet digest, propagation counters and leg agreement plus a
-//! `wall_ms` volatile section carrying homes/sec, directives/sec and
-//! bytes/home) and exits non-zero if any fleet leg — serial rerun or
-//! chunk-parallel — diverges from the serial reference, or if
-//! the one-discovery → fleet-wide-install propagation fact fails — the
-//! CI fleet-gate job depends on that. The `e21` arm always writes `BENCH_E21.json`
-//! (stable sweep digests, engine counters and the steady-state
-//! allocation verdict plus a `wall_ms` volatile timing section) and
-//! exits non-zero if the timed serial sweep fails to reproduce the
-//! reference digests, or if the steady state allocates at all (this
-//! binary installs a counting global allocator so E21 can measure
-//! allocs/event for real) — the CI engine-gate job depends on that.
-//! The `e23` arm always writes `BENCH_E23.json`
-//! (stable campaign fingerprint and shrink statistics plus a `wall_ms`
-//! volatile line) and exits non-zero if the vet campaign finds a
-//! violation or a vacuous scenario, if the parallel sweep diverges from
-//! the serial reference, or if the weakened-defense arm fails to
-//! produce a shrinkable violation — the CI vet-gate job depends on
-//! that. The `e25` arm always writes `BENCH_E25.json` (stable per-cell
-//! convergence rounds, digests and fault/recovery counters plus a
-//! `wall_ms` volatile section) and exits non-zero if any chaos cell
-//! fails to recover by the deadline, trips the fleet trace checker, or
-//! diverges on rerun — the CI fleet-chaos-gate job depends on that.
-//! The `e26` arm always writes `BENCH_E26.json` (stable per-arm fleet
-//! digests, memo and resident-stats counters plus a `wall_ms` volatile
-//! section carrying steady-state homes/sec, bytes/home-round and the
-//! rebuild-vs-resident ratios) and exits non-zero if any resident leg
-//! diverges from its rebuild reference or the churn arms fail the
-//! amortization gate — the CI resident-gate job depends on that.
+//! `--threads N` sets the worker count of the legs that take one (E16,
+//! E17, E23). Each gated id exits non-zero when its gate fails, and
+//! E18–E26 always write their record, which CI byte-compares with the
+//! checked-in file. Which id writes what, and what fails it:
+//!
+//! - `e16` (no record): the parallel sweep diverges from the serial one.
+//! - `e18` → `BENCH_E18.json`: a safety gate fails.
+//! - `e19` → `BENCH_E19.json`: a state-space engine or thread count
+//!   diverges from the packed-serial reference.
+//! - `e20` → `BENCH_E20.json`: a fleet leg diverges from the serial
+//!   reference, or one discovery does not reach every home in one epoch.
+//! - `e21` → `BENCH_E21.json`: the second sweep diverges from the
+//!   reference, or the warm steady state allocates.
+//! - `e23` → `BENCH_E23.json`: the vet campaign finds a violation or a
+//!   vacuous scenario, diverges across threads or on rerun, or its
+//!   weakened arm yields no shrinkable violation.
+//! - `e25` → `BENCH_E25.json`: a chaos cell misses its deadline, trips
+//!   the fleet trace checker, or diverges on rerun.
+//! - `e26` → `BENCH_E26.json`: a resident leg diverges from its rebuild
+//!   reference, or a churn arm fails the amortization gate.
+//!
+//! Time is measured by the `benchmark/` harness, not here.
 
 use iotsec_bench::report::emit;
 use iotsec_bench::{
@@ -61,11 +40,11 @@ use iotsec_bench::{
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Counting allocator: E21's steady-state probe reads this to pin
-/// allocs/event for real (the library crates are `#![forbid(unsafe_code)]`,
-/// so the counter lives in the binary, mirroring `tests/alloc_counter.rs`).
-/// Counts allocations and reallocations; frees are irrelevant to the
-/// zero-alloc claim.
+/// Counting allocator: E21's steady-state probe reads its allocation
+/// count to pin the zero-alloc claim, and E26's amortization gate reads
+/// its byte count (the library crates are `#![forbid(unsafe_code)]`, so
+/// the counter lives in the binary, mirroring `tests/alloc_counter.rs`).
+/// Counts allocations and reallocations; frees are irrelevant to both.
 struct CountingAlloc;
 
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
@@ -100,14 +79,9 @@ fn alloc_bytes() -> u64 {
     BYTES.load(Ordering::Relaxed)
 }
 
-/// What the command line hands an experiment: `--threads N`, and the
-/// fleet-shaped arms' (e20/e25/e26) `--homes N` / `--rounds N`
-/// overrides, where `None` keeps the experiment's committed default
-/// (the byte-stable configuration CI gates on).
+/// What the command line hands an experiment: `--threads N`.
 struct Ctx {
     threads: usize,
-    homes: Option<u32>,
-    rounds: Option<u32>,
 }
 
 /// Runs one experiment to completion; returns whether its gate held
@@ -151,11 +125,15 @@ const EXPERIMENTS: &[Experiment] = &[
     (&["trace", "e17"], |c| emit(&exp_trace::trace(SEED, c.threads))),
     (&["safety", "e18"], |_| emit(&exp_safety::safety(SEED))),
     (&["space", "e19"], |_| emit(&exp_space::space())),
-    (&["fleet", "e20"], |c| emit(&exp_fleet::fleet(&alloc_bytes, c.homes, c.rounds))),
+    (&["fleet", "e20"], |_| emit(&exp_fleet::fleet(exp_fleet::FLEET_HOMES, exp_fleet::ROUNDS))),
     (&["engine", "e21"], |_| emit(&exp_engine::engine(&alloc_count))),
     (&["vet", "e23"], |c| emit(&exp_vet::vet(SEED, c.threads))),
-    (&["fleet_chaos", "e25"], |c| emit(&exp_fleet_chaos::fleet_chaos(c.homes, c.rounds))),
-    (&["resident", "e26"], |c| emit(&exp_resident::resident(&alloc_bytes, c.homes, c.rounds))),
+    (&["fleet_chaos", "e25"], |_| {
+        emit(&exp_fleet_chaos::fleet_chaos(exp_fleet_chaos::HOMES, exp_fleet_chaos::MAX_ROUNDS))
+    }),
+    (&["resident", "e26"], |_| {
+        emit(&exp_resident::resident(&alloc_bytes, exp_resident::HOMES, exp_resident::ROUNDS))
+    }),
 ];
 
 /// Resolve every requested id (or alias) before anything runs. No ids,
@@ -176,22 +154,16 @@ fn plan(ids: &[String]) -> Result<Vec<&'static Experiment>, String> {
 }
 
 /// Parse a count flag's value: a positive integer (`0` is rejected —
-/// a fleet of no homes, rounds or workers measures nothing).
-fn parse_positive<T>(flag: &str, v: &str) -> Result<T, String>
-where
-    T: std::str::FromStr + Default + PartialEq,
-{
+/// zero workers would run nothing).
+fn parse_positive(flag: &str, v: &str) -> Result<usize, String> {
     v.parse()
         .ok()
-        .filter(|n| *n != T::default())
+        .filter(|&n| n > 0)
         .ok_or_else(|| format!("{flag} needs a positive integer, got '{v}'"))
 }
 
 /// The next argument as `flag`'s positive count, or usage exit 2.
-fn positive_arg<T>(flag: &str, args: &mut impl Iterator<Item = String>) -> T
-where
-    T: std::str::FromStr + Default + PartialEq,
-{
+fn positive_arg(flag: &str, args: &mut impl Iterator<Item = String>) -> usize {
     parse_positive(flag, &args.next().unwrap_or_default()).unwrap_or_else(|e| {
         eprintln!("{e}");
         std::process::exit(2);
@@ -199,15 +171,13 @@ where
 }
 
 fn main() {
-    let mut ctx = Ctx { threads: 2, homes: None, rounds: None };
+    let mut ctx = Ctx { threads: 2 };
     let mut ids: Vec<String> = Vec::new();
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--trace" => ids.push("trace".to_string()),
             "--threads" => ctx.threads = positive_arg(&arg, &mut args),
-            "--homes" => ctx.homes = Some(positive_arg(&arg, &mut args)),
-            "--rounds" => ctx.rounds = Some(positive_arg(&arg, &mut args)),
             _ => ids.push(arg),
         }
     }
@@ -235,11 +205,11 @@ mod tests {
 
     #[test]
     fn count_flags_reject_zero_and_garbage() {
-        assert_eq!(parse_positive::<u32>("--homes", "128"), Ok(128));
-        assert_eq!(parse_positive::<usize>("--threads", "1"), Ok(1));
-        for bad in ["0", "", "-3", "two", "4294967296"] {
-            let err = parse_positive::<u32>("--rounds", bad).unwrap_err();
-            assert_eq!(err, format!("--rounds needs a positive integer, got '{bad}'"));
+        assert_eq!(parse_positive("--threads", "128"), Ok(128));
+        assert_eq!(parse_positive("--threads", "1"), Ok(1));
+        for bad in ["0", "", "-3", "two", "18446744073709551616"] {
+            let err = parse_positive("--threads", bad).unwrap_err();
+            assert_eq!(err, format!("--threads needs a positive integer, got '{bad}'"));
         }
     }
 

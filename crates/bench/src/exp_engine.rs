@@ -5,24 +5,24 @@
 //!
 //! 1. **World sweep** — the E16 scaled-home grid
 //!    ([`crate::exp_perf::standard_jobs`], 18 world instances) runs
-//!    serially, twice: an untimed pass records the reference digests and
-//!    the three engine counters, and the timed pass must reproduce those
-//!    digests byte-for-byte. (Thread-count determinism of the same grid
-//!    is E16's gate.)
+//!    serially, twice: the first pass records the reference digests and
+//!    the three engine counters, and the second (`packed-serial`) must
+//!    reproduce those digests byte-for-byte. (Thread-count determinism of
+//!    the same grid is E16's gate.)
 //! 2. **Steady-state allocation probe** — a warm two-host network with a
 //!    steered IDS chain runs `schedule → fire → forward → verdict`
 //!    rounds while a caller-supplied allocation counter watches; the
 //!    measured window must execute with **zero** allocations.
 //!
-//! Wall-clock numbers land only in the `wall_ms`-marked volatile section
-//! of `BENCH_E21.json`; digests, counters and the alloc-free verdict are
-//! byte-stable, and the CI `engine-gate` job diffs them with
-//! `git diff -I'wall_ms'`. A digest divergence — or a steady state that
-//! allocates — fails the run (non-zero exit via the runner). The record
-//! keeps the `packed-serial` / `packed_*` key names it was first blessed
-//! with, so its history diffs as deletions only.
+//! `BENCH_E21.json` holds the digests, counters and the alloc-free
+//! verdict, and the CI `engine-gate` job byte-compares it; time per event
+//! is the `benchmark/` harness's `iotnet.engine.ns_per_event`. A digest
+//! divergence — or a steady state that allocates — fails the run
+//! (non-zero exit via the runner). The record keeps the `packed-serial` /
+//! `packed_*` key names it was first blessed with, so its history diffs
+//! as deletions only.
 
-use crate::report::{fixed, hit_rate, per_sec, quoted, timed, Cost, Doc, Leg, Obj, Report, SEED};
+use crate::report::{hit_rate, quoted, Doc, Leg, Obj, Report, SEED};
 use crate::sweep::{run_world_job, totals, WorldOutcome};
 use crate::Table;
 use iotdev::device::{AdminCreds, DeviceId};
@@ -64,18 +64,18 @@ pub struct SteadyProbe {
 
 /// Everything E21 measures.
 pub struct EngineReport {
-    /// The untimed reference pass, one outcome per job: the source of
-    /// the digests and the three engine counters.
+    /// The reference pass, one outcome per job: the source of the
+    /// digests and the three engine counters.
     pub reference: Vec<WorldOutcome>,
-    /// The timed pass: `identical` iff it reproduced every reference
-    /// digest; its wall time is volatile, never gated on.
+    /// The second pass: `identical` iff it reproduced every reference
+    /// digest.
     pub sweep: Leg,
     /// Steady-state allocation probe.
     pub steady: SteadyProbe,
 }
 
 impl EngineReport {
-    /// The timed pass identical *and* the steady state allocation-free.
+    /// The second pass identical *and* the steady state allocation-free.
     pub fn deterministic(&self) -> bool {
         self.sweep.identical && self.steady.allocs == 0
     }
@@ -87,7 +87,7 @@ impl Report for EngineReport {
         let rate = hit_rate(hits, lookups);
         let mut table = Table::new(
             "E21: event engine + packed packet path — one serial sweep",
-            &["leg", "threads", "jobs", "events", "cache hit rate", "identical", "wall ms"],
+            &["leg", "threads", "jobs", "events", "cache hit rate", "identical"],
         );
         table.rowd(&[
             self.sweep.label.clone(),
@@ -96,7 +96,6 @@ impl Report for EngineReport {
             events.to_string(),
             format!("{rate:.3}"),
             self.sweep.identical.to_string(),
-            self.sweep.cost.wall_ms.to_string(),
         ]);
         table
     }
@@ -117,17 +116,9 @@ impl Report for EngineReport {
         self.deterministic()
     }
 
-    /// A stable section (digests, counters, the alloc-free verdict,
-    /// sweep agreement) plus the volatile host-dependent rates.
+    /// Digests, counters, the alloc-free verdict and sweep agreement.
     fn record(&self) -> Option<Doc> {
         let (events, lookups, hits) = totals(&self.reference);
-        let wall_ms = self.sweep.cost.wall_ms;
-        let ns_per_event = (wall_ms as f64 * 1e6) / (events.max(1) as f64);
-        let timing = [Obj::new()
-            .field("leg", quoted(&self.sweep.label))
-            .field("sweep_wall_ms", wall_ms)
-            .field("ns_per_event", fixed(ns_per_event, 1))
-            .field("events_per_sec", fixed(per_sec(events, wall_ms), 0))];
         let doc = Doc::new("BENCH_E21.json")
             .field("experiment", quoted("e21"))
             .field("seed", SEED)
@@ -145,8 +136,7 @@ impl Report for EngineReport {
             )
             .rows("digests", self.reference.iter().map(|o| quoted(o.digest())))
             .rows("legs", [self.sweep.json()])
-            .field("deterministic", self.deterministic())
-            .volatile_rows("timing_wall_ms", timing);
+            .field("deterministic", self.deterministic());
         Some(doc)
     }
 }
@@ -248,17 +238,10 @@ pub fn engine(alloc_count: &dyn Fn() -> u64) -> EngineReport {
     // Steady-state probe first, on a quiet process.
     let steady = steady_probe(alloc_count);
 
-    // Untimed reference pass, so the timed pass does not absorb the
-    // process's cold-start cost.
-    let reference: Vec<WorldOutcome> = jobs.iter().map(run_world_job).collect();
-    let (timed_pass, wall_ms) =
-        timed(|| jobs.iter().map(run_world_job).collect::<Vec<WorldOutcome>>());
-    let sweep = Leg {
-        label: "packed-serial".to_string(),
-        threads: 1,
-        identical: timed_pass == reference,
-        cost: Cost { wall_ms, bytes: 0 },
-    };
+    let pass = || jobs.iter().map(run_world_job).collect::<Vec<WorldOutcome>>();
+    let reference = pass();
+    let sweep =
+        Leg { label: "packed-serial".to_string(), threads: 1, identical: pass() == reference };
     EngineReport { reference, sweep, steady }
 }
 

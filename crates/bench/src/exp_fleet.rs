@@ -15,17 +15,17 @@
 //! the shared interned snapshot, and round 2 is served entirely from
 //! the `(home, epoch)` memo without building a single world.
 //!
-//! Wall-clock derived numbers (homes/sec, directives/sec, bytes/home)
-//! land only on `wall_ms`-marked volatile lines of `BENCH_E20.json`;
-//! digests, counters and propagation facts are byte-stable and the CI
-//! `fleet-gate` job diffs them with `git diff -I'wall_ms'`.
+//! `BENCH_E20.json` holds the digest, counters, propagation facts and
+//! leg agreement; the CI `fleet-gate` job byte-compares it. How fast a
+//! fleet round runs is the `benchmark/` harness's question
+//! (`fleet_churn`, `fleet_quiet`).
 
-use crate::report::{fixed, list, measured, per_sec, quoted, Doc, Leg, Legs, Obj, Report, SEED};
+use crate::report::{list, quoted, Doc, Leg, Legs, Obj, Report, SEED};
 use crate::Table;
 use iotsec_fleet::{Fleet, FleetConfig, FleetReport, FleetScenario};
 
-/// Thread counts for the parallel legs; fixed (not CLI-driven) so the
-/// stable section of `BENCH_E20.json` is byte-identical across hosts.
+/// Thread counts for the parallel legs; fixed (not CLI-driven) so
+/// `BENCH_E20.json` is byte-identical across hosts.
 pub const PAR_THREADS: &[usize] = &[2, 4];
 
 /// Homes in the fleet (the acceptance floor is 10⁴).
@@ -42,17 +42,11 @@ pub struct FleetBenchReport {
     /// The serial reference run's cumulative report.
     pub reference: FleetReport,
     /// Every leg, reference first (`fleet-serial`, `fleet-serial-rerun`,
-    /// `fleet-par2`…). Only the reference leg's heap bytes are reported,
-    /// and only as volatile: they track allocator internals.
+    /// `fleet-par2`…).
     pub legs: Vec<Leg>,
 }
 
 impl FleetBenchReport {
-    /// Heap bytes per home over the reference leg (volatile).
-    pub fn bytes_per_home(&self) -> u64 {
-        self.legs[0].cost.bytes / u64::from(self.reference.homes.max(1))
-    }
-
     /// Every leg reproduced the reference digest, and one discovery
     /// reached every home in one epoch.
     pub fn deterministic(&self) -> bool {
@@ -68,7 +62,7 @@ impl Report for FleetBenchReport {
     fn table(&self) -> Table {
         let mut table = Table::new(
             "E20: fleet-scale sharded controller — every leg, one chained digest",
-            &["leg", "threads", "homes", "rounds", "digest", "identical", "wall ms"],
+            &["leg", "threads", "homes", "rounds", "digest", "identical"],
         );
         for l in &self.legs {
             table.rowd(&[
@@ -78,7 +72,6 @@ impl Report for FleetBenchReport {
                 self.reference.rounds.to_string(),
                 self.reference.digest_hex(),
                 l.identical.to_string(),
-                l.cost.wall_ms.to_string(),
             ]);
         }
         table
@@ -88,7 +81,7 @@ impl Report for FleetBenchReport {
         let r = &self.reference;
         format!(
             "E20 summary: {} homes x {} rounds x {} legs, digest {}, 1 discovery -> {} installs \
-             in {} batches (epoch {}), memo {}/{} hits/misses, {} bytes/home, deterministic: {}",
+             in {} batches (epoch {}), memo {}/{} hits/misses, deterministic: {}",
             r.homes,
             r.rounds,
             self.legs.len(),
@@ -98,7 +91,6 @@ impl Report for FleetBenchReport {
             r.epoch,
             r.memo_hits,
             r.memo_misses,
-            self.bytes_per_home(),
             self.deterministic(),
         )
     }
@@ -107,23 +99,10 @@ impl Report for FleetBenchReport {
         self.deterministic()
     }
 
-    /// A stable section (fleet digest, propagation facts, memo/intern
-    /// counters, leg agreement) plus the volatile per-leg rates.
+    /// Fleet digest, propagation facts, memo/intern counters and leg
+    /// agreement.
     fn record(&self) -> Option<Doc> {
         let r = &self.reference;
-        let served = u64::from(r.homes) * u64::from(r.rounds);
-        let timing = self.legs.iter().map(|l| {
-            Obj::new()
-                .field("leg", quoted(&l.label))
-                .field("wall_ms", l.cost.wall_ms)
-                .field("homes_per_sec", fixed(per_sec(served, l.cost.wall_ms), 0))
-                .field("directives_per_sec", fixed(per_sec(r.installs, l.cost.wall_ms), 0))
-        });
-        let mem = Obj::new()
-            .field("mem", quoted("reference-leg"))
-            .field("ref_wall_ms", self.legs[0].cost.wall_ms)
-            .field("bytes_total", self.legs[0].cost.bytes)
-            .field("bytes_per_home", self.bytes_per_home());
         let doc = Doc::new("BENCH_E20.json")
             .field("experiment", quoted("e20"))
             .field("seed", SEED)
@@ -157,8 +136,7 @@ impl Report for FleetBenchReport {
                     .field("flagged", r.flagged),
             )
             .rows("legs", self.legs.iter().map(Leg::json))
-            .field("deterministic", self.deterministic())
-            .volatile_rows("timing_wall_ms", timing.chain([mem]));
+            .field("deterministic", self.deterministic());
         Some(doc)
     }
 }
@@ -180,19 +158,10 @@ fn run_leg(threads: usize, homes: u32, rounds: u32) -> FleetReport {
     fleet.run(rounds)
 }
 
-/// E20 — run the fleet legs. `alloc_bytes` reads
-/// the process's cumulative heap-bytes counter (see
-/// [`crate::report::measured`]). `homes`/`rounds` are the CLI overrides
-/// (`--homes N` / `--rounds N`); `None` keeps the committed defaults,
-/// which is what the byte-stability gate compares against.
-pub fn fleet(
-    alloc_bytes: &dyn Fn() -> u64,
-    homes: Option<u32>,
-    rounds: Option<u32>,
-) -> FleetBenchReport {
-    let homes = homes.unwrap_or(FLEET_HOMES);
-    let rounds = rounds.unwrap_or(ROUNDS);
-    let run = |threads| measured(alloc_bytes, || run_leg(threads, homes, rounds));
+/// E20 — run the fleet legs over `homes` homes and `rounds` rounds (the
+/// runner passes [`FLEET_HOMES`] and [`ROUNDS`]).
+pub fn fleet(homes: u32, rounds: u32) -> FleetBenchReport {
+    let run = |threads| run_leg(threads, homes, rounds);
     let mut legs = Legs::new("fleet-serial", run(1));
     legs.rerun_and_threads("fleet-serial", "fleet-par", PAR_THREADS, run);
     FleetBenchReport { reference: legs.reference, legs: legs.legs }
@@ -217,12 +186,15 @@ mod tests {
 
     #[test]
     fn miniature_report_gates_and_renders_its_record() {
-        let report = fleet(&|| 0, Some(12), None);
+        let report = fleet(12, ROUNDS);
         assert!(report.deterministic());
         let labels: Vec<&str> = report.legs.iter().map(|l| l.label.as_str()).collect();
         assert_eq!(labels, ["fleet-serial", "fleet-serial-rerun", "fleet-par2", "fleet-par4"]);
         let json = report.record().expect("E20 always writes a record").render();
         assert!(json.contains("\"experiment\": \"e20\""));
         assert!(json.contains("\"deterministic\": true"));
+        // Every line of the record is a fact: a second run renders it
+        // byte for byte.
+        assert_eq!(fleet(12, ROUNDS).record().expect("E20 record").render(), json);
     }
 }

@@ -28,11 +28,11 @@
 //!   counters exactly.
 //!
 //! Convergence rounds, digests and counters are byte-stable in
-//! `BENCH_E25.json`; wall-clock lands only on `wall_ms`-marked volatile
-//! lines, and the CI `fleet-chaos-gate` job diffs the file with
-//! `git diff -I'wall_ms'`.
+//! `BENCH_E25.json`, and the CI `fleet-chaos-gate` job byte-compares the
+//! file. How fast a chaotic fleet runs is the `benchmark/` harness's
+//! `fleet_chaos` workload.
 
-use crate::report::{list, quoted, timed, Doc, Obj, Report, SEED};
+use crate::report::{list, quoted, Doc, Obj, Report, SEED};
 use crate::Table;
 use iotsec_fleet::{
     check_fleet_trace, Fleet, FleetChaos, FleetConfig, FleetScenario, FleetTraceSpec,
@@ -87,15 +87,13 @@ pub struct ChaosCell {
     pub violations: usize,
     /// The rerun reproduced every replicate's rounds, trace and report.
     pub identical: bool,
-    /// Cell wall time (volatile; never gated on).
-    pub wall_ms: u128,
 }
 
 /// Everything E25 measures.
 pub struct FleetChaosReport {
-    /// Homes per replicate fleet ([`HOMES`] unless `--homes` overrode it).
+    /// Homes per replicate fleet.
     pub homes: u32,
-    /// Convergence deadline ([`MAX_ROUNDS`] unless `--rounds` overrode it).
+    /// Convergence deadline.
     pub max_rounds: u32,
     /// Every cell, axis-major, intensity ascending.
     pub cells: Vec<ChaosCell>,
@@ -207,7 +205,6 @@ impl Report for FleetChaosReport {
                 "degraded",
                 "violations",
                 "identical",
-                "wall ms",
             ],
         );
         for c in &self.cells {
@@ -221,7 +218,6 @@ impl Report for FleetChaosReport {
                 c.degraded_rounds.to_string(),
                 c.violations.to_string(),
                 c.identical.to_string(),
-                c.wall_ms.to_string(),
             ]);
         }
         table
@@ -249,8 +245,8 @@ impl Report for FleetChaosReport {
         self.deterministic()
     }
 
-    /// A stable section (per-cell convergence rounds, digests,
-    /// fault/recovery counters, gate verdicts) plus the volatile walls.
+    /// Per-cell convergence rounds, digests, fault/recovery counters and
+    /// gate verdicts.
     fn record(&self) -> Option<Doc> {
         let cell = |c: &ChaosCell| {
             Obj::new()
@@ -265,11 +261,6 @@ impl Report for FleetChaosReport {
                 .field("degraded_rounds", c.degraded_rounds)
                 .field("violations", c.violations)
                 .field("identical", c.identical)
-        };
-        let timing = |c: &ChaosCell| {
-            Obj::new()
-                .field("cell", quoted(format_args!("{}-{}", c.axis, c.pm)))
-                .field("wall_ms", c.wall_ms)
         };
         let doc = Doc::new("BENCH_E25.json")
             .field("experiment", quoted("e25"))
@@ -286,26 +277,19 @@ impl Report for FleetChaosReport {
             )
             .rows("cells", self.cells.iter().map(cell))
             .field("recovered", self.recovered())
-            .field("deterministic", self.deterministic())
-            .volatile_rows("timing_wall_ms", self.cells.iter().map(timing));
+            .field("deterministic", self.deterministic());
         Some(doc)
     }
 }
 
-/// E25 — sweep the axes. `homes`/`rounds` are the
-/// CLI overrides (`--homes N` scales each replicate fleet, `--rounds N`
-/// moves the convergence deadline); `None` keeps the committed
-/// defaults, which is what the byte-stability gate compares against.
-pub fn fleet_chaos(homes: Option<u32>, rounds: Option<u32>) -> FleetChaosReport {
-    let homes = homes.unwrap_or(HOMES);
-    let max_rounds = rounds.unwrap_or(MAX_ROUNDS);
-    let mut cells = Vec::new();
-    for &axis in AXES {
-        for &pm in INTENSITIES {
-            let (cell, wall_ms) = timed(|| run_cell(axis, pm, homes, max_rounds));
-            cells.push(ChaosCell { wall_ms, ..cell });
-        }
-    }
+/// E25 — sweep the axes over replicate fleets of `homes` homes, each
+/// given `max_rounds` rounds to converge (the runner passes [`HOMES`] and
+/// [`MAX_ROUNDS`]).
+pub fn fleet_chaos(homes: u32, max_rounds: u32) -> FleetChaosReport {
+    let cells = AXES
+        .iter()
+        .flat_map(|&axis| INTENSITIES.iter().map(move |&pm| run_cell(axis, pm, homes, max_rounds)))
+        .collect();
     FleetChaosReport { homes, max_rounds, cells }
 }
 
@@ -345,11 +329,14 @@ mod tests {
 
     #[test]
     fn miniature_report_gates_and_renders_its_record() {
-        let report = fleet_chaos(Some(40), Some(20));
+        let report = fleet_chaos(40, 20);
         assert!(report.deterministic(), "{}", report.summary());
         assert_eq!(report.table().len(), AXES.len() * INTENSITIES.len());
         let json = report.record().expect("E25 always writes a record").render();
         assert!(json.contains("\"experiment\": \"e25\""));
         assert!(json.contains("\"deterministic\": true"));
+        // Every line of the record is a fact: a second run renders it
+        // byte for byte.
+        assert_eq!(fleet_chaos(40, 20).record().expect("E25 record").render(), json);
     }
 }

@@ -6,14 +6,14 @@
 //! once across the requested worker count — and compares the merged
 //! outcome digests byte-for-byte. Divergence is a hard failure (the
 //! binary exits non-zero), which is what the CI perf-smoke job leans
-//! on. Wall-clock numbers are reported but deliberately kept *out* of
-//! the digests: they are the only non-deterministic output.
+//! on. How fast the sweep runs is the `benchmark/` harness's question
+//! (`home_packets`), not this experiment's.
 
-use crate::report::{hit_rate, timed, Report};
+use crate::report::{hit_rate, Report};
 use crate::sweep::{sweep_worlds, totals, SweepScenario, WorldJob, WorldOutcome};
 use crate::Table;
 
-/// Everything E16 measures: both legs' outcomes and wall clocks.
+/// Everything E16 measures: both legs' outcomes.
 #[derive(Debug)]
 pub struct PerfReport {
     /// Worker threads used for the parallel leg.
@@ -23,10 +23,6 @@ pub struct PerfReport {
     /// The parallel leg; must equal `serial` field for field (an
     /// outcome's digest covers every field).
     pub parallel: Vec<WorldOutcome>,
-    /// Wall-clock of the serial reference leg.
-    pub wall_ms_serial: u128,
-    /// Wall-clock of the parallel leg.
-    pub wall_ms_parallel: u128,
 }
 
 impl PerfReport {
@@ -72,15 +68,10 @@ impl Report for PerfReport {
     fn summary(&self) -> String {
         let (events, lookups, hits) = totals(&self.serial);
         let (rate, deterministic) = (hit_rate(hits, lookups), self.deterministic());
-        // Serial-over-parallel wall ratio: > 1 means the threads paid.
-        let speedup = match self.wall_ms_parallel {
-            0 => 1.0,
-            par => self.wall_ms_serial as f64 / par as f64,
-        };
         format!(
-            "E16 summary: serial {} ms, parallel({}) {} ms, speedup {speedup:.2}x, \
-             {events} events, cache hit rate {rate:.3}, deterministic: {deterministic}",
-            self.wall_ms_serial, self.threads, self.wall_ms_parallel,
+            "E16 summary: serial vs parallel({}), {events} events, cache hit rate {rate:.3}, \
+             deterministic: {deterministic}",
+            self.threads,
         )
     }
 
@@ -107,9 +98,8 @@ pub fn standard_jobs(seed: u64) -> Vec<WorldJob> {
 pub fn perf(seed: u64, threads: usize) -> PerfReport {
     let jobs = standard_jobs(seed);
     let threads = threads.max(1);
-    let (serial, wall_ms_serial) = timed(|| sweep_worlds(&jobs, 1));
-    let (parallel, wall_ms_parallel) = timed(|| sweep_worlds(&jobs, threads));
-    PerfReport { threads, serial, parallel, wall_ms_serial, wall_ms_parallel }
+    let (serial, parallel) = (sweep_worlds(&jobs, 1), sweep_worlds(&jobs, threads));
+    PerfReport { threads, serial, parallel }
 }
 
 #[cfg(test)]
@@ -139,8 +129,7 @@ mod tests {
         // outcome per job, the same totals at either thread count.
         assert_eq!(serial.len(), jobs.len());
         assert_eq!(totals(&serial), totals(&parallel));
-        let report =
-            PerfReport { threads: 3, serial, parallel, wall_ms_serial: 0, wall_ms_parallel: 0 };
+        let report = PerfReport { threads: 3, serial, parallel };
         assert!(report.passed());
         let (events, lookups, hits) = totals(&report.serial);
         assert!(events > 0);

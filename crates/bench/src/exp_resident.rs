@@ -34,22 +34,17 @@
 //!
 //! Every leg must reproduce the rebuild reference's chained fleet
 //! digest byte-for-byte — the rebuild-equivalence oracle at bench
-//! scale. The headline numbers are steady-state homes/sec and heap
-//! bytes per home-round; the experiment fails (non-zero exit) unless
-//! the churn arms show the resident path allocating at most
-//! 1/[`MIN_BYTES_RATIO`] of the rebuild leg's bytes per home-round.
-//! Wall time is reported beside it and not gated: the byte counter is
-//! deterministic, the clock is not.
+//! scale. The experiment also fails (non-zero exit) unless the churn
+//! arms show the resident path allocating at most 1/[`MIN_BYTES_RATIO`]
+//! of the rebuild leg's heap bytes over the steady-state window.
 //!
-//! Digests, epochs, memo counters and the serial resident-stats
-//! counters are byte-stable in `BENCH_E26.json`; wall-clock and
-//! allocator-dependent numbers land only on `wall_ms`-marked volatile
-//! lines, and the CI `resident-gate` job diffs the file with
-//! `git diff -I'wall_ms'`.
+//! Digests, epochs, memo counters, the serial resident-stats counters
+//! and the amortization verdicts are byte-stable in `BENCH_E26.json`,
+//! and the CI `resident-gate` job byte-compares the file. How fast a
+//! resident home-round runs is the `benchmark/` harness's question
+//! (`fleet_churn`, `fleet_quiet`).
 
-use crate::report::{
-    fixed, list, measured, per_sec, quoted, Cost, Doc, Leg, Legs, Obj, Report, SEED,
-};
+use crate::report::{list, quoted, Doc, Leg, Legs, Obj, Report, SEED};
 use crate::Table;
 use iotdev::registry::Sku;
 use iotlearn::signature::{Matcher, Severity};
@@ -71,8 +66,8 @@ pub const WARMUP: u32 = 2;
 /// Thread counts for the resident digest-gate legs.
 pub const PAR_THREADS: &[usize] = &[2, 4];
 /// Amortization gate: a resident home-round must allocate ≤ 1/this of
-/// a rebuilt one's bytes (measured 4.22× on churn-miss, 4.45× on
-/// churn-hit). The bar was 5 while the record read 32–34×, and 360 448 B
+/// a rebuilt one's bytes (the summary line prints the churn-hit ratio).
+/// The bar was 5 while the record read 32–34×, and 360 448 B
 /// of every rebuilt home then was one mirror ring no home writes, which
 /// a build no longer reserves.
 pub const MIN_BYTES_RATIO: f64 = 3.0;
@@ -129,39 +124,18 @@ pub struct ResidentArm {
     pub stats: ResidentStats,
     /// Every leg: `rebuild`, `resident`, `resident-rerun`, then one
     /// `resident-parN` per [`PAR_THREADS`]. `identical` compares the
-    /// cumulative fleet report (digest included) with the rebuild's;
-    /// `cost` covers the steady-state window only, and of its bytes
-    /// only the rebuild/resident *ratio* is meaningful.
+    /// cumulative fleet report (digest included) with the rebuild's.
     pub legs: Vec<Leg>,
+    /// Heap bytes the serial `(rebuild, resident)` legs allocated over
+    /// the steady-state window; only their ratio is meaningful.
+    pub bytes: (u64, u64),
 }
 
-/// Leg indices in [`ResidentArm::legs`].
-const REBUILD: usize = 0;
-const RESIDENT: usize = 1;
-
 impl ResidentArm {
-    /// Home-rounds served in a leg's steady-state window.
-    fn served(&self) -> u64 {
-        u64::from(self.reference.homes) * u64::from(ROUNDS)
-    }
-
-    /// Steady-state heap bytes per home-round for a leg (volatile).
-    fn bytes_per_home_round(&self, leg: &Leg) -> u64 {
-        leg.cost.bytes / self.served().max(1)
-    }
-
-    /// The rebuild leg's wall over the resident leg's (≥ 1 means
-    /// resident is faster). Reported, not gated.
-    fn wall_ratio(&self) -> f64 {
-        let wall = |leg: usize| self.legs[leg].cost.wall_ms.max(1) as f64;
-        wall(REBUILD) / wall(RESIDENT)
-    }
-
     /// The rebuild leg's bytes over the resident leg's (≥ 1 means
     /// resident is lighter).
     fn byte_ratio(&self) -> f64 {
-        let bytes = |leg: usize| self.legs[leg].cost.bytes.max(1) as f64;
-        bytes(REBUILD) / bytes(RESIDENT)
+        self.bytes.0.max(1) as f64 / self.bytes.1.max(1) as f64
     }
 
     /// The amortization verdict for this arm.
@@ -172,9 +146,9 @@ impl ResidentArm {
 
 /// Everything E26 measures.
 pub struct ResidentBenchReport {
-    /// Homes per fleet ([`HOMES`] unless `--homes` overrode it).
+    /// Homes per fleet.
     pub homes: u32,
-    /// Measured rounds ([`ROUNDS`] unless `--rounds` overrode it).
+    /// Measured rounds.
     pub rounds: u32,
     /// Every arm, in `ARMS` order.
     pub arms: Vec<ResidentArm>,
@@ -194,10 +168,11 @@ impl ResidentBenchReport {
 }
 
 /// What one driven fleet hands back: the cumulative report (the leg's
-/// identity), what the steady-state window cost, and the resident-pool
-/// counters at the end.
+/// identity), the heap bytes the steady-state window allocated, and the
+/// resident-pool counters at the end.
 struct Driven {
-    leg: (FleetReport, Cost),
+    report: FleetReport,
+    bytes: u64,
     stats: ResidentStats,
 }
 
@@ -223,15 +198,15 @@ fn drive(
         }
         fleet.round();
     }
-    let ((), steady) = measured(alloc_bytes, || {
-        for r in 0..rounds {
-            if let Some(sig) = churn.sig(r + 1, cam_sku) {
-                fleet.inject_intel(vec![sig]);
-            }
-            fleet.round();
+    let before = alloc_bytes();
+    for r in 0..rounds {
+        if let Some(sig) = churn.sig(r + 1, cam_sku) {
+            fleet.inject_intel(vec![sig]);
         }
-    });
-    Driven { leg: (fleet.report(), steady), stats: fleet.resident_stats() }
+        fleet.round();
+    }
+    let bytes = alloc_bytes() - before;
+    Driven { report: fleet.report(), bytes, stats: fleet.resident_stats() }
 }
 
 fn fleet_cfg(homes: u32, threads: usize) -> FleetConfig {
@@ -254,19 +229,26 @@ fn run_arm(churn: Churn, homes: u32, rounds: u32, alloc_bytes: &dyn Fn() -> u64)
 
     let mut rebuild = fleet(1);
     rebuild.set_resident(false);
-    let mut legs = Legs::new("rebuild", drive(rebuild, churn, &sku, rounds, alloc_bytes).leg);
-    let Driven { leg, stats } = resident(1);
-    legs.push("resident".to_string(), 1, leg);
-    legs.rerun_and_threads("resident", "resident-par", PAR_THREADS, |t| resident(t).leg);
+    let rebuild = drive(rebuild, churn, &sku, rounds, alloc_bytes);
+    let mut legs = Legs::new("rebuild", rebuild.report);
+    let serial = resident(1);
+    legs.push("resident".to_string(), 1, serial.report);
+    legs.rerun_and_threads("resident", "resident-par", PAR_THREADS, |t| resident(t).report);
 
-    ResidentArm { churn, reference: legs.reference, stats, legs: legs.legs }
+    ResidentArm {
+        churn,
+        reference: legs.reference,
+        stats: serial.stats,
+        legs: legs.legs,
+        bytes: (rebuild.bytes, serial.bytes),
+    }
 }
 
 impl Report for ResidentBenchReport {
     fn table(&self) -> Table {
         let mut table = Table::new(
             "E26: resident home worlds — rebuild per home-round vs delta-driven resident",
-            &["arm", "leg", "threads", "digest", "identical", "steady wall ms", "bytes/home-round"],
+            &["arm", "leg", "threads", "digest", "identical"],
         );
         for a in &self.arms {
             for l in &a.legs {
@@ -276,8 +258,6 @@ impl Report for ResidentBenchReport {
                     l.threads.to_string(),
                     a.reference.digest_hex(),
                     l.identical.to_string(),
-                    l.cost.wall_ms.to_string(),
-                    a.bytes_per_home_round(l).to_string(),
                 ]);
             }
         }
@@ -288,13 +268,12 @@ impl Report for ResidentBenchReport {
         let hit = self.arms.iter().find(|a| a.churn == Churn::Hit);
         format!(
             "E26 summary: {} homes x {} steady rounds x {} arms, all legs digest-identical: {}, \
-             churn-hit resident vs rebuild {:.2}x wall / {:.2}x bytes (gate: bytes \
-             >={MIN_BYTES_RATIO}x), serial resident stats {:?}, amortized: {}",
+             churn-hit resident vs rebuild {:.2}x bytes (gate: >={MIN_BYTES_RATIO}x), \
+             serial resident stats {:?}, amortized: {}",
             self.homes,
             self.rounds,
             self.arms.len(),
             self.identical(),
-            hit.map_or(0.0, ResidentArm::wall_ratio),
             hit.map_or(0.0, ResidentArm::byte_ratio),
             hit.map(|a| a.stats),
             self.amortized(),
@@ -306,9 +285,8 @@ impl Report for ResidentBenchReport {
         self.identical() && self.amortized()
     }
 
-    /// A stable section (per-arm digest, epoch and memo counters, the
-    /// serial resident-stats counters, leg agreement, gate verdicts)
-    /// plus the volatile rates and ratios.
+    /// Per-arm digest, epoch and memo counters, the serial
+    /// resident-stats counters, leg agreement and gate verdicts.
     fn record(&self) -> Option<Doc> {
         let arm = |a: &ResidentArm| {
             let r = &a.reference;
@@ -344,22 +322,6 @@ impl Report for ResidentBenchReport {
                     },
                 )
         };
-        let timing = self.arms.iter().flat_map(|a| {
-            let label = a.churn.label();
-            let legs = a.legs.iter().map(move |l| {
-                Obj::new()
-                    .field("leg", quoted(format_args!("{label}-{}", l.label)))
-                    .field("wall_ms", l.cost.wall_ms)
-                    .field("homes_per_sec", fixed(per_sec(a.served(), l.cost.wall_ms), 0))
-                    .field("bytes_per_home_round", a.bytes_per_home_round(l))
-            });
-            let ratio = Obj::new()
-                .field("ratio", quoted(label))
-                .field("ref_wall_ms", a.legs[REBUILD].cost.wall_ms)
-                .field("speedup_vs_rebuild", fixed(a.wall_ratio(), 2))
-                .field("bytes_ratio_vs_rebuild", fixed(a.byte_ratio(), 2));
-            legs.chain([ratio])
-        });
         let doc = Doc::new("BENCH_E26.json")
             .field("experiment", quoted("e26"))
             .field("seed", SEED)
@@ -375,24 +337,16 @@ impl Report for ResidentBenchReport {
             .rows("arms", self.arms.iter().map(arm))
             .field("identical", self.identical())
             .field("amortized", self.amortized())
-            .field("deterministic", self.identical() && self.amortized())
-            .volatile_rows("timing_wall_ms", timing);
+            .field("deterministic", self.identical() && self.amortized());
         Some(doc)
     }
 }
 
-/// E26 — run the arms. `alloc_bytes` reads the process's cumulative
-/// heap-bytes counter (see [`crate::report::measured`]). `homes`/`rounds`
-/// are the CLI overrides (`--homes N` / `--rounds N`); `None` keeps the
-/// committed defaults, which is what the byte-stability gate compares
-/// against.
-pub fn resident(
-    alloc_bytes: &dyn Fn() -> u64,
-    homes: Option<u32>,
-    rounds: Option<u32>,
-) -> ResidentBenchReport {
-    let homes = homes.unwrap_or(HOMES);
-    let rounds = rounds.unwrap_or(ROUNDS);
+/// E26 — run the arms over `homes` homes and `rounds` measured rounds
+/// (the runner passes [`HOMES`] and [`ROUNDS`]). `alloc_bytes` reads the
+/// process's cumulative heap-bytes counter (the `experiments` binary
+/// installs a counting allocator; unit tests pass a null reader).
+pub fn resident(alloc_bytes: &dyn Fn() -> u64, homes: u32, rounds: u32) -> ResidentBenchReport {
     let arms = ARMS.iter().map(|&c| run_arm(c, homes, rounds, alloc_bytes)).collect();
     ResidentBenchReport { homes, rounds, arms }
 }
@@ -427,12 +381,15 @@ mod tests {
 
     #[test]
     fn miniature_report_renders_its_record() {
-        let report = resident(&|| 0, Some(12), Some(1));
+        let report = resident(&|| 0, 12, 1);
         assert!(report.identical());
         assert_eq!(report.table().len(), ARMS.len() * (3 + PAR_THREADS.len()));
         let json = report.record().expect("E26 always writes a record").render();
         assert!(json.contains("\"experiment\": \"e26\""));
         assert!(json.contains("\"identical\": true"));
         assert!(json.contains("{\"arm\": \"quiet\", "));
+        // Every line of the record is a fact: a second run renders it
+        // byte for byte.
+        assert_eq!(resident(&|| 0, 12, 1).record().expect("E26 record").render(), json);
     }
 }

@@ -24,7 +24,7 @@
 //! engine could not fill at the old `1 << 20` ceiling — here it runs
 //! through the packed engines only, which is the point.
 
-use crate::report::{fixed, hit_rate, list, quoted, timed, Doc, Obj, Report, SEED};
+use crate::report::{hit_rate, list, quoted, Doc, Obj, Report, SEED};
 use crate::Table;
 use iotpolicy::conflict::{find_reachable_rule_conflicts, find_reachable_rule_conflicts_naive};
 use iotpolicy::explore::{bfs_naive, bfs_packed, explore_naive, explore_packed};
@@ -43,8 +43,8 @@ pub const NAIVE_SWEEP_LIMIT: u128 = 1 << 19;
 /// `SystemState` per successor, so it drowns far earlier).
 pub const NAIVE_BFS_LIMIT: u128 = 1 << 16;
 
-/// Thread counts for the parallel legs; fixed (not CLI-driven) so the
-/// stable section of `BENCH_E19.json` is byte-identical across hosts.
+/// Thread counts for the parallel legs; fixed (not CLI-driven) so
+/// `BENCH_E19.json` is byte-identical across hosts.
 pub const PAR_THREADS: &[usize] = &[2, 4];
 
 /// One population's measurements across all engines.
@@ -68,12 +68,6 @@ pub struct SpaceCell {
     pub identical: bool,
     /// Memoized-evaluator `(lookups, hits)` from the serial sweep.
     pub memo: (u64, u64),
-    /// Naive exhaustive wall time, when the leg ran.
-    pub naive_wall_ms: Option<u128>,
-    /// Packed-serial exhaustive wall time.
-    pub serial_wall_ms: u128,
-    /// Packed-parallel wall times, aligned with [`PAR_THREADS`].
-    pub parallel_wall_ms: Vec<u128>,
 }
 
 /// The E19 report: the printed table plus everything the JSON needs.
@@ -99,19 +93,6 @@ impl SpaceReport {
         let lookups: u64 = self.cells.iter().map(|c| c.memo.0).sum();
         let hits: u64 = self.cells.iter().map(|c| c.memo.1).sum();
         hit_rate(hits, lookups)
-    }
-
-    /// Best naive-vs-packed-serial speedup over the populations where
-    /// the naive leg ran (wall-clock, so host-dependent — recorded in
-    /// the volatile JSON section, never gated on).
-    pub fn best_speedup(&self) -> f64 {
-        self.cells
-            .iter()
-            .filter_map(|c| {
-                let naive = c.naive_wall_ms? as f64;
-                Some(naive / (c.serial_wall_ms.max(1) as f64))
-            })
-            .fold(0.0, f64::max)
     }
 }
 
@@ -149,11 +130,10 @@ impl Report for SpaceReport {
     fn summary(&self) -> String {
         format!(
             "E19 summary: {} populations, {} states in reference sweeps, memo hit rate {:.4}, \
-             best naive-vs-packed speedup {:.1}x, deterministic: {}",
+             deterministic: {}",
             self.cells.len(),
             self.states_total(),
             self.memo_hit_rate(),
-            self.best_speedup(),
             self.deterministic(),
         )
     }
@@ -162,8 +142,8 @@ impl Report for SpaceReport {
         self.deterministic()
     }
 
-    /// A stable section (counts, digests, engine agreement; the seed is
-    /// recorded for provenance, not consumed) plus the volatile timings.
+    /// Counts, digests and engine agreement (the seed is recorded for
+    /// provenance, not consumed).
     fn record(&self) -> Option<Doc> {
         let population = |c: &SpaceCell| {
             Obj::new()
@@ -176,23 +156,6 @@ impl Report for SpaceReport {
                 .field("naive_ran", c.naive_ran)
                 .field("identical", c.identical)
         };
-        let timing = |c: &SpaceCell| {
-            // Serial wall over parallel wall, per thread count: above 1
-            // the threads paid for themselves.
-            let ratio = c
-                .parallel_wall_ms
-                .iter()
-                .map(|m| fixed(c.serial_wall_ms.max(1) as f64 / (*m).max(1) as f64, 2));
-            Obj::new()
-                .field("devices", c.devices)
-                .field("naive_wall_ms", c.naive_wall_ms.map_or("null".into(), |m| m.to_string()))
-                .field("packed_serial_wall_ms", c.serial_wall_ms)
-                .field("packed_parallel_wall_ms", list(&c.parallel_wall_ms))
-                .field("par_vs_serial", list(ratio))
-        };
-        let speedup = Obj::new()
-            .field("best_naive_vs_packed_serial", fixed(self.best_speedup(), 1))
-            .field("floor_5x_met", self.best_speedup() >= 5.0);
         let doc = Doc::new("BENCH_E19.json")
             .field("experiment", quoted("e19"))
             .field("seed", SEED)
@@ -200,9 +163,7 @@ impl Report for SpaceReport {
             .field("naive_sweep_limit", NAIVE_SWEEP_LIMIT)
             .field("naive_bfs_limit", NAIVE_BFS_LIMIT)
             .rows("populations", self.cells.iter().map(population))
-            .field("deterministic", self.deterministic())
-            .volatile_rows("timing_wall_ms", self.cells.iter().map(timing))
-            .volatile_field("speedup_wall_ms", speedup);
+            .field("deterministic", self.deterministic());
         Some(doc)
     }
 }
@@ -215,23 +176,18 @@ fn run_cell(n: u32) -> SpaceCell {
     let mut identical = true;
 
     // Packed-serial exhaustive sweep: the reference digest.
-    let (serial, serial_wall_ms) = timed(|| explore_packed(&policy, 1).expect(PACKABLE));
+    let serial = explore_packed(&policy, 1).expect(PACKABLE);
     let reference = serial.digest();
 
     // Naive exhaustive sweep, while it still fits.
     let naive_ran = raw <= NAIVE_SWEEP_LIMIT;
-    let naive_wall_ms = naive_ran.then(|| {
-        let (naive, wall) = timed(|| explore_naive(&policy));
-        identical &= naive.digest() == reference;
-        wall
-    });
+    if naive_ran {
+        identical &= explore_naive(&policy).digest() == reference;
+    }
 
     // Packed-parallel sweeps at each fixed thread count.
-    let mut parallel_wall_ms = Vec::new();
     for &t in PAR_THREADS {
-        let (par, wall) = timed(|| explore_packed(&policy, t).expect(PACKABLE));
-        parallel_wall_ms.push(wall);
-        identical &= par.digest() == reference;
+        identical &= explore_packed(&policy, t).expect(PACKABLE).digest() == reference;
     }
 
     // Shells around the initial state: the packed pass (it takes no
@@ -258,9 +214,6 @@ fn run_cell(n: u32) -> SpaceCell {
         naive_ran,
         identical,
         memo: serial.memo,
-        naive_wall_ms,
-        serial_wall_ms,
-        parallel_wall_ms,
     }
 }
 
@@ -280,31 +233,5 @@ mod tests {
         assert!(c.naive_ran);
         assert_eq!(c.states, 2592);
         assert!(c.classes > 0);
-    }
-
-    #[test]
-    fn speedup_ignores_infeasible_cells() {
-        let mk = |naive: Option<u128>, serial: u128| SpaceCell {
-            devices: 6,
-            states: 1,
-            classes: 1,
-            digest: String::new(),
-            bfs: String::new(),
-            conflicts: 0,
-            naive_ran: naive.is_some(),
-            identical: true,
-            memo: (0, 0),
-            naive_wall_ms: naive,
-            serial_wall_ms: serial,
-            parallel_wall_ms: vec![],
-        };
-        let report = SpaceReport { cells: vec![mk(Some(100), 10), mk(None, 1), mk(Some(30), 10)] };
-        assert!((report.best_speedup() - 10.0).abs() < 1e-9);
-        // The infeasible cell's naive leg is recorded as absent, and the
-        // record renders (the writer refuses an unmarked volatile row).
-        let json = report.record().expect("E19 always writes a record").render();
-        assert!(json
-            .contains("{\"devices\": 6, \"naive_wall_ms\": null, \"packed_serial_wall_ms\": 1, "));
-        assert!(json.contains("\"speedup_wall_ms\": {\"best_naive_vs_packed_serial\": 10.0, "));
     }
 }

@@ -18,11 +18,10 @@
 //!   disabled, chains failing open) produces at least one violation,
 //!   and every violation shrinks to a small replayable repro.
 //!
-//! `BENCH_E23.json` records the stable campaign digest and shrink
-//! statistics (sim-derived, byte-stable) plus one `wall_ms`-marked
-//! volatile line; CI diffs the file with `-I'wall_ms'`.
+//! `BENCH_E23.json` records the campaign fingerprint and shrink
+//! statistics (sim-derived, byte-stable); CI byte-compares the file.
 
-use crate::report::{quoted, timed, Doc, Obj, Report};
+use crate::report::{quoted, Doc, Obj, Report};
 use crate::sweep::run_sweep;
 use crate::Table;
 use iotsec_fuzz::{generate, oracle, shrink, GenConfig, Verdict, Weakness};
@@ -74,8 +73,6 @@ pub struct VetReport {
     /// FNV-1a over the campaign digest lines — the stable fingerprint
     /// committed in `BENCH_E23.json`.
     pub campaign_fingerprint: u64,
-    /// Campaign wall time (volatile).
-    pub wall_ms: u128,
     seed: u64,
 }
 
@@ -166,9 +163,7 @@ impl Report for VetReport {
             .field("reproducible", self.reproducible)
             .field("weakened_scenarios", WEAKENED)
             .field("weakened_violations", self.weakened_violations)
-            .rows("shrinks", self.shrinks.iter().map(shrunk))
-            // Wall-clock only, ignored by the CI byte-diff.
-            .volatile_field("wall_ms", self.wall_ms);
+            .rows("shrinks", self.shrinks.iter().map(shrunk));
         Some(doc)
     }
 }
@@ -200,11 +195,6 @@ fn fingerprint(digests: &[String]) -> u64 {
 /// E23 — the vet campaign. `threads` drives the parallel sweep whose
 /// digests are checked against the serial reference.
 pub fn vet(seed: u64, threads: usize) -> VetReport {
-    let (report, wall_ms) = timed(|| campaign(seed, threads));
-    VetReport { wall_ms, ..report }
-}
-
-fn campaign(seed: u64, threads: usize) -> VetReport {
     let cfg = GenConfig::default();
     let seeds: Vec<u64> = (0..SCENARIOS as u64).map(|i| seed.wrapping_add(i)).collect();
 
@@ -256,7 +246,6 @@ fn campaign(seed: u64, threads: usize) -> VetReport {
         weakened_violations,
         shrinks,
         campaign_fingerprint: fingerprint(&serial),
-        wall_ms: 0,
         seed,
     }
 }

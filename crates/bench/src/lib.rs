@@ -31,7 +31,7 @@
 //!
 //! [`report`] is the scaffold the gated experiments share — the
 //! [`report::Report`] a finished experiment hands the runner, the
-//! `BENCH_E*.json` writer, the timed determinism legs and the one
+//! `BENCH_E*.json` writer, the determinism legs and the one
 //! [`SEED`].
 
 #![forbid(unsafe_code)]

@@ -1,17 +1,16 @@
-//! The measurement scaffold the gated experiments (E16–E26) share,
-//! written once: what a finished experiment hands the runner
-//! ([`Report`], [`emit`]), the `BENCH_E*.json` layout ([`Doc`], [`Obj`]),
-//! and the timed determinism legs ([`timed`], [`measured`], [`Legs`]).
+//! The scaffold the gated experiments (E16–E26) share, written once:
+//! what a finished experiment hands the runner ([`Report`], [`emit`]),
+//! the `BENCH_E*.json` layout ([`Doc`], [`Obj`]), and the determinism
+//! legs ([`Legs`]).
 //!
-//! The JSON layout is a contract with CI, which byte-compares every
-//! checked-in record with `git diff -I'wall_ms'`: host-dependent numbers
-//! may appear only on lines that carry a `wall_ms` key. [`Doc`] owns the
-//! braces, commas and indentation, and its volatile calls *refuse* a
-//! line without the marker, so the contract holds by construction.
+//! The JSON layout is a contract with CI: every line of a record is
+//! stable, and CI byte-compares the whole checked-in file. A record
+//! holds facts only (digests, counts, simulated latencies, leg
+//! agreement, gate verdicts); time is measured by the `benchmark/`
+//! harness, never here. [`Doc`] owns the braces, commas and indentation.
 
 use crate::Table;
 use std::fmt::{self, Display, Write as _};
-use std::time::Instant;
 
 /// The repo-wide experiment seed: HotNets '15, November 16.
 pub const SEED: u64 = 20151116;
@@ -50,11 +49,6 @@ pub fn hit_rate(hits: u64, lookups: u64) -> f64 {
     } else {
         hits as f64 / lookups as f64
     }
-}
-
-/// `count` per second over `wall_ms` (a sub-millisecond leg counts as 1 ms).
-pub fn per_sec(count: u64, wall_ms: u128) -> f64 {
-    count as f64 / (wall_ms.max(1) as f64 / 1000.0)
 }
 
 /// A JSON string literal.
@@ -122,14 +116,14 @@ impl Doc {
         Doc { path, body: String::new() }
     }
 
-    /// Append a stable `"key": value` line.
+    /// Append a `"key": value` line.
     pub fn field(mut self, key: &str, value: impl Display) -> Doc {
         let sep = if self.body.is_empty() { "" } else { "," };
         write!(self.body, "{sep}\n  \"{key}\": {value}").expect("writing to a String");
         self
     }
 
-    /// Append a stable block array, one row per line.
+    /// Append a block array, one row per line.
     pub fn rows<T: Display>(self, key: &str, rows: impl IntoIterator<Item = T>) -> Doc {
         let mut block = String::from("[");
         for (i, row) in rows.into_iter().enumerate() {
@@ -137,25 +131,6 @@ impl Doc {
             write!(block, "{sep}\n    {row}").expect("writing to a String");
         }
         self.field(key, block + "\n  ]")
-    }
-
-    /// Append a host-dependent line; the key must carry the marker.
-    pub fn volatile_field(self, key: &str, value: impl Display) -> Doc {
-        assert!(key.contains("wall_ms"), "volatile field `{key}` lacks a wall_ms marker");
-        self.field(key, value)
-    }
-
-    /// Append a block array of host-dependent rows; every row must carry
-    /// a `…wall_ms` key.
-    pub fn volatile_rows<T: Display>(self, key: &str, rows: impl IntoIterator<Item = T>) -> Doc {
-        self.rows(
-            key,
-            rows.into_iter().map(|row| {
-                let row = row.to_string();
-                assert!(row.contains("wall_ms\":"), "volatile row lacks a wall_ms key: {row}");
-                row
-            }),
-        )
     }
 
     /// The file's bytes: the closed object, ending `}\n`.
@@ -174,31 +149,6 @@ impl Doc {
     }
 }
 
-/// Run `run`, returning its result and wall time in milliseconds.
-pub fn timed<T>(run: impl FnOnce() -> T) -> (T, u128) {
-    let start = Instant::now();
-    let out = run();
-    (out, start.elapsed().as_millis())
-}
-
-/// What a leg cost. Both numbers are host-dependent, never gated on.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Cost {
-    /// Wall time.
-    pub wall_ms: u128,
-    /// Heap bytes allocated (0 under a null reader).
-    pub bytes: u64,
-}
-
-/// [`timed`], plus the growth of `alloc_bytes` — a reader of the
-/// process's cumulative heap-bytes counter (the `experiments` binary
-/// installs a counting allocator; unit tests pass a null reader).
-pub fn measured<T>(alloc_bytes: &dyn Fn() -> u64, run: impl FnOnce() -> T) -> (T, Cost) {
-    let before = alloc_bytes();
-    let (out, wall_ms) = timed(run);
-    (out, Cost { wall_ms, bytes: alloc_bytes() - before })
-}
-
 /// One leg of a determinism gate: an execution mode at a thread count.
 #[derive(Debug, Clone)]
 pub struct Leg {
@@ -208,8 +158,6 @@ pub struct Leg {
     pub threads: usize,
     /// Whether the leg reproduced the reference byte-for-byte.
     pub identical: bool,
-    /// What the leg cost (volatile).
-    pub cost: Cost,
 }
 
 impl Leg {
@@ -233,14 +181,14 @@ pub struct Legs<R> {
 
 impl<R: PartialEq> Legs<R> {
     /// Start from the serial reference leg.
-    pub fn new(label: &str, (reference, cost): (R, Cost)) -> Legs<R> {
-        let first = Leg { label: label.to_string(), threads: 1, identical: true, cost };
+    pub fn new(label: &str, reference: R) -> Legs<R> {
+        let first = Leg { label: label.to_string(), threads: 1, identical: true };
         Legs { reference, legs: vec![first] }
     }
 
     /// Add a leg; it is `identical` iff `out` equals the reference.
-    pub fn push(&mut self, label: String, threads: usize, (out, cost): (R, Cost)) {
-        self.legs.push(Leg { label, threads, identical: out == self.reference, cost });
+    pub fn push(&mut self, label: String, threads: usize, out: R) {
+        self.legs.push(Leg { label, threads, identical: out == self.reference });
     }
 
     /// The standard tail: `run(1)` again as `{serial}-rerun` (run-to-run
@@ -250,7 +198,7 @@ impl<R: PartialEq> Legs<R> {
         serial: &str,
         par: &str,
         threads: &[usize],
-        mut run: impl FnMut(usize) -> (R, Cost),
+        mut run: impl FnMut(usize) -> R,
     ) {
         self.push(format!("{serial}-rerun"), 1, run(1));
         for &t in threads {
@@ -274,11 +222,7 @@ mod tests {
                 [Obj::new().field("label", quoted("a")), Obj::new().field("label", "null")],
             )
             .rows("none", Vec::<Obj>::new())
-            .volatile_rows(
-                "timing_wall_ms",
-                [Obj::new().field("leg", quoted("a")).field("ref_wall_ms", 7)],
-            )
-            .volatile_field("speedup_wall_ms", Obj::new().field("best", fixed(2.0, 1)))
+            .field("ratio", fixed(2.0, 1))
             .render();
         let expected = r#"{
   "experiment": "e0",
@@ -290,28 +234,10 @@ mod tests {
   ],
   "none": [
   ],
-  "timing_wall_ms": [
-    {"leg": "a", "ref_wall_ms": 7}
-  ],
-  "speedup_wall_ms": {"best": 2.0}
+  "ratio": 2.0
 }
 "#;
         assert_eq!(json, expected);
-    }
-
-    #[test]
-    #[should_panic(expected = "volatile row lacks a wall_ms key")]
-    fn volatile_row_without_marker_is_refused() {
-        // `homes_per_sec` is host-dependent; without a wall_ms key on the
-        // same line, `git diff -I'wall_ms'` would flag it on every host.
-        let _ =
-            Doc::new("x").volatile_rows("timing_wall_ms", [Obj::new().field("homes_per_sec", 9)]);
-    }
-
-    #[test]
-    #[should_panic(expected = "lacks a wall_ms marker")]
-    fn volatile_field_without_marker_is_refused() {
-        let _ = Doc::new("x").volatile_field("speedup", 2);
     }
 
     #[test]
@@ -324,17 +250,19 @@ mod tests {
     fn rates_survive_zero_denominators() {
         assert_eq!(hit_rate(0, 0), 0.0);
         assert_eq!(hit_rate(1, 4), 0.25);
-        assert_eq!(per_sec(500, 0), 500_000.0);
-        assert_eq!(per_sec(500, 250), 2_000.0);
     }
 
     #[test]
     fn legs_compare_against_the_first() {
         let mut calls = Vec::new();
-        let mut legs = Legs::new("ref", measured(&|| 0, || 7));
+        let mut legs = Legs::new("ref", 7);
         legs.rerun_and_threads("ref", "par", &[2, 4], |t| {
             calls.push(t);
-            (if t == 4 { 8 } else { 7 }, Cost::default())
+            if t == 4 {
+                8
+            } else {
+                7
+            }
         });
         assert_eq!(calls, [1, 2, 4]);
         let rows: Vec<String> = legs.legs.iter().map(|l| l.json().to_string()).collect();

@@ -59,8 +59,8 @@ pub struct WorldJob {
     pub population: u32,
 }
 
-/// The deterministic outcome of one world job, plus the perf counters
-/// the engine work of this PR is measured by.
+/// The deterministic outcome of one world job, plus the engine counters
+/// (events, flow-cache lookups and hits) it cost.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WorldOutcome {
     /// The job that produced this outcome.

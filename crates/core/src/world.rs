@@ -391,9 +391,10 @@ pub struct DeltaInstall {
 /// view). A resident world, however, must outlive the scoped worker
 /// thread that ran it and be picked up by the next round's worker. That
 /// hand-off is serial — the fleet keeps each resident world in one
-/// worker's state, lends that state as an exclusive `&mut` to exactly
-/// one scoped thread per round, and joins the thread before the
-/// coordinator (or the next round's thread) can reach it again. So no
+/// worker's state, lends that state as an exclusive `&mut` to at most
+/// one scoped thread per round (a round that spawns none serves it on
+/// the coordinator), and joins the thread before the coordinator (or
+/// the next round's thread) can reach it again. So no
 /// two threads ever touch a world concurrently, the borrow checker —
 /// not a lock discipline — enforces it, and every `Rc` clone lives
 /// inside the world being moved (none escapes to another thread). Under

@@ -6,8 +6,11 @@
 //! 1. **Execute** (parallel): every home runs — or is served from its
 //!    slot — against the intel epoch installed at the last barrier. The
 //!    per-home slots are split into disjoint `&mut` chunks; chunk `c`
-//!    goes to worker `c % threads`, and one `serve` body runs them,
-//!    inline when `threads <= 1` and on scoped threads otherwise.
+//!    goes to worker `c % threads`, and one `serve` body runs them.
+//!    The chunks dealt to one worker are its *hand*. Scoped threads are
+//!    spawned only when two or more hands hold a home to execute;
+//!    otherwise the coordinator serves every hand inline, each with its
+//!    own worker's state, so a quiesced round spawns nothing.
 //!    Workers share only read-only state (the scenario, the ledger, the
 //!    snapshots); everything a worker writes — its slots, its resident
 //!    world, its counters — it holds by exclusive borrow, so there is
@@ -135,6 +138,34 @@ struct Slot {
     /// Whether the home has executed at all (`out` is meaningful).
     ran: bool,
     out: HomeOutcome,
+}
+
+impl Slot {
+    /// Whether the slot already holds the outcome of a run at `epoch`.
+    fn hit(&self, epoch: u32) -> bool {
+        self.ran && self.epoch == epoch
+    }
+}
+
+/// Whether the hands of two different workers each hold a home whose
+/// slot misses its ledger epoch — a worker's *hand* being the chunks
+/// dealt to it, chunk `c` of `chunk` homes to worker `c % threads`.
+/// Only then can spawning threads save anything.
+fn two_hands_busy(slots: &[Slot], ledger: &InstallLedger, chunk: usize, threads: usize) -> bool {
+    let mut busy = None;
+    for (c, (piece, start)) in slots.chunks(chunk).zip((0u32..).step_by(chunk)).enumerate() {
+        let hand = c % threads;
+        if busy == Some(hand) {
+            continue;
+        }
+        if piece.iter().zip(start..).any(|(slot, home)| !slot.hit(ledger.epoch_of(home))) {
+            if busy.is_some() {
+                return true;
+            }
+            busy = Some(hand);
+        }
+    }
+    false
 }
 
 /// Everything one worker carries across rounds, lent `&mut` to exactly
@@ -501,9 +532,18 @@ impl<S: HomeWorld> Fleet<S> {
     /// Run one fleet round: execute every home, merge in home order,
     /// propagate discoveries through the aggregator hierarchy.
     ///
-    /// A *quiesced* round (no new intel, every home memoized) performs
-    /// zero heap allocations on the serial path — the warm-fleet
-    /// section of `tests/alloc_counter.rs` pins this.
+    /// At `threads > 1` the round first probes which hands (the chunks
+    /// dealt to one worker) hold a home whose slot misses its ledger
+    /// epoch, and spawns scoped threads only when two or more do. An
+    /// idle hand, or a lone busy one, is served inline on the
+    /// coordinator with its own worker's state; the chunk → worker deal
+    /// is the same either way, so digests, counters and
+    /// [`ResidentStats`] do not depend on which ran.
+    ///
+    /// A *quiesced* round (no new intel, every home memoized) therefore
+    /// spawns nothing and performs zero heap allocations at any thread
+    /// count — the warm-fleet section of `tests/alloc_counter.rs` pins
+    /// this at one and two workers.
     pub fn round(&mut self) -> RoundSummary {
         let round = self.round;
         let epoch = self.installed_epoch;
@@ -525,7 +565,7 @@ impl<S: HomeWorld> Fleet<S> {
             let serve = |w: &mut WorkerState<S::Resident>, start: u32, slots: &mut [Slot]| {
                 for (home, slot) in (start..).zip(slots) {
                     let epoch = ledger.epoch_of(home);
-                    if slot.ran && slot.epoch == epoch {
+                    if slot.hit(epoch) {
                         w.hits += 1;
                         continue;
                     }
@@ -550,17 +590,18 @@ impl<S: HomeWorld> Fleet<S> {
                     w.misses += 1;
                 }
             };
-            // Chunk `c` runs on worker `c % threads` in both modes, so a
-            // worker's resident world only ever serves "its" homes and
+            // Chunk `c` runs on worker `c % threads` whoever runs it, so
+            // a worker's resident world only ever serves "its" homes and
             // `ResidentStats` do not depend on thread timing.
             let chunk = self.cfg.chunk.max(1) as usize;
+            let threads = self.workers.len();
+            let spawn = threads > 1 && two_hands_busy(&self.slots, ledger, chunk, threads);
             let chunks = self.slots.chunks_mut(chunk).zip((0u32..).step_by(chunk));
-            if let [only] = &mut self.workers[..] {
-                for (slots, start) in chunks {
-                    serve(only, start, slots);
+            if !spawn {
+                for (c, (slots, start)) in chunks.enumerate() {
+                    serve(&mut self.workers[c % threads], start, slots);
                 }
             } else {
-                let threads = self.workers.len();
                 let mut hands: Vec<Vec<_>> = (0..threads).map(|_| Vec::new()).collect();
                 for (c, piece) in chunks.enumerate() {
                     hands[c % threads].push(piece);
@@ -1123,6 +1164,27 @@ mod tests {
         assert_eq!(report.memo_misses, 16);
         assert_eq!(report.memo_hits, 16);
         assert_eq!(report.interned, 1);
+    }
+
+    /// Threads are spawned only when the hands of two different workers
+    /// each hold a home to execute.
+    #[test]
+    fn only_two_busy_hands_spawn_threads() {
+        // Six homes in chunks of two, dealt to two workers: homes 0, 1,
+        // 4 and 5 are worker 0's hand, homes 2 and 3 worker 1's.
+        let ledger = InstallLedger::new(6);
+        let hit = Slot { epoch: 0, ran: true, out: HomeOutcome::default() };
+        let busy = |stale: &[usize]| {
+            let mut slots = [hit; 6];
+            for &h in stale {
+                slots[h].ran = false;
+            }
+            two_hands_busy(&slots, &ledger, 2, 2)
+        };
+        assert!(!busy(&[]));
+        assert!(!busy(&[0, 5]), "two chunks of one hand");
+        assert!(busy(&[1, 3]));
+        assert!(busy(&[3, 4]));
     }
 
     // ---- E25 chaos / recovery ---------------------------------------

@@ -130,6 +130,11 @@ impl<T: Ord> Default for NeighborhoodBuffer<T> {
 /// intel set: `epoch == n` names exactly one snapshot for the life of
 /// the region, which is what lets the fleet memoize `(home, epoch)`
 /// outcomes and retry install waves without de-duplication bookkeeping.
+///
+/// The epoch never wraps. At `u32::MAX` no bump is left, so the region
+/// refuses every batch: it inserts nothing, keeps its epoch and reports
+/// nothing novel. A wrapped epoch 0 would make every slot that ran at
+/// epoch 0 a false memo hit.
 #[derive(Debug)]
 pub struct RegionIntel<T> {
     items: BTreeSet<T>,
@@ -156,6 +161,11 @@ impl<T: Clone + Ord> RegionIntel<T> {
     /// duplicate and the epoch did not move. The caller emits
     /// per-signature absorb events from it (E25).
     pub fn absorb_returning_novel(&mut self, batch: Vec<T>) -> Vec<T> {
+        // An epoch names one snapshot, so a bump that cannot happen must
+        // not change the snapshot either: refuse the batch whole.
+        let Some(next) = self.epoch.checked_add(1) else {
+            return Vec::new();
+        };
         let mut novel = Vec::new();
         for item in batch {
             if self.items.insert(item.clone()) {
@@ -168,7 +178,7 @@ impl<T: Clone + Ord> RegionIntel<T> {
             // Within-batch duplicates were already absorbed once by the
             // insert guard.
             novel.sort();
-            self.epoch += 1;
+            self.epoch = next;
         }
         novel
     }
@@ -404,6 +414,19 @@ mod tests {
         // novelty, in Ord order even across concatenated batches.
         assert_eq!(r.absorb_returning_novel(vec![9, 1, 7, 5]), vec![7, 9]);
         assert_eq!(r.epoch(), 2);
+    }
+
+    #[test]
+    fn region_refuses_novel_intel_at_the_last_epoch() {
+        let mut r: RegionIntel<u32> = RegionIntel { items: BTreeSet::new(), epoch: u32::MAX - 1 };
+        assert_eq!(r.absorb_returning_novel(vec![3]), vec![3]);
+        assert_eq!(r.epoch(), u32::MAX);
+        // No bump is left, so the next novel batch is refused whole:
+        // nothing inserted, nothing reported, the same epoch.
+        assert!(r.absorb_returning_novel(vec![4, 3]).is_empty());
+        assert!(!r.absorb(vec![5]));
+        assert_eq!(r.epoch(), u32::MAX);
+        assert_eq!(r.snapshot(), vec![3]);
     }
 
     #[test]

@@ -536,22 +536,26 @@ const STEADY_MEASURE: u64 = 64;
 fn warm_fleet_round_is_allocation_free() {
     use iotsec_fleet::{Fleet, FleetConfig, FleetScenario};
 
-    let cfg = FleetConfig { homes: 8, neighborhood: 3, chunk: 2, threads: 1, seed: 42 };
-    let mut fleet = Fleet::new(FleetScenario::new(8), cfg);
-    // Warm rounds: round 0 breaches and installs the discovered
-    // signature (epoch 0 → 1), round 1 populates the epoch-1 memo,
-    // round 2 proves the fleet has quiesced.
-    fleet.run(3);
-    let quiesced = fleet.report();
-    assert_eq!(quiesced.epoch, 1, "the fleet must have quiesced before measuring");
+    // At two workers too: a quiesced round has no home to execute, so it
+    // deals no hands and spawns no threads.
+    for threads in [1, 2] {
+        let cfg = FleetConfig { homes: 8, neighborhood: 3, chunk: 2, threads, seed: 42 };
+        let mut fleet = Fleet::new(FleetScenario::new(8), cfg);
+        // Warm rounds: round 0 breaches and installs the discovered
+        // signature (epoch 0 → 1), round 1 populates the epoch-1 memo,
+        // round 2 proves the fleet has quiesced.
+        fleet.run(3);
+        let quiesced = fleet.report();
+        assert_eq!(quiesced.epoch, 1, "the fleet must have quiesced before measuring");
 
-    let allocs = min_allocs_over(3, || {
-        let r = fleet.round();
-        assert_eq!(r.executed, 0, "a quiesced round must be pure memo replay");
-        assert_eq!(r.memo_hits, 8);
-        std::hint::black_box(fleet.digest())
-    });
-    assert_eq!(allocs, 0, "warm fleet round (memo → merge → barrier) must not allocate");
+        let allocs = min_allocs_over(3, || {
+            let r = fleet.round();
+            assert_eq!(r.executed, 0, "a quiesced round must be pure memo replay");
+            assert_eq!(r.memo_hits, 8);
+            std::hint::black_box(fleet.digest())
+        });
+        assert_eq!(allocs, 0, "warm fleet round (memo → merge → barrier), {threads} workers");
+    }
 }
 
 fn steady_engine_tick_is_allocation_free() {

@@ -2,13 +2,17 @@
 //! invariant for arbitrary shapes, and a fleet of N homes is
 //! observationally identical to N individually-run `World`s.
 
-use iotsec_fleet::{home_seed, Fleet, FleetConfig, FleetScenario};
+use iotsec_fleet::{home_seed, Fleet, FleetConfig, FleetReport, FleetScenario, RoundSummary};
 use iotsec_repro::iotsec::world::{HomeOverrides, World};
 use proptest::prelude::*;
 
 /// Rounds per property case: breach round + defended round is enough to
 /// exercise discovery, the barrier, and the epoch-keyed memo.
 const ROUNDS: u32 = 2;
+
+/// Rounds per thread-invariance case: the breach and the defended round,
+/// then two quiesced rounds, in which no worker has a home to execute.
+const INVARIANCE_ROUNDS: u32 = 4;
 
 fn run_fleet(cfg: FleetConfig, stride: u32, rounds: u32) -> Fleet<FleetScenario> {
     let mut fleet = Fleet::new(FleetScenario::new(stride), cfg);
@@ -18,10 +22,19 @@ fn run_fleet(cfg: FleetConfig, stride: u32, rounds: u32) -> Fleet<FleetScenario>
     fleet
 }
 
+/// Every round's summary, then the cumulative report, of a fleet run.
+fn round_by_round(cfg: FleetConfig, rounds: u32) -> (Vec<RoundSummary>, FleetReport) {
+    let mut fleet = Fleet::new(FleetScenario::new(1), cfg);
+    let summaries = (0..rounds).map(|_| fleet.round()).collect();
+    (summaries, fleet.report())
+}
+
 proptest! {
     /// The acceptance property: for an arbitrary fleet shape (seed, home
-    /// count, neighborhood size, chunk size) the chained fleet digest is
-    /// byte-identical across `--threads {1, 2, 4}` and across reruns.
+    /// count, neighborhood size, chunk size) every round's summary and
+    /// the chained fleet digest are byte-identical across
+    /// `--threads {1, 2, 4}` and across reruns, through the breach, the
+    /// defended round and two quiesced rounds.
     #[test]
     fn prop_fleet_digest_is_thread_invariant(
         seed in any::<u64>(),
@@ -30,10 +43,10 @@ proptest! {
         chunk in 1u32..7,
     ) {
         let cfg = FleetConfig { homes, neighborhood, chunk, threads: 1, seed };
-        let reference = run_fleet(cfg, 1, ROUNDS).report();
-        prop_assert_eq!(&run_fleet(cfg, 1, ROUNDS).report(), &reference);
+        let reference = round_by_round(cfg, INVARIANCE_ROUNDS);
+        prop_assert_eq!(&round_by_round(cfg, INVARIANCE_ROUNDS), &reference);
         for threads in [2usize, 4] {
-            let par = run_fleet(cfg.with_threads(threads), 1, ROUNDS).report();
+            let par = round_by_round(cfg.with_threads(threads), INVARIANCE_ROUNDS);
             prop_assert_eq!(&par, &reference);
         }
     }
@@ -61,22 +74,24 @@ proptest! {
         }
     }
 
-    /// Rounds past quiescence are pure memo replay: running extra rounds
-    /// after the intel epoch stops moving executes zero homes and leaves
-    /// every per-home outcome untouched.
+    /// Rounds past quiescence are pure memo replay at every thread
+    /// count: running extra rounds after the intel epoch stops moving
+    /// executes zero homes and leaves every per-home outcome untouched.
     #[test]
     fn prop_quiesced_rounds_are_memo_hits(seed in any::<u64>(), homes in 1u32..9) {
-        let cfg = FleetConfig { homes, neighborhood: 4, chunk: 3, threads: 1, seed };
-        let mut fleet = Fleet::new(FleetScenario::new(1), cfg);
-        fleet.round();
-        fleet.round();
-        let before: Vec<_> = (0..homes).map(|h| fleet.outcome(h)).collect();
-        let r = fleet.round();
-        prop_assert_eq!(r.executed, 0);
-        prop_assert_eq!(r.memo_hits, homes);
-        prop_assert_eq!(r.discoveries, 0);
-        let after: Vec<_> = (0..homes).map(|h| fleet.outcome(h)).collect();
-        prop_assert_eq!(after, before);
+        for threads in [1usize, 2, 4] {
+            let cfg = FleetConfig { homes, neighborhood: 4, chunk: 3, threads, seed };
+            let mut fleet = Fleet::new(FleetScenario::new(1), cfg);
+            fleet.round();
+            fleet.round();
+            let before: Vec<_> = (0..homes).map(|h| fleet.outcome(h)).collect();
+            let r = fleet.round();
+            prop_assert_eq!(r.executed, 0);
+            prop_assert_eq!(r.memo_hits, homes);
+            prop_assert_eq!(r.discoveries, 0);
+            let after: Vec<_> = (0..homes).map(|h| fleet.outcome(h)).collect();
+            prop_assert_eq!(after, before);
+        }
     }
 }
 

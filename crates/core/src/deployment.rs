@@ -122,7 +122,7 @@ pub enum StepSpec {
     /// Run the default-credential dictionary.
     DictionaryLogin(DeviceId),
     /// A management command (uses any captured session).
-    Mgmt(DeviceId, MgmtCommand),
+    Mgmt(DeviceId, MgmtCommand<'static>),
     /// A control-plane actuation.
     Control(DeviceId, ControlAction, iotdev::attacker::AttackAuth),
     /// A vendor-cloud backdoor command.

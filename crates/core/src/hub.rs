@@ -81,8 +81,8 @@ impl Hub {
             msg: AppMessage::Control {
                 action: recipe.action.action,
                 auth: ControlAuth::Password {
-                    user: self.creds.user.clone(),
-                    pass: self.creds.pass.clone(),
+                    user: self.creds.user.clone().into(),
+                    pass: self.creds.pass.clone().into(),
                 },
             },
         })

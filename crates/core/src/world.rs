@@ -48,7 +48,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::rc::Rc;
 use std::sync::Arc;
 use trace::tracer::TraceConfig;
-use trace::{MetricsRegistry, TraceEvent, Tracer};
+use trace::{TraceEvent, Tracer};
 use umbox::breaker::{BreakerBank, BreakerEvent};
 use umbox::chain::{build_chain, ChainConfig, FailureMode, UmboxChain};
 use umbox::element::{EventSink, ViewHandle};
@@ -1706,56 +1706,6 @@ impl World {
         metrics.recipes_fired = self.hub.fired;
         metrics
     }
-
-    /// Export every counter the run accumulated — network, µmbox, control
-    /// plane, chaos, hub — into one [`MetricsRegistry`]. The snapshot is
-    /// sorted by name, so two identical runs render identical text.
-    pub fn export_metrics(&self) -> MetricsRegistry {
-        let mut reg = MetricsRegistry::new();
-        self.net.export_metrics(&mut reg);
-        let m = self.report();
-        reg.counter("world.compromised", m.compromised.len() as u64);
-        reg.counter("world.privacy_leaked", m.privacy_leaked.len() as u64);
-        reg.counter("world.ddos_bytes_at_victim", m.ddos_bytes_at_victim);
-        reg.counter("world.ddos_queries", m.ddos_queries);
-        reg.counter("world.recipes_fired", m.recipes_fired);
-        reg.counter("umbox.drops", m.umbox_drops);
-        reg.counter("umbox.intercepts", m.umbox_intercepts);
-        reg.counter("umbox.missed_blocks", m.missed_blocks);
-        reg.counter("umbox.fail_closed_drops", m.fail_closed_drops);
-        reg.counter("umbox.crashes", m.umbox_crashes);
-        reg.counter("umbox.respawns", m.umbox_respawns);
-        reg.counter("ctl.events_processed", m.controller_events);
-        reg.counter("ctl.failovers", m.controller_failovers);
-        reg.counter("ctl.delivery.submitted", m.delivery.submitted);
-        reg.counter("ctl.delivery.delivered", m.delivery.delivered);
-        reg.counter("ctl.delivery.deduped", m.delivery.deduped);
-        reg.counter("ctl.delivery.retries", m.delivery.retries);
-        reg.counter("ctl.delivery.shed", m.delivery.shed);
-        reg.counter("chaos.faults_injected", m.faults_injected);
-        // Safety-layer names only exist when the layer does, so runs
-        // without it render byte-identical registries to older builds.
-        if self.safety.is_some() {
-            reg.counter("safety.violations", m.safety.violations);
-            reg.counter("safety.coverage_violations", m.safety.coverage_violations);
-            reg.counter("safety.staleness_violations", m.safety.staleness_violations);
-            reg.counter("safety.monotonicity_violations", m.safety.monotonicity_violations);
-            reg.counter("safety.continuity_violations", m.safety.continuity_violations);
-            reg.counter("safety.quarantines", m.safety.quarantines);
-            reg.counter("safety.admission_shed", m.admission_shed);
-            reg.counter("safety.breaker_trips", m.breaker_trips);
-            reg.gauge(
-                "safety.quarantine_secs",
-                SimDuration::from_nanos(m.safety.quarantine_time_ns).as_secs_f64(),
-            );
-        }
-        reg.counter("world.ticks_simulated", self.ticks_simulated());
-        reg.counter("world.ticks_executed", self.ticks_executed());
-        reg.gauge("world.sim_secs", self.clock.as_secs_f64());
-        reg.gauge("world.fail_open_exposure_secs", m.fail_open_exposure.as_secs_f64());
-        reg.gauge("world.unprotected_secs", m.unprotected_total().as_secs_f64());
-        reg
-    }
 }
 
 fn cookie(device: DeviceId) -> u64 {
@@ -2230,7 +2180,18 @@ mod tests {
         };
         let observe = |w: &mut World| {
             w.run_until_attack_done(SimDuration::from_secs(120));
-            format!("{:?}\n{}", w.report(), w.export_metrics().render())
+            let net = &w.net;
+            format!(
+                "{:?}\n{:?} events={} peak={} cache={:?}\nclock={:?} ticks={}/{}",
+                w.report(),
+                net.stats,
+                net.events_processed(),
+                net.queue_peak(),
+                net.cache_stats(),
+                w.clock,
+                w.ticks_executed(),
+                w.ticks_simulated(),
+            )
         };
         let empty: Arc<[AttackSignature]> = Vec::new().into();
         let mut admitted = 0;

@@ -83,7 +83,7 @@ pub struct HomeOutcome {
 
 /// Resident-pool accounting (E26): how home runs were served and what
 /// each epoch install cost. Aggregated across workers by
-/// [`Fleet::resident_stats`] and exported through `MetricsRegistry`.
+/// [`Fleet::resident_stats`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ResidentStats {
     /// Homes that built a world from scratch (cold slot, unsupported

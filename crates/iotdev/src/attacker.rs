@@ -64,7 +64,7 @@ pub enum AttackStep {
         /// Target device address.
         target: Ipv4Addr,
         /// The command.
-        command: MgmtCommand,
+        command: MgmtCommand<'static>,
     },
     /// Send a control-plane actuation.
     Control {
@@ -173,7 +173,7 @@ pub fn default_dictionary() -> &'static [(&'static str, &'static str)] {
 
 /// The login an attacker sends for dictionary entry `i`: its strings are
 /// the dictionary's own, not copies.
-fn dictionary_login(i: usize) -> AppMessage {
+fn dictionary_login(i: usize) -> AppMessage<'static> {
     let (user, pass) = DICTIONARY[i];
     AppMessage::MgmtLogin { user: user.into(), pass: pass.into() }
 }
@@ -290,7 +290,7 @@ impl Attacker {
         };
     }
 
-    fn emit_to(&mut self, target: Ipv4Addr, msg: AppMessage) -> AttackerEmit {
+    fn emit_to(&mut self, target: Ipv4Addr, msg: AppMessage<'static>) -> AttackerEmit {
         let dst_port = msg.plane_port();
         AttackerEmit {
             out: OutMessage { dst: target, dst_port, src_port: self.alloc_port(), msg },
@@ -360,9 +360,10 @@ impl Attacker {
                     AttackStep::Control { target, action, auth } => {
                         let auth = match auth {
                             AttackAuth::None => ControlAuth::None,
-                            AttackAuth::Creds { user, pass } => {
-                                ControlAuth::Password { user: user.clone(), pass: pass.clone() }
-                            }
+                            AttackAuth::Creds { user, pass } => ControlAuth::Password {
+                                user: user.clone().into(),
+                                pass: pass.clone().into(),
+                            },
                             AttackAuth::Session => {
                                 ControlAuth::Token(self.token_for(*target).unwrap_or(0))
                             }
@@ -378,7 +379,7 @@ impl Attacker {
                     &AttackStep::DnsReflect { reflector, victim, queries } => {
                         for i in 0..queries {
                             let msg = AppMessage::DnsQuery {
-                                name: format!("amp{i}.example"),
+                                name: format!("amp{i}.example").into(),
                                 recursion: true,
                             };
                             let src_port = self.alloc_port();
@@ -409,7 +410,7 @@ impl Attacker {
     }
 
     /// Feed a packet delivered to the attacker's endpoint.
-    pub fn on_delivery(&mut self, now: SimTime, from: Ipv4Addr, msg: &AppMessage) {
+    pub fn on_delivery(&mut self, now: SimTime, from: Ipv4Addr, msg: &AppMessage<'_>) {
         let AttackerState::Awaiting { dict_idx, .. } = self.state else {
             return;
         };

@@ -17,6 +17,7 @@ use bytes::Bytes;
 use core::fmt;
 use iotnet::addr::Ipv4Addr;
 use iotnet::time::{SimDuration, SimTime};
+use std::borrow::Cow;
 use std::collections::HashMap;
 
 /// Identifier of a device within a deployment.
@@ -158,7 +159,7 @@ pub struct OutMessage {
     /// Source port.
     pub src_port: u16,
     /// The message.
-    pub msg: AppMessage,
+    pub msg: AppMessage<'static>,
 }
 
 /// Everything a device produced in response to one stimulus.
@@ -171,7 +172,12 @@ pub struct DeviceOutput {
 }
 
 impl DeviceOutput {
-    fn reply(dst: Ipv4Addr, dst_port: u16, src_port: u16, msg: AppMessage) -> DeviceOutput {
+    fn reply(
+        dst: Ipv4Addr,
+        dst_port: u16,
+        src_port: u16,
+        msg: AppMessage<'static>,
+    ) -> DeviceOutput {
         DeviceOutput {
             messages: vec![OutMessage { dst, dst_port, src_port, msg }],
             events: Vec::new(),
@@ -310,7 +316,7 @@ impl IoTDevice {
         src: Ipv4Addr,
         src_port: u16,
         dst_port: u16,
-        msg: AppMessage,
+        msg: AppMessage<'_>,
         env: &mut Environment,
     ) -> DeviceOutput {
         if !self.alive {
@@ -387,7 +393,7 @@ impl IoTDevice {
         src: Ipv4Addr,
         src_port: u16,
         token: u32,
-        command: MgmtCommand,
+        command: MgmtCommand<'_>,
     ) -> DeviceOutput {
         let open = self.has_vuln("open-mgmt-access");
         if !open && !self.session_valid(token, src) {
@@ -414,7 +420,7 @@ impl IoTDevice {
                 // The owner can set a password — but a hardcoded default
                 // account is burned into firmware and stays valid. This is
                 // the "unfixable" in the paper's title.
-                self.creds.pass = new;
+                self.creds.pass = new.into_owned();
                 (true, Bytes::new())
             }
             MgmtCommand::ExtractKeys => match self.leaked_key() {
@@ -440,7 +446,7 @@ impl IoTDevice {
         DeviceOutput::reply(src, src_port, ports::MGMT, AppMessage::MgmtResult { ok, data })
     }
 
-    fn control_authorized(&self, src: Ipv4Addr, auth: &ControlAuth) -> (bool, bool) {
+    fn control_authorized(&self, src: Ipv4Addr, auth: &ControlAuth<'_>) -> (bool, bool) {
         // Returns (authorized, was_unauthenticated_path).
         match auth {
             ControlAuth::Password { user, pass } => {
@@ -465,7 +471,7 @@ impl IoTDevice {
         src: Ipv4Addr,
         src_port: u16,
         action: ControlAction,
-        auth: ControlAuth,
+        auth: ControlAuth<'_>,
         env: &mut Environment,
     ) -> DeviceOutput {
         let (authorized, weak_path) = self.control_authorized(src, &auth);
@@ -504,7 +510,7 @@ impl IoTDevice {
         now: SimTime,
         src: Ipv4Addr,
         src_port: u16,
-        name: String,
+        name: Cow<'_, str>,
         recursion: bool,
     ) -> DeviceOutput {
         if !self.has_vuln("open-dns-resolver") || !recursion {
@@ -515,7 +521,11 @@ impl IoTDevice {
             src,
             src_port,
             ports::DNS,
-            AppMessage::DnsResponse { name, addr: Ipv4Addr::new(93, 184, 216, 34), answers: 30 },
+            AppMessage::DnsResponse {
+                name: name.into_owned().into(),
+                addr: Ipv4Addr::new(93, 184, 216, 34),
+                answers: 30,
+            },
         );
         if !src.is_private() || !self.is_owner(src) {
             out.events.push(

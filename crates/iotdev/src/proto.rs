@@ -12,6 +12,12 @@
 //! UDP/TCP payload of an [`iotnet::packet::Packet`]. The codec is total in both
 //! directions and property-tested for round-trip fidelity, since signature
 //! µmboxes match on these wire bytes.
+//!
+//! There is one decode, [`AppMessage::decode`], and every reader uses it:
+//! the µmbox elements and IDS matchers that inspect a packet, the device
+//! that handles it, the attacker and the miner. Its strings borrow the
+//! wire bytes, so inspecting a packet copies no string; a sender that
+//! keeps a message holds an `AppMessage<'static>`.
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use core::fmt;
@@ -57,7 +63,7 @@ impl std::error::Error for CodecError {}
 
 /// Management-plane commands.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub enum MgmtCommand {
+pub enum MgmtCommand<'a> {
     /// Read the device configuration (leaks Wi-Fi creds on real devices).
     GetConfig,
     /// Fetch the current camera image / sensor dump.
@@ -65,7 +71,7 @@ pub enum MgmtCommand {
     /// Change the admin password.
     SetPassword {
         /// The new password.
-        new: String,
+        new: Cow<'a, str>,
     },
     /// Extract embedded key material (the CCTV RSA-key flaw, Table 1 row 4).
     ExtractKeys,
@@ -100,15 +106,15 @@ pub enum ControlAction {
 
 /// Authentication attached to a control request.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub enum ControlAuth {
+pub enum ControlAuth<'a> {
     /// No credentials.
     None,
     /// Username/password.
     Password {
         /// Username.
-        user: String,
+        user: Cow<'a, str>,
         /// Password.
-        pass: String,
+        pass: Cow<'a, str>,
     },
     /// A session token from a prior management login.
     Token(u32),
@@ -151,16 +157,19 @@ pub enum EventKind {
 }
 
 /// One application-layer message.
+///
+/// Its strings are [`Cow`]s: [`AppMessage::decode`] borrows them from the
+/// wire bytes, and a sender holds an `AppMessage<'static>` whose strings
+/// are spelled from a constant (the attacker's dictionary, a campaign's
+/// login) or owned.
 #[derive(Debug, Clone, PartialEq)]
-pub enum AppMessage {
-    /// Login to the management console. The strings are `'static` where
-    /// the sender spells them from a constant (the attacker's dictionary,
-    /// a campaign's login), and owned where they were decoded.
+pub enum AppMessage<'a> {
+    /// Login to the management console.
     MgmtLogin {
         /// Username.
-        user: Cow<'static, str>,
+        user: Cow<'a, str>,
         /// Password.
-        pass: Cow<'static, str>,
+        pass: Cow<'a, str>,
     },
     /// Login accepted; carry `token` in subsequent commands.
     MgmtLoginOk {
@@ -174,13 +183,15 @@ pub enum AppMessage {
         /// Session token (ignored by devices with open management).
         token: u32,
         /// The command.
-        command: MgmtCommand,
+        command: MgmtCommand<'a>,
     },
     /// Result of a management command.
     MgmtResult {
         /// Success flag.
         ok: bool,
-        /// Returned data (image bytes, config, key material...).
+        /// Returned data (image bytes, config, key material...). The one
+        /// field a decode copies out, so a sender shares a frame by
+        /// refcount.
         data: Bytes,
     },
     /// A control-plane actuation request.
@@ -188,7 +199,7 @@ pub enum AppMessage {
         /// The requested action.
         action: ControlAction,
         /// Credentials, if any.
-        auth: ControlAuth,
+        auth: ControlAuth<'a>,
     },
     /// Control acknowledgement.
     ControlAck {
@@ -211,14 +222,14 @@ pub enum AppMessage {
     /// answer anyone).
     DnsQuery {
         /// Queried name.
-        name: String,
+        name: Cow<'a, str>,
         /// Recursion desired.
         recursion: bool,
     },
     /// A DNS response; `answers` scales the wire size (amplification).
     DnsResponse {
         /// Echoed name.
-        name: String,
+        name: Cow<'a, str>,
         /// Resolved address.
         addr: Ipv4Addr,
         /// Number of answer records; each pads the wire by 32 bytes.
@@ -230,125 +241,6 @@ pub enum AppMessage {
         /// The action.
         action: ControlAction,
     },
-}
-
-/// An [`AppMessage`] read in place: its strings and data borrow the wire
-/// bytes. Payload inspectors (the IDS's matchers, the login challenger)
-/// decode this and copy nothing; [`AppMessage::decode`] is this decode
-/// made owned, so the two accept exactly the same payloads.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum MessageRef<'a> {
-    /// [`AppMessage::MgmtLogin`].
-    MgmtLogin {
-        /// Username.
-        user: &'a str,
-        /// Password.
-        pass: &'a str,
-    },
-    /// [`AppMessage::MgmtLoginOk`].
-    MgmtLoginOk {
-        /// Session token.
-        token: u32,
-    },
-    /// [`AppMessage::MgmtDenied`].
-    MgmtDenied,
-    /// [`AppMessage::MgmtCommand`].
-    MgmtCommand {
-        /// Session token.
-        token: u32,
-        /// The command.
-        command: CommandRef<'a>,
-    },
-    /// [`AppMessage::MgmtResult`].
-    MgmtResult {
-        /// Success flag.
-        ok: bool,
-        /// Returned data.
-        data: &'a [u8],
-    },
-    /// [`AppMessage::Control`].
-    Control {
-        /// The requested action.
-        action: ControlAction,
-        /// Credentials, if any.
-        auth: AuthRef<'a>,
-    },
-    /// [`AppMessage::ControlAck`].
-    ControlAck {
-        /// Whether the action was performed.
-        ok: bool,
-    },
-    /// [`AppMessage::Telemetry`].
-    Telemetry {
-        /// What is being reported.
-        kind: TelemetryKind,
-        /// The value.
-        value: f64,
-    },
-    /// [`AppMessage::Event`].
-    Event {
-        /// The event.
-        kind: EventKind,
-    },
-    /// [`AppMessage::DnsQuery`].
-    DnsQuery {
-        /// Queried name.
-        name: &'a str,
-        /// Recursion desired.
-        recursion: bool,
-    },
-    /// [`AppMessage::DnsResponse`].
-    DnsResponse {
-        /// Echoed name.
-        name: &'a str,
-        /// Resolved address.
-        addr: Ipv4Addr,
-        /// Number of answer records.
-        answers: u16,
-    },
-    /// [`AppMessage::CloudCommand`].
-    CloudCommand {
-        /// The action.
-        action: ControlAction,
-    },
-}
-
-/// A [`MgmtCommand`] read in place.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CommandRef<'a> {
-    /// [`MgmtCommand::GetConfig`].
-    GetConfig,
-    /// [`MgmtCommand::GetImage`].
-    GetImage,
-    /// [`MgmtCommand::SetPassword`].
-    SetPassword {
-        /// The new password.
-        new: &'a str,
-    },
-    /// [`MgmtCommand::ExtractKeys`].
-    ExtractKeys,
-    /// [`MgmtCommand::FirmwareDump`].
-    FirmwareDump,
-    /// [`MgmtCommand::Reboot`].
-    Reboot,
-}
-
-/// A [`ControlAuth`] read in place.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AuthRef<'a> {
-    /// [`ControlAuth::None`].
-    None,
-    /// [`ControlAuth::Password`].
-    Password {
-        /// Username.
-        user: &'a str,
-        /// Password.
-        pass: &'a str,
-    },
-    /// [`ControlAuth::Token`].
-    Token(u32),
-    /// [`ControlAuth::Key`].
-    Key(u64),
 }
 
 // ---- tag constants -------------------------------------------------------
@@ -403,7 +295,7 @@ fn put_string(buf: &mut BytesMut, s: &str) {
     buf.put_slice(s.as_bytes());
 }
 
-fn get_str<'a>(buf: &mut &'a [u8]) -> Result<&'a str, CodecError> {
+fn get_str<'a>(buf: &mut &'a [u8]) -> Result<Cow<'a, str>, CodecError> {
     if buf.remaining() < 2 {
         return Err(CodecError::Truncated);
     }
@@ -413,7 +305,7 @@ fn get_str<'a>(buf: &mut &'a [u8]) -> Result<&'a str, CodecError> {
     }
     let s = std::str::from_utf8(&buf[..len]).map_err(|_| CodecError::BadString)?;
     buf.advance(len);
-    Ok(s)
+    Ok(Cow::Borrowed(s))
 }
 
 fn put_bytes(buf: &mut BytesMut, b: &[u8]) {
@@ -434,7 +326,7 @@ fn get_bytes<'a>(buf: &mut &'a [u8]) -> Result<&'a [u8], CodecError> {
     Ok(b)
 }
 
-impl MgmtCommand {
+impl<'a> MgmtCommand<'a> {
     fn encode(&self, buf: &mut BytesMut) {
         match self {
             MgmtCommand::GetConfig => buf.put_u8(0),
@@ -448,34 +340,19 @@ impl MgmtCommand {
             MgmtCommand::Reboot => buf.put_u8(5),
         }
     }
-}
 
-impl<'a> CommandRef<'a> {
-    fn decode(buf: &mut &'a [u8]) -> Result<CommandRef<'a>, CodecError> {
+    fn decode(buf: &mut &'a [u8]) -> Result<MgmtCommand<'a>, CodecError> {
         if buf.remaining() < 1 {
             return Err(CodecError::Truncated);
         }
         match buf.get_u8() {
-            0 => Ok(CommandRef::GetConfig),
-            1 => Ok(CommandRef::GetImage),
-            2 => Ok(CommandRef::SetPassword { new: get_str(buf)? }),
-            3 => Ok(CommandRef::ExtractKeys),
-            4 => Ok(CommandRef::FirmwareDump),
-            5 => Ok(CommandRef::Reboot),
+            0 => Ok(MgmtCommand::GetConfig),
+            1 => Ok(MgmtCommand::GetImage),
+            2 => Ok(MgmtCommand::SetPassword { new: get_str(buf)? }),
+            3 => Ok(MgmtCommand::ExtractKeys),
+            4 => Ok(MgmtCommand::FirmwareDump),
+            5 => Ok(MgmtCommand::Reboot),
             t => Err(CodecError::BadTag(t)),
-        }
-    }
-}
-
-impl From<CommandRef<'_>> for MgmtCommand {
-    fn from(command: CommandRef<'_>) -> MgmtCommand {
-        match command {
-            CommandRef::GetConfig => MgmtCommand::GetConfig,
-            CommandRef::GetImage => MgmtCommand::GetImage,
-            CommandRef::SetPassword { new } => MgmtCommand::SetPassword { new: new.into() },
-            CommandRef::ExtractKeys => MgmtCommand::ExtractKeys,
-            CommandRef::FirmwareDump => MgmtCommand::FirmwareDump,
-            CommandRef::Reboot => MgmtCommand::Reboot,
         }
     }
 }
@@ -538,7 +415,7 @@ impl ControlAction {
     }
 }
 
-impl ControlAuth {
+impl<'a> ControlAuth<'a> {
     fn encode(&self, buf: &mut BytesMut) {
         match self {
             ControlAuth::None => buf.put_u8(0),
@@ -557,42 +434,27 @@ impl ControlAuth {
             }
         }
     }
-}
 
-impl<'a> AuthRef<'a> {
-    fn decode(buf: &mut &'a [u8]) -> Result<AuthRef<'a>, CodecError> {
+    fn decode(buf: &mut &'a [u8]) -> Result<ControlAuth<'a>, CodecError> {
         if buf.remaining() < 1 {
             return Err(CodecError::Truncated);
         }
         match buf.get_u8() {
-            0 => Ok(AuthRef::None),
-            1 => Ok(AuthRef::Password { user: get_str(buf)?, pass: get_str(buf)? }),
+            0 => Ok(ControlAuth::None),
+            1 => Ok(ControlAuth::Password { user: get_str(buf)?, pass: get_str(buf)? }),
             2 => {
                 if buf.remaining() < 4 {
                     return Err(CodecError::Truncated);
                 }
-                Ok(AuthRef::Token(buf.get_u32()))
+                Ok(ControlAuth::Token(buf.get_u32()))
             }
             3 => {
                 if buf.remaining() < 8 {
                     return Err(CodecError::Truncated);
                 }
-                Ok(AuthRef::Key(buf.get_u64()))
+                Ok(ControlAuth::Key(buf.get_u64()))
             }
             t => Err(CodecError::BadTag(t)),
-        }
-    }
-}
-
-impl From<AuthRef<'_>> for ControlAuth {
-    fn from(auth: AuthRef<'_>) -> ControlAuth {
-        match auth {
-            AuthRef::None => ControlAuth::None,
-            AuthRef::Password { user, pass } => {
-                ControlAuth::Password { user: user.into(), pass: pass.into() }
-            }
-            AuthRef::Token(t) => ControlAuth::Token(t),
-            AuthRef::Key(k) => ControlAuth::Key(k),
         }
     }
 }
@@ -643,7 +505,7 @@ fn event_from_u8(v: u8) -> Result<EventKind, CodecError> {
     })
 }
 
-impl AppMessage {
+impl<'a> AppMessage<'a> {
     /// Encode to wire bytes.
     pub fn encode(&self) -> Bytes {
         let mut buf = BytesMut::with_capacity(32);
@@ -707,10 +569,89 @@ impl AppMessage {
         buf.freeze()
     }
 
-    /// Decode from wire bytes: [`MessageRef::decode`], its strings and
-    /// data copied out.
-    pub fn decode(data: &[u8]) -> Result<AppMessage, CodecError> {
-        MessageRef::decode(data).map(AppMessage::from)
+    /// Decode from wire bytes. Every string borrows `data`; only a
+    /// [`AppMessage::MgmtResult`]'s `data` is copied out.
+    pub fn decode(data: &'a [u8]) -> Result<AppMessage<'a>, CodecError> {
+        let mut buf = data;
+        if buf.remaining() < 1 {
+            return Err(CodecError::Truncated);
+        }
+        let tag = buf.get_u8();
+        let msg = match tag {
+            T_MGMT_LOGIN => {
+                AppMessage::MgmtLogin { user: get_str(&mut buf)?, pass: get_str(&mut buf)? }
+            }
+            T_MGMT_LOGIN_OK => {
+                if buf.remaining() < 4 {
+                    return Err(CodecError::Truncated);
+                }
+                AppMessage::MgmtLoginOk { token: buf.get_u32() }
+            }
+            T_MGMT_DENIED => AppMessage::MgmtDenied,
+            T_MGMT_COMMAND => {
+                if buf.remaining() < 4 {
+                    return Err(CodecError::Truncated);
+                }
+                let token = buf.get_u32();
+                AppMessage::MgmtCommand { token, command: MgmtCommand::decode(&mut buf)? }
+            }
+            T_MGMT_RESULT => {
+                if buf.remaining() < 1 {
+                    return Err(CodecError::Truncated);
+                }
+                let ok = buf.get_u8() != 0;
+                AppMessage::MgmtResult { ok, data: Bytes::copy_from_slice(get_bytes(&mut buf)?) }
+            }
+            T_CONTROL => AppMessage::Control {
+                action: ControlAction::decode(&mut buf)?,
+                auth: ControlAuth::decode(&mut buf)?,
+            },
+            T_CONTROL_ACK => {
+                if buf.remaining() < 1 {
+                    return Err(CodecError::Truncated);
+                }
+                AppMessage::ControlAck { ok: buf.get_u8() != 0 }
+            }
+            T_TELEMETRY => {
+                if buf.remaining() < 9 {
+                    return Err(CodecError::Truncated);
+                }
+                let kind = kind_from_u8(buf.get_u8())?;
+                AppMessage::Telemetry { kind, value: buf.get_f64() }
+            }
+            T_EVENT => {
+                if buf.remaining() < 1 {
+                    return Err(CodecError::Truncated);
+                }
+                AppMessage::Event { kind: event_from_u8(buf.get_u8())? }
+            }
+            T_DNS_QUERY => {
+                let name = get_str(&mut buf)?;
+                if buf.remaining() < 1 {
+                    return Err(CodecError::Truncated);
+                }
+                AppMessage::DnsQuery { name, recursion: buf.get_u8() != 0 }
+            }
+            T_DNS_RESPONSE => {
+                let name = get_str(&mut buf)?;
+                if buf.remaining() < 6 {
+                    return Err(CodecError::Truncated);
+                }
+                let mut a = [0u8; 4];
+                a.copy_from_slice(&buf[..4]);
+                buf.advance(4);
+                let answers = buf.get_u16();
+                if buf.remaining() < answers as usize * 32 {
+                    return Err(CodecError::Truncated);
+                }
+                AppMessage::DnsResponse { name, addr: Ipv4Addr(a), answers }
+            }
+            T_CLOUD_COMMAND => {
+                AppMessage::CloudCommand { action: ControlAction::decode(&mut buf)? }
+            }
+            t => return Err(CodecError::BadTag(t)),
+        };
+        Ok(msg)
     }
 
     /// Which protocol plane this message belongs to (decides the
@@ -736,148 +677,56 @@ impl AppMessage {
     }
 }
 
-impl<'a> MessageRef<'a> {
-    /// Decode from wire bytes, borrowing every string and byte field.
-    pub fn decode(data: &'a [u8]) -> Result<MessageRef<'a>, CodecError> {
-        let mut buf = data;
-        if buf.remaining() < 1 {
-            return Err(CodecError::Truncated);
-        }
-        let tag = buf.get_u8();
-        let msg = match tag {
-            T_MGMT_LOGIN => {
-                MessageRef::MgmtLogin { user: get_str(&mut buf)?, pass: get_str(&mut buf)? }
-            }
-            T_MGMT_LOGIN_OK => {
-                if buf.remaining() < 4 {
-                    return Err(CodecError::Truncated);
-                }
-                MessageRef::MgmtLoginOk { token: buf.get_u32() }
-            }
-            T_MGMT_DENIED => MessageRef::MgmtDenied,
-            T_MGMT_COMMAND => {
-                if buf.remaining() < 4 {
-                    return Err(CodecError::Truncated);
-                }
-                let token = buf.get_u32();
-                MessageRef::MgmtCommand { token, command: CommandRef::decode(&mut buf)? }
-            }
-            T_MGMT_RESULT => {
-                if buf.remaining() < 1 {
-                    return Err(CodecError::Truncated);
-                }
-                let ok = buf.get_u8() != 0;
-                MessageRef::MgmtResult { ok, data: get_bytes(&mut buf)? }
-            }
-            T_CONTROL => MessageRef::Control {
-                action: ControlAction::decode(&mut buf)?,
-                auth: AuthRef::decode(&mut buf)?,
-            },
-            T_CONTROL_ACK => {
-                if buf.remaining() < 1 {
-                    return Err(CodecError::Truncated);
-                }
-                MessageRef::ControlAck { ok: buf.get_u8() != 0 }
-            }
-            T_TELEMETRY => {
-                if buf.remaining() < 9 {
-                    return Err(CodecError::Truncated);
-                }
-                let kind = kind_from_u8(buf.get_u8())?;
-                MessageRef::Telemetry { kind, value: buf.get_f64() }
-            }
-            T_EVENT => {
-                if buf.remaining() < 1 {
-                    return Err(CodecError::Truncated);
-                }
-                MessageRef::Event { kind: event_from_u8(buf.get_u8())? }
-            }
-            T_DNS_QUERY => {
-                let name = get_str(&mut buf)?;
-                if buf.remaining() < 1 {
-                    return Err(CodecError::Truncated);
-                }
-                MessageRef::DnsQuery { name, recursion: buf.get_u8() != 0 }
-            }
-            T_DNS_RESPONSE => {
-                let name = get_str(&mut buf)?;
-                if buf.remaining() < 6 {
-                    return Err(CodecError::Truncated);
-                }
-                let mut a = [0u8; 4];
-                a.copy_from_slice(&buf[..4]);
-                buf.advance(4);
-                let answers = buf.get_u16();
-                if buf.remaining() < answers as usize * 32 {
-                    return Err(CodecError::Truncated);
-                }
-                MessageRef::DnsResponse { name, addr: Ipv4Addr(a), answers }
-            }
-            T_CLOUD_COMMAND => {
-                MessageRef::CloudCommand { action: ControlAction::decode(&mut buf)? }
-            }
-            t => return Err(CodecError::BadTag(t)),
-        };
-        Ok(msg)
-    }
-}
-
-impl From<MessageRef<'_>> for AppMessage {
-    fn from(msg: MessageRef<'_>) -> AppMessage {
-        match msg {
-            MessageRef::MgmtLogin { user, pass } => {
-                AppMessage::MgmtLogin { user: user.to_owned().into(), pass: pass.to_owned().into() }
-            }
-            MessageRef::MgmtLoginOk { token } => AppMessage::MgmtLoginOk { token },
-            MessageRef::MgmtDenied => AppMessage::MgmtDenied,
-            MessageRef::MgmtCommand { token, command } => {
-                AppMessage::MgmtCommand { token, command: command.into() }
-            }
-            MessageRef::MgmtResult { ok, data } => {
-                AppMessage::MgmtResult { ok, data: Bytes::copy_from_slice(data) }
-            }
-            MessageRef::Control { action, auth } => {
-                AppMessage::Control { action, auth: auth.into() }
-            }
-            MessageRef::ControlAck { ok } => AppMessage::ControlAck { ok },
-            MessageRef::Telemetry { kind, value } => AppMessage::Telemetry { kind, value },
-            MessageRef::Event { kind } => AppMessage::Event { kind },
-            MessageRef::DnsQuery { name, recursion } => {
-                AppMessage::DnsQuery { name: name.into(), recursion }
-            }
-            MessageRef::DnsResponse { name, addr, answers } => {
-                AppMessage::DnsResponse { name: name.into(), addr, answers }
-            }
-            MessageRef::CloudCommand { action } => AppMessage::CloudCommand { action },
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use proptest::prelude::*;
 
+    /// `msg` survives encode → decode, and every strict prefix of its
+    /// encoding is refused.
     fn round_trip(msg: AppMessage) {
         let wire = msg.encode();
-        let back = AppMessage::decode(&wire).unwrap();
-        assert_eq!(msg, back);
+        assert_eq!(AppMessage::decode(&wire), Ok(msg));
+        for cut in 0..wire.len() {
+            assert!(AppMessage::decode(&wire[..cut]).is_err(), "cut to {cut} bytes decoded");
+        }
     }
 
     #[test]
-    fn a_borrowed_decode_reads_the_wire_in_place() {
-        let wire = AppMessage::MgmtLogin { user: "admin".into(), pass: "hunter2".into() }.encode();
-        let Ok(MessageRef::MgmtLogin { user, pass }) = MessageRef::decode(&wire) else {
-            panic!("a login decodes as one");
-        };
-        assert_eq!((user, pass), ("admin", "hunter2"));
-        let span = wire.as_ptr_range();
-        assert!(span.contains(&user.as_ptr()) && span.contains(&pass.as_ptr()), "copied out");
-        // The owned decode is the borrowed one made owned, error for error.
-        for cut in 0..wire.len() {
-            let owned = AppMessage::decode(&wire[..cut]);
-            assert_eq!(owned, MessageRef::decode(&wire[..cut]).map(AppMessage::from));
-            assert!(owned.is_err(), "a login cut to {cut} bytes decoded");
+    fn decode_reads_every_string_in_place() {
+        let pass = |new: &'static str| MgmtCommand::SetPassword { new: new.into() };
+        let creds = ControlAuth::Password { user: "u".into(), pass: "p".into() };
+        for msg in [
+            AppMessage::MgmtLogin { user: "admin".into(), pass: "hunter2".into() },
+            AppMessage::MgmtCommand { token: 3, command: pass("hunter3") },
+            AppMessage::Control { action: ControlAction::Open, auth: creds },
+            AppMessage::DnsQuery { name: "evil.example".into(), recursion: true },
+            AppMessage::DnsResponse {
+                name: "x.example".into(),
+                addr: Ipv4Addr::new(1, 2, 3, 4),
+                answers: 2,
+            },
+        ] {
+            let wire = msg.encode();
+            let back = AppMessage::decode(&wire).unwrap();
+            assert_eq!(back, msg);
+            let strings = match &back {
+                AppMessage::MgmtLogin { user, pass }
+                | AppMessage::Control { auth: ControlAuth::Password { user, pass }, .. } => {
+                    vec![user, pass]
+                }
+                AppMessage::MgmtCommand { command: MgmtCommand::SetPassword { new }, .. } => {
+                    vec![new]
+                }
+                AppMessage::DnsQuery { name, .. } | AppMessage::DnsResponse { name, .. } => {
+                    vec![name]
+                }
+                other => panic!("{other:?} carries no string"),
+            };
+            for s in strings {
+                let Cow::Borrowed(b) = s else { panic!("{s:?} copied out") };
+                assert!(wire.as_ptr_range().contains(&b.as_ptr()), "{b:?} points outside the wire");
+            }
         }
     }
 
@@ -964,11 +813,13 @@ mod tests {
         ]
     }
 
-    fn arb_auth() -> impl Strategy<Value = ControlAuth> {
+    fn arb_auth() -> impl Strategy<Value = ControlAuth<'static>> {
         prop_oneof![
             Just(ControlAuth::None),
-            ("[a-z]{0,8}", "[ -~]{0,12}")
-                .prop_map(|(user, pass)| ControlAuth::Password { user, pass }),
+            ("[a-z]{0,8}", "[ -~]{0,12}").prop_map(|(user, pass)| ControlAuth::Password {
+                user: user.into(),
+                pass: pass.into()
+            }),
             any::<u32>().prop_map(ControlAuth::Token),
             any::<u64>().prop_map(ControlAuth::Key),
         ]
@@ -1007,7 +858,7 @@ mod tests {
         #[test]
         fn prop_dns_round_trip(name in "[a-z.]{1,30}", answers in 0u16..100) {
             round_trip(AppMessage::DnsResponse {
-                name, addr: Ipv4Addr::new(9, 9, 9, 9), answers,
+                name: name.into(), addr: Ipv4Addr::new(9, 9, 9, 9), answers,
             });
         }
     }

@@ -5,7 +5,7 @@
 //! honeypots cannot cover) and carries an executable [`Matcher`] the IDS
 //! µmbox evaluates against wire packets.
 
-use iotdev::proto::{ports, tag, AuthRef, MessageRef};
+use iotdev::proto::{ports, tag, AppMessage, ControlAuth};
 use iotdev::registry::Sku;
 use iotnet::packet::{PackedHeaders, Packet};
 use std::cell::OnceCell;
@@ -71,28 +71,28 @@ impl Matcher {
     pub fn matches_decoded<'p>(
         &self,
         pkt: &'p Packet,
-        decoded: &OnceCell<Option<MessageRef<'p>>>,
+        decoded: &OnceCell<Option<AppMessage<'p>>>,
     ) -> bool {
-        let msg = || *decoded.get_or_init(|| MessageRef::decode(&pkt.payload).ok());
+        let msg = || decoded.get_or_init(|| AppMessage::decode(&pkt.payload).ok()).as_ref();
         match self {
             Matcher::DefaultCredLogin { user, pass } => matches!(
                 msg(),
-                Some(MessageRef::MgmtLogin { user: u, pass: p }) if u == user && p == pass
+                Some(AppMessage::MgmtLogin { user: u, pass: p }) if u == user && p == pass
             ),
             Matcher::MgmtFromExternal => {
                 pkt.transport.dst_port() == ports::MGMT && !pkt.ip.src.is_private()
             }
             Matcher::KeyAuthControl { key } => matches!(
                 msg(),
-                Some(MessageRef::Control { auth: AuthRef::Key(k), .. }) if k == *key
+                Some(AppMessage::Control { auth: ControlAuth::Key(k), .. }) if k == key
             ),
             Matcher::UnauthenticatedControl => {
-                matches!(msg(), Some(MessageRef::Control { auth: AuthRef::None, .. }))
+                matches!(msg(), Some(AppMessage::Control { auth: ControlAuth::None, .. }))
             }
-            Matcher::CloudCommand => matches!(msg(), Some(MessageRef::CloudCommand { .. })),
+            Matcher::CloudCommand => matches!(msg(), Some(AppMessage::CloudCommand { .. })),
             Matcher::RecursiveDnsFromExternal => {
                 !pkt.ip.src.is_private()
-                    && matches!(msg(), Some(MessageRef::DnsQuery { recursion: true, .. }))
+                    && matches!(msg(), Some(AppMessage::DnsQuery { recursion: true, .. }))
             }
             Matcher::PayloadContains(needle) => {
                 !needle.is_empty() && pkt.payload.windows(needle.len()).any(|w| w == &needle[..])
@@ -114,7 +114,7 @@ impl Matcher {
 
     /// The cheapest necessary condition for this matcher — the IDS runs it
     /// against the packed header words and the first payload byte before
-    /// paying for a [`MessageRef`] decode. See [`Prefilter`].
+    /// paying for an [`AppMessage::decode`]. See [`Prefilter`].
     pub fn prefilter(&self) -> Prefilter {
         match self {
             Matcher::DefaultCredLogin { .. } => Prefilter::Tag(tag::MGMT_LOGIN),
@@ -239,7 +239,7 @@ impl AttackSignature {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use iotdev::proto::{AppMessage, ControlAction, ControlAuth};
+    use iotdev::proto::ControlAction;
     use iotnet::addr::{Ipv4Addr, MacAddr};
     use iotnet::packet::TransportHeader;
 

@@ -32,7 +32,7 @@ use crate::topology::{PortTarget, Topology};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::any::Any;
-use trace::{MetricsRegistry, Tracer};
+use trace::Tracer;
 
 /// A packet delivered to an endpoint.
 #[derive(Debug, Clone)]
@@ -220,7 +220,7 @@ impl Network {
         // plus inter-switch hops, so a steady state never grows it (the
         // E21 and `alloc_counter` pins rest on this). Generous by
         // measurement: a defended p24 home peaks at 50 pending of the 156
-        // reserved, a fleet home at 3 of 64 (`net.queue_peak`).
+        // reserved, a fleet home at 3 of 64 (`Network::queue_peak`).
         let in_flight = (topo.endpoint_count() * 4 + topo.switch_count() * 2).max(64);
         let mut net = Network {
             topo,
@@ -437,30 +437,6 @@ impl Network {
     /// `(lookups, hits)`.
     pub fn cache_stats(&self) -> (u64, u64) {
         self.switches.iter().fold((0, 0), |(l, h), s| (l + s.cache_lookups, h + s.cache_hits))
-    }
-
-    /// Fold the network's scattered counters into a metrics registry
-    /// under `net.*` names.
-    pub fn export_metrics(&self, reg: &mut MetricsRegistry) {
-        reg.counter("net.sent", self.stats.sent);
-        reg.counter("net.delivered", self.stats.delivered);
-        reg.counter("net.dropped_policy", self.stats.dropped_policy);
-        reg.counter("net.dropped_loss", self.stats.dropped_loss);
-        reg.counter("net.dropped_inline", self.stats.dropped_inline);
-        reg.counter("net.steered", self.stats.steered);
-        reg.counter("net.mirrored", self.stats.mirrored);
-        reg.counter("net.nic_filtered", self.stats.nic_filtered);
-        reg.counter("net.events_processed", self.events_processed());
-        // Tickets that went through the event engine: a counted flood copy
-        // is the one simulated event that takes none.
-        reg.counter("net.events_queued", self.events_processed() - self.stats.nic_filtered);
-        reg.gauge("net.queue_peak", self.queue_peak as f64);
-        let (lookups, hits) = self.cache_stats();
-        reg.counter("net.cache_lookups", lookups);
-        reg.counter("net.cache_hits", hits);
-        for sw in &self.switches {
-            reg.counter("net.rx_packets", sw.rx_packets);
-        }
     }
 
     fn handle_at_switch(&mut self, at: SimTime, sw: SwitchId, in_port: PortNo, pkt: Packet) {
@@ -734,10 +710,8 @@ mod tests {
         assert_eq!(net.stats.nic_filtered, 1);
         // Three events were simulated — one hop up, two copies down — and
         // the discarded copy is the one that took no ticket.
-        let mut reg = MetricsRegistry::new();
-        net.export_metrics(&mut reg);
-        assert_eq!(reg.get("net.events_processed"), Some(trace::MetricValue::Counter(3)));
-        assert_eq!(reg.get("net.events_queued"), Some(trace::MetricValue::Counter(2)));
+        assert_eq!(net.events_processed(), 3);
+        assert_eq!(net.events_processed() - net.stats.nic_filtered, 2);
         // The switch learned a's port from that frame: the reply is
         // unicast and no further copy reaches the bystander.
         net.send(c, net.now(), pkt_between(&net, c, a, b"back"));

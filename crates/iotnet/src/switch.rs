@@ -92,8 +92,6 @@ pub struct Switch {
     cache: WordMap<(PortNo, PackedFlowKey), CachedDecision>,
     /// Flow-table epoch the cache was filled against.
     cache_epoch: u64,
-    /// Packets processed.
-    pub rx_packets: u64,
     /// Packets dropped by policy.
     pub policy_drops: u64,
     /// Decision-cache lookups (one per processed packet).
@@ -116,7 +114,6 @@ impl Switch {
             mac_table: WordMap::default(),
             cache: WordMap::default(),
             cache_epoch: 0,
-            rx_packets: 0,
             policy_drops: 0,
             cache_lookups: 0,
             cache_hits: 0,
@@ -136,7 +133,6 @@ impl Switch {
         self.mac_table.clear();
         self.cache.clear();
         self.cache_epoch = 0;
-        self.rx_packets = 0;
         self.policy_drops = 0;
         self.cache_lookups = 0;
         self.cache_hits = 0;
@@ -176,7 +172,6 @@ impl Switch {
     /// lending the decision from the cache it is kept in — a repeated
     /// flood is forwarded off the cached port list, not a copy of it.
     pub fn decide(&mut self, now: SimTime, in_port: PortNo, packet: &Packet) -> &SwitchDecision {
-        self.rx_packets += 1;
         if !packet.eth.src.is_multicast() && self.learn(packet.eth.src, in_port) {
             // A new or moved station changes what `Normal` forwarding does.
             self.cache.clear();

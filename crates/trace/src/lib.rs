@@ -1,4 +1,4 @@
-//! `trace` — deterministic structured tracing and unified metrics.
+//! `trace` — deterministic structured tracing.
 //!
 //! The paper's control loop (Fig. 2) only works because the controller
 //! can *observe* the enforcement path; this crate is the reproduction's
@@ -28,8 +28,6 @@
 //!   rendering.
 //! * [`tracer`] — the zero-cost-when-disabled emission handle and the
 //!   class-masked buffer behind it.
-//! * [`registry`] — [`registry::MetricsRegistry`]: named, typed metrics
-//!   with a stable name-sorted snapshot.
 //! * [`aggregate`] — in-process trace aggregation (per-component event
 //!   histograms, top-K hot switches/µmboxes) for `experiments --trace`.
 //! * [`diff`] — first-divergence reporting for golden-trace tests.
@@ -43,12 +41,10 @@ pub mod aggregate;
 pub mod diff;
 pub mod digest;
 pub mod event;
-pub mod registry;
 pub mod tracer;
 
 pub use aggregate::TraceAggregator;
 pub use diff::{first_divergence, render_divergence, Divergence};
 pub use digest::Fnv64;
 pub use event::{EventClass, TraceEvent};
-pub use registry::{MetricValue, MetricsRegistry};
 pub use tracer::{TraceConfig, Tracer};

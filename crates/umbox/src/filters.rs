@@ -4,7 +4,7 @@
 use crate::element::{costs, Element, ElementOutcome};
 use iotdev::device::DeviceId;
 use iotdev::events::{SecurityEvent, SecurityEventKind};
-use iotdev::proto::{ports, ControlAction, MessageRef};
+use iotdev::proto::{ports, AppMessage, ControlAction};
 use iotnet::packet::Packet;
 use iotnet::time::SimTime;
 use iotpolicy::posture::BlockClass;
@@ -26,30 +26,30 @@ impl BlockFilter {
     }
 
     fn blocks(&self, packet: &Packet) -> bool {
-        let msg = MessageRef::decode(&packet.payload).ok();
+        let msg = AppMessage::decode(&packet.payload).ok();
         match self.class {
             BlockClass::All => true,
             BlockClass::Actuation => {
-                matches!(msg, Some(MessageRef::Control { .. } | MessageRef::CloudCommand { .. }))
+                matches!(msg, Some(AppMessage::Control { .. } | AppMessage::CloudCommand { .. }))
             }
             BlockClass::OpenVerbs => matches!(
                 msg,
-                Some(MessageRef::Control {
+                Some(AppMessage::Control {
                     action: ControlAction::Open | ControlAction::Unlock,
                     ..
-                }) | Some(MessageRef::CloudCommand {
+                }) | Some(AppMessage::CloudCommand {
                     action: ControlAction::Open | ControlAction::Unlock,
                 })
             ),
             BlockClass::OnVerbs => matches!(
                 msg,
-                Some(MessageRef::Control { action: ControlAction::TurnOn, .. })
-                    | Some(MessageRef::CloudCommand { action: ControlAction::TurnOn })
+                Some(AppMessage::Control { action: ControlAction::TurnOn, .. })
+                    | Some(AppMessage::CloudCommand { action: ControlAction::TurnOn })
             ),
             BlockClass::Cloud => packet.transport.dst_port() == ports::CLOUD,
             BlockClass::DnsResponses => {
                 packet.transport.dst_port() == ports::DNS
-                    && matches!(msg, Some(MessageRef::DnsQuery { recursion: true, .. }))
+                    && matches!(msg, Some(AppMessage::DnsQuery { recursion: true, .. }))
                     && !packet.ip.src.is_private()
             }
         }
@@ -192,7 +192,7 @@ impl Element for MirrorTap {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use iotdev::proto::{AppMessage, ControlAuth};
+    use iotdev::proto::ControlAuth;
     use iotnet::addr::{Ipv4Addr, MacAddr};
     use iotnet::packet::TransportHeader;
 
@@ -207,11 +207,11 @@ mod tests {
         )
     }
 
-    fn open_msg() -> AppMessage {
+    fn open_msg() -> AppMessage<'static> {
         AppMessage::Control { action: ControlAction::Open, auth: ControlAuth::None }
     }
 
-    fn close_msg() -> AppMessage {
+    fn close_msg() -> AppMessage<'static> {
         AppMessage::Control { action: ControlAction::Close, auth: ControlAuth::None }
     }
 

@@ -12,7 +12,7 @@ use crate::element::{costs, Element, ElementOutcome, ViewHandle};
 use iotdev::device::DeviceId;
 use iotdev::env::EnvVar;
 use iotdev::events::{SecurityEvent, SecurityEventKind};
-use iotdev::proto::MessageRef;
+use iotdev::proto::AppMessage;
 use iotnet::packet::Packet;
 use iotnet::time::SimTime;
 
@@ -46,8 +46,8 @@ impl ContextGate {
     /// while the Figure 5 "ON only when someone is home" policy holds.
     fn is_gated_actuation(packet: &Packet) -> bool {
         use iotdev::proto::ControlAction::*;
-        match MessageRef::decode(&packet.payload) {
-            Ok(MessageRef::Control { action, .. }) | Ok(MessageRef::CloudCommand { action }) => {
+        match AppMessage::decode(&packet.payload) {
+            Ok(AppMessage::Control { action, .. }) | Ok(AppMessage::CloudCommand { action }) => {
                 matches!(action, TurnOn | Open | Unlock)
             }
             _ => false,

@@ -10,7 +10,7 @@
 use crate::element::{costs, Element, ElementOutcome};
 use iotdev::device::DeviceId;
 use iotdev::events::{SecurityEvent, SecurityEventKind};
-use iotdev::proto::{ports, MessageRef};
+use iotdev::proto::{ports, AppMessage};
 use iotlearn::signature::{AttackSignature, Prefilter};
 use iotnet::packet::Packet;
 use iotnet::time::{SimDuration, SimTime};
@@ -98,8 +98,8 @@ impl DnsGuard {
 impl Element for DnsGuard {
     fn process(&mut self, now: SimTime, packet: Packet) -> ElementOutcome {
         if packet.transport.dst_port() == ports::DNS {
-            if let Ok(MessageRef::DnsQuery { recursion: true, .. }) =
-                MessageRef::decode(&packet.payload)
+            if let Ok(AppMessage::DnsQuery { recursion: true, .. }) =
+                AppMessage::decode(&packet.payload)
             {
                 // Reflection queries carry a spoofed (victim) source,
                 // which is almost never on this LAN.
@@ -122,7 +122,6 @@ impl Element for DnsGuard {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use iotdev::proto::AppMessage;
     use iotdev::registry::Sku;
     use iotlearn::signature::{Matcher, Severity};
     use iotnet::addr::{Ipv4Addr, MacAddr};

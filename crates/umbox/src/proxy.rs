@@ -12,12 +12,12 @@
 use crate::element::{costs, Element, ElementOutcome};
 use iotdev::device::{AdminCreds, DeviceId};
 use iotdev::events::{SecurityEvent, SecurityEventKind};
-use iotdev::proto::{ports, AppMessage, AuthRef, MessageRef};
+use iotdev::proto::{ports, AppMessage, ControlAuth};
 use iotnet::packet::{Packet, TransportHeader};
 use iotnet::time::SimTime;
 
 /// Build a denial the proxy sends on the device's behalf.
-fn reply_for(original: &Packet, msg: AppMessage) -> Packet {
+fn reply_for(original: &Packet, msg: AppMessage<'_>) -> Packet {
     let transport = match original.transport {
         TransportHeader::Tcp { src_port, dst_port, .. } => {
             TransportHeader::tcp(dst_port, src_port, 0, Default::default())
@@ -79,7 +79,7 @@ impl PasswordProxy {
         user == self.required.user && pass == self.required.pass
     }
 
-    fn deny(&mut self, now: SimTime, packet: &Packet, msg: AppMessage) -> ElementOutcome {
+    fn deny(&mut self, now: SimTime, packet: &Packet, msg: AppMessage<'_>) -> ElementOutcome {
         let event = SecurityEvent::new(now, self.device, SecurityEventKind::AuthFailureBurst)
             .from_remote(packet.ip.src);
         let total_blocked = self.blocked_logins + self.blocked_commands + self.blocked_controls;
@@ -96,9 +96,9 @@ impl PasswordProxy {
 
 impl Element for PasswordProxy {
     fn process(&mut self, now: SimTime, packet: Packet) -> ElementOutcome {
-        match (packet.transport.dst_port(), MessageRef::decode(&packet.payload)) {
-            (ports::MGMT, Ok(MessageRef::MgmtLogin { user, pass })) => {
-                if self.creds_ok(user, pass) {
+        match (packet.transport.dst_port(), AppMessage::decode(&packet.payload)) {
+            (ports::MGMT, Ok(AppMessage::MgmtLogin { user, pass })) => {
+                if self.creds_ok(&user, &pass) {
                     self.authorized.insert(packet.ip.src);
                     ElementOutcome::pass(packet, costs::PROXY)
                 } else {
@@ -106,7 +106,7 @@ impl Element for PasswordProxy {
                     self.deny(now, &packet, AppMessage::MgmtDenied)
                 }
             }
-            (ports::MGMT, Ok(MessageRef::MgmtCommand { .. })) => {
+            (ports::MGMT, Ok(AppMessage::MgmtCommand { .. })) => {
                 if self.authorized.contains(&packet.ip.src) {
                     ElementOutcome::pass(packet, costs::PROXY)
                 } else {
@@ -114,9 +114,9 @@ impl Element for PasswordProxy {
                     self.deny(now, &packet, AppMessage::MgmtDenied)
                 }
             }
-            (ports::CONTROL, Ok(MessageRef::Control { auth, .. })) => {
+            (ports::CONTROL, Ok(AppMessage::Control { auth, .. })) => {
                 let ok = match auth {
-                    AuthRef::Password { user, pass } => self.creds_ok(user, pass),
+                    ControlAuth::Password { user, pass } => self.creds_ok(&user, &pass),
                     _ => self.authorized.contains(&packet.ip.src),
                 };
                 if ok {
@@ -160,7 +160,7 @@ impl Element for LoginChallenger {
         if packet.transport.dst_port() != ports::MGMT {
             return ElementOutcome::pass(packet, costs::FILTER);
         }
-        if matches!(MessageRef::decode(&packet.payload), Ok(MessageRef::MgmtLogin { .. }))
+        if matches!(AppMessage::decode(&packet.payload), Ok(AppMessage::MgmtLogin { .. }))
             && !self.cleared.contains(&packet.ip.src)
         {
             let reply = reply_for(&packet, AppMessage::MgmtDenied);
@@ -200,8 +200,8 @@ mod tests {
         let mut proxy = PasswordProxy::new(DeviceId(0), AdminCreds::new("owner", "Str0ng!"));
         let out = proxy.process(SimTime::ZERO, login_pkt("admin", "admin"));
         assert!(out.packet.is_none(), "default creds must not reach the device");
-        let reply = AppMessage::decode(&out.reply.unwrap().payload).unwrap();
-        assert_eq!(reply, AppMessage::MgmtDenied);
+        let reply = out.reply.unwrap();
+        assert_eq!(AppMessage::decode(&reply.payload), Ok(AppMessage::MgmtDenied));
         assert_eq!(proxy.blocked_logins, 1);
     }
 

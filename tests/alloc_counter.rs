@@ -181,16 +181,16 @@ fn world_construction_allocation_profile() {
     idle_ticks_are_allocation_free();
 
     // 10. The per-event sites (DESIGN.md §6, "Allocation discipline"): a
-    // message that fits a `Bytes` inline is encoded without the
-    // allocator, the IDS decodes a packet once however many signatures
+    // message that fits a `Bytes` inline is encoded and decoded without
+    // the allocator, the IDS decodes a packet once however many signatures
     // want to look at it, and a flood the switch has decided before is
     // forwarded off the list its decision cache already holds.
-    short_messages_encode_without_allocating();
+    short_messages_encode_and_decode_without_allocating();
     ids_decodes_a_packet_once();
     cached_flood_replays_without_allocating();
 }
 
-fn short_messages_encode_without_allocating() {
+fn short_messages_encode_and_decode_without_allocating() {
     use iotsec_repro::iotdev::proto::{
         AppMessage, ControlAction, ControlAuth, EventKind, MgmtCommand, TelemetryKind,
     };
@@ -203,7 +203,10 @@ fn short_messages_encode_without_allocating() {
         AppMessage::MgmtLoginOk { token: 7 },
         AppMessage::MgmtDenied,
         AppMessage::MgmtCommand { token: 7, command: MgmtCommand::GetImage },
-        AppMessage::MgmtCommand { token: 7, command: MgmtCommand::SetPassword { new: pass() } },
+        AppMessage::MgmtCommand {
+            token: 7,
+            command: MgmtCommand::SetPassword { new: pass().into() },
+        },
         AppMessage::MgmtResult {
             ok: true,
             data: 0x5eed_c0de_5eed_c0de_u64.to_be_bytes().to_vec().into(),
@@ -213,7 +216,7 @@ fn short_messages_encode_without_allocating() {
         AppMessage::Control { action: ControlAction::TurnOff, auth: ControlAuth::Key(u64::MAX) },
         AppMessage::Control {
             action: ControlAction::Open,
-            auth: ControlAuth::Password { user: user(), pass: pass() },
+            auth: ControlAuth::Password { user: user().into(), pass: pass().into() },
         },
         AppMessage::ControlAck { ok: true },
         AppMessage::Telemetry { kind: TelemetryKind::Power, value: 21.0 },
@@ -230,7 +233,11 @@ fn short_messages_encode_without_allocating() {
         let (allocs, wire) = allocs_during(|| msg.encode());
         assert!(wire.len() <= 30, "{msg:?} is {} bytes on the wire", wire.len());
         assert_eq!(allocs, 0, "encoding {msg:?} ({} bytes) allocated", wire.len());
-        assert_eq!(AppMessage::decode(&wire).as_ref(), Ok(msg));
+        // The decode borrows every string from the wire, and an inline
+        // payload's data is copied into an inline `Bytes`.
+        let (allocs, back) = allocs_during(|| AppMessage::decode(&wire));
+        assert_eq!(allocs, 0, "decoding {msg:?} ({} bytes) allocated", wire.len());
+        assert_eq!(back.as_ref(), Ok(msg));
     }
     // Past 30 bytes a payload is shared, not inline: one allocation, the
     // `Arc`, whether or not the builder had to spill on the way.

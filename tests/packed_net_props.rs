@@ -1105,7 +1105,6 @@ proptest! {
             prop_assert_eq!(sw.cache_lookups, model.lookups);
             prop_assert_eq!(sw.cache_hits, model.hits);
             prop_assert_eq!(sw.policy_drops, model.policy_drops);
-            prop_assert_eq!(sw.rx_packets, model.lookups);
             prop_assert_eq!(sw.table.misses, model.table.misses);
             let hits = |t: &FlowTable| t.iter().map(|(_, hits)| hits).collect::<Vec<_>>();
             prop_assert_eq!(hits(&sw.table), hits(&model.table));

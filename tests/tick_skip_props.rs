@@ -5,9 +5,11 @@
 //! `run` calls, with the state a test may poke between them poked.
 //!
 //! "Indistinguishable" is everything a caller can read: the packet-level
-//! trace stream line for line, the report, the metrics registry, the
-//! clock, every environment float bit for bit, what the gates read of
-//! it, each camera's next image, the network counters. Where `run`
+//! trace stream line for line, the report, the clock and the ticks it
+//! simulated, every environment float bit for bit, what the gates read
+//! of it, each camera's next image, the network counters, queue peak and
+//! decision-cache counts. Only the executed-tick count is *meant* to
+//! differ, and it is bounded on its own. Where `run`
 //! executes fewer ticks than it simulates, this file is the licence;
 //! where it executes all of them (both sides step), it passes trivially.
 
@@ -62,25 +64,6 @@ fn intel_for(template: &Deployment) -> Vec<AttackSignature> {
         .collect()
 }
 
-/// `export_metrics().render()` without the executed-tick count: the one
-/// line that is *meant* to differ between a world that ran and a world
-/// that was stepped.
-fn metrics_of(w: &World) -> String {
-    w.export_metrics()
-        .render()
-        .lines()
-        .filter(|l| !l.contains("world.ticks_executed"))
-        .collect::<Vec<_>>()
-        .join("\n")
-}
-
-/// The executed-tick count, where the world reports one.
-fn ticks_executed(w: &World) -> Option<u64> {
-    let text = w.export_metrics().render();
-    let line = text.lines().find(|l| l.contains("world.ticks_executed"))?;
-    line.split_whitespace().last()?.parse().ok()
-}
-
 fn env_bits(e: &Environment) -> (Vec<u64>, [bool; 5], u32) {
     (
         [
@@ -120,17 +103,20 @@ fn observe(w: &World, devices: usize) -> String {
         .collect();
     let gates = EnvVar::ALL.map(|var| w.gate_view().get(var));
     format!(
-        "clock={:?}\nenv={:?}\ngates={gates:?}\nstats={:?}\nevents={} pending={} done={} victim={}\n\
-         report={:?}\nmetrics=\n{}\ndevices={devices:#?}",
+        "clock={:?} ticks={}\nenv={:?}\ngates={gates:?}\nstats={:?}\n\
+         events={} peak={} cache={:?} pending={} done={} victim={}\n\
+         report={:?}\ndevices={devices:#?}",
         w.clock,
+        w.ticks_simulated(),
         env_bits(&w.env),
         w.net.stats,
         w.net.events_processed(),
+        w.net.queue_peak(),
+        w.net.cache_stats(),
         w.net.has_pending(),
         w.attack_done(),
         w.victim_bytes(),
         w.report(),
-        metrics_of(w),
     )
 }
 
@@ -234,16 +220,13 @@ fn check_segments(
         }
         let n = d.devices.len();
         assert_eq!(observe(&ran, n), observe(&stepped, n), "{at}: state diverged");
-        if let (Some(run_ticks), Some(step_ticks)) =
-            (ticks_executed(&ran), ticks_executed(&stepped))
-        {
-            assert!(run_ticks <= step_ticks, "{at}: ran {run_ticks} ticks of {step_ticks}");
-            assert_eq!(
-                step_ticks,
-                stepped.clock.as_nanos() / d.tick.as_nanos(),
-                "{at}: a stepped world executes every tick it simulates"
-            );
-        }
+        let (run_ticks, step_ticks) = (ran.ticks_executed(), stepped.ticks_executed());
+        assert!(run_ticks <= step_ticks, "{at}: ran {run_ticks} ticks of {step_ticks}");
+        assert_eq!(
+            step_ticks,
+            stepped.clock.as_nanos() / d.tick.as_nanos(),
+            "{at}: a stepped world executes every tick it simulates"
+        );
     }
     ran
 }
@@ -493,9 +476,8 @@ fn rebound_and_run_equals_cold_and_stepped() {
                 // The first tick of a rebound home is executed, whatever
                 // the previous home left the machine believing.
                 resident.run(template.tick);
-                if let Some(executed) = ticks_executed(&resident) {
-                    assert_eq!(executed, 1, "{label} leg {leg}: first tick after a rebind");
-                }
+                let executed = resident.ticks_executed();
+                assert_eq!(executed, 1, "{label} leg {leg}: first tick after a rebind");
                 resident.run_until_attack_done(horizon_of(&label));
                 let overrides = HomeOverrides { seed, extra_signatures: intel };
                 let mut cold = World::new_home(&template, &overrides);
@@ -619,9 +601,8 @@ fn check_crossings(
     let n = d.devices.len();
     assert_eq!(observe(&ran, n), observe(&stepped, n), "{label}: one run over the horizon");
     assert_eq!(hub_inbox(&ran), hub_inbox(&stepped), "{label}: what the hub was told, and when");
-    if let Some(executed) = ticks_executed(&ran) {
-        assert!(executed * 2 < ticks, "{label}: {executed} of {ticks} ticks executed");
-    }
+    let executed = ran.ticks_executed();
+    assert!(executed * 2 < ticks, "{label}: {executed} of {ticks} ticks executed");
     for ((name, probe), at) in probes.iter().zip(crossed) {
         let at = at.unwrap_or_else(|| panic!("{label}: {name} never happened"));
         assert!(at > 1, "{label}: {name} holds from the start");

@@ -103,12 +103,23 @@ impl Link {
     /// Attempt to transmit `wire_bits` at time `now`.
     ///
     /// Returns `Some(delivery_time)` if the packet survives, `None` if it
-    /// is lost or the link is down. The transmitter
-    /// queue is advanced either way only on success.
+    /// is lost or the link is down. Only a carried frame advances the
+    /// transmitter queue; a lost one leaves it where it was.
     pub fn transmit<R: Rng>(
         &mut self,
         now: SimTime,
         wire_bits: u64,
+        rng: &mut R,
+    ) -> Option<SimTime> {
+        self.transmit_frame(now, &mut WireFrame::new(wire_bits), rng)
+    }
+
+    /// [`Link::transmit`] of a frame whose serialization time may already
+    /// be known at this link's bandwidth.
+    pub(crate) fn transmit_frame<R: Rng>(
+        &mut self,
+        now: SimTime,
+        frame: &mut WireFrame,
         rng: &mut R,
     ) -> Option<SimTime> {
         if !self.up {
@@ -121,8 +132,7 @@ impl Link {
             return None;
         }
         let start = now.max(self.tx_free_at);
-        let ser = SimDuration::transmission(wire_bits, self.params.bandwidth_bps);
-        let done_tx = start + ser;
+        let done_tx = start + frame.serialization(self.params.bandwidth_bps);
         self.tx_free_at = done_tx;
         self.carried += 1;
         Some(done_tx + self.params.latency)
@@ -136,6 +146,35 @@ impl Link {
     /// Bring the link back up.
     pub(crate) fn repair(&mut self) {
         self.up = true;
+    }
+}
+
+/// One frame's size on the wire, with its serialization time at the last
+/// bandwidth it was asked for: the copies of one flood leave over runs of
+/// ports with one bandwidth, so the time is computed once per run rather
+/// than once per port.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct WireFrame {
+    bits: u64,
+    /// `(bandwidth_bps, serialization time)`, once computed.
+    ser: Option<(u64, SimDuration)>,
+}
+
+impl WireFrame {
+    /// A frame of `bits` bits, no serialization time computed yet.
+    pub(crate) fn new(bits: u64) -> WireFrame {
+        WireFrame { bits, ser: None }
+    }
+
+    fn serialization(&mut self, bandwidth_bps: u64) -> SimDuration {
+        match self.ser {
+            Some((bps, ser)) if bps == bandwidth_bps => ser,
+            _ => {
+                let ser = SimDuration::transmission(self.bits, bandwidth_bps);
+                self.ser = Some((bandwidth_bps, ser));
+                ser
+            }
+        }
     }
 }
 

@@ -24,9 +24,10 @@ use crate::capture::Capture;
 use crate::engine::EventQueue;
 use crate::flow::{FlowRule, SteerId};
 use crate::hash::WordMap;
+use crate::link::WireFrame;
 use crate::packet::Packet;
 use crate::stats::NetStats;
-use crate::switch::{Switch, SwitchDecision};
+use crate::switch::{Ports, Switch, SwitchDecision};
 use crate::time::{SimDuration, SimTime};
 use crate::topology::{PortTarget, Topology};
 use rand::rngs::StdRng;
@@ -440,108 +441,107 @@ impl Network {
     }
 
     fn handle_at_switch(&mut self, at: SimTime, sw: SwitchId, in_port: PortNo, pkt: Packet) {
-        let Network { topo, switches, queue, nic_discards, steer, capture, rng, stats, .. } = self;
-        let switch = &mut switches[sw.0 as usize];
-        let mut wires = Wires { topo, queue, nic_discards, rng, stats };
-        match switch.decide(at, in_port, &pkt) {
+        match self.switches[sw.0 as usize].process_at(at, in_port, &pkt) {
             SwitchDecision::Drop => {
-                wires.stats.dropped_policy += 1;
+                self.stats.dropped_policy += 1;
             }
             SwitchDecision::Output(ports) => {
-                wires.forward_out(at, sw, ports, pkt);
+                self.forward_out(at, sw, in_port, ports, pkt);
             }
             SwitchDecision::MirrorAnd(ports) => {
-                wires.stats.mirrored += 1;
-                capture.record(at, pkt.clone());
-                wires.forward_out(at, sw, ports, pkt);
+                self.stats.mirrored += 1;
+                self.capture.record(at, pkt.clone());
+                self.forward_out(at, sw, in_port, ports, pkt);
             }
-            &SwitchDecision::Steer(id) => {
-                wires.stats.steered += 1;
-                let Some(handle) = steer.get_mut(&id) else {
+            SwitchDecision::Steer(id) => {
+                self.stats.steered += 1;
+                let Some(handle) = self.steer.get_mut(&id) else {
                     // Steer rule with no registered µmbox: fail closed, as
                     // the paper's security posture demands.
-                    wires.stats.dropped_policy += 1;
+                    self.stats.dropped_policy += 1;
                     return;
                 };
                 let verdict = handle.processor.process(at, pkt);
-                let delay = handle.detour + verdict.latency;
+                let resume_at = at + handle.detour + verdict.latency;
                 if verdict.forward.is_empty() {
-                    wires.stats.dropped_inline += 1;
+                    self.stats.dropped_inline += 1;
                 }
-                let resume_at = at + delay;
                 for out in verdict.forward {
                     // Resume with normal forwarding (not a table re-lookup)
                     // so the steer rule cannot loop on its own output.
-                    let ports = switch.normal_ports(in_port, &out);
-                    wires.forward_out(resume_at, sw, &ports, out);
+                    let ports = self.switches[sw.0 as usize].normal(in_port, &out);
+                    self.forward_out(resume_at, sw, in_port, ports, out);
                 }
             }
         }
     }
-}
 
-/// What a frame leaving a switch touches — every part of the [`Network`]
-/// but the switches, so a port list can be forwarded while the switch
-/// that decided it still owns it.
-struct Wires<'a> {
-    topo: &'a mut Topology,
-    queue: &'a mut EventQueue<NetEvent>,
-    nic_discards: &'a mut Vec<SimTime>,
-    rng: &'a mut StdRng,
-    stats: &'a mut NetStats,
-}
-
-impl Wires<'_> {
-    /// Put one copy of `pkt` on the wire of every port in `ports`, in
-    /// order. The last port takes the packet itself, so a single-port
-    /// (learned unicast) hop clones nothing.
-    fn forward_out(&mut self, at: SimTime, sw: SwitchId, ports: &[PortNo], pkt: Packet) {
-        let Some((&last, rest)) = ports.split_last() else {
-            return;
-        };
-        let (bits, dst) = (pkt.wire_bits(), pkt.eth.dst);
-        for &port in rest {
-            self.forward_port(at, sw, port, bits, dst, || pkt.clone());
-        }
-        self.forward_port(at, sw, last, bits, dst, || pkt);
-    }
-
-    /// Transmit one copy of a frame addressed to `dst` out of `port` and
-    /// schedule its arrival. `frame` is called only when the far end will
-    /// look at the packet. Endpoint MACs are fixed when the topology is
-    /// built, so the sending switch already knows which NICs will discard
-    /// their copy: such a copy is transmitted like any other, and then
-    /// only its arrival time is kept (`nic_discards`).
-    fn forward_port(
+    /// Put one copy of `pkt`, which reached switch `sw` on `in_port`, on
+    /// the wire of every port `ports` names, in port order: one loop over
+    /// the switch's port table, in which a single port is a flood of one.
+    ///
+    /// Each port's link transmits its copy (the loss draw, the queue, the
+    /// counters) before anything else about the copy is decided. Endpoint
+    /// MACs are fixed when the topology is built, so the switch already
+    /// knows which NICs will discard their copy: of such a copy only the
+    /// arrival time is kept (`nic_discards`). The copies that are kept —
+    /// for a switch, or for a NIC that accepts them — are scheduled in
+    /// port order, each one once the next is known, so the last takes the
+    /// packet itself and a learned-unicast hop clones nothing.
+    fn forward_out(
         &mut self,
         at: SimTime,
         sw: SwitchId,
-        port: PortNo,
-        bits: u64,
-        dst: MacAddr,
-        frame: impl FnOnce() -> Packet,
+        in_port: PortNo,
+        ports: Ports,
+        pkt: Packet,
     ) {
-        let Some((target, out)) = self.topo.port_out(sw, port) else {
-            return;
-        };
-        let Some(t) = self.topo.link_at(out).transmit(at, bits, self.rng) else {
-            self.stats.dropped_loss += 1;
-            return;
-        };
-        let ev = match target {
-            PortTarget::Switch(sw, in_port) => NetEvent::AtSwitch { sw, in_port, pkt: frame() },
-            PortTarget::Endpoint(ep) if dst == self.topo.endpoint(ep).mac || dst.is_broadcast() => {
-                NetEvent::AtEndpoint { ep, pkt: frame() }
+        let Network { topo, queue, nic_discards, rng, stats, .. } = self;
+        let mut table = topo.port_table(sw);
+        let all = table.ports;
+        let (before, after) = match ports {
+            Ports::None => return,
+            Ports::One(p) => (all.get(usize::from(p.0)..=usize::from(p.0)).unwrap_or(&[]), &[][..]),
+            Ports::Flood => {
+                let (before, from_ingress) = all.split_at(all.len().min(usize::from(in_port.0)));
+                (before, from_ingress.get(1..).unwrap_or(&[]))
             }
-            PortTarget::Endpoint(_) => {
-                // `t` is past the pop being handled, so `schedule` would
-                // not have clamped it.
-                self.nic_discards.push(t);
-                return;
-            }
-            PortTarget::Unwired => unreachable!("port_out yields wired ports only"),
         };
-        self.queue.schedule(t, ev);
+        let dst = pkt.eth.dst;
+        let mut frame = WireFrame::new(pkt.wire_bits());
+        let mut kept: Option<(SimTime, PortTarget)> = None;
+        for port in before.iter().chain(after) {
+            let Some(t) = table.link(port).transmit_frame(at, &mut frame, rng) else {
+                stats.dropped_loss += 1;
+                continue;
+            };
+            match port.target {
+                PortTarget::Endpoint(ep) if dst != table.mac_of(ep) && !dst.is_broadcast() => {
+                    // `t` is past the pop being handled, so `schedule`
+                    // would not have clamped it.
+                    nic_discards.push(t);
+                }
+                target => {
+                    if let Some((t, target)) = kept.replace((t, target)) {
+                        queue.schedule(t, NetEvent::arrival(target, pkt.clone()));
+                    }
+                }
+            }
+        }
+        if let Some((t, target)) = kept {
+            queue.schedule(t, NetEvent::arrival(target, pkt));
+        }
+    }
+}
+
+impl NetEvent {
+    /// A frame's arrival at what a switch port is wired to.
+    fn arrival(target: PortTarget, pkt: Packet) -> NetEvent {
+        match target {
+            PortTarget::Switch(sw, in_port) => NetEvent::AtSwitch { sw, in_port, pkt },
+            PortTarget::Endpoint(ep) => NetEvent::AtEndpoint { ep, pkt },
+            PortTarget::Unwired => unreachable!("the builder adds a port only by wiring it"),
+        }
     }
 }
 
@@ -550,10 +550,12 @@ mod tests {
     use super::*;
     use crate::addr::NodeId;
     use crate::flow::{FlowAction, FlowMatch};
-    use crate::link::LinkParams;
+    use crate::link::{Link, LinkParams};
     use crate::packet::TransportHeader;
     use crate::topology::TopologyBuilder;
     use bytes::Bytes;
+    use proptest::prelude::*;
+    use rand::Rng;
 
     fn two_host_net() -> (Network, EndpointId, EndpointId, SwitchId) {
         let mut b = TopologyBuilder::new();
@@ -768,6 +770,171 @@ mod tests {
         assert_eq!(d.len(), 10);
         for w in d.windows(2) {
             assert!(w[0].at <= w[1].at);
+        }
+    }
+
+    /// One port of the flooding switch of the fan-out licence:
+    /// `(switch-bound?, bandwidth class)`, `(latency class, fault)`.
+    type PortSpec = ((bool, u8), (u8, u8));
+
+    /// Switch 0 with one port per spec, in order: a switch-bound port
+    /// wires a new switch, any other an endpoint. Fault 1 makes the wire
+    /// lossy, 2 fails it and 3 starts a loss burst on it; any other
+    /// leaves it clean.
+    fn fan_out_net(spec: &[PortSpec]) -> Network {
+        let mut b = TopologyBuilder::new();
+        let sw = b.add_switch();
+        let mut peers = Vec::new();
+        for &((to_switch, bw), (lat, fault)) in spec {
+            let params = LinkParams {
+                latency: [
+                    SimDuration::ZERO,
+                    SimDuration::from_micros(100),
+                    SimDuration::from_millis(2),
+                ][usize::from(lat % 3)],
+                bandwidth_bps: [0, u64::MAX, 1_000_000_000, 50_000_000][usize::from(bw % 4)],
+                loss: if fault == 1 { 0.3 } else { 0.0 },
+            };
+            peers.push(if to_switch {
+                let peer = b.add_switch();
+                b.connect_switches(sw, peer, params);
+                NodeId::Switch(peer)
+            } else {
+                NodeId::Endpoint(b.attach_endpoint(sw, params))
+            });
+        }
+        let mut net = Network::new(b.build(), 11);
+        for (&(_, (_, fault)), &peer) in spec.iter().zip(&peers) {
+            match fault {
+                2 => net.topo.fail_wire(NodeId::Switch(sw), peer),
+                3 => net.topo.set_wire_burst_loss(NodeId::Switch(sw), peer, Some(0.5)),
+                _ => {}
+            }
+        }
+        net
+    }
+
+    /// The fan-out stated port by port: the decision's port list, then
+    /// one [`Link::transmit`] per port in port order. Returns the kept
+    /// copies as `(arrival, target)` in the order they are to be
+    /// scheduled.
+    fn reference_fan_out(
+        net: &mut Network,
+        at: SimTime,
+        sw: SwitchId,
+        in_port: PortNo,
+        ports: Ports,
+        pkt: &Packet,
+    ) -> Vec<(SimTime, PortTarget)> {
+        let list: Vec<PortNo> = match ports {
+            Ports::None => Vec::new(),
+            Ports::One(p) => vec![p],
+            Ports::Flood => {
+                (0..net.topo.ports_of(sw)).map(PortNo).filter(|&p| p != in_port).collect()
+            }
+        };
+        let mut kept = Vec::new();
+        for port in list {
+            let Some((target, out)) = net.topo.port_out(sw, port) else {
+                continue;
+            };
+            let Some(t) = net.topo.link_at(out).transmit(at, pkt.wire_bits(), &mut net.rng) else {
+                net.stats.dropped_loss += 1;
+                continue;
+            };
+            match target {
+                PortTarget::Endpoint(ep)
+                    if pkt.eth.dst != net.topo.endpoint(ep).mac && !pkt.eth.dst.is_broadcast() =>
+                {
+                    net.nic_discards.push(t);
+                }
+                target => kept.push((t, target)),
+            }
+        }
+        kept
+    }
+
+    proptest! {
+        /// The fan-out licence: forwarding a decision over the switch's
+        /// port table is the reference's port-by-port loop — every link's
+        /// state, the loss RNG, the discard tally, the counters, and which
+        /// copies are kept for whom, in the order they pop — on random
+        /// wirings with switch-bound ports, failed and bursting wires,
+        /// bandwidths of 0 and `u64::MAX`, one-port switches, ingress
+        /// anywhere, and broadcast, unknown and learned destinations.
+        #[test]
+        fn fan_out_is_one_transmit_per_port_in_port_order(
+            spec in prop::collection::vec(
+                ((0u8..4, 0u8..4), (0u8..3, 0u8..6)).prop_map(|((peer, bw), lat_fault)| {
+                    ((peer == 0, bw), lat_fault)
+                }),
+                1..10,
+            ),
+            // Per frame: (ingress selector, port selector), (destination
+            // kind, decision kind), send time in ns.
+            frames in prop::collection::vec(
+                ((0u16..4, 0u16..16), (0u8..4, 0u8..3), 0u64..3_000_000),
+                1..6,
+            ),
+        ) {
+            let (mut net, mut reference) = (fan_out_net(&spec), fan_out_net(&spec));
+            let sw = SwitchId(0);
+            let n = net.topo.ports_of(sw);
+            let mut want = Vec::new();
+            for ((ingress, pick), (dst_kind, decision), at) in frames {
+                let in_port = PortNo(match ingress {
+                    0 => 0,
+                    1 => n - 1,
+                    _ => pick % n,
+                });
+                // One past the last port names a port the switch lacks.
+                let out = PortNo(pick % (n + 1));
+                let dst = match dst_kind {
+                    0 => MacAddr::BROADCAST,
+                    1 => MacAddr::from_index(10_000),
+                    2 => MacAddr([0x01, 0x00, 0x5e, 0, 0, 1]),
+                    _ => match net.topo.port_target(sw, out) {
+                        PortTarget::Endpoint(ep) => net.topo.endpoint(ep).mac,
+                        _ => MacAddr::from_index(10_000),
+                    },
+                };
+                let ports = match decision {
+                    0 => Ports::Flood,
+                    1 => Ports::One(out),
+                    _ => Ports::None,
+                };
+                let pkt = Packet::new(
+                    MacAddr::from_index(20_000),
+                    dst,
+                    Ipv4Addr::new(10, 0, 0, 1),
+                    Ipv4Addr::new(10, 0, 0, 2),
+                    TransportHeader::udp(1000, 80),
+                    Bytes::from_static(b"fan-out"),
+                );
+                let at = SimTime::from_nanos(at);
+                net.forward_out(at, sw, in_port, ports, pkt.clone());
+                want.extend(reference_fan_out(&mut reference, at, sw, in_port, ports, &pkt));
+            }
+            for (from, to) in net.topo.wires() {
+                let (got, exp) = (net.topo.link(from, to), reference.topo.link(from, to));
+                let counts = |l: Option<&Link>| l.map(|l| (l.carried, l.dropped));
+                prop_assert_eq!(counts(got), counts(exp));
+                prop_assert_eq!(format!("{got:?}"), format!("{exp:?}"));
+            }
+            prop_assert_eq!(net.rng.next_u64(), reference.rng.next_u64());
+            prop_assert_eq!(&net.nic_discards, &reference.nic_discards);
+            prop_assert_eq!(net.stats, reference.stats);
+            // Nothing was popped, so nothing was clamped: the queue pops
+            // the kept copies in time order, ties in the order scheduled.
+            want.sort_by_key(|&(t, _)| t);
+            let mut got = Vec::new();
+            while let Some((t, ev)) = net.queue.pop() {
+                got.push(match ev {
+                    NetEvent::AtSwitch { sw, in_port, .. } => (t, PortTarget::Switch(sw, in_port)),
+                    NetEvent::AtEndpoint { ep, .. } => (t, PortTarget::Endpoint(ep)),
+                });
+            }
+            prop_assert_eq!(got, want);
         }
     }
 }

@@ -8,11 +8,12 @@
 //!
 //! Two things keep per-packet work off the hot loop:
 //!
-//! * Port lists are [`PortList`]s (inline up to 8 ports) — a unicast
-//!   output never allocates. A flood wider than that does, once: a
-//!   38-port home floods 37 ports, so computing the decision reserves the
-//!   list at its exact size and moves it into the decision cache, and
-//!   [`Switch::decide`] lends every repeat the cached list.
+//! * A decision names its output as [`Ports`] — nowhere, one port, or a
+//!   flood ("every port but the ingress, in port order") — never as a
+//!   list of ports, so a [`SwitchDecision`] is `Copy` and a cached one,
+//!   its rule included, is three words. Deciding a 37-port flood costs
+//!   what deciding a unicast does; the network fans a flood out over
+//!   the switch's port table ([`Network`]).
 //! * A flow-decision cache memoizes the full `(in_port, flow key)` →
 //!   decision mapping, skipping the linear table scan for repeat flows.
 //!   The key is the two-word [`PackedFlowKey`] — every packet field a
@@ -24,11 +25,13 @@
 //!   exactly what the slow path would have computed. Rule hit / miss
 //!   counters are still updated on cache hits, keeping every counter
 //!   byte-identical to an uncached run. A miss scans the table with
-//!   [`FlowTable::lookup_index`].
+//!   [`FlowTable::lookup_index`]. Neither a miss nor the wipe a learned
+//!   station causes touches the allocator.
 //!
 //! Both tables are bounded: the hasher is unkeyed and [`Network::send`]
 //! takes any frame, so neither may grow with what arrives.
 //!
+//! [`Network`]: crate::net::Network
 //! [`Network::send`]: crate::net::Network::send
 
 use crate::addr::{MacAddr, PortNo, SwitchId};
@@ -36,12 +39,20 @@ use crate::flow::{FlowAction, FlowRule, FlowTable, PackedFlowKey};
 use crate::hash::WordMap;
 use crate::packet::Packet;
 use crate::time::SimTime;
-use smallvec::SmallVec;
 use std::collections::hash_map::Entry;
 use trace::{TraceEvent, Tracer};
 
-/// An output port list, inline (allocation-free) up to 8 ports.
-pub type PortList = SmallVec<PortNo, 8>;
+/// The ports a forwarding decision sends a packet out of.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Ports {
+    /// None: the destination was learned on the ingress port, so the
+    /// frame is already on the right segment.
+    None,
+    /// This one port.
+    One(PortNo),
+    /// Every port of the switch but the ingress, in port order.
+    Flood,
+}
 
 /// Decisions cached per switch before the cache is wiped and refilled.
 /// Sized for the workspace's scenarios (tens of devices × a few flows
@@ -55,20 +66,20 @@ const DECISION_CACHE_CAP: usize = 1024;
 const MAC_TABLE_CAP: usize = 4096;
 
 /// Forwarding decision produced by a switch for one packet.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SwitchDecision {
-    /// Send out these ports (normal forwarding may flood several).
-    Output(PortList),
+    /// Send out these ports (normal forwarding may flood).
+    Output(Ports),
     /// Drop.
     Drop,
     /// Divert to the inline processor with this steer id; the network layer
     /// resumes forwarding with the processor's output packets.
     Steer(crate::flow::SteerId),
     /// Mirror to the capture/controller channel and also output normally.
-    MirrorAnd(PortList),
+    MirrorAnd(Ports),
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 struct CachedDecision {
     /// The matched rule's index (`None` = table miss), replayed into the
     /// table's hit/miss counters on every cache hit.
@@ -162,16 +173,8 @@ impl Switch {
     /// Process a packet arriving on `in_port` at `now`: learn the source
     /// MAC, then apply the flow table (falling back to `Normal` on a
     /// miss). `now` is the sim-time key for trace emission (cache
-    /// hit/miss, policy drop). An owned copy of what [`Switch::decide`]
-    /// lends.
+    /// hit/miss, policy drop).
     pub fn process_at(&mut self, now: SimTime, in_port: PortNo, packet: &Packet) -> SwitchDecision {
-        self.decide(now, in_port, packet).clone()
-    }
-
-    /// Decide what happens to a packet arriving on `in_port` at `now`,
-    /// lending the decision from the cache it is kept in — a repeated
-    /// flood is forwarded off the cached port list, not a copy of it.
-    pub fn decide(&mut self, now: SimTime, in_port: PortNo, packet: &Packet) -> &SwitchDecision {
         if !packet.eth.src.is_multicast() && self.learn(packet.eth.src, in_port) {
             // A new or moved station changes what `Normal` forwarding does.
             self.cache.clear();
@@ -188,34 +191,34 @@ impl Switch {
             self.cache.clear();
         }
         let at = now.as_nanos();
-        let cached = match self.cache.entry(key) {
+        let CachedDecision { rule, decision } = match self.cache.entry(key) {
             Entry::Occupied(hit) => {
                 self.cache_hits += 1;
                 self.tracer.emit(at, TraceEvent::CacheHit { switch: self.id.0 });
-                hit.into_mut()
+                *hit.get()
             }
             Entry::Vacant(miss) => {
                 self.tracer.emit(at, TraceEvent::CacheMiss { switch: self.id.0 });
                 let rule = self.table.lookup_index(in_port, packet);
-                let normal = || normal_ports(&self.mac_table, self.n_ports, in_port, packet);
+                let normal = || normal(&self.mac_table, in_port, packet);
                 let decision = match rule.map_or(FlowAction::Normal, |i| self.table.rule(i).action)
                 {
                     FlowAction::Drop => SwitchDecision::Drop,
-                    FlowAction::Output(p) => SwitchDecision::Output(PortList::from_slice(&[p])),
+                    FlowAction::Output(p) => SwitchDecision::Output(Ports::One(p)),
                     FlowAction::Steer(id) => SwitchDecision::Steer(id),
                     FlowAction::Mirror => SwitchDecision::MirrorAnd(normal()),
                     FlowAction::Normal => SwitchDecision::Output(normal()),
                 };
-                miss.insert(CachedDecision { rule, decision })
+                *miss.insert(CachedDecision { rule, decision })
             }
         };
         // Hit or miss, the counters move as the table scan moves them.
-        self.table.record(cached.rule);
-        if cached.decision == SwitchDecision::Drop {
+        self.table.record(rule);
+        if decision == SwitchDecision::Drop {
             self.policy_drops += 1;
             self.tracer.emit(at, TraceEvent::PolicyDrop { switch: self.id.0 });
         }
-        &cached.decision
+        decision
     }
 
     /// Record that `mac` was heard on `port`; whether that is news.
@@ -236,32 +239,25 @@ impl Switch {
         }
     }
 
-    /// Normal (learning L2) forwarding: known unicast goes out its learned
-    /// port; unknown unicast and broadcast flood all ports except ingress.
-    pub(crate) fn normal_ports(&self, in_port: PortNo, packet: &Packet) -> PortList {
-        normal_ports(&self.mac_table, self.n_ports, in_port, packet)
+    /// Normal (learning L2) forwarding of a packet arriving on `in_port`.
+    pub(crate) fn normal(&self, in_port: PortNo, packet: &Packet) -> Ports {
+        normal(&self.mac_table, in_port, packet)
     }
 }
 
-/// [`Switch::normal_ports`] over the two fields it reads, for
-/// [`Switch::decide`] to call while it holds a slot of the cache.
-fn normal_ports(
-    mac_table: &WordMap<MacAddr, PortNo>,
-    n_ports: u16,
-    in_port: PortNo,
-    packet: &Packet,
-) -> PortList {
-    if !packet.eth.dst.is_multicast() {
-        if let Some(&p) = mac_table.get(&packet.eth.dst) {
-            if p == in_port {
-                return PortList::new(); // already on the right segment
-            }
-            return PortList::from_slice(&[p]);
-        }
+/// [`Switch::normal`] over the one field it reads, for
+/// [`Switch::process_at`] to call while it holds a slot of the cache:
+/// known unicast goes out its learned port; unknown unicast and
+/// broadcast flood.
+fn normal(mac_table: &WordMap<MacAddr, PortNo>, in_port: PortNo, packet: &Packet) -> Ports {
+    if packet.eth.dst.is_multicast() {
+        return Ports::Flood;
     }
-    let mut flood = PortList::with_capacity(usize::from(n_ports).saturating_sub(1));
-    flood.extend((0..n_ports).map(PortNo).filter(|p| *p != in_port));
-    flood
+    match mac_table.get(&packet.eth.dst) {
+        Some(&p) if p == in_port => Ports::None,
+        Some(&p) => Ports::One(p),
+        None => Ports::Flood,
+    }
 }
 
 #[cfg(test)]
@@ -271,10 +267,6 @@ mod tests {
     use crate::flow::{FlowMatch, SteerId};
     use crate::packet::TransportHeader;
     use bytes::Bytes;
-
-    fn ports(ps: &[PortNo]) -> PortList {
-        PortList::from_slice(ps)
-    }
 
     fn pkt(src_mac: MacAddr, dst_mac: MacAddr) -> Packet {
         Packet::new(
@@ -294,13 +286,13 @@ mod tests {
         let b = MacAddr::from_index(2);
         // Unknown destination floods.
         let d = sw.process_at(SimTime::ZERO, PortNo(0), &pkt(a, b));
-        assert_eq!(d, SwitchDecision::Output(ports(&[PortNo(1), PortNo(2), PortNo(3)])));
+        assert_eq!(d, SwitchDecision::Output(Ports::Flood));
         // b replies from port 2; now a is known on port 0.
         let d = sw.process_at(SimTime::ZERO, PortNo(2), &pkt(b, a));
-        assert_eq!(d, SwitchDecision::Output(ports(&[PortNo(0)])));
+        assert_eq!(d, SwitchDecision::Output(Ports::One(PortNo(0))));
         // And b is now known on port 2.
         let d = sw.process_at(SimTime::ZERO, PortNo(0), &pkt(a, b));
-        assert_eq!(d, SwitchDecision::Output(ports(&[PortNo(2)])));
+        assert_eq!(d, SwitchDecision::Output(Ports::One(PortNo(2))));
         assert_eq!(sw.learned_port(a), Some(PortNo(0)));
     }
 
@@ -311,7 +303,7 @@ mod tests {
         let b = MacAddr::from_index(2);
         sw.process_at(SimTime::ZERO, PortNo(1), &pkt(b, a)); // learn b on port 1
         let d = sw.process_at(SimTime::ZERO, PortNo(1), &pkt(a, b)); // b is back out the ingress port
-        assert_eq!(d, SwitchDecision::Output(ports(&[])));
+        assert_eq!(d, SwitchDecision::Output(Ports::None));
     }
 
     #[test]
@@ -322,7 +314,7 @@ mod tests {
             PortNo(1),
             &pkt(MacAddr::from_index(1), MacAddr::BROADCAST),
         );
-        assert_eq!(d, SwitchDecision::Output(ports(&[PortNo(0), PortNo(2)])));
+        assert_eq!(d, SwitchDecision::Output(Ports::Flood));
     }
 
     #[test]
@@ -346,10 +338,10 @@ mod tests {
         assert_eq!(sw.process_at(SimTime::ZERO, PortNo(0), &p), SwitchDecision::Steer(SteerId(7)));
         sw.table.clear();
         sw.install(FlowRule::new(10, FlowMatch::any(), FlowAction::Mirror));
-        match sw.process_at(SimTime::ZERO, PortNo(0), &p) {
-            SwitchDecision::MirrorAnd(ports) => assert!(!ports.is_empty()),
-            other => panic!("expected mirror, got {other:?}"),
-        }
+        assert_eq!(
+            sw.process_at(SimTime::ZERO, PortNo(0), &p),
+            SwitchDecision::MirrorAnd(Ports::Flood)
+        );
     }
 
     #[test]
@@ -362,7 +354,7 @@ mod tests {
         assert_eq!(sw.cache_hits, 0);
         let d = sw.process_at(SimTime::ZERO, PortNo(0), &p); // warm
         assert_eq!(sw.cache_hits, 1);
-        assert_eq!(d, SwitchDecision::Output(ports(&[PortNo(1), PortNo(2), PortNo(3)])));
+        assert_eq!(d, SwitchDecision::Output(Ports::Flood));
         // Counters advance on cache hits exactly as on table scans.
         assert_eq!(sw.table.misses, 2);
     }
@@ -390,7 +382,7 @@ mod tests {
         // b appears on port 2: learning must invalidate the cached flood.
         sw.process_at(SimTime::ZERO, PortNo(2), &pkt(b, a));
         let d = sw.process_at(SimTime::ZERO, PortNo(0), &pkt(a, b));
-        assert_eq!(d, SwitchDecision::Output(ports(&[PortNo(2)])));
+        assert_eq!(d, SwitchDecision::Output(Ports::One(PortNo(2))));
     }
 
     #[test]
@@ -402,7 +394,7 @@ mod tests {
         // While `known` is in the table, frames for it are unicast.
         assert_eq!(
             sw.process_at(SimTime::ZERO, PortNo(0), &stranger(0)),
-            SwitchDecision::Output(ports(&[PortNo(3)]))
+            SwitchDecision::Output(Ports::One(PortNo(3)))
         );
         for i in 1..10_000 {
             sw.process_at(SimTime::ZERO, PortNo(0), &stranger(i));
@@ -412,31 +404,31 @@ mod tests {
         // The overflow forgot it, cached decisions with it: unknown
         // unicast floods...
         assert_eq!(sw.learned_port(known), None);
-        let flood = ports(&[PortNo(1), PortNo(2), PortNo(3)]);
         assert_eq!(
             sw.process_at(SimTime::ZERO, PortNo(0), &stranger(0)),
-            SwitchDecision::Output(flood)
+            SwitchDecision::Output(Ports::Flood)
         );
         // ...until the station is heard from again.
         sw.process_at(SimTime::ZERO, PortNo(3), &pkt(known, MacAddr::BROADCAST));
         assert_eq!(sw.learned_port(known), Some(PortNo(3)));
         assert_eq!(
             sw.process_at(SimTime::ZERO, PortNo(0), &stranger(0)),
-            SwitchDecision::Output(ports(&[PortNo(3)]))
+            SwitchDecision::Output(Ports::One(PortNo(3)))
         );
     }
 
     #[test]
-    fn decide_lends_what_process_returns() {
-        let mut sw = Switch::new(SwitchId(0), 38);
+    fn a_flood_is_one_decision_however_wide() {
         let p = pkt(MacAddr::from_index(1), MacAddr::from_index(2));
-        let owned = sw.process_at(SimTime::ZERO, PortNo(0), &p);
-        assert_eq!(*sw.decide(SimTime::ZERO, PortNo(0), &p), owned);
-        assert_eq!((sw.cache_lookups, sw.cache_hits), (2, 1));
-        match owned {
-            SwitchDecision::Output(flood) => assert_eq!(flood.len(), 37),
-            other => panic!("expected a flood, got {other:?}"),
+        for n_ports in [1, 4, 38, u16::MAX] {
+            let mut sw = Switch::new(SwitchId(0), n_ports);
+            let cold = sw.process_at(SimTime::ZERO, PortNo(0), &p);
+            assert_eq!(cold, SwitchDecision::Output(Ports::Flood));
+            assert_eq!(sw.process_at(SimTime::ZERO, PortNo(0), &p), cold);
+            assert_eq!((sw.cache_lookups, sw.cache_hits), (2, 1));
         }
+        // Rule and decision: three words, whatever the flood's width.
+        assert!(std::mem::size_of::<CachedDecision>() <= 3 * std::mem::size_of::<u64>());
     }
 
     #[test]

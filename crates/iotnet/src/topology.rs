@@ -22,8 +22,8 @@ pub(crate) struct LinkIx(u32);
 
 /// A switch port: what it is wired to and the link leaving through it.
 #[derive(Debug, Clone, Copy)]
-struct Port {
-    target: PortTarget,
+pub(crate) struct Port {
+    pub(crate) target: PortTarget,
     out: LinkIx,
 }
 
@@ -32,6 +32,28 @@ struct Port {
 struct Attachment {
     info: EndpointInfo,
     uplink: LinkIx,
+}
+
+/// One switch's wiring, as a frame leaving it walks it: its ports in port
+/// order, and every link and endpoint a port may name
+/// ([`Topology::port_table`]).
+pub(crate) struct PortTable<'a> {
+    /// The switch's ports; port `i` is `ports[i]`.
+    pub(crate) ports: &'a [Port],
+    links: &'a mut [Link],
+    endpoints: &'a [Attachment],
+}
+
+impl PortTable<'_> {
+    /// The link leaving through `port`.
+    pub(crate) fn link(&mut self, port: &Port) -> &mut Link {
+        &mut self.links[port.out.0 as usize]
+    }
+
+    /// The MAC address of an endpoint a port is wired to.
+    pub(crate) fn mac_of(&self, ep: EndpointId) -> MacAddr {
+        self.endpoints[ep.0 as usize].info.mac
+    }
 }
 
 /// What a switch port is wired to.
@@ -109,6 +131,17 @@ impl Topology {
     pub(crate) fn port_out(&self, sw: SwitchId, port: PortNo) -> Option<(PortTarget, LinkIx)> {
         let p = self.switch_ports.get(sw.0 as usize)?.get(port.0 as usize)?;
         Some((p.target, p.out))
+    }
+
+    /// Switch `sw`'s port table: its ports, with the links and endpoints
+    /// they name borrowed beside them so a flood can write each port's
+    /// link while it reads the next port.
+    pub(crate) fn port_table(&mut self, sw: SwitchId) -> PortTable<'_> {
+        PortTable {
+            ports: &self.switch_ports[sw.0 as usize],
+            links: &mut self.links,
+            endpoints: &self.endpoints,
+        }
     }
 
     /// The link from an endpoint towards its first-hop switch.

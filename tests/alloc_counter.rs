@@ -183,11 +183,11 @@ fn world_construction_allocation_profile() {
     // 10. The per-event sites (DESIGN.md §6, "Allocation discipline"): a
     // message that fits a `Bytes` inline is encoded and decoded without
     // the allocator, the IDS decodes a packet once however many signatures
-    // want to look at it, and a flood the switch has decided before is
-    // forwarded off the list its decision cache already holds.
+    // want to look at it, and a flood decision is a word, not a list of
+    // 37 ports, so deciding one allocates nothing, cached or not.
     short_messages_encode_and_decode_without_allocating();
     ids_decodes_a_packet_once();
-    cached_flood_replays_without_allocating();
+    a_flood_decision_allocates_nothing();
 }
 
 fn short_messages_encode_and_decode_without_allocating() {
@@ -294,33 +294,42 @@ fn ids_decodes_a_packet_once() {
     assert_eq!(one, 0, "a login's strings are read in place, not copied out of the payload");
 }
 
-fn cached_flood_replays_without_allocating() {
+fn a_flood_decision_allocates_nothing() {
     use iotsec_repro::iotnet::addr::{Ipv4Addr, MacAddr, PortNo, SwitchId};
     use iotsec_repro::iotnet::packet::{Packet, TransportHeader};
-    use iotsec_repro::iotnet::switch::{Switch, SwitchDecision};
+    use iotsec_repro::iotnet::switch::{Ports, Switch, SwitchDecision};
     use iotsec_repro::iotnet::time::SimTime;
 
-    // The p24 home's switch: 38 ports, so a flood is 37 — past the eight
-    // a port list holds inline.
+    // The p24 home's switch: 38 ports, so a flood leaves on 37.
     let mut sw = Switch::new(SwitchId(0), 38);
-    let to_nobody = Packet::new(
-        MacAddr::from_index(10),
-        MacAddr::from_index(1),
-        Ipv4Addr::new(10, 0, 0, 10),
-        Ipv4Addr::new(10, 0, 0, 2),
-        TransportHeader::udp(5683, 5683),
-        Default::default(),
-    );
-    let flood_width = |sw: &mut Switch| match sw.decide(SimTime::ZERO, PortNo(3), &to_nobody) {
-        SwitchDecision::Output(ports) => ports.len(),
-        other => panic!("expected a flood, got {other:?}"),
+    let to_nobody = |station: u32| {
+        Packet::new(
+            MacAddr::from_index(station),
+            MacAddr::from_index(1),
+            Ipv4Addr::new(10, 0, 0, 10),
+            Ipv4Addr::new(10, 0, 0, 2),
+            TransportHeader::udp(5683, 5683),
+            Default::default(),
+        )
     };
-    let (cold, width) = allocs_during(|| flood_width(&mut sw));
-    assert_eq!(width, 37);
-    assert!(cold >= 1, "deciding a 37-port flood builds its list");
-    let (warm, width) = allocs_during(|| flood_width(&mut sw));
-    assert_eq!((warm, width), (0, 37), "a cached flood is lent, not copied");
-    assert_eq!((sw.cache_lookups, sw.cache_hits), (2, 1));
+    let flood = SwitchDecision::Output(Ports::Flood);
+    // Warm both tables, then empty them the way a resident world does:
+    // the capacity stays.
+    for station in 10..18 {
+        let port = PortNo(station as u16 - 10);
+        assert_eq!(sw.process_at(SimTime::ZERO, port, &to_nobody(station)), flood);
+    }
+    sw.reset_resident();
+    assert_eq!(sw.process_at(SimTime::ZERO, PortNo(3), &to_nobody(10)), flood);
+    // A new station is learned, which wipes the decision cache, and its
+    // frame floods; then the first station's flood is decided afresh.
+    let (learned, decision) =
+        allocs_during(|| sw.process_at(SimTime::ZERO, PortNo(5), &to_nobody(11)));
+    assert_eq!((learned, decision), (0, flood), "learning a station and deciding its flood");
+    let (again, decision) =
+        allocs_during(|| sw.process_at(SimTime::ZERO, PortNo(3), &to_nobody(10)));
+    assert_eq!((again, decision), (0, flood), "deciding a 37-port flood after the wipe");
+    assert_eq!((sw.cache_lookups, sw.cache_hits), (3, 0));
 }
 
 fn idle_ticks_are_allocation_free() {

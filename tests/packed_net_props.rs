@@ -23,16 +23,18 @@
 //! 6. Link addressing: a fault set through a wire's `(NodeId, NodeId)` key
 //!    is what the packet path, which reaches links by position, then sees.
 //! 7. The step-boundary contract: after every `send` and every
-//!    `step_until`, counters, event count, clock, `has_pending` and the
-//!    delivery stream are those of a network in which *every* copy is a
-//!    queued event — the model written here — for deadlines that fall
+//!    `step_until`, counters, every wire's `carried` and `dropped`, event
+//!    count, clock, `has_pending` and the delivery stream are those of a
+//!    network in which *every* copy is a queued event — the model
+//!    written here — for deadlines that fall
 //!    between the arrivals of one flood's copies, and with one endpoint's
 //!    inbound traffic steered through an inline processor that drops
 //!    some frames and delays the rest.
 //! 8. The switch contract: over random frame streams with rule installs,
 //!    cookie removals and `table.clear()` in between, `process_at`'s
-//!    decisions and every counter it keeps are those of a learning
-//!    switch with a decision cache written here over two `BTreeMap`s —
+//!    decisions (stated as `Ports`: nowhere, one port, or a flood) and
+//!    every counter it keeps are those of a learning switch with a
+//!    decision cache written here over two `BTreeMap`s —
 //!    so nothing observable depends on how the switch's own two tables
 //!    hash or probe.
 
@@ -48,7 +50,7 @@ use iotsec_repro::iotnet::packet::{
     EthernetHeader, Ipv4Header, PackedHeaders, Packet, TcpFlags, TransportHeader,
 };
 use iotsec_repro::iotnet::stats::NetStats;
-use iotsec_repro::iotnet::switch::{PortList, Switch, SwitchDecision};
+use iotsec_repro::iotnet::switch::{Ports, Switch, SwitchDecision};
 use iotsec_repro::iotnet::time::{SimDuration, SimTime};
 use iotsec_repro::iotnet::topology::{PortTarget, Topology, TopologyBuilder};
 use iotsec_repro::iotsec::defense::Defense;
@@ -583,7 +585,6 @@ fn link_totals(t: &Topology) -> (u64, u64, u64, u64) {
 /// The learning switch of property 8, with ordered maps for both tables.
 /// Its rule table is a [`FlowTable`] of its own, fed the same edits.
 struct ModelSwitch {
-    n_ports: u16,
     table: FlowTable,
     macs: BTreeMap<MacAddr, PortNo>,
     cache: BTreeMap<(PortNo, FlowFields), (Option<usize>, SwitchDecision)>,
@@ -596,16 +597,16 @@ struct ModelSwitch {
 type FlowFields = (MacAddr, MacAddr, Ipv4Addr, Ipv4Addr, u8, u16, u16);
 
 impl ModelSwitch {
-    fn normal_ports(&self, in_port: PortNo, p: &Packet) -> PortList {
+    fn normal_ports(&self, in_port: PortNo, p: &Packet) -> Ports {
         match self.macs.get(&p.eth.dst) {
             Some(&port) if !p.eth.dst.is_multicast() => {
                 if port == in_port {
-                    PortList::new()
+                    Ports::None
                 } else {
-                    PortList::from_slice(&[port])
+                    Ports::One(port)
                 }
             }
-            _ => (0..self.n_ports).map(PortNo).filter(|port| *port != in_port).collect(),
+            _ => Ports::Flood,
         }
     }
 
@@ -620,18 +621,16 @@ impl ModelSwitch {
         self.lookups += 1;
         let key = (in_port, flow_fields(p));
         let (rule, decision) = match self.cache.get(&key) {
-            Some(cached) => {
+            Some(&cached) => {
                 self.hits += 1;
-                cached.clone()
+                cached
             }
             None => {
                 let rule = self.table.lookup_index(in_port, p);
                 let decision = match rule.map_or(FlowAction::Normal, |i| self.table.rule(i).action)
                 {
                     FlowAction::Drop => SwitchDecision::Drop,
-                    FlowAction::Output(port) => {
-                        SwitchDecision::Output(PortList::from_slice(&[port]))
-                    }
+                    FlowAction::Output(port) => SwitchDecision::Output(Ports::One(port)),
                     FlowAction::Steer(id) => SwitchDecision::Steer(id),
                     FlowAction::Mirror => SwitchDecision::MirrorAnd(self.normal_ports(in_port, p)),
                     FlowAction::Normal => SwitchDecision::Output(self.normal_ports(in_port, p)),
@@ -640,7 +639,7 @@ impl ModelSwitch {
                 if self.cache.len() >= 1024 {
                     self.cache.clear();
                 }
-                self.cache.insert(key, (rule, decision.clone()));
+                self.cache.insert(key, (rule, decision));
                 (rule, decision)
             }
         };
@@ -959,6 +958,20 @@ proptest! {
             prop_assert_eq!(net.events_processed(), model.processed);
             prop_assert_eq!(net.now(), model.now);
             prop_assert_eq!(net.has_pending(), !model.queue.is_empty());
+            // Wire by wire, both directions: what each link carried and
+            // refused, so a copy may not move from one port's count to
+            // another's.
+            let t = net.topology();
+            for ep in 0..kinds.len() {
+                let node = NodeId::Endpoint(EndpointId(ep as u32));
+                for (from, to, want) in [
+                    (node, NodeId::Switch(sw), &model.up[ep]),
+                    (NodeId::Switch(sw), node, &model.down[ep]),
+                ] {
+                    let got = t.link(from, to).expect("wired");
+                    prop_assert_eq!((got.carried, got.dropped), (want.carried, want.dropped));
+                }
+            }
             Ok(())
         };
         let mut deadline = SimTime::ZERO;
@@ -1044,8 +1057,9 @@ proptest! {
 
     /// Property 8: the switch is the model switch — decision by decision
     /// and counter by counter — whatever is done to its rule table between
-    /// frames, with floods wider than a `PortList`'s inline slots, with
-    /// stations that move and with repeats that hit the decision cache.
+    /// frames, with floods up to 40 ports wide, with stations that move
+    /// and with repeats that hit the decision cache. The model states a
+    /// decision as [`Ports`], so a flood is [`Ports::Flood`] however wide.
     #[test]
     fn switch_is_a_learning_switch_with_a_decision_cache(
         stations in 2usize..41,
@@ -1055,7 +1069,6 @@ proptest! {
     ) {
         let mut sw = Switch::new(SwitchId(0), n_ports);
         let mut model = ModelSwitch {
-            n_ports,
             table: FlowTable::new(),
             macs: BTreeMap::new(),
             cache: BTreeMap::new(),

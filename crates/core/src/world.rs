@@ -47,7 +47,6 @@ use rand::{Rng, SeedableRng};
 use std::collections::{BTreeMap, BTreeSet};
 use std::rc::Rc;
 use std::sync::Arc;
-use trace::tracer::TraceConfig;
 use trace::{TraceEvent, Tracer};
 use umbox::breaker::{BreakerBank, BreakerEvent};
 use umbox::chain::{build_chain, ChainConfig, FailureMode, UmboxChain};
@@ -282,8 +281,9 @@ impl HomeBuffers {
 /// *Home state* (`clock`, `env`, the network's runtime, `home`, `buf`)
 /// is written by the private `reset_home` and nowhere else — the builder
 /// ends in it and [`World::rebind_home`] is nothing but it, so a resident
-/// home is a cold-built one by construction. The chaos and safety layers
-/// keep their own schedules and cursors, which is why
+/// home is a cold-built one by construction. The chaos layer keeps its
+/// schedules and their cursors, and the safety monitor its episodes,
+/// tallies and quarantines, outside that reset, which is why
 /// [`World::supports_resident`] excludes them.
 pub struct World {
     /// Current simulated time.
@@ -345,7 +345,9 @@ pub struct World {
     /// Structured trace emission (disabled by default; zero-cost then).
     tracer: Tracer,
     // --- safety layer (all inert unless `deployment.safety` is set) -----
-    /// The runtime safety monitor, subscribed to `tracer`.
+    /// The runtime safety monitor. The world hands it each failover and
+    /// breaker trip where it records them, and lends it `tracer` for its
+    /// own events.
     safety: Option<SafetyMonitor>,
     /// Per-µmbox circuit breakers (only when the breaker is enabled).
     breakers: Option<BreakerBank>,
@@ -469,10 +471,11 @@ impl World {
     /// Whether a deployment template is eligible for resident-world
     /// execution (E26). Residency requires that a world's behavior be a
     /// pure function of `(template, seed, intel)` reachable by in-place
-    /// reset: chaos schedules and the safety monitor thread their own
-    /// cross-round state, and the perimeter and hierarchical defenses
-    /// install build-time structure the reset path does not replay, so
-    /// those fall back to rebuild-per-round.
+    /// reset: chaos schedules (and their cursors) and the safety monitor
+    /// (its outage episodes, violation tallies and sticky quarantines)
+    /// carry state the reset does not write, and the perimeter and
+    /// hierarchical defenses install build-time structure the reset path
+    /// does not replay, so those fall back to rebuild-per-round.
     pub fn supports_resident(template: &Deployment) -> bool {
         template.chaos.is_none()
             && template.safety.is_none()
@@ -653,18 +656,6 @@ impl World {
         );
         let seed = home.map_or(deployment.seed, |h| h.seed);
         let extra: &[AttackSignature] = home.map_or(&[], |h| h.extra_signatures);
-        // The safety monitor subscribes to the deterministic trace
-        // stream rather than a parallel instrumentation channel. When
-        // the caller did not ask for a trace, give the world an
-        // internal Control-class tracer so the monitor still sees the
-        // same event stream — safety behavior is mask-independent, and
-        // worlds without a safety layer keep the disabled (zero-cost)
-        // tracer exactly as before.
-        let tracer = if deployment.safety.is_some() && !tracer.is_enabled() {
-            Tracer::new(TraceConfig::control_only())
-        } else {
-            tracer
-        };
         // --- topology -----------------------------------------------------
         let mut b = TopologyBuilder::new();
         let (core, edge_switches): (SwitchId, Vec<SwitchId>) = match deployment.site {
@@ -796,7 +787,7 @@ impl World {
             world.install_chaos(chaos);
         }
         if let Some(scfg) = &deployment.safety {
-            world.safety = Some(SafetyMonitor::new(*scfg, world.tracer.clone()));
+            world.safety = Some(SafetyMonitor::new(*scfg));
             world.breakers = scfg.breaker.enabled.then(|| BreakerBank::new(scfg.breaker));
         }
         let (_, policy) = world.install_intel(deployment, extra);
@@ -914,7 +905,6 @@ impl World {
             )
         };
         let mut faults = FaultScheduler::new();
-        faults.set_tracer(self.tracer.clone());
         for (device, down_at, heal_at) in &chaos.flap_uplink {
             let (a, b) = uplink(*device);
             faults.flap_wire(a, b, *down_at, *heal_at);
@@ -954,9 +944,7 @@ impl World {
         self.faults = faults;
         self.crash_plan = crash_plan;
         self.outage_plan = outage_plan;
-        let mut channel = DeliveryChannel::new(chaos.delivery);
-        channel.set_tracer(self.tracer.clone());
-        self.delivery = Some(channel);
+        self.delivery = Some(DeliveryChannel::new(chaos.delivery));
     }
 
     /// Apply every fault whose time has come: network faults to the
@@ -965,7 +953,7 @@ impl World {
         if !self.chaos_enabled {
             return;
         }
-        self.faults.apply_due(now, self.net.topology_mut());
+        self.faults.apply_due(&self.tracer, now, self.net.topology_mut());
         while self.crash_idx < self.crash_plan.len() && self.crash_plan[self.crash_idx].0 <= now {
             let (_, device) = self.crash_plan[self.crash_idx];
             self.crash_idx += 1;
@@ -981,6 +969,9 @@ impl World {
                         if bank.on_crash(device, now) == Some(BreakerEvent::Tripped) {
                             self.tracer
                                 .emit(now.as_nanos(), TraceEvent::BreakerTrip { device: device.0 });
+                            if let Some(monitor) = &mut self.safety {
+                                monitor.on_breaker_trip(device);
+                            }
                             if let Some(until) = bank.open_until(device) {
                                 lc.hold_respawn(slot.instance, until);
                             }
@@ -1159,6 +1150,9 @@ impl World {
             if failovers > self.home.last_failovers {
                 self.home.last_failovers = failovers;
                 self.tracer.emit(now.as_nanos(), TraceEvent::Failover { count: failovers });
+                if let Some(monitor) = &mut self.safety {
+                    monitor.on_failover(now);
+                }
             }
         }
         events.clear();
@@ -1184,9 +1178,9 @@ impl World {
                             continue;
                         }
                     }
-                    channel.submit(now, d);
+                    channel.submit(&self.tracer, now, d);
                 }
-                directives = channel.pump(now, reachable);
+                directives = channel.pump(&self.tracer, now, reachable);
             }
             for d in directives {
                 let (device, kind) = (d.device().0, directive_kind(&d));
@@ -1262,8 +1256,8 @@ impl World {
         }));
         let ctl_down = self.control.as_ref().is_some_and(|c| c.is_down(now));
         let fingerprint = self.control.as_ref().map_or(0, |c| c.installed_fingerprint());
-        let newly =
-            self.safety.as_mut().expect("caller checked").tick(now, ctl_down, fingerprint, &facts);
+        let monitor = self.safety.as_mut().expect("caller checked");
+        let newly = monitor.tick(&self.tracer, now, ctl_down, fingerprint, &facts);
         self.buf.facts_scratch = facts;
         for device in newly {
             self.install_quarantine(device);
@@ -1843,6 +1837,7 @@ mod tests {
     use crate::deployment::DeviceSetup;
     use iotdev::device::DeviceClass;
     use iotdev::proto::{ControlAction, MgmtCommand};
+    use trace::tracer::TraceConfig;
 
     fn camera_deployment(defense: Defense) -> Deployment {
         let mut d = Deployment::new();
@@ -2013,8 +2008,9 @@ mod tests {
         );
     }
 
-    #[test]
-    fn repeated_crashes_trip_the_breaker_and_quarantine_the_device() {
+    /// A camera whose chain crashes twice inside the breaker window,
+    /// under the armed safety layer.
+    fn breaker_deployment() -> Deployment {
         let mut d = Deployment::new();
         let cam = d.device(DeviceSetup::table1_row(1));
         d.campaign(vec![
@@ -2030,7 +2026,12 @@ mod tests {
                 .with_watchdog(SimDuration::from_secs(1)),
         );
         d.safety(iotctl::safety::SafetyConfig::default());
-        let mut w = World::new(&d);
+        d
+    }
+
+    #[test]
+    fn repeated_crashes_trip_the_breaker_and_quarantine_the_device() {
+        let mut w = World::new(&breaker_deployment());
         w.run_until_attack_done(SimDuration::from_secs(60));
         let m = w.report();
         assert!(m.breaker_trips >= 1, "second crash inside the window must trip");
@@ -2040,6 +2041,45 @@ mod tests {
         assert!(m.policy_drops > 0);
         assert!(!m.campaign_succeeded(), "{:?}", m.attack_outcomes);
         assert!(m.safety.quarantine_time_ns > 0);
+    }
+
+    /// How a run is traced does not change what the defense does: the
+    /// breaker trip escalates to quarantine under every trace mask, the
+    /// packet-only one included.
+    #[test]
+    fn breaker_escalation_is_independent_of_the_trace_mask() {
+        let report = |tracer: Tracer| {
+            let mut w = World::new_traced(&breaker_deployment(), tracer);
+            w.run_until_attack_done(SimDuration::from_secs(60));
+            w.report()
+        };
+        let untraced = report(Tracer::disabled());
+        assert_eq!(untraced.safety.quarantines, 1);
+        let packet_only = TraceConfig { control: false, packet: true };
+        for config in [TraceConfig::control_only(), TraceConfig::full(), packet_only] {
+            let traced = report(Tracer::new(config));
+            assert_eq!(format!("{traced:?}"), format!("{untraced:?}"), "{config:?}");
+        }
+    }
+
+    /// Worlds that share one tracer share nothing else: a healthy safety
+    /// world reports the same metrics after a faulty one has written its
+    /// breaker trip into the shared stream as it does alone.
+    #[test]
+    fn a_shared_tracer_carries_no_fault_between_worlds() {
+        let mut healthy = camera_deployment(Defense::iotsec());
+        healthy.safety(iotctl::safety::SafetyConfig::default());
+        let report = |d: &Deployment, tracer: &Tracer| {
+            let mut w = World::new_traced(d, tracer.clone());
+            w.run_until_attack_done(SimDuration::from_secs(60));
+            w.report()
+        };
+        let alone = report(&healthy, &Tracer::new(TraceConfig::control_only()));
+        assert_eq!(alone.safety.quarantines, 0);
+        let shared = Tracer::new(TraceConfig::control_only());
+        assert!(report(&breaker_deployment(), &shared).breaker_trips >= 1);
+        let after = report(&healthy, &shared);
+        assert_eq!(format!("{after:?}"), format!("{alone:?}"));
     }
 
     #[test]

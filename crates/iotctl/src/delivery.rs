@@ -98,9 +98,6 @@ pub struct DeliveryChannel {
     last_applied: BTreeMap<DeviceId, u64>,
     /// Counters.
     pub stats: DeliveryStats,
-    /// Control-class trace emission (shed/retry/dedup; disabled by
-    /// default).
-    tracer: Tracer,
 }
 
 impl DeliveryChannel {
@@ -111,13 +108,7 @@ impl DeliveryChannel {
             queue: VecDeque::new(),
             last_applied: BTreeMap::new(),
             stats: DeliveryStats::default(),
-            tracer: Tracer::disabled(),
         }
-    }
-
-    /// Attach a tracer for channel-internal events (shed, retry, dedup).
-    pub fn set_tracer(&mut self, tracer: Tracer) {
-        self.tracer = tracer;
     }
 
     /// Submit a directive for delivery. Under queue pressure the
@@ -125,14 +116,15 @@ impl DeliveryChannel {
     /// directive itself sits at (or below) the queue's lowest tier it
     /// is refused — it is the newest of that tier — and `false` is
     /// returned; otherwise the newest entry of the lowest tier is
-    /// evicted to make room and the submission succeeds.
-    pub fn submit(&mut self, now: SimTime, directive: Directive) -> bool {
+    /// evicted to make room and the submission succeeds. A shed is
+    /// recorded into `tracer`.
+    pub fn submit(&mut self, tracer: &Tracer, now: SimTime, directive: Directive) -> bool {
         self.stats.submitted += 1;
         let criticality = directive.criticality();
         if self.queue.len() >= self.cfg.capacity {
             let min_crit = self.queue.iter().map(|e| e.criticality).min().unwrap_or(criticality);
             if criticality <= min_crit {
-                self.shed(now, directive.device(), criticality);
+                self.shed(tracer, now, directive.device(), criticality);
                 return false;
             }
             let victim = self
@@ -141,7 +133,7 @@ impl DeliveryChannel {
                 .rposition(|e| e.criticality == min_crit)
                 .expect("full queue has a lowest-criticality entry");
             let evicted = self.queue.remove(victim).expect("victim index in range");
-            self.shed(now, evicted.directive.device(), evicted.criticality);
+            self.shed(tracer, now, evicted.directive.device(), evicted.criticality);
         }
         let id = directive_id(&directive);
         self.queue.push_back(DirectiveEnvelope {
@@ -154,12 +146,12 @@ impl DeliveryChannel {
         true
     }
 
-    fn shed(&mut self, now: SimTime, device: DeviceId, criticality: Criticality) {
+    fn shed(&mut self, tracer: &Tracer, now: SimTime, device: DeviceId, criticality: Criticality) {
         self.stats.shed += 1;
         if criticality == Criticality::Quarantine {
             self.stats.shed_critical += 1;
         }
-        self.tracer.emit(
+        tracer.emit(
             now.as_nanos(),
             TraceEvent::DirectiveShed { device: device.0, criticality: criticality.label() },
         );
@@ -169,14 +161,15 @@ impl DeliveryChannel {
     /// envelope is delivered in order (idempotent re-deliveries are
     /// suppressed) and the surviving directives are returned for
     /// execution. When unreachable, due envelopes re-arm with
-    /// exponential backoff instead.
-    pub fn pump(&mut self, now: SimTime, reachable: bool) -> Vec<Directive> {
+    /// exponential backoff instead. Retries and suppressed re-deliveries
+    /// are recorded into `tracer`.
+    pub fn pump(&mut self, tracer: &Tracer, now: SimTime, reachable: bool) -> Vec<Directive> {
         if !reachable {
             for env in &mut self.queue {
                 if env.next_attempt <= now {
                     env.attempts += 1;
                     self.stats.retries += 1;
-                    self.tracer.emit(
+                    tracer.emit(
                         now.as_nanos(),
                         TraceEvent::DirectiveRetry {
                             device: env.directive.device().0,
@@ -195,7 +188,7 @@ impl DeliveryChannel {
             let device = env.directive.device();
             if self.last_applied.get(&device) == Some(&env.id) {
                 self.stats.deduped += 1;
-                self.tracer.emit(now.as_nanos(), TraceEvent::DirectiveDeduped { device: device.0 });
+                tracer.emit(now.as_nanos(), TraceEvent::DirectiveDeduped { device: device.0 });
                 continue;
             }
             self.last_applied.insert(device, env.id);
@@ -215,6 +208,9 @@ impl DeliveryChannel {
 mod tests {
     use super::*;
     use iotpolicy::posture::{Posture, SecurityModule};
+
+    /// The tracer the channel's calls are lent: these tests read counters.
+    const OFF: Tracer = Tracer::disabled();
 
     fn launch(device: u32) -> Directive {
         Directive::Launch {
@@ -236,17 +232,17 @@ mod tests {
     #[test]
     fn redelivery_of_the_current_posture_is_suppressed() {
         let mut ch = DeliveryChannel::new(DeliveryConfig::default());
-        ch.submit(SimTime::ZERO, launch(1));
-        assert_eq!(ch.pump(SimTime::ZERO, true).len(), 1);
+        ch.submit(&OFF, SimTime::ZERO, launch(1));
+        assert_eq!(ch.pump(&OFF, SimTime::ZERO, true).len(), 1);
         // A failover re-emits the same posture: suppressed.
-        ch.submit(SimTime::from_secs(1), launch(1));
-        assert!(ch.pump(SimTime::from_secs(1), true).is_empty());
+        ch.submit(&OFF, SimTime::from_secs(1), launch(1));
+        assert!(ch.pump(&OFF, SimTime::from_secs(1), true).is_empty());
         assert_eq!(ch.stats.deduped, 1);
         // But a *different* directive for the device goes through, and a
         // later re-issue of the original is a real state change again.
-        ch.submit(SimTime::from_secs(2), Directive::Retire { device: DeviceId(1) });
-        ch.submit(SimTime::from_secs(2), launch(1));
-        assert_eq!(ch.pump(SimTime::from_secs(2), true).len(), 2);
+        ch.submit(&OFF, SimTime::from_secs(2), Directive::Retire { device: DeviceId(1) });
+        ch.submit(&OFF, SimTime::from_secs(2), launch(1));
+        assert_eq!(ch.pump(&OFF, SimTime::from_secs(2), true).len(), 2);
     }
 
     #[test]
@@ -255,13 +251,13 @@ mod tests {
         // the lowest tier, so it is the one refused (the pre-Criticality
         // behavior, preserved byte-for-byte for uniform queues).
         let mut ch = DeliveryChannel::new(DeliveryConfig { capacity: 2 });
-        assert!(ch.submit(SimTime::ZERO, launch(1)));
-        assert!(ch.submit(SimTime::ZERO, launch(2)));
-        assert!(!ch.submit(SimTime::ZERO, launch(3))); // shed
+        assert!(ch.submit(&OFF, SimTime::ZERO, launch(1)));
+        assert!(ch.submit(&OFF, SimTime::ZERO, launch(2)));
+        assert!(!ch.submit(&OFF, SimTime::ZERO, launch(3))); // shed
         assert_eq!(ch.stats.shed, 1);
         assert_eq!(ch.stats.shed_critical, 0);
         // The older envelopes are still intact and deliverable.
-        let out = ch.pump(SimTime::ZERO, true);
+        let out = ch.pump(&OFF, SimTime::ZERO, true);
         assert_eq!(out.len(), 2);
         assert!(out.iter().all(|d| d.device() != DeviceId(3)));
     }
@@ -270,15 +266,15 @@ mod tests {
     fn quarantine_evicts_the_newest_of_the_lowest_tier() {
         let mut ch = DeliveryChannel::new(DeliveryConfig { capacity: 2 });
         // Two telemetry-tier entries; device 2's is the newer.
-        assert!(ch.submit(SimTime::ZERO, Directive::Retire { device: DeviceId(1) }));
-        assert!(ch.submit(SimTime::ZERO, Directive::Retire { device: DeviceId(2) }));
+        assert!(ch.submit(&OFF, SimTime::ZERO, Directive::Retire { device: DeviceId(1) }));
+        assert!(ch.submit(&OFF, SimTime::ZERO, Directive::Retire { device: DeviceId(2) }));
         // A quarantine install outranks both: device 2 (newest of the
         // lowest tier) is evicted, device 1 keeps its delivery slot.
         let q = Directive::Launch { device: DeviceId(3), posture: Posture::quarantine() };
-        assert!(ch.submit(SimTime::ZERO, q));
+        assert!(ch.submit(&OFF, SimTime::ZERO, q));
         assert_eq!(ch.stats.shed, 1);
         assert_eq!(ch.stats.shed_critical, 0);
-        let out = ch.pump(SimTime::ZERO, true);
+        let out = ch.pump(&OFF, SimTime::ZERO, true);
         let devs: Vec<DeviceId> = out.iter().map(|d| d.device()).collect();
         assert_eq!(devs, vec![DeviceId(1), DeviceId(3)]);
     }
@@ -288,11 +284,11 @@ mod tests {
         let mut ch = DeliveryChannel::new(DeliveryConfig { capacity: 1 });
         let q =
             |dev: u32| Directive::Launch { device: DeviceId(dev), posture: Posture::quarantine() };
-        assert!(ch.submit(SimTime::ZERO, q(1)));
+        assert!(ch.submit(&OFF, SimTime::ZERO, q(1)));
         // The queue is all quarantine-tier; the incoming quarantine is
         // the newest of that tier and loses. This is the only path that
         // can increment shed_critical.
-        assert!(!ch.submit(SimTime::ZERO, q(2)));
+        assert!(!ch.submit(&OFF, SimTime::ZERO, q(2)));
         assert_eq!(ch.stats.shed_critical, 1);
         assert_eq!(ch.depth(), 1);
     }
@@ -300,29 +296,29 @@ mod tests {
     #[test]
     fn unreachable_channel_backs_off_exponentially() {
         let mut ch = DeliveryChannel::new(DeliveryConfig { capacity: 8 });
-        ch.submit(SimTime::ZERO, launch(1));
+        ch.submit(&OFF, SimTime::ZERO, launch(1));
 
         // Attempt 1 at t=0 → next at 100ms; attempt 2 → +200ms; etc.
-        assert!(ch.pump(SimTime::ZERO, false).is_empty());
+        assert!(ch.pump(&OFF, SimTime::ZERO, false).is_empty());
         assert_eq!(ch.stats.retries, 1);
         // Not yet due: no new attempt.
-        ch.pump(SimTime::from_millis(50), false);
+        ch.pump(&OFF, SimTime::from_millis(50), false);
         assert_eq!(ch.stats.retries, 1);
-        ch.pump(SimTime::from_millis(100), false);
+        ch.pump(&OFF, SimTime::from_millis(100), false);
         assert_eq!(ch.stats.retries, 2);
-        ch.pump(SimTime::from_millis(300), false);
+        ch.pump(&OFF, SimTime::from_millis(300), false);
         assert_eq!(ch.stats.retries, 3);
         // Backoff is capped at `MAX_BACKOFF`: pumps 10 s apart are each
         // due, and the last one re-arms exactly one cap later.
         for i in 0..10 {
-            ch.pump(SimTime::from_secs(10 + 10 * i), false);
+            ch.pump(&OFF, SimTime::from_secs(10 + 10 * i), false);
         }
         assert_eq!(ch.stats.retries, 13);
         assert_eq!(ch.queue[0].next_attempt, SimTime::from_secs(100) + MAX_BACKOFF);
         assert_eq!(ch.depth(), 1);
 
         // The channel heals: the envelope finally delivers.
-        let out = ch.pump(SimTime::from_secs(200), true);
+        let out = ch.pump(&OFF, SimTime::from_secs(200), true);
         assert_eq!(out.len(), 1);
         assert_eq!(ch.stats.delivered, 1);
     }

@@ -2,10 +2,11 @@
 //!
 //! The chaos layer (PR 1) injects faults; the trace layer (PR 3) records
 //! what happened. This module closes the loop: a [`SafetyMonitor`] that
-//! *subscribes to the deterministic trace stream* (reusing the
-//! Control-class events from `trace` — no parallel instrumentation
-//! channel) plus a small set of per-device data-plane facts, and checks
-//! four invariants every simulation tick:
+//! the world hands each controller failover and each circuit-breaker
+//! trip where it happens (the same facts it records as `Failover` and
+//! `BreakerTrip` trace events), plus a small set of per-device
+//! data-plane facts each tick, and that checks four invariants every
+//! simulation tick:
 //!
 //! * **Fail-closed coverage** — no packet traverses a port whose
 //!   required µmbox chain is down. A down fail-open chain that passes
@@ -23,8 +24,10 @@
 //!
 //! Violations are recorded as [`TraceEvent::SafetyViolation`] events —
 //! they land in the same deterministic stream the golden-trace harness
-//! diffs. When escalation is enabled, repeated violations (or a circuit
-//! breaker trip, observed from the stream) push the device into a
+//! diffs. The monitor only writes to that stream, into the tracer each
+//! tick lends it, and never reads it back, so how a run is traced cannot
+//! change what the monitor does. When escalation is enabled, repeated
+//! violations (or a circuit breaker trip) push the device into a
 //! **quarantine posture**: an IDIoT-style per-class minimal allow-list
 //! installed into the edge switch (see `iotnet::flow::quarantine_rules`
 //! and `iotpolicy::posture::quarantine_allowlist`).
@@ -153,7 +156,8 @@ pub struct SafetyStats {
 ///
 /// These are *observations*, not a side channel: everything here is
 /// already true in the world state, and the monitor only combines them
-/// with the trace stream — it never mutates the world directly.
+/// with the failovers and breaker trips it was handed — it never
+/// mutates the world directly.
 #[derive(Debug, Clone, Copy)]
 pub struct DeviceFacts {
     /// The device.
@@ -178,14 +182,12 @@ impl DeviceFacts {
 }
 
 /// The runtime safety monitor. Create one per world when
-/// [`SafetyConfig`] is set; call [`SafetyMonitor::tick`] once per
-/// simulation tick after the control step.
+/// [`SafetyConfig`] is set; hand it each failover and breaker trip as
+/// the world records them ([`SafetyMonitor::on_failover`],
+/// [`SafetyMonitor::on_breaker_trip`]) and call [`SafetyMonitor::tick`]
+/// once per simulation tick after the control step.
 pub struct SafetyMonitor {
     cfg: SafetyConfig,
-    /// The deterministic trace stream: read via a cursor (Control-class
-    /// events only matter) and written for violation/quarantine events.
-    tracer: Tracer,
-    cursor: usize,
     stats: SafetyStats,
     /// Fingerprint of an empty installed vector (the reset signature).
     empty_fingerprint: u64,
@@ -207,9 +209,11 @@ pub struct SafetyMonitor {
     /// Last fingerprint observed while the controller was healthy and
     /// no recovery was pending.
     healthy_fingerprint: Option<u64>,
-    /// Armed by a `Failover` trace event: (pre-failover fingerprint,
-    /// recovery deadline).
+    /// Armed by a failover: (pre-failover fingerprint, recovery
+    /// deadline).
     expected_recovery: Option<(u64, SimTime)>,
+    /// Breaker trips since the last tick, in the order they happened.
+    tripped: Vec<DeviceId>,
     /// Per-device violation tallies (drive escalation).
     violation_count: BTreeMap<DeviceId, u32>,
     /// Devices in the quarantine posture. Sticky for the run: releasing
@@ -219,12 +223,10 @@ pub struct SafetyMonitor {
 }
 
 impl SafetyMonitor {
-    /// A monitor reading from (and emitting into) `tracer`.
-    pub fn new(cfg: SafetyConfig, tracer: Tracer) -> SafetyMonitor {
+    /// A monitor with nothing observed yet.
+    pub fn new(cfg: SafetyConfig) -> SafetyMonitor {
         SafetyMonitor {
             cfg,
-            tracer,
-            cursor: 0,
             stats: SafetyStats::default(),
             empty_fingerprint: PostureVector::new().fingerprint(),
             outage_since: None,
@@ -236,6 +238,7 @@ impl SafetyMonitor {
             latency_measured: BTreeSet::new(),
             healthy_fingerprint: None,
             expected_recovery: None,
+            tripped: Vec::new(),
             violation_count: BTreeMap::new(),
             quarantined: BTreeSet::new(),
             last_tick: None,
@@ -252,7 +255,22 @@ impl SafetyMonitor {
         &self.stats
     }
 
-    fn record(&mut self, now: SimTime, device: DeviceId, invariant: &'static str) {
+    /// The control plane failed over at `now`: arm the continuity check
+    /// against the last fingerprint a [`SafetyMonitor::tick`] saw while
+    /// it was healthy. Call it before the tick for `now`, so that
+    /// fingerprint is the one from before the failover.
+    pub fn on_failover(&mut self, now: SimTime) {
+        let pre = self.healthy_fingerprint.unwrap_or(self.empty_fingerprint);
+        self.expected_recovery = Some((pre, now + CONTINUITY_WINDOW));
+    }
+
+    /// `device`'s circuit breaker tripped: the next tick escalates it
+    /// straight to quarantine (when escalation is on).
+    pub fn on_breaker_trip(&mut self, device: DeviceId) {
+        self.tripped.push(device);
+    }
+
+    fn record(&mut self, tracer: &Tracer, now: SimTime, device: DeviceId, invariant: &'static str) {
         self.stats.violations += 1;
         match invariant {
             "fail-closed-coverage" => self.stats.coverage_violations += 1,
@@ -261,11 +279,11 @@ impl SafetyMonitor {
             _ => self.stats.continuity_violations += 1,
         }
         *self.violation_count.entry(device).or_insert(0) += 1;
-        self.tracer
-            .emit(now.as_nanos(), TraceEvent::SafetyViolation { device: device.0, invariant });
+        tracer.emit(now.as_nanos(), TraceEvent::SafetyViolation { device: device.0, invariant });
     }
 
-    /// Evaluate every invariant for this tick.
+    /// Evaluate every invariant for this tick, recording violations and
+    /// quarantines into `tracer`.
     ///
     /// * `ctl_down` — whether the control plane can currently serve.
     /// * `installed_fingerprint` — the active controller's
@@ -277,6 +295,7 @@ impl SafetyMonitor {
     /// minimal allow-list at the device's edge switch.
     pub fn tick(
         &mut self,
+        tracer: &Tracer,
         now: SimTime,
         ctl_down: bool,
         installed_fingerprint: u64,
@@ -289,22 +308,7 @@ impl SafetyMonitor {
         }
         self.last_tick = Some(now);
 
-        // 1. Drain the trace stream: failovers arm the continuity
-        //    check; breaker trips escalate straight to quarantine.
-        let mut tripped: Vec<DeviceId> = Vec::new();
-        for (_, event) in self.tracer.events_since(self.cursor) {
-            self.cursor += 1;
-            match event {
-                TraceEvent::Failover { .. } => {
-                    let pre = self.healthy_fingerprint.unwrap_or(self.empty_fingerprint);
-                    self.expected_recovery = Some((pre, now + CONTINUITY_WINDOW));
-                }
-                TraceEvent::BreakerTrip { device } => tripped.push(DeviceId(device)),
-                _ => {}
-            }
-        }
-
-        // 2. Controller outage bookkeeping (staleness + monotonicity
+        // 1. Controller outage bookkeeping (staleness + monotonicity
         //    both key off the episode).
         if ctl_down {
             if self.outage_since.is_none() {
@@ -319,7 +323,7 @@ impl SafetyMonitor {
             self.monotonicity_flagged.clear();
         }
 
-        // 3. Per-device invariants.
+        // 2. Per-device invariants.
         for f in facts {
             // Fail-closed coverage: a down chain that leaked packets
             // this tick is a coverage hole.
@@ -328,7 +332,7 @@ impl SafetyMonitor {
             if f.chain_down {
                 let since = *self.chain_down_since.entry(f.device).or_insert(now);
                 if leaked > 0 {
-                    self.record(now, f.device, "fail-closed-coverage");
+                    self.record(tracer, now, f.device, "fail-closed-coverage");
                     if self.latency_measured.insert(f.device) {
                         self.stats.detection_latency_ns_total +=
                             now.duration_since(since).as_nanos();
@@ -346,7 +350,7 @@ impl SafetyMonitor {
                 if now.duration_since(since) > self.cfg.staleness_budget_for(f.class)
                     && self.staleness_flagged.insert(f.device)
                 {
-                    self.record(now, f.device, "bounded-staleness");
+                    self.record(tracer, now, f.device, "bounded-staleness");
                 }
                 // Posture monotonicity: mediated at outage start, now
                 // effectively permissive — the outage *relaxed* it.
@@ -354,12 +358,12 @@ impl SafetyMonitor {
                     && !f.mediated()
                     && self.monotonicity_flagged.insert(f.device)
                 {
-                    self.record(now, f.device, "posture-monotonicity");
+                    self.record(tracer, now, f.device, "posture-monotonicity");
                 }
             }
         }
 
-        // 4. FSM continuity across failover: once the controller is
+        // 3. FSM continuity across failover: once the controller is
         //    healthy again, an installed vector still *empty* past the
         //    recovery window means the promoted replica silently lost
         //    its FSMs (the log replay or reconcile never happened).
@@ -372,7 +376,7 @@ impl SafetyMonitor {
                     // pre-failover posture while replaying the log).
                     self.expected_recovery = None;
                 } else if now >= deadline {
-                    self.record(now, DeviceId(0), "fsm-continuity");
+                    self.record(tracer, now, DeviceId(0), "fsm-continuity");
                     self.expected_recovery = None;
                 }
             } else {
@@ -380,11 +384,12 @@ impl SafetyMonitor {
             }
         }
 
-        // 5. Escalation: breaker trips quarantine immediately; repeat
+        // 4. Escalation: breaker trips quarantine immediately; repeat
         //    offenders quarantine after `QUARANTINE_AFTER` violations.
+        //    The trips are consumed either way.
         let mut newly = Vec::new();
         if self.cfg.escalate {
-            for device in tripped {
+            for device in self.tripped.drain(..) {
                 if self.quarantined.insert(device) {
                     newly.push(device);
                 }
@@ -398,10 +403,10 @@ impl SafetyMonitor {
             newly.sort_unstable();
             self.stats.quarantines += newly.len() as u64;
             for device in &newly {
-                self.tracer
-                    .emit(now.as_nanos(), TraceEvent::QuarantineInstalled { device: device.0 });
+                tracer.emit(now.as_nanos(), TraceEvent::QuarantineInstalled { device: device.0 });
             }
         }
+        self.tripped.clear();
         newly
     }
 }
@@ -566,17 +571,17 @@ mod tests {
         }
     }
 
+    /// A fresh monitor and the tracer its ticks are lent.
     fn monitor(cfg: SafetyConfig) -> (SafetyMonitor, Tracer) {
-        let tracer = Tracer::new(TraceConfig::control_only());
-        (SafetyMonitor::new(cfg, tracer.clone()), tracer)
+        (SafetyMonitor::new(cfg), Tracer::new(TraceConfig::control_only()))
     }
 
     #[test]
     fn healthy_world_records_no_violations() {
-        let (mut m, _t) = monitor(SafetyConfig::default());
+        let (mut m, t) = monitor(SafetyConfig::default());
         for s in 0..20u64 {
             let now = SimTime::from_millis(100 * s);
-            let out = m.tick(now, false, 42, &[facts(1, true, false, 0)]);
+            let out = m.tick(&t, now, false, 42, &[facts(1, true, false, 0)]);
             assert!(out.is_empty());
         }
         assert_eq!(m.stats().violations, 0);
@@ -584,14 +589,14 @@ mod tests {
 
     #[test]
     fn leaking_down_chain_is_a_coverage_violation_per_tick() {
-        let (mut m, _t) = monitor(SafetyConfig { escalate: false, ..SafetyConfig::default() });
-        m.tick(SimTime::ZERO, false, 1, &[facts(1, true, false, 0)]);
+        let (mut m, t) = monitor(SafetyConfig { escalate: false, ..SafetyConfig::default() });
+        m.tick(&t, SimTime::ZERO, false, 1, &[facts(1, true, false, 0)]);
         // Chain goes down at t=1s; packets leak at t=2s and t=3s.
-        m.tick(SimTime::from_secs(1), false, 1, &[facts(1, true, true, 0)]);
-        m.tick(SimTime::from_secs(2), false, 1, &[facts(1, true, true, 3)]);
-        m.tick(SimTime::from_secs(3), false, 1, &[facts(1, true, true, 5)]);
+        m.tick(&t, SimTime::from_secs(1), false, 1, &[facts(1, true, true, 0)]);
+        m.tick(&t, SimTime::from_secs(2), false, 1, &[facts(1, true, true, 3)]);
+        m.tick(&t, SimTime::from_secs(3), false, 1, &[facts(1, true, true, 5)]);
         // A down chain that leaks nothing this tick is not a new hole.
-        m.tick(SimTime::from_secs(4), false, 1, &[facts(1, true, true, 5)]);
+        m.tick(&t, SimTime::from_secs(4), false, 1, &[facts(1, true, true, 5)]);
         assert_eq!(m.stats().coverage_violations, 2);
         // Latency measured once, from down-onset (1s) to first leak (2s).
         assert_eq!(m.stats().detections, 1);
@@ -601,19 +606,19 @@ mod tests {
     #[test]
     fn staleness_uses_the_class_budget_once_per_episode() {
         let cfg = SafetyConfig { escalate: false, ..SafetyConfig::default() };
-        let (mut m, _t) = monitor(cfg);
+        let (mut m, t) = monitor(cfg);
         let sensor = facts(1, true, false, 0);
         let actuator = DeviceFacts { class: DeviceClass::SmartLock, ..facts(2, true, false, 0) };
         // Outage starts at t=0 and runs 12s.
         for s in 0..=12u64 {
-            m.tick(SimTime::from_secs(s), true, 1, &[sensor, actuator]);
+            m.tick(&t, SimTime::from_secs(s), true, 1, &[sensor, actuator]);
         }
         // Actuator flagged past 5s, sensor past 10s; each exactly once.
         assert_eq!(m.stats().staleness_violations, 2);
         // A second outage episode flags again.
-        m.tick(SimTime::from_secs(13), false, 1, &[sensor, actuator]);
+        m.tick(&t, SimTime::from_secs(13), false, 1, &[sensor, actuator]);
         for s in 14..=26u64 {
-            m.tick(SimTime::from_secs(s), true, 1, &[sensor, actuator]);
+            m.tick(&t, SimTime::from_secs(s), true, 1, &[sensor, actuator]);
         }
         assert_eq!(m.stats().staleness_violations, 4);
     }
@@ -621,15 +626,15 @@ mod tests {
     #[test]
     fn outage_relaxation_is_a_monotonicity_violation() {
         let cfg = SafetyConfig { escalate: false, ..SafetyConfig::default() };
-        let (mut m, _t) = monitor(cfg);
+        let (mut m, t) = monitor(cfg);
         // Mediated when the outage begins...
-        m.tick(SimTime::ZERO, true, 1, &[facts(1, true, false, 0)]);
+        m.tick(&t, SimTime::ZERO, true, 1, &[facts(1, true, false, 0)]);
         // ...then the chain goes down fail-open mid-outage.
-        m.tick(SimTime::from_secs(1), true, 1, &[facts(1, true, true, 0)]);
+        m.tick(&t, SimTime::from_secs(1), true, 1, &[facts(1, true, true, 0)]);
         assert_eq!(m.stats().monotonicity_violations, 1);
         // Already unmediated when a *later* outage begins: no regression.
-        m.tick(SimTime::from_secs(2), false, 1, &[facts(1, true, true, 0)]);
-        m.tick(SimTime::from_secs(3), true, 1, &[facts(1, true, true, 0)]);
+        m.tick(&t, SimTime::from_secs(2), false, 1, &[facts(1, true, true, 0)]);
+        m.tick(&t, SimTime::from_secs(3), true, 1, &[facts(1, true, true, 0)]);
         assert_eq!(m.stats().monotonicity_violations, 1);
     }
 
@@ -639,13 +644,13 @@ mod tests {
         let empty = PostureVector::new().fingerprint();
         let (mut m, t) = monitor(cfg);
         // Healthy with a non-empty installed vector.
-        m.tick(SimTime::ZERO, false, 99, &[]);
-        t.emit(SimTime::from_secs(1).as_nanos(), TraceEvent::Failover { count: 1 });
-        m.tick(SimTime::from_secs(1), true, 99, &[]);
+        m.tick(&t, SimTime::ZERO, false, 99, &[]);
+        m.on_failover(SimTime::from_secs(1));
+        m.tick(&t, SimTime::from_secs(1), true, 99, &[]);
         // Promoted replica serves but its installed vector stays empty
         // past the continuity window: silent reset.
         for s in 2..=12u64 {
-            m.tick(SimTime::from_secs(s), false, empty, &[]);
+            m.tick(&t, SimTime::from_secs(s), false, empty, &[]);
         }
         assert_eq!(m.stats().continuity_violations, 1);
     }
@@ -654,53 +659,71 @@ mod tests {
     fn recovered_fingerprint_satisfies_continuity() {
         let cfg = SafetyConfig { escalate: false, ..SafetyConfig::default() };
         let (mut m, t) = monitor(cfg);
-        m.tick(SimTime::ZERO, false, 99, &[]);
-        t.emit(SimTime::from_secs(1).as_nanos(), TraceEvent::Failover { count: 1 });
-        m.tick(SimTime::from_secs(1), true, 99, &[]);
+        m.tick(&t, SimTime::ZERO, false, 99, &[]);
+        m.on_failover(SimTime::from_secs(1));
+        m.tick(&t, SimTime::from_secs(1), true, 99, &[]);
         // The promoted replica reconciles back to the same posture.
         for s in 2..=12u64 {
-            m.tick(SimTime::from_secs(s), false, 99, &[]);
+            m.tick(&t, SimTime::from_secs(s), false, 99, &[]);
         }
         assert_eq!(m.stats().continuity_violations, 0);
     }
 
     #[test]
     fn repeat_offenders_escalate_to_quarantine_and_stay_there() {
-        let (mut m, _t) = monitor(SafetyConfig::default());
-        m.tick(SimTime::ZERO, false, 1, &[facts(1, true, false, 0)]);
+        let (mut m, t) = monitor(SafetyConfig::default());
+        m.tick(&t, SimTime::ZERO, false, 1, &[facts(1, true, false, 0)]);
         // Two leaking ticks: two violations, still below the threshold.
-        m.tick(SimTime::from_secs(1), false, 1, &[facts(1, true, true, 2)]);
-        m.tick(SimTime::from_secs(2), false, 1, &[facts(1, true, true, 4)]);
+        m.tick(&t, SimTime::from_secs(1), false, 1, &[facts(1, true, true, 2)]);
+        m.tick(&t, SimTime::from_secs(2), false, 1, &[facts(1, true, true, 4)]);
         assert!(m.quarantined.is_empty());
-        let newly = m.tick(SimTime::from_secs(3), false, 1, &[facts(1, true, true, 6)]);
+        let newly = m.tick(&t, SimTime::from_secs(3), false, 1, &[facts(1, true, true, 6)]);
         assert_eq!(newly, vec![DeviceId(1)]);
         assert!(m.quarantined.iter().eq([&DeviceId(1)]));
         assert_eq!(m.stats().quarantines, 1);
         // Sticky: no re-quarantine, but time accrues.
-        let again = m.tick(SimTime::from_secs(4), false, 1, &[facts(1, true, true, 8)]);
+        let again = m.tick(&t, SimTime::from_secs(4), false, 1, &[facts(1, true, true, 8)]);
         assert!(again.is_empty());
         assert_eq!(m.stats().quarantine_time_ns, SimDuration::from_secs(1).as_nanos());
     }
 
     #[test]
-    fn breaker_trip_in_the_stream_quarantines_immediately() {
+    fn a_breaker_trip_quarantines_on_the_next_tick() {
         let (mut m, t) = monitor(SafetyConfig::default());
-        m.tick(SimTime::ZERO, false, 1, &[facts(7, true, false, 0)]);
-        t.emit(SimTime::from_secs(1).as_nanos(), TraceEvent::BreakerTrip { device: 7 });
-        let newly = m.tick(SimTime::from_secs(1), false, 1, &[facts(7, true, true, 0)]);
+        m.tick(&t, SimTime::ZERO, false, 1, &[facts(7, true, false, 0)]);
+        m.on_breaker_trip(DeviceId(7));
+        let newly = m.tick(&t, SimTime::from_secs(1), false, 1, &[facts(7, true, true, 0)]);
         assert_eq!(newly, vec![DeviceId(7)]);
+    }
+
+    #[test]
+    fn an_escalated_trip_is_not_escalated_again() {
+        let (mut m, t) = monitor(SafetyConfig::default());
+        m.on_breaker_trip(DeviceId(7));
+        let first = m.tick(&t, SimTime::from_secs(1), false, 1, &[facts(7, true, true, 0)]);
+        assert_eq!(first, vec![DeviceId(7)]);
+        let next = m.tick(&t, SimTime::from_secs(2), false, 1, &[facts(7, true, true, 0)]);
+        assert!(next.is_empty());
+        assert!(m.tripped.is_empty());
+        assert_eq!(m.stats().quarantines, 1);
+        // The quarantine is recorded once, into the tracer the tick was lent.
+        assert_eq!(
+            t.events(),
+            vec![(1_000_000_000, TraceEvent::QuarantineInstalled { device: 7 })]
+        );
     }
 
     #[test]
     fn detect_only_never_escalates() {
         let (mut m, t) = monitor(SafetyConfig::detect_only());
-        t.emit(SimTime::from_secs(1).as_nanos(), TraceEvent::BreakerTrip { device: 7 });
+        m.on_breaker_trip(DeviceId(7));
         for s in 1..10u64 {
-            let newly = m.tick(SimTime::from_secs(s), false, 1, &[facts(7, true, true, s * 5)]);
+            let newly = m.tick(&t, SimTime::from_secs(s), false, 1, &[facts(7, true, true, s * 5)]);
             assert!(newly.is_empty());
         }
         assert!(m.stats().coverage_violations > 0, "still detects");
         assert_eq!(m.stats().quarantines, 0);
+        assert!(m.tripped.is_empty(), "a tick consumes the trips, escalating or not");
     }
 
     fn invariants(events: &[(u64, TraceEvent)]) -> Vec<&'static str> {

@@ -45,19 +45,12 @@ pub struct FaultScheduler {
     queue: EventQueue<NetFault>,
     /// Total fault actions applied so far.
     pub applied: u64,
-    /// Control-class trace emission (fault fire/heal; disabled by default).
-    tracer: Tracer,
 }
 
 impl FaultScheduler {
     /// An empty schedule.
     pub fn new() -> FaultScheduler {
         FaultScheduler::default()
-    }
-
-    /// Attach a tracer for fault fire/heal events.
-    pub fn set_tracer(&mut self, tracer: Tracer) {
-        self.tracer = tracer;
     }
 
     /// Schedule a link flap: the wire between `a` and `b` fails at
@@ -78,8 +71,9 @@ impl FaultScheduler {
     }
 
     /// Apply every fault action due at or before `now` to the topology,
-    /// in schedule order. Returns how many actions were applied.
-    pub fn apply_due(&mut self, now: SimTime, topo: &mut Topology) -> usize {
+    /// in schedule order, recording each fire and heal into `tracer`.
+    /// Returns how many actions were applied.
+    pub fn apply_due(&mut self, tracer: &Tracer, now: SimTime, topo: &mut Topology) -> usize {
         let mut n = 0;
         while let Some((at, fault)) = self.queue.pop_until(now) {
             // The trace key is the fault's *scheduled* instant, not the tick
@@ -87,19 +81,19 @@ impl FaultScheduler {
             // coarsely the caller polls.
             match fault {
                 NetFault::WireDown(a, b) => {
-                    self.tracer.emit(at.as_nanos(), TraceEvent::FaultFired { kind: "wire-down" });
+                    tracer.emit(at.as_nanos(), TraceEvent::FaultFired { kind: "wire-down" });
                     topo.fail_wire(a, b);
                 }
                 NetFault::WireHeal(a, b) => {
-                    self.tracer.emit(at.as_nanos(), TraceEvent::FaultHealed { kind: "wire-heal" });
+                    tracer.emit(at.as_nanos(), TraceEvent::FaultHealed { kind: "wire-heal" });
                     topo.heal_wire(a, b);
                 }
                 NetFault::LossBurst(a, b, loss) => {
-                    self.tracer.emit(at.as_nanos(), TraceEvent::FaultFired { kind: "loss-burst" });
+                    tracer.emit(at.as_nanos(), TraceEvent::FaultFired { kind: "loss-burst" });
                     topo.set_wire_burst_loss(a, b, Some(loss));
                 }
                 NetFault::LossClear(a, b) => {
-                    self.tracer.emit(at.as_nanos(), TraceEvent::FaultHealed { kind: "loss-clear" });
+                    tracer.emit(at.as_nanos(), TraceEvent::FaultHealed { kind: "loss-clear" });
                     topo.set_wire_burst_loss(a, b, None);
                 }
             }
@@ -120,6 +114,10 @@ mod tests {
     use crate::time::SimDuration;
     use crate::topology::TopologyBuilder;
     use bytes::Bytes;
+
+    /// The tracer the schedule's calls are lent: these tests read the
+    /// topology.
+    const OFF: Tracer = Tracer::disabled();
 
     fn two_host_net() -> (Network, EndpointId, EndpointId) {
         let mut b = TopologyBuilder::new();
@@ -148,12 +146,12 @@ mod tests {
         faults.flap_wire(na, nsw, SimTime::from_secs(1), SimTime::from_secs(2));
 
         // During the flap the uplink is dead: the packet is dropped.
-        faults.apply_due(SimTime::from_secs(1), net.topology_mut());
+        faults.apply_due(&OFF, SimTime::from_secs(1), net.topology_mut());
         net.send(a, SimTime::from_secs(1), pkt(&net, a, c, b"lost"));
         assert!(net.step_until(SimTime::from_millis(1500)).is_empty());
 
         // After the heal, traffic resumes.
-        faults.apply_due(SimTime::from_secs(2), net.topology_mut());
+        faults.apply_due(&OFF, SimTime::from_secs(2), net.topology_mut());
         net.send(a, SimTime::from_secs(2), pkt(&net, a, c, b"back"));
         let deliveries = net.step_until(SimTime::from_secs(3));
         assert_eq!(deliveries.len(), 1);
@@ -173,11 +171,11 @@ mod tests {
         let mut faults = FaultScheduler::new();
         faults.loss_burst(ne, ns, SimTime::from_secs(1), SimTime::from_secs(2), 0.9);
 
-        faults.apply_due(SimTime::from_secs(1), &mut topo);
+        faults.apply_due(&OFF, SimTime::from_secs(1), &mut topo);
         assert_eq!(topo.link(ne, ns).unwrap().effective_loss(), 0.9);
         assert_eq!(topo.link(ns, ne).unwrap().effective_loss(), 0.9);
 
-        faults.apply_due(SimTime::from_secs(2), &mut topo);
+        faults.apply_due(&OFF, SimTime::from_secs(2), &mut topo);
         assert_eq!(topo.link(ne, ns).unwrap().effective_loss(), 0.0);
         assert_eq!(faults.applied, 2);
     }
@@ -198,7 +196,7 @@ mod tests {
             let mut t = SimTime::ZERO;
             while !faults.queue.is_empty() {
                 t += SimDuration::from_millis(50);
-                let n = faults.apply_due(t, &mut topo);
+                let n = faults.apply_due(&OFF, t, &mut topo);
                 if n > 0 {
                     trace.push((t, n, format!("{:?}", topo.wires())));
                 }

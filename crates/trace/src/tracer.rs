@@ -1,11 +1,15 @@
 //! The emission handle and the buffer behind it.
 //!
-//! A [`Tracer`] is a cheap cloneable handle that every emitter on the
-//! enforcement path holds (switches, fault scheduler, µmbox chains, the
-//! delivery channel, the world). Disabled — the default — it is a
-//! `None` and an [`Tracer::emit`] call is a branch on a niche: no
-//! allocation, no formatting, no buffer. That is the zero-cost contract
+//! A [`Tracer`] is a cheap cloneable handle. The world holds one; its
+//! switches and µmbox chains keep clones, and the emitters it calls (the
+//! fault scheduler, the delivery channel, the safety monitor) are lent
+//! it for the call that emits. Disabled — the default — it is a `None`
+//! and an [`Tracer::emit`] call is a branch on a niche: no allocation,
+//! no formatting, no buffer. That is the zero-cost contract
 //! `tests/alloc_counter.rs` pins.
+//!
+//! A trace is an output. Nothing inside a simulation reads it back, so
+//! how a run is traced cannot change what the run does.
 //!
 //! Enabled, all clones share one `TraceBuffer` via `Rc<RefCell<_>>`
 //! (worlds are single-threaded; parallel sweeps give each world its own
@@ -55,14 +59,13 @@ struct TraceBuffer {
 
 /// Cloneable, zero-cost-when-disabled emission handle.
 ///
-/// `Default` is the disabled tracer, so structs that derive `Default`
-/// (e.g. `iotnet::faults::FaultScheduler`) stay derivable.
+/// `Default` is the disabled tracer.
 #[derive(Debug, Clone, Default)]
 pub struct Tracer(Option<Rc<RefCell<TraceBuffer>>>);
 
 impl Tracer {
     /// A tracer that records nothing and allocates nothing.
-    pub fn disabled() -> Self {
+    pub const fn disabled() -> Self {
         Tracer(None)
     }
 
@@ -101,17 +104,6 @@ impl Tracer {
     /// Snapshot of the recorded `(sim-time ns, event)` pairs.
     pub fn events(&self) -> Vec<(u64, TraceEvent)> {
         self.0.as_ref().map_or_else(Vec::new, |b| b.borrow().events.clone())
-    }
-
-    /// Snapshot of the events recorded at index `from` onward. This is
-    /// the subscription primitive: a consumer keeps a cursor ([`Tracer::len`]
-    /// after each read) and pulls only the tail, so per-tick polling
-    /// stays linear in events emitted, not events retained.
-    pub fn events_since(&self, from: usize) -> Vec<(u64, TraceEvent)> {
-        self.0.as_ref().map_or_else(Vec::new, |b| {
-            let buf = b.borrow();
-            buf.events.get(from..).unwrap_or(&[]).to_vec()
-        })
     }
 
     /// Render the buffer as canonical JSONL — one event per line, each
@@ -164,21 +156,6 @@ mod tests {
         let evs = t.events();
         assert_eq!(evs.len(), 1);
         assert_eq!(evs[0].1.kind(), "fault-fired");
-    }
-
-    #[test]
-    fn events_since_reads_only_the_tail() {
-        let t = Tracer::new(TraceConfig::full());
-        t.emit(1, TraceEvent::CacheHit { switch: 0 });
-        t.emit(2, TraceEvent::CacheMiss { switch: 0 });
-        let cursor = t.len();
-        t.emit(3, TraceEvent::PolicyDrop { switch: 1 });
-        let tail = t.events_since(cursor);
-        assert_eq!(tail.len(), 1);
-        assert_eq!(tail[0].0, 3);
-        assert!(t.events_since(t.len()).is_empty());
-        assert!(t.events_since(999).is_empty());
-        assert!(Tracer::disabled().events_since(0).is_empty());
     }
 
     #[test]

@@ -2,9 +2,11 @@
 //! real packets through the simulated network, real device FSMs, the
 //! real controller and µmbox chains.
 
-use iotsec_repro::iotdev::device::DeviceId;
+use iotsec_repro::iotdev::device::{AdminCreds, DeviceId};
+use iotsec_repro::iotdev::proto::MgmtCommand;
 use iotsec_repro::iotnet::time::SimDuration;
 use iotsec_repro::iotsec::defense::Defense;
+use iotsec_repro::iotsec::deployment::StepSpec;
 use iotsec_repro::iotsec::scenario;
 use iotsec_repro::iotsec::world::World;
 
@@ -43,14 +45,26 @@ fn fig4_with_iotsec_camera_is_patched_in_the_network() {
 
 #[test]
 fn fig4_owner_still_works_under_iotsec() {
-    // The proxy must not lock the owner out: their strong credentials
-    // pass through. We verify via the hub's recipe actuation path in
-    // Figure 5's test below; here we check the proxy chain exists and
-    // the device never saw the default-cred login.
-    let (d, cam) = scenario::figure4(Defense::iotsec());
+    // The proxy must not lock the owner out: the administrator-chosen
+    // credentials pass through it and open the camera, while the
+    // burned-in `admin`/`admin` is refused before the firmware sees it.
+    // The three logins come from one remote address (the owner's phone,
+    // away from home), in the attacker's seat.
+    const OWNER: (&str, &str) = ("owner", "S3cure!pass");
+    assert_eq!(AdminCreds::owner_default(), AdminCreds::new(OWNER.0, OWNER.1));
+    let (mut d, cam) = scenario::figure4(Defense::iotsec());
+    d.campaign(vec![
+        StepSpec::Login(cam, "admin", "admin"),
+        StepSpec::Login(cam, OWNER.0, OWNER.1),
+        StepSpec::Mgmt(cam, MgmtCommand::GetImage),
+    ]);
     let mut w = World::new(&d);
     w.run_until_attack_done(SimDuration::from_secs(120));
-    assert!(!w.device(cam).privacy_leaked);
+    let m = w.report();
+    let succeeded: Vec<bool> = m.attack_outcomes.iter().map(|o| o.success).collect();
+    assert_eq!(succeeded, [false, true, true], "{:?}", m.attack_outcomes);
+    // The default login died at the proxy, which answered it itself.
+    assert!(m.umbox_intercepts > 0);
 }
 
 // ---------------------------------------------------------------------

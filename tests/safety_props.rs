@@ -1,5 +1,6 @@
 //! Safety-layer properties: the monitor is silent without faults, the
-//! breaker state machine is execution-strategy invariant, and the
+//! breaker state machine is execution-strategy invariant, what the
+//! defense does is independent of how the run is traced, and the
 //! quarantine posture only ever *narrows* what a device may do.
 
 use iotsec_bench::sweep::run_sweep;
@@ -41,8 +42,8 @@ fn safety_world(seed: u64, crashes: u32) -> Deployment {
     d
 }
 
-fn run_metrics(d: &Deployment, occupied: bool) -> String {
-    let mut w = World::new(d);
+fn run_metrics(d: &Deployment, occupied: bool, tracer: Tracer) -> String {
+    let mut w = World::new_traced(d, tracer);
     w.env.occupied = occupied;
     w.run(SimDuration::from_secs(30));
     format!("{:?}", w.report())
@@ -93,12 +94,34 @@ proptest! {
         if let Some(d) = first_divergence(&first, &replay) {
             panic!("replayed safety trace diverged:\n{}", render_divergence(&d));
         }
-        prop_assert_eq!(run_metrics(&d, true), run_metrics(&d, true));
+        prop_assert_eq!(
+            run_metrics(&d, true, Tracer::disabled()),
+            run_metrics(&d, true, Tracer::disabled())
+        );
         prop_assert!(
             first.contains("\"e\":\"breaker-trip\""),
             "repeated crashes must trip the breaker:\n{}",
             first
         );
+    }
+
+    /// How a run is traced never changes what the defense does: with
+    /// breakers tripping, the metrics (quarantines and the policy drops
+    /// they cause included) are the same untraced and under every trace
+    /// mask, the packet-only one included.
+    #[test]
+    fn prop_metrics_are_independent_of_the_trace_mask(
+        seed in any::<u64>(),
+        crashes in 2u32..4,
+        occupied in any::<bool>(),
+    ) {
+        let d = safety_world(seed, crashes);
+        let untraced = run_metrics(&d, occupied, Tracer::disabled());
+        let packet_only = TraceConfig { control: false, packet: true };
+        for config in [TraceConfig::control_only(), TraceConfig::full(), packet_only] {
+            let traced = run_metrics(&d, occupied, Tracer::new(config));
+            prop_assert!(traced == untraced, "{config:?}:\n{traced}\nuntraced:\n{untraced}");
+        }
     }
 }
 

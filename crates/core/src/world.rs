@@ -40,7 +40,7 @@ use iotnet::packet::{Packet, TcpFlags, TransportHeader};
 use iotnet::time::{SimDuration, SimTime};
 use iotnet::topology::TopologyBuilder;
 use iotpolicy::compile::PolicyCompiler;
-use iotpolicy::policy::FsmPolicy;
+use iotpolicy::policy::{FsmPolicy, RuleOrigin};
 use iotpolicy::posture::Posture;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -556,10 +556,20 @@ impl World {
         extra: &[AttackSignature],
     ) -> (DeltaInstall, Option<FsmPolicy>) {
         let subscribed = &template.subscribed_signatures;
+        // Most devices have no signature; they share one empty ruleset.
+        let empty: Rc<[AttackSignature]> = Rc::new([]);
         let rulesets: Vec<Rc<[AttackSignature]>> = template
             .devices
             .iter()
-            .map(|d| build_signatures(self.cfg.as_ref(), &d.sku, &d.vulns, subscribed, extra))
+            .map(|d| {
+                let ruleset =
+                    build_signatures(self.cfg.as_ref(), &d.sku, &d.vulns, subscribed, extra);
+                if ruleset.is_empty() {
+                    Rc::clone(&empty)
+                } else {
+                    ruleset.into()
+                }
+            })
             .collect();
         let matched: Vec<bool> = template
             .devices
@@ -1743,7 +1753,7 @@ fn compile_home_policy(template: &Deployment, matched: &[bool]) -> FsmPolicy {
                     id,
                     Posture::of(iotpolicy::posture::SecurityModule::Ids { ruleset: 1 }),
                 )
-                .with_origin(&format!("repo:{}", setup.sku)),
+                .with_rule_origin(RuleOrigin::Repo(setup.sku.clone())),
             );
         }
     }
@@ -1769,7 +1779,7 @@ fn cluster_for(site: Site) -> Cluster {
     }
 }
 
-/// Build one device's interned signature ruleset: repository
+/// One device's signature ruleset, for `install_intel` to intern: repository
 /// subscriptions matching its SKU (which apply regardless of local
 /// vulnerability knowledge — that is their whole point), plus rules
 /// derived from operator-known flaws when `cfg.signatures` is enabled.
@@ -1779,11 +1789,11 @@ fn build_signatures(
     vulns: &[Vulnerability],
     subscribed: &[AttackSignature],
     extra: &[AttackSignature],
-) -> Rc<[AttackSignature]> {
-    let Some(cfg) = cfg else { return Vec::new().into() };
+) -> Vec<AttackSignature> {
+    let Some(cfg) = cfg else { return Vec::new() };
     let matching = subscribed.iter().chain(extra.iter()).filter(|s| s.sku == *sku).cloned();
     if !cfg.signatures {
-        return matching.collect::<Vec<_>>().into();
+        return matching.collect();
     }
     matching
         .chain(vulns.iter().map(|v| {
@@ -1799,8 +1809,7 @@ fn build_signatures(
             };
             AttackSignature::new(sku.clone(), v.id(), matcher, Severity::High)
         }))
-        .collect::<Vec<_>>()
-        .into()
+        .collect()
 }
 
 fn resolve_plan(steps: &[StepSpec], devices: &[IoTDevice], victim: Option<Ipv4Addr>) -> AttackPlan {
@@ -2350,5 +2359,79 @@ mod tests {
         w.step();
         assert!(w.report().physical_breach);
         assert!(w.report().breach_at.is_some());
+    }
+
+    #[test]
+    fn compiled_rule_origins_render_as_pinned() {
+        // Every origin template: a vuln mitigation per known flaw, both
+        // escalations per device, an actuation gate, a protect pair in
+        // both contexts, and a repository signature's standing IDS.
+        let mut d = Deployment::new();
+        let cam = d.device(DeviceSetup::table1_row(1));
+        let plug = d.device(DeviceSetup::table1_row(7));
+        let alarm = d.device(DeviceSetup::clean(DeviceClass::FireAlarm));
+        let window = d.device(DeviceSetup::clean(DeviceClass::WindowActuator));
+        d.gate(plug, EnvVar::Occupancy, "present");
+        d.protect(alarm, window);
+        let sig = AttackSignature::for_table1_row(1, &d.devices[cam.0 as usize].sku);
+        d.subscribed_signatures.push(sig.expect("row 1 has a signature"));
+        d.defend_with(Defense::iotsec());
+        let w = World::new(&d);
+        let Some(ControlPlane::Flat(c)) = &w.control else { panic!("a flat control plane") };
+        let mut policy = c.policy.clone();
+        let origins: Vec<String> = policy.rules.iter().map(|r| r.origin.to_string()).collect();
+        assert_eq!(
+            origins,
+            [
+                "vuln:default-credentials:dev0",
+                "escalate:suspicious:dev0",
+                "escalate:quarantine:dev0",
+                "repo:avtech/ip-cam/1.3",
+                "vuln:cloud-bypass-backdoor:dev1",
+                "escalate:suspicious:dev1",
+                "escalate:quarantine:dev1",
+                "escalate:suspicious:dev2",
+                "escalate:quarantine:dev2",
+                "escalate:suspicious:dev3",
+                "escalate:quarantine:dev3",
+                "gate:dev1:Occupancy=present",
+                "protect:dev3:on-suspicious-of:dev2",
+                "protect:dev3:on-compromised-of:dev2",
+            ]
+        );
+        // A rule prints as it always has: maps as maps, the origin as a
+        // quoted string.
+        assert_eq!(
+            format!("{:?}", policy.rules[3]),
+            "PolicyRule { priority: 50, pattern: StatePattern { contexts: {}, env: {} }, \
+             postures: {DeviceId(0): Posture { modules: [Ids { ruleset: 1 }] }}, \
+             override_lower: false, origin: \"repo:avtech/ip-cam/1.3\" }"
+        );
+        assert_eq!(
+            format!("{:?}", policy.rules[12]),
+            "PolicyRule { priority: 60, pattern: StatePattern { contexts: {DeviceId(2): Suspicious}, \
+             env: {} }, postures: {DeviceId(3): Posture { modules: [Block(OpenVerbs)] }}, \
+             override_lower: false, origin: \"protect:dev3:on-suspicious-of:dev2\" }"
+        );
+
+        // A hand-written allow at quarantine priority contradicts the
+        // compiled quarantine of the camera.
+        policy.add_rule(
+            iotpolicy::policy::PolicyRule::new(
+                90,
+                iotpolicy::policy::StatePattern::any()
+                    .context(cam, iotpolicy::context::SecurityContext::Compromised),
+                cam,
+                Posture::allow(),
+            )
+            .with_origin("owner-allow"),
+        );
+        let conflicts = iotpolicy::conflict::find_reachable_rule_conflicts(&policy);
+        let descriptions: Vec<&str> = conflicts.iter().map(|c| c.description.as_str()).collect();
+        assert_eq!(
+            descriptions,
+            ["rules 'escalate:quarantine:dev0' and 'owner-allow' contradict on dev0 \
+                 in a reachable state"]
+        );
     }
 }

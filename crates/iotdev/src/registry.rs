@@ -8,17 +8,22 @@
 use crate::device::DeviceClass;
 use crate::vuln::Vulnerability;
 use core::fmt;
+use std::sync::Arc;
 
 /// A stock-keeping unit: the paper's point is that learning must work at
 /// SKU granularity ("Google Nest version XYZ"), not class granularity.
+///
+/// Every device, signature and rule of a SKU carries it, so its strings
+/// are shared: a clone is three reference-count bumps. They are `Arc`s
+/// because signatures cross fleet worker threads.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Sku {
     /// Vendor name.
-    pub vendor: String,
+    pub vendor: Arc<str>,
     /// Model name.
-    pub model: String,
+    pub model: Arc<str>,
     /// Firmware version.
-    pub firmware: String,
+    pub firmware: Arc<str>,
 }
 
 impl Sku {

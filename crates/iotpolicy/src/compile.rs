@@ -15,7 +15,7 @@
 //!    camera sees someone home").
 
 use crate::context::SecurityContext;
-use crate::policy::{FsmPolicy, PolicyRule, StatePattern};
+use crate::policy::{FsmPolicy, PolicyRule, RuleOrigin, StatePattern};
 use crate::posture::{BlockClass, Posture, SecurityModule};
 use crate::state_space::StateSchema;
 use iotdev::device::{DeviceClass, DeviceId};
@@ -72,14 +72,12 @@ impl PolicyCompiler {
         class: DeviceClass,
         vulns: &[Vulnerability],
     ) -> &mut Self {
-        let mut contexts = vec![
-            SecurityContext::Normal,
-            SecurityContext::Suspicious,
-            SecurityContext::Compromised,
-        ];
-        if !vulns.is_empty() {
-            contexts.insert(1, SecurityContext::Unpatched);
-        }
+        use SecurityContext::{Compromised, Normal, Suspicious, Unpatched};
+        let contexts = if vulns.is_empty() {
+            vec![Normal, Suspicious, Compromised]
+        } else {
+            vec![Normal, Unpatched, Suspicious, Compromised]
+        };
         self.schema.add_device_with(id, class, contexts);
 
         for vuln in vulns {
@@ -90,7 +88,7 @@ impl PolicyCompiler {
                     id,
                     mitigation_for(vuln),
                 )
-                .with_origin(&format!("vuln:{}:{id}", vuln.id())),
+                .with_rule_origin(RuleOrigin::Vuln { vuln: vuln.id(), device: id }),
             );
         }
 
@@ -104,7 +102,7 @@ impl PolicyCompiler {
                     .with(SecurityModule::Mirror)
                     .with(SecurityModule::RateLimit { pps: 50 }),
             )
-            .with_origin(&format!("escalate:suspicious:{id}")),
+            .with_rule_origin(RuleOrigin::Suspicious(id)),
         );
         // Quarantine on compromise.
         self.rules.push(
@@ -115,7 +113,7 @@ impl PolicyCompiler {
                 Posture::quarantine(),
             )
             .overriding()
-            .with_origin(&format!("escalate:quarantine:{id}")),
+            .with_rule_origin(RuleOrigin::Quarantine(id)),
         );
         self
     }
@@ -143,7 +141,7 @@ impl PolicyCompiler {
                 target,
                 Posture::of(SecurityModule::ContextGate { var, value }),
             )
-            .with_origin(&format!("gate:{target}:{var:?}={value}")),
+            .with_rule_origin(RuleOrigin::Gate { target, var, value }),
         );
         self
     }
@@ -159,7 +157,7 @@ impl PolicyCompiler {
                     protected,
                     Posture::of(SecurityModule::Block(BlockClass::OpenVerbs)),
                 )
-                .with_origin(&format!("protect:{protected}:on-{}-of:{watched}", ctx.name())),
+                .with_rule_origin(RuleOrigin::Protect { protected, ctx, watched }),
             );
         }
         self
@@ -171,13 +169,10 @@ impl PolicyCompiler {
         self
     }
 
-    /// Finish: produce the policy.
+    /// Finish: produce the policy. Its rules are the compiler's vector,
+    /// in the order they were added, handed over rather than copied.
     pub fn build(self) -> FsmPolicy {
-        let mut policy = FsmPolicy::new(self.schema);
-        for r in self.rules {
-            policy.add_rule(r);
-        }
-        policy
+        FsmPolicy { rules: self.rules, ..FsmPolicy::new(self.schema) }
     }
 }
 

@@ -8,22 +8,175 @@
 //! window actuator". Pattern evaluation gives the same semantics as full
 //! enumeration while staying writable by humans and prunable by
 //! machines.
+//!
+//! **How a rule is held.** A compiled home has dozens of rules, and
+//! nearly every one pins one device's context and sets one device's
+//! posture. A rule's postures and a pattern's pins are therefore a
+//! [`SmallMap`]: sorted by key like a `BTreeMap`, iterated and printed
+//! like one, but holding its one entry in the value, so compiling a rule
+//! asks the allocator for nothing. A rule's origin is a [`RuleOrigin`]:
+//! the compiler's templates keep their parts (a device id, a vuln id, a
+//! SKU) and render the report text only when it is printed.
 
 use crate::context::SecurityContext;
 use crate::posture::{Posture, PostureVector};
 use crate::state_space::{StateSchema, SystemState};
 use iotdev::device::DeviceId;
 use iotdev::env::EnvVar;
-use std::collections::BTreeMap;
+use iotdev::registry::Sku;
+use std::fmt;
+
+/// A map sorted by key that holds one entry without allocating.
+///
+/// It keeps the part of `BTreeMap`'s behaviour the policy layer reads:
+/// [`SmallMap::iter`], [`SmallMap::keys`] and [`SmallMap::values`] walk
+/// the entries in ascending key order, [`SmallMap::insert`] replaces the
+/// value of a key it already holds, and `Debug` prints `{k: v, ...}`.
+/// A second entry moves both into a `Vec`; entries are never removed, so
+/// one entry is always inline and two or more are always on the heap.
+#[derive(Clone)]
+pub struct SmallMap<K, V> {
+    entries: Entries<K, V>,
+}
+
+#[derive(Clone)]
+enum Entries<K, V> {
+    Empty,
+    One([(K, V); 1]),
+    Many(Vec<(K, V)>),
+}
+
+impl<K, V> SmallMap<K, V> {
+    /// An empty map.
+    pub const fn new() -> SmallMap<K, V> {
+        SmallMap { entries: Entries::Empty }
+    }
+
+    fn as_slice(&self) -> &[(K, V)] {
+        match &self.entries {
+            Entries::Empty => &[],
+            Entries::One(one) => one,
+            Entries::Many(many) => many,
+        }
+    }
+
+    fn as_mut_slice(&mut self) -> &mut [(K, V)] {
+        match &mut self.entries {
+            Entries::Empty => &mut [],
+            Entries::One(one) => one,
+            Entries::Many(many) => many,
+        }
+    }
+
+    /// Number of entries.
+    pub fn len(&self) -> usize {
+        self.as_slice().len()
+    }
+
+    /// Whether the map has no entries.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The entries in ascending key order.
+    pub fn iter(&self) -> Iter<'_, K, V> {
+        Iter(self.as_slice().iter())
+    }
+
+    /// The keys in ascending order.
+    pub fn keys(&self) -> impl Iterator<Item = &K> + '_ {
+        self.as_slice().iter().map(|(k, _)| k)
+    }
+
+    /// The values in ascending key order.
+    pub fn values(&self) -> impl Iterator<Item = &V> + '_ {
+        self.as_slice().iter().map(|(_, v)| v)
+    }
+}
+
+impl<K: Ord, V> SmallMap<K, V> {
+    /// The value held for `key`.
+    pub fn get(&self, key: &K) -> Option<&V> {
+        let entries = self.as_slice();
+        entries.binary_search_by(|(k, _)| k.cmp(key)).ok().map(|i| &entries[i].1)
+    }
+
+    /// Set `key` to `value`, returning the value it replaced.
+    pub fn insert(&mut self, key: K, value: V) -> Option<V> {
+        match self.as_slice().binary_search_by(|(k, _)| k.cmp(&key)) {
+            Ok(i) => Some(std::mem::replace(&mut self.as_mut_slice()[i].1, value)),
+            Err(i) => {
+                self.entries = match std::mem::replace(&mut self.entries, Entries::Empty) {
+                    Entries::Empty => Entries::One([(key, value)]),
+                    Entries::One([held]) => {
+                        let mut entries = Vec::with_capacity(2);
+                        entries.push(held);
+                        entries.insert(i, (key, value));
+                        Entries::Many(entries)
+                    }
+                    Entries::Many(mut entries) => {
+                        entries.insert(i, (key, value));
+                        Entries::Many(entries)
+                    }
+                };
+                None
+            }
+        }
+    }
+}
+
+impl<K, V> Default for SmallMap<K, V> {
+    fn default() -> Self {
+        SmallMap::new()
+    }
+}
+
+impl<K: PartialEq, V: PartialEq> PartialEq for SmallMap<K, V> {
+    fn eq(&self, other: &Self) -> bool {
+        self.as_slice() == other.as_slice()
+    }
+}
+
+impl<K: Eq, V: Eq> Eq for SmallMap<K, V> {}
+
+impl<K: fmt::Debug, V: fmt::Debug> fmt::Debug for SmallMap<K, V> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_map().entries(self.iter()).finish()
+    }
+}
+
+impl<'a, K, V> IntoIterator for &'a SmallMap<K, V> {
+    type Item = (&'a K, &'a V);
+    type IntoIter = Iter<'a, K, V>;
+
+    fn into_iter(self) -> Iter<'a, K, V> {
+        self.iter()
+    }
+}
+
+/// The entries of a [`SmallMap`], in ascending key order.
+pub struct Iter<'a, K, V>(std::slice::Iter<'a, (K, V)>);
+
+impl<'a, K, V> Iterator for Iter<'a, K, V> {
+    type Item = (&'a K, &'a V);
+
+    fn next(&mut self) -> Option<(&'a K, &'a V)> {
+        self.0.next().map(|(k, v)| (k, v))
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        self.0.size_hint()
+    }
+}
 
 /// A partial assignment over the state space: unconstrained slots match
 /// anything.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct StatePattern {
     /// Required device contexts.
-    pub contexts: BTreeMap<DeviceId, SecurityContext>,
+    pub contexts: SmallMap<DeviceId, SecurityContext>,
     /// Required environment values.
-    pub env: BTreeMap<EnvVar, &'static str>,
+    pub env: SmallMap<EnvVar, &'static str>,
 }
 
 impl StatePattern {
@@ -87,6 +240,76 @@ impl StatePattern {
     }
 }
 
+/// Where a rule came from, for reports. The compiler's templates keep
+/// their parts and render them on demand; `Display` writes the text a
+/// report shows ("vuln:open-dns-resolver:dev3"), and `Debug` writes that
+/// text as a quoted string.
+#[derive(Clone, PartialEq, Eq)]
+pub enum RuleOrigin {
+    /// Free text, as [`PolicyRule::with_origin`] gives it.
+    Text(String),
+    /// A known flaw's standing mitigation: `vuln:<vuln id>:<device>`.
+    Vuln {
+        /// The vulnerability class id ([`iotdev::vuln::Vulnerability::id`]).
+        vuln: &'static str,
+        /// The mitigated device.
+        device: DeviceId,
+    },
+    /// Suspicious-context escalation: `escalate:suspicious:<device>`.
+    Suspicious(DeviceId),
+    /// Quarantine on compromise: `escalate:quarantine:<device>`.
+    Quarantine(DeviceId),
+    /// An actuation gate: `gate:<target>:<var>=<value>`.
+    Gate {
+        /// The gated device.
+        target: DeviceId,
+        /// The gating variable.
+        var: EnvVar,
+        /// The value actuation requires.
+        value: &'static str,
+    },
+    /// Open verbs to `protected` blocked while `watched` is in `ctx`:
+    /// `protect:<protected>:on-<ctx>-of:<watched>`.
+    Protect {
+        /// The protected device.
+        protected: DeviceId,
+        /// The watched device's context.
+        ctx: SecurityContext,
+        /// The watched device.
+        watched: DeviceId,
+    },
+    /// A repository signature's standing IDS: `repo:<sku>`.
+    Repo(Sku),
+}
+
+impl Default for RuleOrigin {
+    fn default() -> Self {
+        RuleOrigin::Text(String::new())
+    }
+}
+
+impl fmt::Display for RuleOrigin {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            RuleOrigin::Text(text) => fmt::Display::fmt(text, f),
+            RuleOrigin::Vuln { vuln, device } => write!(f, "vuln:{vuln}:{device}"),
+            RuleOrigin::Suspicious(device) => write!(f, "escalate:suspicious:{device}"),
+            RuleOrigin::Quarantine(device) => write!(f, "escalate:quarantine:{device}"),
+            RuleOrigin::Gate { target, var, value } => write!(f, "gate:{target}:{var:?}={value}"),
+            RuleOrigin::Protect { protected, ctx, watched } => {
+                write!(f, "protect:{protected}:on-{}-of:{watched}", ctx.name())
+            }
+            RuleOrigin::Repo(sku) => write!(f, "repo:{sku}"),
+        }
+    }
+}
+
+impl fmt::Debug for RuleOrigin {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(&self.to_string(), f)
+    }
+}
+
 /// One prioritized policy rule.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PolicyRule {
@@ -96,14 +319,14 @@ pub struct PolicyRule {
     /// When the rule applies.
     pub pattern: StatePattern,
     /// What each affected device's posture becomes.
-    pub postures: BTreeMap<DeviceId, Posture>,
+    pub postures: SmallMap<DeviceId, Posture>,
     /// When true, this rule *replaces* everything accumulated by
     /// lower-priority rules for its devices instead of merging with it
     /// (quarantine is the canonical override).
     pub override_lower: bool,
     /// Human-readable origin (for reports: "fig3-window-block",
-    /// "vuln:open-dns-resolver", "recipe:42").
-    pub origin: String,
+    /// "vuln:open-dns-resolver:dev3", "recipe:42").
+    pub origin: RuleOrigin,
 }
 
 impl PolicyRule {
@@ -114,14 +337,20 @@ impl PolicyRule {
         device: DeviceId,
         posture: Posture,
     ) -> PolicyRule {
-        let mut postures = BTreeMap::new();
+        let mut postures = SmallMap::new();
         postures.insert(device, posture);
-        PolicyRule { priority, pattern, postures, override_lower: false, origin: String::new() }
+        let origin = RuleOrigin::default();
+        PolicyRule { priority, pattern, postures, override_lower: false, origin }
     }
 
     /// Attach an origin label.
-    pub fn with_origin(mut self, origin: &str) -> PolicyRule {
-        self.origin = origin.into();
+    pub fn with_origin(self, origin: &str) -> PolicyRule {
+        self.with_rule_origin(RuleOrigin::Text(origin.into()))
+    }
+
+    /// Attach a structured origin.
+    pub fn with_rule_origin(mut self, origin: RuleOrigin) -> PolicyRule {
+        self.origin = origin;
         self
     }
 
@@ -297,6 +526,8 @@ mod tests {
     use super::*;
     use crate::posture::{BlockClass, SecurityModule};
     use iotdev::device::DeviceClass;
+    use proptest::prelude::*;
+    use std::collections::BTreeMap;
 
     const ALARM: DeviceId = DeviceId(0);
     const WINDOW: DeviceId = DeviceId(1);
@@ -420,6 +651,64 @@ mod tests {
         policy.baseline = Posture::of(SecurityModule::ProtocolWhitelist);
         let p = policy.posture_for(&policy.schema.initial_state(), DeviceId(0));
         assert!(p.contains(&SecurityModule::ProtocolWhitelist));
+    }
+
+    /// `(key, value)` inserts in the order given, in ascending key order
+    /// (a stable sort, so a repeated key's later value still wins) or in
+    /// descending key order.
+    fn ordered(inserts: &[(u8, u8)], order: u8) -> Vec<(u8, u8)> {
+        let mut out = inserts.to_vec();
+        match order % 3 {
+            0 => {}
+            1 => out.sort_by_key(|(k, _)| *k),
+            _ => out.sort_by_key(|(k, _)| std::cmp::Reverse(*k)),
+        }
+        out
+    }
+
+    /// The map and its `BTreeMap` twin after the same inserts, each
+    /// insert's returned value compared on the way.
+    fn both(inserts: &[(u8, u8)]) -> (SmallMap<DeviceId, u8>, BTreeMap<DeviceId, u8>) {
+        let (mut small, mut twin) = (SmallMap::new(), BTreeMap::new());
+        for &(k, v) in inserts {
+            let key = DeviceId(k.into());
+            assert_eq!(small.insert(key, v), twin.insert(key, v), "insert {key:?}");
+        }
+        (small, twin)
+    }
+
+    proptest! {
+        #[test]
+        fn prop_small_map_reads_as_a_btree_map(
+            a in proptest::collection::vec((0u8..6, any::<u8>()), 0..10),
+            a_order in 0u8..3,
+            b in proptest::collection::vec((0u8..6, 0u8..2), 0..10),
+            b_order in 0u8..3,
+        ) {
+            // Keys 0..6 and up to ten inserts: 0-6 distinct keys, with
+            // repeats. Values of `b` are 0 or 1, so it sometimes equals
+            // its reordering.
+            let (small, twin) = both(&ordered(&a, a_order));
+            prop_assert!(small.iter().eq(twin.iter()));
+            prop_assert!((&small).into_iter().eq(&twin));
+            prop_assert!(small.keys().eq(twin.keys()));
+            prop_assert!(small.values().eq(twin.values()));
+            prop_assert_eq!(small.len(), twin.len());
+            prop_assert_eq!(small.is_empty(), twin.is_empty());
+            for k in 0..8u32 {
+                // 6 and 7 are never inserted: misses past the last key.
+                prop_assert_eq!(small.get(&DeviceId(k)), twin.get(&DeviceId(k)));
+            }
+            prop_assert_eq!(format!("{small:?}"), format!("{twin:?}"));
+            prop_assert_eq!(format!("{small:#?}"), format!("{twin:#?}"));
+            prop_assert!(small == small.clone());
+            for order in 0..3 {
+                let (other, other_twin) = both(&ordered(&b, b_order + order));
+                let (again, again_twin) = both(&ordered(&b, b_order));
+                prop_assert_eq!(small == other, twin == other_twin);
+                prop_assert_eq!(again == other, again_twin == other_twin);
+            }
+        }
     }
 
     #[test]

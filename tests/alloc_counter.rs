@@ -5,8 +5,9 @@
 //! nondeterministic cloning).
 //!
 //! Lives here (not in `crates/core`) because a counting allocator needs
-//! `unsafe impl GlobalAlloc` and the core crate is `#![forbid(unsafe_code)]`;
-//! an integration test is its own crate, so the forbid does not apply.
+//! `unsafe impl GlobalAlloc` and the core crate is `#![deny(unsafe_code)]`
+//! (its one exemption is `ResidentWorld`'s `unsafe impl Send`); an
+//! integration test is its own crate, so the lint does not apply.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -103,6 +104,35 @@ fn world_construction_allocation_profile() {
         big_count < first * 4,
         "scaled world ({big_count} allocs) must stay within 4x the base ({first})"
     );
+
+    // 3b. The cold builds, exactly (the same in debug and release),
+    // counted by site with a backtracing allocator (DESIGN.md §6):
+    //
+    // | component                                     | smart | p24 |
+    // |-----------------------------------------------|-------|-----|
+    // | policy compile (context domains, rule vector, |    33 |  87 |
+    // |   the escalation posture's third module)      |       |     |
+    // | devices (owner credentials, flaw lists)       |    33 |  81 |
+    // | intel (signatures, each non-empty ruleset)    |    26 |  26 |
+    // | network (topology, ports, wires, queue)       |    18 |  26 |
+    // | µmbox launches (chains, lifecycle, cluster)   |    26 |  26 |
+    // | attacker (plan, step labels)                  |    20 |  20 |
+    // | world (entity table, buffers)                 |    12 |  13 |
+    // | hub (directory, recipes)                      |     7 |  11 |
+    // | the controller's first reconciliation         |     7 |   7 |
+    // | **`World::new`**                              |   182 | 297 |
+    //
+    // They were 377 and 782: every rule held a map node for its posture
+    // and another for its pattern and formatted its origin string (the
+    // policy compile was 171 and 419), every device and signature copied
+    // its SKU's three strings (54 and 126), and every device without a
+    // signature had an empty ruleset of its own.
+    const SMART_HOME_BUILD_ALLOCS: u64 = 182;
+    const P24_HOME_BUILD_ALLOCS: u64 = 297;
+    assert_eq!(first, SMART_HOME_BUILD_ALLOCS, "World::new on the smart home");
+    let (p24, _) = scenario::scaled_home(Defense::iotsec(), 42, 24);
+    let p24_count = min_allocs_over(3, || World::new(&p24));
+    assert_eq!(p24_count, P24_HOME_BUILD_ALLOCS, "World::new on the p24 home");
 
     // 4. The packed state-space inner loop (E19) is allocation-free
     // once the memo tables are warm: odometer stepping is register
